@@ -25,6 +25,7 @@ from pathlib import Path
 from .coeffs import CoefficientFamily, certify, example_family, identity_family
 from .energy import ProblemParams
 from .errors import (
+    CoercivityViolation,
     InadmissibleLambda,
     InvalidParams,
     InvalidSpec,
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_INADMISSIBLE = 3
+EXIT_COERCIVITY = 4
 
 SWEEP_HEADER = (
     "beta,energy,L1,L2,e_beta,euler_res,nehari_r1,nehari_r2,"
@@ -419,6 +421,9 @@ def run(command: str, cfg: RunConfig, out_dir) -> int:
     except (NoConvergence, NoFullyNontrivialCandidate) as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except CoercivityViolation as exc:
+        print(f"coercivity bound violated: {exc}", file=sys.stderr)
+        return EXIT_COERCIVITY
 
 
 def main(argv=None) -> int:

@@ -273,34 +273,68 @@ def _solve_2x2(J: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g * (min(t[0], t[1]) / (np.max(np.abs(g)) + 1.0))
 
 
-def _axis_root(ev: FiberEvaluator, k: int, tau_init: float | None = None) -> float:
-    """Positive root of the decoupled axis gradient D_k (coupling ignored)."""
-    p = ev.params.p
-    lam = ev.params.lam(k + 1)
-    quad0 = float(ev._ia(k, 1e-6)) - lam * ev.q[k]
-    tau0 = tau_init if tau_init else 1.0
-    if tau_init is None and quad0 > 0.0 and ev.pp[k] > 0.0:
-        tau0 = (quad0 / ev.pp[k]) ** (1.0 / (p - 2.0))
-    lo = hi = None
-    for span in (2.0, 16.0, 256.0, 65536.0):
-        taus = np.geomspace(tau0 / span, tau0 * span, 16)
-        vals = ev._axis_grad(k, taus)
-        pos = vals > 0.0
-        if pos[0] and not pos[-1]:
-            j = int(np.argmin(pos))
-            lo, hi = float(taus[j - 1]), float(taus[j])
-            break
-    if lo is None:
-        raise NoConvergence("could not bracket the axis fiber root")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ev._axis_grad(k, mid) > 0.0:
-            lo = mid
+def _closed_form_root(quad: float, nonlin: float, p: float) -> float:
+    """Root of tau*quad - nonlin*tau^(p-1), the constant-profile fiber
+    derivative; 1 when it has no positive root."""
+    if quad > 0.0 and nonlin > 0.0:
+        return (quad / nonlin) ** (1.0 / (p - 2.0))
+    return 1.0
+
+
+def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
+    """Unique positive zero of psi, which is > 0 below it and < 0 above it.
+
+    `psi` is vectorized; each iteration makes one call on (tau - dt, tau,
+    tau + dt) for the value and a central-difference slope.  The bracket
+    starts open, (0, inf), and is tightened by the sign of psi.  A Newton
+    step is taken when it stays inside the bracket and, across a side
+    still open, within a factor 2 of tau; otherwise tau is doubled or
+    halved while a side is open, and bisected once the bracket is closed.
+    Returns as soon as psi is exactly zero or the step is within tol*tau;
+    raises NoConvergence after 100 steps.
+    """
+    lo, hi = 0.0, math.inf
+    tau = float(tau0)
+    for _ in range(100):
+        dt = 1e-7 * tau
+        f_m, f, f_p = psi(np.array([tau - dt, tau, tau + dt]))
+        if f == 0.0:
+            return tau
+        if f > 0.0:
+            lo = tau
         else:
-            hi = mid
-        if hi - lo <= 1e-6 * mid:
-            break
-    return 0.5 * (lo + hi)
+            hi = tau
+        df = (f_p - f_m) / (2.0 * dt)
+        t_new = tau - f / df if df != 0.0 else math.nan
+        # tested before the safeguard: a converged step lands on the
+        # bracket end tau itself, which the strict test below rejects
+        if abs(t_new - tau) <= tol * tau:
+            return float(t_new)
+        lower = lo if lo > 0.0 else 0.5 * tau
+        upper = hi if hi < math.inf else 2.0 * tau
+        if not lower < t_new < upper:
+            if hi == math.inf:
+                t_new = 2.0 * tau
+            elif lo == 0.0:
+                t_new = 0.5 * tau
+            else:
+                t_new = 0.5 * (lo + hi)
+                if hi - lo <= 2.0 * tol * t_new:
+                    return t_new
+        tau = float(t_new)
+    raise NoConvergence(
+        f"fiber root not found in 100 steps (bracket [{lo:.6g}, {hi:.6g}])",
+        iterations=100,
+    )
+
+
+def _axis_root(ev: FiberEvaluator, k: int) -> float:
+    """Positive root of the decoupled axis gradient D_k (coupling ignored)."""
+    quad0 = float(ev._ia(k, 1e-6)) - ev.params.lam(k + 1) * ev.q[k]
+    return positive_root(
+        lambda taus: ev._axis_grad(k, taus),
+        _closed_form_root(quad0, ev.pp[k], ev.params.p),
+    )
 
 
 def _newton_root(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
@@ -545,46 +579,13 @@ class ScalarFiberCache:
         )
 
     def root(self, tau_init: float | None = None, tol: float = 1e-12) -> float:
-        """Unique positive zero of psi, by bracketing plus damped Newton."""
+        """Unique positive zero of psi, by safeguarded Newton from tau_init."""
         if tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init):
             tau0 = tau_init
         else:
             quad = self.ia0 - self.lam * self.q
-            tau0 = (
-                (quad / (self.c * self.pp)) ** (1.0 / (self.p - 2.0))
-                if quad > 0.0
-                else 1.0
-            )
-
-        # geometric batches to bracket the sign change around tau0
-        lo = hi = None
-        for span in (2.0, 16.0, 256.0, 65536.0):
-            taus = np.geomspace(tau0 / span, tau0 * span, 16)
-            vals = self.psi(taus)
-            pos = vals > 0.0
-            if pos[0] and not pos[-1]:
-                k = int(np.argmin(pos))  # first False
-                lo, hi = float(taus[k - 1]), float(taus[k])
-                break
-        if lo is None:
-            raise NoConvergence("could not bracket the scalar fiber root")
-
-        tau = 0.5 * (lo + hi)
-        for _ in range(100):
-            dt = 1e-7 * tau
-            f_m, f, f_p = self.psi(np.array([tau - dt, tau, tau + dt]))
-            if f > 0.0:
-                lo = tau
-            else:
-                hi = tau
-            df = (f_p - f_m) / (2.0 * dt)
-            t_new = tau - f / df if df != 0.0 else 0.5 * (lo + hi)
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-            if abs(t_new - tau) <= tol * tau:
-                return float(t_new)
-            tau = t_new
-        return float(tau)
+            tau0 = _closed_form_root(quad, self.c * self.pp, self.p)
+        return positive_root(self.psi, tau0, tol=tol)
 
 
 def scalar_fiber_root(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .coeffs import CoefficientFamily
+from .coeffs import KIND_TABULATED, CoefficientFamily
 from .energy import (
     NehariResidual,
     ProblemParams,
@@ -215,9 +215,14 @@ def segregated_pair(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symmetric_problem(params, fam1, fam2) -> bool:
+    # a tabulated family's constants do not determine its profile
+    same_profile = fam1.kind != KIND_TABULATED or (
+        fam1.a is fam2.a and fam1.da is fam2.da
+    )
     return (
         params.lambda1 == params.lambda2
         and fam1.kind == fam2.kind
+        and same_profile
         and fam1.gamma == fam2.gamma
         and fam1.nu == fam2.nu
         and fam1.c0 == fam2.c0
@@ -572,8 +577,13 @@ def scalar_levels(
     grid: Grid,
     opts: SolverOptions = SolverOptions(),
 ):
-    """Ground fields and levels (z1, z2, L1, L2) of the two scalar problems."""
+    """Ground fields and levels (z1, z2, L1, L2) of the two scalar problems.
+
+    For symmetric data the two problems are one, solved once.
+    """
     z1, L1, _ = scalar_ground_state(1, params, fam1, grid, opts)
+    if _symmetric_problem(params, fam1, fam2):
+        return z1, z1, L1, L1
     z2, L2, _ = scalar_ground_state(2, params, fam2, grid, opts)
     return z1, z2, L1, L2
 
@@ -1063,6 +1073,18 @@ def decoupled_solution(
     )
 
 
+# solver failures a sweep records as an error row; anything else is a bug
+_ROW_ERRORS = (
+    CoercivityViolation,
+    DegenerateInput,
+    InadmissibleLambda,
+    InvalidParams,
+    NoConvergence,
+    NoFullyNontrivialCandidate,
+    NotProjectable,
+)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     beta: float
@@ -1081,8 +1103,8 @@ def beta_sweep(
 ) -> list[SweepRow]:
     """One solve per beta, warm-starting from the previous solution.
 
-    Rows never abort the sweep; failures are recorded as row-level
-    status markers.
+    Solver failures never abort the sweep; they are recorded as row-level
+    status markers.  Any other exception propagates.
     """
     rows: list[SweepRow] = []
     scalars = scalar_levels(params, fam1, fam2, grid, opts)
@@ -1107,6 +1129,6 @@ def beta_sweep(
                 )
             warm = u
             rows.append(SweepRow(beta=float(beta), status="ok", report=rep))
-        except Exception as exc:  # row-level failure, sweep continues
+        except _ROW_ERRORS as exc:  # row-level failure, sweep continues
             rows.append(SweepRow(beta=float(beta), status="error", error=str(exc)))
     return rows

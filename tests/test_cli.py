@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import nehari2d.cli as C
 from nehari2d import load_field
 from nehari2d.cli import (
+    EXIT_COERCIVITY,
     EXIT_INADMISSIBLE,
     EXIT_OK,
     EXIT_USAGE,
@@ -14,7 +16,7 @@ from nehari2d.cli import (
     parse_config,
     serialize_config,
 )
-from nehari2d.errors import ParseError, ValidationError
+from nehari2d.errors import CoercivityViolation, ParseError, ValidationError
 
 MINIMAL = """
 grid.nx = 9
@@ -193,6 +195,17 @@ class TestCommands:
         main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert "threshold" in err
+
+    def test_coercivity_violation_exit_code(self, tmp_path, monkeypatch, capsys):
+        def violates(*args, **kwargs):
+            raise CoercivityViolation("constrained energy fell below the bound")
+
+        monkeypatch.setattr(C, "competitive_least_energy", violates)
+        cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=-2.0, fam="identity"))
+        rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_COERCIVITY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fell below the bound" in err
 
     def test_sweep_csv(self, tmp_path):
         text = FAST_SOLVE.format(beta=0.0, fam="identity") + "sweep.betas = 0\n"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import nehari2d.grid as G
 from nehari2d import (
@@ -16,9 +17,15 @@ from nehari2d import (
     sphere_normalize,
     total_energy,
 )
-from nehari2d.errors import DegenerateInput
-from nehari2d.fiber import FiberEvaluator, critical_cell_count, scalar_fiber_root
-from nehari2d.solvers import segregated_pair
+from nehari2d.errors import DegenerateInput, NoConvergence
+from nehari2d.fiber import (
+    FiberEvaluator,
+    ScalarFiberCache,
+    critical_cell_count,
+    positive_root,
+    scalar_fiber_root,
+)
+from nehari2d.solvers import conservative_mu1, segregated_pair
 
 from conftest import random_state, segregated_random_state
 
@@ -132,6 +139,74 @@ class TestFiberGradient:
         b = G.integrate(np.abs(G.cell_values(u.u1, grid31)) ** 4, grid31)
         tau = scalar_fiber_root(u.u1, 0.0, params, identity, grid31)
         assert tau == pytest.approx((a / b) ** 0.5, rel=1e-11)
+
+
+def counted(psi):
+    """psi wrapped with a call counter in `.calls`."""
+
+    def wrapper(taus):
+        wrapper.calls += 1
+        return psi(taus)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+def modulated_bump(grid):
+    X, Y = grid.node_mesh()
+    rng = np.random.default_rng(5)
+    return ScalarField(
+        np.sin(np.pi * X) * np.sin(np.pi * Y) * (1.0 + 0.3 * rng.random(grid.shape)),
+        grid.spec,
+    )
+
+
+class TestPositiveRoot:
+    def test_start_on_root_costs_one_call(self):
+        # psi(2) == 0 exactly: a start on the root must not walk away from it
+        psi = counted(lambda t: t * (4.0 - t * t))
+        assert positive_root(psi, 2.0) == 2.0
+        assert psi.calls == 1
+
+    def test_step_rounding_to_nothing_is_kept(self):
+        # psi(2) is tiny but nonzero, so the Newton step rounds to nothing
+        # and lands on the bracket end that psi's sign has just set
+        psi = counted(lambda t: 1e-20 + (2.0 - t))
+        assert positive_root(psi, 2.0) == 2.0
+        assert psi.calls == 1
+
+    def test_no_root_raises(self):
+        with pytest.raises(NoConvergence):
+            positive_root(lambda t: 1.0 + t, 1.0)
+
+    @pytest.mark.parametrize("kind", ["identity", "example"])
+    @pytest.mark.parametrize("lam_frac,nonlin", [(0.0, 1.0), (0.3, 1.0), (0.3, 2.5),
+                                                 (-0.5, 1.0)])
+    def test_matches_brentq(self, grid15, identity, example1, kind, lam_frac,
+                            nonlin):
+        fam = identity if kind == "identity" else example1
+        lam = lam_frac * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
+        cache = ScalarFiberCache(modulated_bump(grid15), lam, params, fam, grid15,
+                                 nonlin)
+        ref = brentq(lambda t: float(cache.psi(t)), 1e-6, 1e6, xtol=1e-300,
+                     rtol=1e-15)
+        for tau_init in (None, 0.01 * ref, 100.0 * ref):
+            tau = cache.root(tau_init=tau_init)
+            assert tau == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.99, 1.0, 1.01])
+    def test_warm_start_is_cheap(self, grid15, example1, offset):
+        # offset 1.0 is the relapse case: a start on the root used to be
+        # bisected away from it and walked back
+        lam = 0.3 * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
+        cache = ScalarFiberCache(modulated_bump(grid15), lam, params, example1,
+                                 grid15)
+        ref = cache.root()
+        cache.psi = counted(cache.psi)
+        assert cache.root(tau_init=offset * ref) == pytest.approx(ref, rel=1e-12)
+        assert cache.psi.calls <= 8
 
 
 class TestProjection:

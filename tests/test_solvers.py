@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nehari2d.grid as G
+import nehari2d.solvers as S
 from nehari2d import (
     GridSpec,
     ProblemParams,
@@ -18,7 +19,8 @@ from nehari2d import (
     refine_solution,
     scalar_ground_state,
 )
-from nehari2d.errors import InadmissibleLambda, InvalidParams
+from nehari2d.coeffs import tabulated_family
+from nehari2d.errors import InadmissibleLambda, InvalidParams, NoConvergence
 from nehari2d.solvers import (
     REGIME_DECOUPLED,
     conservative_mu1,
@@ -106,6 +108,61 @@ class TestScalarGroundState:
         r = nehari_residual(u, params, identity, identity, grid)
         assert abs(r.r1) <= 1e-7
         assert r.r2 == 0.0
+
+
+def stub_scalar_solves(monkeypatch):
+    """Replace scalar_ground_state by a stub; returns the list of its calls."""
+    calls = []
+
+    def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
+        calls.append(i)
+        z = ScalarField(np.full(grid.shape, float(i)), grid.spec)
+        return z, float(i), None
+
+    monkeypatch.setattr(S, "scalar_ground_state", fake)
+    return calls
+
+
+class TestScalarLevels:
+    def test_symmetric_data_solved_once(self, monkeypatch, grid15, example1,
+                                        fast_opts):
+        calls = stub_scalar_solves(monkeypatch)
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        z1, z2, L1, L2 = scalar_levels(params, example1, example1, grid15, fast_opts)
+        assert calls == [1]
+        assert z2 is z1 and L2 == L1
+
+    def test_asymmetric_data_solved_twice(self, monkeypatch, grid15, identity,
+                                          example1, fast_opts):
+        calls = stub_scalar_solves(monkeypatch)
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        z1, z2, L1, L2 = scalar_levels(params, identity, example1, grid15, fast_opts)
+        assert calls == [1, 2]
+        assert (L1, L2) == (1.0, 2.0)
+
+    def test_tabulated_profiles_compared_by_identity(self, monkeypatch, grid15,
+                                                     fast_opts):
+        def a1(s):
+            return np.ones_like(s)
+
+        def a2(s):
+            return 1.0 + 0.5 * s * s / (1.0 + s * s)
+
+        def da1(s):
+            return np.zeros_like(s)
+
+        def da2(s):
+            return s / (1.0 + s * s) ** 2
+
+        fam1 = tabulated_family(a1, da1, nu=1.0, c0=2.0, gamma=1.0)
+        fam2 = tabulated_family(a2, da2, nu=1.0, c0=2.0, gamma=1.0)
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        calls = stub_scalar_solves(monkeypatch)
+        scalar_levels(params, fam1, fam2, grid15, fast_opts)
+        assert calls == [1, 2]
+        calls.clear()
+        scalar_levels(params, fam1, fam1, grid15, fast_opts)
+        assert calls == [1]
 
 
 class TestRefineSolution:
@@ -333,6 +390,31 @@ class TestDecoupledAndSweep:
         )
         assert rows[0].status == "ok"
         assert rows[1].status == "error"
+
+
+    def test_sweep_records_solver_failure(self, monkeypatch, grid15, identity,
+                                          fast_opts):
+        stub_scalar_solves(monkeypatch)
+
+        def fails(*args, **kwargs):
+            raise NoConvergence("no start converged")
+
+        monkeypatch.setattr(S, "decoupled_solution", fails)
+        params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
+        rows = beta_sweep([0.0], params, identity, identity, grid15, fast_opts)
+        assert rows[0].status == "error"
+        assert "no start converged" in rows[0].error
+
+    def test_sweep_propagates_bugs(self, monkeypatch, grid15, identity, fast_opts):
+        stub_scalar_solves(monkeypatch)
+
+        def buggy(*args, **kwargs):
+            raise RuntimeError("programming error")
+
+        monkeypatch.setattr(S, "decoupled_solution", buggy)
+        params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
+        with pytest.raises(RuntimeError, match="programming error"):
+            beta_sweep([0.0], params, identity, identity, grid15, fast_opts)
 
 
 class TestDeterminismAndSymmetry:
