@@ -387,6 +387,11 @@ def _newton_polish(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
                     t = trial
             return t, True
         step = _solve_2x2(J, g, t)
+        if float(g @ step) <= 0.0:
+            # not an ascent direction (h is not concave here): the line
+            # search below would only creep along within its slack, for
+            # max_iter iterations, without increasing h
+            return t, _stationary(ev, t, h, opts.tol)
 
         # halve until positive and h does not decrease (tiny fp slack)
         slack = 32.0 * np.finfo(float).eps * (abs(h) + 1.0)
@@ -402,10 +407,13 @@ def _newton_polish(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
                     break
             scale *= 0.5
         if not accepted:
-            g = np.array(ev.grad(t[0], t[1]))
-            return t, bool(np.max(np.abs(g)) <= 10.0 * opts.tol * (abs(h) + 1.0))
+            return t, _stationary(ev, t, h, 10.0 * opts.tol)
+    return t, _stationary(ev, t, h, opts.tol)
+
+
+def _stationary(ev: FiberEvaluator, t: np.ndarray, h: float, tol: float) -> bool:
     g = np.array(ev.grad(t[0], t[1]))
-    return t, bool(np.max(np.abs(g)) <= opts.tol * (abs(h) + 1.0))
+    return bool(np.max(np.abs(g)) <= tol * (abs(h) + 1.0))
 
 
 def project_to_nehari(

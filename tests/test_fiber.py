@@ -245,6 +245,26 @@ class TestProjection:
         assert abs(again.t.t1 - 1.0) <= 10 * 1e-8
         assert abs(again.t.t2 - 1.0) <= 10 * 1e-8
 
+    def test_far_warm_start_is_cheap(self, monkeypatch, grid15, example1,
+                                     competitive_params):
+        # at 0.05 t* h is convex, so the Newton step descends; the line
+        # search used to creep along within its slack for max_iter
+        # iterations (4,901 value calls) before falling back to the scan
+        u = bump_state(grid15)
+        cold = project_to_nehari(u, competitive_params, example1, example1, grid15)
+        calls = []
+        value = FiberEvaluator.value
+        monkeypatch.setattr(
+            FiberEvaluator, "value",
+            lambda self, t1, t2: calls.append(1) or value(self, t1, t2),
+        )
+        warm = project_to_nehari(
+            u, competitive_params, example1, example1, grid15,
+            t_init=(0.05 * cold.t.t1, 0.05 * cold.t.t2),
+        )
+        assert warm.t == cold.t
+        assert len(calls) <= 61
+
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
         u = StatePair(
             ScalarField(np.ones(grid15.shape), grid15.spec), G.zero_field(grid15)
