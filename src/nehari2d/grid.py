@@ -159,14 +159,26 @@ def _check(field: ScalarField, grid: Grid):
 def cell_values(fld: ScalarField, grid: Grid) -> np.ndarray:
     """Bilinear interpolant of the field at every cell center."""
     _check(fld, grid)
-    P = grid.padded(fld.values)
-    return 0.25 * (P[:-1, :-1] + P[1:, :-1] + P[:-1, 1:] + P[1:, 1:])
+    return cell_values_of(fld.values, grid)
 
 
 def cell_gradients(fld: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(d/dx, d/dy) of the bilinear interpolant at every cell center."""
     _check(fld, grid)
-    P = grid.padded(fld.values)
+    return cell_gradients_of(fld.values, grid)
+
+
+def cell_values_of(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """cell_values of a bare (nx, ny) nodal array, unchecked."""
+    P = grid.padded(values)
+    return 0.25 * (P[:-1, :-1] + P[1:, :-1] + P[:-1, 1:] + P[1:, 1:])
+
+
+def cell_gradients_of(
+    values: np.ndarray, grid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """cell_gradients of a bare (nx, ny) nodal array, unchecked."""
+    P = grid.padded(values)
     gx = ((P[1:, :-1] + P[1:, 1:]) - (P[:-1, :-1] + P[:-1, 1:])) / (2.0 * grid.hx)
     gy = ((P[:-1, 1:] + P[1:, 1:]) - (P[:-1, :-1] + P[1:, :-1])) / (2.0 * grid.hy)
     return gx, gy

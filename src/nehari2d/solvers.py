@@ -55,6 +55,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     StatePair,
+    cell_gradients_of,
     cell_values,
     grad_sq,
     integrate,
@@ -163,16 +164,9 @@ def _riesz(values: np.ndarray, grid: Grid) -> np.ndarray:
     return _poisson(grid)(values)
 
 
-def _raw_cell_grads(arr: np.ndarray, grid: Grid):
-    P = grid.padded(arr)
-    gx = ((P[1:, :-1] + P[1:, 1:]) - (P[:-1, :-1] + P[:-1, 1:])) / (2.0 * grid.hx)
-    gy = ((P[:-1, 1:] + P[1:, 1:]) - (P[:-1, :-1] + P[1:, :-1])) / (2.0 * grid.hy)
-    return gx, gy
-
-
 def _quad_grad_inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    ax, ay = _raw_cell_grads(a, grid)
-    bx, by = _raw_cell_grads(b, grid)
+    ax, ay = cell_gradients_of(a, grid)
+    bx, by = cell_gradients_of(b, grid)
     return float(np.sum(ax * bx + ay * by)) * grid.cell_area
 
 
