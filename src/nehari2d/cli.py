@@ -45,6 +45,7 @@ from .solvers import (
     decoupled_solution,
     grid_eigenpair,
     scalar_ground_state,
+    symmetric_problem,
 )
 from .spectrum import strong_threshold
 
@@ -324,10 +325,13 @@ def _cmd_eigen(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.grid)
+    fam1, fam2 = cfg.family1.build(), cfg.family2.build()
+    # for symmetric data the two scalar problems are one
+    same = symmetric_problem(cfg.params, fam1, fam2)
     rows = []
-    for i, spec in ((1, cfg.family1), (2, cfg.family2)):
-        fam = spec.build()
-        z, level, rep = scalar_ground_state(i, cfg.params, fam, grid, cfg.solver)
+    for i, fam in ((1, fam1), (2, fam2)):
+        if i == 1 or not same:
+            z, level, rep = scalar_ground_state(i, cfg.params, fam, grid, cfg.solver)
         dump_field(z, grid, out / f"scalar_{i}.field")
         rows.append(
             f"{i},{_fmt(level)},{_fmt(rep.euler_residual_norm)},"

@@ -1,9 +1,9 @@
 """Isotropic diffusion coefficient families and hypothesis certification.
 
 A family supplies the scalar profile A(s) of an isotropic coefficient
-A(s)*Id together with its derivative A'(s) and the structural constants
-(nu, C0, gamma).  The certifier samples a range of s and checks the four
-structural conditions the variational theory rests on:
+A(s)*Id together with its derivatives A'(s), A''(s) and the structural
+constants (nu, C0, gamma).  The certifier samples a range of s and
+checks the four structural conditions the variational theory rests on:
 
   (a1)  |A(s)| <= C0 and |A'(s)| <= C0
   (a2)  A(s) >= nu                          (ellipticity, nu in (0, 1])
@@ -32,11 +32,15 @@ KIND_TABULATED = "tabulated"
 
 @dataclass(frozen=True)
 class CoefficientFamily:
-    """Profile A(s), derivative A'(s) and constants of one component."""
+    """Profile A(s), derivatives A'(s), A''(s) and constants of one component.
+
+    The derivatives are 0 at s = 0 wherever they do not exist there.
+    """
 
     kind: str
     a: Callable[[np.ndarray], np.ndarray]
     da: Callable[[np.ndarray], np.ndarray]
+    d2a: Callable[[np.ndarray], np.ndarray]
     nu: float
     c0: float
     gamma: float
@@ -70,6 +74,7 @@ def identity_family(gamma: float = 1.0) -> CoefficientFamily:
         kind=KIND_IDENTITY,
         a=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         da=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        d2a=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         nu=1.0,
         c0=1.0,
         gamma=gamma,
@@ -94,10 +99,13 @@ def example_family(gamma: float) -> CoefficientFamily:
     """Saturating profile A(s) = 1 + |s|^gamma / (1 + |s|^gamma).
 
     Even in s, takes values in [1, 2], so nu = 1.  The derivative
-    A'(s) = gamma * |s|^(gamma-2) * s / (1 + |s|^gamma)^2 is odd; its value
-    at s = 0 is taken to be 0.  For gamma < 1 the derivative is unbounded
-    near 0 and no finite C0 can satisfy (a1); the declared C0 then only
-    covers A itself and certification reports the violation honestly.
+    A'(s) = gamma * |s|^(gamma-2) * s / (1 + |s|^gamma)^2 is odd and
+    A''(s) = gamma |s|^(gamma-2) [(gamma-1) - (gamma+1)|s|^gamma]
+             / (1 + |s|^gamma)^3
+    is even; both are taken to be 0 at s = 0.  For gamma < 1 the
+    derivative is unbounded near 0 and no finite C0 can satisfy (a1); the
+    declared C0 then only covers A itself and certification reports the
+    violation honestly.
     """
     if gamma <= 0.0:
         raise ValueError(f"need gamma > 0, got {gamma}")
@@ -113,12 +121,20 @@ def example_family(gamma: float) -> CoefficientFamily:
         base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s), where=s != 0.0)
         return gamma * base * s / (1.0 + a_s**gamma) ** 2
 
+    def d2a(s):
+        s = np.asarray(s, dtype=float)
+        a_s = np.abs(s)
+        base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s), where=s != 0.0)
+        sg = a_s**gamma
+        return gamma * base * ((gamma - 1.0) - (gamma + 1.0) * sg) / (1.0 + sg) ** 3
+
     sup_da = _example_sup_abs_da(gamma)
     c0 = max(2.0, sup_da) if math.isfinite(sup_da) else 2.0
     return CoefficientFamily(
         kind=KIND_EXAMPLE,
         a=a,
         da=da,
+        d2a=d2a,
         nu=1.0,
         c0=c0,
         gamma=gamma,
@@ -135,11 +151,22 @@ def tabulated_family(
     gamma: float,
     even: bool = True,
     label: str = "tabulated",
+    d2a: Callable | None = None,
 ) -> CoefficientFamily:
-    """Wrap arbitrary callables as a family; certification is the only guard."""
+    """Wrap arbitrary callables as a family; certification is the only guard.
+
+    Without `d2a`, A'' is a central difference of `da`.
+    """
+    if d2a is None:
+        def d2a(s):
+            s = np.asarray(s, dtype=float)
+            # relative step about the cube root of machine epsilon
+            h = 6e-6 * (1.0 + np.abs(s))
+            return (np.asarray(da(s + h)) - np.asarray(da(s - h))) / (2.0 * h)
+
     return CoefficientFamily(
-        kind=KIND_TABULATED, a=a, da=da, nu=nu, c0=c0, gamma=gamma, even=even,
-        label=label,
+        kind=KIND_TABULATED, a=a, da=da, d2a=d2a, nu=nu, c0=c0, gamma=gamma,
+        even=even, label=label,
     )
 
 

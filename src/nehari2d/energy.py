@@ -1,4 +1,4 @@
-"""Discrete energy of the coupled system and its exact nodal gradient.
+"""Discrete energy of the coupled system, its exact gradient and Hessian.
 
 For a pair u = (u1, u2) with diffusion profiles A1, A2 the energy is
 
@@ -10,7 +10,10 @@ grid module (A_i applied to the interpolated cell value of u_i).  Because
 the quadrature is a smooth function of the nodal values, E has an exact
 gradient, assembled here by the chain rule; the infinite-dimensional
 subtlety that the A'-term only pairs with bounded test functions has no
-finite-dimensional counterpart.
+finite-dimensional counterpart.  Away from zero cell values E is twice
+differentiable, and its Hessian is applied exactly from A''; where a
+cell value is exactly 0 and a second derivative does not exist there
+(A'' for gamma < 2, the coupling for p < 4), it is taken to be 0.
 
 The two constraint residuals r_i pair each component's equation with the
 component itself; r_1 = r_2 = 0 (with both components nontrivial) is the
@@ -25,7 +28,16 @@ import numpy as np
 
 from .coeffs import CoefficientFamily
 from .errors import InvalidParams
-from .grid import Grid, ScalarField, StatePair, cell_gradients, cell_values, scatter_cells
+from .grid import (
+    Grid,
+    ScalarField,
+    StatePair,
+    cell_gradients,
+    cell_gradients_of,
+    cell_values,
+    cell_values_of,
+    scatter_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,30 @@ def coupling_grad_g(t1, t2, params: ProblemParams):
     g1 = sgn_pow(t1, p - 1.0) + beta * sgn_pow(t1, p / 2.0 - 1.0) * a2 ** (p / 2.0)
     g2 = sgn_pow(t2, p - 1.0) + beta * sgn_pow(t2, p / 2.0 - 1.0) * a1 ** (p / 2.0)
     return g1, g2
+
+
+def _abs_pow(a, q):
+    """a^q for a = |t| >= 0; 0 at a = 0 when q < 0 (no derivative there)."""
+    if q >= 0.0:
+        return a**q
+    return np.power(a, q, out=np.zeros_like(a), where=a != 0.0)
+
+
+def coupling_hess_g(t1, t2, params: ProblemParams):
+    """Second derivatives (dg1/dt1, dg1/dt2 = dg2/dt1, dg2/dt2) of the
+    coupling potential, with the 0-at-0 convention of the module."""
+    p, beta = params.p, params.beta
+    half = p / 2.0
+    a1 = np.abs(np.asarray(t1, dtype=float))
+    a2 = np.abs(np.asarray(t2, dtype=float))
+    h11 = (p - 1.0) * a1 ** (p - 2.0) + beta * (half - 1.0) * _abs_pow(
+        a1, half - 2.0
+    ) * a2**half
+    h22 = (p - 1.0) * a2 ** (p - 2.0) + beta * (half - 1.0) * _abs_pow(
+        a2, half - 2.0
+    ) * a1**half
+    h12 = beta * half * sgn_pow(t1, half - 1.0) * sgn_pow(t2, half - 1.0)
+    return h11, h12, h22
 
 
 class _CellData:
@@ -195,6 +231,89 @@ def euler_gradient(
     g1 = scatter_cells(grid, w_val1, a1 * c.g1x, a1 * c.g1y)
     g2 = scatter_cells(grid, w_val2, a2 * c.g2x, a2 * c.g2y)
     return StatePair(ScalarField(g1, grid.spec), ScalarField(g2, grid.spec))
+
+
+class _ProfileLinearization:
+    """The gradient terms of one component's Hessian at a fixed state.
+
+    Built once per state: the cell samples of the state and A, A', A''
+    there.  `apply` then maps the cell samples of a direction, and the
+    caller's value weight (its potential terms), to the nodal product
+    with one scatter.
+    """
+
+    __slots__ = ("grid", "v", "gx", "gy", "a", "da", "dagx", "dagy", "curv")
+
+    def __init__(self, values: np.ndarray, fam: CoefficientFamily, grid: Grid):
+        v = cell_values_of(values, grid)
+        gx, gy = cell_gradients_of(values, grid)
+        da = fam.da(v)
+        self.grid = grid
+        self.v, self.gx, self.gy = v, gx, gy
+        self.a = fam.a(v)
+        self.da = da
+        self.dagx, self.dagy = da * gx, da * gy
+        self.curv = 0.5 * fam.d2a(v) * (gx * gx + gy * gy)
+
+    def sample(self, d: np.ndarray):
+        """(value, d/dx, d/dy) cell samples of a nodal direction."""
+        return (cell_values_of(d, self.grid), *cell_gradients_of(d, self.grid))
+
+    def apply(self, samples, w_val: np.ndarray) -> np.ndarray:
+        dv, dgx, dgy = samples
+        w_val = w_val + self.curv * dv + self.da * (self.gx * dgx + self.gy * dgy)
+        w_gx = self.dagx * dv + self.a * dgx
+        w_gy = self.dagy * dv + self.a * dgy
+        return scatter_cells(self.grid, w_val, w_gx, w_gy)
+
+
+def pair_hessian(
+    u: StatePair,
+    params: ProblemParams,
+    fam1: CoefficientFamily,
+    fam2: CoefficientFamily,
+    grid: Grid,
+):
+    """Exact Hessian of total_energy at u, as a product with a direction.
+
+    Returns `hess(d1, d2) -> (h1, h2)` on bare (nx, ny) nodal arrays,
+    scaled as euler_gradient: the derivative of euler_gradient at u in
+    the direction (d1, d2).
+    """
+    c1 = _ProfileLinearization(u.u1.values, fam1, grid)
+    c2 = _ProfileLinearization(u.u2.values, fam2, grid)
+    h11, h12, h22 = coupling_hess_g(c1.v, c2.v, params)
+    m1 = params.lambda1 + h11
+    m2 = params.lambda2 + h22
+
+    def hess(d1: np.ndarray, d2: np.ndarray):
+        s1, s2 = c1.sample(d1), c2.sample(d2)
+        return (
+            c1.apply(s1, -(m1 * s1[0] + h12 * s2[0])),
+            c2.apply(s2, -(m2 * s2[0] + h12 * s1[0])),
+        )
+
+    return hess
+
+
+def scalar_hessian_c(
+    z: ScalarField,
+    lam: float,
+    p: float,
+    fam: CoefficientFamily,
+    grid: Grid,
+    nonlin_coeff: float = 1.0,
+):
+    """Exact Hessian of scalar_energy_c at z: `hess(d) -> h` on nodal
+    arrays, the derivative of scalar_euler_gradient_c in direction d."""
+    c = _ProfileLinearization(z.values, fam, grid)
+    m = lam + nonlin_coeff * (p - 1.0) * np.abs(c.v) ** (p - 2.0)
+
+    def hess(d: np.ndarray) -> np.ndarray:
+        s = c.sample(d)
+        return c.apply(s, -m * s[0])
+
+    return hess
 
 
 def nehari_residual(

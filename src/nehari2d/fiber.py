@@ -184,24 +184,44 @@ class FiberEvaluator:
         g2 = self._axis_grad(1, t2) - b * t2 ** (half - 1.0) * t1**half * self.cross
         return float(g1), float(g2)
 
+    def _axis_grad_and_slope(self, k: int, tau: float) -> tuple[float, float]:
+        """D_k(tau) and its exact derivative, from one scaled sample tau*u_k.
+
+        With ia' = idv and idv' = int A''(tau u) u^2 |grad u|^2 the slope is
+        ia - lam q + 2 tau idv + tau^2/2 idv' - (p-1) tau^(p-2) int |u|^p.
+        """
+        p = self.params.p
+        lam = self.params.lam(k + 1)
+        if self._const_profile[k]:
+            ia, idv, id2v = self._ia0[k], 0.0, 0.0
+        else:
+            v, fam = self._v[k], self.fams[k]
+            sv = tau * v
+            vg = v * self._gsq[k]
+            ia = float(np.sum(fam.a(sv) * self._gsq[k])) * self.area
+            idv = float(np.sum(fam.da(sv) * vg)) * self.area
+            id2v = float(np.sum(fam.d2a(sv) * v * vg)) * self.area
+        quad = ia - lam * self.q[k]
+        pp = self.pp[k]
+        grad = tau * quad + 0.5 * tau**2 * idv - tau ** (p - 1.0) * pp
+        slope = (
+            quad + 2.0 * tau * idv + 0.5 * tau**2 * id2v
+            - (p - 1.0) * tau ** (p - 2.0) * pp
+        )
+        return grad, slope
+
     def grad_and_jacobian(self, t1: float, t2: float):
-        """Fiber gradient and its Jacobian at (t1, t2).
+        """Fiber gradient and its exact Jacobian at (t1, t2).
 
         The cross-term derivatives are analytic monomials; the axis terms
-        are differenced centrally with one batched profile evaluation per
-        component (the profile second derivative is not part of the
-        family interface).
+        come from A, A' and A'' at one scaled sample per component.
         """
         p, b = self.params.p, self.params.beta
         half = p / 2.0
         g = np.empty(2)
         J = np.empty((2, 2))
-        ts = (t1, t2)
-        for k in range(2):
-            dt = 1e-6 * ts[k]
-            batch = self._axis_grad(k, np.array([ts[k] - dt, ts[k], ts[k] + dt]))
-            g[k] = batch[1]
-            J[k, k] = (batch[2] - batch[0]) / (2.0 * dt)
+        for k, tk in enumerate((t1, t2)):
+            g[k], J[k, k] = self._axis_grad_and_slope(k, tk)
         c = b * self.cross
         g[0] -= c * t1 ** (half - 1.0) * t2**half
         g[1] -= c * t2 ** (half - 1.0) * t1**half

@@ -10,7 +10,7 @@ the constrained energy.  The attractive solver has no sphere reduction;
 it refines a candidate list (diagonal state, near-semitrivial pair,
 random positives) by descent with per-iteration rescaling onto the
 constraint set.  All converged candidates are polished by a damped
-Newton-Krylov root finder on the exact gradient.
+Newton-Krylov root finder on the exact gradient and Hessian.
 
 Determinism: every random draw flows from the seed in SolverOptions, and
 asymmetric candidates are explored in both component orders so that
@@ -31,8 +31,10 @@ from .energy import (
     ProblemParams,
     euler_gradient,
     nehari_residual,
+    pair_hessian,
     scalar_energy_c,
     scalar_euler_gradient_c,
+    scalar_hessian_c,
     total_energy,
 )
 from .errors import (
@@ -208,7 +210,8 @@ def segregated_pair(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _symmetric_problem(params, fam1, fam2) -> bool:
+def symmetric_problem(params, fam1, fam2) -> bool:
+    """True when both components pose the same problem."""
     # a tabulated family's constants do not determine its profile
     same_profile = fam1.kind != KIND_TABULATED or (
         fam1.a is fam2.a and fam1.da is fam2.da
@@ -296,20 +299,22 @@ def _newton_krylov_polish(
     x0: np.ndarray,
     grad_fn,
     energy_fn,
+    hess_fn,
     grid: Grid,
     tol: float,
     max_iter: int,
     inner_iter: int,
     precond=None,
 ):
-    """Damped Newton on grad_fn(x) = 0 with FD directional curvature.
+    """Damped Newton on grad_fn(x) = 0 with the exact Hessian.
 
-    The Jacobian of the gradient is applied matrix-free through central
-    differences and inverted approximately by MINRES (the operator is
-    symmetric but may be indefinite at the saddle-type critical points
-    sought here).  Steps are halved until the residual norm decreases;
-    accepted steps may not raise the energy beyond rounding level.
-    Returns (x, residual_norm, converged, iterations).
+    `hess_fn(x)` returns the product with the Jacobian of grad_fn at x;
+    it is built once per Newton step and inverted approximately by
+    MINRES (the operator is symmetric but may be indefinite at the
+    saddle-type critical points sought here).  Steps are halved until
+    the residual norm decreases; accepted steps may not raise the energy
+    beyond rounding level.  Returns (x, residual_norm, converged,
+    iterations).
     """
     scale = math.sqrt(grid.cell_area)
     x = x0.copy()
@@ -320,16 +325,7 @@ def _newton_krylov_polish(
     for its in range(1, max_iter + 1):
         if res <= tol:
             return x, res, True, its - 1
-        x_norm = float(np.linalg.norm(x, ord=np.inf))
-
-        def hess_vec(v):
-            vn = float(np.linalg.norm(v, ord=np.inf))
-            if vn == 0.0:
-                return np.zeros_like(v)
-            eps = 1e-6 * (1.0 + x_norm) / vn
-            return (grad_fn(x + eps * v) - grad_fn(x - eps * v)) / (2.0 * eps)
-
-        op = LinearOperator((x.size, x.size), matvec=hess_vec, dtype=float)
+        op = LinearOperator((x.size, x.size), matvec=hess_fn(x), dtype=float)
         M = None
         if precond is not None:
             M = LinearOperator((x.size, x.size), matvec=precond, dtype=float)
@@ -384,6 +380,15 @@ def refine_solution(
     def energy_fn(x):
         return total_energy(unpack(x), params, fam1, fam2, grid)
 
+    def hess_fn(x):
+        hess = pair_hessian(unpack(x), params, fam1, fam2, grid)
+
+        def matvec(d):
+            h1, h2 = hess(d[:n].reshape(grid.shape), d[n:].reshape(grid.shape))
+            return np.concatenate([h1.ravel(), h2.ravel()])
+
+        return matvec
+
     solve = _poisson(grid)
 
     def precond(x):
@@ -396,7 +401,7 @@ def refine_solution(
 
     x0 = np.concatenate([u.u1.values.ravel(), u.u2.values.ravel()])
     x, res, converged, _its = _newton_krylov_polish(
-        x0, grad_fn, energy_fn, grid, opts.tol, opts.polish_max_iter,
+        x0, grad_fn, energy_fn, hess_fn, grid, opts.tol, opts.polish_max_iter,
         opts.polish_inner_iter, precond=precond,
     )
     return unpack(x), res, converged
@@ -413,13 +418,18 @@ def _refine_scalar(z, lam, params, fam, grid, opts, nonlin_coeff=1.0):
         fld = ScalarField(x.reshape(grid.shape), grid.spec)
         return scalar_energy_c(fld, lam, params.p, fam, grid, nonlin_coeff)
 
+    def hess_fn(x):
+        fld = ScalarField(x.reshape(grid.shape), grid.spec)
+        hess = scalar_hessian_c(fld, lam, params.p, fam, grid, nonlin_coeff)
+        return lambda d: hess(d.reshape(grid.shape)).ravel()
+
     solve = _poisson(grid)
 
     def precond(x):
         return solve(x.reshape(grid.shape)).ravel()
 
     x, res, converged, its = _newton_krylov_polish(
-        z.values.ravel().copy(), grad_fn, energy_fn, grid, opts.tol,
+        z.values.ravel().copy(), grad_fn, energy_fn, hess_fn, grid, opts.tol,
         opts.polish_max_iter, opts.polish_inner_iter, precond=precond,
     )
     return ScalarField(x.reshape(grid.shape), grid.spec), res, converged, its
@@ -576,7 +586,7 @@ def scalar_levels(
     For symmetric data the two problems are one, solved once.
     """
     z1, L1, _ = scalar_ground_state(1, params, fam1, grid, opts)
-    if _symmetric_problem(params, fam1, fam2):
+    if symmetric_problem(params, fam1, fam2):
         return z1, z1, L1, L1
     z2, L2, _ = scalar_ground_state(2, params, fam2, grid, opts)
     return z1, z2, L1, L2
@@ -800,7 +810,7 @@ def competitive_least_energy(
 
     # mirrored copies keep the explored candidate set swap-symmetric; for
     # symmetric data the mirror run is arithmetically identical, so skip it
-    mirror = not _symmetric_problem(params, fam1, fam2)
+    mirror = not symmetric_problem(params, fam1, fam2)
     left, right = segregated_pair(grid)
     starts: list[StatePair] = []
     if warm_start is not None:
@@ -980,7 +990,7 @@ def cooperative_least_energy(
     else:
         z1, z2, L1, L2 = scalar_data
 
-    symmetric = _symmetric_problem(params, fam1, fam2)
+    symmetric = symmetric_problem(params, fam1, fam2)
     mirror = not symmetric
     starts: list[StatePair] = []
     if warm_start is not None:

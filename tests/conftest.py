@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nehari2d import (
     GridSpec,
@@ -11,6 +12,23 @@ from nehari2d import (
     example_family,
     identity_family,
 )
+
+
+# property tests: reproducible examples, no wall-clock deadline
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def positive_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    return StatePair(
+        ScalarField(np.abs(rng.standard_normal(grid.shape)) + 0.1, grid.spec),
+        ScalarField(np.abs(rng.standard_normal(grid.shape)) + 0.1, grid.spec),
+    )
+
+
+@pytest.fixture(scope="session")
+def grid7():
+    return build_grid(GridSpec(7, 7, 1.0, 1.0))
 
 
 @pytest.fixture(scope="session")

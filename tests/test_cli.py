@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 import nehari2d.cli as C
-from nehari2d import load_field
+from nehari2d import ScalarField, load_field
 from nehari2d.cli import (
     EXIT_COERCIVITY,
     EXIT_INADMISSIBLE,
@@ -17,6 +18,7 @@ from nehari2d.cli import (
     serialize_config,
 )
 from nehari2d.errors import CoercivityViolation, ParseError, ValidationError
+from nehari2d.solvers import ScalarReport
 
 MINIMAL = """
 grid.nx = 9
@@ -239,6 +241,30 @@ class TestCommands:
         ]
         assert lines[0] == "component,L,euler_res,iterations,converged"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("fam2,expected", [("example", [1]), ("identity", [1, 2])])
+    def test_solve_scalar_solves_symmetric_data_once(self, tmp_path, monkeypatch,
+                                                     fam2, expected):
+        calls = []
+
+        def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
+            calls.append(i)
+            z = ScalarField(np.full(grid.shape, float(i)), grid.spec)
+            return z, float(i), ScalarReport(float(i), 0.0, i, True, "admissible")
+
+        monkeypatch.setattr(C, "scalar_ground_state", fake)
+        text = FAST_SOLVE.format(beta=0.0, fam="example").replace(
+            "family2.kind = example", f"family2.kind = {fam2}"
+        )
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["solve-scalar", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert calls == expected
+        # component 2 reports the solve it came from
+        row2 = (tmp_path / "scalar.csv").read_text().splitlines()[-1].split(",")
+        assert float(row2[1]) == expected[-1] and int(row2[3]) == expected[-1]
+        z2 = load_field(tmp_path / "scalar_2.field")
+        assert np.all(z2.values == float(expected[-1]))
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "grid.nx = -3\n")

@@ -2,10 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nehari2d import certify, eval_A, eval_dA, example_family, identity_family
 from nehari2d.coeffs import FAIL, PASS, PASS_DEGENERATE, tabulated_family
 from nehari2d.errors import InvalidRange, NonFiniteSample
+
+from conftest import PROPERTY
+
+GAMMAS = (0.5, 1.0, 1.3, 1.9, 2.5)
+nonzero_s = st.floats(0.01, 20.0).flatmap(lambda s: st.sampled_from((s, -s)))
+
+
+def central_difference_of_da(fam, s):
+    h = 1e-6 * abs(s)
+    return (fam.da(np.array([s + h]))[0] - fam.da(np.array([s - h]))[0]) / (2 * h)
 
 
 class TestEvalA:
@@ -51,6 +63,39 @@ class TestEvalDA:
     def test_zero_at_origin(self):
         for gamma in (1.0, 1.5, 2.0):
             assert eval_dA(example_family(gamma), 0.0) == 0.0
+
+
+class TestD2A:
+    @PROPERTY
+    @given(gamma=st.sampled_from(GAMMAS), s=nonzero_s)
+    def test_example_matches_difference_of_da(self, gamma, s):
+        fam = example_family(gamma)
+        # size of the two terms of A'', so a zero crossing is no trouble
+        scale = gamma * abs(s) ** (gamma - 2.0) * (abs(gamma - 1.0) + gamma + 1.0)
+        fd = central_difference_of_da(fam, s)
+        assert abs(fam.d2a(np.array([s]))[0] - fd) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_example_zero_at_origin_and_even(self, gamma):
+        fam = example_family(gamma)
+        s = np.array([0.0, 0.3, 2.0])
+        out = fam.d2a(s)
+        assert out[0] == 0.0
+        assert np.array_equal(fam.d2a(-s), out)
+
+    def test_identity_is_zero(self):
+        s = np.linspace(-5.0, 5.0, 11)
+        assert np.all(identity_family().d2a(s) == 0.0)
+
+    @PROPERTY
+    @given(gamma=st.sampled_from(GAMMAS), s=nonzero_s)
+    def test_tabulated_default_differences_da(self, gamma, s):
+        ex = example_family(gamma)
+        fam = tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=gamma)
+        scale = gamma * abs(s) ** (gamma - 2.0) * (abs(gamma - 1.0) + gamma + 1.0)
+        assert abs(fam.d2a(np.array([s]))[0] - ex.d2a(np.array([s]))[0]) <= (
+            1e-6 * scale
+        )
 
 
 class TestCertify:

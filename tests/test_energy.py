@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nehari2d.grid as G
 from nehari2d import (
@@ -9,15 +11,31 @@ from nehari2d import (
     coupling_G,
     coupling_grad_g,
     euler_gradient,
+    example_family,
+    identity_family,
     nehari_residual,
     scalar_energy,
     total_energy,
 )
-from nehari2d.energy import pair_dot, scale_state, sgn_pow
+from nehari2d.energy import (
+    coupling_hess_g,
+    pair_dot,
+    pair_hessian,
+    scale_state,
+    scalar_euler_gradient_c,
+    scalar_hessian_c,
+    sgn_pow,
+)
 from nehari2d.errors import InvalidParams
 from oracles import stencil_semilinear_gradient
 
-from conftest import random_state
+from conftest import PROPERTY, positive_state, random_state
+
+FAMILIES = (identity_family(), example_family(1.0), example_family(0.5))
+families = st.sampled_from(FAMILIES)
+betas = st.sampled_from((-2.0, -0.5, 0.7, 3.0))
+exponents = st.sampled_from((3.0, 4.0))
+seeds = st.integers(0, 2**31)
 
 
 class TestProblemParams:
@@ -184,6 +202,73 @@ class TestEulerGradient:
             num = np.sqrt(np.sum((mine - ref) ** 2) * vol)
             den = np.sqrt(np.sum(ref**2) * vol)
             assert num / den < bound
+
+
+def shifted(u, d1, d2, eps):
+    return StatePair(
+        ScalarField(u.u1.values + eps * d1, u.spec),
+        ScalarField(u.u2.values + eps * d2, u.spec),
+    )
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestHessian:
+    @PROPERTY
+    @given(fam1=families, fam2=families, beta=betas, p=exponents, seed=seeds)
+    def test_pair_matches_difference_of_gradient(self, grid7, fam1, fam2, beta, p,
+                                                 seed):
+        params = ProblemParams(0.4, -0.3, beta, p, 0.5)
+        u = positive_state(grid7, seed)
+        d1, d2 = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
+        h1, h2 = pair_hessian(u, params, fam1, fam2, grid7)(d1, d2)
+        eps = 1e-6
+        gp = euler_gradient(shifted(u, d1, d2, eps), params, fam1, fam2, grid7)
+        gm = euler_gradient(shifted(u, d1, d2, -eps), params, fam1, fam2, grid7)
+        fd = np.concatenate([(gp.u1.values - gm.u1.values).ravel(),
+                             (gp.u2.values - gm.u2.values).ravel()]) / (2 * eps)
+        assert rel_err(np.concatenate([h1.ravel(), h2.ravel()]), fd) < 1e-6
+
+    @PROPERTY
+    @given(fam=families, p=exponents, c=st.floats(0.5, 3.0), seed=seeds)
+    def test_scalar_matches_difference_of_gradient(self, grid7, fam, p, c, seed):
+        z = positive_state(grid7, seed).u1
+        d = np.random.default_rng(seed + 1).standard_normal(grid7.shape)
+        h = scalar_hessian_c(z, 0.4, p, fam, grid7, c)(d)
+        eps = 1e-6
+
+        def grad(s):
+            zs = ScalarField(z.values + s * d, z.spec)
+            return scalar_euler_gradient_c(zs, 0.4, p, fam, grid7, c).values
+
+        assert rel_err(h, (grad(eps) - grad(-eps)) / (2 * eps)) < 1e-6
+
+    @PROPERTY
+    @given(fam1=families, fam2=families, beta=betas, p=exponents, seed=seeds)
+    def test_products_are_symmetric(self, grid7, fam1, fam2, beta, p, seed):
+        params = ProblemParams(0.4, -0.3, beta, p, 0.5)
+        u = positive_state(grid7, seed)
+        d = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
+        e = np.random.default_rng(seed + 2).standard_normal((2, *grid7.shape))
+        hess = pair_hessian(u, params, fam1, fam2, grid7)
+        hd, he = np.array(hess(*d)), np.array(hess(*e))
+        bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e)
+        assert abs(np.sum(hd * e) - np.sum(d * he)) <= bound
+        shess = scalar_hessian_c(u.u1, 0.4, p, fam1, grid7, 1.0 + abs(beta))
+        hd, he = shess(d[0]), shess(e[0])
+        bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e[0])
+        assert abs(np.sum(hd * e[0]) - np.sum(d[0] * he)) <= bound
+
+    def test_coupling_second_derivatives_zero_convention(self):
+        # p = 3: |t1|^(p/2-2) has no value at t1 = 0, taken as 0 there;
+        # p = 4: that power is |t1|^0 = 1, the smooth value
+        for p, h11_at_zero in ((3.0, 0.0), (4.0, 2.0 * 0.25)):
+            params = ProblemParams(0.0, 0.0, 2.0, p, 0.5)
+            h11, h12, _h22 = coupling_hess_g(np.array([0.0]), np.array([0.5]), params)
+            assert h11[0] == pytest.approx(h11_at_zero, abs=1e-15)
+            assert h12[0] == 0.0
 
 
 class TestNehariResidual:

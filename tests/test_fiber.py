@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import nehari2d.grid as G
@@ -11,8 +13,10 @@ from nehari2d import (
     ProjectionOptions,
     ScalarField,
     StatePair,
+    example_family,
     fiber_gradient,
     fiber_value,
+    identity_family,
     project_to_nehari,
     sphere_normalize,
     total_energy,
@@ -27,7 +31,7 @@ from nehari2d.fiber import (
 )
 from nehari2d.solvers import conservative_mu1, segregated_pair
 
-from conftest import random_state, segregated_random_state
+from conftest import PROPERTY, positive_state, random_state, segregated_random_state
 
 
 @pytest.fixture
@@ -121,6 +125,30 @@ class TestFiberGradient:
                     - fiber_value(u, FiberPoint(*tm), params, example1, example1, grid15)
                 ) / (2 * dt)
                 assert abs(gk - fd) / (1.0 + abs(fd)) < 1e-7
+
+    @PROPERTY
+    @given(
+        fams=st.sampled_from([(identity_family(), example_family(1.0)),
+                              (example_family(0.5), example_family(1.3))]),
+        beta=st.sampled_from((-2.0, 0.7)),
+        p=st.sampled_from((3.0, 4.0)),
+        t=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_jacobian_matches_difference_of_gradient(self, grid7, fams, beta, p, t,
+                                                     seed):
+        params = ProblemParams(0.4, -0.3, beta, p, 0.5)
+        ev = FiberEvaluator(positive_state(grid7, seed), params, *fams, grid7)
+        g, J = ev.grad_and_jacobian(*t)
+        np.testing.assert_allclose(g, ev.grad(*t), rtol=1e-12, atol=1e-12)
+        dt = 1e-6
+        fd = np.empty((2, 2))
+        for k in range(2):
+            tp, tm = list(t), list(t)
+            tp[k] += dt
+            tm[k] -= dt
+            fd[:, k] = (np.array(ev.grad(*tp)) - np.array(ev.grad(*tm))) / (2 * dt)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_gradient_small_at_projection(self, grid15, example1, competitive_params):
         u = bump_state(grid15)
