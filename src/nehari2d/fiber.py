@@ -131,15 +131,6 @@ class FiberEvaluator:
         sv = np.multiply.outer(taus, self._v[k])
         return np.sum(self.fams[k].a(sv) * self._gsq[k], axis=(-2, -1)) * self.area
 
-    def _idv(self, k: int, taus: np.ndarray) -> np.ndarray:
-        if self._const_profile[k]:
-            return np.zeros(np.shape(taus))
-        sv = np.multiply.outer(taus, self._v[k])
-        return (
-            np.sum(self.fams[k].da(sv) * self._v[k] * self._gsq[k], axis=(-2, -1))
-            * self.area
-        )
-
     def _ia_idv(self, k: int, taus) -> tuple[np.ndarray, np.ndarray]:
         """Both profile integrals from one scaled-sample array."""
         if self._const_profile[k]:

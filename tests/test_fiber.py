@@ -275,9 +275,9 @@ class TestProjection:
 
     def test_far_warm_start_is_cheap(self, monkeypatch, grid15, example1,
                                      competitive_params):
-        # at 0.05 t* h is convex, so the Newton step descends; the line
-        # search used to creep along within its slack for max_iter
-        # iterations (4,901 value calls) before falling back to the scan
+        # at 0.05 t* h is convex, so the Newton step descends and the line
+        # search could only creep within its rounding slack: the polish
+        # must give up at once and leave t* to the scan
         u = bump_state(grid15)
         cold = project_to_nehari(u, competitive_params, example1, example1, grid15)
         calls = []
