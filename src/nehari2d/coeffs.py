@@ -102,7 +102,8 @@ def example_family(gamma: float) -> CoefficientFamily:
     A'(s) = gamma * |s|^(gamma-2) * s / (1 + |s|^gamma)^2 is odd and
     A''(s) = gamma |s|^(gamma-2) [(gamma-1) - (gamma+1)|s|^gamma]
              / (1 + |s|^gamma)^3
-    is even; both are taken to be 0 at s = 0.  For gamma < 1 the
+    is even.  Where they do not exist at s = 0 (A' for gamma <= 1, A'' for
+    gamma < 2) they are taken to be 0 there.  For gamma < 1 the
     derivative is unbounded near 0 and no finite C0 can satisfy (a1); the
     declared C0 then only covers A itself and certification reports the
     violation honestly.
@@ -122,9 +123,13 @@ def example_family(gamma: float) -> CoefficientFamily:
         return gamma * base * s / (1.0 + a_s**gamma) ** 2
 
     def d2a(s):
-        s = np.asarray(s, dtype=float)
-        a_s = np.abs(s)
-        base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s), where=s != 0.0)
+        a_s = np.abs(np.asarray(s, dtype=float))
+        if gamma >= 2.0:
+            base = a_s ** (gamma - 2.0)
+        else:
+            # A'' has no value at 0 for gamma < 2; use 0 there, as da does
+            base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s),
+                            where=a_s != 0.0)
         sg = a_s**gamma
         return gamma * base * ((gamma - 1.0) - (gamma + 1.0) * sg) / (1.0 + sg) ** 3
 
@@ -151,18 +156,17 @@ def tabulated_family(
     gamma: float,
     even: bool = True,
     label: str = "tabulated",
-    d2a: Callable | None = None,
 ) -> CoefficientFamily:
     """Wrap arbitrary callables as a family; certification is the only guard.
 
-    Without `d2a`, A'' is a central difference of `da`.
+    A'' is a central difference of `da`.
     """
-    if d2a is None:
-        def d2a(s):
-            s = np.asarray(s, dtype=float)
-            # relative step about the cube root of machine epsilon
-            h = 6e-6 * (1.0 + np.abs(s))
-            return (np.asarray(da(s + h)) - np.asarray(da(s - h))) / (2.0 * h)
+
+    def d2a(s):
+        s = np.asarray(s, dtype=float)
+        # relative step about the cube root of machine epsilon
+        h = 6e-6 * (1.0 + np.abs(s))
+        return (np.asarray(da(s + h)) - np.asarray(da(s - h))) / (2.0 * h)
 
     return CoefficientFamily(
         kind=KIND_TABULATED, a=a, da=da, d2a=d2a, nu=nu, c0=c0, gamma=gamma,

@@ -281,6 +281,11 @@ def _solve_2x2(J: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
         )
         if np.all(np.isfinite(step)):
             return step
+    return _ascent_step(g, t)
+
+
+def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Step along the fiber gradient, no longer than the smaller of t."""
     return g * (min(t[0], t[1]) / (np.max(np.abs(g)) + 1.0))
 
 
@@ -384,8 +389,17 @@ def _newton_root(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
     return t, False
 
 
-def _newton_polish(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
-    """Damped Newton on the fiber gradient, maximizing h along the way."""
+def _newton_polish(
+    ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions, warm: bool
+):
+    """Damped Newton on the fiber gradient, maximizing h along the way.
+
+    Where the Newton step is not an ascent direction (h is not concave
+    there), a line search along it could only creep within its rounding
+    slack without increasing h.  A warm start then gives up at once and
+    leaves t to the scan; a start from the scan maximum takes a gradient
+    ascent step instead.
+    """
     h = ev.value(t[0], t[1])
     for it in range(opts.max_iter):
         g, J = ev.grad_and_jacobian(t[0], t[1])
@@ -399,10 +413,9 @@ def _newton_polish(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
             return t, True
         step = _solve_2x2(J, g, t)
         if float(g @ step) <= 0.0:
-            # not an ascent direction (h is not concave here): the line
-            # search below would only creep along within its slack, for
-            # max_iter iterations, without increasing h
-            return t, _stationary(ev, t, h, opts.tol)
+            if warm:
+                return t, False
+            step = _ascent_step(g, t)
 
         # halve until positive and h does not decrease (tiny fp slack)
         slack = 32.0 * np.finfo(float).eps * (abs(h) + 1.0)
@@ -470,7 +483,7 @@ def project_to_nehari(
         t = None
         if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
             t_warm, converged = _newton_polish(
-                ev, np.asarray(t_init, dtype=float), opts
+                ev, np.asarray(t_init, dtype=float), opts, warm=True
             )
             if converged:
                 t = t_warm
@@ -491,7 +504,7 @@ def project_to_nehari(
                 )
 
             t0 = np.array([taus[k1], taus[k2]])
-            t, converged = _newton_polish(ev, t0, opts)
+            t, converged = _newton_polish(ev, t0, opts, warm=False)
             if not converged:
                 raise NoConvergence(
                     f"fiber Newton stalled at t = ({t[0]:.6g}, {t[1]:.6g})",

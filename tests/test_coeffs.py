@@ -79,12 +79,13 @@ class TestD2A:
         fd = central_difference_of_da(fam, s)
         assert abs(fam.d2a(np.array([s]))[0] - fd) <= 1e-6 * d2a_scale(gamma, s)
 
-    @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_example_zero_at_origin_and_even(self, gamma):
+    @pytest.mark.parametrize("gamma", GAMMAS + (2.0,))
+    def test_example_value_at_origin_and_even(self, gamma):
+        # A'' exists at 0 only for gamma >= 2: A = 1 + s^2 + O(s^4) at gamma 2
         fam = example_family(gamma)
         s = np.array([0.0, 0.3, 2.0])
         out = fam.d2a(s)
-        assert out[0] == 0.0
+        assert out[0] == (2.0 if gamma == 2.0 else 0.0)
         assert np.array_equal(fam.d2a(-s), out)
 
     def test_identity_is_zero(self):
@@ -93,7 +94,7 @@ class TestD2A:
 
     @PROPERTY
     @given(gamma=st.sampled_from(GAMMAS), s=nonzero_s)
-    def test_tabulated_default_differences_da(self, gamma, s):
+    def test_tabulated_differences_da(self, gamma, s):
         ex = example_family(gamma)
         fam = tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=gamma)
         err = abs(fam.d2a(np.array([s]))[0] - ex.d2a(np.array([s]))[0])

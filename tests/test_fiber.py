@@ -25,6 +25,7 @@ from nehari2d.errors import DegenerateInput, NoConvergence
 from nehari2d.fiber import (
     FiberEvaluator,
     ScalarFiberCache,
+    _newton_polish,
     critical_cell_count,
     positive_root,
     scalar_fiber_root,
@@ -292,6 +293,19 @@ class TestProjection:
         )
         assert warm.t == cold.t
         assert len(calls) <= 61
+
+    def test_cold_polish_climbs_out_of_convex_region(self, grid15, example1,
+                                                     competitive_params):
+        # the same far start without the warm give-up: gradient ascent
+        # steps carry t to where Newton takes over and converges to t*
+        u = bump_state(grid15)
+        cold = project_to_nehari(u, competitive_params, example1, example1, grid15)
+        ev = FiberEvaluator(u, competitive_params, example1, example1, grid15)
+        t_star = np.array([cold.t.t1, cold.t.t2])
+        t, converged = _newton_polish(ev, 0.05 * t_star, ProjectionOptions(),
+                                      warm=False)
+        assert converged
+        assert np.allclose(t, t_star, rtol=1e-10, atol=0.0)
 
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
         u = StatePair(
