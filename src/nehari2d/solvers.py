@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
@@ -292,6 +293,87 @@ def nehari_floors_hold(
 
 
 # ---------------------------------------------------------------------------
+# the descent driver
+
+
+def _descend(x, energy_val, gradient, direction, retract, opts, check=None):
+    """Armijo descent from x, shared by every solver.
+
+    `gradient(x)` returns (g, res): the Euler gradient at x and its norm.
+    `direction(x, g)` returns (d, slope): a descent direction and the
+    energy slope along it.  `retract(x, d, a)` returns (x_try, energy),
+    the trial point at step a mapped back onto the constraint set, and
+    raises DegenerateInput, NoConvergence or NotProjectable to reject the
+    step.  `check(x, energy)` runs on every accepted state.
+
+    Step a starts at twice the last accepted one (at most 1e3) and is
+    halved up to 50 times.  Stops when res <= 1e2 * tol, when no step
+    passes the Armijo test, when the energy fell by no more than
+    stagnation_tol over the last stagnation_window steps, or after
+    max_iter gradients.  Returns (x, energy, res, iterations), with res
+    the last residual computed (inf if none was).
+    """
+    alpha = 1.0
+    history = [energy_val]
+    res = math.inf
+    it = 0
+    for it in range(1, opts.max_iter + 1):
+        g, res = gradient(x)
+        if res <= 1e2 * opts.tol:
+            break
+        d, slope = direction(x, g)
+        a = alpha
+        for _ in range(50):
+            try:
+                x_try, e_try = retract(x, d, a)
+            except (DegenerateInput, NoConvergence, NotProjectable):
+                a *= 0.5
+                continue
+            if e_try <= energy_val + opts.armijo * a * slope:
+                break
+            a *= 0.5
+        else:
+            break
+        x, energy_val = x_try, e_try
+        if check is not None:
+            check(x, energy_val)
+        alpha = min(a * 2.0, 1e3)
+        history.append(energy_val)
+        if len(history) > opts.stagnation_window and (
+            history[-opts.stagnation_window - 1] - energy_val
+            <= opts.stagnation_tol * (1.0 + abs(energy_val))
+        ):
+            break
+    return x, energy_val, res, it
+
+
+def _tangent_lift(gs, vs, ts, grid):
+    """Sphere-tangent Riesz lift of the gradients gs at the sphere points vs.
+
+    Returns the directions and the slope sum_i t_i <g_i, d_i> of the
+    energy along them (t_i scales v_i onto the constraint set).  Where
+    the tangent lift is not a descent direction the plain lift -r is
+    used.
+    """
+    rs = [_riesz(g, grid) for g in gs]
+    ds = [
+        -(r - _quad_grad_inner(r, v, grid) / _quad_grad_inner(v, v, grid) * v)
+        for r, v in zip(rs, vs)
+    ]
+
+    def slope():
+        return sum(
+            t * grid.cell_area * float(np.sum(g * d)) for g, d, t in zip(gs, ds, ts)
+        )
+
+    s = slope()
+    if s >= 0.0:
+        ds = [-r for r in rs]
+        s = slope()
+    return ds, s
+
+
+# ---------------------------------------------------------------------------
 # Newton-Krylov polish on the exact gradient
 
 
@@ -439,63 +521,38 @@ def _refine_scalar(z, lam, params, fam, grid, opts, nonlin_coeff=1.0):
 # scalar ground state
 
 
-def _scalar_descent(z0, lam, params, fam, grid, opts, nonlin_coeff=1.0,
-                    stop_res=None):
-    """Sphere-constrained descent for the scalar problem from one start."""
-    if stop_res is None:
-        stop_res = opts.tol
+def _scalar_descent(z0, lam, params, fam, grid, opts, nonlin_coeff=1.0):
+    """Sphere-constrained descent for the scalar problem from one start.
+
+    A point is (v, tau, w): v on the unit gradient sphere, tau its fiber
+    root and w = tau v on the constraint set.  Returns (w, energy, res,
+    iterations).
+    """
     p = params.p
-    v = _h1_normalize(np.asarray(z0, dtype=float), grid)
 
-    def reduced(v_arr, tau_guess=None):
-        fld = ScalarField(v_arr, grid.spec)
+    def on_fiber(v, tau_guess=None):
         tau = scalar_fiber_root(
-            fld, lam, params, fam, grid, nonlin_coeff, tau_init=tau_guess
+            ScalarField(v, grid.spec), lam, params, fam, grid, nonlin_coeff,
+            tau_init=tau_guess,
         )
-        w = ScalarField(tau * v_arr, grid.spec)
-        return tau, w, scalar_energy_c(w, lam, p, fam, grid, nonlin_coeff)
+        w = ScalarField(tau * v, grid.spec)
+        return (v, tau, w), scalar_energy_c(w, lam, p, fam, grid, nonlin_coeff)
 
-    tau, w, energy_val = reduced(v)
-    alpha = 1.0
-    history = [energy_val]
-    res = math.inf
-    for it in range(1, opts.max_iter + 1):
-        g = scalar_euler_gradient_c(w, lam, p, fam, grid, nonlin_coeff)
-        res = _vol_norm(g.values, grid)
-        if res <= stop_res:
-            return w, energy_val, res, it, True
-        r = _riesz(g.values, grid)
-        coef = _quad_grad_inner(r, v, grid) / _quad_grad_inner(v, v, grid)
-        d = -(r - coef * v)
-        slope = tau * grid.cell_area * float(np.sum(g.values * d))
-        if slope >= 0.0:
-            d = -r
-            slope = tau * grid.cell_area * float(np.sum(g.values * d))
+    def gradient(x):
+        g = scalar_euler_gradient_c(x[2], lam, p, fam, grid, nonlin_coeff).values
+        return [g], _vol_norm(g, grid)
 
-        accepted = False
-        a = alpha
-        for _ in range(50):
-            try:
-                v_try = _h1_normalize(v + a * d, grid)
-                tau_try, w_try, e_try = reduced(v_try, tau_guess=tau)
-            except (DegenerateInput, NoConvergence):
-                a *= 0.5
-                continue
-            if e_try <= energy_val + opts.armijo * a * slope:
-                v, tau, w, energy_val = v_try, tau_try, w_try, e_try
-                alpha = min(a * 2.0, 1e3)
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            break
-        history.append(energy_val)
-        if len(history) > opts.stagnation_window and (
-            history[-opts.stagnation_window - 1] - energy_val
-            <= opts.stagnation_tol * (1.0 + abs(energy_val))
-        ):
-            break
-    return w, energy_val, res, it, False
+    def direction(x, gs):
+        return _tangent_lift(gs, [x[0]], [x[1]], grid)
+
+    def retract(x, ds, a):
+        return on_fiber(_h1_normalize(x[0] + a * ds[0], grid), tau_guess=x[1])
+
+    x, energy_val = on_fiber(_h1_normalize(np.asarray(z0, dtype=float), grid))
+    x, energy_val, res, its = _descend(
+        x, energy_val, gradient, direction, retract, opts
+    )
+    return x[2], energy_val, res, its
 
 
 def scalar_ground_state(
@@ -536,9 +593,8 @@ def scalar_ground_state(
     best = None
     total_iters = 0
     for z0 in starts:
-        w, energy_val, res, its, _conv = _scalar_descent(
-            z0, lam, params, fam, grid, opts, nonlin_coeff,
-            stop_res=1e2 * opts.tol,
+        w, energy_val, res, its = _scalar_descent(
+            z0, lam, params, fam, grid, opts, nonlin_coeff
         )
         total_iters += its
         if res > opts.tol:
@@ -616,104 +672,63 @@ def _pair_res_norm(g: StatePair, grid: Grid) -> float:
     )
 
 
-def _reduced_descent(
-    v: StatePair,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-    opts: SolverOptions,
-    mu1: float,
-    nu: float,
-    stop_res: float,
-):
-    """Descend the reduced energy J(m(v)) over the sphere product.
+def _system_descent(u0, params, fam1, fam2, grid, opts, mu1, nu, direction,
+                    trial):
+    """Descent of the system energy on the constraint set from the pair u0.
 
-    v must be normalized and projectable.  Returns (projection, res_norm,
-    iterations); raises NotProjectable via the caller's initial check.
+    A point is (pair, proj): a pair and its projection onto the
+    constraint set, which is the retraction.  `direction(x, g)` is the
+    direction rule; `trial(x, d, a)` gives the pair at step a and the
+    projection's warm start.  The coercivity bound is checked on the
+    start and on every accepted projection.  Returns (projected state,
+    res, iterations); raises NotProjectable when u0 is not projectable.
     """
     proj_opts = opts.projection()
-    proj = project_to_nehari(v, params, fam1, fam2, grid, proj_opts)
-    if not proj.projectable:
-        raise NotProjectable(proj.reason)
-    energy_val = total_energy(proj.projected, params, fam1, fam2, grid)
-    if opts.check_coercivity:
-        check_coercivity_bound(
-            energy_val, proj.projected, params, nu, mu1, grid, proj.residual
+
+    def project(pair, t_init=None):
+        proj = project_to_nehari(
+            pair, params, fam1, fam2, grid, proj_opts, t_init=t_init
         )
+        if not proj.projectable:
+            raise NotProjectable(proj.reason)
+        return (pair, proj), total_energy(proj.projected, params, fam1, fam2, grid)
 
-    alpha = 1.0
-    history = [energy_val]
-    res = math.inf
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        u = proj.projected
-        g = euler_gradient(u, params, fam1, fam2, grid)
-        res = _pair_res_norm(g, grid)
-        if res <= stop_res:
-            return proj, res, it
-        t = (proj.t.t1, proj.t.t2)
+    def gradient(x):
+        g = euler_gradient(x[1].projected, params, fam1, fam2, grid)
+        return (g.u1.values, g.u2.values), _pair_res_norm(g, grid)
 
-        dirs = []
-        slope = 0.0
-        for gi, vi, ti in ((g.u1, v.u1, t[0]), (g.u2, v.u2, t[1])):
-            r = _riesz(gi.values, grid)
-            coef = _quad_grad_inner(r, vi.values, grid) / _quad_grad_inner(
-                vi.values, vi.values, grid
-            )
-            d = -(r - coef * vi.values)
-            dirs.append(d)
-            slope += ti * grid.cell_area * float(np.sum(gi.values * d))
-        if slope >= 0.0:
-            dirs = [-_riesz(g.u1.values, grid),
-                    -_riesz(g.u2.values, grid)]
-            slope = sum(
-                ti * grid.cell_area * float(np.sum(gi.values * d))
-                for gi, d, ti in ((g.u1, dirs[0], t[0]), (g.u2, dirs[1], t[1]))
+    def check(x, energy_val):
+        if opts.check_coercivity:
+            proj = x[1]
+            check_coercivity_bound(
+                energy_val, proj.projected, params, nu, mu1, grid, proj.residual
             )
 
-        accepted = False
-        a = alpha
-        for _ in range(50):
-            try:
-                v_try = StatePair(
-                    ScalarField(
-                        _h1_normalize(v.u1.values + a * dirs[0], grid), grid.spec
-                    ),
-                    ScalarField(
-                        _h1_normalize(v.u2.values + a * dirs[1], grid), grid.spec
-                    ),
-                )
-                proj_try = project_to_nehari(
-                    v_try, params, fam1, fam2, grid, proj_opts, t_init=t
-                )
-            except (DegenerateInput, NoConvergence):
-                a *= 0.5
-                continue
-            if not proj_try.projectable:
-                a *= 0.5
-                continue
-            e_try = total_energy(proj_try.projected, params, fam1, fam2, grid)
-            if e_try <= energy_val + opts.armijo * a * slope:
-                v, proj, energy_val = v_try, proj_try, e_try
-                if opts.check_coercivity:
-                    check_coercivity_bound(
-                        energy_val, proj.projected, params, nu, mu1, grid,
-                        proj.residual,
-                    )
-                alpha = min(a * 2.0, 1e3)
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            return proj, res, it
-        history.append(energy_val)
-        if len(history) > opts.stagnation_window and (
-            history[-opts.stagnation_window - 1] - energy_val
-            <= opts.stagnation_tol * (1.0 + abs(energy_val))
-        ):
-            return proj, res, it
-    return proj, res, it
+    x, energy_val = project(u0)
+    check(x, energy_val)
+    x, _energy, res, its = _descend(
+        x, energy_val, gradient, direction,
+        lambda x, ds, a: project(*trial(x, ds, a)), opts, check,
+    )
+    return x[1].projected, res, its
+
+
+def _sphere_direction(x, gs, grid):
+    """Sphere-tangent lift at the pair x[0], slopes weighted by the fiber t."""
+    v, proj = x
+    return _tangent_lift(
+        gs, (v.u1.values, v.u2.values), (proj.t.t1, proj.t.t2), grid
+    )
+
+
+def _sphere_trial(x, ds, a, grid):
+    """Step on the sphere product, warm-started at the current fiber t."""
+    v, proj = x
+    pair = StatePair(
+        ScalarField(v.u1.values + a * ds[0], grid.spec),
+        ScalarField(v.u2.values + a * ds[1], grid.spec),
+    )
+    return sphere_normalize(pair, grid), (proj.t.t1, proj.t.t2)
 
 
 def _note_candidate_spread(energies, warnings) -> None:
@@ -836,17 +851,17 @@ def competitive_least_energy(
     n_failed = 0
     for start in starts:
         try:
-            v = sphere_normalize(start, grid)
-            proj, res, its = _reduced_descent(
-                v, params, fam1, fam2, grid, opts, mu1, nu,
-                stop_res=1e2 * opts.tol,
+            u, res, its = _system_descent(
+                sphere_normalize(start, grid), params, fam1, fam2, grid, opts,
+                mu1, nu, partial(_sphere_direction, grid=grid),
+                partial(_sphere_trial, grid=grid),
             )
         except (NotProjectable, DegenerateInput, NoConvergence) as exc:
             n_failed += 1
             warnings.append(f"start rejected: {exc}")
             continue
         total_iters += its
-        u, res, _conv = refine_solution(proj.projected, params, fam1, fam2, grid, opts)
+        u, res, _conv = refine_solution(u, params, fam1, fam2, grid, opts)
         e = total_energy(u, params, fam1, fam2, grid)
         if res <= opts.tol:
             accepted_energies.append(e)
@@ -868,80 +883,22 @@ def competitive_least_energy(
 # cooperative regime (attractive coupling)
 
 
-def _constrained_descent(
-    u0: StatePair,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-    opts: SolverOptions,
-    mu1: float,
-    nu: float,
-    stop_res: float,
-):
-    """Descent on the energy with per-iteration rescaling onto the
-    constraint set (two-parameter fiber rescale of both components)."""
-    proj_opts = opts.projection()
-    proj = project_to_nehari(u0, params, fam1, fam2, grid, proj_opts)
-    if not proj.projectable:
-        raise NotProjectable(proj.reason)
-    u = proj.projected
-    energy_val = total_energy(u, params, fam1, fam2, grid)
-    if opts.check_coercivity:
-        check_coercivity_bound(energy_val, u, params, nu, mu1, grid, proj.residual)
+def _riesz_direction(x, gs, grid):
+    """Plain Riesz lift -r of both gradient components."""
+    ds = [-_riesz(g, grid) for g in gs]
+    return ds, grid.cell_area * (
+        float(np.sum(gs[0] * ds[0])) + float(np.sum(gs[1] * ds[1]))
+    )
 
-    alpha = 1.0
-    history = [energy_val]
-    res = math.inf
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        g = euler_gradient(u, params, fam1, fam2, grid)
-        res = _pair_res_norm(g, grid)
-        if res <= stop_res:
-            return u, res, it
-        d1 = -_riesz(g.u1.values, grid)
-        d2 = -_riesz(g.u2.values, grid)
-        slope = grid.cell_area * (
-            float(np.sum(g.u1.values * d1)) + float(np.sum(g.u2.values * d2))
-        )
 
-        accepted = False
-        a = alpha
-        for _ in range(50):
-            try:
-                trial = StatePair(
-                    ScalarField(u.u1.values + a * d1, grid.spec),
-                    ScalarField(u.u2.values + a * d2, grid.spec),
-                )
-                proj_try = project_to_nehari(
-                    trial, params, fam1, fam2, grid, proj_opts, t_init=(1.0, 1.0)
-                )
-            except (DegenerateInput, NoConvergence):
-                a *= 0.5
-                continue
-            if not proj_try.projectable:
-                a *= 0.5
-                continue
-            e_try = total_energy(proj_try.projected, params, fam1, fam2, grid)
-            if e_try <= energy_val + opts.armijo * a * slope:
-                u, energy_val = proj_try.projected, e_try
-                if opts.check_coercivity:
-                    check_coercivity_bound(
-                        energy_val, u, params, nu, mu1, grid, proj_try.residual
-                    )
-                alpha = min(a * 2.0, 1e3)
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            return u, res, it
-        history.append(energy_val)
-        if len(history) > opts.stagnation_window and (
-            history[-opts.stagnation_window - 1] - energy_val
-            <= opts.stagnation_tol * (1.0 + abs(energy_val))
-        ):
-            return u, res, it
-    return u, res, it
+def _rescale_trial(x, ds, a, grid):
+    """Step from the projected state, rescaled from t = (1, 1)."""
+    u = x[1].projected
+    pair = StatePair(
+        ScalarField(u.u1.values + a * ds[0], grid.spec),
+        ScalarField(u.u2.values + a * ds[1], grid.spec),
+    )
+    return pair, (1.0, 1.0)
 
 
 def diagonal_candidate(
@@ -1018,9 +975,10 @@ def cooperative_least_energy(
     total_iters = 0
     for start in starts:
         try:
-            u, res, its = _constrained_descent(
+            u, res, its = _system_descent(
                 start, params, fam1, fam2, grid, opts, mu1, nu,
-                stop_res=1e2 * opts.tol,
+                partial(_riesz_direction, grid=grid),
+                partial(_rescale_trial, grid=grid),
             )
         except (NotProjectable, DegenerateInput, NoConvergence) as exc:
             warnings.append(f"start rejected: {exc}")

@@ -20,7 +20,12 @@ from nehari2d import (
     scalar_ground_state,
 )
 from nehari2d.coeffs import tabulated_family
-from nehari2d.errors import InadmissibleLambda, InvalidParams, NoConvergence
+from nehari2d.errors import (
+    DegenerateInput,
+    InadmissibleLambda,
+    InvalidParams,
+    NoConvergence,
+)
 from nehari2d.solvers import (
     REGIME_DECOUPLED,
     conservative_mu1,
@@ -121,6 +126,123 @@ def stub_scalar_solves(monkeypatch):
 
     monkeypatch.setattr(S, "scalar_ground_state", fake)
     return calls
+
+
+class TestDescentDriver:
+    """The one Armijo driver on a 7x7 toy: E(x) = |x - x*|^2 / 2."""
+
+    @staticmethod
+    def problem(grid, shrink=1.0, calls=None):
+        target = np.linspace(0.1, 1.0, grid.spec.n_nodes).reshape(grid.shape)
+        calls = {} if calls is None else calls
+
+        def energy(x):
+            return 0.5 * float(np.sum((x - target) ** 2))
+
+        def gradient(x):
+            calls["gradient"] = calls.get("gradient", 0) + 1
+            g = x - target
+            return g, float(np.linalg.norm(g))
+
+        def direction(x, g):
+            d = -shrink * g
+            return d, float(np.sum(g * d))
+
+        def retract(x, d, a):
+            calls["retract"] = calls.get("retract", 0) + 1
+            y = x + a * d
+            return y, energy(y)
+
+        x0 = np.zeros(grid.shape)
+        return x0, energy(x0), gradient, direction, retract, target
+
+    def test_residual_stop(self, grid7):
+        opts = SolverOptions(tol=1e-8)
+        x0, e0, gradient, direction, retract, target = self.problem(grid7)
+        x, e, res, its = S._descend(x0, e0, gradient, direction, retract, opts)
+        # the full step lands on x*, and the next gradient stops the descent
+        assert its == 2
+        assert res <= 1e2 * opts.tol
+        assert np.array_equal(x, target) and e == 0.0
+
+    def test_max_iter_reached(self, grid7):
+        opts = SolverOptions(tol=1e-8, max_iter=3)
+        calls = {}
+        x0, e0, gradient, direction, retract, _t = self.problem(
+            grid7, shrink=1e-3, calls=calls
+        )
+        accepted = []
+        x, e, res, its = S._descend(
+            x0, e0, gradient, direction, retract, opts,
+            check=lambda x, e: accepted.append(e),
+        )
+        assert its == opts.max_iter == calls["gradient"]
+        assert res > 1e2 * opts.tol
+        assert len(accepted) == 3 and accepted[-1] == e < e0
+
+    def test_zero_max_iter_returns_start(self, grid7):
+        calls = {}
+        x0, e0, gradient, direction, retract, _t = self.problem(grid7, calls=calls)
+        x, e, res, its = S._descend(
+            x0, e0, gradient, direction, retract, SolverOptions(max_iter=0)
+        )
+        assert x is x0 and e == e0 and res == math.inf and its == 0
+        assert calls == {}
+
+    def test_stagnation_stop(self, grid7):
+        opts = SolverOptions(tol=1e-8)
+        calls = {}
+        x0, e0, gradient, _d, _r, _t = self.problem(grid7, calls=calls)
+
+        def flat_direction(x, g):
+            return -g, 0.0
+
+        def flat_retract(x, d, a):
+            calls["retract"] = calls.get("retract", 0) + 1
+            return x, e0
+
+        x, e, res, its = S._descend(
+            x0, e0, gradient, flat_direction, flat_retract, opts
+        )
+        assert calls["retract"] == its <= opts.stagnation_window + 1
+        assert its < opts.max_iter and e == e0
+
+    def test_rejecting_retraction_ends_after_50_halvings(self, grid7):
+        opts = SolverOptions(tol=1e-8)
+        x0, e0, gradient, direction, _r, _t = self.problem(grid7)
+        steps = []
+
+        def rejects(x, d, a):
+            steps.append(a)
+            raise DegenerateInput("rejected")
+
+        accepted = []
+        x, e, res, its = S._descend(
+            x0, e0, gradient, direction, rejects, opts,
+            check=lambda x, e: accepted.append(e),
+        )
+        assert len(steps) == 50 and steps[-1] == 0.5**49
+        assert x is x0 and e == e0 and its == 1 and accepted == []
+
+
+class TestZeroMaxIter:
+    """solver.max_iter = 0 skips the descent and goes straight to the polish."""
+
+    def test_polish_runs_from_the_start(self, grid7, identity, params_p4):
+        # from the bump start the polish alone does not reach tol here
+        opts = SolverOptions(max_iter=0, n_restarts=0)
+        with pytest.raises(NoConvergence) as err:
+            scalar_ground_state(1, params_p4, identity, grid7, opts)
+        assert err.value.iterations == opts.polish_max_iter
+
+    def test_polish_alone_can_converge(self, grid7, example1):
+        lam = -conservative_mu1(grid7)
+        params = ProblemParams(lam, lam, 0.0, 6.0, 1.0)
+        opts = SolverOptions(max_iter=0, n_restarts=0)
+        _z0, L0, rep0 = scalar_ground_state(1, params, example1, grid7, opts)
+        _z, L, _rep = scalar_ground_state(1, params, example1, grid7)
+        assert rep0.converged and rep0.iterations <= 5
+        assert L0 == pytest.approx(L, rel=1e-10)
 
 
 class TestScalarLevels:
