@@ -86,7 +86,13 @@ class ProjectionResult:
 
 
 class FiberEvaluator:
-    """Cached per-cell data of one state for fast fiber evaluations."""
+    """Cached per-cell data of one state for fast fiber evaluations.
+
+    Axis k samples component k once: its cell values v, |grad v|^2, and
+    q = int v^2, pp = int |v|^p, ia0 = int |grad v|^2.  A pair has two
+    axes and their cross term; the scalar fiber of one field is the one
+    axis of `FiberEvaluator.scalar`, whose |v|^p term carries the weight c.
+    """
 
     def __init__(
         self,
@@ -96,8 +102,35 @@ class FiberEvaluator:
         fam2: CoefficientFamily,
         grid: Grid,
     ):
+        self._sample(
+            (u.u1, u.u2), (fam1, fam2), (params.lambda1, params.lambda2), params,
+            grid, 1.0,
+        )
+        self.cross = float(
+            np.sum(np.abs(self._v[0] * self._v[1]) ** (params.p / 2.0))
+        ) * self.area
+
+    @classmethod
+    def scalar(
+        cls,
+        z: ScalarField,
+        lam: float,
+        params: ProblemParams,
+        fam: CoefficientFamily,
+        grid: Grid,
+        c: float = 1.0,
+    ) -> "FiberEvaluator":
+        """One-axis evaluator of psi(tau) = d/dtau E(tau z), with the
+        |z|^p term weighted by c."""
+        ev = cls.__new__(cls)
+        ev._sample((z,), (fam,), (lam,), params, grid, c)
+        return ev
+
+    def _sample(self, comps, fams, lams, params, grid, c):
         self.params = params
-        self.fams = (fam1, fam2)
+        self.fams = fams
+        self.lams = lams
+        self.c = c
         area = grid.cell_area
         self.area = area
         p = params.p
@@ -106,7 +139,8 @@ class FiberEvaluator:
         self._gsq = []
         self.q = []   # int u_i^2
         self.pp = []  # int |u_i|^p
-        for comp in (u.u1, u.u2):
+        self._ia0 = []  # int |grad u_i|^2
+        for comp in comps:
             v = cell_values(comp, grid)
             gx, gy = cell_gradients(comp, grid)
             gsq = gx * gx + gy * gy
@@ -114,9 +148,8 @@ class FiberEvaluator:
             self._gsq.append(gsq)
             self.q.append(float(np.sum(v * v)) * area)
             self.pp.append(float(np.sum(np.abs(v) ** p)) * area)
-        self.cross = float(np.sum(np.abs(self._v[0] * self._v[1]) ** (p / 2.0))) * area
-        self._const_profile = [fam.kind == KIND_IDENTITY for fam in self.fams]
-        self._ia0 = [float(np.sum(self._gsq[k])) * area for k in range(2)]
+            self._ia0.append(float(np.sum(gsq)) * area)
+        self._const_profile = [fam.kind == KIND_IDENTITY for fam in fams]
 
     def membership_values(self) -> tuple[float, float]:
         """int |u_i|^p + beta * cross term, for i = 1, 2."""
@@ -146,22 +179,27 @@ class FiberEvaluator:
     def _axis_value(self, k: int, taus: np.ndarray) -> np.ndarray:
         """Terms of h depending on t_k alone (everything but the cross term)."""
         p = self.params.p
-        lam = self.params.lam(k + 1)
+        lam = self.lams[k]
         taus = np.asarray(taus, dtype=float)
         return 0.5 * taus**2 * (self._ia(k, taus) - lam * self.q[k]) - (
             taus**p / p
         ) * self.pp[k]
 
     def _axis_grad(self, k: int, taus: np.ndarray) -> np.ndarray:
+        """d/dt_k of the axis terms, vectorized over t_k; the scalar psi."""
         p = self.params.p
-        lam = self.params.lam(k + 1)
+        lam = self.lams[k]
         taus = np.asarray(taus, dtype=float)
         ia, idv = self._ia_idv(k, taus)
         return (
             taus * (ia - lam * self.q[k])
             + 0.5 * taus**2 * idv
-            - taus ** (p - 1.0) * self.pp[k]
+            - self.c * taus ** (p - 1.0) * self.pp[k]
         )
+
+    def axis_root(self, k: int, tau0: float, tol: float = 1e-12) -> float:
+        """Unique positive zero of the axis gradient, from tau0."""
+        return positive_root(lambda taus: self._axis_grad(k, taus), tau0, tol)
 
     def value(self, t1: float, t2: float) -> float:
         p, b = self.params.p, self.params.beta
@@ -182,7 +220,7 @@ class FiberEvaluator:
         ia - lam q + 2 tau idv + tau^2/2 idv' - (p-1) tau^(p-2) int |u|^p.
         """
         p = self.params.p
-        lam = self.params.lam(k + 1)
+        lam = self.lams[k]
         if self._const_profile[k]:
             ia, idv, id2v = self._ia0[k], 0.0, 0.0
         else:
@@ -346,11 +384,8 @@ def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
 
 def _axis_root(ev: FiberEvaluator, k: int) -> float:
     """Positive root of the decoupled axis gradient D_k (coupling ignored)."""
-    quad0 = float(ev._ia(k, 1e-6)) - ev.params.lam(k + 1) * ev.q[k]
-    return positive_root(
-        lambda taus: ev._axis_grad(k, taus),
-        _closed_form_root(quad0, ev.pp[k], ev.params.p),
-    )
+    quad0 = float(ev._ia(k, 1e-6)) - ev.lams[k] * ev.q[k]
+    return ev.axis_root(k, _closed_form_root(quad0, ev.pp[k], ev.params.p))
 
 
 def _newton_root(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
@@ -559,67 +594,6 @@ def critical_cell_count(
     return int(np.sum(mixed(s1) & mixed(s2)))
 
 
-class ScalarFiberCache:
-    """Cached one-component fiber map: psi(tau) = d/dtau E(tau z)."""
-
-    def __init__(
-        self,
-        z: ScalarField,
-        lam: float,
-        params: ProblemParams,
-        fam: CoefficientFamily,
-        grid: Grid,
-        nonlin_coeff: float = 1.0,
-    ):
-        if not np.any(z.values != 0.0):
-            raise DegenerateInput("cannot rescale the zero field")
-        if nonlin_coeff <= 0.0:
-            raise ValueError(
-                f"need a positive nonlinearity weight, got {nonlin_coeff}"
-            )
-        self.p = params.p
-        self.lam = lam
-        self.c = nonlin_coeff
-        self.fam = fam
-        area = grid.cell_area
-        self.area = area
-        self._v = cell_values(z, grid)
-        gx, gy = cell_gradients(z, grid)
-        self._gsq = gx * gx + gy * gy
-        self.q = float(np.sum(self._v * self._v)) * area
-        self.pp = float(np.sum(np.abs(self._v) ** self.p)) * area
-        self._const = fam.kind == KIND_IDENTITY
-        self.ia0 = float(np.sum(self._gsq)) * area
-
-    def psi(self, taus) -> np.ndarray:
-        """Vectorized over an array of rescalings."""
-        taus = np.asarray(taus, dtype=float)
-        if self._const:
-            ia = self.ia0
-            idv = 0.0
-        else:
-            sv = np.multiply.outer(taus, self._v)
-            ia = np.sum(self.fam.a(sv) * self._gsq, axis=(-2, -1)) * self.area
-            idv = (
-                np.sum(self.fam.da(sv) * self._v * self._gsq, axis=(-2, -1))
-                * self.area
-            )
-        return (
-            taus * (ia - self.lam * self.q)
-            + 0.5 * taus**2 * idv
-            - self.c * taus ** (self.p - 1.0) * self.pp
-        )
-
-    def root(self, tau_init: float | None = None, tol: float = 1e-12) -> float:
-        """Unique positive zero of psi, by safeguarded Newton from tau_init."""
-        if tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init):
-            tau0 = tau_init
-        else:
-            quad = self.ia0 - self.lam * self.q
-            tau0 = _closed_form_root(quad, self.c * self.pp, self.p)
-        return positive_root(self.psi, tau0, tol=tol)
-
-
 def scalar_fiber_root(
     z: ScalarField,
     lam: float,
@@ -636,5 +610,14 @@ def scalar_fiber_root(
            + tau^2/2 int A'(tau z) z |grad z|^2
            - c * tau^(p-1) int |z|^p = 0.
     """
-    cache = ScalarFiberCache(z, lam, params, fam, grid, nonlin_coeff)
-    return cache.root(tau_init=tau_init, tol=tol)
+    if not np.any(z.values != 0.0):
+        raise DegenerateInput("cannot rescale the zero field")
+    if nonlin_coeff <= 0.0:
+        raise ValueError(f"need a positive nonlinearity weight, got {nonlin_coeff}")
+    ev = FiberEvaluator.scalar(z, lam, params, fam, grid, nonlin_coeff)
+    if tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init):
+        tau0 = tau_init
+    else:
+        quad = ev._ia0[0] - lam * ev.q[0]
+        tau0 = _closed_form_root(quad, nonlin_coeff * ev.pp[0], params.p)
+    return ev.axis_root(0, tau0, tol)

@@ -24,7 +24,6 @@ from nehari2d import (
 from nehari2d.errors import DegenerateInput, NoConvergence
 from nehari2d.fiber import (
     FiberEvaluator,
-    ScalarFiberCache,
     _newton_polish,
     critical_cell_count,
     positive_root,
@@ -173,9 +172,9 @@ class TestFiberGradient:
 def counted(psi):
     """psi wrapped with a call counter in `.calls`."""
 
-    def wrapper(taus):
+    def wrapper(*args):
         wrapper.calls += 1
-        return psi(taus)
+        return psi(*args)
 
     wrapper.calls = 0
     return wrapper
@@ -216,12 +215,13 @@ class TestPositiveRoot:
         fam = identity if kind == "identity" else example1
         lam = lam_frac * conservative_mu1(grid15)
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
-        cache = ScalarFiberCache(modulated_bump(grid15), lam, params, fam, grid15,
-                                 nonlin)
-        ref = brentq(lambda t: float(cache.psi(t)), 1e-6, 1e6, xtol=1e-300,
+        z = modulated_bump(grid15)
+        ev = FiberEvaluator.scalar(z, lam, params, fam, grid15, nonlin)
+        ref = brentq(lambda t: float(ev._axis_grad(0, t)), 1e-6, 1e6, xtol=1e-300,
                      rtol=1e-15)
         for tau_init in (None, 0.01 * ref, 100.0 * ref):
-            tau = cache.root(tau_init=tau_init)
+            tau = scalar_fiber_root(z, lam, params, fam, grid15, nonlin,
+                                    tau_init=tau_init)
             assert tau == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("offset", [0.99, 1.0, 1.01])
@@ -230,12 +230,12 @@ class TestPositiveRoot:
         # bisected away from it and walked back
         lam = 0.3 * conservative_mu1(grid15)
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
-        cache = ScalarFiberCache(modulated_bump(grid15), lam, params, example1,
-                                 grid15)
-        ref = cache.root()
-        cache.psi = counted(cache.psi)
-        assert cache.root(tau_init=offset * ref) == pytest.approx(ref, rel=1e-12)
-        assert cache.psi.calls <= 8
+        z = modulated_bump(grid15)
+        ref = scalar_fiber_root(z, lam, params, example1, grid15)
+        ev = FiberEvaluator.scalar(z, lam, params, example1, grid15)
+        ev._axis_grad = counted(ev._axis_grad)
+        assert ev.axis_root(0, offset * ref) == pytest.approx(ref, rel=1e-12)
+        assert ev._axis_grad.calls <= 8
 
 
 class TestProjection:
