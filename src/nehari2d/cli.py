@@ -43,7 +43,6 @@ from .solvers import (
     conservative_mu1,
     cooperative_least_energy,
     decoupled_solution,
-    grid_eigenpair,
     scalar_ground_state,
     symmetric_problem,
 )
@@ -313,7 +312,7 @@ def _cmd_certify(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_eigen(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.grid)
-    pair = grid_eigenpair(grid)
+    pair = grid.eigenpair
     _write_csv(
         out / "eigen.csv",
         cfg,

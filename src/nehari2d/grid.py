@@ -12,6 +12,7 @@ differentiable function of the nodal values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,22 @@ class Grid:
         P[1:-1, 1:-1] = values
         return P
 
+    # built on first use through the spectrum module's functions, looked
+    # up at call time (spectrum imports this module)
+    @cached_property
+    def poisson_solver(self):
+        """Exact 5-point -Laplace solve, `spectrum.make_poisson_solver`."""
+        from . import spectrum
+
+        return spectrum.make_poisson_solver(self)
+
+    @cached_property
+    def eigenpair(self):
+        """Principal stencil eigenpair, `spectrum.principal_eigenpair`."""
+        from . import spectrum
+
+        return spectrum.principal_eigenpair(self)
+
 
 def build_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
@@ -146,11 +163,6 @@ def zero_field(grid: Grid) -> ScalarField:
     return ScalarField(np.zeros(grid.shape), grid.spec)
 
 
-def field_from_function(grid: Grid, f) -> ScalarField:
-    X, Y = grid.node_mesh()
-    return ScalarField(f(X, Y), grid.spec)
-
-
 def _check(field: ScalarField, grid: Grid):
     if field.spec != grid.spec:
         raise GridMismatch(f"field on {field.spec}, grid is {grid.spec}")
@@ -202,18 +214,6 @@ def grad_sq(fld: ScalarField, grid: Grid) -> np.ndarray:
 def l2_inner(f: ScalarField, g: ScalarField, grid: Grid) -> float:
     """Quadrature of the product of the two interpolants."""
     return integrate(cell_values(f, grid) * cell_values(g, grid), grid)
-
-
-def grad_inner(f: ScalarField, g: ScalarField, grid: Grid) -> float:
-    """Quadrature of grad f . grad g; polarization partner of grad_sq."""
-    fx, fy = cell_gradients(f, grid)
-    gx, gy = cell_gradients(g, grid)
-    return integrate(fx * gx + fy * gy, grid)
-
-
-def h1_norm(fld: ScalarField, grid: Grid) -> float:
-    """Gradient seminorm sqrt(integral |grad u|^2); the working norm here."""
-    return float(np.sqrt(integrate(grad_sq(fld, grid), grid)))
 
 
 def scatter_cells(

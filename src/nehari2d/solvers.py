@@ -55,7 +55,6 @@ from .fiber import (
 )
 from .grid import (
     Grid,
-    GridSpec,
     ScalarField,
     StatePair,
     cell_gradients_of,
@@ -68,8 +67,6 @@ from .spectrum import (
     ADMISSIBLE_WEAK,
     INADMISSIBLE,
     admissible,
-    make_poisson_solver,
-    principal_eigenpair,
     strong_threshold,
 )
 
@@ -133,29 +130,8 @@ class SolveReport:
 # shared numerics
 
 
-_EIGEN_CACHE: dict[GridSpec, object] = {}
-_POISSON_CACHE: dict[GridSpec, object] = {}
-
-
-def grid_eigenpair(grid: Grid):
-    pair = _EIGEN_CACHE.get(grid.spec)
-    if pair is None:
-        pair = principal_eigenpair(grid)
-        _EIGEN_CACHE[grid.spec] = pair
-    return pair
-
-
-def _poisson(grid: Grid):
-    solver = _POISSON_CACHE.get(grid.spec)
-    if solver is None:
-        solver = make_poisson_solver(grid)
-        _POISSON_CACHE[grid.spec] = solver
-    return solver
-
-
 def conservative_mu1(grid: Grid) -> float:
-    pair = grid_eigenpair(grid)
-    return min(pair.mu, pair.mu_quad)
+    return grid.eigenpair.mu_conservative
 
 
 def _vol_norm(values: np.ndarray, grid: Grid) -> float:
@@ -164,7 +140,7 @@ def _vol_norm(values: np.ndarray, grid: Grid) -> float:
 
 def _riesz(values: np.ndarray, grid: Grid) -> np.ndarray:
     """H1 lift of a function-space gradient: exact 5-point -Laplace solve."""
-    return _poisson(grid)(values)
+    return grid.poisson_solver(values)
 
 
 def _quad_grad_inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
@@ -471,7 +447,7 @@ def refine_solution(
 
         return matvec
 
-    solve = _poisson(grid)
+    solve = grid.poisson_solver
 
     def precond(x):
         return np.concatenate(
@@ -505,7 +481,7 @@ def _refine_scalar(z, lam, params, fam, grid, opts, nonlin_coeff=1.0):
         hess = scalar_hessian_c(fld, lam, params.p, fam, grid, nonlin_coeff)
         return lambda d: hess(d.reshape(grid.shape)).ravel()
 
-    solve = _poisson(grid)
+    solve = grid.poisson_solver
 
     def precond(x):
         return solve(x.reshape(grid.shape)).ravel()

@@ -35,6 +35,28 @@ class TestGridSpec:
         b = build_grid(GridSpec(5, 7, 2.0, 3.0))
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.yc, b.yc)
 
+    def test_solver_and_eigenpair_built_once_per_grid(self, monkeypatch):
+        import nehari2d.spectrum as spectrum
+
+        built = []
+
+        def counting(name):
+            fn = getattr(spectrum, name)
+
+            def build(grid):
+                built.append(name)
+                return fn(grid)
+
+            return build
+
+        for name in ("make_poisson_solver", "principal_eigenpair"):
+            monkeypatch.setattr(spectrum, name, counting(name))
+        grid = build_grid(GridSpec(7, 7, 1.0, 1.0))
+        assert built == []
+        assert grid.eigenpair is grid.eigenpair
+        assert grid.poisson_solver is grid.poisson_solver
+        assert sorted(built) == ["make_poisson_solver", "principal_eigenpair"]
+
 
 class TestIntegrate:
     def test_constant_one_is_area(self):
