@@ -1,7 +1,7 @@
 """Principal Dirichlet eigenpair of the 5-point Laplacian and admissibility.
 
-Inverse power iteration with a matrix-free conjugate-gradient inner solve
-computes the smallest stencil eigenvalue mu1 and its positive eigenvector.
+Inverse power iteration, each step an exact sine-transform solve, computes
+the smallest stencil eigenvalue mu1 and its positive eigenvector.
 On a rectangle the exact discrete value is
 
     mu1 = (4/hx^2) sin^2(pi hx / (2 lx)) + (4/hy^2) sin^2(pi hy / (2 ly)),
@@ -43,40 +43,12 @@ def apply_neg_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     )
 
 
-def cg_solve(
-    apply_op,
-    b: np.ndarray,
-    rtol: float = 1e-12,
-    max_iter: int | None = None,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Plain conjugate gradients for an SPD operator, matrix-free."""
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_op(x) if x0 is not None else b.copy()
-    d = r.copy()
-    rs = float(np.sum(r * r))
-    target = rtol * math.sqrt(float(np.sum(b * b)))
-    if max_iter is None:
-        max_iter = 20 * b.size
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= target:
-            break
-        Ad = apply_op(d)
-        alpha = rs / float(np.sum(d * Ad))
-        x += alpha * d
-        r -= alpha * Ad
-        rs_new = float(np.sum(r * r))
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    return x
-
-
 def make_poisson_solver(grid: Grid):
     """Direct solver for the 5-point -Laplace system via sine transforms.
 
     The stencil diagonalizes in the discrete sine basis, so the solve is
-    exact up to roundoff; used as the Riesz lift / preconditioner in the
-    descent solvers.
+    exact up to roundoff; used by inverse iteration and as the Riesz lift /
+    preconditioner in the descent solvers.
     """
     nx, ny = grid.shape
     kx = np.arange(1, nx + 1)
@@ -125,13 +97,12 @@ class EigenPair:
 
 
 def principal_eigenpair(
-    grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    cg_rtol: float = 1e-12,
+    grid: Grid, tol: float = 1e-10, max_iter: int = 200
 ) -> EigenPair:
-    """Inverse power iteration for the smallest stencil eigenpair."""
-    apply_op = lambda v: apply_neg_laplacian(v, grid)
+    """Inverse power iteration for the smallest stencil eigenpair.
+
+    Each step inverts the stencil with the grid's sine-transform solver.
+    """
     vol = grid.cell_area
 
     v = np.ones(grid.shape)
@@ -141,9 +112,9 @@ def principal_eigenpair(
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        w = cg_solve(apply_op, v, rtol=cg_rtol)
+        w = grid.poisson_solver(v)
         w /= math.sqrt(float(np.sum(w * w)) * vol)
-        Aw = apply_op(w)
+        Aw = apply_neg_laplacian(w, grid)
         mu = float(np.sum(w * Aw)) / float(np.sum(w * w))
         residual = math.sqrt(float(np.sum((Aw - mu * w) ** 2)) * vol)
         v = w
