@@ -359,35 +359,40 @@ def _newton_krylov_polish(
     energy_fn,
     hess_fn,
     grid: Grid,
-    tol: float,
-    max_iter: int,
-    inner_iter: int,
-    precond=None,
+    opts: SolverOptions,
 ):
     """Damped Newton on grad_fn(x) = 0 with the exact Hessian.
 
-    `hess_fn(x)` returns the product with the Jacobian of grad_fn at x;
-    it is built once per Newton step and inverted approximately by
-    MINRES (the operator is symmetric but may be indefinite at the
-    saddle-type critical points sought here).  Steps are halved until
-    the residual norm decreases; accepted steps may not raise the energy
-    beyond rounding level.  Returns (x, residual_norm, converged,
-    iterations).
+    x stacks one nodal array per component.  `hess_fn(x)` returns the
+    product with the Jacobian of grad_fn at x; it is built once per
+    Newton step and inverted approximately by MINRES (the operator is
+    symmetric but may be indefinite at the saddle-type critical points
+    sought here), preconditioned by the exact -Laplace solve of each
+    component.  Steps are halved until the residual norm decreases;
+    accepted steps may not raise the energy beyond rounding level.
+    Returns (x, residual_norm, converged, iterations).
     """
+    tol = opts.tol
+    solve = grid.poisson_solver
+
+    def precond(r):
+        blocks = np.split(r, r.size // grid.spec.n_nodes)
+        return np.concatenate([solve(b.reshape(grid.shape)).ravel() for b in blocks])
+
     scale = math.sqrt(grid.cell_area)
     x = x0.copy()
+    M = LinearOperator((x.size, x.size), matvec=precond, dtype=float)
     g = grad_fn(x)
     res = float(np.linalg.norm(g)) * scale
     energy_val = energy_fn(x)
     its = 0
-    for its in range(1, max_iter + 1):
+    for its in range(1, opts.polish_max_iter + 1):
         if res <= tol:
             return x, res, True, its - 1
         op = LinearOperator((x.size, x.size), matvec=hess_fn(x), dtype=float)
-        M = None
-        if precond is not None:
-            M = LinearOperator((x.size, x.size), matvec=precond, dtype=float)
-        step, _info = minres(op, -g, rtol=1e-6, maxiter=inner_iter, M=M)
+        step, _info = minres(
+            op, -g, rtol=1e-6, maxiter=opts.polish_inner_iter, M=M
+        )
         if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) == 0.0:
             step = -g
 
@@ -447,20 +452,9 @@ def refine_solution(
 
         return matvec
 
-    solve = grid.poisson_solver
-
-    def precond(x):
-        return np.concatenate(
-            [
-                solve(x[:n].reshape(grid.shape)).ravel(),
-                solve(x[n:].reshape(grid.shape)).ravel(),
-            ]
-        )
-
     x0 = np.concatenate([u.u1.values.ravel(), u.u2.values.ravel()])
     x, res, converged, _its = _newton_krylov_polish(
-        x0, grad_fn, energy_fn, hess_fn, grid, opts.tol, opts.polish_max_iter,
-        opts.polish_inner_iter, precond=precond,
+        x0, grad_fn, energy_fn, hess_fn, grid, opts
     )
     return unpack(x), res, converged
 
@@ -481,14 +475,8 @@ def _refine_scalar(z, lam, params, fam, grid, opts, nonlin_coeff=1.0):
         hess = scalar_hessian_c(fld, lam, params.p, fam, grid, nonlin_coeff)
         return lambda d: hess(d.reshape(grid.shape)).ravel()
 
-    solve = grid.poisson_solver
-
-    def precond(x):
-        return solve(x.reshape(grid.shape)).ravel()
-
     x, res, converged, its = _newton_krylov_polish(
-        z.values.ravel().copy(), grad_fn, energy_fn, hess_fn, grid, opts.tol,
-        opts.polish_max_iter, opts.polish_inner_iter, precond=precond,
+        z.values.ravel(), grad_fn, energy_fn, hess_fn, grid, opts
     )
     return ScalarField(x.reshape(grid.shape), grid.spec), res, converged, its
 
@@ -707,7 +695,37 @@ def _sphere_trial(x, ds, a, grid):
     return sphere_normalize(pair, grid), (proj.t.t1, proj.t.t2)
 
 
-def _note_candidate_spread(energies, warnings) -> None:
+def _fully_nontrivial(u: StatePair, params, grid: Grid, opts) -> bool:
+    ints = _component_integrals(u, params, grid)
+    return all(pp > 1e3 * opts.tol for (_g, _q, pp) in ints)
+
+
+def _best_polished(starts, descend, keep, params, fam1, fam2, grid, opts,
+                   warnings):
+    """Descend from every start, then polish; the lowest-energy result.
+
+    Returns (best, descent iterations, rejected starts): best is the
+    lowest-energy (state, energy) among polished states that reach tol
+    and that `keep(state)` accepts, or None.  A start whose descent
+    raises is rejected with a warning.
+    """
+    best = None
+    energies = []
+    total_iters = n_failed = 0
+    for start in starts:
+        try:
+            u, _res, its = descend(start)
+        except (NotProjectable, DegenerateInput, NoConvergence) as exc:
+            n_failed += 1
+            warnings.append(f"start rejected: {exc}")
+            continue
+        total_iters += its
+        u, res, _conv = refine_solution(u, params, fam1, fam2, grid, opts)
+        if res <= opts.tol and keep(u):
+            e = total_energy(u, params, fam1, fam2, grid)
+            energies.append(e)
+            if best is None or e < best[1]:
+                best = (u, e)
     # distinct converged minimizers are reported, not resolved
     if len(energies) > 1:
         lo, hi = min(energies), max(energies)
@@ -716,6 +734,7 @@ def _note_candidate_spread(energies, warnings) -> None:
                 f"{len(energies)} converged candidates span energies "
                 f"[{lo:.10g}, {hi:.10g}]; reporting the lowest"
             )
+    return best, total_iters, n_failed
 
 
 def _finalize_system(
@@ -742,9 +761,7 @@ def _finalize_system(
     nu = min(fam1.nu, fam2.nu)
     mu1 = conservative_mu1(grid)
 
-    ints = _component_integrals(u, params, grid)
-    guard = 1e3 * opts.tol
-    nontrivial = all(pp > guard for (_g, _q, pp) in ints)
+    nontrivial = _fully_nontrivial(u, params, grid, opts)
     if params.beta <= 0.0 and nontrivial:
         if not nehari_floors_hold(u, params, nu, mu1, grid):
             nontrivial = False
@@ -821,34 +838,21 @@ def competitive_least_energy(
                 StatePair(ScalarField(g_, grid.spec), ScalarField(f, grid.spec))
             )
 
-    best = None
-    accepted_energies = []
-    total_iters = 0
-    n_failed = 0
-    for start in starts:
-        try:
-            u, res, its = _system_descent(
-                sphere_normalize(start, grid), params, fam1, fam2, grid, opts,
-                mu1, nu, partial(_sphere_direction, grid=grid),
-                partial(_sphere_trial, grid=grid),
-            )
-        except (NotProjectable, DegenerateInput, NoConvergence) as exc:
-            n_failed += 1
-            warnings.append(f"start rejected: {exc}")
-            continue
-        total_iters += its
-        u, res, _conv = refine_solution(u, params, fam1, fam2, grid, opts)
-        e = total_energy(u, params, fam1, fam2, grid)
-        if res <= opts.tol:
-            accepted_energies.append(e)
-            if best is None or e < best[1]:
-                best = (u, e)
+    def descend(start):
+        return _system_descent(
+            sphere_normalize(start, grid), params, fam1, fam2, grid, opts, mu1,
+            nu, partial(_sphere_direction, grid=grid),
+            partial(_sphere_trial, grid=grid),
+        )
+
+    best, total_iters, n_failed = _best_polished(
+        starts, descend, lambda u: True, params, fam1, fam2, grid, opts, warnings
+    )
     if best is None:
         raise NoConvergence(
             f"no competitive start converged ({n_failed} rejected)",
             iterations=total_iters,
         )
-    _note_candidate_spread(accepted_energies, warnings)
     return _finalize_system(
         best[0], params, fam1, fam2, grid, opts, REGIME_COMPETITIVE,
         total_iters, L1, L2, warnings,
@@ -945,36 +949,22 @@ def cooperative_least_energy(
                 StatePair(ScalarField(g_, grid.spec), ScalarField(f, grid.spec))
             )
 
-    guard = 1e3 * opts.tol
-    best = None
-    accepted_energies = []
-    total_iters = 0
-    for start in starts:
-        try:
-            u, res, its = _system_descent(
-                start, params, fam1, fam2, grid, opts, mu1, nu,
-                partial(_riesz_direction, grid=grid),
-                partial(_rescale_trial, grid=grid),
-            )
-        except (NotProjectable, DegenerateInput, NoConvergence) as exc:
-            warnings.append(f"start rejected: {exc}")
-            continue
-        total_iters += its
-        u, res, _conv = refine_solution(u, params, fam1, fam2, grid, opts)
-        if res > opts.tol:
-            continue
-        ints = _component_integrals(u, params, grid)
-        if not all(pp > guard for (_g, _q, pp) in ints):
-            continue  # collapsed to a semi-trivial state
-        e = total_energy(u, params, fam1, fam2, grid)
-        accepted_energies.append(e)
-        if best is None or e < best[1]:
-            best = (u, e)
+    def descend(start):
+        return _system_descent(
+            start, params, fam1, fam2, grid, opts, mu1, nu,
+            partial(_riesz_direction, grid=grid),
+            partial(_rescale_trial, grid=grid),
+        )
+
+    # a state that collapsed to a semi-trivial one is not a candidate
+    best, total_iters, _n_failed = _best_polished(
+        starts, descend, lambda u: _fully_nontrivial(u, params, grid, opts),
+        params, fam1, fam2, grid, opts, warnings,
+    )
     if best is None:
         raise NoFullyNontrivialCandidate(
             "every cooperative candidate collapsed or failed to converge"
         )
-    _note_candidate_spread(accepted_energies, warnings)
     u, report = _finalize_system(
         best[0], params, fam1, fam2, grid, opts, REGIME_COOPERATIVE,
         total_iters, L1, L2, warnings,

@@ -97,7 +97,9 @@ class EigenPair:
 
 
 def principal_eigenpair(
-    grid: Grid, tol: float = 1e-10, max_iter: int = 200
+    grid: Grid,
+    tol: float = 1e-10,
+    max_iter: int = 200,
 ) -> EigenPair:
     """Inverse power iteration for the smallest stencil eigenpair.
 
