@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
@@ -641,9 +640,9 @@ def _system_descent(u0, params, fam1, fam2, grid, opts, mu1, nu, direction,
     """Descent of the system energy on the constraint set from the pair u0.
 
     A point is (pair, proj): a pair and its projection onto the
-    constraint set, which is the retraction.  `direction(x, g)` is the
-    direction rule; `trial(x, d, a)` gives the pair at step a and the
-    projection's warm start.  The coercivity bound is checked on the
+    constraint set, which is the retraction.  `direction(x, g, grid)` is
+    the direction rule; `trial(x, d, a, grid)` gives the pair at step a
+    and the projection's warm start.  The coercivity bound is checked on the
     start and on every accepted projection.  Returns (projected state,
     res, iterations); raises NotProjectable when u0 is not projectable.
     """
@@ -671,8 +670,8 @@ def _system_descent(u0, params, fam1, fam2, grid, opts, mu1, nu, direction,
     x, energy_val = project(u0)
     check(x, energy_val)
     x, _energy, res, its = _descend(
-        x, energy_val, gradient, direction,
-        lambda x, ds, a: project(*trial(x, ds, a)), opts, check,
+        x, energy_val, gradient, lambda x, gs: direction(x, gs, grid),
+        lambda x, ds, a: project(*trial(x, ds, a, grid)), opts, check,
     )
     return x[1].projected, res, its
 
@@ -841,8 +840,7 @@ def competitive_least_energy(
     def descend(start):
         return _system_descent(
             sphere_normalize(start, grid), params, fam1, fam2, grid, opts, mu1,
-            nu, partial(_sphere_direction, grid=grid),
-            partial(_sphere_trial, grid=grid),
+            nu, _sphere_direction, _sphere_trial,
         )
 
     best, total_iters, n_failed = _best_polished(
@@ -951,9 +949,8 @@ def cooperative_least_energy(
 
     def descend(start):
         return _system_descent(
-            start, params, fam1, fam2, grid, opts, mu1, nu,
-            partial(_riesz_direction, grid=grid),
-            partial(_rescale_trial, grid=grid),
+            start, params, fam1, fam2, grid, opts, mu1, nu, _riesz_direction,
+            _rescale_trial,
         )
 
     # a state that collapsed to a semi-trivial one is not a candidate

@@ -225,17 +225,19 @@ class TestPositiveRoot:
             assert tau == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("offset", [0.99, 1.0, 1.01])
-    def test_warm_start_is_cheap(self, grid15, example1, offset):
+    def test_warm_start_is_cheap(self, monkeypatch, grid15, example1, offset):
         # offset 1.0 is the relapse case: a start on the root used to be
         # bisected away from it and walked back
         lam = 0.3 * conservative_mu1(grid15)
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
         z = modulated_bump(grid15)
         ref = scalar_fiber_root(z, lam, params, example1, grid15)
-        ev = FiberEvaluator.scalar(z, lam, params, example1, grid15)
-        ev._axis_grad = counted(ev._axis_grad)
-        assert ev.axis_root(0, offset * ref) == pytest.approx(ref, rel=1e-12)
-        assert ev._axis_grad.calls <= 8
+        psi = counted(FiberEvaluator._axis_grad)
+        monkeypatch.setattr(FiberEvaluator, "_axis_grad", psi)
+        tau = scalar_fiber_root(z, lam, params, example1, grid15,
+                                tau_init=offset * ref)
+        assert tau == pytest.approx(ref, rel=1e-12)
+        assert psi.calls <= 8
 
 
 class TestProjection:
