@@ -149,7 +149,8 @@ def _quad_grad_inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
 
 
 def _h1_normalize(values: np.ndarray, grid: Grid) -> np.ndarray:
-    nrm = math.sqrt(_quad_grad_inner(values, values, grid))
+    gx, gy = cell_gradients_of(values, grid)
+    nrm = math.sqrt(float(np.sum(gx * gx + gy * gy)) * grid.cell_area)
     if nrm == 0.0:
         raise DegenerateInput("cannot normalize a gradient-free field")
     return values / nrm
@@ -281,8 +282,8 @@ def _descend(x, energy_val, gradient, direction, retract, opts, check=None):
     raises DegenerateInput, NoConvergence or NotProjectable to reject the
     step.  `check(x, energy)` runs on every accepted state.
 
-    Step a starts at twice the last accepted one (at most 1e3) and is
-    halved up to 50 times.  Stops when res <= 1e2 * tol, when no step
+    The first trial step is a = 1, each later one twice the last accepted
+    step (at most 1e3); a is halved up to 50 times.  Stops when res <= 1e2 * tol, when no step
     passes the Armijo test, when the energy fell by no more than
     stagnation_tol over the last stagnation_window steps, or after
     max_iter gradients.  Returns (x, energy, res, iterations), with res
@@ -688,10 +689,10 @@ def _sphere_trial(x, ds, a, grid):
     """Step on the sphere product, warm-started at the current fiber t."""
     v, proj = x
     pair = StatePair(
-        ScalarField(v.u1.values + a * ds[0], grid.spec),
-        ScalarField(v.u2.values + a * ds[1], grid.spec),
+        ScalarField(_h1_normalize(v.u1.values + a * ds[0], grid), grid.spec),
+        ScalarField(_h1_normalize(v.u2.values + a * ds[1], grid), grid.spec),
     )
-    return sphere_normalize(pair, grid), (proj.t.t1, proj.t.t2)
+    return pair, (proj.t.t1, proj.t.t2)
 
 
 def _fully_nontrivial(u: StatePair, params, grid: Grid, opts) -> bool:
