@@ -142,15 +142,14 @@ def _riesz(values: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.poisson_solver(values)
 
 
-def _quad_grad_inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    ax, ay = cell_gradients_of(a, grid)
-    bx, by = cell_gradients_of(b, grid)
-    return float(np.sum(ax * bx + ay * by)) * grid.cell_area
+def _grad_inner(a, b, grid: Grid) -> float:
+    """Quadrature <grad a, grad b> from the cell gradients a = (ax, ay), b."""
+    return float(np.sum(a[0] * b[0] + a[1] * b[1])) * grid.cell_area
 
 
 def _h1_normalize(values: np.ndarray, grid: Grid) -> np.ndarray:
-    gx, gy = cell_gradients_of(values, grid)
-    nrm = math.sqrt(float(np.sum(gx * gx + gy * gy)) * grid.cell_area)
+    g = cell_gradients_of(values, grid)
+    nrm = math.sqrt(_grad_inner(g, g, grid))
     if nrm == 0.0:
         raise DegenerateInput("cannot normalize a gradient-free field")
     return values / nrm
@@ -332,10 +331,10 @@ def _tangent_lift(gs, vs, ts, grid):
     used.
     """
     rs = [_riesz(g, grid) for g in gs]
-    ds = [
-        -(r - _quad_grad_inner(r, v, grid) / _quad_grad_inner(v, v, grid) * v)
-        for r, v in zip(rs, vs)
-    ]
+    ds = []
+    for r, v in zip(rs, vs):
+        rg, vg = cell_gradients_of(r, grid), cell_gradients_of(v, grid)
+        ds.append(-(r - _grad_inner(rg, vg, grid) / _grad_inner(vg, vg, grid) * v))
 
     def slope():
         return sum(
