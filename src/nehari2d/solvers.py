@@ -9,8 +9,10 @@ product of two spheres, with the two-parameter fiber projection supplying
 the constrained energy.  The attractive solver has no sphere reduction;
 it refines a candidate list (diagonal state, near-semitrivial pair,
 random positives) by descent with per-iteration rescaling onto the
-constraint set.  All converged candidates are polished by a damped
-Newton-Krylov root finder on the exact gradient and Hessian.
+constraint set.  The descent only brings a candidate near a critical
+point: at Euler residual 1e-2 it hands over to a damped Newton-Krylov
+root finder on the exact gradient and Hessian, and resumes only when
+that polish fails its guard.
 
 Determinism: every random draw flows from the seed in SolverOptions, and
 asymmetric candidates are explored in both component orders so that
@@ -271,7 +273,8 @@ def nehari_floors_hold(
 # the descent driver
 
 
-def _descend(x, energy_val, gradient, direction, retract, opts, check=None):
+def _descend(x, energy_val, gradient, direction, retract, opts, stop,
+             check=None):
     """Armijo descent from x, shared by every solver.
 
     `gradient(x)` returns (g, res): the Euler gradient at x and its norm.
@@ -282,11 +285,12 @@ def _descend(x, energy_val, gradient, direction, retract, opts, check=None):
     step.  `check(x, energy)` runs on every accepted state.
 
     The first trial step is a = 1, each later one twice the last accepted
-    step (at most 1e3); a is halved up to 50 times.  Stops when res <= 1e2 * tol, when no step
-    passes the Armijo test, when the energy fell by no more than
-    stagnation_tol over the last stagnation_window steps, or after
-    max_iter gradients.  Returns (x, energy, res, iterations), with res
-    the last residual computed (inf if none was).
+    step (at most 1e3); a is halved up to 50 times.  Stops when
+    res <= stop, when no step passes the Armijo test, when the energy
+    fell by no more than stagnation_tol over the last stagnation_window
+    steps, or after max_iter gradients.  Returns (x, energy, res,
+    iterations), with res the last residual computed (inf if none was);
+    res <= stop exactly when the residual test ended the descent.
     """
     alpha = 1.0
     history = [energy_val]
@@ -294,7 +298,7 @@ def _descend(x, energy_val, gradient, direction, retract, opts, check=None):
     it = 0
     for it in range(1, opts.max_iter + 1):
         g, res = gradient(x)
-        if res <= 1e2 * opts.tol:
+        if res <= stop:
             break
         d, slope = direction(x, g)
         a = alpha
@@ -320,6 +324,50 @@ def _descend(x, energy_val, gradient, direction, retract, opts, check=None):
         ):
             break
     return x, energy_val, res, it
+
+
+# Newton takes over from the descent at this Euler residual: from there the
+# polish converges in one or two steps, where the descent needs hundreds
+_HANDOFF_RES = 1e-2
+
+
+def _descend_and_polish(x, energy_val, gradient, direction, retract, opts,
+                        polish, reject, check=None):
+    """One start: descend to the Newton handoff residual, then polish.
+
+    The descent (`_descend`'s first five arguments and `check`) stops at
+    max(_HANDOFF_RES, 1e2 * tol), and `polish(x)` polishes the state it
+    reached.  `reject(result)` says why a polished result fails the
+    guard, or returns None.  When it fails and the residual test ended
+    the descent above 1e2 * tol, the descent resumes from there, with a
+    fresh step and stagnation window and what is left of max_iter, down
+    to 1e2 * tol, and the state it reaches is polished instead.  A
+    descent ended by anything else is not resumed.
+
+    Returns (result, descent iterations, note); note says why the
+    handoff fell back, or is None.
+    """
+    final = 1e2 * opts.tol
+    stop = max(_HANDOFF_RES, final)
+    x, energy_val, res, its = _descend(
+        x, energy_val, gradient, direction, retract, opts, stop, check
+    )
+    out = polish(x)
+    if not (final < res <= stop and its < opts.max_iter):
+        return out, its, None
+    reason = reject(out)
+    if reason is None:
+        return out, its, None
+    x, _e, _res, more = _descend(
+        x, energy_val, gradient, direction, retract,
+        replace(opts, max_iter=opts.max_iter - its), final, check,
+    )
+    note = f"Newton handoff at res {res:.2e} failed ({reason}); descent resumed"
+    return polish(x), its + more, note
+
+
+def _polish_rejection(res, opts):
+    return f"polish stopped at res {res:.2e}" if res > opts.tol else None
 
 
 def _tangent_lift(gs, vs, ts, grid):
@@ -369,7 +417,11 @@ def _newton_krylov_polish(
     sought here), preconditioned by the exact -Laplace solve of each
     component.  Steps are halved until the residual norm decreases;
     accepted steps may not raise the energy beyond rounding level.
-    Returns (x, residual_norm, converged, iterations).
+    Converged means res <= tol.  Past tol, Newton steps continue while
+    they lower the residual, up to the finishing target res <= 1e-2 * tol;
+    a failed line search or the step cap between the two thresholds still
+    counts as converged.  Returns (x, residual_norm, converged,
+    iterations).
     """
     tol = opts.tol
     solve = grid.poisson_solver
@@ -386,7 +438,7 @@ def _newton_krylov_polish(
     energy_val = energy_fn(x)
     its = 0
     for its in range(1, opts.polish_max_iter + 1):
-        if res <= tol:
+        if res <= 1e-2 * tol:
             return x, res, True, its - 1
         op = LinearOperator((x.size, x.size), matvec=hess_fn(x), dtype=float)
         step, _info = minres(
@@ -485,13 +537,16 @@ def _refine_scalar(z, lam, params, fam, grid, opts, nonlin_coeff=1.0):
 
 
 def _scalar_descent(z0, lam, params, fam, grid, opts, nonlin_coeff=1.0):
-    """Sphere-constrained descent for the scalar problem from one start.
+    """Sphere-constrained descent plus Newton polish from one start.
 
     A point is (v, tau, w): v on the unit gradient sphere, tau its fiber
-    root and w = tau v on the constraint set.  Returns (w, energy, res,
-    iterations).
+    root and w = tau v on the constraint set.  The handoff guard is that
+    the polish converged.  Returns (w, energy, res, iterations, note),
+    counting descent and polish iterations, with note as in
+    `_descend_and_polish`.
     """
     p = params.p
+    polish_its = 0
 
     def on_fiber(v, tau_guess=None):
         tau = scalar_fiber_root(
@@ -511,11 +566,20 @@ def _scalar_descent(z0, lam, params, fam, grid, opts, nonlin_coeff=1.0):
     def retract(x, ds, a):
         return on_fiber(_h1_normalize(x[0] + a * ds[0], grid), tau_guess=x[1])
 
+    def polish(x):
+        nonlocal polish_its
+        w, res, _converged, its = _refine_scalar(
+            x[2], lam, params, fam, grid, opts, nonlin_coeff
+        )
+        polish_its += its
+        return w, scalar_energy_c(w, lam, p, fam, grid, nonlin_coeff), res
+
     x, energy_val = on_fiber(_h1_normalize(np.asarray(z0, dtype=float), grid))
-    x, energy_val, res, its = _descend(
-        x, energy_val, gradient, direction, retract, opts
+    (w, energy_val, res), its, note = _descend_and_polish(
+        x, energy_val, gradient, direction, retract, opts, polish,
+        lambda out: _polish_rejection(out[2], opts),
     )
-    return x[2], energy_val, res, its
+    return w, energy_val, res, its + polish_its, note
 
 
 def scalar_ground_state(
@@ -555,17 +619,13 @@ def scalar_ground_state(
 
     best = None
     total_iters = 0
-    for z0 in starts:
-        w, energy_val, res, its = _scalar_descent(
+    for k, z0 in enumerate(starts):
+        w, energy_val, res, its, note = _scalar_descent(
             z0, lam, params, fam, grid, opts, nonlin_coeff
         )
         total_iters += its
-        if res > opts.tol:
-            w, res, _converged, pits = _refine_scalar(
-                w, lam, params, fam, grid, opts, nonlin_coeff
-            )
-            energy_val = scalar_energy_c(w, lam, params.p, fam, grid, nonlin_coeff)
-            total_iters += pits
+        if note is not None:
+            warnings.append(f"start {k}: {note}")
         if res <= opts.tol and (best is None or energy_val < best[1]):
             best = (w, energy_val, res)
     if best is None:
@@ -637,14 +697,18 @@ def _pair_res_norm(g: StatePair, grid: Grid) -> float:
 
 def _system_descent(u0, params, fam1, fam2, grid, opts, mu1, nu, direction,
                     trial):
-    """Descent of the system energy on the constraint set from the pair u0.
+    """Descent of the system energy on the constraint set from the pair u0,
+    plus Newton polish.
 
     A point is (pair, proj): a pair and its projection onto the
     constraint set, which is the retraction.  `direction(x, g, grid)` is
     the direction rule; `trial(x, d, a, grid)` gives the pair at step a
     and the projection's warm start.  The coercivity bound is checked on the
-    start and on every accepted projection.  Returns (projected state,
-    res, iterations); raises NotProjectable when u0 is not projectable.
+    start and on every accepted projection.  The handoff guard is that the
+    polish converged to a fully nontrivial state.  Returns ((state, res,
+    converged), descent iterations, note), with note as in
+    `_descend_and_polish`; raises NotProjectable when u0 is not
+    projectable.
     """
     proj_opts = opts.projection()
 
@@ -667,13 +731,22 @@ def _system_descent(u0, params, fam1, fam2, grid, opts, mu1, nu, direction,
                 energy_val, proj.projected, params, nu, mu1, grid, proj.residual
             )
 
+    def polish(x):
+        return refine_solution(x[1].projected, params, fam1, fam2, grid, opts)
+
+    def reject(out):
+        u, res, _converged = out
+        if res <= opts.tol and not _fully_nontrivial(u, params, grid, opts):
+            return "semi-trivial state"
+        return _polish_rejection(res, opts)
+
     x, energy_val = project(u0)
     check(x, energy_val)
-    x, _energy, res, its = _descend(
+    return _descend_and_polish(
         x, energy_val, gradient, lambda x, gs: direction(x, gs, grid),
-        lambda x, ds, a: project(*trial(x, ds, a, grid)), opts, check,
+        lambda x, ds, a: project(*trial(x, ds, a, grid)), opts, polish,
+        reject, check,
     )
-    return x[1].projected, res, its
 
 
 def _sphere_direction(x, gs, grid):
@@ -701,25 +774,28 @@ def _fully_nontrivial(u: StatePair, params, grid: Grid, opts) -> bool:
 
 def _best_polished(starts, descend, keep, params, fam1, fam2, grid, opts,
                    warnings):
-    """Descend from every start, then polish; the lowest-energy result.
+    """Descend from every start and polish; the lowest-energy result.
 
-    Returns (best, descent iterations, rejected starts): best is the
-    lowest-energy (state, energy) among polished states that reach tol
-    and that `keep(state)` accepts, or None.  A start whose descent
-    raises is rejected with a warning.
+    `descend(start)` returns what `_system_descent` does.  Returns (best,
+    descent iterations, rejected starts): best is the lowest-energy
+    (state, energy) among polished states that reach tol and that
+    `keep(state)` accepts, or None.  A start whose descent raises is
+    rejected with a warning; a Newton handoff that fell back is noted in
+    the warnings too.
     """
     best = None
     energies = []
     total_iters = n_failed = 0
-    for start in starts:
+    for k, start in enumerate(starts):
         try:
-            u, _res, its = descend(start)
+            (u, res, _conv), its, note = descend(start)
         except (NotProjectable, DegenerateInput, NoConvergence) as exc:
             n_failed += 1
             warnings.append(f"start rejected: {exc}")
             continue
         total_iters += its
-        u, res, _conv = refine_solution(u, params, fam1, fam2, grid, opts)
+        if note is not None:
+            warnings.append(f"start {k}: {note}")
         if res <= opts.tol and keep(u):
             e = total_energy(u, params, fam1, fam2, grid)
             energies.append(e)

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import nehari2d.grid as G
 from nehari2d import (
@@ -263,6 +264,8 @@ def test_criterion_9_determinism_and_swap():
     opts = SolverOptions(tol=1e-8, n_restarts=1, max_iter=2000, seed=3)
 
     u_a, rep_a = competitive_least_energy(params, iden, fam, grid, opts)
+    # the least-energy state, not the trap at E = 257.826
+    assert rep_a.energy == pytest.approx(245.4972501868092, rel=1e-10)
     u_b, rep_b = competitive_least_energy(params, iden, fam, grid, opts)
     assert np.array_equal(u_a.u1.values, u_b.u1.values)
     assert np.array_equal(u_a.u2.values, u_b.u2.values)

@@ -159,11 +159,32 @@ class TestDescentDriver:
     def test_residual_stop(self, grid7):
         opts = SolverOptions(tol=1e-8)
         x0, e0, gradient, direction, retract, target = self.problem(grid7)
-        x, e, res, its = S._descend(x0, e0, gradient, direction, retract, opts)
+        stop = 1e2 * opts.tol
+        x, e, res, its = S._descend(
+            x0, e0, gradient, direction, retract, opts, stop
+        )
         # the full step lands on x*, and the next gradient stops the descent
         assert its == 2
-        assert res <= 1e2 * opts.tol
+        assert res <= stop
         assert np.array_equal(x, target) and e == 0.0
+
+    def test_handoff_stop(self, grid7):
+        # a stop above 1e2 * tol ends the descent at the first residual below it
+        opts = SolverOptions(tol=1e-8)
+        x0, e0, gradient, direction, retract, _t = self.problem(grid7, shrink=1e-4)
+        seen = []
+
+        def recorded(x):
+            g, res = gradient(x)
+            seen.append(res)
+            return g, res
+
+        x, e, res, its = S._descend(
+            x0, e0, recorded, direction, retract, opts, 1e-2
+        )
+        assert its == len(seen) > 2
+        assert seen[-1] == res <= 1e-2 < min(seen[:-1])
+        assert res > 1e2 * opts.tol
 
     def test_max_iter_reached(self, grid7):
         opts = SolverOptions(tol=1e-8, max_iter=3)
@@ -173,7 +194,7 @@ class TestDescentDriver:
         )
         accepted = []
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, retract, opts,
+            x0, e0, gradient, direction, retract, opts, 1e2 * opts.tol,
             check=lambda x, e: accepted.append(e),
         )
         assert its == opts.max_iter == calls["gradient"]
@@ -183,8 +204,9 @@ class TestDescentDriver:
     def test_zero_max_iter_returns_start(self, grid7):
         calls = {}
         x0, e0, gradient, direction, retract, _t = self.problem(grid7, calls=calls)
+        opts = SolverOptions(max_iter=0)
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, retract, SolverOptions(max_iter=0)
+            x0, e0, gradient, direction, retract, opts, 1e2 * opts.tol
         )
         assert x is x0 and e == e0 and res == math.inf and its == 0
         assert calls == {}
@@ -202,7 +224,7 @@ class TestDescentDriver:
             return x, e0
 
         x, e, res, its = S._descend(
-            x0, e0, gradient, flat_direction, flat_retract, opts
+            x0, e0, gradient, flat_direction, flat_retract, opts, 1e2 * opts.tol
         )
         assert calls["retract"] == its <= opts.stagnation_window + 1
         assert its < opts.max_iter and e == e0
@@ -218,7 +240,7 @@ class TestDescentDriver:
 
         accepted = []
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, rejects, opts,
+            x0, e0, gradient, direction, rejects, opts, 1e2 * opts.tol,
             check=lambda x, e: accepted.append(e),
         )
         assert len(steps) == 50 and steps[-1] == 0.5**49
@@ -243,6 +265,91 @@ class TestZeroMaxIter:
         _z, L, _rep = scalar_ground_state(1, params, example1, grid7)
         assert rep0.converged and rep0.iterations <= 5
         assert L0 == pytest.approx(L, rel=1e-10)
+
+
+class TestNewtonHandoff:
+    """The descent hands off to Newton at residual 1e-2, behind a guard."""
+
+    def test_failed_handoff_resumes_descent(self, monkeypatch, grid7, identity,
+                                            params_p4):
+        opts = SolverOptions(n_restarts=0)
+        _z, L, rep = scalar_ground_state(1, params_p4, identity, grid7, opts)
+        assert rep.warnings == ()
+        real = S._newton_krylov_polish
+        starts = []
+
+        def fails_first(x0, *args):
+            starts.append(x0)
+            if len(starts) == 1:
+                return x0.copy(), 1.0, False, 0
+            return real(x0, *args)
+
+        monkeypatch.setattr(S, "_newton_krylov_polish", fails_first)
+        _z, L_fb, rep_fb = scalar_ground_state(1, params_p4, identity, grid7, opts)
+
+        def residual(x):
+            fld = ScalarField(x.reshape(grid7.shape), grid7.spec)
+            g = S.scalar_euler_gradient_c(fld, 0.0, params_p4.p, identity, grid7)
+            return S._vol_norm(g.values, grid7)
+
+        # handed off at residual <= 1e-2, polished again after more descent
+        assert len(starts) == 2
+        assert 1e2 * opts.tol < residual(starts[0]) <= 1e-2
+        assert residual(starts[1]) < residual(starts[0])
+        assert rep_fb.iterations > rep.iterations
+        (note,) = rep_fb.warnings
+        assert note.startswith("start 0: Newton handoff at res ")
+        assert note.endswith("(polish stopped at res 1.00e+00); descent resumed")
+        assert L_fb == pytest.approx(L, rel=1e-10)
+
+    def test_semitrivial_handoff_rejected(self, monkeypatch, grid15, example1):
+        # one start, so without the guard the semi-trivial pair would win
+        opts = SolverOptions(n_restarts=0)
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        scalars = scalar_levels(params, example1, example1, grid15, opts)
+        _u, rep = competitive_least_energy(
+            params, example1, example1, grid15, opts, scalar_data=scalars
+        )
+        real = S.refine_solution
+        calls = []
+
+        def semitrivial_first(u, *args):
+            calls.append(u)
+            if len(calls) == 1:
+                return StatePair(u.u1, G.zero_field(grid15)), 0.0, True
+            return real(u, *args)
+
+        monkeypatch.setattr(S, "refine_solution", semitrivial_first)
+        _u, rep_g = competitive_least_energy(
+            params, example1, example1, grid15, opts, scalar_data=scalars
+        )
+        assert len(calls) == 2 and rep_g.fully_nontrivial
+        (note,) = rep_g.warnings
+        assert note.startswith("start 0: Newton handoff at res ")
+        assert note.endswith("(semi-trivial state); descent resumed")
+        assert rep_g.energy == pytest.approx(rep.energy, rel=1e-10)
+
+    def test_finishing_target_is_best_effort(self, grid7):
+        # |g| has a floor between 1e-2 * tol and tol that no step can pass
+        opts = SolverOptions(tol=1e-8)
+        n = grid7.spec.n_nodes
+        free = np.arange(n) % 2 == 0
+        target = np.linspace(0.1, 1.0, n)
+        floor = np.where(free, 0.0, 1.0)
+        floor *= 1e-9 / (np.linalg.norm(floor) * math.sqrt(grid7.cell_area))
+
+        def grad_fn(x):
+            return np.where(free, x - target, 0.0) + floor
+
+        def hess_fn(x):
+            return lambda d: np.where(free, d, 0.0)
+
+        _x, res, converged, its = S._newton_krylov_polish(
+            np.zeros(n), grad_fn, lambda x: 0.0, hess_fn, grid7, opts
+        )
+        assert converged
+        assert 1e-2 * opts.tol < res <= opts.tol
+        assert its < opts.polish_max_iter
 
 
 class TestScalarLevels:
