@@ -322,6 +322,11 @@ def _cmd_eigen(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+def _print_warnings(warnings, prefix: str = "") -> None:
+    for w in warnings:
+        print(f"warning: {prefix}{w}", file=sys.stderr)
+
+
 def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.grid)
     fam1, fam2 = cfg.family1.build(), cfg.family2.build()
@@ -331,6 +336,7 @@ def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> int:
     for i, fam in ((1, fam1), (2, fam2)):
         if i == 1 or not same:
             z, level, rep = scalar_ground_state(i, cfg.params, fam, grid, cfg.solver)
+            _print_warnings(rep.warnings, f"component {i}: ")
         dump_field(z, grid, out / f"scalar_{i}.field")
         rows.append(
             f"{i},{_fmt(level)},{_fmt(rep.euler_residual_norm)},"
@@ -356,8 +362,7 @@ def _cmd_solve_system(cfg: RunConfig, out: Path) -> int:
     dump_field(u.u2, grid, out / "u2.field")
     row = sweep_row_csv(SweepRow(beta=beta, status="ok", report=rep))
     _write_csv(out / "system.csv", cfg, SWEEP_HEADER, [row])
-    for w in rep.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(rep.warnings)
     return EXIT_OK
 
 
@@ -369,6 +374,9 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     fam1, fam2 = cfg.family1.build(), cfg.family2.build()
     rows = beta_sweep(cfg.beta_list, cfg.params, fam1, fam2, grid, cfg.solver)
     _write_csv(out / "sweep.csv", cfg, SWEEP_HEADER, [sweep_row_csv(r) for r in rows])
+    for r in rows:
+        if r.report is not None:
+            _print_warnings(r.report.warnings, f"beta = {r.beta:g}: ")
     bad = [r for r in rows if r.status != "ok"]
     for r in bad:
         print(f"beta = {r.beta:g} failed: {r.error}", file=sys.stderr)

@@ -18,7 +18,8 @@ from nehari2d.cli import (
     serialize_config,
 )
 from nehari2d.errors import CoercivityViolation, ParseError, ValidationError
-from nehari2d.solvers import ScalarReport
+from nehari2d.energy import NehariResidual
+from nehari2d.solvers import ScalarReport, SolveReport, SweepRow
 
 MINIMAL = """
 grid.nx = 9
@@ -265,6 +266,33 @@ class TestCommands:
         assert float(row2[1]) == expected[-1] and int(row2[3]) == expected[-1]
         z2 = load_field(tmp_path / "scalar_2.field")
         assert np.all(z2.values == float(expected[-1]))
+
+    def test_solve_scalar_prints_warnings(self, tmp_path, monkeypatch, capsys):
+        def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
+            z = ScalarField(np.ones(grid.shape), grid.spec)
+            return z, 1.0, ScalarReport(1.0, 0.0, 1, True, "admissible", ("w",))
+
+        monkeypatch.setattr(C, "scalar_ground_state", fake)
+        cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=0.0, fam="identity"))
+        rc = main(["solve-scalar", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        # symmetric data: one solve, so one warning
+        assert capsys.readouterr().err == "warning: component 1: w\n"
+
+    def test_sweep_prints_row_warnings(self, tmp_path, monkeypatch, capsys):
+        rep = SolveReport(1.0, 1.0, 1.0, 1.0, 0.0, NehariResidual(0.0, 0.0),
+                          True, True, 1, "cooperative", ("w",))
+
+        def fake(beta_list, *args):
+            return [SweepRow(beta=b, status="ok", report=rep) for b in beta_list]
+
+        monkeypatch.setattr(C, "beta_sweep", fake)
+        text = FAST_SOLVE.format(beta=0.0, fam="identity") + "sweep.betas = 5, 10\n"
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == "warning: beta = 5: w\nwarning: beta = 10: w\n"
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "grid.nx = -3\n")
