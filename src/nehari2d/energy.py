@@ -338,14 +338,6 @@ def nehari_residual(
     )
 
 
-def pair_dot(g: StatePair, d: StatePair, grid: Grid) -> float:
-    """Volume-weighted inner product of two nodal pairs."""
-    return grid.cell_area * (
-        float(np.sum(g.u1.values * d.u1.values))
-        + float(np.sum(g.u2.values * d.u2.values))
-    )
-
-
 def scale_state(u: StatePair, t1: float, t2: float) -> StatePair:
     return StatePair(
         ScalarField(t1 * u.u1.values, u.spec),

@@ -159,10 +159,6 @@ class StatePair:
         )
 
 
-def zero_field(grid: Grid) -> ScalarField:
-    return ScalarField(np.zeros(grid.shape), grid.spec)
-
-
 def _check(field: ScalarField, grid: Grid):
     if field.spec != grid.spec:
         raise GridMismatch(f"field on {field.spec}, grid is {grid.spec}")

@@ -278,8 +278,10 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
     """Armijo descent from x, shared by every solver.
 
     `gradient(x)` returns (g, res): the Euler gradient at x and its norm.
-    `direction(x, g)` returns (d, slope): a descent direction and the
-    energy slope along it.  `retract(x, d, a)` returns (x_try, energy),
+    `direction(x, g, memo)` returns (d, slope, memo): a descent direction,
+    the energy slope along it, and what the rule keeps for its next call
+    (memo is None on the first call of every descent, so each descent
+    starts without memory).  `retract(x, d, a)` returns (x_try, energy),
     the trial point at step a mapped back onto the constraint set, and
     raises DegenerateInput, NoConvergence or NotProjectable to reject the
     step.  `check(x, energy)` runs on every accepted state.
@@ -296,11 +298,12 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
     history = [energy_val]
     res = math.inf
     it = 0
+    memo = None
     for it in range(1, opts.max_iter + 1):
         g, res = gradient(x)
         if res <= stop:
             break
-        d, slope = direction(x, g)
+        d, slope, memo = direction(x, g, memo)
         a = alpha
         for _ in range(50):
             try:
@@ -370,30 +373,49 @@ def _polish_rejection(res, opts):
     return f"polish stopped at res {res:.2e}" if res > opts.tol else None
 
 
-def _tangent_lift(gs, vs, ts, grid):
-    """Sphere-tangent Riesz lift of the gradients gs at the sphere points vs.
+def _conjugate_lift(gs, vs, ts, grid, memo):
+    """Conjugate direction from the sphere-tangent Riesz lift.
 
-    Returns the directions and the slope sum_i t_i <g_i, d_i> of the
-    energy along them (t_i scales v_i onto the constraint set).  Where
-    the tangent lift is not a descent direction the plain lift -r is
-    used.
+    pg_i is the Riesz lift r_i of g_i projected onto the H1 tangent space
+    of the sphere at v_i, and <g, pg> = sum_i t_i <g_i, pg_i> (t_i scales
+    v_i onto the constraint set).  The direction is -pg + beta T(d_prev),
+    with T the tangent projection at the vs and beta the Polak-Ribiere
+    value clamped to [0, Fletcher-Reeves]; `memo` carries (pg, <g, pg>, d)
+    from the last step of the same descent, or is None.  Where a direction
+    is not one of descent the rule restarts from -pg, and from the plain
+    lift -r where -pg is not one either.  Returns (directions, slope
+    sum_i t_i <g_i, d_i>, memo).
     """
-    rs = [_riesz(g, grid) for g in gs]
-    ds = []
-    for r, v in zip(rs, vs):
-        rg, vg = cell_gradients_of(r, grid), cell_gradients_of(v, grid)
-        ds.append(-(r - _grad_inner(rg, vg, grid) / _grad_inner(vg, vg, grid) * v))
+    vgs = [cell_gradients_of(v, grid) for v in vs]
 
-    def slope():
+    def tangent(ds):
+        return [
+            d - _grad_inner(cell_gradients_of(d, grid), vg, grid)
+            / _grad_inner(vg, vg, grid) * v
+            for d, v, vg in zip(ds, vs, vgs)
+        ]
+
+    def dot(a, b):
         return sum(
-            t * grid.cell_area * float(np.sum(g * d)) for g, d, t in zip(gs, ds, ts)
+            t * grid.cell_area * float(np.sum(x * y)) for x, y, t in zip(a, b, ts)
         )
 
-    s = slope()
-    if s >= 0.0:
+    rs = [_riesz(g, grid) for g in gs]
+    pgs = tangent(rs)
+    gpg = dot(gs, pgs)
+    ds, slope = [-pg for pg in pgs], -gpg
+    if memo is not None and memo[1] > 0.0:
+        pgs0, gpg0, ds0 = memo
+        beta = max(0.0, min(gpg - dot(gs, pgs0), gpg) / gpg0)
+        if beta > 0.0:
+            cg = [d + beta * td for d, td in zip(ds, tangent(ds0))]
+            s_cg = dot(gs, cg)
+            if s_cg < 0.0:
+                ds, slope = cg, s_cg
+    if slope >= 0.0:
         ds = [-r for r in rs]
-        s = slope()
-    return ds, s
+        slope = dot(gs, ds)
+    return ds, slope, (pgs, gpg, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +582,8 @@ def _scalar_descent(z0, lam, params, fam, grid, opts, nonlin_coeff=1.0):
         g = scalar_euler_gradient_c(x[2], lam, p, fam, grid, nonlin_coeff).values
         return [g], _vol_norm(g, grid)
 
-    def direction(x, gs):
-        return _tangent_lift(gs, [x[0]], [x[1]], grid)
+    def direction(x, gs, memo):
+        return _conjugate_lift(gs, [x[0]], [x[1]], grid, memo)
 
     def retract(x, ds, a):
         return on_fiber(_h1_normalize(x[0] + a * ds[0], grid), tau_guess=x[1])
@@ -659,15 +681,24 @@ def scalar_levels(
     fam2: CoefficientFamily,
     grid: Grid,
     opts: SolverOptions = SolverOptions(),
+    warnings: list[str] | None = None,
 ):
     """Ground fields and levels (z1, z2, L1, L2) of the two scalar problems.
 
-    For symmetric data the two problems are one, solved once.
+    For symmetric data the two problems are one, solved once.  The
+    warnings of the scalar solves are appended to `warnings`, when given,
+    prefixed by their problem.
     """
-    z1, L1, _ = scalar_ground_state(1, params, fam1, grid, opts)
+    def solve(i, fam):
+        z, level, rep = scalar_ground_state(i, params, fam, grid, opts)
+        if warnings is not None:
+            warnings.extend(f"scalar problem {i}: {w}" for w in rep.warnings)
+        return z, level
+
+    z1, L1 = solve(1, fam1)
     if symmetric_problem(params, fam1, fam2):
         return z1, z1, L1, L1
-    z2, L2, _ = scalar_ground_state(2, params, fam2, grid, opts)
+    z2, L2 = solve(2, fam2)
     return z1, z2, L1, L2
 
 
@@ -743,17 +774,17 @@ def _system_descent(u0, params, fam1, fam2, grid, opts, mu1, nu, direction,
     x, energy_val = project(u0)
     check(x, energy_val)
     return _descend_and_polish(
-        x, energy_val, gradient, lambda x, gs: direction(x, gs, grid),
+        x, energy_val, gradient, lambda x, gs, memo: direction(x, gs, memo, grid),
         lambda x, ds, a: project(*trial(x, ds, a, grid)), opts, polish,
         reject, check,
     )
 
 
-def _sphere_direction(x, gs, grid):
-    """Sphere-tangent lift at the pair x[0], slopes weighted by the fiber t."""
+def _sphere_direction(x, gs, memo, grid):
+    """Conjugate lift at the pair x[0], slopes weighted by the fiber t."""
     v, proj = x
-    return _tangent_lift(
-        gs, (v.u1.values, v.u2.values), (proj.t.t1, proj.t.t2), grid
+    return _conjugate_lift(
+        gs, (v.u1.values, v.u2.values), (proj.t.t1, proj.t.t2), grid, memo
     )
 
 
@@ -887,7 +918,7 @@ def competitive_least_energy(
     nu = min(fam1.nu, fam2.nu)
 
     if scalar_data is None:
-        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts)
+        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
     else:
         z1, z2, L1, L2 = scalar_data
 
@@ -937,12 +968,12 @@ def competitive_least_energy(
 # cooperative regime (attractive coupling)
 
 
-def _riesz_direction(x, gs, grid):
-    """Plain Riesz lift -r of both gradient components."""
+def _riesz_direction(x, gs, memo, grid):
+    """Plain Riesz lift -r of both gradient components; keeps no memo."""
     ds = [-_riesz(g, grid) for g in gs]
     return ds, grid.cell_area * (
         float(np.sum(gs[0] * ds[0])) + float(np.sum(gs[1] * ds[1]))
-    )
+    ), None
 
 
 def _rescale_trial(x, ds, a, grid):
@@ -960,15 +991,19 @@ def diagonal_candidate(
     fam: CoefficientFamily,
     grid: Grid,
     opts: SolverOptions = SolverOptions(),
+    warnings: list[str] | None = None,
 ) -> tuple[StatePair, float]:
     """Synchronized state (w, w) from the scalar problem with the coupled
     nonlinearity weight 1 + beta; an exact critical point of the system
-    when the problem is symmetric."""
+    when the problem is symmetric.  The warnings of the scalar solve are
+    appended to `warnings`, when given."""
     if params.beta <= -1.0:
         raise InvalidParams("diagonal reduction needs 1 + beta > 0")
-    w, _e, _rep = scalar_ground_state(
+    w, _e, rep = scalar_ground_state(
         1, params, fam, grid, opts, nonlin_coeff=1.0 + params.beta
     )
+    if warnings is not None:
+        warnings.extend(f"diagonal scalar problem: {note}" for note in rep.warnings)
     pair = StatePair(w, w)
     pp = integrate(np.abs(cell_values(w, grid)) ** params.p, grid)
     return pair, pp
@@ -997,7 +1032,7 @@ def cooperative_least_energy(
     nu = min(fam1.nu, fam2.nu)
 
     if scalar_data is None:
-        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts)
+        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
     else:
         z1, z2, L1, L2 = scalar_data
 
@@ -1007,7 +1042,7 @@ def cooperative_least_energy(
     if warm_start is not None:
         starts.append(warm_start)
     if symmetric:
-        diag, _pp = diagonal_candidate(params, fam1, grid, opts)
+        diag, _pp = diagonal_candidate(params, fam1, grid, opts, warnings)
         starts.append(diag)
     eps = 1e-2
     starts.append(StatePair(z1, ScalarField(eps * z2.values, grid.spec)))
@@ -1064,13 +1099,14 @@ def decoupled_solution(
     scalar_data=None,
 ) -> tuple[StatePair, SolveReport]:
     """beta = 0: the pair of scalar ground states solves the system."""
+    warnings = []
     if scalar_data is None:
-        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts)
+        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
     else:
         z1, z2, L1, L2 = scalar_data
     u = StatePair(z1, z2)
     return _finalize_system(
-        u, params, fam1, fam2, grid, opts, REGIME_DECOUPLED, 0, L1, L2, [],
+        u, params, fam1, fam2, grid, opts, REGIME_DECOUPLED, 0, L1, L2, warnings,
     )
 
 
@@ -1105,10 +1141,12 @@ def beta_sweep(
     """One solve per beta, warm-starting from the previous solution.
 
     Solver failures never abort the sweep; they are recorded as row-level
-    status markers.  Any other exception propagates.
+    status markers.  Any other exception propagates.  The scalar levels
+    are solved once, and their warnings head those of every row report.
     """
     rows: list[SweepRow] = []
-    scalars = scalar_levels(params, fam1, fam2, grid, opts)
+    scalar_warnings = []
+    scalars = scalar_levels(params, fam1, fam2, grid, opts, scalar_warnings)
     warm = None
     for beta in beta_list:
         if not math.isfinite(beta):
@@ -1129,6 +1167,7 @@ def beta_sweep(
                     p, fam1, fam2, grid, opts, scalar_data=scalars
                 )
             warm = u
+            rep = replace(rep, warnings=(*scalar_warnings, *rep.warnings))
             rows.append(SweepRow(beta=float(beta), status="ok", report=rep))
         except _ROW_ERRORS as exc:  # row-level failure, sweep continues
             rows.append(SweepRow(beta=float(beta), status="error", error=str(exc)))

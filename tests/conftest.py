@@ -18,6 +18,10 @@ from nehari2d import (
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
+def zero_field(grid):
+    return ScalarField(np.zeros(grid.shape), grid.spec)
+
+
 def positive_state(grid, seed):
     rng = np.random.default_rng(seed)
     return StatePair(

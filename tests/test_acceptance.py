@@ -153,6 +153,8 @@ def test_criterion_4_competitive_regime():
     params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
     opts = SolverOptions(tol=1e-8, n_restarts=1, max_iter=2000, seed=0)
     u, rep = competitive_least_energy(params, fam, fam, grid, opts)
+    # the least-energy state, not the side-by-side trap at E = 427.4287
+    assert rep.energy == pytest.approx(413.67085720769313, rel=1e-10)
 
     assert rep.fully_nontrivial
     assert rep.nonnegative

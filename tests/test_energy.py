@@ -19,7 +19,6 @@ from nehari2d import (
 )
 from nehari2d.energy import (
     coupling_hess_g,
-    pair_dot,
     pair_hessian,
     scale_state,
     scalar_euler_gradient_c,
@@ -29,7 +28,7 @@ from nehari2d.energy import (
 from nehari2d.errors import InvalidParams
 from oracles import stencil_semilinear_gradient
 
-from conftest import PROPERTY, positive_state, random_state
+from conftest import PROPERTY, positive_state, random_state, zero_field
 
 FAMILIES = (identity_family(), example_family(1.0), example_family(0.5))
 families = st.sampled_from(FAMILIES)
@@ -100,7 +99,7 @@ class TestCouplingPotential:
 
 class TestTotalEnergy:
     def test_zero_state(self, grid15, identity, params_p4):
-        u = StatePair(G.zero_field(grid15), G.zero_field(grid15))
+        u = StatePair(zero_field(grid15), zero_field(grid15))
         assert total_energy(u, params_p4, identity, identity, grid15) == 0.0
 
     def test_beta_zero_decouples(self, grid15, identity, example1):
@@ -129,7 +128,7 @@ class TestTotalEnergy:
     def test_semi_trivial_equals_scalar(self, grid15, example1):
         params = ProblemParams(0.2, 0.0, -5.0, 4.0, 1.0)
         z = random_state(grid15, seed=11).u1
-        u = StatePair(z, G.zero_field(grid15))
+        u = StatePair(z, zero_field(grid15))
         assert total_energy(u, params, example1, example1, grid15) == \
             pytest.approx(scalar_energy(z, 1, params, example1, grid15), rel=1e-13)
 
@@ -144,12 +143,12 @@ class TestTotalEnergy:
         assert e == pytest.approx(hand, rel=1e-13)
 
     def test_zero_scalar(self, grid15, identity, params_p4):
-        assert scalar_energy(G.zero_field(grid15), 1, params_p4, identity, grid15) == 0.0
+        assert scalar_energy(zero_field(grid15), 1, params_p4, identity, grid15) == 0.0
 
 
 class TestEulerGradient:
     def test_zero_state(self, grid15, example1, params_p4):
-        u = StatePair(G.zero_field(grid15), G.zero_field(grid15))
+        u = StatePair(zero_field(grid15), zero_field(grid15))
         g = euler_gradient(u, params_p4, example1, example1, grid15)
         assert np.all(g.u1.values == 0.0) and np.all(g.u2.values == 0.0)
 
@@ -273,7 +272,7 @@ class TestHessian:
 
 class TestNehariResidual:
     def test_zero_state(self, grid15, identity, params_p4):
-        u = StatePair(G.zero_field(grid15), G.zero_field(grid15))
+        u = StatePair(zero_field(grid15), zero_field(grid15))
         r = nehari_residual(u, params_p4, identity, identity, grid15)
         assert r.r1 == 0.0 and r.r2 == 0.0
 
@@ -284,7 +283,10 @@ class TestNehariResidual:
             u = random_state(grid15, seed=200 + seed)
             r = nehari_residual(u, params, example1, example1, grid15)
             g = euler_gradient(u, params, example1, example1, grid15)
-            pairing = pair_dot(g, u, grid15)
+            pairing = grid15.cell_area * sum(
+                float(np.sum(gc.values * uc.values))
+                for gc, uc in ((g.u1, u.u1), (g.u2, u.u2))
+            )
             assert abs(r.r1 + r.r2 - pairing) / (1.0 + abs(pairing)) < 1e-10
 
 

@@ -31,7 +31,13 @@ from nehari2d.fiber import (
 )
 from nehari2d.solvers import conservative_mu1, segregated_pair
 
-from conftest import PROPERTY, positive_state, random_state, segregated_random_state
+from conftest import (
+    PROPERTY,
+    positive_state,
+    random_state,
+    segregated_random_state,
+    zero_field,
+)
 
 
 @pytest.fixture
@@ -311,7 +317,7 @@ class TestProjection:
 
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
         u = StatePair(
-            ScalarField(np.ones(grid15.shape), grid15.spec), G.zero_field(grid15)
+            ScalarField(np.ones(grid15.shape), grid15.spec), zero_field(grid15)
         )
         with pytest.raises(DegenerateInput):
             project_to_nehari(u, competitive_params, example1, example1, grid15)
@@ -378,7 +384,7 @@ class TestSphereNormalize:
     def test_degenerate(self, grid15):
         with pytest.raises(DegenerateInput):
             sphere_normalize(
-                StatePair(G.zero_field(grid15), G.zero_field(grid15)), grid15
+                StatePair(zero_field(grid15), zero_field(grid15)), grid15
             )
 
 

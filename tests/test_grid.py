@@ -7,6 +7,8 @@ import nehari2d.grid as G
 from nehari2d import GridSpec, ScalarField, StatePair, build_grid
 from nehari2d.errors import GridMismatch, InvalidSpec
 
+from conftest import zero_field
+
 
 def sine_field(grid):
     X, Y = grid.node_mesh()
@@ -82,7 +84,7 @@ class TestIntegrate:
 
 class TestGradSq:
     def test_zero_field(self, grid15):
-        z = G.zero_field(grid15)
+        z = zero_field(grid15)
         assert np.all(G.grad_sq(z, grid15) == 0.0)
 
     def test_single_node_stencil(self):
@@ -117,7 +119,7 @@ class TestL2Inner:
 
     def test_zero_right_factor(self, grid15):
         f = ScalarField(np.ones(grid15.shape), grid15.spec)
-        assert G.l2_inner(f, G.zero_field(grid15), grid15) == 0.0
+        assert G.l2_inner(f, zero_field(grid15), grid15) == 0.0
 
     def test_sine_mass_converges(self):
         for n, tol in ((31, 2e-3), (63, 5e-4)):
@@ -126,8 +128,8 @@ class TestL2Inner:
             assert val == pytest.approx(0.25, abs=tol)
 
     def test_grid_mismatch(self, grid15, grid31):
-        f = G.zero_field(grid15)
-        g = G.zero_field(grid31)
+        f = zero_field(grid15)
+        g = zero_field(grid31)
         with pytest.raises(GridMismatch):
             G.l2_inner(f, g, grid15)
 
@@ -167,13 +169,13 @@ class TestFields:
             ScalarField([[1.0, np.nan], [0.0, 0.0]], spec)
 
     def test_values_readonly(self, grid15):
-        f = G.zero_field(grid15)
+        f = zero_field(grid15)
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
     def test_state_pair_mismatch(self, grid15, grid31):
         with pytest.raises(GridMismatch):
-            StatePair(G.zero_field(grid15), G.zero_field(grid31))
+            StatePair(zero_field(grid15), zero_field(grid31))
 
     def test_swapped(self, grid15):
         rng = np.random.default_rng(0)
@@ -195,13 +197,13 @@ class TestFieldDump:
 
     def test_header_format(self, grid15, tmp_path):
         path = tmp_path / "f.field"
-        G.dump_field(G.zero_field(grid15), grid15, path)
+        G.dump_field(zero_field(grid15), grid15, path)
         header = path.read_text().splitlines()[0]
         assert header == "FIELD 15 15 1 1"
 
     def test_truncated_dump_rejected(self, grid15, tmp_path):
         path = tmp_path / "f.field"
-        G.dump_field(G.zero_field(grid15), grid15, path)
+        G.dump_field(zero_field(grid15), grid15, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nehari2d.errors import (
 )
 from nehari2d.solvers import (
     REGIME_DECOUPLED,
+    ScalarReport,
     conservative_mu1,
     decoupled_solution,
     diagonal_candidate,
@@ -35,6 +37,8 @@ from nehari2d.solvers import (
     scalar_levels,
 )
 from oracles import semilinear_ground_level
+
+from conftest import zero_field
 
 
 @pytest.fixture(scope="module")
@@ -109,27 +113,31 @@ class TestScalarGroundState:
         grid, params, z, _L, _rep = scalar15
         from nehari2d import nehari_residual
 
-        u = StatePair(z, G.zero_field(grid))
+        u = StatePair(z, zero_field(grid))
         r = nehari_residual(u, params, identity, identity, grid)
         assert abs(r.r1) <= 1e-7
         assert r.r2 == 0.0
 
 
 def stub_scalar_solves(monkeypatch):
-    """Replace scalar_ground_state by a stub; returns the list of its calls."""
+    """Replace scalar_ground_state by a stub that warns `note i`; returns the
+    list of its calls."""
     calls = []
 
     def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
         calls.append(i)
         z = ScalarField(np.full(grid.shape, float(i)), grid.spec)
-        return z, float(i), None
+        return z, float(i), ScalarReport(
+            float(i), 0.0, 1, True, "admissible", (f"note {i}",)
+        )
 
     monkeypatch.setattr(S, "scalar_ground_state", fake)
     return calls
 
 
 class TestDescentDriver:
-    """The one Armijo driver on a 7x7 toy: E(x) = |x - x*|^2 / 2."""
+    """The one Armijo driver on 7x7 toys: E(x) = |x - x*|^2 / 2, and a
+    Rayleigh quotient on the gradient sphere for the conjugate rule."""
 
     @staticmethod
     def problem(grid, shrink=1.0, calls=None):
@@ -144,9 +152,9 @@ class TestDescentDriver:
             g = x - target
             return g, float(np.linalg.norm(g))
 
-        def direction(x, g):
+        def direction(x, g, memo):
             d = -shrink * g
-            return d, float(np.sum(g * d))
+            return d, float(np.sum(g * d)), None
 
         def retract(x, d, a):
             calls["retract"] = calls.get("retract", 0) + 1
@@ -216,8 +224,8 @@ class TestDescentDriver:
         calls = {}
         x0, e0, gradient, _d, _r, _t = self.problem(grid7, calls=calls)
 
-        def flat_direction(x, g):
-            return -g, 0.0
+        def flat_direction(x, g, memo):
+            return -g, 0.0, None
 
         def flat_retract(x, d, a):
             calls["retract"] = calls.get("retract", 0) + 1
@@ -245,6 +253,89 @@ class TestDescentDriver:
         )
         assert len(steps) == 50 and steps[-1] == 0.5**49
         assert x is x0 and e == e0 and its == 1 and accepted == []
+
+    @staticmethod
+    def sphere_problem(grid):
+        """Rayleigh quotient of the ill-conditioned form int (1 + 100xy) v^2
+        over the gradient norm, on the unit gradient sphere: like the
+        reduced energies, it is invariant under scaling v."""
+        X, Y = grid.node_mesh()
+        w = 1.0 + 100.0 * X * Y
+
+        def energy(v):
+            vg = G.cell_gradients_of(v, grid)
+            return 0.5 * grid.cell_area * float(np.sum(w * v * v)) / S._grad_inner(
+                vg, vg, grid
+            )
+
+        def gradient(v):
+            vg = G.cell_gradients_of(v, grid)
+            g = w * v - 2.0 * energy(v) * G.scatter_cells(grid, None, *vg)
+            return [g], S._vol_norm(g, grid)
+
+        def retract(v, ds, a):
+            y = S._h1_normalize(v + a * ds[0], grid)
+            return y, energy(y)
+
+        def rule(v, gs, memo):
+            return S._conjugate_lift(gs, [v], [1.0], grid, memo)
+
+        v0 = S._h1_normalize(np.ones(grid.shape), grid)
+        return v0, energy(v0), gradient, rule, retract
+
+    def test_conjugate_rule_beats_plain_lift(self, grid7):
+        opts = SolverOptions(tol=1e-8)
+        v0, e0, gradient, rule, retract = self.sphere_problem(grid7)
+
+        def plain(v, gs, memo):
+            return rule(v, gs, None)
+
+        runs = [
+            S._descend(v0, e0, gradient, d, retract, opts, 1e-4)
+            for d in (rule, plain)
+        ]
+        (_x, e_cg, res_cg, its_cg), (_y, e_sd, res_sd, its_sd) = runs
+        assert res_cg <= 1e-4 and res_sd <= 1e-4
+        assert e_cg == pytest.approx(e_sd, rel=1e-6)
+        # 89 against 648 iterations when written
+        assert 4 * its_cg < its_sd
+
+    def test_non_descent_conjugate_direction_restarts(self, grid7):
+        v0, _e, gradient, rule, _r = self.sphere_problem(grid7)
+        gs, _res = gradient(v0)
+        ds, slope, memo = rule(v0, gs, None)
+        _pgs, gpg, _d = memo
+        assert slope == -gpg < 0.0
+        # beta_PR = beta_FR = 2 on the old direction +pg: d = -pg + 2 pg
+        # climbs, so the rule restarts from -pg
+        ascent = ([np.zeros(grid7.shape)], 0.5 * gpg, [-ds[0]])
+        ds2, slope2, memo2 = rule(v0, gs, ascent)
+        assert np.array_equal(ds2[0], ds[0]) and slope2 == slope
+        assert np.array_equal(memo2[2][0], ds[0])
+
+    def test_every_descent_starts_without_memory(self, grid7):
+        opts = SolverOptions(tol=1e-6)
+        v0, e0, gradient, rule, retract = self.sphere_problem(grid7)
+        memos = []
+        polished_at = []
+
+        def recorded(v, gs, memo):
+            memos.append(memo)
+            return rule(v, gs, memo)
+
+        def polish(v):
+            polished_at.append(len(memos))
+            return v
+
+        # the first polish fails its guard, so the descent resumes
+        _out, its, note = S._descend_and_polish(
+            v0, e0, gradient, recorded, retract, opts, polish,
+            lambda v: "rejected" if len(polished_at) == 1 else None,
+        )
+        assert note is not None and len(polished_at) == 2
+        assert len(memos) == its - 2
+        fresh = [k for k, memo in enumerate(memos) if memo is None]
+        assert fresh == [0, polished_at[0]]
 
 
 class TestZeroMaxIter:
@@ -316,7 +407,7 @@ class TestNewtonHandoff:
         def semitrivial_first(u, *args):
             calls.append(u)
             if len(calls) == 1:
-                return StatePair(u.u1, G.zero_field(grid15)), 0.0, True
+                return StatePair(u.u1, zero_field(grid15)), 0.0, True
             return real(u, *args)
 
         monkeypatch.setattr(S, "refine_solution", semitrivial_first)
@@ -393,10 +484,25 @@ class TestScalarLevels:
         scalar_levels(params, fam1, fam1, grid15, fast_opts)
         assert calls == [1]
 
+    def test_scalar_warnings_reach_system_reports(self, monkeypatch, grid15,
+                                                  identity, example1, fast_opts):
+        stub_scalar_solves(monkeypatch)
+        notes = ("scalar problem 1: note 1", "scalar problem 2: note 2")
+        params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
+        _u, rep = decoupled_solution(params, identity, example1, grid15, fast_opts)
+        assert rep.warnings[:2] == notes
+        (row,) = beta_sweep([0.0], params, identity, example1, grid15, fast_opts)
+        assert row.report.warnings[:2] == notes
+        warnings = []
+        diagonal_candidate(
+            replace(params, beta=1.0), identity, grid15, fast_opts, warnings
+        )
+        assert warnings == ["diagonal scalar problem: note 1"]
+
 
 class TestRefineSolution:
     def test_zero_state_fixed(self, grid15, identity, params_p4, fast_opts):
-        u = StatePair(G.zero_field(grid15), G.zero_field(grid15))
+        u = StatePair(zero_field(grid15), zero_field(grid15))
         out, res, converged = refine_solution(
             u, params_p4, identity, identity, grid15, fast_opts
         )
@@ -647,6 +753,15 @@ class TestDecoupledAndSweep:
 
 
 class TestDeterminismAndSymmetry:
+    def test_conjugate_descent_is_clamped(self, grid15, example1, fast_opts):
+        # unclamped Polak-Ribiere+ oscillates (beta near 2) and runs the
+        # random start to max_iter; steepest descent took 1006 iterations
+        # and the clamped rule 78 when written
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        _u, rep = competitive_least_energy(params, example1, example1, grid15,
+                                           fast_opts)
+        assert rep.iterations < 500
+
     def test_repeat_run_bit_identical(self, grid15, example1, fast_opts):
         params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
         u1, rep1 = competitive_least_energy(params, example1, example1, grid15,
