@@ -33,9 +33,7 @@ from .grid import (
     ScalarField,
     StatePair,
     cell_gradients,
-    cell_gradients_of,
     cell_values,
-    cell_values_of,
     scatter_cells,
 )
 
@@ -131,18 +129,129 @@ def coupling_hess_g(t1, t2, params: ProblemParams):
     return h11, h12, h22
 
 
-class _CellData:
-    """Cell-center samples of a pair, shared by energy/gradient/residual."""
+class CellSample:
+    """Cell-center samples of a state, shared by every energy term.
 
-    __slots__ = ("v1", "v2", "g1x", "g1y", "g2x", "g2y", "gsq1", "gsq2")
+    `x` is a (k, nx, ny) stack of nodal arrays, k = 1 for a scalar problem
+    and k = 2 for a pair; v, gx, gy and gsq = |grad|^2 are its
+    (k, nx+1, ny+1) cell values, gradients and squared gradients.
+    """
 
-    def __init__(self, u: StatePair, grid: Grid):
-        self.v1 = cell_values(u.u1, grid)
-        self.v2 = cell_values(u.u2, grid)
-        self.g1x, self.g1y = cell_gradients(u.u1, grid)
-        self.g2x, self.g2y = cell_gradients(u.u2, grid)
-        self.gsq1 = self.g1x**2 + self.g1y**2
-        self.gsq2 = self.g2x**2 + self.g2y**2
+    __slots__ = ("x", "grid", "v", "gx", "gy", "gsq")
+
+    def __init__(self, x: np.ndarray, grid: Grid, cells=None):
+        self.x = x
+        self.grid = grid
+        if cells is None:
+            v = cell_values(x, grid)
+            gx, gy = cell_gradients(x, grid)
+            cells = (v, gx, gy, gx * gx + gy * gy)
+        self.v, self.gx, self.gy, self.gsq = cells
+
+    def scaled(self, t) -> "CellSample":
+        """Samples of (t_1 x_1, ..., t_k x_k), by linearity of the stencils."""
+        t = np.reshape(t, (-1, 1, 1))
+        return CellSample(
+            t * self.x, self.grid, (t * self.v, t * self.gx, t * self.gy, t * t * self.gsq)
+        )
+
+    def integrals(self, p: float):
+        """(int |grad x_i|^2, int x_i^2, int |x_i|^p), each one per component."""
+        return tuple(
+            np.sum(f, axis=(-2, -1)) * self.grid.cell_area
+            for f in (self.gsq, self.v * self.v, np.abs(self.v) ** p)
+        )
+
+
+class Energy:
+    """The discrete energy of a k-component state, and its derivatives.
+
+    A pair (k = 2) carries the system energy of the module docstring; a
+    scalar problem (k = 1) is the energy of (z, 0) with its |z|^p term
+    weighted by `c`.  Every method reads one CellSample of the state.
+    The gradient and Hessian products are nodal (k, nx, ny) arrays in
+    function-space scaling: the derivative with respect to a node divided
+    by the lumped node volume hx*hy, so that their volume-weighted l2
+    norms mimic continuum norms.
+    """
+
+    def __init__(self, params: ProblemParams, fams, lams, c: float = 1.0):
+        self.params = params
+        self.fams = tuple(fams)
+        self.lams = tuple(lams)
+        self.c = c
+
+    @classmethod
+    def pair(cls, params, fam1, fam2) -> "Energy":
+        return cls(params, (fam1, fam2), (params.lambda1, params.lambda2))
+
+    @classmethod
+    def scalar(cls, params, lam, fam, c: float = 1.0) -> "Energy":
+        return cls(params, (fam,), (lam,), c)
+
+    def _profile(self, s: CellSample, name: str) -> np.ndarray:
+        """A, A' or A'' of each component at its cell values."""
+        return np.stack([getattr(f, name)(v) for f, v in zip(self.fams, s.v)])
+
+    def _lam(self) -> np.ndarray:
+        return np.reshape(self.lams, (-1, 1, 1))
+
+    def _dG(self, v: np.ndarray) -> np.ndarray:
+        """Gradient of the potential, one row per component."""
+        if len(v) == 2:
+            return np.stack(coupling_grad_g(v[0], v[1], self.params))
+        return self.c * sgn_pow(v, self.params.p - 1.0)
+
+    def value(self, s: CellSample) -> float:
+        if len(s.v) == 2:
+            G = coupling_G(s.v[0], s.v[1], self.params)
+        else:
+            G = (self.c / self.params.p) * np.abs(s.v[0]) ** self.params.p
+        dens = 0.5 * np.sum(self._profile(s, "a") * s.gsq - self._lam() * s.v**2, axis=0)
+        return float(np.sum(dens - G)) * s.grid.cell_area
+
+    def gradient(self, s: CellSample) -> np.ndarray:
+        a = self._profile(s, "a")
+        w_val = (
+            0.5 * self._profile(s, "da") * s.gsq - self._lam() * s.v - self._dG(s.v)
+        )
+        return scatter_cells(s.grid, w_val, a * s.gx, a * s.gy)
+
+    def residuals(self, s: CellSample) -> np.ndarray:
+        """The constraint values r_i = <E'(x), x_i>, the fiber derivatives
+        t_i dh/dt_i at t = 1; their sum is <E'(x), x>."""
+        dens = (
+            (self._profile(s, "a") + 0.5 * self._profile(s, "da") * s.v) * s.gsq
+            - self._lam() * s.v**2
+            - s.v * self._dG(s.v)
+        )
+        return np.sum(dens, axis=(-2, -1)) * s.grid.cell_area
+
+    def hessian(self, s: CellSample):
+        """Exact Hessian at the sampled state, as `hess(d) -> product` on
+        (k, nx, ny) arrays: the derivative of `gradient` in direction d."""
+        a, da = self._profile(s, "a"), self._profile(s, "da")
+        if len(s.v) == 2:
+            h11, h12, h22 = coupling_hess_g(s.v[0], s.v[1], self.params)
+            diag = np.stack((h11, h22))
+        else:
+            p = self.params.p
+            h12, diag = 0.0, self.c * (p - 1.0) * np.abs(s.v) ** (p - 2.0)
+        m = 0.5 * self._profile(s, "d2a") * s.gsq - self._lam() - diag
+        dagx, dagy = da * s.gx, da * s.gy
+
+        def hess(d: np.ndarray) -> np.ndarray:
+            ds = CellSample(d, s.grid)
+            w_val = m * ds.v - h12 * ds.v[::-1] + da * (s.gx * ds.gx + s.gy * ds.gy)
+            return scatter_cells(
+                s.grid, w_val, dagx * ds.v + a * ds.gx, dagy * ds.v + a * ds.gy
+            )
+
+        return hess
+
+
+def _pair_sample(u: StatePair, grid: Grid) -> CellSample:
+    return CellSample(u.stacked(), grid)
 
 
 def total_energy(
@@ -152,13 +261,7 @@ def total_energy(
     fam2: CoefficientFamily,
     grid: Grid,
 ) -> float:
-    c = _CellData(u, grid)
-    dens = (
-        0.5 * (fam1.a(c.v1) * c.gsq1 + fam2.a(c.v2) * c.gsq2)
-        - 0.5 * (params.lambda1 * c.v1**2 + params.lambda2 * c.v2**2)
-        - coupling_G(c.v1, c.v2, params)
-    )
-    return float(np.sum(dens)) * grid.cell_area
+    return Energy.pair(params, fam1, fam2).value(_pair_sample(u, grid))
 
 
 def scalar_energy(
@@ -169,43 +272,9 @@ def scalar_energy(
     grid: Grid,
 ) -> float:
     """One-component energy: the system energy of (z, 0) for any beta."""
-    return scalar_energy_c(z, params.lam(i), params.p, fam, grid, nonlin_coeff=1.0)
-
-
-def scalar_energy_c(
-    z: ScalarField,
-    lam: float,
-    p: float,
-    fam: CoefficientFamily,
-    grid: Grid,
-    nonlin_coeff: float = 1.0,
-) -> float:
-    """Scalar energy with weight `nonlin_coeff` on the |z|^p term."""
-    v = cell_values(z, grid)
-    gx, gy = cell_gradients(z, grid)
-    dens = (
-        0.5 * fam.a(v) * (gx**2 + gy**2)
-        - 0.5 * lam * v**2
-        - (nonlin_coeff / p) * np.abs(v) ** p
+    return Energy.scalar(params, params.lam(i), fam).value(
+        CellSample(z.values[None], grid)
     )
-    return float(np.sum(dens)) * grid.cell_area
-
-
-def scalar_euler_gradient_c(
-    z: ScalarField,
-    lam: float,
-    p: float,
-    fam: CoefficientFamily,
-    grid: Grid,
-    nonlin_coeff: float = 1.0,
-) -> ScalarField:
-    """Exact gradient of scalar_energy_c, function-space scaled."""
-    v = cell_values(z, grid)
-    gx, gy = cell_gradients(z, grid)
-    gsq = gx * gx + gy * gy
-    w_val = 0.5 * fam.da(v) * gsq - lam * v - nonlin_coeff * sgn_pow(v, p - 1.0)
-    a = fam.a(v)
-    return ScalarField(scatter_cells(grid, w_val, a * gx, a * gy), grid.spec)
 
 
 def euler_gradient(
@@ -215,105 +284,9 @@ def euler_gradient(
     fam2: CoefficientFamily,
     grid: Grid,
 ) -> StatePair:
-    """Exact gradient of total_energy in function-space scaling.
-
-    Node (i, k) of the result equals d(total_energy)/d(u_i[k]) divided by
-    the lumped node volume hx*hy, so its volume-weighted l2 norm mimics a
-    continuum residual norm and is stable under refinement.
-    """
-    c = _CellData(u, grid)
-    gc1, gc2 = coupling_grad_g(c.v1, c.v2, params)
-
-    w_val1 = 0.5 * fam1.da(c.v1) * c.gsq1 - params.lambda1 * c.v1 - gc1
-    w_val2 = 0.5 * fam2.da(c.v2) * c.gsq2 - params.lambda2 * c.v2 - gc2
-    a1 = fam1.a(c.v1)
-    a2 = fam2.a(c.v2)
-    g1 = scatter_cells(grid, w_val1, a1 * c.g1x, a1 * c.g1y)
-    g2 = scatter_cells(grid, w_val2, a2 * c.g2x, a2 * c.g2y)
-    return StatePair(ScalarField(g1, grid.spec), ScalarField(g2, grid.spec))
-
-
-class _ProfileLinearization:
-    """The gradient terms of one component's Hessian at a fixed state.
-
-    Built once per state: the cell samples of the state and A, A', A''
-    there.  `apply` then maps the cell samples of a direction, and the
-    caller's value weight (its potential terms), to the nodal product
-    with one scatter.
-    """
-
-    __slots__ = ("grid", "v", "gx", "gy", "a", "da", "dagx", "dagy", "curv")
-
-    def __init__(self, values: np.ndarray, fam: CoefficientFamily, grid: Grid):
-        v = cell_values_of(values, grid)
-        gx, gy = cell_gradients_of(values, grid)
-        da = fam.da(v)
-        self.grid = grid
-        self.v, self.gx, self.gy = v, gx, gy
-        self.a = fam.a(v)
-        self.da = da
-        self.dagx, self.dagy = da * gx, da * gy
-        self.curv = 0.5 * fam.d2a(v) * (gx * gx + gy * gy)
-
-    def sample(self, d: np.ndarray):
-        """(value, d/dx, d/dy) cell samples of a nodal direction."""
-        return (cell_values_of(d, self.grid), *cell_gradients_of(d, self.grid))
-
-    def apply(self, samples, w_val: np.ndarray) -> np.ndarray:
-        dv, dgx, dgy = samples
-        w_val = w_val + self.curv * dv + self.da * (self.gx * dgx + self.gy * dgy)
-        w_gx = self.dagx * dv + self.a * dgx
-        w_gy = self.dagy * dv + self.a * dgy
-        return scatter_cells(self.grid, w_val, w_gx, w_gy)
-
-
-def pair_hessian(
-    u: StatePair,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-):
-    """Exact Hessian of total_energy at u, as a product with a direction.
-
-    Returns `hess(d1, d2) -> (h1, h2)` on bare (nx, ny) nodal arrays,
-    scaled as euler_gradient: the derivative of euler_gradient at u in
-    the direction (d1, d2).
-    """
-    c1 = _ProfileLinearization(u.u1.values, fam1, grid)
-    c2 = _ProfileLinearization(u.u2.values, fam2, grid)
-    h11, h12, h22 = coupling_hess_g(c1.v, c2.v, params)
-    m1 = params.lambda1 + h11
-    m2 = params.lambda2 + h22
-
-    def hess(d1: np.ndarray, d2: np.ndarray):
-        s1, s2 = c1.sample(d1), c2.sample(d2)
-        return (
-            c1.apply(s1, -(m1 * s1[0] + h12 * s2[0])),
-            c2.apply(s2, -(m2 * s2[0] + h12 * s1[0])),
-        )
-
-    return hess
-
-
-def scalar_hessian_c(
-    z: ScalarField,
-    lam: float,
-    p: float,
-    fam: CoefficientFamily,
-    grid: Grid,
-    nonlin_coeff: float = 1.0,
-):
-    """Exact Hessian of scalar_energy_c at z: `hess(d) -> h` on nodal
-    arrays, the derivative of scalar_euler_gradient_c in direction d."""
-    c = _ProfileLinearization(z.values, fam, grid)
-    m = lam + nonlin_coeff * (p - 1.0) * np.abs(c.v) ** (p - 2.0)
-
-    def hess(d: np.ndarray) -> np.ndarray:
-        s = c.sample(d)
-        return c.apply(s, -m * s[0])
-
-    return hess
+    """Exact gradient of total_energy in function-space scaling (see Energy)."""
+    g = Energy.pair(params, fam1, fam2).gradient(_pair_sample(u, grid))
+    return StatePair.from_stack(g, grid.spec)
 
 
 def nehari_residual(
@@ -324,18 +297,8 @@ def nehari_residual(
     grid: Grid,
 ) -> NehariResidual:
     """Constraint values r_i; r_1 + r_2 equals <E'(u), u> exactly."""
-    c = _CellData(u, grid)
-    p, beta = params.p, params.beta
-    cross = float(np.sum(np.abs(c.v1 * c.v2) ** (p / 2.0))) * grid.cell_area
-
-    def component(v, gsq, fam, lam):
-        dens = fam.a(v) * gsq + 0.5 * fam.da(v) * gsq * v - lam * v**2 - np.abs(v) ** p
-        return float(np.sum(dens)) * grid.cell_area - beta * cross
-
-    return NehariResidual(
-        component(c.v1, c.gsq1, fam1, params.lambda1),
-        component(c.v2, c.gsq2, fam2, params.lambda2),
-    )
+    r1, r2 = Energy.pair(params, fam1, fam2).residuals(_pair_sample(u, grid))
+    return NehariResidual(float(r1), float(r2))
 
 
 def scale_state(u: StatePair, t1: float, t2: float) -> StatePair:

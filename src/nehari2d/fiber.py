@@ -32,20 +32,21 @@ O(n_scan * n_cells) per component instead of O(n_scan^2 * n_cells).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coeffs import KIND_IDENTITY, CoefficientFamily
 from .energy import (
+    CellSample,
+    Energy,
     NehariResidual,
     ProblemParams,
-    nehari_residual,
     scale_state,
     total_energy,
 )
 from .errors import DegenerateInput, NoConvergence
-from .grid import Grid, ScalarField, StatePair, cell_gradients, cell_values, grad_sq, integrate
+from .grid import Grid, ScalarField, StatePair, cell_gradients
 
 STATUS_INTERIOR_MAX = "interior_max"
 STATUS_NOT_PROJECTABLE = "not_projectable"
@@ -74,11 +75,20 @@ class ProjectionOptions:
 
 @dataclass(frozen=True)
 class ProjectionResult:
+    """A projection onto the constraint set.
+
+    For a projectable pair, `energy` is h_u(t) and `residual` holds
+    t_i dh_u/dt_i(t): the energy and constraint residuals of `projected`,
+    read from the fiber map.  `sample` is the cell sample of `projected`.
+    """
+
     status: str
     t: FiberPoint | None = None
     projected: StatePair | None = None
     residual: NehariResidual | None = None
     reason: str = ""
+    energy: float | None = None
+    sample: CellSample | None = field(default=None, repr=False, compare=False)
 
     @property
     def projectable(self) -> bool:
@@ -88,10 +98,12 @@ class ProjectionResult:
 class FiberEvaluator:
     """Cached per-cell data of one state for fast fiber evaluations.
 
-    Axis k samples component k once: its cell values v, |grad v|^2, and
-    q = int v^2, pp = int |v|^p, ia0 = int |grad v|^2.  A pair has two
-    axes and their cross term; the scalar fiber of one field is the one
-    axis of `FiberEvaluator.scalar`, whose |v|^p term carries the weight c.
+    Built on one CellSample of the state and the Energy it is measured in.
+    Axis k reads component k of the sample: its cell values v,
+    |grad v|^2 and q = int v^2, pp = int |v|^p, ia0 = int |grad v|^2.  A
+    pair has two axes and their cross term; the scalar fiber of one field
+    is the one axis of `FiberEvaluator.scalar`, whose |v|^p term carries
+    the weight c.
     """
 
     def __init__(
@@ -102,10 +114,7 @@ class FiberEvaluator:
         fam2: CoefficientFamily,
         grid: Grid,
     ):
-        self._sample(
-            (u.u1, u.u2), (fam1, fam2), (params.lambda1, params.lambda2), params,
-            grid, 1.0,
-        )
+        self._setup(Energy.pair(params, fam1, fam2), CellSample(u.stacked(), grid))
         self.cross = float(
             np.sum(np.abs(self._v[0] * self._v[1]) ** (params.p / 2.0))
         ) * self.area
@@ -123,33 +132,20 @@ class FiberEvaluator:
         """One-axis evaluator of psi(tau) = d/dtau E(tau z), with the
         |z|^p term weighted by c."""
         ev = cls.__new__(cls)
-        ev._sample((z,), (fam,), (lam,), params, grid, c)
+        ev._setup(Energy.scalar(params, lam, fam, c), CellSample(z.values[None], grid))
         return ev
 
-    def _sample(self, comps, fams, lams, params, grid, c):
-        self.params = params
-        self.fams = fams
-        self.lams = lams
-        self.c = c
-        area = grid.cell_area
-        self.area = area
-        p = params.p
-
-        self._v = []
-        self._gsq = []
-        self.q = []   # int u_i^2
-        self.pp = []  # int |u_i|^p
-        self._ia0 = []  # int |grad u_i|^2
-        for comp in comps:
-            v = cell_values(comp, grid)
-            gx, gy = cell_gradients(comp, grid)
-            gsq = gx * gx + gy * gy
-            self._v.append(v)
-            self._gsq.append(gsq)
-            self.q.append(float(np.sum(v * v)) * area)
-            self.pp.append(float(np.sum(np.abs(v) ** p)) * area)
-            self._ia0.append(float(np.sum(gsq)) * area)
-        self._const_profile = [fam.kind == KIND_IDENTITY for fam in fams]
+    def _setup(self, energy: Energy, sample: CellSample):
+        self.params = energy.params
+        self.fams = energy.fams
+        self.lams = energy.lams
+        self.c = energy.c
+        self.sample = sample
+        self.area = sample.grid.cell_area
+        self._v = sample.v
+        self._gsq = sample.gsq
+        self._ia0, self.q, self.pp = sample.integrals(self.params.p)
+        self._const_profile = [fam.kind == KIND_IDENTITY for fam in self.fams]
 
     def membership_values(self) -> tuple[float, float]:
         """int |u_i|^p + beta * cross term, for i = 1, 2."""
@@ -545,24 +541,31 @@ def project_to_nehari(
                     f"fiber Newton stalled at t = ({t[0]:.6g}, {t[1]:.6g})",
                     iterations=opts.max_iter,
                 )
-    point = FiberPoint(float(t[0]), float(t[1]))
-    projected = scale_state(u, point.t1, point.t2)
-    residual = nehari_residual(projected, params, fam1, fam2, grid)
+    t1, t2 = float(t[0]), float(t[1])
+    g1, g2 = ev.grad(t1, t2)
     return ProjectionResult(
-        status=STATUS_INTERIOR_MAX, t=point, projected=projected, residual=residual
+        status=STATUS_INTERIOR_MAX,
+        t=FiberPoint(t1, t2),
+        projected=scale_state(u, t1, t2),
+        residual=NehariResidual(t1 * g1, t2 * g2),
+        energy=ev.value(t1, t2),
+        sample=ev.sample.scaled((t1, t2)),
     )
+
+
+def h1_normalize(x: np.ndarray, grid: Grid) -> np.ndarray:
+    """Each component of the (k, nx, ny) stack x scaled to unit gradient norm."""
+    gx, gy = cell_gradients(x, grid)
+    nrm = np.sqrt(np.sum(gx * gx + gy * gy, axis=(-2, -1)) * grid.cell_area)
+    if np.any(nrm == 0.0):
+        raise DegenerateInput("cannot normalize a gradient-free field")
+    return x / nrm[:, None, None]
 
 
 def sphere_normalize(u: StatePair, grid: Grid) -> StatePair:
     """Scale each component to unit gradient norm."""
     _check_nontrivial(u)
-    out = []
-    for comp in (u.u1, u.u2):
-        nrm = math.sqrt(integrate(grad_sq(comp, grid), grid))
-        if nrm == 0.0:
-            raise DegenerateInput("component has zero gradient norm")
-        out.append(ScalarField(comp.values / nrm, comp.spec))
-    return StatePair(out[0], out[1])
+    return StatePair.from_stack(h1_normalize(u.stacked(), grid), u.spec)
 
 
 def critical_cell_count(

@@ -78,9 +78,12 @@ class Grid:
         return np.meshgrid(self.xs, self.ys, indexing="ij")
 
     def padded(self, values: np.ndarray) -> np.ndarray:
-        """Nodal array extended by the zero boundary ring."""
-        P = np.zeros((self.spec.nx + 2, self.spec.ny + 2))
-        P[1:-1, 1:-1] = values
+        """Nodal arrays (any leading axes) extended by the zero boundary ring."""
+        lead, shape = np.shape(values)[:-2], np.shape(values)[-2:]
+        if shape != self.shape:
+            raise GridMismatch(f"nodal arrays of shape {shape}, grid is {self.shape}")
+        P = np.zeros((*lead, self.spec.nx + 2, self.spec.ny + 2))
+        P[..., 1:-1, 1:-1] = values
         return P
 
     # built on first use through the spectrum module's functions, looked
@@ -117,6 +120,10 @@ class ScalarField:
         self.values = arr
         self.spec = spec
 
+    def __array__(self, dtype=None, copy=None):
+        """The nodal values, so a field passes wherever an array does."""
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     @property
     def flat(self) -> np.ndarray:
         """Row-major vector of length nx*ny (i outer, j inner)."""
@@ -151,6 +158,14 @@ class StatePair:
     def swapped(self) -> "StatePair":
         return StatePair(self.u2, self.u1)
 
+    def stacked(self) -> np.ndarray:
+        """The nodal values as one (2, nx, ny) array."""
+        return np.stack((self.u1.values, self.u2.values))
+
+    @classmethod
+    def from_stack(cls, x: np.ndarray, spec: GridSpec) -> "StatePair":
+        return cls(ScalarField(x[0], spec), ScalarField(x[1], spec))
+
     def __eq__(self, other):
         return (
             isinstance(other, StatePair)
@@ -164,31 +179,23 @@ def _check(field: ScalarField, grid: Grid):
         raise GridMismatch(f"field on {field.spec}, grid is {grid.spec}")
 
 
-def cell_values(fld: ScalarField, grid: Grid) -> np.ndarray:
-    """Bilinear interpolant of the field at every cell center."""
-    _check(fld, grid)
-    return cell_values_of(fld.values, grid)
-
-
-def cell_gradients(fld: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of the bilinear interpolant at every cell center."""
-    _check(fld, grid)
-    return cell_gradients_of(fld.values, grid)
-
-
-def cell_values_of(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """cell_values of a bare (nx, ny) nodal array, unchecked."""
+def cell_values(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Bilinear interpolant at every cell center, of nodal arrays with any
+    leading axes (a (k, nx, ny) stack gives (k, nx+1, ny+1))."""
     P = grid.padded(values)
-    return 0.25 * (P[:-1, :-1] + P[1:, :-1] + P[:-1, 1:] + P[1:, 1:])
+    return 0.25 * (
+        P[..., :-1, :-1] + P[..., 1:, :-1] + P[..., :-1, 1:] + P[..., 1:, 1:]
+    )
 
 
-def cell_gradients_of(
-    values: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """cell_gradients of a bare (nx, ny) nodal array, unchecked."""
+def cell_gradients(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) of the bilinear interpolant at every cell center, of
+    nodal arrays with any leading axes."""
     P = grid.padded(values)
-    gx = ((P[1:, :-1] + P[1:, 1:]) - (P[:-1, :-1] + P[:-1, 1:])) / (2.0 * grid.hx)
-    gy = ((P[:-1, 1:] + P[1:, 1:]) - (P[:-1, :-1] + P[1:, :-1])) / (2.0 * grid.hy)
+    a, b = P[..., :-1, :-1], P[..., 1:, :-1]
+    c, d = P[..., :-1, 1:], P[..., 1:, 1:]
+    gx = ((b + d) - (a + c)) / (2.0 * grid.hx)
+    gy = ((c + d) - (a + b)) / (2.0 * grid.hy)
     return gx, gy
 
 
@@ -203,13 +210,16 @@ def integrate(cellvals: np.ndarray, grid: Grid) -> float:
 
 def grad_sq(fld: ScalarField, grid: Grid) -> np.ndarray:
     """Cell-sampled |grad u|^2 of the bilinear interpolant."""
-    gx, gy = cell_gradients(fld, grid)
+    _check(fld, grid)
+    gx, gy = cell_gradients(fld.values, grid)
     return gx * gx + gy * gy
 
 
 def l2_inner(f: ScalarField, g: ScalarField, grid: Grid) -> float:
     """Quadrature of the product of the two interpolants."""
-    return integrate(cell_values(f, grid) * cell_values(g, grid), grid)
+    _check(f, grid)
+    _check(g, grid)
+    return integrate(cell_values(f.values, grid) * cell_values(g.values, grid), grid)
 
 
 def scatter_cells(
@@ -224,29 +234,32 @@ def scatter_cells(
         sum_cells (w_val*dV + w_gx*dgx + w_gy*dgy) = sum_nodes G*d,
     where dV, dgx, dgy are the cell-center value/gradient perturbations
     induced by d.  This is the chain-rule backbone of every exact
-    discrete gradient below.
+    discrete gradient below.  Weights with leading axes (k, nx+1, ny+1)
+    give a (k, nx, ny) stack.
     """
-    nx, ny = grid.shape
-    N = np.zeros((nx + 2, ny + 2))
+    lead = next(np.shape(w)[:-2] for w in (w_val, w_gx, w_gy) if w is not None)
+    N = np.zeros((*lead, grid.spec.nx + 2, grid.spec.ny + 2))
+    a, b = N[..., :-1, :-1], N[..., 1:, :-1]
+    c, d = N[..., :-1, 1:], N[..., 1:, 1:]
     if w_val is not None:
         q = 0.25 * w_val
-        N[:-1, :-1] += q
-        N[1:, :-1] += q
-        N[:-1, 1:] += q
-        N[1:, 1:] += q
+        a += q
+        b += q
+        c += q
+        d += q
     if w_gx is not None:
         q = w_gx / (2.0 * grid.hx)
-        N[:-1, :-1] -= q
-        N[:-1, 1:] -= q
-        N[1:, :-1] += q
-        N[1:, 1:] += q
+        a -= q
+        c -= q
+        b += q
+        d += q
     if w_gy is not None:
         q = w_gy / (2.0 * grid.hy)
-        N[:-1, :-1] -= q
-        N[1:, :-1] -= q
-        N[:-1, 1:] += q
-        N[1:, 1:] += q
-    return N[1:-1, 1:-1]
+        a -= q
+        b -= q
+        c += q
+        d += q
+    return N[..., 1:-1, 1:-1]
 
 
 # field dump format: header `FIELD nx ny lx ly`, then nx*ny lines

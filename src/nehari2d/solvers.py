@@ -14,6 +14,11 @@ point: at Euler residual 1e-2 it hands over to a damped Newton-Krylov
 root finder on the exact gradient and Hessian, and resumes only when
 that polish fails its guard.
 
+Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
+scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
+Each descent state is sampled onto cells once, and its energy, gradient
+and checks read that sample.
+
 Determinism: every random draw flows from the seed in SolverOptions, and
 asymmetric candidates are explored in both component orders so that
 swapping the problem data swaps the solution.
@@ -29,15 +34,11 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .coeffs import KIND_TABULATED, CoefficientFamily
 from .energy import (
+    CellSample,
+    Energy,
     NehariResidual,
     ProblemParams,
     euler_gradient,
-    nehari_residual,
-    pair_hessian,
-    scalar_energy_c,
-    scalar_euler_gradient_c,
-    scalar_hessian_c,
-    total_energy,
 )
 from .errors import (
     CoercivityViolation,
@@ -50,17 +51,16 @@ from .errors import (
 )
 from .fiber import (
     ProjectionOptions,
+    h1_normalize,
     project_to_nehari,
     scalar_fiber_root,
-    sphere_normalize,
 )
 from .grid import (
     Grid,
     ScalarField,
     StatePair,
-    cell_gradients_of,
+    cell_gradients,
     cell_values,
-    grad_sq,
     integrate,
 )
 from .spectrum import (
@@ -139,26 +139,10 @@ def _vol_norm(values: np.ndarray, grid: Grid) -> float:
     return math.sqrt(float(np.sum(values * values)) * grid.cell_area)
 
 
-def _riesz(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """H1 lift of a function-space gradient: exact 5-point -Laplace solve."""
-    return grid.poisson_solver(values)
-
-
-def _grad_inner(a, b, grid: Grid) -> float:
-    """Quadrature <grad a, grad b> from the cell gradients a = (ax, ay), b."""
-    return float(np.sum(a[0] * b[0] + a[1] * b[1])) * grid.cell_area
-
-
-def _h1_normalize(values: np.ndarray, grid: Grid) -> np.ndarray:
-    g = cell_gradients_of(values, grid)
-    nrm = math.sqrt(_grad_inner(g, g, grid))
-    if nrm == 0.0:
-        raise DegenerateInput("cannot normalize a gradient-free field")
-    return values / nrm
-
-
-def _sign_fix(values: np.ndarray) -> np.ndarray:
-    return -values if float(np.sum(values)) < 0.0 else values
+def _sign_fix(x: np.ndarray) -> np.ndarray:
+    """Each component of the stack x with its sum made nonnegative."""
+    signs = np.where(np.sum(x, axis=(-2, -1)) < 0.0, -1.0, 1.0)
+    return signs[:, None, None] * x
 
 
 def _is_nonnegative(values: np.ndarray) -> bool:
@@ -204,34 +188,16 @@ def symmetric_problem(params, fam1, fam2) -> bool:
     )
 
 
-def _component_integrals(u: StatePair, params, grid: Grid):
-    """(int |grad u_i|^2, int u_i^2, int |u_i|^p) per component."""
-    out = []
-    for comp in (u.u1, u.u2):
-        v = cell_values(comp, grid)
-        gsq = grad_sq(comp, grid)
-        out.append(
-            (
-                float(np.sum(gsq)) * grid.cell_area,
-                float(np.sum(v * v)) * grid.cell_area,
-                float(np.sum(np.abs(v) ** params.p)) * grid.cell_area,
-            )
-        )
-    return out
-
-
 def check_coercivity_bound(
     energy_val: float,
-    u: StatePair,
+    sample: CellSample,
     params: ProblemParams,
     nu: float,
-    mu1: float,
-    grid: Grid,
     residual: NehariResidual,
 ) -> None:
     """Abort when a constrained iterate undercuts the coercivity bound.
 
-    On the constraint set the energy dominates
+    On the constraint set the energy of the sampled pair dominates
     (p-2-gamma)/(2p) * nu * sum_i int |grad u_i|^2
         - (p-2)/(2p) * sum_i lambda_i int u_i^2,
     an exact consequence of the growth hypothesis on the profiles.  The
@@ -239,11 +205,11 @@ def check_coercivity_bound(
     from the constraint set (measured by the residuals).
     """
     p, g = params.p, params.gamma
-    ints = _component_integrals(u, params, grid)
-    bound = sum(
-        (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lam * q
-        for (gr, q, _), lam in zip(ints, (params.lambda1, params.lambda2))
-    )
+    gr, q, _pp = sample.integrals(p)
+    lams = np.array((params.lambda1, params.lambda2))
+    bound = float(np.sum(
+        (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lams * q
+    ))
     slack = 1e-8 * (1.0 + abs(energy_val)) + abs(residual.r1) + abs(residual.r2)
     if energy_val < bound - slack:
         raise CoercivityViolation(
@@ -253,20 +219,26 @@ def check_coercivity_bound(
 
 
 def nehari_floors_hold(
-    u: StatePair, params: ProblemParams, nu: float, mu1: float, grid: Grid
+    sample: CellSample, params: ProblemParams, nu: float, mu1: float
 ) -> bool:
-    """Component floors nu*(1 - max(lam,0)/(nu*mu1)) int|grad u_i|^2 <= int|u_i|^p.
+    """Component floors nu*(1 - max(lam,0)/(nu*mu1)) int|grad u_i|^2 <= int|u_i|^p
+    of the sampled pair.
 
     Valid for constraint-set members with non-attractive coupling
     (beta <= 0); negative lambdas enter through their positive part since
     the spectral bound only helps against positive ones.
     """
-    ints = _component_integrals(u, params, grid)
-    for (gr, _q, pp), lam in zip(ints, (params.lambda1, params.lambda2)):
-        lhs = nu * (1.0 - max(lam, 0.0) / (nu * mu1)) * gr
-        if lhs > pp + 1e-10 * (1.0 + abs(pp)):
+    gr, _q, pp = sample.integrals(params.p)
+    for g, lp, lam in zip(gr, pp, (params.lambda1, params.lambda2)):
+        lhs = nu * (1.0 - max(lam, 0.0) / (nu * mu1)) * g
+        if lhs > lp + 1e-10 * (1.0 + abs(lp)):
             return False
     return True
+
+
+def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
+    _gr, _q, pp = sample.integrals(params.p)
+    return bool(np.all(pp > 1e3 * opts.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -373,49 +345,95 @@ def _polish_rejection(res, opts):
     return f"polish stopped at res {res:.2e}" if res > opts.tol else None
 
 
-def _conjugate_lift(gs, vs, ts, grid, memo):
+def _conjugate_lift(g, sample, t, grid, memo):
     """Conjugate direction from the sphere-tangent Riesz lift.
 
-    pg_i is the Riesz lift r_i of g_i projected onto the H1 tangent space
-    of the sphere at v_i, and <g, pg> = sum_i t_i <g_i, pg_i> (t_i scales
-    v_i onto the constraint set).  The direction is -pg + beta T(d_prev),
-    with T the tangent projection at the vs and beta the Polak-Ribiere
-    value clamped to [0, Fletcher-Reeves]; `memo` carries (pg, <g, pg>, d)
-    from the last step of the same descent, or is None.  Where a direction
-    is not one of descent the rule restarts from -pg, and from the plain
-    lift -r where -pg is not one either.  Returns (directions, slope
-    sum_i t_i <g_i, d_i>, memo).
+    g is the Euler gradient at the state w sampled by `sample`, and t_i
+    scales component i of the sphere point v onto w = t v.  pg is the
+    Riesz lift r of g projected onto the H1 tangent space of the spheres
+    at v (the projection along v is the one along w), and <g, pg> =
+    sum_i t_i <g_i, pg_i>.  The direction is -pg + beta T(d_prev), with T
+    the tangent projection and beta the Polak-Ribiere value clamped to
+    [0, Fletcher-Reeves]; `memo` carries (pg, <g, pg>, d) from the last
+    step of the same descent, or is None.  Where a direction is not one
+    of descent the rule restarts from -pg, and from the plain lift -r
+    where -pg is not one either.  Returns (d, slope sum_i t_i <g_i, d_i>,
+    memo), all arrays stacked like g.
     """
-    vgs = [cell_gradients_of(v, grid) for v in vs]
+    t = np.asarray(t)
 
-    def tangent(ds):
-        return [
-            d - _grad_inner(cell_gradients_of(d, grid), vg, grid)
-            / _grad_inner(vg, vg, grid) * v
-            for d, v, vg in zip(ds, vs, vgs)
-        ]
+    def per_component(f):
+        return np.sum(f, axis=(-2, -1)) * grid.cell_area
+
+    w_sq = per_component(sample.gsq)
+
+    def tangent(d):
+        dgx, dgy = cell_gradients(d, grid)
+        along = per_component(dgx * sample.gx + dgy * sample.gy) / w_sq
+        return d - along[:, None, None] * sample.x
 
     def dot(a, b):
-        return sum(
-            t * grid.cell_area * float(np.sum(x * y)) for x, y, t in zip(a, b, ts)
-        )
+        return float(np.sum(t * per_component(a * b)))
 
-    rs = [_riesz(g, grid) for g in gs]
-    pgs = tangent(rs)
-    gpg = dot(gs, pgs)
-    ds, slope = [-pg for pg in pgs], -gpg
+    r = grid.poisson_solver(g)
+    pg = tangent(r)
+    gpg = dot(g, pg)
+    d, slope = -pg, -gpg
     if memo is not None and memo[1] > 0.0:
-        pgs0, gpg0, ds0 = memo
-        beta = max(0.0, min(gpg - dot(gs, pgs0), gpg) / gpg0)
+        pg0, gpg0, d0 = memo
+        beta = max(0.0, min(gpg - dot(g, pg0), gpg) / gpg0)
         if beta > 0.0:
-            cg = [d + beta * td for d, td in zip(ds, tangent(ds0))]
-            s_cg = dot(gs, cg)
+            cg = d + beta * tangent(d0)
+            s_cg = dot(g, cg)
             if s_cg < 0.0:
-                ds, slope = cg, s_cg
+                d, slope = cg, s_cg
     if slope >= 0.0:
-        ds = [-r for r in rs]
-        slope = dot(gs, ds)
-    return ds, slope, (pgs, gpg, ds)
+        d = -r
+        slope = dot(g, d)
+    return d, slope, (pg, gpg, d)
+
+
+def _constrained_descent(y0, fiber, energy, grid, opts, polish, reject,
+                         check=None, sphere=True):
+    """Descent on the constraint set from the stack y0, plus Newton polish.
+
+    `fiber(y, t_init)` maps a stack y onto the constraint set and returns
+    (x, energy) for the point x = (y, t, sample, residual): the fiber
+    scalings t, the cell sample of the rescaled state w = t y and its
+    constraint residuals (or None); it raises to reject y.  The descent
+    runs on the Euler gradient of `energy` at w.  On the sphere product
+    (`sphere`), y lies on the unit gradient spheres and moves by the
+    conjugate lift, and each trial is renormalized and rescaled from the
+    current t.  Otherwise a trial steps from w along the plain Riesz lift
+    -r and is rescaled from t = (1, 1).  `polish`, `reject` and `check`
+    are those of `_descend_and_polish`, and so is the return value.
+    """
+    def gradient(x):
+        g = energy.gradient(x[2])
+        return g, _vol_norm(g, grid)
+
+    if sphere:
+        y0 = h1_normalize(y0, grid)
+
+        def direction(x, g, memo):
+            return _conjugate_lift(g, x[2], x[1], grid, memo)
+
+        def retract(x, d, a):
+            return fiber(h1_normalize(x[0] + a * d, grid), x[1])
+    else:
+        def direction(x, g, memo):
+            d = -grid.poisson_solver(g)
+            return d, float(np.sum(g * d)) * grid.cell_area, None
+
+        def retract(x, d, a):
+            return fiber(x[2].x + a * d, (1.0, 1.0))
+
+    x, energy_val = fiber(y0, None)
+    if check is not None:
+        check(x, energy_val)
+    return _descend_and_polish(
+        x, energy_val, gradient, direction, retract, opts, polish, reject, check
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +464,14 @@ def _newton_krylov_polish(
     iterations).
     """
     tol = opts.tol
+    shape, n = x0.shape, x0.size
     solve = grid.poisson_solver
-
-    def precond(r):
-        blocks = np.split(r, r.size // grid.spec.n_nodes)
-        return np.concatenate([solve(b.reshape(grid.shape)).ravel() for b in blocks])
-
+    M = LinearOperator(
+        (n, n), matvec=lambda r: solve(r.reshape(-1, *grid.shape)).ravel(),
+        dtype=float,
+    )
     scale = math.sqrt(grid.cell_area)
     x = x0.copy()
-    M = LinearOperator((x.size, x.size), matvec=precond, dtype=float)
     g = grad_fn(x)
     res = float(np.linalg.norm(g)) * scale
     energy_val = energy_fn(x)
@@ -462,10 +479,14 @@ def _newton_krylov_polish(
     for its in range(1, opts.polish_max_iter + 1):
         if res <= 1e-2 * tol:
             return x, res, True, its - 1
-        op = LinearOperator((x.size, x.size), matvec=hess_fn(x), dtype=float)
-        step, _info = minres(
-            op, -g, rtol=1e-6, maxiter=opts.polish_inner_iter, M=M
+        hess = hess_fn(x)
+        op = LinearOperator(
+            (n, n), matvec=lambda d: hess(d.reshape(shape)).ravel(), dtype=float
         )
+        step, _info = minres(
+            op, -g.ravel(), rtol=1e-6, maxiter=opts.polish_inner_iter, M=M
+        )
+        step = step.reshape(shape)
         if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) == 0.0:
             step = -g
 
@@ -487,6 +508,18 @@ def _newton_krylov_polish(
     return x, res, res <= tol, its
 
 
+def _polish(x0, energy, grid, opts, gradient=None):
+    """Newton-Krylov polish of the state stack x0 on `energy`; `gradient`
+    replaces its Euler gradient when given."""
+    def sampled(method):
+        return lambda x: method(CellSample(x, grid))
+
+    return _newton_krylov_polish(
+        x0, gradient or sampled(energy.gradient), sampled(energy.value),
+        sampled(energy.hessian), grid, opts,
+    )
+
+
 def refine_solution(
     u: StatePair,
     params: ProblemParams,
@@ -501,107 +534,18 @@ def refine_solution(
     increases and the energy of accepted steps never rises beyond
     rounding level.
     """
-    n = grid.spec.n_nodes
+    def gradient(x):
+        pair = StatePair.from_stack(x, grid.spec)
+        return euler_gradient(pair, params, fam1, fam2, grid).stacked()
 
-    def unpack(x):
-        return StatePair(
-            ScalarField(x[:n].reshape(grid.shape), grid.spec),
-            ScalarField(x[n:].reshape(grid.shape), grid.spec),
-        )
-
-    def grad_fn(x):
-        g = euler_gradient(unpack(x), params, fam1, fam2, grid)
-        return np.concatenate([g.u1.values.ravel(), g.u2.values.ravel()])
-
-    def energy_fn(x):
-        return total_energy(unpack(x), params, fam1, fam2, grid)
-
-    def hess_fn(x):
-        hess = pair_hessian(unpack(x), params, fam1, fam2, grid)
-
-        def matvec(d):
-            h1, h2 = hess(d[:n].reshape(grid.shape), d[n:].reshape(grid.shape))
-            return np.concatenate([h1.ravel(), h2.ravel()])
-
-        return matvec
-
-    x0 = np.concatenate([u.u1.values.ravel(), u.u2.values.ravel()])
-    x, res, converged, _its = _newton_krylov_polish(
-        x0, grad_fn, energy_fn, hess_fn, grid, opts
+    x, res, converged, _its = _polish(
+        u.stacked(), Energy.pair(params, fam1, fam2), grid, opts, gradient
     )
-    return unpack(x), res, converged
-
-
-def _refine_scalar(z, lam, params, fam, grid, opts, nonlin_coeff=1.0):
-    def grad_fn(x):
-        fld = ScalarField(x.reshape(grid.shape), grid.spec)
-        return scalar_euler_gradient_c(
-            fld, lam, params.p, fam, grid, nonlin_coeff
-        ).values.ravel()
-
-    def energy_fn(x):
-        fld = ScalarField(x.reshape(grid.shape), grid.spec)
-        return scalar_energy_c(fld, lam, params.p, fam, grid, nonlin_coeff)
-
-    def hess_fn(x):
-        fld = ScalarField(x.reshape(grid.shape), grid.spec)
-        hess = scalar_hessian_c(fld, lam, params.p, fam, grid, nonlin_coeff)
-        return lambda d: hess(d.reshape(grid.shape)).ravel()
-
-    x, res, converged, its = _newton_krylov_polish(
-        z.values.ravel(), grad_fn, energy_fn, hess_fn, grid, opts
-    )
-    return ScalarField(x.reshape(grid.shape), grid.spec), res, converged, its
+    return StatePair.from_stack(x, grid.spec), res, converged
 
 
 # ---------------------------------------------------------------------------
 # scalar ground state
-
-
-def _scalar_descent(z0, lam, params, fam, grid, opts, nonlin_coeff=1.0):
-    """Sphere-constrained descent plus Newton polish from one start.
-
-    A point is (v, tau, w): v on the unit gradient sphere, tau its fiber
-    root and w = tau v on the constraint set.  The handoff guard is that
-    the polish converged.  Returns (w, energy, res, iterations, note),
-    counting descent and polish iterations, with note as in
-    `_descend_and_polish`.
-    """
-    p = params.p
-    polish_its = 0
-
-    def on_fiber(v, tau_guess=None):
-        tau = scalar_fiber_root(
-            ScalarField(v, grid.spec), lam, params, fam, grid, nonlin_coeff,
-            tau_init=tau_guess,
-        )
-        w = ScalarField(tau * v, grid.spec)
-        return (v, tau, w), scalar_energy_c(w, lam, p, fam, grid, nonlin_coeff)
-
-    def gradient(x):
-        g = scalar_euler_gradient_c(x[2], lam, p, fam, grid, nonlin_coeff).values
-        return [g], _vol_norm(g, grid)
-
-    def direction(x, gs, memo):
-        return _conjugate_lift(gs, [x[0]], [x[1]], grid, memo)
-
-    def retract(x, ds, a):
-        return on_fiber(_h1_normalize(x[0] + a * ds[0], grid), tau_guess=x[1])
-
-    def polish(x):
-        nonlocal polish_its
-        w, res, _converged, its = _refine_scalar(
-            x[2], lam, params, fam, grid, opts, nonlin_coeff
-        )
-        polish_its += its
-        return w, scalar_energy_c(w, lam, p, fam, grid, nonlin_coeff), res
-
-    x, energy_val = on_fiber(_h1_normalize(np.asarray(z0, dtype=float), grid))
-    (w, energy_val, res), its, note = _descend_and_polish(
-        x, energy_val, gradient, direction, retract, opts, polish,
-        lambda out: _polish_rejection(out[2], opts),
-    )
-    return w, energy_val, res, its + polish_its, note
 
 
 def scalar_ground_state(
@@ -614,10 +558,12 @@ def scalar_ground_state(
 ) -> tuple[ScalarField, float, ScalarReport]:
     """Least energy state of the one-component problem, and its level.
 
-    Multistart sphere descent plus Newton polish.  The output is
-    sign-normalized to the nonnegative representative (the energy is even
-    in the field).  `nonlin_coeff` weights the |z|^(p-2) z term; the
-    default 1 is the plain scalar problem.
+    Multistart sphere descent plus Newton polish: a point is a field v on
+    the unit gradient sphere, its fiber root tau and w = tau v on the
+    constraint set, and the handoff guard is that the polish converged.
+    The output is sign-normalized to the nonnegative representative (the
+    energy is even in the field).  `nonlin_coeff` weights the |z|^(p-2) z
+    term; the default 1 is the plain scalar problem.
 
     Raises InadmissibleLambda when lambda_i reaches nu * mu1.
     """
@@ -634,6 +580,22 @@ def scalar_ground_state(
             f"lambda_{i} admissible only in the weak sense "
             f"(threshold {strong_threshold(params.p, params.gamma, fam.nu, mu1):.6g})"
         )
+    energy = Energy.scalar(params, lam, fam, nonlin_coeff)
+    polish_its = 0
+
+    def fiber(y, t_init):
+        tau = scalar_fiber_root(
+            ScalarField(y[0], grid.spec), lam, params, fam, grid, nonlin_coeff,
+            tau_init=None if t_init is None else t_init[0],
+        )
+        sample = CellSample(tau * y, grid)
+        return (y, (tau,), sample, None), energy.value(sample)
+
+    def polish(x):
+        nonlocal polish_its
+        w, res, _converged, its = _polish(x[2].x, energy, grid, opts)
+        polish_its += its
+        return CellSample(w, grid), res
 
     starts = [_bump(grid, grid.spec.lx / 2.0, grid.spec.ly / 2.0, grid.spec.lx / 6.0)]
     for k in range(opts.n_restarts):
@@ -642,22 +604,26 @@ def scalar_ground_state(
     best = None
     total_iters = 0
     for k, z0 in enumerate(starts):
-        w, energy_val, res, its, note = _scalar_descent(
-            z0, lam, params, fam, grid, opts, nonlin_coeff
+        (sample, res), its, note = _constrained_descent(
+            z0[None], fiber, energy, grid, opts, polish,
+            lambda out: _polish_rejection(out[1], opts),
         )
         total_iters += its
         if note is not None:
             warnings.append(f"start {k}: {note}")
-        if res <= opts.tol and (best is None or energy_val < best[1]):
-            best = (w, energy_val, res)
+        if res <= opts.tol:
+            energy_val = energy.value(sample)
+            if best is None or energy_val < best[1]:
+                best = (sample.x, energy_val, res)
+    total_iters += polish_its
     if best is None:
         raise NoConvergence(
             f"scalar solve (component {i}) did not reach tol from any start",
             iterations=total_iters,
         )
     w, energy_val, res = best
-    w = ScalarField(_sign_fix(w.values), grid.spec)
-    if not _is_nonnegative(w.values):
+    w = _sign_fix(w)[0]
+    if not _is_nonnegative(w):
         warnings.append("scalar output is sign-changing; not a ground state?")
     report = ScalarReport(
         energy=energy_val,
@@ -667,7 +633,7 @@ def scalar_ground_state(
         admissibility=verdict,
         warnings=tuple(warnings),
     )
-    return w, energy_val, report
+    return ScalarField(w, grid.spec), energy_val, report
 
 
 def _scalar_admissibility(lam, params, fam, mu1):
@@ -703,7 +669,7 @@ def scalar_levels(
 
 
 # ---------------------------------------------------------------------------
-# competitive regime (repulsive coupling)
+# systems: the shared start loop and report
 
 
 def _require_admissible(params, fam1, fam2, grid) -> float:
@@ -719,98 +685,57 @@ def _require_admissible(params, fam1, fam2, grid) -> float:
     return mu1
 
 
-def _pair_res_norm(g: StatePair, grid: Grid) -> float:
-    return math.sqrt(
-        grid.cell_area
-        * (float(np.sum(g.u1.values**2)) + float(np.sum(g.u2.values**2)))
-    )
+def _system_descent(y0, params, fam1, fam2, grid, opts, nu, sphere):
+    """Descent of the system energy on the constraint set from the pair
+    stack y0, plus Newton polish (`_constrained_descent`).
 
-
-def _system_descent(u0, params, fam1, fam2, grid, opts, mu1, nu, direction,
-                    trial):
-    """Descent of the system energy on the constraint set from the pair u0,
-    plus Newton polish.
-
-    A point is (pair, proj): a pair and its projection onto the
-    constraint set, which is the retraction.  `direction(x, g, grid)` is
-    the direction rule; `trial(x, d, a, grid)` gives the pair at step a
-    and the projection's warm start.  The coercivity bound is checked on the
-    start and on every accepted projection.  The handoff guard is that the
-    polish converged to a fully nontrivial state.  Returns ((state, res,
-    converged), descent iterations, note), with note as in
-    `_descend_and_polish`; raises NotProjectable when u0 is not
-    projectable.
+    The fiber is the projection onto the constraint set.  The coercivity
+    bound is checked on the start and on every accepted projection.  The
+    polish is `refine_solution`, and its guard is that the polish
+    converged to a fully nontrivial state.  Returns ((sample of the
+    polished state, res), descent iterations, note); raises
+    NotProjectable when y0 is not projectable.
     """
     proj_opts = opts.projection()
 
-    def project(pair, t_init=None):
+    def project(y, t_init):
         proj = project_to_nehari(
-            pair, params, fam1, fam2, grid, proj_opts, t_init=t_init
+            StatePair.from_stack(y, grid.spec), params, fam1, fam2, grid,
+            proj_opts, t_init=t_init,
         )
         if not proj.projectable:
             raise NotProjectable(proj.reason)
-        return (pair, proj), total_energy(proj.projected, params, fam1, fam2, grid)
-
-    def gradient(x):
-        g = euler_gradient(x[1].projected, params, fam1, fam2, grid)
-        return (g.u1.values, g.u2.values), _pair_res_norm(g, grid)
+        return (y, (proj.t.t1, proj.t.t2), proj.sample, proj.residual), proj.energy
 
     def check(x, energy_val):
         if opts.check_coercivity:
-            proj = x[1]
-            check_coercivity_bound(
-                energy_val, proj.projected, params, nu, mu1, grid, proj.residual
-            )
+            check_coercivity_bound(energy_val, x[2], params, nu, x[3])
 
     def polish(x):
-        return refine_solution(x[1].projected, params, fam1, fam2, grid, opts)
+        u, res, _converged = refine_solution(
+            StatePair.from_stack(x[2].x, grid.spec), params, fam1, fam2, grid, opts
+        )
+        return CellSample(u.stacked(), grid), res
 
     def reject(out):
-        u, res, _converged = out
-        if res <= opts.tol and not _fully_nontrivial(u, params, grid, opts):
+        sample, res = out
+        if res <= opts.tol and not _fully_nontrivial(sample, params, opts):
             return "semi-trivial state"
         return _polish_rejection(res, opts)
 
-    x, energy_val = project(u0)
-    check(x, energy_val)
-    return _descend_and_polish(
-        x, energy_val, gradient, lambda x, gs, memo: direction(x, gs, memo, grid),
-        lambda x, ds, a: project(*trial(x, ds, a, grid)), opts, polish,
-        reject, check,
+    return _constrained_descent(
+        y0, project, Energy.pair(params, fam1, fam2), grid, opts, polish, reject,
+        check, sphere,
     )
 
 
-def _sphere_direction(x, gs, memo, grid):
-    """Conjugate lift at the pair x[0], slopes weighted by the fiber t."""
-    v, proj = x
-    return _conjugate_lift(
-        gs, (v.u1.values, v.u2.values), (proj.t.t1, proj.t.t2), grid, memo
-    )
-
-
-def _sphere_trial(x, ds, a, grid):
-    """Step on the sphere product, warm-started at the current fiber t."""
-    v, proj = x
-    pair = StatePair(
-        ScalarField(_h1_normalize(v.u1.values + a * ds[0], grid), grid.spec),
-        ScalarField(_h1_normalize(v.u2.values + a * ds[1], grid), grid.spec),
-    )
-    return pair, (proj.t.t1, proj.t.t2)
-
-
-def _fully_nontrivial(u: StatePair, params, grid: Grid, opts) -> bool:
-    ints = _component_integrals(u, params, grid)
-    return all(pp > 1e3 * opts.tol for (_g, _q, pp) in ints)
-
-
-def _best_polished(starts, descend, keep, params, fam1, fam2, grid, opts,
-                   warnings):
+def _best_polished(starts, descend, keep, energy, opts, warnings):
     """Descend from every start and polish; the lowest-energy result.
 
     `descend(start)` returns what `_system_descent` does.  Returns (best,
     descent iterations, rejected starts): best is the lowest-energy
-    (state, energy) among polished states that reach tol and that
-    `keep(state)` accepts, or None.  A start whose descent raises is
+    (state, energy) among polished states that reach tol and whose
+    sample `keep` accepts, or None.  A start whose descent raises is
     rejected with a warning; a Newton handoff that fell back is noted in
     the warnings too.
     """
@@ -819,7 +744,7 @@ def _best_polished(starts, descend, keep, params, fam1, fam2, grid, opts,
     total_iters = n_failed = 0
     for k, start in enumerate(starts):
         try:
-            (u, res, _conv), its, note = descend(start)
+            (sample, res), its, note = descend(start)
         except (NotProjectable, DegenerateInput, NoConvergence) as exc:
             n_failed += 1
             warnings.append(f"start rejected: {exc}")
@@ -827,11 +752,11 @@ def _best_polished(starts, descend, keep, params, fam1, fam2, grid, opts,
         total_iters += its
         if note is not None:
             warnings.append(f"start {k}: {note}")
-        if res <= opts.tol and keep(u):
-            e = total_energy(u, params, fam1, fam2, grid)
+        if res <= opts.tol and keep(sample):
+            e = energy.value(sample)
             energies.append(e)
             if best is None or e < best[1]:
-                best = (u, e)
+                best = (sample.x, e)
     # distinct converged minimizers are reported, not resolved
     if len(energies) > 1:
         lo, hi = min(energies), max(energies)
@@ -844,7 +769,7 @@ def _best_polished(starts, descend, keep, params, fam1, fam2, grid, opts,
 
 
 def _finalize_system(
-    u: StatePair,
+    x: np.ndarray,
     params: ProblemParams,
     fam1: CoefficientFamily,
     fam2: CoefficientFamily,
@@ -856,38 +781,38 @@ def _finalize_system(
     L2: float,
     warnings: list[str],
 ) -> tuple[StatePair, SolveReport]:
-    u = StatePair(
-        ScalarField(_sign_fix(u.u1.values), grid.spec),
-        ScalarField(_sign_fix(u.u2.values), grid.spec),
-    )
-    energy_val = total_energy(u, params, fam1, fam2, grid)
-    g = euler_gradient(u, params, fam1, fam2, grid)
-    res_norm = _pair_res_norm(g, grid)
-    resid = nehari_residual(u, params, fam1, fam2, grid)
-    nu = min(fam1.nu, fam2.nu)
-    mu1 = conservative_mu1(grid)
+    """The sign-normalized pair of the stack x and its report."""
+    x = _sign_fix(x)
+    sample = CellSample(x, grid)
+    energy = Energy.pair(params, fam1, fam2)
+    energy_val = energy.value(sample)
+    r1, r2 = energy.residuals(sample)
 
-    nontrivial = _fully_nontrivial(u, params, grid, opts)
+    nontrivial = _fully_nontrivial(sample, params, opts)
     if params.beta <= 0.0 and nontrivial:
-        if not nehari_floors_hold(u, params, nu, mu1, grid):
+        nu = min(fam1.nu, fam2.nu)
+        if not nehari_floors_hold(sample, params, nu, conservative_mu1(grid)):
             nontrivial = False
             warnings.append("component floors violated; state treated as semi-trivial")
-    nonneg = _is_nonnegative(u.u1.values) and _is_nonnegative(u.u2.values)
 
     report = SolveReport(
         energy=energy_val,
         L1=L1,
         L2=L2,
         e_beta_estimate=energy_val,
-        euler_residual_norm=res_norm,
-        nehari_residual=resid,
+        euler_residual_norm=_vol_norm(energy.gradient(sample), grid),
+        nehari_residual=NehariResidual(float(r1), float(r2)),
         fully_nontrivial=nontrivial,
-        nonnegative=nonneg,
+        nonnegative=_is_nonnegative(x[0]) and _is_nonnegative(x[1]),
         iterations=iterations,
         regime=regime,
         warnings=tuple(warnings),
     )
-    return u, report
+    return StatePair.from_stack(x, grid.spec), report
+
+
+# ---------------------------------------------------------------------------
+# competitive regime (repulsive coupling)
 
 
 def competitive_least_energy(
@@ -914,7 +839,7 @@ def competitive_least_energy(
             f"beta = {params.beta:g} is in [-1, 0): projectability is only "
             "guaranteed below -1"
         )
-    mu1 = _require_admissible(params, fam1, fam2, grid)
+    _require_admissible(params, fam1, fam2, grid)
     nu = min(fam1.nu, fam2.nu)
 
     if scalar_data is None:
@@ -926,32 +851,20 @@ def competitive_least_energy(
     # symmetric data the mirror run is arithmetically identical, so skip it
     mirror = not symmetric_problem(params, fam1, fam2)
     left, right = segregated_pair(grid)
-    starts: list[StatePair] = []
-    if warm_start is not None:
-        starts.append(warm_start)
-    starts.append(StatePair(ScalarField(left, grid.spec), ScalarField(right, grid.spec)))
-    if mirror:
-        starts.append(
-            StatePair(ScalarField(right, grid.spec), ScalarField(left, grid.spec))
-        )
+    starts = [] if warm_start is None else [warm_start.stacked()]
+    pairs = [np.stack((left, right))]
     for k in range(opts.n_restarts):
         rng = _rng(opts.seed, 21, k)
-        f = _random_positive(grid, rng) * left
-        g_ = _random_positive(grid, rng) * right
-        starts.append(StatePair(ScalarField(f, grid.spec), ScalarField(g_, grid.spec)))
-        if mirror:
-            starts.append(
-                StatePair(ScalarField(g_, grid.spec), ScalarField(f, grid.spec))
-            )
-
-    def descend(start):
-        return _system_descent(
-            sphere_normalize(start, grid), params, fam1, fam2, grid, opts, mu1,
-            nu, _sphere_direction, _sphere_trial,
-        )
+        pairs.append(np.stack((
+            _random_positive(grid, rng) * left, _random_positive(grid, rng) * right
+        )))
+    for y in pairs:
+        starts += [y, y[::-1]] if mirror else [y]
 
     best, total_iters, n_failed = _best_polished(
-        starts, descend, lambda u: True, params, fam1, fam2, grid, opts, warnings
+        starts,
+        lambda y: _system_descent(y, params, fam1, fam2, grid, opts, nu, True),
+        lambda sample: True, Energy.pair(params, fam1, fam2), opts, warnings,
     )
     if best is None:
         raise NoConvergence(
@@ -966,24 +879,6 @@ def competitive_least_energy(
 
 # ---------------------------------------------------------------------------
 # cooperative regime (attractive coupling)
-
-
-def _riesz_direction(x, gs, memo, grid):
-    """Plain Riesz lift -r of both gradient components; keeps no memo."""
-    ds = [-_riesz(g, grid) for g in gs]
-    return ds, grid.cell_area * (
-        float(np.sum(gs[0] * ds[0])) + float(np.sum(gs[1] * ds[1]))
-    ), None
-
-
-def _rescale_trial(x, ds, a, grid):
-    """Step from the projected state, rescaled from t = (1, 1)."""
-    u = x[1].projected
-    pair = StatePair(
-        ScalarField(u.u1.values + a * ds[0], grid.spec),
-        ScalarField(u.u2.values + a * ds[1], grid.spec),
-    )
-    return pair, (1.0, 1.0)
 
 
 def diagonal_candidate(
@@ -1004,9 +899,8 @@ def diagonal_candidate(
     )
     if warnings is not None:
         warnings.extend(f"diagonal scalar problem: {note}" for note in rep.warnings)
-    pair = StatePair(w, w)
-    pp = integrate(np.abs(cell_values(w, grid)) ** params.p, grid)
-    return pair, pp
+    pp = integrate(np.abs(cell_values(w.values, grid)) ** params.p, grid)
+    return StatePair(w, w), pp
 
 
 def cooperative_least_energy(
@@ -1028,7 +922,7 @@ def cooperative_least_energy(
     if params.beta <= 0.0:
         raise InvalidParams(f"cooperative solver needs beta > 0, got {params.beta}")
     warnings = []
-    mu1 = _require_admissible(params, fam1, fam2, grid)
+    _require_admissible(params, fam1, fam2, grid)
     nu = min(fam1.nu, fam2.nu)
 
     if scalar_data is None:
@@ -1038,36 +932,25 @@ def cooperative_least_energy(
 
     symmetric = symmetric_problem(params, fam1, fam2)
     mirror = not symmetric
-    starts: list[StatePair] = []
-    if warm_start is not None:
-        starts.append(warm_start)
+    starts = [] if warm_start is None else [warm_start.stacked()]
     if symmetric:
         diag, _pp = diagonal_candidate(params, fam1, grid, opts, warnings)
-        starts.append(diag)
+        starts.append(diag.stacked())
     eps = 1e-2
-    starts.append(StatePair(z1, ScalarField(eps * z2.values, grid.spec)))
+    starts.append(np.stack((z1.values, eps * z2.values)))
     if mirror:
-        starts.append(StatePair(ScalarField(eps * z1.values, grid.spec), z2))
+        starts.append(np.stack((eps * z1.values, z2.values)))
     for k in range(opts.n_restarts):
         rng = _rng(opts.seed, 31, k)
-        f = _random_positive(grid, rng)
-        g_ = _random_positive(grid, rng)
-        starts.append(StatePair(ScalarField(f, grid.spec), ScalarField(g_, grid.spec)))
-        if mirror:
-            starts.append(
-                StatePair(ScalarField(g_, grid.spec), ScalarField(f, grid.spec))
-            )
-
-    def descend(start):
-        return _system_descent(
-            start, params, fam1, fam2, grid, opts, mu1, nu, _riesz_direction,
-            _rescale_trial,
-        )
+        y = np.stack((_random_positive(grid, rng), _random_positive(grid, rng)))
+        starts += [y, y[::-1]] if mirror else [y]
 
     # a state that collapsed to a semi-trivial one is not a candidate
     best, total_iters, _n_failed = _best_polished(
-        starts, descend, lambda u: _fully_nontrivial(u, params, grid, opts),
-        params, fam1, fam2, grid, opts, warnings,
+        starts,
+        lambda y: _system_descent(y, params, fam1, fam2, grid, opts, nu, False),
+        lambda sample: _fully_nontrivial(sample, params, opts),
+        Energy.pair(params, fam1, fam2), opts, warnings,
     )
     if best is None:
         raise NoFullyNontrivialCandidate(
@@ -1104,9 +987,9 @@ def decoupled_solution(
         z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
     else:
         z1, z2, L1, L2 = scalar_data
-    u = StatePair(z1, z2)
     return _finalize_system(
-        u, params, fam1, fam2, grid, opts, REGIME_DECOUPLED, 0, L1, L2, warnings,
+        np.stack((z1.values, z2.values)), params, fam1, fam2, grid, opts,
+        REGIME_DECOUPLED, 0, L1, L2, warnings,
     )
 
 

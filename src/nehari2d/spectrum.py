@@ -48,7 +48,8 @@ def make_poisson_solver(grid: Grid):
 
     The stencil diagonalizes in the discrete sine basis, so the solve is
     exact up to roundoff; used by inverse iteration and as the Riesz lift /
-    preconditioner in the descent solvers.
+    preconditioner in the descent solvers.  Leading axes of the right-hand
+    side are a batch: a (k, nx, ny) stack is solved component by component.
     """
     nx, ny = grid.shape
     kx = np.arange(1, nx + 1)
@@ -59,8 +60,8 @@ def make_poisson_solver(grid: Grid):
     norm = 4.0 * (nx + 1) * (ny + 1)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        bh = dstn(b, type=1)
-        return dstn(bh / denom, type=1) / norm
+        bh = dstn(b, type=1, axes=(-2, -1))
+        return dstn(bh / denom, type=1, axes=(-2, -1)) / norm
 
     return solve
 

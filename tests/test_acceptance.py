@@ -35,6 +35,7 @@ from nehari2d import (
     total_energy,
 )
 from nehari2d.coeffs import tabulated_family
+from nehari2d.energy import CellSample
 from nehari2d.fiber import critical_cell_count
 from nehari2d.solvers import (
     conservative_mu1,
@@ -162,7 +163,7 @@ def test_criterion_4_competitive_regime():
     assert rep.euler_residual_norm <= 1e-6
 
     mu1 = conservative_mu1(grid)
-    assert nehari_floors_hold(u, params, fam.nu, mu1, grid)
+    assert nehari_floors_hold(CellSample(u.stacked(), grid), params, fam.nu, mu1)
 
     p, gam = params.p, params.gamma
     gr = [G.integrate(G.grad_sq(c, grid), grid) for c in (u.u1, u.u2)]

@@ -18,11 +18,10 @@ from nehari2d import (
     total_energy,
 )
 from nehari2d.energy import (
+    CellSample,
+    Energy,
     coupling_hess_g,
-    pair_hessian,
     scale_state,
-    scalar_euler_gradient_c,
-    scalar_hessian_c,
     sgn_pow,
 )
 from nehari2d.errors import InvalidParams
@@ -32,6 +31,9 @@ from conftest import PROPERTY, positive_state, random_state, zero_field
 
 FAMILIES = (identity_family(), example_family(1.0), example_family(0.5))
 families = st.sampled_from(FAMILIES)
+core_families = st.sampled_from(
+    (identity_family(), example_family(0.5), example_family(1.3))
+)
 betas = st.sampled_from((-2.0, -0.5, 0.7, 3.0))
 exponents = st.sampled_from((3.0, 4.0))
 seeds = st.integers(0, 2**31)
@@ -125,12 +127,50 @@ class TestTotalEnergy:
             pytest.approx(total_energy(u, params, example1, example1, grid15),
                           rel=1e-13)
 
-    def test_semi_trivial_equals_scalar(self, grid15, example1):
-        params = ProblemParams(0.2, 0.0, -5.0, 4.0, 1.0)
-        z = random_state(grid15, seed=11).u1
-        u = StatePair(z, zero_field(grid15))
-        assert total_energy(u, params, example1, example1, grid15) == \
-            pytest.approx(scalar_energy(z, 1, params, example1, grid15), rel=1e-13)
+    @PROPERTY
+    @given(fam=core_families, beta=st.sampled_from((-2.0, 0.7)), p=exponents,
+           seed=seeds)
+    def test_semi_trivial_equals_scalar(self, grid7, fam, beta, p, seed):
+        # the one-component energy at z is the pair energy at (z, 0): in
+        # the value, the first gradient component and the Hessian product
+        # with (d, 0)
+        params = ProblemParams(0.2, -0.3, beta, p, 0.5)
+        rng = np.random.default_rng(seed)
+        z, d = rng.standard_normal((2, *grid7.shape))
+        zero = np.zeros(grid7.shape)
+        one = CellSample(z[None], grid7)
+        two = CellSample(np.stack((z, zero)), grid7)
+        scalar = Energy.scalar(params, params.lambda1, fam)
+        pair = Energy.pair(params, fam, fam)
+        assert scalar.value(one) == pytest.approx(pair.value(two), rel=1e-13)
+        g1, g2 = pair.gradient(two)
+        assert rel_err(scalar.gradient(one)[0], g1) < 1e-13
+        assert np.all(g2 == 0.0)
+        h1, _h2 = pair.hessian(two)(np.stack((d, zero)))
+        assert rel_err(scalar.hessian(one)(d[None])[0], h1) < 1e-13
+        assert scalar_energy(ScalarField(z, grid7.spec), 1, params, fam, grid7) == \
+            scalar.value(one)
+
+    @PROPERTY
+    @given(fam1=core_families, fam2=core_families,
+           beta=st.sampled_from((-2.0, 0.7)), p=exponents, seed=seeds,
+           t=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)))
+    def test_scaled_sample_equals_fresh_sample(self, grid7, fam1, fam2, beta, p,
+                                               seed, t):
+        # the stencils are linear: samples of x scaled by t serve for t x
+        params = ProblemParams(0.2, -0.3, beta, p, 0.5)
+        x = positive_state(grid7, seed).stacked()
+        scaled = CellSample(x, grid7).scaled(t)
+        fresh = CellSample(np.reshape(t, (2, 1, 1)) * x, grid7)
+        pair = Energy.pair(params, fam1, fam2)
+        # the size of the integrals that cancel in the energy and residuals
+        terms = grid7.cell_area * np.sum(np.abs(fresh.v) ** p + fresh.gsq)
+        assert abs(pair.value(scaled) - pair.value(fresh)) <= 1e-12 * terms
+        assert rel_err(pair.gradient(scaled), pair.gradient(fresh)) < 1e-12
+        np.testing.assert_allclose(
+            pair.residuals(scaled), pair.residuals(fresh), rtol=0.0,
+            atol=1e-12 * terms,
+        )
 
     def test_scalar_energy_hand_formula(self, grid31, identity):
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
@@ -222,7 +262,9 @@ class TestHessian:
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
         u = positive_state(grid7, seed)
         d1, d2 = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
-        h1, h2 = pair_hessian(u, params, fam1, fam2, grid7)(d1, d2)
+        h1, h2 = Energy.pair(params, fam1, fam2).hessian(
+            CellSample(u.stacked(), grid7)
+        )(np.stack((d1, d2)))
         eps = 1e-6
         gp = euler_gradient(shifted(u, d1, d2, eps), params, fam1, fam2, grid7)
         gm = euler_gradient(shifted(u, d1, d2, -eps), params, fam1, fam2, grid7)
@@ -233,14 +275,14 @@ class TestHessian:
     @PROPERTY
     @given(fam=families, p=exponents, c=st.floats(0.5, 3.0), seed=seeds)
     def test_scalar_matches_difference_of_gradient(self, grid7, fam, p, c, seed):
-        z = positive_state(grid7, seed).u1
-        d = np.random.default_rng(seed + 1).standard_normal(grid7.shape)
-        h = scalar_hessian_c(z, 0.4, p, fam, grid7, c)(d)
+        z = positive_state(grid7, seed).u1.values[None]
+        d = np.random.default_rng(seed + 1).standard_normal((1, *grid7.shape))
+        energy = Energy.scalar(ProblemParams(0.4, 0.4, 0.0, p, 0.5), 0.4, fam, c)
+        h = energy.hessian(CellSample(z, grid7))(d)
         eps = 1e-6
 
         def grad(s):
-            zs = ScalarField(z.values + s * d, z.spec)
-            return scalar_euler_gradient_c(zs, 0.4, p, fam, grid7, c).values
+            return energy.gradient(CellSample(z + s * d, grid7))
 
         assert rel_err(h, (grad(eps) - grad(-eps)) / (2 * eps)) < 1e-6
 
@@ -251,14 +293,16 @@ class TestHessian:
         u = positive_state(grid7, seed)
         d = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
         e = np.random.default_rng(seed + 2).standard_normal((2, *grid7.shape))
-        hess = pair_hessian(u, params, fam1, fam2, grid7)
-        hd, he = np.array(hess(*d)), np.array(hess(*e))
+        hess = Energy.pair(params, fam1, fam2).hessian(CellSample(u.stacked(), grid7))
+        hd, he = hess(d), hess(e)
         bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e)
         assert abs(np.sum(hd * e) - np.sum(d * he)) <= bound
-        shess = scalar_hessian_c(u.u1, 0.4, p, fam1, grid7, 1.0 + abs(beta))
-        hd, he = shess(d[0]), shess(e[0])
+        shess = Energy.scalar(params, 0.4, fam1, 1.0 + abs(beta)).hessian(
+            CellSample(u.u1.values[None], grid7)
+        )
+        hd, he = shess(d[:1]), shess(e[:1])
         bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e[0])
-        assert abs(np.sum(hd * e[0]) - np.sum(d[0] * he)) <= bound
+        assert abs(np.sum(hd * e[:1]) - np.sum(d[:1] * he)) <= bound
 
     def test_coupling_second_derivatives_zero_convention(self):
         # p = 3: |t1|^(p/2-2) has no value at t1 = 0, taken as 0 there;

@@ -17,6 +17,7 @@ from nehari2d import (
     fiber_gradient,
     fiber_value,
     identity_family,
+    nehari_residual,
     project_to_nehari,
     sphere_normalize,
     total_energy,
@@ -346,6 +347,34 @@ class TestProjection:
             deltas.append(math.hypot(r.t.t1 - base.t.t1, r.t.t2 - base.t.t2))
         assert deltas[1] < 0.2 * deltas[0]
         assert deltas[2] < 0.2 * deltas[1]
+
+    @PROPERTY
+    @given(
+        fams=st.sampled_from([(identity_family(), example_family(1.0)),
+                              (example_family(0.5), example_family(1.3))]),
+        beta=st.sampled_from((-2.0, 0.7)),
+        p=st.sampled_from((3.0, 4.0)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_reported_energy_and_residuals(self, grid7, fams, beta, p, seed):
+        # read from the fiber map at t, they are those of a fresh sample
+        params = ProblemParams(0.4, -0.3, beta, p, 0.5)
+        res = project_to_nehari(segregated_random_state(grid7, seed), params, *fams,
+                                grid7)
+        assert res.projectable
+        w = res.projected
+        energy = total_energy(w, params, *fams, grid7)
+        resid = nehari_residual(w, params, *fams, grid7)
+        # the size of the integrals that cancel in the energy and residuals
+        terms = sum(
+            G.integrate(G.grad_sq(c, grid7) + np.abs(G.cell_values(c, grid7)) ** p,
+                        grid7)
+            for c in (w.u1, w.u2)
+        )
+        assert abs(res.energy - energy) <= 1e-12 * terms
+        assert abs(res.residual.r1 - resid.r1) <= 1e-12 * terms
+        assert abs(res.residual.r2 - resid.r2) <= 1e-12 * terms
+        assert np.array_equal(res.sample.x, w.stacked())
 
     def test_attractive_rescale_matches_diagonal_root(self, grid15, identity):
         # symmetric state, beta > 0: rescale = scalar root with weight 1+beta

@@ -219,3 +219,24 @@ class TestFieldDump:
         a = G.integrate(G.grad_sq(f, grid31), grid31)
         b = G.integrate(G.grad_sq(g, grid31), grid31)
         assert b == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 15, 31, 63])
+def test_stacked_calls_equal_per_component_calls(n):
+    # a (2, nx, ny) stack is transformed, sampled and scattered component
+    # by component, bit for bit
+    grid = build_grid(GridSpec(n, n, 1.0, 1.0))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2, n, n))
+    w = rng.standard_normal((3, 2, n + 1, n + 1))
+    stacked = (
+        grid.poisson_solver(x), G.cell_values(x, grid), *G.cell_gradients(x, grid),
+        G.scatter_cells(grid, *w),
+    )
+    for i in range(2):
+        single = (
+            grid.poisson_solver(x[i]), G.cell_values(x[i], grid),
+            *G.cell_gradients(x[i], grid), G.scatter_cells(grid, *w[:, i]),
+        )
+        for a, b in zip(stacked, single):
+            assert a[i].shape == b.shape and np.array_equal(a[i], b)

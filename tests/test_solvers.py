@@ -21,6 +21,7 @@ from nehari2d import (
     scalar_ground_state,
 )
 from nehari2d.coeffs import tabulated_family
+from nehari2d.energy import CellSample, Energy
 from nehari2d.errors import (
     DegenerateInput,
     InadmissibleLambda,
@@ -36,6 +37,7 @@ from nehari2d.solvers import (
     nehari_floors_hold,
     scalar_levels,
 )
+from nehari2d.fiber import h1_normalize
 from oracles import semilinear_ground_level
 
 from conftest import zero_field
@@ -263,24 +265,22 @@ class TestDescentDriver:
         w = 1.0 + 100.0 * X * Y
 
         def energy(v):
-            vg = G.cell_gradients_of(v, grid)
-            return 0.5 * grid.cell_area * float(np.sum(w * v * v)) / S._grad_inner(
-                vg, vg, grid
-            )
+            vg = G.cell_gradients(v, grid)
+            return 0.5 * float(np.sum(w * v * v)) / float(np.sum(vg[0]**2 + vg[1]**2))
 
         def gradient(v):
-            vg = G.cell_gradients_of(v, grid)
+            vg = G.cell_gradients(v, grid)
             g = w * v - 2.0 * energy(v) * G.scatter_cells(grid, None, *vg)
-            return [g], S._vol_norm(g, grid)
+            return g, S._vol_norm(g, grid)
 
-        def retract(v, ds, a):
-            y = S._h1_normalize(v + a * ds[0], grid)
+        def retract(v, d, a):
+            y = h1_normalize(v + a * d, grid)
             return y, energy(y)
 
-        def rule(v, gs, memo):
-            return S._conjugate_lift(gs, [v], [1.0], grid, memo)
+        def rule(v, g, memo):
+            return S._conjugate_lift(g, CellSample(v, grid), [1.0], grid, memo)
 
-        v0 = S._h1_normalize(np.ones(grid.shape), grid)
+        v0 = h1_normalize(np.ones((1, *grid.shape)), grid)
         return v0, energy(v0), gradient, rule, retract
 
     def test_conjugate_rule_beats_plain_lift(self, grid7):
@@ -302,16 +302,16 @@ class TestDescentDriver:
 
     def test_non_descent_conjugate_direction_restarts(self, grid7):
         v0, _e, gradient, rule, _r = self.sphere_problem(grid7)
-        gs, _res = gradient(v0)
-        ds, slope, memo = rule(v0, gs, None)
-        _pgs, gpg, _d = memo
+        g, _res = gradient(v0)
+        d, slope, memo = rule(v0, g, None)
+        _pg, gpg, _d = memo
         assert slope == -gpg < 0.0
         # beta_PR = beta_FR = 2 on the old direction +pg: d = -pg + 2 pg
         # climbs, so the rule restarts from -pg
-        ascent = ([np.zeros(grid7.shape)], 0.5 * gpg, [-ds[0]])
-        ds2, slope2, memo2 = rule(v0, gs, ascent)
-        assert np.array_equal(ds2[0], ds[0]) and slope2 == slope
-        assert np.array_equal(memo2[2][0], ds[0])
+        ascent = (np.zeros_like(v0), 0.5 * gpg, -d)
+        d2, slope2, memo2 = rule(v0, g, ascent)
+        assert np.array_equal(d2, d) and slope2 == slope
+        assert np.array_equal(memo2[2], d)
 
     def test_every_descent_starts_without_memory(self, grid7):
         opts = SolverOptions(tol=1e-6)
@@ -336,6 +336,57 @@ class TestDescentDriver:
         assert len(memos) == its - 2
         fresh = [k for k, memo in enumerate(memos) if memo is None]
         assert fresh == [0, polished_at[0]]
+
+
+def count_stencils(monkeypatch):
+    """Count cell samplings by every module, a (k, nx, ny) stack as k."""
+    import nehari2d.energy as E
+    import nehari2d.fiber as F
+
+    counts = {"values": 0, "gradients": 0}
+    for name, key in (("cell_values", "values"), ("cell_gradients", "gradients")):
+        stencil = getattr(G, name)
+
+        def counted(x, grid, stencil=stencil, key=key):
+            counts[key] += int(np.prod(np.shape(x)[:-2]))
+            return stencil(x, grid)
+
+        for module in (G, E, F, S):
+            if getattr(module, name, None) is stencil:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestOneSamplePerState:
+    def test_sphere_product_trial(self, monkeypatch, grid15, example1):
+        # the descent's own callbacks, taken from one competitive start
+        captured = {}
+
+        def capture(x, e, gradient, direction, retract, opts, polish, reject,
+                    check=None):
+            captured.update(x=x, gradient=gradient, direction=direction,
+                            retract=retract, check=check)
+            return (None, math.inf), 0, None
+
+        monkeypatch.setattr(S, "_descend_and_polish", capture)
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        S._system_descent(np.stack(S.segregated_pair(grid15)), params, example1,
+                          example1, grid15, SolverOptions(), example1.nu, True)
+        x = captured["x"]
+        g, _res = captured["gradient"](x)
+        d, _slope, _memo = captured["direction"](x, g, None)
+
+        counts = count_stencils(monkeypatch)
+        # normalization samples gradients, project_to_nehari samples the
+        # normalized pair once, and its energy comes from the fiber map
+        x_try, e_try = captured["retract"](x, d, 0.01)
+        assert counts == {"values": 2, "gradients": 4}
+        # the accepted state's checks and gradient read the same sample
+        captured["check"](x_try, e_try)
+        captured["gradient"](x_try)
+        assert counts == {"values": 2, "gradients": 4}
+        energy = S.Energy.pair(params, example1, example1)
+        assert e_try == pytest.approx(energy.value(x_try[2]), rel=1e-14)
 
 
 class TestZeroMaxIter:
@@ -379,9 +430,8 @@ class TestNewtonHandoff:
         _z, L_fb, rep_fb = scalar_ground_state(1, params_p4, identity, grid7, opts)
 
         def residual(x):
-            fld = ScalarField(x.reshape(grid7.shape), grid7.spec)
-            g = S.scalar_euler_gradient_c(fld, 0.0, params_p4.p, identity, grid7)
-            return S._vol_norm(g.values, grid7)
+            energy = Energy.scalar(params_p4, 0.0, identity)
+            return S._vol_norm(energy.gradient(CellSample(x, grid7)), grid7)
 
         # handed off at residual <= 1e-2, polished again after more descent
         assert len(starts) == 2
@@ -556,7 +606,8 @@ class TestCompetitive:
     def test_floors_hold(self, solved, grid31, example1):
         params, u, _rep = solved
         mu1 = conservative_mu1(grid31)
-        assert nehari_floors_hold(u, params, example1.nu, mu1, grid31)
+        sample = CellSample(u.stacked(), grid31)
+        assert nehari_floors_hold(sample, params, example1.nu, mu1)
 
     def test_coercivity_bound_at_output(self, solved, grid31, example1):
         params, u, rep = solved
@@ -667,10 +718,9 @@ class TestSemiTrivialGuard:
         from nehari2d.solvers import _finalize_system
 
         grid, params, z, L, _rep = scalar15
-        tiny = ScalarField(1e-9 * z.values, grid.spec)
         _u, rep = _finalize_system(
-            StatePair(z, tiny), params, identity, identity, grid, fast_opts,
-            "decoupled", 0, L, L, [],
+            np.stack((z.values, 1e-9 * z.values)), params, identity, identity, grid,
+            fast_opts, "decoupled", 0, L, L, [],
         )
         assert not rep.fully_nontrivial
 
@@ -690,8 +740,8 @@ class TestCoercivityGuard:
         fake_energy = -1e6  # far below any admissible constrained level
         with pytest.raises(CoercivityViolation):
             check_coercivity_bound(
-                fake_energy, u, params, identity.nu, conservative_mu1(grid15),
-                grid15, NehariResidual(0.0, 0.0),
+                fake_energy, CellSample(u.stacked(), grid15), params, identity.nu,
+                NehariResidual(0.0, 0.0),
             )
 
 
