@@ -16,8 +16,9 @@ that polish fails its guard.
 
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
-Each descent state is sampled onto cells once, and its energy, gradient
-and checks read that sample.
+The energy, gradient, checks and direction rule of an accepted descent
+state read one cell sample of it: for a pair the projection's, for a
+field the sample of its rescaled state.
 
 Determinism: every random draw flows from the seed in SolverOptions, and
 asymmetric candidates are explored in both component orders so that
