@@ -32,7 +32,6 @@ from .energy import (
 )
 from .fiber import (
     FiberPoint,
-    ProjectionOptions,
     ProjectionResult,
     fiber_gradient,
     fiber_value,
@@ -73,7 +72,6 @@ __all__ = [
     "GridSpec",
     "NehariResidual",
     "ProblemParams",
-    "ProjectionOptions",
     "ProjectionResult",
     "ScalarField",
     "SolveReport",

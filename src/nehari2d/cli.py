@@ -10,7 +10,7 @@ Configs are line-oriented `key = value` documents with dotted sections:
     family1.gamma = 1.0
 
 Unknown keys are errors.  Every CSV written carries a provenance header
-(config hash, seed, grid, tolerances) as comment lines.  All randomness
+(config hash, seed, grid, tol) as comment lines.  All randomness
 flows from the single seed in the config; there is no wall-clock entropy.
 """
 
@@ -39,11 +39,9 @@ from .solvers import (
     SolverOptions,
     SweepRow,
     beta_sweep,
-    competitive_least_energy,
     conservative_mu1,
-    cooperative_least_energy,
-    decoupled_solution,
     scalar_ground_state,
+    solve_system,
     symmetric_problem,
 )
 from .spectrum import strong_threshold
@@ -90,21 +88,12 @@ class RunConfig:
     beta_list: tuple[float, ...] = ()
 
 
-# key -> (section object name, attribute, converter)
-def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     items = [s for s in text.replace(",", " ").split() if s]
     return tuple(float(s) for s in items)
 
 
+# key -> (section object name, attribute, converter)
 _KEYS = {
     "grid.nx": ("grid", "nx", int),
     "grid.ny": ("grid", "ny", int),
@@ -120,24 +109,20 @@ _KEYS = {
     "family2.kind": ("family2", "kind", str),
     "family2.gamma": ("family2", "gamma", float),
     "solver.tol": ("solver", "tol", float),
-    "solver.nehari_tol": ("solver", "nehari_tol", float),
     "solver.max_iter": ("solver", "max_iter", int),
     "solver.n_restarts": ("solver", "n_restarts", int),
     "solver.seed": ("solver", "seed", int),
-    "solver.armijo": ("solver", "armijo", float),
-    "solver.stagnation_tol": ("solver", "stagnation_tol", float),
-    "solver.stagnation_window": ("solver", "stagnation_window", int),
-    "solver.scan_t_min": ("solver", "scan_t_min", float),
-    "solver.scan_t_max": ("solver", "scan_t_max", float),
-    "solver.scan_n": ("solver", "scan_n", int),
-    "solver.polish_max_iter": ("solver", "polish_max_iter", int),
-    "solver.polish_inner_iter": ("solver", "polish_inner_iter", int),
-    "solver.check_coercivity": ("solver", "check_coercivity", _bool),
     "certify.s_min": ("", "certify_s_min", float),
     "certify.s_max": ("", "certify_s_max", float),
     "certify.n_samples": ("", "certify_n_samples", int),
     "sweep.betas": ("", "beta_list", _float_list),
 }
+
+
+def _checked_solver(solver: SolverOptions) -> SolverOptions:
+    if solver.seed < 0:
+        raise ValidationError("solver.seed", "must be nonnegative")
+    return solver
 
 
 def parse_config(text: str) -> RunConfig:
@@ -189,9 +174,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(f"{name}.kind", f"unknown kind {fam.kind!r}")
         if fam.gamma <= 0.0:
             raise ValidationError(f"{name}.gamma", "must be positive")
-    solver = replace(defaults.solver, **sections["solver"])
-    if solver.seed < 0:
-        raise ValidationError("solver.seed", "must be nonnegative")
+    solver = _checked_solver(replace(defaults.solver, **sections["solver"]))
     top = sections[""]
     cfg = RunConfig(
         grid=grid,
@@ -228,8 +211,6 @@ def serialize_config(cfg: RunConfig) -> str:
             if not value:
                 continue
             text = " ".join(f"{v:.17g}" for v in value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         elif isinstance(value, float):
             text = f"{value:.17g}"
         else:
@@ -248,7 +229,7 @@ def provenance_lines(cfg: RunConfig) -> list[str]:
         f"# config_sha256 = {config_digest(cfg)}",
         f"# seed = {cfg.solver.seed}",
         f"# grid = {g.nx}x{g.ny} on {g.lx:g}x{g.ly:g}",
-        f"# tol = {cfg.solver.tol:g}  nehari_tol = {cfg.solver.nehari_tol:g}",
+        f"# tol = {cfg.solver.tol:g}",
     ]
 
 
@@ -351,16 +332,10 @@ def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> int:
 def _cmd_solve_system(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.grid)
     fam1, fam2 = cfg.family1.build(), cfg.family2.build()
-    beta = cfg.params.beta
-    if beta < 0.0:
-        u, rep = competitive_least_energy(cfg.params, fam1, fam2, grid, cfg.solver)
-    elif beta > 0.0:
-        u, rep = cooperative_least_energy(cfg.params, fam1, fam2, grid, cfg.solver)
-    else:
-        u, rep = decoupled_solution(cfg.params, fam1, fam2, grid, cfg.solver)
+    u, rep = solve_system(cfg.params, fam1, fam2, grid, cfg.solver)
     dump_field(u.u1, grid, out / "u1.field")
     dump_field(u.u2, grid, out / "u2.field")
-    row = sweep_row_csv(SweepRow(beta=beta, status="ok", report=rep))
+    row = sweep_row_csv(SweepRow(beta=cfg.params.beta, status="ok", report=rep))
     _write_csv(out / "system.csv", cfg, SWEEP_HEADER, [row])
     _print_warnings(rep.warnings)
     return EXIT_OK
@@ -450,11 +425,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         cfg = parse_config(text)
+        if args.seed is not None:
+            solver = _checked_solver(replace(cfg.solver, seed=args.seed))
+            cfg = replace(cfg, solver=solver)
     except (ParseError, ValidationError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
     return run(args.command, cfg, args.out)
 
 

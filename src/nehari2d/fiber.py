@@ -65,15 +65,6 @@ class FiberPoint:
 
 
 @dataclass(frozen=True)
-class ProjectionOptions:
-    t_min: float = 1e-3
-    t_max: float = 1e3
-    n_scan: int = 64
-    tol: float = 1e-10
-    max_iter: int = 100
-
-
-@dataclass(frozen=True)
 class ProjectionResult:
     """A projection onto the constraint set.
 
@@ -384,7 +375,13 @@ def _axis_root(ev: FiberEvaluator, k: int) -> float:
     return ev.axis_root(k, _closed_form_root(quad0, ev.pp[k], ev.params.p))
 
 
-def _newton_root(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
+# Newton on the fiber gradient stops at this gradient tolerance, relative
+# to 1 + |h|, or fails after this many steps
+_FIBER_TOL = 1e-10
+_FIBER_MAX_ITER = 100
+
+
+def _newton_root(ev: FiberEvaluator, t: np.ndarray):
     """Damped Newton for a zero of the fiber gradient (beta > 0 rescale).
 
     With attractive coupling the fully nontrivial critical point is a
@@ -393,9 +390,9 @@ def _newton_root(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
     """
     g, J = ev.grad_and_jacobian(t[0], t[1])
     merit = float(np.max(np.abs(g)))
-    for _ in range(opts.max_iter):
+    for _ in range(_FIBER_MAX_ITER):
         h = ev.value(t[0], t[1])
-        if merit <= opts.tol * (abs(h) + 1.0):
+        if merit <= _FIBER_TOL * (abs(h) + 1.0):
             trial = t + _solve_2x2(J, g, t)
             if np.all(trial > 0.0) and np.all(np.isfinite(trial)):
                 g_trial, J_trial = ev.grad_and_jacobian(trial[0], trial[1])
@@ -420,9 +417,7 @@ def _newton_root(ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions):
     return t, False
 
 
-def _newton_polish(
-    ev: FiberEvaluator, t: np.ndarray, opts: ProjectionOptions, warm: bool
-):
+def _newton_polish(ev: FiberEvaluator, t: np.ndarray, warm: bool):
     """Damped Newton on the fiber gradient, maximizing h along the way.
 
     Where the Newton step is not an ascent direction (h is not concave
@@ -432,9 +427,9 @@ def _newton_polish(
     ascent step instead.
     """
     h = ev.value(t[0], t[1])
-    for it in range(opts.max_iter):
+    for _ in range(_FIBER_MAX_ITER):
         g, J = ev.grad_and_jacobian(t[0], t[1])
-        if np.max(np.abs(g)) <= opts.tol * (abs(h) + 1.0):
+        if np.max(np.abs(g)) <= _FIBER_TOL * (abs(h) + 1.0):
             # one extra quadratic step sharpens t well past the gradient tol
             trial = t + _solve_2x2(J, g, t)
             if np.all(trial > 0.0) and np.all(np.isfinite(trial)):
@@ -462,13 +457,20 @@ def _newton_polish(
                     break
             scale *= 0.5
         if not accepted:
-            return t, _stationary(ev, t, h, 10.0 * opts.tol)
-    return t, _stationary(ev, t, h, opts.tol)
+            return t, _stationary(ev, t, h, 10.0 * _FIBER_TOL)
+    return t, _stationary(ev, t, h, _FIBER_TOL)
 
 
 def _stationary(ev: FiberEvaluator, t: np.ndarray, h: float, tol: float) -> bool:
     g = np.array(ev.grad(t[0], t[1]))
     return bool(np.max(np.abs(g)) <= tol * (abs(h) + 1.0))
+
+
+# the coarse scan for beta <= 0: _SCAN_N log-spaced t per axis over
+# [_SCAN_T_MIN, _SCAN_T_MAX]
+_SCAN_T_MIN = 1e-3
+_SCAN_T_MAX = 1e3
+_SCAN_N = 64
 
 
 def project_to_nehari(
@@ -477,7 +479,7 @@ def project_to_nehari(
     fam1: CoefficientFamily,
     fam2: CoefficientFamily,
     grid: Grid,
-    opts: ProjectionOptions = ProjectionOptions(),
+    *,
     t_init: tuple[float, float] | None = None,
 ) -> ProjectionResult:
     """Rescale u onto the constraint set via its fiber maximizer.
@@ -504,7 +506,7 @@ def project_to_nehari(
             t0 = np.asarray(t_init, dtype=float)
         else:
             t0 = np.array([_axis_root(ev, 0), _axis_root(ev, 1)])
-        t, converged = _newton_root(ev, t0, opts)
+        t, converged = _newton_root(ev, t0)
         if not converged:
             return ProjectionResult(
                 status=STATUS_NOT_PROJECTABLE,
@@ -514,17 +516,17 @@ def project_to_nehari(
         t = None
         if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
             t_warm, converged = _newton_polish(
-                ev, np.asarray(t_init, dtype=float), opts, warm=True
+                ev, np.asarray(t_init, dtype=float), warm=True
             )
             if converged:
                 t = t_warm
         if t is None:
-            lo, hi = opts.t_min, opts.t_max
+            lo, hi = _SCAN_T_MIN, _SCAN_T_MAX
             for attempt in range(2):
-                taus = np.logspace(math.log10(lo), math.log10(hi), opts.n_scan)
+                taus = np.logspace(math.log10(lo), math.log10(hi), _SCAN_N)
                 H = ev.value_grid(taus, taus)
                 k1, k2 = np.unravel_index(int(np.argmax(H)), H.shape)
-                on_border = k1 in (0, opts.n_scan - 1) or k2 in (0, opts.n_scan - 1)
+                on_border = k1 in (0, _SCAN_N - 1) or k2 in (0, _SCAN_N - 1)
                 if not on_border:
                     break
                 lo, hi = lo / 10.0, hi * 10.0
@@ -535,11 +537,11 @@ def project_to_nehari(
                 )
 
             t0 = np.array([taus[k1], taus[k2]])
-            t, converged = _newton_polish(ev, t0, opts, warm=False)
+            t, converged = _newton_polish(ev, t0, warm=False)
             if not converged:
                 raise NoConvergence(
                     f"fiber Newton stalled at t = ({t[0]:.6g}, {t[1]:.6g})",
-                    iterations=opts.max_iter,
+                    iterations=_FIBER_MAX_ITER,
                 )
     t1, t2 = float(t[0]), float(t[1])
     g1, g2 = ev.grad(t1, t2)

@@ -50,12 +50,7 @@ from .errors import (
     NoFullyNontrivialCandidate,
     NotProjectable,
 )
-from .fiber import (
-    ProjectionOptions,
-    h1_normalize,
-    project_to_nehari,
-    scalar_fiber_root,
-)
+from .fiber import h1_normalize, project_to_nehari, scalar_fiber_root
 from .grid import (
     Grid,
     ScalarField,
@@ -80,27 +75,9 @@ REGIME_DECOUPLED = "decoupled"
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8              # Euler residual target, function-space l2 norm
-    nehari_tol: float = 1e-10      # fiber rescale tolerance (relative)
     max_iter: int = 2000
     n_restarts: int = 2            # random starts; each explored in both orders
     seed: int = 0
-    armijo: float = 1e-4
-    stagnation_tol: float = 1e-12
-    stagnation_window: int = 20
-    scan_t_min: float = 1e-3
-    scan_t_max: float = 1e3
-    scan_n: int = 64
-    polish_max_iter: int = 60
-    polish_inner_iter: int = 400
-    check_coercivity: bool = True
-
-    def projection(self) -> ProjectionOptions:
-        return ProjectionOptions(
-            t_min=self.scan_t_min,
-            t_max=self.scan_t_max,
-            n_scan=self.scan_n,
-            tol=self.nehari_tol,
-        )
 
 
 @dataclass(frozen=True)
@@ -245,6 +222,12 @@ def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
 # ---------------------------------------------------------------------------
 # the descent driver
 
+# Armijo sufficient-decrease constant, and the stagnation stop: the energy
+# fell by no more than _STAGNATION_TOL (relative) over _STAGNATION_WINDOW steps
+_ARMIJO = 1e-4
+_STAGNATION_TOL = 1e-12
+_STAGNATION_WINDOW = 20
+
 
 def _descend(x, energy_val, gradient, direction, retract, opts, stop,
              check=None):
@@ -262,7 +245,7 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
     The first trial step is a = 1, each later one twice the last accepted
     step (at most 1e3); a is halved up to 50 times.  Stops when
     res <= stop, when no step passes the Armijo test, when the energy
-    fell by no more than stagnation_tol over the last stagnation_window
+    fell by no more than _STAGNATION_TOL over the last _STAGNATION_WINDOW
     steps, or after max_iter gradients.  Returns (x, energy, res,
     iterations), with res the last residual computed (inf if none was);
     res <= stop exactly when the residual test ended the descent.
@@ -284,7 +267,7 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
             except (DegenerateInput, NoConvergence, NotProjectable):
                 a *= 0.5
                 continue
-            if e_try <= energy_val + opts.armijo * a * slope:
+            if e_try <= energy_val + _ARMIJO * a * slope:
                 break
             a *= 0.5
         else:
@@ -294,9 +277,9 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
             check(x, energy_val)
         alpha = min(a * 2.0, 1e3)
         history.append(energy_val)
-        if len(history) > opts.stagnation_window and (
-            history[-opts.stagnation_window - 1] - energy_val
-            <= opts.stagnation_tol * (1.0 + abs(energy_val))
+        if len(history) > _STAGNATION_WINDOW and (
+            history[-_STAGNATION_WINDOW - 1] - energy_val
+            <= _STAGNATION_TOL * (1.0 + abs(energy_val))
         ):
             break
     return x, energy_val, res, it
@@ -437,8 +420,51 @@ def _constrained_descent(y0, fiber, energy, grid, opts, polish, reject,
     )
 
 
+def _best_polished(starts, descend, keep, energy, opts, warnings):
+    """Descend from every start and polish; the lowest-energy result.
+
+    `descend(start)` returns what `_constrained_descent` does, with the
+    polished result (sample, res).  Returns (best, descent iterations,
+    rejected starts): best is the lowest-energy (state, energy, res)
+    among polished states that reach tol and whose sample `keep`
+    accepts, or None.  A start whose descent raises is rejected with a
+    warning; a Newton handoff that fell back is noted in the warnings too.
+    """
+    best = None
+    energies = []
+    total_iters = n_failed = 0
+    for k, start in enumerate(starts):
+        try:
+            (sample, res), its, note = descend(start)
+        except (NotProjectable, DegenerateInput, NoConvergence) as exc:
+            n_failed += 1
+            warnings.append(f"start rejected: {exc}")
+            continue
+        total_iters += its
+        if note is not None:
+            warnings.append(f"start {k}: {note}")
+        if res <= opts.tol and keep(sample):
+            e = energy.value(sample)
+            energies.append(e)
+            if best is None or e < best[1]:
+                best = (sample.x, e, res)
+    # distinct converged minimizers are reported, not resolved
+    if len(energies) > 1:
+        lo, hi = min(energies), max(energies)
+        if hi - lo > 1e-8 * (1.0 + abs(lo)):
+            warnings.append(
+                f"{len(energies)} converged candidates span energies "
+                f"[{lo:.10g}, {hi:.10g}]; reporting the lowest"
+            )
+    return best, total_iters, n_failed
+
+
 # ---------------------------------------------------------------------------
 # Newton-Krylov polish on the exact gradient
+
+# at most this many Newton steps, each with at most this many MINRES iterations
+_POLISH_MAX_ITER = 60
+_POLISH_INNER_ITER = 400
 
 
 def _newton_krylov_polish(
@@ -477,7 +503,7 @@ def _newton_krylov_polish(
     res = float(np.linalg.norm(g)) * scale
     energy_val = energy_fn(x)
     its = 0
-    for its in range(1, opts.polish_max_iter + 1):
+    for its in range(1, _POLISH_MAX_ITER + 1):
         if res <= 1e-2 * tol:
             return x, res, True, its - 1
         hess = hess_fn(x)
@@ -485,7 +511,7 @@ def _newton_krylov_polish(
             (n, n), matvec=lambda d: hess(d.reshape(shape)).ravel(), dtype=float
         )
         step, _info = minres(
-            op, -g.ravel(), rtol=1e-6, maxiter=opts.polish_inner_iter, M=M
+            op, -g.ravel(), rtol=1e-6, maxiter=_POLISH_INNER_ITER, M=M
         )
         step = step.reshape(shape)
         if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) == 0.0:
@@ -602,20 +628,14 @@ def scalar_ground_state(
     for k in range(opts.n_restarts):
         starts.append(_random_positive(grid, _rng(opts.seed, 11, i, k)))
 
-    best = None
-    total_iters = 0
-    for k, z0 in enumerate(starts):
-        (sample, res), its, note = _constrained_descent(
+    best, total_iters, _n_failed = _best_polished(
+        starts,
+        lambda z0: _constrained_descent(
             z0[None], fiber, energy, grid, opts, polish,
             lambda out: _polish_rejection(out[1], opts),
-        )
-        total_iters += its
-        if note is not None:
-            warnings.append(f"start {k}: {note}")
-        if res <= opts.tol:
-            energy_val = energy.value(sample)
-            if best is None or energy_val < best[1]:
-                best = (sample.x, energy_val, res)
+        ),
+        lambda sample: True, energy, opts, warnings,
+    )
     total_iters += polish_its
     if best is None:
         raise NoConvergence(
@@ -670,7 +690,7 @@ def scalar_levels(
 
 
 # ---------------------------------------------------------------------------
-# systems: the shared start loop and report
+# systems: admissibility, descent and report
 
 
 def _require_admissible(params, fam1, fam2, grid) -> float:
@@ -697,20 +717,17 @@ def _system_descent(y0, params, fam1, fam2, grid, opts, nu, sphere):
     polished state, res), descent iterations, note); raises
     NotProjectable when y0 is not projectable.
     """
-    proj_opts = opts.projection()
-
     def project(y, t_init):
         proj = project_to_nehari(
             StatePair.from_stack(y, grid.spec), params, fam1, fam2, grid,
-            proj_opts, t_init=t_init,
+            t_init=t_init,
         )
         if not proj.projectable:
             raise NotProjectable(proj.reason)
         return (y, (proj.t.t1, proj.t.t2), proj.sample, proj.residual), proj.energy
 
     def check(x, energy_val):
-        if opts.check_coercivity:
-            check_coercivity_bound(energy_val, x[2], params, nu, x[3])
+        check_coercivity_bound(energy_val, x[2], params, nu, x[3])
 
     def polish(x):
         u, res, _converged = refine_solution(
@@ -728,45 +745,6 @@ def _system_descent(y0, params, fam1, fam2, grid, opts, nu, sphere):
         y0, project, Energy.pair(params, fam1, fam2), grid, opts, polish, reject,
         check, sphere,
     )
-
-
-def _best_polished(starts, descend, keep, energy, opts, warnings):
-    """Descend from every start and polish; the lowest-energy result.
-
-    `descend(start)` returns what `_system_descent` does.  Returns (best,
-    descent iterations, rejected starts): best is the lowest-energy
-    (state, energy) among polished states that reach tol and whose
-    sample `keep` accepts, or None.  A start whose descent raises is
-    rejected with a warning; a Newton handoff that fell back is noted in
-    the warnings too.
-    """
-    best = None
-    energies = []
-    total_iters = n_failed = 0
-    for k, start in enumerate(starts):
-        try:
-            (sample, res), its, note = descend(start)
-        except (NotProjectable, DegenerateInput, NoConvergence) as exc:
-            n_failed += 1
-            warnings.append(f"start rejected: {exc}")
-            continue
-        total_iters += its
-        if note is not None:
-            warnings.append(f"start {k}: {note}")
-        if res <= opts.tol and keep(sample):
-            e = energy.value(sample)
-            energies.append(e)
-            if best is None or e < best[1]:
-                best = (sample.x, e)
-    # distinct converged minimizers are reported, not resolved
-    if len(energies) > 1:
-        lo, hi = min(energies), max(energies)
-        if hi - lo > 1e-8 * (1.0 + abs(lo)):
-            warnings.append(
-                f"{len(energies)} converged candidates span energies "
-                f"[{lo:.10g}, {hi:.10g}]; reporting the lowest"
-            )
-    return best, total_iters, n_failed
 
 
 def _finalize_system(
@@ -994,6 +972,26 @@ def decoupled_solution(
     )
 
 
+def solve_system(
+    params: ProblemParams,
+    fam1: CoefficientFamily,
+    fam2: CoefficientFamily,
+    grid: Grid,
+    opts: SolverOptions = SolverOptions(),
+    scalar_data=None,
+    warm_start: StatePair | None = None,
+) -> tuple[StatePair, SolveReport]:
+    """The least energy state by the solver for the sign of beta:
+    competitive below 0, cooperative above, decoupled at 0 (which has no
+    use for `warm_start`)."""
+    args = (params, fam1, fam2, grid, opts, scalar_data)
+    if params.beta < 0.0:
+        return competitive_least_energy(*args, warm_start)
+    if params.beta > 0.0:
+        return cooperative_least_energy(*args, warm_start)
+    return decoupled_solution(*args)
+
+
 # solver failures a sweep records as an error row; anything else is a bug
 _ROW_ERRORS = (
     CoercivityViolation,
@@ -1038,18 +1036,7 @@ def beta_sweep(
             continue
         p = replace(params, beta=float(beta))
         try:
-            if beta < 0.0:
-                u, rep = competitive_least_energy(
-                    p, fam1, fam2, grid, opts, scalar_data=scalars, warm_start=warm
-                )
-            elif beta > 0.0:
-                u, rep = cooperative_least_energy(
-                    p, fam1, fam2, grid, opts, scalar_data=scalars, warm_start=warm
-                )
-            else:
-                u, rep = decoupled_solution(
-                    p, fam1, fam2, grid, opts, scalar_data=scalars
-                )
+            u, rep = solve_system(p, fam1, fam2, grid, opts, scalars, warm)
             warm = u
             rep = replace(rep, warnings=(*scalar_warnings, *rep.warnings))
             rows.append(SweepRow(beta=float(beta), status="ok", report=rep))

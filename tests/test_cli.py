@@ -91,6 +91,21 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config("family1.kind = sombrero\n")
 
+    @pytest.mark.parametrize("key", [
+        "solver.nehari_tol", "solver.armijo", "solver.stagnation_tol",
+        "solver.stagnation_window", "solver.scan_t_min", "solver.scan_t_max",
+        "solver.scan_n", "solver.polish_max_iter", "solver.polish_inner_iter",
+        "solver.check_coercivity",
+    ])
+    def test_fixed_solver_settings_are_unknown_keys(self, tmp_path, capsys, key):
+        text = MINIMAL + f"{key} = 0\n"
+        with pytest.raises(ParseError, match="unknown key"):
+            parse_config(text)
+        rc = main(["solve-system", "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "unknown key" in capsys.readouterr().err
+
     def test_round_trip_default(self):
         cfg = RunConfig()
         assert parse_config(serialize_config(cfg)) == cfg
@@ -203,7 +218,7 @@ class TestCommands:
         def violates(*args, **kwargs):
             raise CoercivityViolation("constrained energy fell below the bound")
 
-        monkeypatch.setattr(C, "competitive_least_energy", violates)
+        monkeypatch.setattr(C, "solve_system", violates)
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=-2.0, fam="identity"))
         rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_COERCIVITY
@@ -302,6 +317,15 @@ class TestCommands:
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = main(["eigen", "--config", str(tmp_path / "absent.cfg")])
         assert rc == EXIT_USAGE
+
+    def test_negative_seed_override_is_bad_config(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=-2.0, fam="identity"))
+        rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path),
+                   "--seed", "-1"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "bad config: solver.seed: must be nonnegative\n"
+        assert not (tmp_path / "system.csv").exists()
 
     def test_seed_override_changes_digest_only_not_grid(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=0.0, fam="identity"))

@@ -10,7 +10,6 @@ import nehari2d.grid as G
 from nehari2d import (
     FiberPoint,
     ProblemParams,
-    ProjectionOptions,
     ScalarField,
     StatePair,
     example_family,
@@ -271,14 +270,11 @@ class TestProjection:
 
     def test_idempotent(self, grid15, example1, competitive_params):
         u = bump_state(grid15)
-        opts = ProjectionOptions()
-        first = project_to_nehari(
-            u, competitive_params, example1, example1, grid15, opts
-        )
+        first = project_to_nehari(u, competitive_params, example1, example1, grid15)
         assert first.projectable
         assert first.residual.max_abs <= 1e-8
         again = project_to_nehari(
-            first.projected, competitive_params, example1, example1, grid15, opts
+            first.projected, competitive_params, example1, example1, grid15
         )
         assert abs(again.t.t1 - 1.0) <= 10 * 1e-8
         assert abs(again.t.t2 - 1.0) <= 10 * 1e-8
@@ -311,8 +307,7 @@ class TestProjection:
         cold = project_to_nehari(u, competitive_params, example1, example1, grid15)
         ev = FiberEvaluator(u, competitive_params, example1, example1, grid15)
         t_star = np.array([cold.t.t1, cold.t.t2])
-        t, converged = _newton_polish(ev, 0.05 * t_star, ProjectionOptions(),
-                                      warm=False)
+        t, converged = _newton_polish(ev, 0.05 * t_star, warm=False)
         assert converged
         assert np.allclose(t, t_star, rtol=1e-10, atol=0.0)
 

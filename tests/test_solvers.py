@@ -29,6 +29,8 @@ from nehari2d.errors import (
     NoConvergence,
 )
 from nehari2d.solvers import (
+    _POLISH_MAX_ITER,
+    _STAGNATION_WINDOW,
     REGIME_DECOUPLED,
     ScalarReport,
     conservative_mu1,
@@ -109,6 +111,25 @@ class TestScalarGroundState:
         _z, L, rep = scalar_ground_state(1, params, identity, grid15, fast_opts)
         assert rep.admissibility == "admissible_weak"
         assert any("weak" in w for w in rep.warnings)
+
+    def test_raising_start_is_rejected(self, monkeypatch, scalar15, identity,
+                                       fast_opts):
+        # the bump start raises; the random start alone gives the level
+        grid, params, _z, L, _rep = scalar15
+        real = S._constrained_descent
+        calls = []
+
+        def first_raises(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NoConvergence("stub failure")
+            return real(*args)
+
+        monkeypatch.setattr(S, "_constrained_descent", first_raises)
+        _z, L_rej, rep = scalar_ground_state(1, params, identity, grid, fast_opts)
+        assert len(calls) == 2
+        assert "start rejected: stub failure" in rep.warnings
+        assert L_rej == pytest.approx(L, rel=1e-10)
 
     def test_scalar_residual_is_nehari_zero(self, scalar15, identity):
         # converged scalar state pairs to ~zero against itself
@@ -236,7 +257,7 @@ class TestDescentDriver:
         x, e, res, its = S._descend(
             x0, e0, gradient, flat_direction, flat_retract, opts, 1e2 * opts.tol
         )
-        assert calls["retract"] == its <= opts.stagnation_window + 1
+        assert calls["retract"] == its <= _STAGNATION_WINDOW + 1
         assert its < opts.max_iter and e == e0
 
     def test_rejecting_retraction_ends_after_50_halvings(self, grid7):
@@ -397,7 +418,7 @@ class TestZeroMaxIter:
         opts = SolverOptions(max_iter=0, n_restarts=0)
         with pytest.raises(NoConvergence) as err:
             scalar_ground_state(1, params_p4, identity, grid7, opts)
-        assert err.value.iterations == opts.polish_max_iter
+        assert err.value.iterations == _POLISH_MAX_ITER
 
     def test_polish_alone_can_converge(self, grid7, example1):
         lam = -conservative_mu1(grid7)
@@ -490,7 +511,7 @@ class TestNewtonHandoff:
         )
         assert converged
         assert 1e-2 * opts.tol < res <= opts.tol
-        assert its < opts.polish_max_iter
+        assert its < _POLISH_MAX_ITER
 
 
 class TestScalarLevels:
