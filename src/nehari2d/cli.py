@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -122,6 +123,8 @@ _KEYS = {
 def _checked_solver(solver: SolverOptions) -> SolverOptions:
     if solver.seed < 0:
         raise ValidationError("solver.seed", "must be nonnegative")
+    if not (solver.tol > 0.0 and math.isfinite(solver.tol)):
+        raise ValidationError("solver.tol", "must be a finite positive number")
     return solver
 
 

@@ -22,6 +22,7 @@ natural constraint set containing every solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ class ProblemParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"need a finite {name}, got {getattr(self, name)}")
         if not self.p > 2.0:
             raise InvalidParams(f"need p > 2, got p = {self.p}")
         if not (0.0 < self.gamma < self.p - 2.0):

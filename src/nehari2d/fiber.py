@@ -75,7 +75,6 @@ class ProjectionResult:
 
     status: str
     t: FiberPoint | None = None
-    projected: StatePair | None = None
     residual: NehariResidual | None = None
     reason: str = ""
     energy: float | None = None
@@ -85,146 +84,100 @@ class ProjectionResult:
     def projectable(self) -> bool:
         return self.status == STATUS_INTERIOR_MAX
 
+    @property
+    def projected(self) -> StatePair | None:
+        """The projected pair, built from the nodal values of `sample`."""
+        if self.sample is None:
+            return None
+        return StatePair.from_stack(self.sample.x, self.sample.grid.spec)
+
 
 class FiberEvaluator:
     """Cached per-cell data of one state for fast fiber evaluations.
 
-    Built on one CellSample of the state and the Energy it is measured in.
-    Axis k reads component k of the sample: its cell values v,
-    |grad v|^2 and q = int v^2, pp = int |v|^p, ia0 = int |grad v|^2.  A
-    pair has two axes and their cross term; the scalar fiber of one field
-    is the one axis of `FiberEvaluator.scalar`, whose |v|^p term carries
-    the weight c.
+    Built on one CellSample of a k-component state and the Energy it is
+    measured in: k = 1 for the scalar fiber tau -> E(tau z), whose |z|^p
+    term carries the weight c, and k = 2 for a pair with its cross term.
+    Axis k reads component k of the sample: its cell values v, |grad v|^2
+    and q = int v^2, pp = int |v|^p, ia0 = int |grad v|^2.
     """
 
-    def __init__(
-        self,
-        u: StatePair,
-        params: ProblemParams,
-        fam1: CoefficientFamily,
-        fam2: CoefficientFamily,
-        grid: Grid,
-    ):
-        self._setup(Energy.pair(params, fam1, fam2), CellSample(u.stacked(), grid))
-        self.cross = float(
-            np.sum(np.abs(self._v[0] * self._v[1]) ** (params.p / 2.0))
-        ) * self.area
-
-    @classmethod
-    def scalar(
-        cls,
-        z: ScalarField,
-        lam: float,
-        params: ProblemParams,
-        fam: CoefficientFamily,
-        grid: Grid,
-        c: float = 1.0,
-    ) -> "FiberEvaluator":
-        """One-axis evaluator of psi(tau) = d/dtau E(tau z), with the
-        |z|^p term weighted by c."""
-        ev = cls.__new__(cls)
-        ev._setup(Energy.scalar(params, lam, fam, c), CellSample(z.values[None], grid))
-        return ev
-
-    def _setup(self, energy: Energy, sample: CellSample):
+    def __init__(self, energy: Energy, sample: CellSample):
         self.params = energy.params
         self.fams = energy.fams
         self.lams = energy.lams
         self.c = energy.c
         self.sample = sample
         self.area = sample.grid.cell_area
-        self._v = sample.v
-        self._gsq = sample.gsq
-        self._ia0, self.q, self.pp = sample.integrals(self.params.p)
+        p = self.params.p
+        v, gsq = sample.v, sample.gsq
+        self._v = v
+        # weights of the profile integrals int A^(j)(tau v) v^j |grad v|^2
+        self._w = (gsq, v * gsq, v * v * gsq)
+        self._ia0, self.q, self.pp = sample.integrals(p)
         self._const_profile = [fam.kind == KIND_IDENTITY for fam in self.fams]
+        self.cross = (
+            float(np.sum(np.abs(v[0] * v[1]) ** (p / 2.0))) * self.area
+            if len(v) == 2
+            else 0.0
+        )
 
     def membership_values(self) -> tuple[float, float]:
         """int |u_i|^p + beta * cross term, for i = 1, 2."""
         b = self.params.beta
         return (self.pp[0] + b * self.cross, self.pp[1] + b * self.cross)
 
-    # profile integrals: ia(k, tau) = int A(tau*u)|grad u|^2,
-    #                    idv(k, tau) = int A'(tau*u) * u * |grad u|^2
-    def _ia(self, k: int, taus: np.ndarray) -> np.ndarray:
+    def _axis(self, k: int, tau, order: int) -> list:
+        """The terms of h depending on t_k alone (all but the cross term) at
+        tau, a float or an array, and their first `order` (<= 2) derivatives.
+
+        With I_j(tau) = int A^(j)(tau v) v^j |grad v|^2, so that I_j' =
+        I_(j+1), all read from one scaled sample tau*v, the terms are
+        tau^2/2 (I_0 - lam q) - c tau^p/p int |v|^p.
+        """
+        p, c, pp = self.params.p, self.c, self.pp[k]
         if self._const_profile[k]:
-            return np.full(np.shape(taus), self._ia0[k])
-        sv = np.multiply.outer(taus, self._v[k])
-        return np.sum(self.fams[k].a(sv) * self._gsq[k], axis=(-2, -1)) * self.area
+            ia = (self._ia0[k], 0.0, 0.0)
+        else:
+            fam = self.fams[k]
+            sv = np.multiply.outer(tau, self._v[k])
+            ia = [
+                np.sum(f(sv) * w[k], axis=(-2, -1)) * self.area
+                for f, w in zip((fam.a, fam.da, fam.d2a)[: order + 1], self._w)
+            ]
+        quad = ia[0] - self.lams[k] * self.q[k]
+        terms = [0.5 * tau**2 * quad - (c / p) * tau**p * pp]
+        if order >= 1:
+            terms.append(tau * quad + 0.5 * tau**2 * ia[1] - c * tau ** (p - 1.0) * pp)
+        if order >= 2:
+            terms.append(
+                quad + 2.0 * tau * ia[1] + 0.5 * tau**2 * ia[2]
+                - c * (p - 1.0) * tau ** (p - 2.0) * pp
+            )
+        return terms
 
-    def _ia_idv(self, k: int, taus) -> tuple[np.ndarray, np.ndarray]:
-        """Both profile integrals from one scaled-sample array."""
-        if self._const_profile[k]:
-            return np.full(np.shape(taus), self._ia0[k]), np.zeros(np.shape(taus))
-        sv = np.multiply.outer(taus, self._v[k])
-        ia = np.sum(self.fams[k].a(sv) * self._gsq[k], axis=(-2, -1)) * self.area
-        idv = (
-            np.sum(self.fams[k].da(sv) * self._v[k] * self._gsq[k], axis=(-2, -1))
-            * self.area
-        )
-        return ia, idv
-
-    def _axis_value(self, k: int, taus: np.ndarray) -> np.ndarray:
-        """Terms of h depending on t_k alone (everything but the cross term)."""
-        p = self.params.p
-        lam = self.lams[k]
-        taus = np.asarray(taus, dtype=float)
-        return 0.5 * taus**2 * (self._ia(k, taus) - lam * self.q[k]) - (
-            taus**p / p
-        ) * self.pp[k]
-
-    def _axis_grad(self, k: int, taus: np.ndarray) -> np.ndarray:
-        """d/dt_k of the axis terms, vectorized over t_k; the scalar psi."""
-        p = self.params.p
-        lam = self.lams[k]
-        taus = np.asarray(taus, dtype=float)
-        ia, idv = self._ia_idv(k, taus)
-        return (
-            taus * (ia - lam * self.q[k])
-            + 0.5 * taus**2 * idv
-            - self.c * taus ** (p - 1.0) * self.pp[k]
-        )
-
-    def axis_root(self, k: int, tau0: float, tol: float = 1e-12) -> float:
-        """Unique positive zero of the axis gradient, from tau0."""
-        return positive_root(lambda taus: self._axis_grad(k, taus), tau0, tol)
+    def axis_root(self, k: int, tau0: float | None = None, tol: float = 1e-12):
+        """Unique positive zero of the axis gradient (coupling ignored), from
+        tau0, or else from the root of the constant-profile gradient
+        tau (ia0 - lam q) - c tau^(p-1) pp (1 when that has none)."""
+        if tau0 is None:
+            quad = self._ia0[k] - self.lams[k] * self.q[k]
+            nonlin = self.c * self.pp[k]
+            ok = quad > 0.0 and nonlin > 0.0
+            tau0 = (quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok else 1.0
+        return positive_root(lambda tau: self._axis(k, tau, 2)[1:], tau0, tol)
 
     def value(self, t1: float, t2: float) -> float:
         p, b = self.params.p, self.params.beta
         cross = (2.0 * b / p) * t1 ** (p / 2.0) * t2 ** (p / 2.0) * self.cross
-        return float(self._axis_value(0, t1) + self._axis_value(1, t2) - cross)
+        return float(self._axis(0, t1, 0)[0] + self._axis(1, t2, 0)[0] - cross)
 
     def grad(self, t1: float, t2: float) -> tuple[float, float]:
         p, b = self.params.p, self.params.beta
         half = p / 2.0
-        g1 = self._axis_grad(0, t1) - b * t1 ** (half - 1.0) * t2**half * self.cross
-        g2 = self._axis_grad(1, t2) - b * t2 ** (half - 1.0) * t1**half * self.cross
+        g1 = self._axis(0, t1, 1)[1] - b * t1 ** (half - 1.0) * t2**half * self.cross
+        g2 = self._axis(1, t2, 1)[1] - b * t2 ** (half - 1.0) * t1**half * self.cross
         return float(g1), float(g2)
-
-    def _axis_grad_and_slope(self, k: int, tau: float) -> tuple[float, float]:
-        """D_k(tau) and its exact derivative, from one scaled sample tau*u_k.
-
-        With ia' = idv and idv' = int A''(tau u) u^2 |grad u|^2 the slope is
-        ia - lam q + 2 tau idv + tau^2/2 idv' - (p-1) tau^(p-2) int |u|^p.
-        """
-        p = self.params.p
-        lam = self.lams[k]
-        if self._const_profile[k]:
-            ia, idv, id2v = self._ia0[k], 0.0, 0.0
-        else:
-            v, fam = self._v[k], self.fams[k]
-            sv = tau * v
-            vg = v * self._gsq[k]
-            ia = float(np.sum(fam.a(sv) * self._gsq[k])) * self.area
-            idv = float(np.sum(fam.da(sv) * vg)) * self.area
-            id2v = float(np.sum(fam.d2a(sv) * v * vg)) * self.area
-        quad = ia - lam * self.q[k]
-        pp = self.pp[k]
-        grad = tau * quad + 0.5 * tau**2 * idv - tau ** (p - 1.0) * pp
-        slope = (
-            quad + 2.0 * tau * idv + 0.5 * tau**2 * id2v
-            - (p - 1.0) * tau ** (p - 2.0) * pp
-        )
-        return grad, slope
 
     def grad_and_jacobian(self, t1: float, t2: float):
         """Fiber gradient and its exact Jacobian at (t1, t2).
@@ -237,7 +190,7 @@ class FiberEvaluator:
         g = np.empty(2)
         J = np.empty((2, 2))
         for k, tk in enumerate((t1, t2)):
-            g[k], J[k, k] = self._axis_grad_and_slope(k, tk)
+            _, g[k], J[k, k] = self._axis(k, tk, 2)
         c = b * self.cross
         g[0] -= c * t1 ** (half - 1.0) * t2**half
         g[1] -= c * t2 ** (half - 1.0) * t1**half
@@ -248,7 +201,7 @@ class FiberEvaluator:
 
     def value_grid(self, taus1: np.ndarray, taus2: np.ndarray) -> np.ndarray:
         p, b = self.params.p, self.params.beta
-        h = self._axis_value(0, taus1)[:, None] + self._axis_value(1, taus2)[None, :]
+        h = self._axis(0, taus1, 0)[0][:, None] + self._axis(1, taus2, 0)[0][None, :]
         h -= (2.0 * b / p) * self.cross * np.outer(
             taus1 ** (p / 2.0), taus2 ** (p / 2.0)
         )
@@ -259,9 +212,20 @@ class FiberEvaluator:
         half = p / 2.0
         cross1 = b * self.cross * np.outer(taus1 ** (half - 1.0), taus2**half)
         cross2 = b * self.cross * np.outer(taus1**half, taus2 ** (half - 1.0))
-        g1 = self._axis_grad(0, taus1)[:, None] - cross1
-        g2 = self._axis_grad(1, taus2)[None, :] - cross2
+        g1 = self._axis(0, taus1, 1)[1][:, None] - cross1
+        g2 = self._axis(1, taus2, 1)[1][None, :] - cross2
         return g1, g2
+
+
+def _pair_evaluator(
+    u: StatePair,
+    params: ProblemParams,
+    fam1: CoefficientFamily,
+    fam2: CoefficientFamily,
+    grid: Grid,
+) -> FiberEvaluator:
+    energy = Energy.pair(params, fam1, fam2)
+    return FiberEvaluator(energy, CellSample(u.stacked(), grid))
 
 
 def fiber_value(
@@ -285,7 +249,7 @@ def fiber_gradient(
     grid: Grid,
 ) -> tuple[float, float]:
     """(dh/dt1, dh/dt2) at t."""
-    return FiberEvaluator(u, params, fam1, fam2, grid).grad(t.t1, t.t2)
+    return _pair_evaluator(u, params, fam1, fam2, grid).grad(t.t1, t.t2)
 
 
 def _check_nontrivial(u: StatePair):
@@ -314,38 +278,27 @@ def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g * (min(t[0], t[1]) / (np.max(np.abs(g)) + 1.0))
 
 
-def _closed_form_root(quad: float, nonlin: float, p: float) -> float:
-    """Root of tau*quad - nonlin*tau^(p-1), the constant-profile fiber
-    derivative; 1 when it has no positive root."""
-    if quad > 0.0 and nonlin > 0.0:
-        return (quad / nonlin) ** (1.0 / (p - 2.0))
-    return 1.0
-
-
 def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
     """Unique positive zero of psi, which is > 0 below it and < 0 above it.
 
-    `psi` is vectorized; each iteration makes one call on (tau - dt, tau,
-    tau + dt) for the value and a central-difference slope.  The bracket
-    starts open, (0, inf), and is tightened by the sign of psi.  A Newton
-    step is taken when it stays inside the bracket and, across a side
-    still open, within a factor 2 of tau; otherwise tau is doubled or
-    halved while a side is open, and bisected once the bracket is closed.
-    Returns as soon as psi is exactly zero or the step is within tol*tau;
-    raises NoConvergence after 100 steps.
+    `psi(tau)` returns psi and its exact slope at one tau, one call per
+    step.  The bracket starts open, (0, inf), and is tightened by the sign
+    of psi.  A Newton step is taken when it stays inside the bracket and,
+    across a side still open, within a factor 2 of tau; otherwise tau is
+    doubled or halved while a side is open, and bisected once the bracket
+    is closed.  Returns as soon as psi is exactly zero or the step is
+    within tol*tau; raises NoConvergence after 100 steps.
     """
     lo, hi = 0.0, math.inf
     tau = float(tau0)
     for _ in range(100):
-        dt = 1e-7 * tau
-        f_m, f, f_p = psi(np.array([tau - dt, tau, tau + dt]))
+        f, df = psi(tau)
         if f == 0.0:
             return tau
         if f > 0.0:
             lo = tau
         else:
             hi = tau
-        df = (f_p - f_m) / (2.0 * dt)
         t_new = tau - f / df if df != 0.0 else math.nan
         # tested before the safeguard: a converged step lands on the
         # bracket end tau itself, which the strict test below rejects
@@ -367,12 +320,6 @@ def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
         f"fiber root not found in 100 steps (bracket [{lo:.6g}, {hi:.6g}])",
         iterations=100,
     )
-
-
-def _axis_root(ev: FiberEvaluator, k: int) -> float:
-    """Positive root of the decoupled axis gradient D_k (coupling ignored)."""
-    quad0 = float(ev._ia(k, 1e-6)) - ev.lams[k] * ev.q[k]
-    return ev.axis_root(k, _closed_form_root(quad0, ev.pp[k], ev.params.p))
 
 
 # Newton on the fiber gradient stops at this gradient tolerance, relative
@@ -491,7 +438,7 @@ def project_to_nehari(
     critical point the outcome is the same.
     """
     _check_nontrivial(u)
-    ev = FiberEvaluator(u, params, fam1, fam2, grid)
+    ev = _pair_evaluator(u, params, fam1, fam2, grid)
     m1, m2 = ev.membership_values()
     if m1 <= 0.0 or m2 <= 0.0:
         return ProjectionResult(
@@ -505,7 +452,7 @@ def project_to_nehari(
         if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
             t0 = np.asarray(t_init, dtype=float)
         else:
-            t0 = np.array([_axis_root(ev, 0), _axis_root(ev, 1)])
+            t0 = np.array([ev.axis_root(0), ev.axis_root(1)])
         t, converged = _newton_root(ev, t0)
         if not converged:
             return ProjectionResult(
@@ -548,7 +495,6 @@ def project_to_nehari(
     return ProjectionResult(
         status=STATUS_INTERIOR_MAX,
         t=FiberPoint(t1, t2),
-        projected=scale_state(u, t1, t2),
         residual=NehariResidual(t1 * g1, t2 * g2),
         energy=ev.value(t1, t2),
         sample=ev.sample.scaled((t1, t2)),
@@ -585,7 +531,7 @@ def critical_cell_count(
     A transversal fiber critical point shows up as exactly one such cell;
     the count is the sampled check of critical-point uniqueness.
     """
-    ev = FiberEvaluator(u, params, fam1, fam2, grid)
+    ev = _pair_evaluator(u, params, fam1, fam2, grid)
     taus = np.logspace(math.log10(t_min), math.log10(t_max), n)
     g1, g2 = ev.grad_grid(taus, taus)
     s1 = g1 > 0.0
@@ -619,10 +565,8 @@ def scalar_fiber_root(
         raise DegenerateInput("cannot rescale the zero field")
     if nonlin_coeff <= 0.0:
         raise ValueError(f"need a positive nonlinearity weight, got {nonlin_coeff}")
-    ev = FiberEvaluator.scalar(z, lam, params, fam, grid, nonlin_coeff)
-    if tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init):
-        tau0 = tau_init
-    else:
-        quad = ev._ia0[0] - lam * ev.q[0]
-        tau0 = _closed_form_root(quad, nonlin_coeff * ev.pp[0], params.p)
-    return ev.axis_root(0, tau0, tol)
+    ev = FiberEvaluator(
+        Energy.scalar(params, lam, fam, nonlin_coeff), CellSample(z.values[None], grid)
+    )
+    warm = tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init)
+    return ev.axis_root(0, tau_init if warm else None, tol)

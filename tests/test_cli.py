@@ -327,6 +327,28 @@ class TestCommands:
         assert err == "bad config: solver.seed: must be nonnegative\n"
         assert not (tmp_path / "system.csv").exists()
 
+    @pytest.mark.parametrize("key", ["lambda1", "lambda2", "beta"])
+    def test_non_finite_param_is_bad_config(self, tmp_path, capsys, key):
+        text = FAST_SOLVE.format(beta=0.0, fam="identity")
+        text = text.replace("params.beta = 0.0\n", "") + f"params.{key} = nan\n"
+        rc = main(["solve-system", "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"bad config: params: need a finite {key}, got nan\n"
+        assert not (tmp_path / "system.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_is_bad_config(self, tmp_path, capsys, tol):
+        text = FAST_SOLVE.format(beta=-2.0, fam="identity")
+        text = text.replace("solver.tol = 1e-7", f"solver.tol = {tol}")
+        rc = main(["solve-system", "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "bad config: solver.tol: must be a finite positive number\n"
+        assert not (tmp_path / "system.csv").exists()
+
     def test_seed_override_changes_digest_only_not_grid(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=0.0, fam="identity"))
         rc = main(

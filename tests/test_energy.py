@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -49,6 +51,14 @@ class TestProblemParams:
     def test_invalid(self, p, gamma):
         with pytest.raises(InvalidParams):
             ProblemParams(0.0, 0.0, 0.0, p, gamma)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient(self, index, value):
+        args = [0.0, 0.0, 0.0, 4.0, 1.0]
+        args[index] = value
+        with pytest.raises(InvalidParams, match="need a finite"):
+            ProblemParams(*args)
 
     def test_swapped(self):
         p = ProblemParams(1.0, 2.0, -1.0, 4.0, 1.0).swapped()

@@ -21,6 +21,8 @@ from nehari2d import (
     sphere_normalize,
     total_energy,
 )
+from nehari2d.coeffs import tabulated_family
+from nehari2d.energy import CellSample, Energy
 from nehari2d.errors import DegenerateInput, NoConvergence
 from nehari2d.fiber import (
     FiberEvaluator,
@@ -103,7 +105,8 @@ class TestFiberValue:
 
     def test_decays_to_minus_infinity(self, grid15, example1, competitive_params):
         u = bump_state(grid15)
-        ev = FiberEvaluator(u, competitive_params, example1, example1, grid15)
+        ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
+                            CellSample(u.stacked(), grid15))
         m1, m2 = ev.membership_values()
         assert m1 > 0.0 and m2 > 0.0
         vals = [ev.value(s, s) for s in (10.0, 100.0, 1000.0)]
@@ -144,7 +147,8 @@ class TestFiberGradient:
     def test_jacobian_matches_difference_of_gradient(self, grid7, fams, beta, p, t,
                                                      seed):
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
-        ev = FiberEvaluator(positive_state(grid7, seed), params, *fams, grid7)
+        ev = FiberEvaluator(Energy.pair(params, *fams),
+                            CellSample(positive_state(grid7, seed).stacked(), grid7))
         g, J = ev.grad_and_jacobian(*t)
         np.testing.assert_allclose(g, ev.grad(*t), rtol=1e-12, atol=1e-12)
         dt = 1e-6
@@ -174,6 +178,37 @@ class TestFiberGradient:
         tau = scalar_fiber_root(u.u1, 0.0, params, identity, grid31)
         assert tau == pytest.approx((a / b) ** 0.5, rel=1e-11)
 
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(("identity", "example", "tabulated")),
+        c=st.sampled_from((0.4, 2.5)),
+        p=st.sampled_from((3.0, 4.0)),
+        tau=st.floats(0.2, 3.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_axis_derivatives_match_differences(self, grid7, kind, c, p, tau, seed):
+        # the one-field axis carries the weight c in every derivative
+        ex = example_family(1.3)
+        fam = {
+            "identity": identity_family(),
+            "example": ex,
+            "tabulated": tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=1.3),
+        }[kind]
+        energy = Energy.scalar(ProblemParams(0.4, 0.4, 0.0, p, 0.5), 0.4, fam, c)
+        z = positive_state(grid7, seed).u1.values[None]
+        ev = FiberEvaluator(energy, CellSample(z, grid7))
+        _, grad, slope = ev._axis(0, tau, 2)
+        dt = 1e-6
+        fd_grad = (
+            energy.value(CellSample((tau + dt) * z, grid7))
+            - energy.value(CellSample((tau - dt) * z, grid7))
+        ) / (2 * dt)
+        fd_slope = (ev._axis(0, tau + dt, 1)[1] - ev._axis(0, tau - dt, 1)[1]) / (2 * dt)
+        # the size of the terms that cancel in the axis derivatives
+        scale = sum(np.abs(ev._ia0) + np.abs(ev.q) + c * ev.pp) * max(tau, 1.0) ** p
+        assert abs(grad - fd_grad) <= 1e-8 * scale
+        assert abs(slope - fd_slope) <= 1e-8 * scale
+
 
 def counted(psi):
     """psi wrapped with a call counter in `.calls`."""
@@ -198,20 +233,20 @@ def modulated_bump(grid):
 class TestPositiveRoot:
     def test_start_on_root_costs_one_call(self):
         # psi(2) == 0 exactly: a start on the root must not walk away from it
-        psi = counted(lambda t: t * (4.0 - t * t))
+        psi = counted(lambda t: (t * (4.0 - t * t), 4.0 - 3.0 * t * t))
         assert positive_root(psi, 2.0) == 2.0
         assert psi.calls == 1
 
     def test_step_rounding_to_nothing_is_kept(self):
         # psi(2) is tiny but nonzero, so the Newton step rounds to nothing
         # and lands on the bracket end that psi's sign has just set
-        psi = counted(lambda t: 1e-20 + (2.0 - t))
+        psi = counted(lambda t: (1e-20 + (2.0 - t), -1.0))
         assert positive_root(psi, 2.0) == 2.0
         assert psi.calls == 1
 
     def test_no_root_raises(self):
         with pytest.raises(NoConvergence):
-            positive_root(lambda t: 1.0 + t, 1.0)
+            positive_root(lambda t: (1.0 + t, 1.0), 1.0)
 
     @pytest.mark.parametrize("kind", ["identity", "example"])
     @pytest.mark.parametrize("lam_frac,nonlin", [(0.0, 1.0), (0.3, 1.0), (0.3, 2.5),
@@ -222,8 +257,9 @@ class TestPositiveRoot:
         lam = lam_frac * conservative_mu1(grid15)
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
         z = modulated_bump(grid15)
-        ev = FiberEvaluator.scalar(z, lam, params, fam, grid15, nonlin)
-        ref = brentq(lambda t: float(ev._axis_grad(0, t)), 1e-6, 1e6, xtol=1e-300,
+        ev = FiberEvaluator(Energy.scalar(params, lam, fam, nonlin),
+                            CellSample(z.values[None], grid15))
+        ref = brentq(lambda t: float(ev._axis(0, t, 1)[1]), 1e-6, 1e6, xtol=1e-300,
                      rtol=1e-15)
         for tau_init in (None, 0.01 * ref, 100.0 * ref):
             tau = scalar_fiber_root(z, lam, params, fam, grid15, nonlin,
@@ -238,12 +274,12 @@ class TestPositiveRoot:
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
         z = modulated_bump(grid15)
         ref = scalar_fiber_root(z, lam, params, example1, grid15)
-        psi = counted(FiberEvaluator._axis_grad)
-        monkeypatch.setattr(FiberEvaluator, "_axis_grad", psi)
+        psi = counted(FiberEvaluator._axis)
+        monkeypatch.setattr(FiberEvaluator, "_axis", psi)
         tau = scalar_fiber_root(z, lam, params, example1, grid15,
                                 tau_init=offset * ref)
         assert tau == pytest.approx(ref, rel=1e-12)
-        assert psi.calls <= 8
+        assert 0 < psi.calls <= 8
 
 
 class TestProjection:
@@ -305,7 +341,8 @@ class TestProjection:
         # steps carry t to where Newton takes over and converges to t*
         u = bump_state(grid15)
         cold = project_to_nehari(u, competitive_params, example1, example1, grid15)
-        ev = FiberEvaluator(u, competitive_params, example1, example1, grid15)
+        ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
+                            CellSample(u.stacked(), grid15))
         t_star = np.array([cold.t.t1, cold.t.t2])
         t, converged = _newton_polish(ev, 0.05 * t_star, warm=False)
         assert converged
@@ -419,7 +456,8 @@ class TestUniquenessScan:
         while found < 10:
             u = segregated_random_state(grid15, seed=seed)
             seed += 1
-            ev = FiberEvaluator(u, competitive_params, example1, example1, grid15)
+            ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
+                                CellSample(u.stacked(), grid15))
             m1, m2 = ev.membership_values()
             if m1 <= 0 or m2 <= 0:
                 continue
@@ -431,7 +469,8 @@ class TestUniquenessScan:
     def test_maximality_over_scan(self, grid15, example1, competitive_params):
         u = bump_state(grid15)
         res = project_to_nehari(u, competitive_params, example1, example1, grid15)
-        ev = FiberEvaluator(u, competitive_params, example1, example1, grid15)
+        ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
+                            CellSample(u.stacked(), grid15))
         taus = np.logspace(-3, 3, 64)
         H = ev.value_grid(taus, taus)
         h_star = fiber_value(u, res.t, competitive_params, example1, example1, grid15)
