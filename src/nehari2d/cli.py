@@ -121,8 +121,9 @@ _KEYS = {
 
 
 def _checked_solver(solver: SolverOptions) -> SolverOptions:
-    if solver.seed < 0:
-        raise ValidationError("solver.seed", "must be nonnegative")
+    for name in ("seed", "max_iter", "n_restarts"):
+        if getattr(solver, name) < 0:
+            raise ValidationError(f"solver.{name}", "must be nonnegative")
     if not (solver.tol > 0.0 and math.isfinite(solver.tol)):
         raise ValidationError("solver.tol", "must be a finite positive number")
     return solver

@@ -11,7 +11,7 @@ the quadrature is a smooth function of the nodal values, E has an exact
 gradient, assembled here by the chain rule; the infinite-dimensional
 subtlety that the A'-term only pairs with bounded test functions has no
 finite-dimensional counterpart.  Away from zero cell values E is twice
-differentiable, and its Hessian is applied exactly from A''; where a
+differentiable, and its Hessian is assembled exactly from A''; where a
 cell value is exactly 0 and a second derivative does not exist there
 (A'' for gamma < 2, the coupling for p < 4), it is taken to be 0.
 
@@ -33,6 +33,7 @@ from .grid import (
     Grid,
     ScalarField,
     StatePair,
+    cell_form_matrix,
     cell_gradients,
     cell_values,
     scatter_cells,
@@ -50,7 +51,7 @@ class ProblemParams:
     gamma: float
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "beta"):
+        for name in ("lambda1", "lambda2", "beta", "p"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParams(f"need a finite {name}, got {getattr(self, name)}")
         if not self.p > 2.0:
@@ -232,26 +233,19 @@ class Energy:
         return np.sum(dens, axis=(-2, -1)) * s.grid.cell_area
 
     def hessian(self, s: CellSample):
-        """Exact Hessian at the sampled state, as `hess(d) -> product` on
-        (k, nx, ny) arrays: the derivative of `gradient` in direction d."""
-        a, da = self._profile(s, "a"), self._profile(s, "da")
+        """Exact Hessian at the sampled state: the derivative of `gradient`,
+        as a CSR matrix of order k*nx*ny on raveled (k, nx, ny) stacks."""
         if len(s.v) == 2:
             h11, h12, h22 = coupling_hess_g(s.v[0], s.v[1], self.params)
-            diag = np.stack((h11, h22))
+            diag, cross = np.stack((h11, h22)), -h12
         else:
             p = self.params.p
-            h12, diag = 0.0, self.c * (p - 1.0) * np.abs(s.v) ** (p - 2.0)
+            diag, cross = self.c * (p - 1.0) * np.abs(s.v) ** (p - 2.0), None
         m = 0.5 * self._profile(s, "d2a") * s.gsq - self._lam() - diag
-        dagx, dagy = da * s.gx, da * s.gy
-
-        def hess(d: np.ndarray) -> np.ndarray:
-            ds = CellSample(d, s.grid)
-            w_val = m * ds.v - h12 * ds.v[::-1] + da * (s.gx * ds.gx + s.gy * ds.gy)
-            return scatter_cells(
-                s.grid, w_val, dagx * ds.v + a * ds.gx, dagy * ds.v + a * ds.gy
-            )
-
-        return hess
+        da = self._profile(s, "da")
+        return cell_form_matrix(
+            s.grid, m, da * s.gx, da * s.gy, self._profile(s, "a"), cross
+        )
 
 
 def _pair_sample(u: StatePair, grid: Grid) -> CellSample:

@@ -478,17 +478,17 @@ def _newton_krylov_polish(
     """Damped Newton on grad_fn(x) = 0 with the exact Hessian.
 
     x stacks one nodal array per component.  `hess_fn(x)` returns the
-    product with the Jacobian of grad_fn at x; it is built once per
-    Newton step and inverted approximately by MINRES (the operator is
-    symmetric but may be indefinite at the saddle-type critical points
-    sought here), preconditioned by the exact -Laplace solve of each
-    component.  Steps are halved until the residual norm decreases;
-    accepted steps may not raise the energy beyond rounding level.
-    Converged means res <= tol.  Past tol, Newton steps continue while
-    they lower the residual, up to the finishing target res <= 1e-2 * tol;
-    a failed line search or the step cap between the two thresholds still
-    counts as converged.  Returns (x, residual_norm, converged,
-    iterations).
+    Jacobian of grad_fn at x as a sparse matrix on the raveled stack; it
+    is assembled once per Newton step and inverted approximately by
+    MINRES (the matrix is symmetric but may be indefinite at the
+    saddle-type critical points sought here), preconditioned by the exact
+    -Laplace solve of each component.  Steps are halved until the
+    residual norm decreases; accepted steps may not raise the energy
+    beyond rounding level.  Converged means res <= tol.  Past tol, Newton
+    steps continue while they lower the residual, up to the finishing
+    target res <= 1e-2 * tol; a failed line search or the step cap
+    between the two thresholds still counts as converged.  Returns (x,
+    residual_norm, converged, iterations).
     """
     tol = opts.tol
     shape, n = x0.shape, x0.size
@@ -506,12 +506,8 @@ def _newton_krylov_polish(
     for its in range(1, _POLISH_MAX_ITER + 1):
         if res <= 1e-2 * tol:
             return x, res, True, its - 1
-        hess = hess_fn(x)
-        op = LinearOperator(
-            (n, n), matvec=lambda d: hess(d.reshape(shape)).ravel(), dtype=float
-        )
         step, _info = minres(
-            op, -g.ravel(), rtol=1e-6, maxiter=_POLISH_INNER_ITER, M=M
+            hess_fn(x), -g.ravel(), rtol=1e-6, maxiter=_POLISH_INNER_ITER, M=M
         )
         step = step.reshape(shape)
         if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) == 0.0:

@@ -338,6 +338,30 @@ class TestCommands:
         assert err == f"bad config: params: need a finite {key}, got nan\n"
         assert not (tmp_path / "system.csv").exists()
 
+    def test_infinite_p_is_bad_config(self, tmp_path, capsys):
+        text = FAST_SOLVE.format(beta=0.0, fam="identity")
+        text = text.replace("params.p = 4.0", "params.p = inf")
+        rc = main(["solve-system", "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "bad config: params: need a finite p, got inf\n"
+        assert not (tmp_path / "system.csv").exists()
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "5"]])
+    @pytest.mark.parametrize("key,value", [("max_iter", "800"), ("n_restarts", "0")])
+    def test_negative_iteration_count_is_bad_config(self, tmp_path, capsys, key,
+                                                    value, seed):
+        text = FAST_SOLVE.format(beta=-2.0, fam="identity").replace(
+            f"solver.{key} = {value}\n", f"solver.{key} = -3\n"
+        )
+        rc = main(["solve-system", "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path), *seed])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"bad config: solver.{key}: must be nonnegative\n"
+        assert not (tmp_path / "system.csv").exists()
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_is_bad_config(self, tmp_path, capsys, tol):
         text = FAST_SOLVE.format(beta=-2.0, fam="identity")

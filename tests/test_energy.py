@@ -52,7 +52,7 @@ class TestProblemParams:
         with pytest.raises(InvalidParams):
             ProblemParams(0.0, 0.0, 0.0, p, gamma)
 
-    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient(self, index, value):
         args = [0.0, 0.0, 0.0, 4.0, 1.0]
@@ -156,8 +156,8 @@ class TestTotalEnergy:
         g1, g2 = pair.gradient(two)
         assert rel_err(scalar.gradient(one)[0], g1) < 1e-13
         assert np.all(g2 == 0.0)
-        h1, _h2 = pair.hessian(two)(np.stack((d, zero)))
-        assert rel_err(scalar.hessian(one)(d[None])[0], h1) < 1e-13
+        h1 = (pair.hessian(two) @ np.concatenate((d, zero)).ravel())[: d.size]
+        assert rel_err(scalar.hessian(one) @ d.ravel(), h1) < 1e-13
         assert scalar_energy(ScalarField(z, grid7.spec), 1, params, fam, grid7) == \
             scalar.value(one)
 
@@ -272,15 +272,15 @@ class TestHessian:
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
         u = positive_state(grid7, seed)
         d1, d2 = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
-        h1, h2 = Energy.pair(params, fam1, fam2).hessian(
+        h = Energy.pair(params, fam1, fam2).hessian(
             CellSample(u.stacked(), grid7)
-        )(np.stack((d1, d2)))
+        ) @ np.concatenate((d1.ravel(), d2.ravel()))
         eps = 1e-6
         gp = euler_gradient(shifted(u, d1, d2, eps), params, fam1, fam2, grid7)
         gm = euler_gradient(shifted(u, d1, d2, -eps), params, fam1, fam2, grid7)
         fd = np.concatenate([(gp.u1.values - gm.u1.values).ravel(),
                              (gp.u2.values - gm.u2.values).ravel()]) / (2 * eps)
-        assert rel_err(np.concatenate([h1.ravel(), h2.ravel()]), fd) < 1e-6
+        assert rel_err(h, fd) < 1e-6
 
     @PROPERTY
     @given(fam=families, p=exponents, c=st.floats(0.5, 3.0), seed=seeds)
@@ -288,11 +288,11 @@ class TestHessian:
         z = positive_state(grid7, seed).u1.values[None]
         d = np.random.default_rng(seed + 1).standard_normal((1, *grid7.shape))
         energy = Energy.scalar(ProblemParams(0.4, 0.4, 0.0, p, 0.5), 0.4, fam, c)
-        h = energy.hessian(CellSample(z, grid7))(d)
+        h = energy.hessian(CellSample(z, grid7)) @ d.ravel()
         eps = 1e-6
 
         def grad(s):
-            return energy.gradient(CellSample(z + s * d, grid7))
+            return energy.gradient(CellSample(z + s * d, grid7)).ravel()
 
         assert rel_err(h, (grad(eps) - grad(-eps)) / (2 * eps)) < 1e-6
 
@@ -303,16 +303,18 @@ class TestHessian:
         u = positive_state(grid7, seed)
         d = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
         e = np.random.default_rng(seed + 2).standard_normal((2, *grid7.shape))
+        d, e = d.ravel(), e.ravel()
         hess = Energy.pair(params, fam1, fam2).hessian(CellSample(u.stacked(), grid7))
-        hd, he = hess(d), hess(e)
+        hd, he = hess @ d, hess @ e
         bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e)
         assert abs(np.sum(hd * e) - np.sum(d * he)) <= bound
         shess = Energy.scalar(params, 0.4, fam1, 1.0 + abs(beta)).hessian(
             CellSample(u.u1.values[None], grid7)
         )
-        hd, he = shess(d[:1]), shess(e[:1])
-        bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e[0])
-        assert abs(np.sum(hd * e[:1]) - np.sum(d[:1] * he)) <= bound
+        d, e = d[: grid7.spec.n_nodes], e[: grid7.spec.n_nodes]
+        hd, he = shess @ d, shess @ e
+        bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e)
+        assert abs(np.sum(hd * e) - np.sum(d * he)) <= bound
 
     def test_coupling_second_derivatives_zero_convention(self):
         # p = 3: |t1|^(p/2-2) has no value at t1 = 0, taken as 0 there;
@@ -322,6 +324,79 @@ class TestHessian:
             h11, h12, _h22 = coupling_hess_g(np.array([0.0]), np.array([0.5]), params)
             assert h11[0] == pytest.approx(h11_at_zero, abs=1e-15)
             assert h12[0] == 0.0
+
+
+def matrix_free_hessian(energy, s, d):
+    """H d at the sample s, by sampling the (k, nx, ny) direction d onto
+    the cells and scattering the linearized gradient weights back."""
+    a, da, d2a = (
+        np.stack([getattr(f, name)(v) for f, v in zip(energy.fams, s.v)])
+        for name in ("a", "da", "d2a")
+    )
+    if len(s.v) == 2:
+        h11, h12, h22 = coupling_hess_g(s.v[0], s.v[1], energy.params)
+        diag = np.stack((h11, h22))
+    else:
+        p = energy.params.p
+        h12, diag = 0.0, energy.c * (p - 1.0) * np.abs(s.v) ** (p - 2.0)
+    m = 0.5 * d2a * s.gsq - np.reshape(energy.lams, (-1, 1, 1)) - diag
+    ds = CellSample(d, s.grid)
+    w_val = m * ds.v - h12 * ds.v[::-1] + da * (s.gx * ds.gx + s.gy * ds.gy)
+    return G.scatter_cells(
+        s.grid, w_val, da * s.gx * ds.v + a * ds.gx, da * s.gy * ds.v + a * ds.gy
+    )
+
+
+class TestAssembledHessian:
+    """The Hessian matrix against the matrix-free product it replaces."""
+
+    @pytest.fixture(scope="class")
+    def rect(self):
+        return G.build_grid(G.GridSpec(9, 6, 1.0, 1.7))
+
+    def energies(self, p=4.0):
+        params = ProblemParams(0.4, -0.3, -1.5, p, 0.5)
+        fam1, fam2 = example_family(0.5), example_family(1.3)
+        return (Energy.scalar(params, 0.4, fam1, 1.7), Energy.pair(params, fam1, fam2))
+
+    def dense(self, hess, n):
+        return np.column_stack([hess @ col for col in np.eye(n)])
+
+    @pytest.mark.parametrize("p", [4.0, 3.0])
+    def test_matches_matrix_free_products(self, rect, p):
+        rng = np.random.default_rng(int(p))
+        for energy in self.energies(p):
+            k = len(energy.fams)
+            x = rng.standard_normal((k, *rect.shape))
+            if p == 3.0:
+                # exact zero cell values where a second derivative does not
+                # exist: A'' for gamma < 2, the coupling for p < 4
+                x[0, :4, :3] = 0.0
+                x[-1, 5:, 2:] = 0.0
+            s = CellSample(x, rect)
+            assert np.all(s.v != 0.0) == (p == 4.0)
+            n = x.size
+            ref = np.column_stack([
+                matrix_free_hessian(energy, s, col.reshape(x.shape)).ravel()
+                for col in np.eye(n)
+            ])
+            H = energy.hessian(s)
+            assert H.shape == (n, n)
+            assert rel_err(self.dense(H, n), ref) < 1e-13
+
+    def test_matrix_is_symmetric_entry_for_entry(self, rect):
+        x = np.random.default_rng(4).standard_normal((2, *rect.shape))
+        for energy in self.energies():
+            H = energy.hessian(CellSample(x[: len(energy.fams)], rect))
+            assert (H != H.T).nnz == 0
+
+    def test_pattern_is_the_nine_point_stencil(self, rect):
+        nx, ny = rect.shape
+        x = np.random.default_rng(5).standard_normal((2, *rect.shape))
+        for energy in self.energies():
+            k = len(energy.fams)
+            H = energy.hessian(CellSample(x[:k], rect))
+            assert H.nnz == k * k * (3 * nx - 2) * (3 * ny - 2)
 
 
 class TestNehariResidual:

@@ -59,6 +59,44 @@ class TestGridSpec:
         assert grid.poisson_solver is grid.poisson_solver
         assert sorted(built) == ["make_poisson_solver", "principal_eigenpair"]
 
+    def test_form_patterns_built_once_per_grid(self, monkeypatch):
+        built = []
+        real = G._form_pattern
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(G, "_form_pattern", counting)
+        grid = build_grid(GridSpec(5, 4, 1.0, 1.0))
+        w = np.ones((4, 2, 6, 5))
+        first = G.cell_form_matrix(grid, *w, w[0, 0])
+        for _ in range(2):
+            G.cell_form_matrix(grid, *w[:, :1])
+            again = G.cell_form_matrix(grid, *w, w[0, 0])
+        assert sorted(built) == [(5, 4, 1), (5, 4, 2)]
+        assert np.shares_memory(first.indices, again.indices)
+
+
+class TestCellFormMatrix:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_product_is_the_scattered_form(self, k):
+        grid = build_grid(GridSpec(9, 6, 1.0, 1.7))
+        rng = np.random.default_rng(k)
+        w_vv, w_vx, w_vy, w_gg = rng.standard_normal((4, k, 10, 7))
+        w_cross = rng.standard_normal((10, 7)) if k == 2 else None
+        H = G.cell_form_matrix(grid, w_vv, w_vx, w_vy, w_gg, w_cross)
+        for d in rng.standard_normal((3, k, 9, 6)):
+            dv = G.cell_values(d, grid)
+            dgx, dgy = G.cell_gradients(d, grid)
+            w_val = w_vv * dv + w_vx * dgx + w_vy * dgy
+            if k == 2:
+                w_val += w_cross * dv[::-1]
+            ref = G.scatter_cells(grid, w_val, w_vx * dv + w_gg * dgx,
+                                  w_vy * dv + w_gg * dgy)
+            err = np.linalg.norm(H @ d.ravel() - ref.ravel())
+            assert err <= 1e-13 * np.linalg.norm(ref)
+
 
 class TestIntegrate:
     def test_constant_one_is_area(self):

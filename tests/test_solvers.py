@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import diags_array
 
+import nehari2d.energy as E
 import nehari2d.grid as G
 import nehari2d.solvers as S
 from nehari2d import (
@@ -504,7 +506,7 @@ class TestNewtonHandoff:
             return np.where(free, x - target, 0.0) + floor
 
         def hess_fn(x):
-            return lambda d: np.where(free, d, 0.0)
+            return diags_array(free.astype(float))
 
         _x, res, converged, its = S._newton_krylov_polish(
             np.zeros(n), grad_fn, lambda x: 0.0, hess_fn, grid7, opts
@@ -512,6 +514,39 @@ class TestNewtonHandoff:
         assert converged
         assert 1e-2 * opts.tol < res <= opts.tol
         assert its < _POLISH_MAX_ITER
+
+    def test_hessian_products_do_not_scatter(self, monkeypatch, grid15, example1,
+                                             params_p4):
+        # the Hessian is assembled once per Newton step: MINRES iterations
+        # multiply by a matrix and scatter nothing back through the cells
+        opts = SolverOptions(n_restarts=0)
+        z, _L, _rep = scalar_ground_state(1, params_p4, example1, grid15, opts)
+        rng = np.random.default_rng(0)
+        x0 = (z.values * (1.0 + 1e-3 * rng.standard_normal(grid15.shape)))[None]
+        energy = Energy.scalar(params_p4, 0.0, example1)
+        counts = {"scatter": 0, "gradient": 0, "minres": 0}
+        real_scatter, real_minres = E.scatter_cells, S.minres
+
+        def scatter(*args):
+            counts["scatter"] += 1
+            return real_scatter(*args)
+
+        def minres(*args, **kwargs):
+            def callback(_xk):
+                counts["minres"] += 1
+
+            return real_minres(*args, callback=callback, **kwargs)
+
+        def gradient(x):
+            counts["gradient"] += 1
+            return energy.gradient(CellSample(x, grid15))
+
+        monkeypatch.setattr(E, "scatter_cells", scatter)
+        monkeypatch.setattr(S, "minres", minres)
+        _x, _res, converged, its = S._polish(x0, energy, grid15, opts, gradient)
+        assert converged and its >= 2
+        assert counts["scatter"] == counts["gradient"]
+        assert counts["minres"] > 2 * counts["scatter"]
 
 
 class TestScalarLevels:
