@@ -167,17 +167,19 @@ class FiberEvaluator:
             tau0 = (quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok else 1.0
         return positive_root(lambda tau: self._axis(k, tau, 2)[1:], tau0, tol)
 
-    def value(self, t1: float, t2: float) -> float:
+    def value(self, t1, t2):
+        """h(t1, t2); t1 and t2 may be arrays that broadcast together."""
         p, b = self.params.p, self.params.beta
         cross = (2.0 * b / p) * t1 ** (p / 2.0) * t2 ** (p / 2.0) * self.cross
-        return float(self._axis(0, t1, 0)[0] + self._axis(1, t2, 0)[0] - cross)
+        return self._axis(0, t1, 0)[0] + self._axis(1, t2, 0)[0] - cross
 
-    def grad(self, t1: float, t2: float) -> tuple[float, float]:
+    def grad(self, t1, t2):
+        """(dh/dt1, dh/dt2) at (t1, t2), broadcast like `value`."""
         p, b = self.params.p, self.params.beta
         half = p / 2.0
         g1 = self._axis(0, t1, 1)[1] - b * t1 ** (half - 1.0) * t2**half * self.cross
         g2 = self._axis(1, t2, 1)[1] - b * t2 ** (half - 1.0) * t1**half * self.cross
-        return float(g1), float(g2)
+        return g1, g2
 
     def grad_and_jacobian(self, t1: float, t2: float):
         """Fiber gradient and its exact Jacobian at (t1, t2).
@@ -198,23 +200,6 @@ class FiberEvaluator:
         J[1, 1] -= c * (half - 1.0) * t2 ** (half - 2.0) * t1**half
         J[0, 1] = J[1, 0] = -c * half * t1 ** (half - 1.0) * t2 ** (half - 1.0)
         return g, J
-
-    def value_grid(self, taus1: np.ndarray, taus2: np.ndarray) -> np.ndarray:
-        p, b = self.params.p, self.params.beta
-        h = self._axis(0, taus1, 0)[0][:, None] + self._axis(1, taus2, 0)[0][None, :]
-        h -= (2.0 * b / p) * self.cross * np.outer(
-            taus1 ** (p / 2.0), taus2 ** (p / 2.0)
-        )
-        return h
-
-    def grad_grid(self, taus1, taus2) -> tuple[np.ndarray, np.ndarray]:
-        p, b = self.params.p, self.params.beta
-        half = p / 2.0
-        cross1 = b * self.cross * np.outer(taus1 ** (half - 1.0), taus2**half)
-        cross2 = b * self.cross * np.outer(taus1**half, taus2 ** (half - 1.0))
-        g1 = self._axis(0, taus1, 1)[1][:, None] - cross1
-        g2 = self._axis(1, taus2, 1)[1][None, :] - cross2
-        return g1, g2
 
 
 def _pair_evaluator(
@@ -471,7 +456,7 @@ def project_to_nehari(
             lo, hi = _SCAN_T_MIN, _SCAN_T_MAX
             for attempt in range(2):
                 taus = np.logspace(math.log10(lo), math.log10(hi), _SCAN_N)
-                H = ev.value_grid(taus, taus)
+                H = ev.value(taus[:, None], taus[None, :])
                 k1, k2 = np.unravel_index(int(np.argmax(H)), H.shape)
                 on_border = k1 in (0, _SCAN_N - 1) or k2 in (0, _SCAN_N - 1)
                 if not on_border:
@@ -533,7 +518,7 @@ def critical_cell_count(
     """
     ev = _pair_evaluator(u, params, fam1, fam2, grid)
     taus = np.logspace(math.log10(t_min), math.log10(t_max), n)
-    g1, g2 = ev.grad_grid(taus, taus)
+    g1, g2 = ev.grad(taus[:, None], taus[None, :])
     s1 = g1 > 0.0
     s2 = g2 > 0.0
 

@@ -12,7 +12,11 @@ random positives) by descent with per-iteration rescaling onto the
 constraint set.  The descent only brings a candidate near a critical
 point: at Euler residual 1e-2 it hands over to a damped Newton-Krylov
 root finder on the exact gradient and Hessian, and resumes only when
-that polish fails its guard.
+that polish fails its guard.  All three run one start loop with one
+acceptance rule: a polished state is a candidate when its Euler residual
+is at most tol and none of its components is trivial.  The rule is both
+the handoff guard and the final pick, and the lowest-energy candidate
+wins.
 
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
@@ -222,6 +226,9 @@ def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
 # ---------------------------------------------------------------------------
 # the descent driver
 
+# what a fiber map raises to reject a trial step or a start
+_REJECTS = (DegenerateInput, NoConvergence, NotProjectable)
+
 # Armijo sufficient-decrease constant, and the stagnation stop: the energy
 # fell by no more than _STAGNATION_TOL (relative) over _STAGNATION_WINDOW steps
 _ARMIJO = 1e-4
@@ -239,8 +246,8 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
     (memo is None on the first call of every descent, so each descent
     starts without memory).  `retract(x, d, a)` returns (x_try, energy),
     the trial point at step a mapped back onto the constraint set, and
-    raises DegenerateInput, NoConvergence or NotProjectable to reject the
-    step.  `check(x, energy)` runs on every accepted state.
+    raises one of _REJECTS to reject the step.  `check(x, energy)` runs
+    on every accepted state.
 
     The first trial step is a = 1, each later one twice the last accepted
     step (at most 1e3); a is halved up to 50 times.  Stops when
@@ -264,7 +271,7 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
         for _ in range(50):
             try:
                 x_try, e_try = retract(x, d, a)
-            except (DegenerateInput, NoConvergence, NotProjectable):
+            except _REJECTS:
                 a *= 0.5
                 continue
             if e_try <= energy_val + _ARMIJO * a * slope:
@@ -290,43 +297,16 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
 _HANDOFF_RES = 1e-2
 
 
-def _descend_and_polish(x, energy_val, gradient, direction, retract, opts,
-                        polish, reject, check=None):
-    """One start: descend to the Newton handoff residual, then polish.
-
-    The descent (`_descend`'s first five arguments and `check`) stops at
-    max(_HANDOFF_RES, 1e2 * tol), and `polish(x)` polishes the state it
-    reached.  `reject(result)` says why a polished result fails the
-    guard, or returns None.  When it fails and the residual test ended
-    the descent above 1e2 * tol, the descent resumes from there, with a
-    fresh step and stagnation window and what is left of max_iter, down
-    to 1e2 * tol, and the state it reaches is polished instead.  A
-    descent ended by anything else is not resumed.
-
-    Returns (result, descent iterations, note); note says why the
-    handoff fell back, or is None.
-    """
-    final = 1e2 * opts.tol
-    stop = max(_HANDOFF_RES, final)
-    x, energy_val, res, its = _descend(
-        x, energy_val, gradient, direction, retract, opts, stop, check
-    )
-    out = polish(x)
-    if not (final < res <= stop and its < opts.max_iter):
-        return out, its, None
-    reason = reject(out)
-    if reason is None:
-        return out, its, None
-    x, _e, _res, more = _descend(
-        x, energy_val, gradient, direction, retract,
-        replace(opts, max_iter=opts.max_iter - its), final, check,
-    )
-    note = f"Newton handoff at res {res:.2e} failed ({reason}); descent resumed"
-    return polish(x), its + more, note
-
-
-def _polish_rejection(res, opts):
-    return f"polish stopped at res {res:.2e}" if res > opts.tol else None
+def _rejection(sample, res, params, opts):
+    """Why a polished state (its sample and Euler residual) is not a
+    candidate, or None: the one acceptance rule of every solver, at the
+    Newton handoff and at the final pick.  A candidate has res <= tol and
+    no trivial component."""
+    if res > opts.tol:
+        return f"polish stopped at res {res:.2e}"
+    if not _fully_nontrivial(sample, params, opts):
+        return "trivial state" if len(sample.x) == 1 else "semi-trivial state"
+    return None
 
 
 def _conjugate_lift(g, sample, t, grid, memo):
@@ -377,28 +357,38 @@ def _conjugate_lift(g, sample, t, grid, memo):
     return d, slope, (pg, gpg, d)
 
 
-def _constrained_descent(y0, fiber, energy, grid, opts, polish, reject,
-                         check=None, sphere=True):
-    """Descent on the constraint set from the stack y0, plus Newton polish.
+def _best_polished(starts, fiber, polish, energy, grid, opts, warnings,
+                   check=None, sphere=True):
+    """Descend from every start on the constraint set, polish, and keep the
+    lowest-energy candidate.
 
     `fiber(y, t_init)` maps a stack y onto the constraint set and returns
     (x, energy) for the point x = (y, t, sample, residual): the fiber
     scalings t, the cell sample of the rescaled state w = t y and its
-    constraint residuals (or None); it raises to reject y.  The descent
-    runs on the Euler gradient of `energy` at w.  On the sphere product
-    (`sphere`), y lies on the unit gradient spheres and moves by the
-    conjugate lift, and each trial is renormalized and rescaled from the
-    current t.  Otherwise a trial steps from w along the plain Riesz lift
-    -r and is rescaled from t = (1, 1).  `polish`, `reject` and `check`
-    are those of `_descend_and_polish`, and so is the return value.
+    constraint residuals (or None); it raises one of _REJECTS to reject y.
+    The descent (`_descend`) runs on the Euler gradient of `energy` at w,
+    and `check(x, energy)`, when given, runs on each start's point and on
+    every accepted one.  On the sphere product (`sphere`), a start is
+    normalized onto the unit gradient spheres and moves by the conjugate
+    lift, and each trial is renormalized and rescaled from the current t.
+    Otherwise a trial steps from w along the plain Riesz lift -r and is
+    rescaled from t = (1, 1).
+
+    Each start descends to max(_HANDOFF_RES, 1e2 * tol), and `polish(x)`
+    returns (sample, res) for the polished state.  When `_rejection`
+    refuses it and the residual test ended the descent above 1e2 * tol,
+    the descent resumes once from there, with a fresh step and stagnation
+    window and what is left of max_iter, down to 1e2 * tol, and the state
+    it reaches is polished instead (a warning notes the fallback).  A
+    start that raises one of _REJECTS is dropped with a warning.  Returns
+    (best, descent iterations): best is the lowest-energy (state, energy,
+    res) among the polished states `_rejection` accepts, or None.
     """
     def gradient(x):
         g = energy.gradient(x[2])
         return g, _vol_norm(g, grid)
 
     if sphere:
-        y0 = h1_normalize(y0, grid)
-
         def direction(x, g, memo):
             return _conjugate_lift(g, x[2], x[1], grid, memo)
 
@@ -412,42 +402,42 @@ def _constrained_descent(y0, fiber, energy, grid, opts, polish, reject,
         def retract(x, d, a):
             return fiber(x[2].x + a * d, (1.0, 1.0))
 
-    x, energy_val = fiber(y0, None)
-    if check is not None:
-        check(x, energy_val)
-    return _descend_and_polish(
-        x, energy_val, gradient, direction, retract, opts, polish, reject, check
-    )
-
-
-def _best_polished(starts, descend, keep, energy, opts, warnings):
-    """Descend from every start and polish; the lowest-energy result.
-
-    `descend(start)` returns what `_constrained_descent` does, with the
-    polished result (sample, res).  Returns (best, descent iterations,
-    rejected starts): best is the lowest-energy (state, energy, res)
-    among polished states that reach tol and whose sample `keep`
-    accepts, or None.  A start whose descent raises is rejected with a
-    warning; a Newton handoff that fell back is noted in the warnings too.
-    """
+    final = 1e2 * opts.tol
+    stop = max(_HANDOFF_RES, final)
     best = None
     energies = []
-    total_iters = n_failed = 0
-    for k, start in enumerate(starts):
+    total_iters = 0
+    for k, y in enumerate(starts):
         try:
-            (sample, res), its, note = descend(start)
-        except (NotProjectable, DegenerateInput, NoConvergence) as exc:
-            n_failed += 1
+            x, energy_val = fiber(h1_normalize(y, grid) if sphere else y, None)
+            if check is not None:
+                check(x, energy_val)
+            x, energy_val, res, its = _descend(
+                x, energy_val, gradient, direction, retract, opts, stop, check
+            )
+            sample, res_p = polish(x)
+            reason = _rejection(sample, res_p, energy.params, opts)
+            if reason is not None and final < res <= stop and its < opts.max_iter:
+                x, _e, _res, more = _descend(
+                    x, energy_val, gradient, direction, retract,
+                    replace(opts, max_iter=opts.max_iter - its), final, check,
+                )
+                its += more
+                sample, res_p = polish(x)
+                warnings.append(
+                    f"start {k}: Newton handoff at res {res:.2e} failed "
+                    f"({reason}); descent resumed"
+                )
+                reason = _rejection(sample, res_p, energy.params, opts)
+        except _REJECTS as exc:
             warnings.append(f"start rejected: {exc}")
             continue
         total_iters += its
-        if note is not None:
-            warnings.append(f"start {k}: {note}")
-        if res <= opts.tol and keep(sample):
+        if reason is None:
             e = energy.value(sample)
             energies.append(e)
             if best is None or e < best[1]:
-                best = (sample.x, e, res)
+                best = (sample.x, e, res_p)
     # distinct converged minimizers are reported, not resolved
     if len(energies) > 1:
         lo, hi = min(energies), max(energies)
@@ -456,7 +446,7 @@ def _best_polished(starts, descend, keep, energy, opts, warnings):
                 f"{len(energies)} converged candidates span energies "
                 f"[{lo:.10g}, {hi:.10g}]; reporting the lowest"
             )
-    return best, total_iters, n_failed
+    return best, total_iters
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +487,9 @@ def _newton_krylov_polish(
         (n, n), matvec=lambda r: solve(r.reshape(-1, *grid.shape)).ravel(),
         dtype=float,
     )
-    scale = math.sqrt(grid.cell_area)
     x = x0.copy()
     g = grad_fn(x)
-    res = float(np.linalg.norm(g)) * scale
+    res = _vol_norm(g, grid)
     energy_val = energy_fn(x)
     its = 0
     for its in range(1, _POLISH_MAX_ITER + 1):
@@ -518,7 +507,7 @@ def _newton_krylov_polish(
         for _ in range(40):
             x_try = x + s * step
             g_try = grad_fn(x_try)
-            res_try = float(np.linalg.norm(g_try)) * scale
+            res_try = _vol_norm(g_try, grid)
             if res_try < res:
                 e_try = energy_fn(x_try)
                 if e_try <= energy_val + 1e-11 * (1.0 + abs(energy_val)):
@@ -583,7 +572,8 @@ def scalar_ground_state(
 
     Multistart sphere descent plus Newton polish: a point is a field v on
     the unit gradient sphere, its fiber root tau and w = tau v on the
-    constraint set, and the handoff guard is that the polish converged.
+    constraint set, and a candidate is a polished state that `_rejection`
+    accepts, at the handoff and at the final pick.
     The output is sign-normalized to the nonnegative representative (the
     energy is even in the field).  `nonlin_coeff` weights the |z|^(p-2) z
     term; the default 1 is the plain scalar problem.
@@ -624,18 +614,14 @@ def scalar_ground_state(
     for k in range(opts.n_restarts):
         starts.append(_random_positive(grid, _rng(opts.seed, 11, i, k)))
 
-    best, total_iters, _n_failed = _best_polished(
-        starts,
-        lambda z0: _constrained_descent(
-            z0[None], fiber, energy, grid, opts, polish,
-            lambda out: _polish_rejection(out[1], opts),
-        ),
-        lambda sample: True, energy, opts, warnings,
+    best, total_iters = _best_polished(
+        [z[None] for z in starts], fiber, polish, energy, grid, opts, warnings
     )
     total_iters += polish_its
     if best is None:
         raise NoConvergence(
-            f"scalar solve (component {i}) did not reach tol from any start",
+            f"scalar solve (component {i}) reached no nontrivial state at tol "
+            "from any start",
             iterations=total_iters,
         )
     w, energy_val, res = best
@@ -702,17 +688,15 @@ def _require_admissible(params, fam1, fam2, grid) -> float:
     return mu1
 
 
-def _system_descent(y0, params, fam1, fam2, grid, opts, nu, sphere):
-    """Descent of the system energy on the constraint set from the pair
-    stack y0, plus Newton polish (`_constrained_descent`).
+def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
+    """`_best_polished` on the system energy from the pair stacks `starts`.
 
-    The fiber is the projection onto the constraint set.  The coercivity
-    bound is checked on the start and on every accepted projection.  The
-    polish is `refine_solution`, and its guard is that the polish
-    converged to a fully nontrivial state.  Returns ((sample of the
-    polished state, res), descent iterations, note); raises
-    NotProjectable when y0 is not projectable.
+    The fiber is `project_to_nehari` (an unprojectable pair is rejected),
+    the coercivity bound is checked on each start and on every accepted
+    projection, and the polish is `refine_solution`.
     """
+    nu = min(fam1.nu, fam2.nu)
+
     def project(y, t_init):
         proj = project_to_nehari(
             StatePair.from_stack(y, grid.spec), params, fam1, fam2, grid,
@@ -731,15 +715,9 @@ def _system_descent(y0, params, fam1, fam2, grid, opts, nu, sphere):
         )
         return CellSample(u.stacked(), grid), res
 
-    def reject(out):
-        sample, res = out
-        if res <= opts.tol and not _fully_nontrivial(sample, params, opts):
-            return "semi-trivial state"
-        return _polish_rejection(res, opts)
-
-    return _constrained_descent(
-        y0, project, Energy.pair(params, fam1, fam2), grid, opts, polish, reject,
-        check, sphere,
+    return _best_polished(
+        starts, project, polish, Energy.pair(params, fam1, fam2), grid, opts,
+        warnings, check, sphere,
     )
 
 
@@ -815,7 +793,6 @@ def competitive_least_energy(
             "guaranteed below -1"
         )
     _require_admissible(params, fam1, fam2, grid)
-    nu = min(fam1.nu, fam2.nu)
 
     if scalar_data is None:
         z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
@@ -836,14 +813,12 @@ def competitive_least_energy(
     for y in pairs:
         starts += [y, y[::-1]] if mirror else [y]
 
-    best, total_iters, n_failed = _best_polished(
-        starts,
-        lambda y: _system_descent(y, params, fam1, fam2, grid, opts, nu, True),
-        lambda sample: True, Energy.pair(params, fam1, fam2), opts, warnings,
+    best, total_iters = _pair_starts(
+        starts, params, fam1, fam2, grid, opts, True, warnings
     )
     if best is None:
         raise NoConvergence(
-            f"no competitive start converged ({n_failed} rejected)",
+            "no competitive start reached a fully nontrivial state at tol",
             iterations=total_iters,
         )
     return _finalize_system(
@@ -898,7 +873,6 @@ def cooperative_least_energy(
         raise InvalidParams(f"cooperative solver needs beta > 0, got {params.beta}")
     warnings = []
     _require_admissible(params, fam1, fam2, grid)
-    nu = min(fam1.nu, fam2.nu)
 
     if scalar_data is None:
         z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
@@ -920,12 +894,8 @@ def cooperative_least_energy(
         y = np.stack((_random_positive(grid, rng), _random_positive(grid, rng)))
         starts += [y, y[::-1]] if mirror else [y]
 
-    # a state that collapsed to a semi-trivial one is not a candidate
-    best, total_iters, _n_failed = _best_polished(
-        starts,
-        lambda y: _system_descent(y, params, fam1, fam2, grid, opts, nu, False),
-        lambda sample: _fully_nontrivial(sample, params, opts),
-        Energy.pair(params, fam1, fam2), opts, warnings,
+    best, total_iters = _pair_starts(
+        starts, params, fam1, fam2, grid, opts, False, warnings
     )
     if best is None:
         raise NoFullyNontrivialCandidate(

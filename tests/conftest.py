@@ -101,3 +101,23 @@ def quick_opts():
 def scalar_cache():
     """Session cache of scalar ground-state solves keyed by the caller."""
     return {}
+
+
+class StopSolve(Exception):
+    """Raised by `capture_first_descent` to end a solve at its first descent."""
+
+
+def capture_first_descent(monkeypatch, solvers):
+    """Make the first `_descend` call of the module `solvers` record its
+    start point, energy and callbacks and raise StopSolve; returns the dict
+    they are recorded in."""
+    captured = {}
+
+    def capture(x, energy_val, gradient, direction, retract, opts, stop,
+                check=None):
+        captured.update(x=x, energy=energy_val, gradient=gradient,
+                        direction=direction, retract=retract, check=check)
+        raise StopSolve
+
+    monkeypatch.setattr(solvers, "_descend", capture)
+    return captured

@@ -472,6 +472,6 @@ class TestUniquenessScan:
         ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
                             CellSample(u.stacked(), grid15))
         taus = np.logspace(-3, 3, 64)
-        H = ev.value_grid(taus, taus)
+        H = ev.value(taus[:, None], taus[None, :])
         h_star = fiber_value(u, res.t, competitive_params, example1, example1, grid15)
         assert h_star >= np.max(H) - 1e-9 * (abs(h_star) + 1.0)

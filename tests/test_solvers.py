@@ -44,7 +44,7 @@ from nehari2d.solvers import (
 from nehari2d.fiber import h1_normalize
 from oracles import semilinear_ground_level
 
-from conftest import zero_field
+from conftest import StopSolve, capture_first_descent, zero_field
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ class TestScalarGroundState:
                                        fast_opts):
         # the bump start raises; the random start alone gives the level
         grid, params, _z, L, _rep = scalar15
-        real = S._constrained_descent
+        real = S._descend
         calls = []
 
         def first_raises(*args):
@@ -127,7 +127,7 @@ class TestScalarGroundState:
                 raise NoConvergence("stub failure")
             return real(*args)
 
-        monkeypatch.setattr(S, "_constrained_descent", first_raises)
+        monkeypatch.setattr(S, "_descend", first_raises)
         _z, L_rej, rep = scalar_ground_state(1, params, identity, grid, fast_opts)
         assert len(calls) == 2
         assert "start rejected: stub failure" in rep.warnings
@@ -336,29 +336,43 @@ class TestDescentDriver:
         assert np.array_equal(d2, d) and slope2 == slope
         assert np.array_equal(memo2[2], d)
 
-    def test_every_descent_starts_without_memory(self, grid7):
-        opts = SolverOptions(tol=1e-6)
-        v0, e0, gradient, rule, retract = self.sphere_problem(grid7)
+    def test_every_descent_starts_without_memory(self, monkeypatch, grid7,
+                                                 identity, params_p4):
+        # one scalar start whose first polish fails its guard, so the
+        # descent resumes
+        opts = SolverOptions(n_restarts=0)
         memos = []
+        entered_at = []
+        descent_its = []
         polished_at = []
+        real_rule, real_descend = S._conjugate_lift, S._descend
+        real_polish = S._newton_krylov_polish
 
-        def recorded(v, gs, memo):
+        def recorded(g, sample, t, grid, memo):
             memos.append(memo)
-            return rule(v, gs, memo)
+            return real_rule(g, sample, t, grid, memo)
 
-        def polish(v):
+        def descend(*args):
+            entered_at.append(len(memos))
+            out = real_descend(*args)
+            descent_its.append(out[3])
+            return out
+
+        def polish(x0, *args):
             polished_at.append(len(memos))
-            return v
+            if len(polished_at) == 1:
+                return x0.copy(), 1.0, False, 0
+            return real_polish(x0, *args)
 
-        # the first polish fails its guard, so the descent resumes
-        _out, its, note = S._descend_and_polish(
-            v0, e0, gradient, recorded, retract, opts, polish,
-            lambda v: "rejected" if len(polished_at) == 1 else None,
-        )
-        assert note is not None and len(polished_at) == 2
-        assert len(memos) == its - 2
+        monkeypatch.setattr(S, "_conjugate_lift", recorded)
+        monkeypatch.setattr(S, "_descend", descend)
+        monkeypatch.setattr(S, "_newton_krylov_polish", polish)
+        _z, _L, rep = scalar_ground_state(1, params_p4, identity, grid7, opts)
+        (note,) = rep.warnings
+        assert note.endswith("descent resumed") and len(polished_at) == 2
+        assert len(memos) == sum(descent_its) - 2
         fresh = [k for k, memo in enumerate(memos) if memo is None]
-        assert fresh == [0, polished_at[0]]
+        assert fresh == [0, polished_at[0]] == entered_at
 
 
 def count_stencils(monkeypatch):
@@ -383,18 +397,11 @@ def count_stencils(monkeypatch):
 class TestOneSamplePerState:
     def test_sphere_product_trial(self, monkeypatch, grid15, example1):
         # the descent's own callbacks, taken from one competitive start
-        captured = {}
-
-        def capture(x, e, gradient, direction, retract, opts, polish, reject,
-                    check=None):
-            captured.update(x=x, gradient=gradient, direction=direction,
-                            retract=retract, check=check)
-            return (None, math.inf), 0, None
-
-        monkeypatch.setattr(S, "_descend_and_polish", capture)
+        captured = capture_first_descent(monkeypatch, S)
         params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
-        S._system_descent(np.stack(S.segregated_pair(grid15)), params, example1,
-                          example1, grid15, SolverOptions(), example1.nu, True)
+        with pytest.raises(StopSolve):
+            S._pair_starts([np.stack(S.segregated_pair(grid15))], params,
+                           example1, example1, grid15, SolverOptions(), True, [])
         x = captured["x"]
         g, _res = captured["gradient"](x)
         d, _slope, _memo = captured["direction"](x, g, None)
@@ -547,6 +554,41 @@ class TestNewtonHandoff:
         assert converged and its >= 2
         assert counts["scatter"] == counts["gradient"]
         assert counts["minres"] > 2 * counts["scatter"]
+
+
+class TestAcceptanceRule:
+    """One rule decides at the handoff and at the final pick, for every
+    solver: the polish reaches tol at a state with no trivial component."""
+
+    def test_semitrivial_competitive_state_is_refused(self, monkeypatch, grid15,
+                                                      example1):
+        opts = SolverOptions(n_restarts=0)
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        scalars = scalar_levels(params, example1, example1, grid15, opts)
+        calls = []
+
+        def semitrivial(u, *args):
+            calls.append(u)
+            return StatePair(u.u1, zero_field(grid15)), 0.0, True
+
+        monkeypatch.setattr(S, "refine_solution", semitrivial)
+        with pytest.raises(NoConvergence, match="fully nontrivial"):
+            competitive_least_energy(
+                params, example1, example1, grid15, opts, scalar_data=scalars
+            )
+        # the handoff guard refused the first polish too
+        assert len(calls) == 2
+
+    def test_collapsed_scalar_state_is_refused(self, monkeypatch, grid7, identity,
+                                               params_p4):
+        opts = SolverOptions(n_restarts=0)
+
+        def collapses(x0, *args):
+            return np.zeros_like(x0), 0.0, True, 0
+
+        monkeypatch.setattr(S, "_newton_krylov_polish", collapses)
+        with pytest.raises(NoConvergence, match="nontrivial"):
+            scalar_ground_state(1, params_p4, identity, grid7, opts)
 
 
 class TestScalarLevels:
@@ -909,3 +951,27 @@ class TestDeterminismAndSymmetry:
         for a, b in zip(ints_sw, reversed(ints)):
             for x, y in zip(a, b):
                 assert abs(x - y) <= 1e-9 * (1.0 + abs(y))
+
+    @pytest.mark.parametrize("beta, level", [(5.0, 17.206402257128417),
+                                             (0.5, 110.6663003289)])
+    def test_swap_equivariance_cooperative(self, grid15, identity, example1,
+                                           fast_opts, beta, level):
+        # asymmetric data: the near-semitrivial start runs in both orders
+        lam = 0.05 * conservative_mu1(grid15)
+        params = ProblemParams(lam, 0.0, beta, 4.0, 1.0)
+        u, rep = cooperative_least_energy(params, identity, example1, grid15,
+                                          fast_opts)
+        u_sw, rep_sw = cooperative_least_energy(
+            params.swapped(), example1, identity, grid15, fast_opts
+        )
+        assert rep.fully_nontrivial and rep_sw.fully_nontrivial
+        assert rep.energy == pytest.approx(level, rel=1e-10)
+        assert rep_sw.energy == pytest.approx(rep.energy, rel=1e-12)
+        assert np.max(np.abs(u.u1.values - u_sw.u2.values)) <= 1e-12
+        assert np.max(np.abs(u.u2.values - u_sw.u1.values)) <= 1e-12
+        # above min(L1, L2) the report says so, in both orders
+        warned = [
+            any("not below min(L1, L2) = 35.1423" in w for w in r.warnings)
+            for r in (rep, rep_sw)
+        ]
+        assert warned == [beta < 1.0] * 2
