@@ -54,10 +54,9 @@ from .solvers import (
     SolveReport,
     SolverOptions,
     beta_sweep,
-    competitive_least_energy,
-    cooperative_least_energy,
     refine_solution,
     scalar_ground_state,
+    solve_system,
 )
 from .spectrum import EigenPair, admissible, principal_eigenpair
 
@@ -81,8 +80,6 @@ __all__ = [
     "beta_sweep",
     "build_grid",
     "certify",
-    "competitive_least_energy",
-    "cooperative_least_energy",
     "coupling_G",
     "coupling_grad_g",
     "dump_field",
@@ -103,6 +100,7 @@ __all__ = [
     "refine_solution",
     "scalar_energy",
     "scalar_ground_state",
+    "solve_system",
     "sphere_normalize",
     "tabulated_family",
     "total_energy",

@@ -31,7 +31,6 @@ from .errors import (
     InvalidParams,
     InvalidSpec,
     NoConvergence,
-    NoFullyNontrivialCandidate,
     ParseError,
     ValidationError,
 )
@@ -176,8 +175,8 @@ def parse_config(text: str) -> RunConfig:
     for name, fam in (("family1", family1), ("family2", family2)):
         if fam.kind not in ("identity", "example"):
             raise ValidationError(f"{name}.kind", f"unknown kind {fam.kind!r}")
-        if fam.gamma <= 0.0:
-            raise ValidationError(f"{name}.gamma", "must be positive")
+        if not (0.0 < fam.gamma < math.inf):
+            raise ValidationError(f"{name}.gamma", "must be a finite positive number")
     solver = _checked_solver(replace(defaults.solver, **sections["solver"]))
     top = sections[""]
     cfg = RunConfig(
@@ -191,6 +190,9 @@ def parse_config(text: str) -> RunConfig:
         certify_n_samples=top.get("certify_n_samples", defaults.certify_n_samples),
         beta_list=top.get("beta_list", defaults.beta_list),
     )
+    for key in ("s_min", "s_max"):
+        if not math.isfinite(getattr(cfg, f"certify_{key}")):
+            raise ValidationError(f"certify.{key}", "must be finite")
     if not cfg.certify_s_min < cfg.certify_s_max:
         raise ValidationError("certify.s_min", "need s_min < s_max")
     if cfg.certify_n_samples < 100:
@@ -408,7 +410,7 @@ def run(command: str, cfg: RunConfig, out_dir) -> int:
             file=sys.stderr,
         )
         return EXIT_INADMISSIBLE
-    except (NoConvergence, NoFullyNontrivialCandidate) as exc:
+    except NoConvergence as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except CoercivityViolation as exc:

@@ -235,6 +235,8 @@ def certify(
 ) -> CertReport:
     """Check (a1)-(a4) and the gamma window on a uniform sample of s_range."""
     s_min, s_max = float(s_range[0]), float(s_range[1])
+    if not (math.isfinite(s_min) and math.isfinite(s_max)):
+        raise InvalidRange(f"need a finite range, got [{s_min}, {s_max}]")
     if not (s_min < s_max):
         raise InvalidRange(f"need s_min < s_max, got [{s_min}, {s_max}]")
     if n_samples < 100:

@@ -41,10 +41,6 @@ class NotProjectable(RuntimeError):
     """A state admits no constraint-set rescaling (no fiber critical point)."""
 
 
-class NoFullyNontrivialCandidate(RuntimeError):
-    """Every candidate of a multistart solve collapsed to a semi-trivial state."""
-
-
 class CoercivityViolation(RuntimeError):
     """A constrained iterate broke the theoretical lower energy bound."""
 

@@ -31,8 +31,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise InvalidSpec(f"need nx, ny >= 2, got ({self.nx}, {self.ny})")
-        if not (self.lx > 0.0 and self.ly > 0.0):
-            raise InvalidSpec(f"need lx, ly > 0, got ({self.lx}, {self.ly})")
+        if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
+            raise InvalidSpec(f"need finite lx, ly > 0, got ({self.lx}, {self.ly})")
 
     @property
     def hx(self) -> float:
@@ -386,7 +386,7 @@ def load_field(path) -> ScalarField:
         nx, ny = int(header[1]), int(header[2])
         spec = GridSpec(nx, ny, float(header[3]), float(header[4]))
         vals = np.zeros((nx, ny))
-        seen = 0
+        seen = np.zeros((nx, ny), dtype=bool)
         for line in fh:
             parts = line.split()
             if not parts:
@@ -396,8 +396,10 @@ def load_field(path) -> ScalarField:
             i, j = int(parts[0]) - 1, int(parts[1]) - 1
             if not (0 <= i < nx and 0 <= j < ny):
                 raise ValueError(f"{path}: node ({i + 1}, {j + 1}) out of range")
+            if seen[i, j]:
+                raise ValueError(f"{path}: node ({i + 1}, {j + 1}) repeated")
             vals[i, j] = float(parts[4])
-            seen += 1
-        if seen != nx * ny:
-            raise ValueError(f"{path}: expected {nx * ny} rows, found {seen}")
+            seen[i, j] = True
+        if not seen.all():
+            raise ValueError(f"{path}: expected {nx * ny} rows, found {seen.sum()}")
     return ScalarField(vals, spec)

@@ -1,22 +1,25 @@
-"""Ground-state solvers: scalar, competitive, cooperative, and sweeps.
+"""Ground-state solvers: the scalar solve, the one system solve, and sweeps.
 
 Scalar ground states minimize the one-component energy over the unit
 gradient sphere: each trial direction is rescaled onto the scalar
 constraint set by its unique fiber root, and the descent direction is the
 Riesz lift of the exact energy gradient projected onto the sphere
-tangent.  The repulsive system solver runs the same scheme on the
-product of two spheres, with the two-parameter fiber projection supplying
-the constrained energy.  The attractive solver has no sphere reduction;
-it refines a candidate list (diagonal state, near-semitrivial pair,
-random positives) by descent with per-iteration rescaling onto the
-constraint set.  The descent only brings a candidate near a critical
-point: at Euler residual 1e-2 it hands over to a damped Newton-Krylov
-root finder on the exact gradient and Hessian, and resumes only when
-that polish fails its guard.  All three run one start loop with one
-acceptance rule: a polished state is a candidate when its Euler residual
-is at most tol and none of its components is trivial.  The rule is both
-the handoff guard and the final pick, and the lowest-energy candidate
-wins.
+tangent.  `solve_system` solves the system for every sign of beta, and
+the sign picks only the method.  Repulsive coupling runs the scalar
+scheme on the product of two spheres, with the two-parameter fiber
+projection supplying the constrained energy.  Attractive coupling has no
+sphere reduction: each start descends with per-iteration rescaling onto
+the constraint set.  At beta = 0 the pair of scalar ground states is the
+solution.  Both coupled regimes run one start set, each start followed
+by its mirror (the start the swapped problem builds, components swapped
+back), and fail one way, with NoConvergence, when no start gives a
+candidate.  The descent only brings a start near a critical point: at
+Euler residual 1e-2 it hands over to a damped Newton-Krylov root finder
+on the exact gradient and Hessian, and resumes only when that polish
+fails its guard.  Every solve runs one start loop with one acceptance
+rule: a polished state is a candidate when its Euler residual is at most
+tol and none of its components is trivial.  The rule is both the handoff
+guard and the final pick, and the lowest-energy candidate wins.
 
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
@@ -51,7 +54,6 @@ from .errors import (
     InadmissibleLambda,
     InvalidParams,
     NoConvergence,
-    NoFullyNontrivialCandidate,
     NotProjectable,
 )
 from .fiber import h1_normalize, project_to_nehari, scalar_fiber_root
@@ -672,20 +674,7 @@ def scalar_levels(
 
 
 # ---------------------------------------------------------------------------
-# systems: admissibility, descent and report
-
-
-def _require_admissible(params, fam1, fam2, grid) -> float:
-    mu1 = conservative_mu1(grid)
-    nu = min(fam1.nu, fam2.nu)
-    verdict = admissible(params, nu, params.gamma, mu1)
-    if verdict != ADMISSIBLE:
-        raise InadmissibleLambda(
-            f"(lambda1, lambda2) = ({params.lambda1:.6g}, {params.lambda2:.6g}) "
-            f"not below the threshold "
-            f"{strong_threshold(params.p, params.gamma, nu, mu1):.6g}"
-        )
-    return mu1
+# systems: one solve for both coupling regimes
 
 
 def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
@@ -721,116 +710,6 @@ def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
     )
 
 
-def _finalize_system(
-    x: np.ndarray,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-    opts: SolverOptions,
-    regime: str,
-    iterations: int,
-    L1: float,
-    L2: float,
-    warnings: list[str],
-) -> tuple[StatePair, SolveReport]:
-    """The sign-normalized pair of the stack x and its report."""
-    x = _sign_fix(x)
-    sample = CellSample(x, grid)
-    energy = Energy.pair(params, fam1, fam2)
-    energy_val = energy.value(sample)
-    r1, r2 = energy.residuals(sample)
-
-    nontrivial = _fully_nontrivial(sample, params, opts)
-    if params.beta <= 0.0 and nontrivial:
-        nu = min(fam1.nu, fam2.nu)
-        if not nehari_floors_hold(sample, params, nu, conservative_mu1(grid)):
-            nontrivial = False
-            warnings.append("component floors violated; state treated as semi-trivial")
-
-    report = SolveReport(
-        energy=energy_val,
-        L1=L1,
-        L2=L2,
-        e_beta_estimate=energy_val,
-        euler_residual_norm=_vol_norm(energy.gradient(sample), grid),
-        nehari_residual=NehariResidual(float(r1), float(r2)),
-        fully_nontrivial=nontrivial,
-        nonnegative=_is_nonnegative(x[0]) and _is_nonnegative(x[1]),
-        iterations=iterations,
-        regime=regime,
-        warnings=tuple(warnings),
-    )
-    return StatePair.from_stack(x, grid.spec), report
-
-
-# ---------------------------------------------------------------------------
-# competitive regime (repulsive coupling)
-
-
-def competitive_least_energy(
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-    opts: SolverOptions = SolverOptions(),
-    scalar_data=None,
-    warm_start: StatePair | None = None,
-) -> tuple[StatePair, SolveReport]:
-    """Least energy fully nontrivial state for repulsive coupling (beta < 0).
-
-    Minimizes the reduced energy J(m(v)) over projectable pairs on the
-    sphere product, from segregated and random starts, then polishes the
-    winner in the full space.  `scalar_data` may carry precomputed
-    (z1, z2, L1, L2) to skip the scalar solves.
-    """
-    if params.beta >= 0.0:
-        raise InvalidParams(f"competitive solver needs beta < 0, got {params.beta}")
-    warnings = []
-    if params.beta >= -1.0:
-        warnings.append(
-            f"beta = {params.beta:g} is in [-1, 0): projectability is only "
-            "guaranteed below -1"
-        )
-    _require_admissible(params, fam1, fam2, grid)
-
-    if scalar_data is None:
-        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
-    else:
-        z1, z2, L1, L2 = scalar_data
-
-    # mirrored copies keep the explored candidate set swap-symmetric; for
-    # symmetric data the mirror run is arithmetically identical, so skip it
-    mirror = not symmetric_problem(params, fam1, fam2)
-    left, right = segregated_pair(grid)
-    starts = [] if warm_start is None else [warm_start.stacked()]
-    pairs = [np.stack((left, right))]
-    for k in range(opts.n_restarts):
-        rng = _rng(opts.seed, 21, k)
-        pairs.append(np.stack((
-            _random_positive(grid, rng) * left, _random_positive(grid, rng) * right
-        )))
-    for y in pairs:
-        starts += [y, y[::-1]] if mirror else [y]
-
-    best, total_iters = _pair_starts(
-        starts, params, fam1, fam2, grid, opts, True, warnings
-    )
-    if best is None:
-        raise NoConvergence(
-            "no competitive start reached a fully nontrivial state at tol",
-            iterations=total_iters,
-        )
-    return _finalize_system(
-        best[0], params, fam1, fam2, grid, opts, REGIME_COMPETITIVE,
-        total_iters, L1, L2, warnings,
-    )
-
-
-# ---------------------------------------------------------------------------
-# cooperative regime (attractive coupling)
-
-
 def diagonal_candidate(
     params: ProblemParams,
     fam: CoefficientFamily,
@@ -853,89 +732,43 @@ def diagonal_candidate(
     return StatePair(w, w), pp
 
 
-def cooperative_least_energy(
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-    opts: SolverOptions = SolverOptions(),
-    scalar_data=None,
-    warm_start: StatePair | None = None,
-) -> tuple[StatePair, SolveReport]:
-    """Least energy fully nontrivial candidate for attractive coupling.
+def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings):
+    """The start stacks of a coupled solve (beta != 0), warm start first.
 
-    Builds candidates (synchronized diagonal state when the problem is
-    symmetric, near-semitrivial pairs, random positives), refines each by
-    rescaled descent plus Newton polish, and returns the lowest-energy
-    fully nontrivial critical point.
+    Repulsive coupling: the segregated bumps, then random positives
+    shaped by them.  Attractive coupling: the diagonal state (symmetric
+    data only: otherwise it is no critical point), the near-semitrivial
+    pair (z1, eps z2), then random positives.  Each start is followed by
+    its mirror, the start that the swapped problem builds with its
+    components swapped back, so that the explored set is swap-symmetric:
+    y[::-1], and (eps z1, z2) for the near-semitrivial pair.  For
+    symmetric data a mirror run is arithmetically identical to its start
+    and is skipped.  Ties go to the earlier start.
     """
-    if params.beta <= 0.0:
-        raise InvalidParams(f"cooperative solver needs beta > 0, got {params.beta}")
-    warnings = []
-    _require_admissible(params, fam1, fam2, grid)
-
-    if scalar_data is None:
-        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
-    else:
-        z1, z2, L1, L2 = scalar_data
-
     symmetric = symmetric_problem(params, fam1, fam2)
-    mirror = not symmetric
-    starts = [] if warm_start is None else [warm_start.stacked()]
-    if symmetric:
-        diag, _pp = diagonal_candidate(params, fam1, grid, opts, warnings)
-        starts.append(diag.stacked())
-    eps = 1e-2
-    starts.append(np.stack((z1.values, eps * z2.values)))
-    if mirror:
-        starts.append(np.stack((eps * z1.values, z2.values)))
-    for k in range(opts.n_restarts):
-        rng = _rng(opts.seed, 31, k)
-        y = np.stack((_random_positive(grid, rng), _random_positive(grid, rng)))
-        starts += [y, y[::-1]] if mirror else [y]
-
-    best, total_iters = _pair_starts(
-        starts, params, fam1, fam2, grid, opts, False, warnings
-    )
-    if best is None:
-        raise NoFullyNontrivialCandidate(
-            "every cooperative candidate collapsed or failed to converge"
-        )
-    u, report = _finalize_system(
-        best[0], params, fam1, fam2, grid, opts, REGIME_COOPERATIVE,
-        total_iters, L1, L2, warnings,
-    )
-    if report.energy >= min(L1, L2):
-        report = replace(
-            report,
-            warnings=report.warnings
-            + (f"energy {report.energy:.6g} not below min(L1, L2) = {min(L1, L2):.6g}",),
-        )
-    return u, report
-
-
-# ---------------------------------------------------------------------------
-# beta = 0 and sweeps
-
-
-def decoupled_solution(
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-    opts: SolverOptions = SolverOptions(),
-    scalar_data=None,
-) -> tuple[StatePair, SolveReport]:
-    """beta = 0: the pair of scalar ground states solves the system."""
-    warnings = []
-    if scalar_data is None:
-        z1, z2, L1, L2 = scalar_levels(params, fam1, fam2, grid, opts, warnings)
+    pairs = []  # (start, mirror)
+    if params.beta < 0.0:
+        envelope, tag = segregated_pair(grid), 21
+        y = np.stack(envelope)
+        pairs.append((y, y[::-1]))
     else:
-        z1, z2, L1, L2 = scalar_data
-    return _finalize_system(
-        np.stack((z1.values, z2.values)), params, fam1, fam2, grid, opts,
-        REGIME_DECOUPLED, 0, L1, L2, warnings,
-    )
+        envelope, tag = (1.0, 1.0), 31
+        if symmetric:
+            diag = diagonal_candidate(params, fam1, grid, opts, warnings)[0].stacked()
+            pairs.append((diag, diag))
+        eps = 1e-2
+        pairs.append((
+            np.stack((z1.values, eps * z2.values)),
+            np.stack((eps * z1.values, z2.values)),
+        ))
+    for k in range(opts.n_restarts):
+        rng = _rng(opts.seed, tag, k)
+        y = np.stack([_random_positive(grid, rng) * e for e in envelope])
+        pairs.append((y, y[::-1]))
+    starts = [] if warm_start is None else [warm_start.stacked()]
+    for y, mirror in pairs:
+        starts += [y] if symmetric else [y, mirror]
+    return starts
 
 
 def solve_system(
@@ -947,16 +780,93 @@ def solve_system(
     scalar_data=None,
     warm_start: StatePair | None = None,
 ) -> tuple[StatePair, SolveReport]:
-    """The least energy state by the solver for the sign of beta:
-    competitive below 0, cooperative above, decoupled at 0 (which has no
-    use for `warm_start`)."""
-    args = (params, fam1, fam2, grid, opts, scalar_data)
-    if params.beta < 0.0:
-        return competitive_least_energy(*args, warm_start)
-    if params.beta > 0.0:
-        return cooperative_least_energy(*args, warm_start)
-    return decoupled_solution(*args)
+    """Least energy fully nontrivial state of the system, and its report.
 
+    The sign of beta picks the method.  Competitive (beta < 0): the
+    reduced energy J(m(v)) is minimized over projectable pairs on the
+    sphere product.  Cooperative (beta > 0): each start descends with
+    rescaling onto the constraint set.  Both run `_pair_starts` from
+    `_system_starts` and report the lowest-energy candidate.  Decoupled
+    (beta = 0): the pair of scalar ground states is the solution, and
+    `warm_start` has no use.  `scalar_data` may carry precomputed
+    (z1, z2, L1, L2) to skip the scalar solves.
+
+    Raises InadmissibleLambda when beta != 0 and (lambda1, lambda2) is not
+    below the strong threshold, and NoConvergence when no start reaches a
+    candidate.
+    """
+    beta = params.beta
+    if beta < 0.0:
+        regime = REGIME_COMPETITIVE
+    elif beta > 0.0:
+        regime = REGIME_COOPERATIVE
+    else:
+        regime = REGIME_DECOUPLED
+    warnings = []
+    if -1.0 <= beta < 0.0:
+        warnings.append(
+            f"beta = {beta:g} is in [-1, 0): projectability is only "
+            "guaranteed below -1"
+        )
+    mu1 = conservative_mu1(grid)
+    nu = min(fam1.nu, fam2.nu)
+    if beta != 0.0 and admissible(params, nu, params.gamma, mu1) != ADMISSIBLE:
+        raise InadmissibleLambda(
+            f"(lambda1, lambda2) = ({params.lambda1:.6g}, {params.lambda2:.6g}) "
+            f"not below the threshold "
+            f"{strong_threshold(params.p, params.gamma, nu, mu1):.6g}"
+        )
+    if scalar_data is None:
+        scalar_data = scalar_levels(params, fam1, fam2, grid, opts, warnings)
+    z1, z2, L1, L2 = scalar_data
+
+    if beta == 0.0:
+        x, iterations = np.stack((z1.values, z2.values)), 0
+    else:
+        starts = _system_starts(
+            params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings
+        )
+        best, iterations = _pair_starts(
+            starts, params, fam1, fam2, grid, opts, beta < 0.0, warnings
+        )
+        if best is None:
+            raise NoConvergence(
+                f"no {regime} start reached a fully nontrivial state at tol",
+                iterations=iterations,
+            )
+        x = best[0]
+
+    x = _sign_fix(x)
+    sample = CellSample(x, grid)
+    energy = Energy.pair(params, fam1, fam2)
+    energy_val = energy.value(sample)
+    r1, r2 = energy.residuals(sample)
+    nontrivial = _fully_nontrivial(sample, params, opts)
+    if beta <= 0.0 and nontrivial and not nehari_floors_hold(sample, params, nu, mu1):
+        nontrivial = False
+        warnings.append("component floors violated; state treated as semi-trivial")
+    if beta > 0.0 and energy_val >= min(L1, L2):
+        warnings.append(
+            f"energy {energy_val:.6g} not below min(L1, L2) = {min(L1, L2):.6g}"
+        )
+    report = SolveReport(
+        energy=energy_val,
+        L1=L1,
+        L2=L2,
+        e_beta_estimate=energy_val,
+        euler_residual_norm=_vol_norm(energy.gradient(sample), grid),
+        nehari_residual=NehariResidual(float(r1), float(r2)),
+        fully_nontrivial=nontrivial,
+        nonnegative=_is_nonnegative(x[0]) and _is_nonnegative(x[1]),
+        iterations=iterations,
+        regime=regime,
+        warnings=tuple(warnings),
+    )
+    return StatePair.from_stack(x, grid.spec), report
+
+
+# ---------------------------------------------------------------------------
+# sweeps
 
 # solver failures a sweep records as an error row; anything else is a bug
 _ROW_ERRORS = (
@@ -965,7 +875,6 @@ _ROW_ERRORS = (
     InadmissibleLambda,
     InvalidParams,
     NoConvergence,
-    NoFullyNontrivialCandidate,
     NotProjectable,
 )
 

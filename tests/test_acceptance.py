@@ -22,8 +22,6 @@ from nehari2d import (
     StatePair,
     build_grid,
     certify,
-    competitive_least_energy,
-    cooperative_least_energy,
     euler_gradient,
     example_family,
     fiber_gradient,
@@ -32,6 +30,7 @@ from nehari2d import (
     principal_eigenpair,
     project_to_nehari,
     scalar_ground_state,
+    solve_system,
     total_energy,
 )
 from nehari2d.coeffs import tabulated_family
@@ -39,7 +38,6 @@ from nehari2d.energy import CellSample
 from nehari2d.fiber import critical_cell_count
 from nehari2d.solvers import (
     conservative_mu1,
-    decoupled_solution,
     diagonal_candidate,
     nehari_floors_hold,
 )
@@ -137,7 +135,7 @@ def test_criterion_3_decoupling_oracle():
     grid, z1, z2, L1, L2 = _identity_levels63(opts)
     params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
     iden = identity_family(1.0)
-    _u, rep = decoupled_solution(
+    _u, rep = solve_system(
         params, iden, iden, grid, opts, scalar_data=(z1, z2, L1, L2)
     )
     assert abs(rep.energy - (L1 + L2)) / (L1 + L2) <= 0.01
@@ -153,7 +151,7 @@ def test_criterion_4_competitive_regime():
     fam = example_family(1.0)
     params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
     opts = SolverOptions(tol=1e-8, n_restarts=1, max_iter=2000, seed=0)
-    u, rep = competitive_least_energy(params, fam, fam, grid, opts)
+    u, rep = solve_system(params, fam, fam, grid, opts)
     # the least-energy state, not the side-by-side trap at E = 427.4287
     assert rep.energy == pytest.approx(413.67085720769313, rel=1e-10)
 
@@ -219,7 +217,7 @@ def test_criterion_7_cooperative_regime():
     betas = [5.0, 10.0, 20.0, 40.0]
     for beta in betas:
         params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
-        u, rep = cooperative_least_energy(
+        u, rep = solve_system(
             params, iden, iden, grid, opts,
             scalar_data=(z1, z2, L1, L2), warm_start=warm,
         )
@@ -266,15 +264,15 @@ def test_criterion_9_determinism_and_swap():
     params = ProblemParams(lam, 0.0, -2.0, 4.0, 1.0)
     opts = SolverOptions(tol=1e-8, n_restarts=1, max_iter=2000, seed=3)
 
-    u_a, rep_a = competitive_least_energy(params, iden, fam, grid, opts)
+    u_a, rep_a = solve_system(params, iden, fam, grid, opts)
     # the least-energy state, not the trap at E = 257.826
     assert rep_a.energy == pytest.approx(245.4972501868092, rel=1e-10)
-    u_b, rep_b = competitive_least_energy(params, iden, fam, grid, opts)
+    u_b, rep_b = solve_system(params, iden, fam, grid, opts)
     assert np.array_equal(u_a.u1.values, u_b.u1.values)
     assert np.array_equal(u_a.u2.values, u_b.u2.values)
     assert rep_a.energy == rep_b.energy
 
-    u_sw, rep_sw = competitive_least_energy(
+    u_sw, rep_sw = solve_system(
         params.swapped(), fam, iden, grid, opts
     )
     assert abs(rep_a.energy - rep_sw.energy) <= 1e-10 * (1.0 + abs(rep_a.energy))

@@ -348,6 +348,27 @@ class TestCommands:
         assert err == "bad config: params: need a finite p, got inf\n"
         assert not (tmp_path / "system.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve-system", "certify"])
+    @pytest.mark.parametrize("lines,err", [
+        ("family1.gamma = nan", "family1.gamma: must be a finite positive number"),
+        ("family1.kind = example\nfamily1.gamma = inf",
+         "family1.gamma: must be a finite positive number"),
+        ("grid.lx = inf", "grid: need finite lx, ly > 0, got (inf, 1.0)"),
+        ("grid.ly = inf", "grid: need finite lx, ly > 0, got (1.0, inf)"),
+        ("certify.s_min = -inf", "certify.s_min: must be finite"),
+        ("certify.s_max = nan", "certify.s_max: must be finite"),
+    ], ids=["gamma-nan", "example-gamma-inf", "lx-inf", "ly-inf", "s_min-inf",
+            "s_max-nan"])
+    def test_non_finite_extent_gamma_or_range_is_bad_config(
+        self, tmp_path, capsys, command, lines, err
+    ):
+        text = "grid.nx = 7\ngrid.ny = 7\nparams.beta = -2\n" + lines + "\n"
+        rc = main([command, "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"bad config: {err}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("seed", [[], ["--seed", "5"]])
     @pytest.mark.parametrize("key,value", [("max_iter", "800"), ("n_restarts", "0")])
     def test_negative_iteration_count_is_bad_config(self, tmp_path, capsys, key,

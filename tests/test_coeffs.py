@@ -161,6 +161,14 @@ class TestCertify:
         with pytest.raises(InvalidRange):
             certify(identity_family(), 4.0, (-2.0, 2.0), 50)
 
+    @pytest.mark.parametrize("s_range", [(-math.inf, 2.0), (-2.0, math.inf),
+                                         (math.nan, 2.0)])
+    def test_non_finite_range_rejected(self, s_range):
+        # linspace over an infinite range samples -inf and NaNs, on which
+        # every comparison is vacuous: the identity profile would pass all
+        with pytest.raises(InvalidRange, match="finite range"):
+            certify(identity_family(), 4.0, s_range, 500)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_profile(self):
         fam = tabulated_family(

@@ -26,7 +26,8 @@ class TestGridSpec:
 
     @pytest.mark.parametrize(
         "nx,ny,lx,ly",
-        [(1, 4, 1.0, 1.0), (4, 1, 1.0, 1.0), (4, 4, 0.0, 1.0), (4, 4, 1.0, -2.0)],
+        [(1, 4, 1.0, 1.0), (4, 1, 1.0, 1.0), (4, 4, 0.0, 1.0), (4, 4, 1.0, -2.0),
+         (4, 4, math.inf, 1.0), (4, 4, 1.0, math.inf), (4, 4, math.nan, 1.0)],
     )
     def test_invalid_specs(self, nx, ny, lx, ly):
         with pytest.raises(InvalidSpec):
@@ -245,6 +246,20 @@ class TestFieldDump:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError):
+            G.load_field(path)
+
+    def test_repeated_node_rejected(self, grid7, tmp_path):
+        # row (1, 1) twice and row (2, 2) missing: the right row count, but
+        # node (2, 2) would silently load as 0
+        rng = np.random.default_rng(3)
+        path = tmp_path / "f.field"
+        G.dump_field(ScalarField(rng.standard_normal(grid7.shape), grid7.spec),
+                     grid7, path)
+        lines = path.read_text().splitlines()
+        first = next(l for l in lines if l.startswith("1 1 "))
+        lines = [first if l.startswith("2 2 ") else l for l in lines]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"node \(1, 1\) repeated"):
             G.load_field(path)
 
     def test_energy_reproduced(self, grid31, tmp_path):

@@ -16,18 +16,16 @@ from nehari2d import (
     StatePair,
     beta_sweep,
     build_grid,
-    competitive_least_energy,
-    cooperative_least_energy,
     euler_gradient,
     refine_solution,
     scalar_ground_state,
+    solve_system,
 )
 from nehari2d.coeffs import tabulated_family
 from nehari2d.energy import CellSample, Energy
 from nehari2d.errors import (
     DegenerateInput,
     InadmissibleLambda,
-    InvalidParams,
     NoConvergence,
 )
 from nehari2d.solvers import (
@@ -36,7 +34,6 @@ from nehari2d.solvers import (
     REGIME_DECOUPLED,
     ScalarReport,
     conservative_mu1,
-    decoupled_solution,
     diagonal_candidate,
     nehari_floors_hold,
     scalar_levels,
@@ -478,7 +475,7 @@ class TestNewtonHandoff:
         opts = SolverOptions(n_restarts=0)
         params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
         scalars = scalar_levels(params, example1, example1, grid15, opts)
-        _u, rep = competitive_least_energy(
+        _u, rep = solve_system(
             params, example1, example1, grid15, opts, scalar_data=scalars
         )
         real = S.refine_solution
@@ -491,7 +488,7 @@ class TestNewtonHandoff:
             return real(u, *args)
 
         monkeypatch.setattr(S, "refine_solution", semitrivial_first)
-        _u, rep_g = competitive_least_energy(
+        _u, rep_g = solve_system(
             params, example1, example1, grid15, opts, scalar_data=scalars
         )
         assert len(calls) == 2 and rep_g.fully_nontrivial
@@ -573,11 +570,34 @@ class TestAcceptanceRule:
 
         monkeypatch.setattr(S, "refine_solution", semitrivial)
         with pytest.raises(NoConvergence, match="fully nontrivial"):
-            competitive_least_energy(
+            solve_system(
                 params, example1, example1, grid15, opts, scalar_data=scalars
             )
         # the handoff guard refused the first polish too
         assert len(calls) == 2
+
+    def test_semitrivial_cooperative_state_is_refused(self, monkeypatch, grid15,
+                                                      identity):
+        opts = SolverOptions(n_restarts=0)
+        params = ProblemParams(0.0, 0.0, 5.0, 4.0, 1.0)
+        scalars = scalar_levels(params, identity, identity, grid15, opts)
+        calls = []
+
+        def semitrivial(u, *args):
+            calls.append(u)
+            return StatePair(u.u1, zero_field(grid15)), 0.0, True
+
+        monkeypatch.setattr(S, "refine_solution", semitrivial)
+        with pytest.raises(NoConvergence, match="no cooperative start reached a "
+                                                "fully nontrivial state at tol"):
+            solve_system(
+                params, identity, identity, grid15, opts, scalar_data=scalars
+            )
+        # the diagonal and the near-semitrivial start were both polished
+        assert len(calls) >= 2
+        (row,) = beta_sweep([5.0], params, identity, identity, grid15, opts)
+        assert row.status == "error" and row.report is None
+        assert "no cooperative start" in row.error
 
     def test_collapsed_scalar_state_is_refused(self, monkeypatch, grid7, identity,
                                                params_p4):
@@ -637,7 +657,7 @@ class TestScalarLevels:
         stub_scalar_solves(monkeypatch)
         notes = ("scalar problem 1: note 1", "scalar problem 2: note 2")
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
-        _u, rep = decoupled_solution(params, identity, example1, grid15, fast_opts)
+        _u, rep = solve_system(params, identity, example1, grid15, fast_opts)
         assert rep.warnings[:2] == notes
         (row,) = beta_sweep([0.0], params, identity, example1, grid15, fast_opts)
         assert row.report.warnings[:2] == notes
@@ -687,8 +707,7 @@ class TestRefineSolution:
 @pytest.fixture(scope="module")
 def solved(grid31, example1, fast_opts):
     params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
-    u, rep = competitive_least_energy(params, example1, example1, grid31,
-                                      fast_opts)
+    u, rep = solve_system(params, example1, example1, grid31, fast_opts)
     return params, u, rep
 
 
@@ -734,15 +753,9 @@ class TestCompetitive:
             high = coef[3 * n // 4 :, 3 * n // 4 :].max()
             assert high <= 1e-5 * coef.max()
 
-    def test_rejects_nonnegative_beta(self, grid15, example1, fast_opts):
-        params = ProblemParams(0.0, 0.0, 0.5, 4.0, 1.0)
-        with pytest.raises(InvalidParams):
-            competitive_least_energy(params, example1, example1, grid15, fast_opts)
-
     def test_beta_above_minus_one_warns(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, -0.5, 4.0, 1.0)
-        _u, rep = competitive_least_energy(params, identity, identity, grid15,
-                                           fast_opts)
+        _u, rep = solve_system(params, identity, identity, grid15, fast_opts)
         assert any("projectability" in w for w in rep.warnings)
 
     def test_beta_to_zero_consistency(self, grid15, identity, fast_opts):
@@ -758,7 +771,7 @@ class TestCompetitive:
         gaps = []
         for beta in (-0.5, -0.1, -0.01):
             params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
-            _u, rep = competitive_least_energy(
+            _u, rep = solve_system(
                 params, identity, identity, grid15, fast_opts, scalar_data=scalars
             )
             # never worse than the synchronized candidate (which for weak
@@ -775,8 +788,7 @@ class TestCompetitive:
 class TestCooperative:
     def test_beats_scalar_levels(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, 10.0, 4.0, 1.0)
-        u, rep = cooperative_least_energy(params, identity, identity, grid15,
-                                          fast_opts)
+        u, rep = solve_system(params, identity, identity, grid15, fast_opts)
         assert rep.fully_nontrivial and rep.nonnegative
         assert rep.energy < min(rep.L1, rep.L2)
         assert rep.euler_residual_norm <= 1e-8
@@ -804,21 +816,14 @@ class TestCooperative:
         slope = np.polyfit(np.log(betas), np.log(masses), 1)[0]
         assert slope <= -0.9
 
-    def test_rejects_nonpositive_beta(self, grid15, identity, fast_opts):
-        params = ProblemParams(0.0, 0.0, -1.0, 4.0, 1.0)
-        with pytest.raises(InvalidParams):
-            cooperative_least_energy(params, identity, identity, grid15, fast_opts)
-
 
 class TestSemiTrivialGuard:
     def test_near_semitrivial_not_declared_nontrivial(self, scalar15, identity,
                                                       fast_opts):
-        from nehari2d.solvers import _finalize_system
-
         grid, params, z, L, _rep = scalar15
-        _u, rep = _finalize_system(
-            np.stack((z.values, 1e-9 * z.values)), params, identity, identity, grid,
-            fast_opts, "decoupled", 0, L, L, [],
+        faint = ScalarField(1e-9 * z.values, grid.spec)
+        _u, rep = solve_system(
+            params, identity, identity, grid, fast_opts, scalar_data=(z, faint, L, L)
         )
         assert not rep.fully_nontrivial
 
@@ -846,7 +851,7 @@ class TestCoercivityGuard:
 class TestDecoupledAndSweep:
     def test_beta_zero_energy_is_sum(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
-        _u, rep = decoupled_solution(params, identity, identity, grid15, fast_opts)
+        _u, rep = solve_system(params, identity, identity, grid15, fast_opts)
         assert rep.regime == REGIME_DECOUPLED
         assert rep.energy == pytest.approx(rep.L1 + rep.L2, rel=1e-9)
         assert rep.fully_nontrivial and rep.nonnegative
@@ -882,7 +887,7 @@ class TestDecoupledAndSweep:
         def fails(*args, **kwargs):
             raise NoConvergence("no start converged")
 
-        monkeypatch.setattr(S, "decoupled_solution", fails)
+        monkeypatch.setattr(S, "solve_system", fails)
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
         rows = beta_sweep([0.0], params, identity, identity, grid15, fast_opts)
         assert rows[0].status == "error"
@@ -894,7 +899,7 @@ class TestDecoupledAndSweep:
         def buggy(*args, **kwargs):
             raise RuntimeError("programming error")
 
-        monkeypatch.setattr(S, "decoupled_solution", buggy)
+        monkeypatch.setattr(S, "solve_system", buggy)
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
         with pytest.raises(RuntimeError, match="programming error"):
             beta_sweep([0.0], params, identity, identity, grid15, fast_opts)
@@ -906,16 +911,13 @@ class TestDeterminismAndSymmetry:
         # random start to max_iter; steepest descent took 1006 iterations
         # and the clamped rule 78 when written
         params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
-        _u, rep = competitive_least_energy(params, example1, example1, grid15,
-                                           fast_opts)
+        _u, rep = solve_system(params, example1, example1, grid15, fast_opts)
         assert rep.iterations < 500
 
     def test_repeat_run_bit_identical(self, grid15, example1, fast_opts):
         params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
-        u1, rep1 = competitive_least_energy(params, example1, example1, grid15,
-                                            fast_opts)
-        u2, rep2 = competitive_least_energy(params, example1, example1, grid15,
-                                            fast_opts)
+        u1, rep1 = solve_system(params, example1, example1, grid15, fast_opts)
+        u2, rep2 = solve_system(params, example1, example1, grid15, fast_opts)
         assert np.array_equal(u1.u1.values, u2.u1.values)
         assert np.array_equal(u1.u2.values, u2.u2.values)
         assert rep1.energy == rep2.energy
@@ -925,9 +927,8 @@ class TestDeterminismAndSymmetry:
         mu1 = conservative_mu1(grid15)
         lam = 0.05 * mu1
         params = ProblemParams(lam, 0.0, -2.0, 4.0, 1.0)
-        u, rep = competitive_least_energy(params, identity, example1, grid15,
-                                          fast_opts)
-        u_sw, rep_sw = competitive_least_energy(
+        u, rep = solve_system(params, identity, example1, grid15, fast_opts)
+        u_sw, rep_sw = solve_system(
             params.swapped(), example1, identity, grid15, fast_opts
         )
         assert abs(rep.energy - rep_sw.energy) <= 1e-10 * (1 + abs(rep.energy))
@@ -959,9 +960,8 @@ class TestDeterminismAndSymmetry:
         # asymmetric data: the near-semitrivial start runs in both orders
         lam = 0.05 * conservative_mu1(grid15)
         params = ProblemParams(lam, 0.0, beta, 4.0, 1.0)
-        u, rep = cooperative_least_energy(params, identity, example1, grid15,
-                                          fast_opts)
-        u_sw, rep_sw = cooperative_least_energy(
+        u, rep = solve_system(params, identity, example1, grid15, fast_opts)
+        u_sw, rep_sw = solve_system(
             params.swapped(), example1, identity, grid15, fast_opts
         )
         assert rep.fully_nontrivial and rep_sw.fully_nontrivial
