@@ -39,12 +39,10 @@ from .solvers import (
     SolverOptions,
     SweepRow,
     beta_sweep,
-    conservative_mu1,
     scalar_ground_state,
     solve_system,
     symmetric_problem,
 )
-from .spectrum import strong_threshold
 
 COMMANDS = ("certify", "eigen", "solve-scalar", "solve-system", "sweep")
 
@@ -401,14 +399,7 @@ def run(command: str, cfg: RunConfig, out_dir) -> int:
     try:
         return dispatch[command](cfg, out)
     except InadmissibleLambda as exc:
-        mu1 = conservative_mu1(build_grid(cfg.grid))
-        nu = min(cfg.family1.build().nu, cfg.family2.build().nu)
-        thr = strong_threshold(cfg.params.p, cfg.params.gamma, nu, mu1)
-        print(
-            f"inadmissible parameters: {exc} "
-            f"(strong threshold = {thr:.8g}, weak threshold = {nu * mu1:.8g})",
-            file=sys.stderr,
-        )
+        print(f"inadmissible parameters: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except NoConvergence as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)

@@ -44,16 +44,15 @@ class CoefficientFamily:
     nu: float
     c0: float
     gamma: float
-    even: bool = True
     label: str = ""
 
     def __post_init__(self):
         if not (0.0 < self.nu <= 1.0):
             raise ValueError(f"need nu in (0, 1], got {self.nu}")
-        if not (self.c0 > 0.0):
-            raise ValueError(f"need C0 > 0, got {self.c0}")
-        if not (self.gamma > 0.0):
-            raise ValueError(f"need gamma > 0, got {self.gamma}")
+        if not (0.0 < self.c0 < math.inf):
+            raise ValueError(f"need a finite C0 > 0, got {self.c0}")
+        if not (0.0 < self.gamma < math.inf):
+            raise ValueError(f"need a finite gamma > 0, got {self.gamma}")
 
 
 def eval_A(family: CoefficientFamily, s) -> np.ndarray | float:
@@ -78,7 +77,6 @@ def identity_family(gamma: float = 1.0) -> CoefficientFamily:
         nu=1.0,
         c0=1.0,
         gamma=gamma,
-        even=True,
         label="identity",
     )
 
@@ -108,9 +106,6 @@ def example_family(gamma: float) -> CoefficientFamily:
     declared C0 then only covers A itself and certification reports the
     violation honestly.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"need gamma > 0, got {gamma}")
-
     def a(s):
         sg = np.abs(s) ** gamma
         return 1.0 + sg / (1.0 + sg)
@@ -143,7 +138,6 @@ def example_family(gamma: float) -> CoefficientFamily:
         nu=1.0,
         c0=c0,
         gamma=gamma,
-        even=True,
         label=f"example(gamma={gamma:g})",
     )
 
@@ -154,7 +148,6 @@ def tabulated_family(
     nu: float,
     c0: float,
     gamma: float,
-    even: bool = True,
     label: str = "tabulated",
 ) -> CoefficientFamily:
     """Wrap arbitrary callables as a family; certification is the only guard.
@@ -170,7 +163,7 @@ def tabulated_family(
 
     return CoefficientFamily(
         kind=KIND_TABULATED, a=a, da=da, d2a=d2a, nu=nu, c0=c0, gamma=gamma,
-        even=even, label=label,
+        label=label,
     )
 
 

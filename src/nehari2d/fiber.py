@@ -156,7 +156,7 @@ class FiberEvaluator:
             )
         return terms
 
-    def axis_root(self, k: int, tau0: float | None = None, tol: float = 1e-12):
+    def axis_root(self, k: int, tau0: float | None = None):
         """Unique positive zero of the axis gradient (coupling ignored), from
         tau0, or else from the root of the constant-profile gradient
         tau (ia0 - lam q) - c tau^(p-1) pp (1 when that has none)."""
@@ -165,7 +165,7 @@ class FiberEvaluator:
             nonlin = self.c * self.pp[k]
             ok = quad > 0.0 and nonlin > 0.0
             tau0 = (quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok else 1.0
-        return positive_root(lambda tau: self._axis(k, tau, 2)[1:], tau0, tol)
+        return positive_root(lambda tau: self._axis(k, tau, 2)[1:], tau0)
 
     def value(self, t1, t2):
         """h(t1, t2); t1 and t2 may be arrays that broadcast together."""
@@ -263,7 +263,11 @@ def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g * (min(t[0], t[1]) / (np.max(np.abs(g)) + 1.0))
 
 
-def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
+# positive_root stops at this step size relative to tau
+_ROOT_TOL = 1e-12
+
+
+def positive_root(psi, tau0: float) -> float:
     """Unique positive zero of psi, which is > 0 below it and < 0 above it.
 
     `psi(tau)` returns psi and its exact slope at one tau, one call per
@@ -272,7 +276,7 @@ def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
     across a side still open, within a factor 2 of tau; otherwise tau is
     doubled or halved while a side is open, and bisected once the bracket
     is closed.  Returns as soon as psi is exactly zero or the step is
-    within tol*tau; raises NoConvergence after 100 steps.
+    within _ROOT_TOL * tau; raises NoConvergence after 100 steps.
     """
     lo, hi = 0.0, math.inf
     tau = float(tau0)
@@ -287,7 +291,7 @@ def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
         t_new = tau - f / df if df != 0.0 else math.nan
         # tested before the safeguard: a converged step lands on the
         # bracket end tau itself, which the strict test below rejects
-        if abs(t_new - tau) <= tol * tau:
+        if abs(t_new - tau) <= _ROOT_TOL * tau:
             return float(t_new)
         lower = lo if lo > 0.0 else 0.5 * tau
         upper = hi if hi < math.inf else 2.0 * tau
@@ -298,7 +302,7 @@ def positive_root(psi, tau0: float, tol: float = 1e-12) -> float:
                 t_new = 0.5 * tau
             else:
                 t_new = 0.5 * (lo + hi)
-                if hi - lo <= 2.0 * tol * t_new:
+                if hi - lo <= 2.0 * _ROOT_TOL * t_new:
                     return t_new
         tau = float(t_new)
     raise NoConvergence(
@@ -501,15 +505,17 @@ def sphere_normalize(u: StatePair, grid: Grid) -> StatePair:
     return StatePair.from_stack(h1_normalize(u.stacked(), grid), u.spec)
 
 
+# the uniqueness check samples the scan box with this many log-spaced t
+# per axis
+_UNIQUENESS_N = 200
+
+
 def critical_cell_count(
     u: StatePair,
     params: ProblemParams,
     fam1: CoefficientFamily,
     fam2: CoefficientFamily,
     grid: Grid,
-    n: int = 200,
-    t_min: float = 1e-3,
-    t_max: float = 1e3,
 ) -> int:
     """Count scan cells where both fiber gradient components change sign.
 
@@ -517,7 +523,9 @@ def critical_cell_count(
     the count is the sampled check of critical-point uniqueness.
     """
     ev = _pair_evaluator(u, params, fam1, fam2, grid)
-    taus = np.logspace(math.log10(t_min), math.log10(t_max), n)
+    taus = np.logspace(
+        math.log10(_SCAN_T_MIN), math.log10(_SCAN_T_MAX), _UNIQUENESS_N
+    )
     g1, g2 = ev.grad(taus[:, None], taus[None, :])
     s1 = g1 > 0.0
     s2 = g2 > 0.0
@@ -537,7 +545,6 @@ def scalar_fiber_root(
     fam: CoefficientFamily,
     grid: Grid,
     nonlin_coeff: float = 1.0,
-    tol: float = 1e-12,
     tau_init: float | None = None,
 ) -> float:
     """Unique positive rescaling tau with tau*z on the scalar constraint set.
@@ -554,4 +561,4 @@ def scalar_fiber_root(
         Energy.scalar(params, lam, fam, nonlin_coeff), CellSample(z.values[None], grid)
     )
     warm = tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init)
-    return ev.axis_root(0, tau_init if warm else None, tol)
+    return ev.axis_root(0, tau_init if warm else None)

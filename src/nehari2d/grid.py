@@ -62,9 +62,6 @@ class Grid:
         self.cell_area = self.hx * self.hy
         self.xs = (1.0 + np.arange(spec.nx)) * self.hx
         self.ys = (1.0 + np.arange(spec.ny)) * self.hy
-        # cell centers, one per cell including the boundary ring
-        self.xc = (0.5 + np.arange(spec.nx + 1)) * self.hx
-        self.yc = (0.5 + np.arange(spec.ny + 1)) * self.hy
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -25,7 +25,8 @@ Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
 The energy, gradient, checks and direction rule of an accepted descent
 state read one cell sample of it: for a pair the projection's, for a
-field the sample of its rescaled state.
+field the sample of its rescaled state.  The Newton polish likewise reads
+each of its iterates from one sample.
 
 Determinism: every random draw flows from the seed in SolverOptions, and
 asymmetric candidates are explored in both component orders so that
@@ -57,21 +58,8 @@ from .errors import (
     NotProjectable,
 )
 from .fiber import h1_normalize, project_to_nehari, scalar_fiber_root
-from .grid import (
-    Grid,
-    ScalarField,
-    StatePair,
-    cell_gradients,
-    cell_values,
-    integrate,
-)
-from .spectrum import (
-    ADMISSIBLE,
-    ADMISSIBLE_WEAK,
-    INADMISSIBLE,
-    admissible,
-    strong_threshold,
-)
+from .grid import Grid, ScalarField, StatePair, cell_gradients
+from .spectrum import ADMISSIBLE, ADMISSIBLE_WEAK, INADMISSIBLE, admissibility
 
 REGIME_COOPERATIVE = "cooperative"
 REGIME_COMPETITIVE = "competitive"
@@ -461,27 +449,30 @@ _POLISH_INNER_ITER = 400
 
 def _newton_krylov_polish(
     x0: np.ndarray,
-    grad_fn,
-    energy_fn,
-    hess_fn,
+    energy: Energy,
     grid: Grid,
     opts: SolverOptions,
+    gradient=None,
 ):
-    """Damped Newton on grad_fn(x) = 0 with the exact Hessian.
+    """Damped Newton on the Euler gradient of `energy`, with its exact
+    Hessian, from the state stack x0.
 
-    x stacks one nodal array per component.  `hess_fn(x)` returns the
-    Jacobian of grad_fn at x as a sparse matrix on the raveled stack; it
-    is assembled once per Newton step and inverted approximately by
-    MINRES (the matrix is symmetric but may be indefinite at the
-    saddle-type critical points sought here), preconditioned by the exact
-    -Laplace solve of each component.  Steps are halved until the
-    residual norm decreases; accepted steps may not raise the energy
-    beyond rounding level.  Converged means res <= tol.  Past tol, Newton
-    steps continue while they lower the residual, up to the finishing
-    target res <= 1e-2 * tol; a failed line search or the step cap
-    between the two thresholds still counts as converged.  Returns (x,
-    residual_norm, converged, iterations).
+    Every iterate and every line-search trial is sampled once, and the
+    gradient (`gradient(sample)`, by default `energy.gradient`), the
+    energy and, at the start of each Newton step, the Hessian are read
+    from that sample.  The Hessian is a sparse matrix on the raveled
+    stack, inverted approximately by MINRES (it is symmetric but may be
+    indefinite at the saddle-type critical points sought here),
+    preconditioned by the exact -Laplace solve of each component.  Steps
+    are halved until the residual norm decreases; accepted steps may not
+    raise the energy beyond rounding level.  Converged means res <= tol.
+    Past tol, Newton steps continue while they lower the residual, up to
+    the finishing target res <= 1e-2 * tol; a failed line search or the
+    step cap between the two thresholds still counts as converged.
+    Returns (sample, residual_norm, converged, iterations), `sample` the
+    cell sample of the final state.
     """
+    gradient = gradient or energy.gradient
     tol = opts.tol
     shape, n = x0.shape, x0.size
     solve = grid.poisson_solver
@@ -489,16 +480,17 @@ def _newton_krylov_polish(
         (n, n), matvec=lambda r: solve(r.reshape(-1, *grid.shape)).ravel(),
         dtype=float,
     )
-    x = x0.copy()
-    g = grad_fn(x)
+    sample = CellSample(x0.copy(), grid)
+    g = gradient(sample)
     res = _vol_norm(g, grid)
-    energy_val = energy_fn(x)
+    energy_val = energy.value(sample)
     its = 0
     for its in range(1, _POLISH_MAX_ITER + 1):
         if res <= 1e-2 * tol:
-            return x, res, True, its - 1
+            return sample, res, True, its - 1
         step, _info = minres(
-            hess_fn(x), -g.ravel(), rtol=1e-6, maxiter=_POLISH_INNER_ITER, M=M
+            energy.hessian(sample), -g.ravel(), rtol=1e-6,
+            maxiter=_POLISH_INNER_ITER, M=M,
         )
         step = step.reshape(shape)
         if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) == 0.0:
@@ -507,31 +499,19 @@ def _newton_krylov_polish(
         accepted = False
         s = 1.0
         for _ in range(40):
-            x_try = x + s * step
-            g_try = grad_fn(x_try)
+            trial = CellSample(sample.x + s * step, grid)
+            g_try = gradient(trial)
             res_try = _vol_norm(g_try, grid)
             if res_try < res:
-                e_try = energy_fn(x_try)
+                e_try = energy.value(trial)
                 if e_try <= energy_val + 1e-11 * (1.0 + abs(energy_val)):
-                    x, g, res, energy_val = x_try, g_try, res_try, e_try
+                    sample, g, res, energy_val = trial, g_try, res_try, e_try
                     accepted = True
                     break
             s *= 0.5
         if not accepted:
-            return x, res, res <= tol, its
-    return x, res, res <= tol, its
-
-
-def _polish(x0, energy, grid, opts, gradient=None):
-    """Newton-Krylov polish of the state stack x0 on `energy`; `gradient`
-    replaces its Euler gradient when given."""
-    def sampled(method):
-        return lambda x: method(CellSample(x, grid))
-
-    return _newton_krylov_polish(
-        x0, gradient or sampled(energy.gradient), sampled(energy.value),
-        sampled(energy.hessian), grid, opts,
-    )
+            return sample, res, res <= tol, its
+    return sample, res, res <= tol, its
 
 
 def refine_solution(
@@ -548,14 +528,14 @@ def refine_solution(
     increases and the energy of accepted steps never rises beyond
     rounding level.
     """
-    def gradient(x):
-        pair = StatePair.from_stack(x, grid.spec)
+    def gradient(sample):
+        pair = StatePair.from_stack(sample.x, grid.spec)
         return euler_gradient(pair, params, fam1, fam2, grid).stacked()
 
-    x, res, converged, _its = _polish(
+    sample, res, converged, _its = _newton_krylov_polish(
         u.stacked(), Energy.pair(params, fam1, fam2), grid, opts, gradient
     )
-    return StatePair.from_stack(x, grid.spec), res, converged
+    return StatePair.from_stack(sample.x, grid.spec), res, converged
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +564,16 @@ def scalar_ground_state(
     """
     lam = params.lam(i)
     mu1 = conservative_mu1(grid)
-    verdict = _scalar_admissibility(lam, params, fam, mu1)
+    verdict, thresholds = admissibility(
+        (lam,), params.p, params.gamma, fam.nu, mu1
+    )
     warnings = []
     if verdict == INADMISSIBLE:
         raise InadmissibleLambda(
-            f"lambda_{i} = {lam:.6g} is not below nu*mu1 = {fam.nu * mu1:.6g}"
+            f"lambda_{i} = {lam:.6g} is not admissible ({thresholds})"
         )
     if verdict == ADMISSIBLE_WEAK:
-        warnings.append(
-            f"lambda_{i} admissible only in the weak sense "
-            f"(threshold {strong_threshold(params.p, params.gamma, fam.nu, mu1):.6g})"
-        )
+        warnings.append(f"lambda_{i} admissible only in the weak sense ({thresholds})")
     energy = Energy.scalar(params, lam, fam, nonlin_coeff)
     polish_its = 0
 
@@ -608,9 +587,11 @@ def scalar_ground_state(
 
     def polish(x):
         nonlocal polish_its
-        w, res, _converged, its = _polish(x[2].x, energy, grid, opts)
+        sample, res, _converged, its = _newton_krylov_polish(
+            x[2].x, energy, grid, opts
+        )
         polish_its += its
-        return CellSample(w, grid), res
+        return sample, res
 
     starts = [_bump(grid, grid.spec.lx / 2.0, grid.spec.ly / 2.0, grid.spec.lx / 6.0)]
     for k in range(opts.n_restarts):
@@ -639,11 +620,6 @@ def scalar_ground_state(
         warnings=tuple(warnings),
     )
     return ScalarField(w, grid.spec), energy_val, report
-
-
-def _scalar_admissibility(lam, params, fam, mu1):
-    probe = ProblemParams(lam, lam, params.beta, params.p, params.gamma)
-    return admissible(probe, fam.nu, params.gamma, mu1)
 
 
 def scalar_levels(
@@ -728,8 +704,8 @@ def diagonal_candidate(
     )
     if warnings is not None:
         warnings.extend(f"diagonal scalar problem: {note}" for note in rep.warnings)
-    pp = integrate(np.abs(cell_values(w.values, grid)) ** params.p, grid)
-    return StatePair(w, w), pp
+    _gr, _q, pp = CellSample(w.values[None], grid).integrals(params.p)
+    return StatePair(w, w), float(pp[0])
 
 
 def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings):
@@ -810,11 +786,12 @@ def solve_system(
         )
     mu1 = conservative_mu1(grid)
     nu = min(fam1.nu, fam2.nu)
-    if beta != 0.0 and admissible(params, nu, params.gamma, mu1) != ADMISSIBLE:
+    lams = (params.lambda1, params.lambda2)
+    verdict, thresholds = admissibility(lams, params.p, params.gamma, nu, mu1)
+    if beta != 0.0 and verdict != ADMISSIBLE:
         raise InadmissibleLambda(
-            f"(lambda1, lambda2) = ({params.lambda1:.6g}, {params.lambda2:.6g}) "
-            f"not below the threshold "
-            f"{strong_threshold(params.p, params.gamma, nu, mu1):.6g}"
+            f"(lambda1, lambda2) = ({lams[0]:.6g}, {lams[1]:.6g}) is not "
+            f"strongly admissible ({thresholds})"
         )
     if scalar_data is None:
         scalar_data = scalar_levels(params, fam1, fam2, grid, opts, warnings)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dstn
 
-from .energy import ProblemParams
+from .energy import CellSample, ProblemParams
 from .errors import NoConvergence
-from .grid import Grid, ScalarField, grad_sq, integrate, l2_inner
+from .grid import Grid, ScalarField
 
 ADMISSIBLE = "admissible"
 ADMISSIBLE_WEAK = "admissible_weak"
@@ -97,11 +97,13 @@ class EigenPair:
         return min(self.mu, self.mu_quad)
 
 
-def principal_eigenpair(
-    grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> EigenPair:
+# inverse iteration stops when mu and the residual are both within this
+# tolerance, relative to 1 + mu, or fails after this many steps
+_EIGEN_TOL = 1e-10
+_EIGEN_MAX_ITER = 200
+
+
+def principal_eigenpair(grid: Grid) -> EigenPair:
     """Inverse power iteration for the smallest stencil eigenpair.
 
     Each step inverts the stencil with the grid's sine-transform solver.
@@ -113,7 +115,7 @@ def principal_eigenpair(
     mu_prev = math.inf
     mu = residual = math.nan
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EIGEN_MAX_ITER + 1):
         iterations = it
         w = grid.poisson_solver(v)
         w /= math.sqrt(float(np.sum(w * w)) * vol)
@@ -121,38 +123,48 @@ def principal_eigenpair(
         mu = float(np.sum(w * Aw)) / float(np.sum(w * w))
         residual = math.sqrt(float(np.sum((Aw - mu * w) ** 2)) * vol)
         v = w
-        if abs(mu - mu_prev) <= tol * (1.0 + abs(mu)) and residual <= tol * (
-            1.0 + abs(mu)
-        ):
+        bound = _EIGEN_TOL * (1.0 + abs(mu))
+        if abs(mu - mu_prev) <= bound and residual <= bound:
             break
         mu_prev = mu
     else:
-        raise NoConvergence("power iteration did not converge", iterations=max_iter)
+        raise NoConvergence("power iteration did not converge", iterations=it)
 
     if float(np.sum(v)) < 0.0:
         v = -v
-    phi = ScalarField(v, grid.spec)
-    mu_quad = integrate(grad_sq(phi, grid), grid) / l2_inner(phi, phi, grid)
-    return EigenPair(mu=mu, phi=phi, iterations=iterations, residual=residual, mu_quad=mu_quad)
+    gr, q, _pp = CellSample(v[None], grid).integrals(2.0)
+    return EigenPair(
+        mu=mu, phi=ScalarField(v, grid.spec), iterations=iterations,
+        residual=residual, mu_quad=float(gr[0] / q[0]),
+    )
 
 
 def admissible(params: ProblemParams, nu: float, gamma: float, mu1: float) -> str:
-    """Classify (lambda1, lambda2) against the spectral thresholds.
+    """The verdict of `admissibility` on (lambda1, lambda2)."""
+    lams = (params.lambda1, params.lambda2)
+    return admissibility(lams, params.p, gamma, nu, mu1)[0]
 
-    admissible       : both below (p-2-gamma)/(p-2) * nu * mu1
-    admissible_weak  : both below nu * mu1 but not admissible
+
+def admissibility(lams, p: float, gamma: float, nu: float, mu1: float):
+    """Classify the linear coefficients `lams` against the spectral
+    thresholds, and name both thresholds for a message.
+
+    admissible       : all below (p-2-gamma)/(p-2) * nu * mu1 (strong)
+    admissible_weak  : all below nu * mu1 (weak) but not admissible
     inadmissible     : otherwise
+
+    Returns (verdict, "strong threshold = ..., weak threshold = ...").
     """
     if mu1 <= 0.0:
         raise ValueError(f"need mu1 > 0, got {mu1}")
-    strong = strong_threshold(params.p, gamma, nu, mu1)
+    strong = strong_threshold(p, gamma, nu, mu1)
     weak = nu * mu1
-    lams = (params.lambda1, params.lambda2)
+    thresholds = f"strong threshold = {strong:.8g}, weak threshold = {weak:.8g}"
     if all(lam < strong for lam in lams):
-        return ADMISSIBLE
+        return ADMISSIBLE, thresholds
     if all(lam < weak for lam in lams):
-        return ADMISSIBLE_WEAK
-    return INADMISSIBLE
+        return ADMISSIBLE_WEAK, thresholds
+    return INADMISSIBLE, thresholds
 
 
 def strong_threshold(p: float, gamma: float, nu: float, mu1: float) -> float:

@@ -185,7 +185,7 @@ def test_criterion_5_fiber_uniqueness():
         if not proj.projectable:
             continue
         found += 1
-        assert critical_cell_count(u, params, fam, fam, grid, n=200) == 1
+        assert critical_cell_count(u, params, fam, fam, grid) == 1
         again = project_to_nehari(proj.projected, params, fam, fam, grid)
         assert abs(again.t.t1 - 1.0) <= 1e-8
         assert abs(again.t.t2 - 1.0) <= 1e-8

@@ -214,6 +214,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "threshold" in err
 
+    def test_inadmissible_message_built_by_the_solve(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import nehari2d.spectrum as spectrum
+
+        real = spectrum.principal_eigenpair
+        built = []
+
+        def counting(grid):
+            built.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(spectrum, "principal_eigenpair", counting)
+        text = FAST_SOLVE.format(beta=-2.0, fam="example") + "params.lambda1 = 1000\n"
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_INADMISSIBLE and len(built) == 1
+        err = capsys.readouterr().err
+        assert err.count("threshold =") == 2
+        assert "strong threshold = 9.7886967, weak threshold = 19.577393" in err
+
     def test_coercivity_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         def violates(*args, **kwargs):
             raise CoercivityViolation("constrained energy fell below the bound")

@@ -198,6 +198,13 @@ class TestConstruction:
             example_family(0.0)
         with pytest.raises(ValueError):
             tabulated_family(lambda s: s, lambda s: s, nu=1.5, c0=1.0, gamma=1.0)
+        # an unbounded profile must not pass (a1) against an infinite C0
+        for build in (example_family, identity_family):
+            with pytest.raises(ValueError):
+                build(math.inf)
+        with pytest.raises(ValueError):
+            tabulated_family(lambda s: 1 + s * s, lambda s: 2 * s, nu=1.0,
+                             c0=math.inf, gamma=1.0)
 
     def test_example_c0_covers_derivative(self):
         # for gamma >= 1 the declared bound dominates the true sup of |A'|

@@ -463,7 +463,7 @@ class TestUniquenessScan:
                 continue
             found += 1
             assert critical_cell_count(
-                u, competitive_params, example1, example1, grid15, n=200
+                u, competitive_params, example1, example1, grid15
             ) == 1
 
     def test_maximality_over_scan(self, grid15, example1, competitive_params):

@@ -36,7 +36,7 @@ class TestGridSpec:
     def test_build_deterministic(self):
         a = build_grid(GridSpec(5, 7, 2.0, 3.0))
         b = build_grid(GridSpec(5, 7, 2.0, 3.0))
-        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.yc, b.yc)
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
     def test_solver_and_eigenpair_built_once_per_grid(self, monkeypatch):
         import nehari2d.spectrum as spectrum

@@ -355,11 +355,11 @@ class TestDescentDriver:
             descent_its.append(out[3])
             return out
 
-        def polish(x0, *args):
+        def polish(x0, energy, grid, *args):
             polished_at.append(len(memos))
             if len(polished_at) == 1:
-                return x0.copy(), 1.0, False, 0
-            return real_polish(x0, *args)
+                return CellSample(x0.copy(), grid), 1.0, False, 0
+            return real_polish(x0, energy, grid, *args)
 
         monkeypatch.setattr(S, "_conjugate_lift", recorded)
         monkeypatch.setattr(S, "_descend", descend)
@@ -415,6 +415,25 @@ class TestOneSamplePerState:
         energy = S.Energy.pair(params, example1, example1)
         assert e_try == pytest.approx(energy.value(x_try[2]), rel=1e-14)
 
+    def test_scalar_polish(self, monkeypatch, grid15, example1, params_p4):
+        # the start and every accepted trial are sampled once, and the
+        # gradient, energy and Hessian of an iterate read that sample
+        counts = count_stencils(monkeypatch)
+        real = S._newton_krylov_polish
+        polishes = []
+
+        def polish(*args):
+            before = dict(counts)
+            out = real(*args)
+            polishes.append((out[3], *(counts[k] - before[k] for k in counts)))
+            return out
+
+        monkeypatch.setattr(S, "_newton_krylov_polish", polish)
+        opts = SolverOptions(n_restarts=0)
+        scalar_ground_state(1, params_p4, example1, grid15, opts)
+        # two Newton steps, each accepting its full step
+        assert polishes == [(2, 3, 3)]
+
 
 class TestZeroMaxIter:
     """solver.max_iter = 0 skips the descent and goes straight to the polish."""
@@ -447,11 +466,11 @@ class TestNewtonHandoff:
         real = S._newton_krylov_polish
         starts = []
 
-        def fails_first(x0, *args):
+        def fails_first(x0, energy, grid, *args):
             starts.append(x0)
             if len(starts) == 1:
-                return x0.copy(), 1.0, False, 0
-            return real(x0, *args)
+                return CellSample(x0.copy(), grid), 1.0, False, 0
+            return real(x0, energy, grid, *args)
 
         monkeypatch.setattr(S, "_newton_krylov_polish", fails_first)
         _z, L_fb, rep_fb = scalar_ground_state(1, params_p4, identity, grid7, opts)
@@ -500,20 +519,25 @@ class TestNewtonHandoff:
     def test_finishing_target_is_best_effort(self, grid7):
         # |g| has a floor between 1e-2 * tol and tol that no step can pass
         opts = SolverOptions(tol=1e-8)
+        shape = (1, *grid7.shape)
         n = grid7.spec.n_nodes
-        free = np.arange(n) % 2 == 0
-        target = np.linspace(0.1, 1.0, n)
+        free = (np.arange(n) % 2 == 0).reshape(shape)
+        target = np.linspace(0.1, 1.0, n).reshape(shape)
         floor = np.where(free, 0.0, 1.0)
         floor *= 1e-9 / (np.linalg.norm(floor) * math.sqrt(grid7.cell_area))
 
-        def grad_fn(x):
-            return np.where(free, x - target, 0.0) + floor
+        class Quadratic:
+            def gradient(self, sample):
+                return np.where(free, sample.x - target, 0.0) + floor
 
-        def hess_fn(x):
-            return diags_array(free.astype(float))
+            def value(self, sample):
+                return 0.0
 
-        _x, res, converged, its = S._newton_krylov_polish(
-            np.zeros(n), grad_fn, lambda x: 0.0, hess_fn, grid7, opts
+            def hessian(self, sample):
+                return diags_array(free.ravel().astype(float))
+
+        _sample, res, converged, its = S._newton_krylov_polish(
+            np.zeros(shape), Quadratic(), grid7, opts
         )
         assert converged
         assert 1e-2 * opts.tol < res <= opts.tol
@@ -541,13 +565,15 @@ class TestNewtonHandoff:
 
             return real_minres(*args, callback=callback, **kwargs)
 
-        def gradient(x):
+        def gradient(sample):
             counts["gradient"] += 1
-            return energy.gradient(CellSample(x, grid15))
+            return energy.gradient(sample)
 
         monkeypatch.setattr(E, "scatter_cells", scatter)
         monkeypatch.setattr(S, "minres", minres)
-        _x, _res, converged, its = S._polish(x0, energy, grid15, opts, gradient)
+        _sample, _res, converged, its = S._newton_krylov_polish(
+            x0, energy, grid15, opts, gradient
+        )
         assert converged and its >= 2
         assert counts["scatter"] == counts["gradient"]
         assert counts["minres"] > 2 * counts["scatter"]
@@ -603,8 +629,8 @@ class TestAcceptanceRule:
                                                params_p4):
         opts = SolverOptions(n_restarts=0)
 
-        def collapses(x0, *args):
-            return np.zeros_like(x0), 0.0, True, 0
+        def collapses(x0, energy, grid, *args):
+            return CellSample(np.zeros_like(x0), grid), 0.0, True, 0
 
         monkeypatch.setattr(S, "_newton_krylov_polish", collapses)
         with pytest.raises(NoConvergence, match="nontrivial"):
