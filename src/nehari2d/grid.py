@@ -93,6 +93,14 @@ class Grid:
         return spectrum.make_poisson_solver(self)
 
     @cached_property
+    def quadrature_solver(self):
+        """Exact solve with the quadrature stiffness of the gradient term,
+        `spectrum.make_poisson_solver(quadrature=True)`."""
+        from . import spectrum
+
+        return spectrum.make_poisson_solver(self, quadrature=True)
+
+    @cached_property
     def form_patterns(self):
         """`{k: (indptr, indices, mask)}` for k = 1, 2: the 9-point CSR
         pattern of `cell_form_matrix` on k-component stacks, and the mask

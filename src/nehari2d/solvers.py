@@ -463,9 +463,11 @@ def _newton_krylov_polish(
     from that sample.  The Hessian is a sparse matrix on the raveled
     stack, inverted approximately by MINRES (it is symmetric but may be
     indefinite at the saddle-type critical points sought here),
-    preconditioned by the exact -Laplace solve of each component.  Steps
-    are halved until the residual norm decreases; accepted steps may not
-    raise the energy beyond rounding level.  Converged means res <= tol.
+    preconditioned by the exact inverse of each component's quadrature
+    stiffness (`grid.quadrature_solver`, the Hessian's gradient term at
+    unit coefficient), so the MINRES count does not grow with the mesh.
+    Steps are halved until the residual norm decreases; accepted steps may
+    not raise the energy beyond rounding level.  Converged means res <= tol.
     Past tol, Newton steps continue while they lower the residual, up to
     the finishing target res <= 1e-2 * tol; a failed line search or the
     step cap between the two thresholds still counts as converged.
@@ -475,7 +477,7 @@ def _newton_krylov_polish(
     gradient = gradient or energy.gradient
     tol = opts.tol
     shape, n = x0.shape, x0.size
-    solve = grid.poisson_solver
+    solve = grid.quadrature_solver
     M = LinearOperator(
         (n, n), matvec=lambda r: solve(r.reshape(-1, *grid.shape)).ravel(),
         dtype=float,

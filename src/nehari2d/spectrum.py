@@ -12,6 +12,14 @@ scheme equals the analogous tangent formula and so lies above both the
 stencil value and the continuum limit.  Admissibility decisions use the
 smaller of the two notions, so every threshold comparison errs on the
 conservative side.
+
+The quadrature stiffness (the energy's gradient term) is diagonal in the
+same sine basis, with symbol
+
+    (4/hx^2) sin^2(tx/2) cos^2(ty/2) + (4/hy^2) cos^2(tx/2) sin^2(ty/2),
+
+t = pi k / (n + 1).  Unlike the 5-point symbol it nearly vanishes on the
+checkerboard modes; its exact inverse preconditions the Newton polish.
 """
 
 from __future__ import annotations
@@ -43,20 +51,27 @@ def apply_neg_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     )
 
 
-def make_poisson_solver(grid: Grid):
-    """Direct solver for the 5-point -Laplace system via sine transforms.
+def make_poisson_solver(grid: Grid, quadrature: bool = False):
+    """Direct solver for a -Laplace system via sine transforms.
 
-    The stencil diagonalizes in the discrete sine basis, so the solve is
-    exact up to roundoff; used by inverse iteration and as the Riesz lift /
-    preconditioner in the descent solvers.  Leading axes of the right-hand
-    side are a batch: a (k, nx, ny) stack is solved component by component.
+    By default the system is the 5-point stencil, used by inverse
+    iteration and as the Riesz lift in the descent solvers.  With
+    `quadrature` it is the stiffness of the energy's gradient term (the
+    cell-centre quadrature of the bilinear interpolant), used to
+    precondition the Newton polish.  Both diagonalize in the discrete
+    sine basis, so the solve is exact up to roundoff.  Leading axes of
+    the right-hand side are a batch: a (k, nx, ny) stack is solved
+    component by component.
     """
     nx, ny = grid.shape
-    kx = np.arange(1, nx + 1)
-    ky = np.arange(1, ny + 1)
-    lx_eig = 4.0 / grid.hx**2 * np.sin(np.pi * kx / (2.0 * (nx + 1))) ** 2
-    ly_eig = 4.0 / grid.hy**2 * np.sin(np.pi * ky / (2.0 * (ny + 1))) ** 2
-    denom = lx_eig[:, None] + ly_eig[None, :]
+    sx = np.sin(np.pi * np.arange(1, nx + 1) / (2.0 * (nx + 1)))[:, None] ** 2
+    sy = np.sin(np.pi * np.arange(1, ny + 1) / (2.0 * (ny + 1)))[None, :] ** 2
+    lx_eig = 4.0 / grid.hx**2 * sx
+    ly_eig = 4.0 / grid.hy**2 * sy
+    if quadrature:
+        denom = lx_eig * (1.0 - sy) + (1.0 - sx) * ly_eig
+    else:
+        denom = lx_eig + ly_eig
     norm = 4.0 * (nx + 1) * (ny + 1)
 
     def solve(b: np.ndarray) -> np.ndarray:

@@ -46,9 +46,9 @@ class TestGridSpec:
         def counting(name):
             fn = getattr(spectrum, name)
 
-            def build(grid):
+            def build(grid, **kwargs):
                 built.append(name)
-                return fn(grid)
+                return fn(grid, **kwargs)
 
             return build
 
@@ -59,6 +59,11 @@ class TestGridSpec:
         assert grid.eigenpair is grid.eigenpair
         assert grid.poisson_solver is grid.poisson_solver
         assert sorted(built) == ["make_poisson_solver", "principal_eigenpair"]
+        assert grid.quadrature_solver is grid.quadrature_solver
+        assert grid.quadrature_solver is not grid.poisson_solver
+        assert sorted(built) == [
+            "make_poisson_solver", "make_poisson_solver", "principal_eigenpair"
+        ]
 
     def test_form_patterns_built_once_per_grid(self, monkeypatch):
         built = []

@@ -25,6 +25,26 @@ class TestPoissonSolver:
         res = np.linalg.norm(apply_neg_laplacian(x, grid31) - b)
         assert res <= 1e-11 * np.linalg.norm(b)
 
+    def test_quadrature_solver_inverts_quadrature_stiffness(self):
+        # K = sum over cells of gx_i gx_j + gy_i gy_j, the gradient term's
+        # stiffness, assembled from the cell gradients of unit vectors
+        grid = build_grid(GridSpec(7, 9, 1.0, 1.3))
+        n = grid.shape[0] * grid.shape[1]
+        gx, gy = G.cell_gradients(np.eye(n).reshape(n, *grid.shape), grid)
+        gx, gy = gx.reshape(n, -1), gy.reshape(n, -1)
+        K = gx @ gx.T + gy @ gy.T
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal(grid.shape)
+        x = make_poisson_solver(grid, quadrature=True)(b)
+        assert np.max(np.abs(K @ x.ravel() - b.ravel())) <= 1e-12
+        stack = rng.standard_normal((2, *grid.shape))
+        xs = make_poisson_solver(grid, quadrature=True)(stack)
+        for i in range(2):
+            assert np.max(np.abs(K @ xs[i].ravel() - stack[i].ravel())) <= 1e-12
+        # the 5-point solve inverts another operator: it misses by O(1)
+        x5 = make_poisson_solver(grid)(b)
+        assert np.max(np.abs(K @ x5.ravel() - b.ravel())) >= 0.5
+
 
 class TestPrincipalEigenpair:
     @pytest.mark.parametrize("n", [15, 31])
