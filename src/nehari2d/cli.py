@@ -20,16 +20,13 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .coeffs import CoefficientFamily, certify, example_family, identity_family
 from .energy import ProblemParams
 from .errors import (
-    CoercivityViolation,
-    InadmissibleLambda,
-    InvalidParams,
-    InvalidSpec,
+    Nehari2dError,
     NoConvergence,
     ParseError,
     ValidationError,
@@ -48,9 +45,6 @@ COMMANDS = ("certify", "eigen", "solve-scalar", "solve-system", "sweep")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_NO_CONVERGENCE = 2
-EXIT_INADMISSIBLE = 3
-EXIT_COERCIVITY = 4
 
 SWEEP_HEADER = (
     "beta,energy,L1,L2,e_beta,euler_res,nehari_r1,nehari_r2,"
@@ -63,12 +57,41 @@ class FamilySpec:
     kind: str = "identity"
     gamma: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("identity", "example"):
+            raise ValidationError("kind", f"unknown kind {self.kind!r}")
+        if not (0.0 < self.gamma < math.inf):
+            raise ValidationError("gamma", "must be a finite positive number")
+
     def build(self) -> CoefficientFamily:
         if self.kind == "identity":
             return identity_family(self.gamma)
-        if self.kind == "example":
-            return example_family(self.gamma)
-        raise ValidationError("family.kind", f"unknown kind {self.kind!r}")
+        return example_family(self.gamma)
+
+
+@dataclass(frozen=True)
+class CertifySpec:
+    """The sampling range and density of `certify`."""
+
+    s_min: float = -10.0
+    s_max: float = 10.0
+    n_samples: int = 10000
+
+    def __post_init__(self):
+        for name in ("s_min", "s_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(name, "must be finite")
+        if not self.s_min < self.s_max:
+            raise ValidationError("s_min", "need s_min < s_max")
+        if self.n_samples < 100:
+            raise ValidationError("n_samples", "need at least 100 samples")
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """The couplings of `sweep`, in order."""
+
+    betas: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -80,10 +103,8 @@ class RunConfig:
     family1: FamilySpec = field(default_factory=FamilySpec)
     family2: FamilySpec = field(default_factory=FamilySpec)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    certify_s_min: float = -10.0
-    certify_s_max: float = 10.0
-    certify_n_samples: int = 10000
-    beta_list: tuple[float, ...] = ()
+    certify: CertifySpec = field(default_factory=CertifySpec)
+    sweep: SweepSpec = field(default_factory=SweepSpec)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -91,39 +112,40 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in items)
 
 
-# key -> (section object name, attribute, converter)
+# key `section.field` -> converter of its value
 _KEYS = {
-    "grid.nx": ("grid", "nx", int),
-    "grid.ny": ("grid", "ny", int),
-    "grid.lx": ("grid", "lx", float),
-    "grid.ly": ("grid", "ly", float),
-    "params.lambda1": ("params", "lambda1", float),
-    "params.lambda2": ("params", "lambda2", float),
-    "params.beta": ("params", "beta", float),
-    "params.p": ("params", "p", float),
-    "params.gamma": ("params", "gamma", float),
-    "family1.kind": ("family1", "kind", str),
-    "family1.gamma": ("family1", "gamma", float),
-    "family2.kind": ("family2", "kind", str),
-    "family2.gamma": ("family2", "gamma", float),
-    "solver.tol": ("solver", "tol", float),
-    "solver.max_iter": ("solver", "max_iter", int),
-    "solver.n_restarts": ("solver", "n_restarts", int),
-    "solver.seed": ("solver", "seed", int),
-    "certify.s_min": ("", "certify_s_min", float),
-    "certify.s_max": ("", "certify_s_max", float),
-    "certify.n_samples": ("", "certify_n_samples", int),
-    "sweep.betas": ("", "beta_list", _float_list),
+    "grid.nx": int,
+    "grid.ny": int,
+    "grid.lx": float,
+    "grid.ly": float,
+    "params.lambda1": float,
+    "params.lambda2": float,
+    "params.beta": float,
+    "params.p": float,
+    "params.gamma": float,
+    "family1.kind": str,
+    "family1.gamma": float,
+    "family2.kind": str,
+    "family2.gamma": float,
+    "solver.tol": float,
+    "solver.max_iter": int,
+    "solver.n_restarts": int,
+    "solver.seed": int,
+    "certify.s_min": float,
+    "certify.s_max": float,
+    "certify.n_samples": int,
+    "sweep.betas": _float_list,
 }
 
 
-def _checked_solver(solver: SolverOptions) -> SolverOptions:
-    for name in ("seed", "max_iter", "n_restarts"):
-        if getattr(solver, name) < 0:
-            raise ValidationError(f"solver.{name}", "must be nonnegative")
-    if not (solver.tol > 0.0 and math.isfinite(solver.tol)):
-        raise ValidationError("solver.tol", "must be a finite positive number")
-    return solver
+def _section(name: str, default, values: dict):
+    """`default` with `values` replaced, its type's errors keyed by `name`."""
+    try:
+        return replace(default, **values)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}.{exc.key}", exc.reason) from None
+    except Nehari2dError as exc:
+        raise ValidationError(name, str(exc)) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -144,73 +166,27 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(line_no, f"duplicate key {key!r}")
         raw[key] = value
 
-    sections: dict[str, dict[str, object]] = {
-        "grid": {},
-        "params": {},
-        "family1": {},
-        "family2": {},
-        "solver": {},
-        "": {},
-    }
+    values: dict[str, dict[str, object]] = {}
     for key, value in raw.items():
-        section, attr, conv = _KEYS[key]
+        section, attr = key.split(".")
         try:
-            sections[section][attr] = conv(value)
+            values.setdefault(section, {})[attr] = _KEYS[key](value)
         except (ValueError, TypeError) as exc:
             raise ValidationError(key, str(exc)) from None
 
     defaults = RunConfig()
-    try:
-        grid = replace(defaults.grid, **sections["grid"])
-    except InvalidSpec as exc:
-        raise ValidationError("grid", str(exc)) from None
-    try:
-        params = replace(defaults.params, **sections["params"])
-    except InvalidParams as exc:
-        raise ValidationError("params", str(exc)) from None
-    family1 = replace(defaults.family1, **sections["family1"])
-    family2 = replace(defaults.family2, **sections["family2"])
-    for name, fam in (("family1", family1), ("family2", family2)):
-        if fam.kind not in ("identity", "example"):
-            raise ValidationError(f"{name}.kind", f"unknown kind {fam.kind!r}")
-        if not (0.0 < fam.gamma < math.inf):
-            raise ValidationError(f"{name}.gamma", "must be a finite positive number")
-    solver = _checked_solver(replace(defaults.solver, **sections["solver"]))
-    top = sections[""]
-    cfg = RunConfig(
-        grid=grid,
-        params=params,
-        family1=family1,
-        family2=family2,
-        solver=solver,
-        certify_s_min=top.get("certify_s_min", defaults.certify_s_min),
-        certify_s_max=top.get("certify_s_max", defaults.certify_s_max),
-        certify_n_samples=top.get("certify_n_samples", defaults.certify_n_samples),
-        beta_list=top.get("beta_list", defaults.beta_list),
-    )
-    for key in ("s_min", "s_max"):
-        if not math.isfinite(getattr(cfg, f"certify_{key}")):
-            raise ValidationError(f"certify.{key}", "must be finite")
-    if not cfg.certify_s_min < cfg.certify_s_max:
-        raise ValidationError("certify.s_min", "need s_min < s_max")
-    if cfg.certify_n_samples < 100:
-        raise ValidationError("certify.n_samples", "need at least 100 samples")
-    return cfg
+    return RunConfig(**{
+        f.name: _section(f.name, getattr(defaults, f.name), values.get(f.name, {}))
+        for f in fields(RunConfig)
+    })
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Inverse of parse_config; parse(serialize(cfg)) == cfg."""
     lines = []
-    for key, (section, attr, _conv) in _KEYS.items():
-        obj = {
-            "grid": cfg.grid,
-            "params": cfg.params,
-            "family1": cfg.family1,
-            "family2": cfg.family2,
-            "solver": cfg.solver,
-            "": cfg,
-        }[section]
-        value = getattr(obj, attr)
+    for key in _KEYS:
+        section, attr = key.split(".")
+        value = getattr(getattr(cfg, section), attr)
         if isinstance(value, tuple):
             if not value:
                 continue
@@ -282,8 +258,8 @@ def _cmd_certify(cfg: RunConfig, out: Path) -> int:
         report = certify(
             fam,
             cfg.params.p,
-            (cfg.certify_s_min, cfg.certify_s_max),
-            cfg.certify_n_samples,
+            (cfg.certify.s_min, cfg.certify.s_max),
+            cfg.certify.n_samples,
         )
         rows = report.csv_rows()
         _write_csv(out / f"certify_{name}.csv", cfg, rows[0], rows[1:])
@@ -346,12 +322,12 @@ def _cmd_solve_system(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    if not cfg.beta_list:
+    if not cfg.sweep.betas:
         print("sweep requires `sweep.betas` in the config", file=sys.stderr)
         return EXIT_USAGE
     grid = build_grid(cfg.grid)
     fam1, fam2 = cfg.family1.build(), cfg.family2.build()
-    rows = beta_sweep(cfg.beta_list, cfg.params, fam1, fam2, grid, cfg.solver)
+    rows = beta_sweep(cfg.sweep.betas, cfg.params, fam1, fam2, grid, cfg.solver)
     _write_csv(out / "sweep.csv", cfg, SWEEP_HEADER, [sweep_row_csv(r) for r in rows])
     for r in rows:
         if r.report is not None:
@@ -359,7 +335,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     bad = [r for r in rows if r.status != "ok"]
     for r in bad:
         print(f"beta = {r.beta:g} failed: {r.error}", file=sys.stderr)
-    return EXIT_OK if not bad else EXIT_NO_CONVERGENCE
+    return EXIT_OK if not bad else NoConvergence.exit_status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,15 +374,9 @@ def run(command: str, cfg: RunConfig, out_dir) -> int:
     }
     try:
         return dispatch[command](cfg, out)
-    except InadmissibleLambda as exc:
-        print(f"inadmissible parameters: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except NoConvergence as exc:
-        print(f"solver failed to converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except CoercivityViolation as exc:
-        print(f"coercivity bound violated: {exc}", file=sys.stderr)
-        return EXIT_COERCIVITY
+    except Nehari2dError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_status
 
 
 def main(argv=None) -> int:
@@ -423,11 +393,11 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         if args.seed is not None:
-            solver = _checked_solver(replace(cfg.solver, seed=args.seed))
+            solver = _section("solver", cfg.solver, {"seed": args.seed})
             cfg = replace(cfg, solver=solver)
-    except (ParseError, ValidationError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Nehari2dError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_status
     return run(args.command, cfg, args.out)
 
 

@@ -54,8 +54,10 @@ from .errors import (
     DegenerateInput,
     InadmissibleLambda,
     InvalidParams,
+    Nehari2dError,
     NoConvergence,
     NotProjectable,
+    ValidationError,
 )
 from .fiber import h1_normalize, project_to_nehari, scalar_fiber_root
 from .grid import Grid, ScalarField, StatePair, cell_gradients
@@ -72,6 +74,13 @@ class SolverOptions:
     max_iter: int = 2000
     n_restarts: int = 2            # random starts; each explored in both orders
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "max_iter", "n_restarts"):
+            if getattr(self, name) < 0:
+                raise ValidationError(name, "must be nonnegative")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValidationError("tol", "must be a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -847,17 +856,6 @@ def solve_system(
 # ---------------------------------------------------------------------------
 # sweeps
 
-# solver failures a sweep records as an error row; anything else is a bug
-_ROW_ERRORS = (
-    CoercivityViolation,
-    DegenerateInput,
-    InadmissibleLambda,
-    InvalidParams,
-    NoConvergence,
-    NotProjectable,
-)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     beta: float
@@ -876,8 +874,8 @@ def beta_sweep(
 ) -> list[SweepRow]:
     """One solve per beta, warm-starting from the previous solution.
 
-    Solver failures never abort the sweep; they are recorded as row-level
-    status markers.  Any other exception propagates.  The scalar levels
+    A package error (Nehari2dError) never aborts the sweep; it is recorded
+    as a row-level status marker.  Any other exception propagates.  The scalar levels
     are solved once, and their warnings head those of every row report.
     """
     rows: list[SweepRow] = []
@@ -894,6 +892,6 @@ def beta_sweep(
             warm = u
             rep = replace(rep, warnings=(*scalar_warnings, *rep.warnings))
             rows.append(SweepRow(beta=float(beta), status="ok", report=rep))
-        except _ROW_ERRORS as exc:  # row-level failure, sweep continues
+        except Nehari2dError as exc:  # row-level failure, sweep continues
             rows.append(SweepRow(beta=float(beta), status="error", error=str(exc)))
     return rows

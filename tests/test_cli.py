@@ -6,8 +6,6 @@ import pytest
 import nehari2d.cli as C
 from nehari2d import ScalarField, load_field
 from nehari2d.cli import (
-    EXIT_COERCIVITY,
-    EXIT_INADMISSIBLE,
     EXIT_OK,
     EXIT_USAGE,
     SWEEP_HEADER,
@@ -17,7 +15,12 @@ from nehari2d.cli import (
     parse_config,
     serialize_config,
 )
-from nehari2d.errors import CoercivityViolation, ParseError, ValidationError
+from nehari2d.errors import (
+    CoercivityViolation,
+    InadmissibleLambda,
+    ParseError,
+    ValidationError,
+)
 from nehari2d.energy import NehariResidual
 from nehari2d.solvers import ScalarReport, SolveReport, SweepRow
 
@@ -205,7 +208,7 @@ class TestCommands:
         text = FAST_SOLVE.format(beta=-2.0, fam="identity") + "params.lambda1 = 50.0\n"
         cfg = write_cfg(tmp_path, text)
         rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == EXIT_INADMISSIBLE
+        assert rc == InadmissibleLambda.exit_status == 3
 
     def test_inadmissible_message_cites_threshold(self, tmp_path, capsys):
         text = FAST_SOLVE.format(beta=-2.0, fam="identity") + "params.lambda1 = 50.0\n"
@@ -229,7 +232,7 @@ class TestCommands:
         text = FAST_SOLVE.format(beta=-2.0, fam="example") + "params.lambda1 = 1000\n"
         cfg = write_cfg(tmp_path, text)
         rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == EXIT_INADMISSIBLE and len(built) == 1
+        assert rc == InadmissibleLambda.exit_status == 3 and len(built) == 1
         err = capsys.readouterr().err
         assert err.count("threshold =") == 2
         assert "strong threshold = 9.7886967, weak threshold = 19.577393" in err
@@ -241,7 +244,7 @@ class TestCommands:
         monkeypatch.setattr(C, "solve_system", violates)
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=-2.0, fam="identity"))
         rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == EXIT_COERCIVITY
+        assert rc == CoercivityViolation.exit_status == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "fell below the bound" in err
 
