@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRange, NonFiniteSample
+from .errors import InvalidParams, InvalidRange, NonFiniteSample
 
 KIND_IDENTITY = "identity"
 KIND_EXAMPLE = "example"
@@ -48,11 +48,11 @@ class CoefficientFamily:
 
     def __post_init__(self):
         if not (0.0 < self.nu <= 1.0):
-            raise ValueError(f"need nu in (0, 1], got {self.nu}")
+            raise InvalidParams(f"need nu in (0, 1], got {self.nu}")
         if not (0.0 < self.c0 < math.inf):
-            raise ValueError(f"need a finite C0 > 0, got {self.c0}")
+            raise InvalidParams(f"need a finite C0 > 0, got {self.c0}")
         if not (0.0 < self.gamma < math.inf):
-            raise ValueError(f"need a finite gamma > 0, got {self.gamma}")
+            raise InvalidParams(f"need a finite gamma > 0, got {self.gamma}")
 
 
 def eval_A(family: CoefficientFamily, s) -> np.ndarray | float:

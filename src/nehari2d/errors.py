@@ -27,9 +27,17 @@ class GridMismatch(Nehari2dError, ValueError):
 
 
 class InvalidParams(Nehari2dError, ValueError):
-    """Problem parameters violate an invariant (p > 2, 0 < gamma < p - 2)."""
+    """Problem or coefficient parameters violate an invariant (p > 2,
+    0 < gamma < p - 2, nu in (0, 1], a positive weight or mu1)."""
 
     label = "invalid parameters"
+
+
+class InvalidState(Nehari2dError, ValueError):
+    """A field is non-finite, a field dump is malformed, or a fiber point
+    is not finite and positive."""
+
+    label = "invalid state"
 
 
 class InvalidRange(Nehari2dError, ValueError):

@@ -45,7 +45,7 @@ from .energy import (
     scale_state,
     total_energy,
 )
-from .errors import DegenerateInput, NoConvergence
+from .errors import DegenerateInput, InvalidParams, InvalidState, NoConvergence
 from .grid import Grid, ScalarField, StatePair, cell_gradients
 
 STATUS_INTERIOR_MAX = "interior_max"
@@ -59,9 +59,9 @@ class FiberPoint:
 
     def __post_init__(self):
         if not (self.t1 > 0.0 and self.t2 > 0.0):
-            raise ValueError(f"fiber point must be positive, got ({self.t1}, {self.t2})")
+            raise InvalidState(f"fiber point must be positive, got ({self.t1}, {self.t2})")
         if not (math.isfinite(self.t1) and math.isfinite(self.t2)):
-            raise ValueError("fiber point must be finite")
+            raise InvalidState("fiber point must be finite")
 
 
 @dataclass(frozen=True)
@@ -556,7 +556,7 @@ def scalar_fiber_root(
     if not np.any(z.values != 0.0):
         raise DegenerateInput("cannot rescale the zero field")
     if nonlin_coeff <= 0.0:
-        raise ValueError(f"need a positive nonlinearity weight, got {nonlin_coeff}")
+        raise InvalidParams(f"need a positive nonlinearity weight, got {nonlin_coeff}")
     ev = FiberEvaluator(
         Energy.scalar(params, lam, fam, nonlin_coeff), CellSample(z.values[None], grid)
     )

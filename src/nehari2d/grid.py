@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidSpec
+from .errors import GridMismatch, InvalidSpec, InvalidState
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class ScalarField:
     def __init__(self, values, spec: GridSpec):
         arr = np.array(values, dtype=float).reshape(spec.nx, spec.ny)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("field contains non-finite entries")
+            raise InvalidState("field contains non-finite entries")
         arr.setflags(write=False)
         self.values = arr
         self.spec = spec
@@ -387,7 +387,7 @@ def load_field(path) -> ScalarField:
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "FIELD":
-            raise ValueError(f"{path}: not a field dump")
+            raise InvalidState(f"{path}: not a field dump")
         nx, ny = int(header[1]), int(header[2])
         spec = GridSpec(nx, ny, float(header[3]), float(header[4]))
         vals = np.zeros((nx, ny))
@@ -397,14 +397,14 @@ def load_field(path) -> ScalarField:
             if not parts:
                 continue
             if len(parts) != 5:
-                raise ValueError(f"{path}: malformed row {line!r}")
+                raise InvalidState(f"{path}: malformed row {line!r}")
             i, j = int(parts[0]) - 1, int(parts[1]) - 1
             if not (0 <= i < nx and 0 <= j < ny):
-                raise ValueError(f"{path}: node ({i + 1}, {j + 1}) out of range")
+                raise InvalidState(f"{path}: node ({i + 1}, {j + 1}) out of range")
             if seen[i, j]:
-                raise ValueError(f"{path}: node ({i + 1}, {j + 1}) repeated")
+                raise InvalidState(f"{path}: node ({i + 1}, {j + 1}) repeated")
             vals[i, j] = float(parts[4])
             seen[i, j] = True
         if not seen.all():
-            raise ValueError(f"{path}: expected {nx * ny} rows, found {seen.sum()}")
+            raise InvalidState(f"{path}: expected {nx * ny} rows, found {seen.sum()}")
     return ScalarField(vals, spec)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.fft import dstn
 
 from .energy import CellSample, ProblemParams
-from .errors import NoConvergence
+from .errors import InvalidParams, NoConvergence
 from .grid import Grid, ScalarField
 
 ADMISSIBLE = "admissible"
@@ -171,7 +171,7 @@ def admissibility(lams, p: float, gamma: float, nu: float, mu1: float):
     Returns (verdict, "strong threshold = ..., weak threshold = ...").
     """
     if mu1 <= 0.0:
-        raise ValueError(f"need mu1 > 0, got {mu1}")
+        raise InvalidParams(f"need mu1 > 0, got {mu1}")
     strong = strong_threshold(p, gamma, nu, mu1)
     weak = nu * mu1
     thresholds = f"strong threshold = {strong:.8g}, weak threshold = {weak:.8g}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nehari2d.cli as C
-from nehari2d import ScalarField, load_field
+from nehari2d import ScalarField, StatePair, load_field
 from nehari2d.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -18,6 +18,7 @@ from nehari2d.cli import (
 from nehari2d.errors import (
     CoercivityViolation,
     InadmissibleLambda,
+    InvalidState,
     ParseError,
     ValidationError,
 )
@@ -247,6 +248,20 @@ class TestCommands:
         assert rc == CoercivityViolation.exit_status == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "fell below the bound" in err
+
+    def test_non_finite_state_exits_with_one_line(self, tmp_path, monkeypatch,
+                                                  capsys):
+        def diverges(params, fam1, fam2, grid, opts):
+            nan = np.full((2, *grid.shape), np.nan)
+            return StatePair.from_stack(nan, grid.spec), None
+
+        monkeypatch.setattr(C, "solve_system", diverges)
+        cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=-2.0, fam="identity"))
+        rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == InvalidState.exit_status == 1
+        err = capsys.readouterr().err
+        assert err == "invalid state: field contains non-finite entries\n"
+        assert not (tmp_path / "system.csv").exists()
 
     def test_sweep_csv(self, tmp_path):
         text = FAST_SOLVE.format(beta=0.0, fam="identity") + "sweep.betas = 0\n"

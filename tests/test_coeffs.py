@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nehari2d import certify, eval_A, eval_dA, example_family, identity_family
 from nehari2d.coeffs import FAIL, PASS, PASS_DEGENERATE, tabulated_family
-from nehari2d.errors import InvalidRange, NonFiniteSample
+from nehari2d.errors import InvalidParams, InvalidRange, NonFiniteSample
 
 from conftest import PROPERTY
 
@@ -192,17 +192,17 @@ class TestCertify:
 
 class TestConstruction:
     def test_bad_constants_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             identity_family(gamma=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             example_family(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             tabulated_family(lambda s: s, lambda s: s, nu=1.5, c0=1.0, gamma=1.0)
         # an unbounded profile must not pass (a1) against an infinite C0
         for build in (example_family, identity_family):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidParams):
                 build(math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             tabulated_family(lambda s: 1 + s * s, lambda s: 2 * s, nu=1.0,
                              c0=math.inf, gamma=1.0)
 

@@ -23,7 +23,7 @@ from nehari2d import (
 )
 from nehari2d.coeffs import tabulated_family
 from nehari2d.energy import CellSample, Energy
-from nehari2d.errors import DegenerateInput, NoConvergence
+from nehari2d.errors import DegenerateInput, InvalidState, NoConvergence
 from nehari2d.fiber import (
     FiberEvaluator,
     _newton_polish,
@@ -65,11 +65,11 @@ def disjoint_state(grid):
 
 class TestFiberPoint:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState):
             FiberPoint(0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState):
             FiberPoint(1.0, -2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState):
             FiberPoint(1.0, math.inf)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import nehari2d.grid as G
 from nehari2d import GridSpec, ScalarField, StatePair, build_grid
-from nehari2d.errors import GridMismatch, InvalidSpec
+from nehari2d.errors import GridMismatch, InvalidSpec, InvalidState
 
 from conftest import zero_field
 
@@ -209,7 +209,7 @@ class TestFields:
 
     def test_rejects_nonfinite(self):
         spec = GridSpec(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState):
             ScalarField([[1.0, np.nan], [0.0, 0.0]], spec)
 
     def test_values_readonly(self, grid15):
@@ -250,7 +250,7 @@ class TestFieldDump:
         G.dump_field(zero_field(grid15), grid15, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidState):
             G.load_field(path)
 
     def test_repeated_node_rejected(self, grid7, tmp_path):
@@ -264,7 +264,7 @@ class TestFieldDump:
         first = next(l for l in lines if l.startswith("1 1 "))
         lines = [first if l.startswith("2 2 ") else l for l in lines]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"node \(1, 1\) repeated"):
+        with pytest.raises(InvalidState, match=r"node \(1, 1\) repeated"):
             G.load_field(path)
 
     def test_energy_reproduced(self, grid31, tmp_path):

@@ -950,6 +950,20 @@ class TestDecoupledAndSweep:
         assert rows[0].status == "error"
         assert "no start converged" in rows[0].error
 
+    def test_sweep_records_non_finite_state(self, monkeypatch, grid15, identity,
+                                            fast_opts):
+        stub_scalar_solves(monkeypatch)
+
+        def diverges(params, fam1, fam2, grid, *args):
+            nan = np.full((2, *grid.shape), np.nan)
+            return StatePair.from_stack(nan, grid.spec), None
+
+        monkeypatch.setattr(S, "solve_system", diverges)
+        params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
+        rows = beta_sweep([0.0], params, identity, identity, grid15, fast_opts)
+        assert rows[0].status == "error"
+        assert rows[0].error == "field contains non-finite entries"
+
     def test_sweep_propagates_bugs(self, monkeypatch, grid15, identity, fast_opts):
         stub_scalar_solves(monkeypatch)
 

@@ -5,6 +5,7 @@ import pytest
 
 import nehari2d.grid as G
 from nehari2d import GridSpec, ProblemParams, build_grid, principal_eigenpair
+from nehari2d.errors import InvalidParams
 from nehari2d.spectrum import (
     ADMISSIBLE,
     ADMISSIBLE_WEAK,
@@ -136,5 +137,5 @@ class TestAdmissible:
 
     def test_requires_positive_mu(self):
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             admissible(params, 1.0, 1.0, 0.0)
