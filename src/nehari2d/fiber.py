@@ -317,6 +317,18 @@ _FIBER_TOL = 1e-10
 _FIBER_MAX_ITER = 100
 
 
+def _sharpen(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, J: np.ndarray):
+    """t after one extra quadratic step from a converged t, with fiber
+    gradient g and Jacobian J there: it sharpens t well past the gradient
+    tol, and is kept only when it does not increase the gradient."""
+    trial = t + _solve_2x2(J, g, t)
+    if np.all(trial > 0.0) and np.all(np.isfinite(trial)):
+        g_trial = np.array(ev.grad(trial[0], trial[1]))
+        if np.max(np.abs(g_trial)) <= np.max(np.abs(g)):
+            return trial
+    return t
+
+
 def _newton_root(ev: FiberEvaluator, t: np.ndarray):
     """Damped Newton for a zero of the fiber gradient (beta > 0 rescale).
 
@@ -329,12 +341,7 @@ def _newton_root(ev: FiberEvaluator, t: np.ndarray):
     for _ in range(_FIBER_MAX_ITER):
         h = ev.value(t[0], t[1])
         if merit <= _FIBER_TOL * (abs(h) + 1.0):
-            trial = t + _solve_2x2(J, g, t)
-            if np.all(trial > 0.0) and np.all(np.isfinite(trial)):
-                g_trial, J_trial = ev.grad_and_jacobian(trial[0], trial[1])
-                if np.max(np.abs(g_trial)) <= merit:
-                    t, g, J = trial, g_trial, J_trial
-            return t, True
+            return _sharpen(ev, t, g, J), True
         step = _solve_2x2(J, g, t)
         scale = 1.0
         accepted = False
@@ -366,13 +373,7 @@ def _newton_polish(ev: FiberEvaluator, t: np.ndarray, warm: bool):
     for _ in range(_FIBER_MAX_ITER):
         g, J = ev.grad_and_jacobian(t[0], t[1])
         if np.max(np.abs(g)) <= _FIBER_TOL * (abs(h) + 1.0):
-            # one extra quadratic step sharpens t well past the gradient tol
-            trial = t + _solve_2x2(J, g, t)
-            if np.all(trial > 0.0) and np.all(np.isfinite(trial)):
-                g_trial = np.array(ev.grad(trial[0], trial[1]))
-                if np.max(np.abs(g_trial)) <= np.max(np.abs(g)):
-                    t = trial
-            return t, True
+            return _sharpen(ev, t, g, J), True
         step = _solve_2x2(J, g, t)
         if float(g @ step) <= 0.0:
             if warm:
