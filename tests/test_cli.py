@@ -304,7 +304,7 @@ class TestCommands:
         def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
             calls.append(i)
             z = ScalarField(np.full(grid.shape, float(i)), grid.spec)
-            return z, float(i), ScalarReport(float(i), 0.0, i, True, "admissible")
+            return z, float(i), ScalarReport(float(i), 0.0, i, "admissible")
 
         monkeypatch.setattr(C, "scalar_ground_state", fake)
         text = FAST_SOLVE.format(beta=0.0, fam="example").replace(
@@ -323,7 +323,7 @@ class TestCommands:
     def test_solve_scalar_prints_warnings(self, tmp_path, monkeypatch, capsys):
         def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
             z = ScalarField(np.ones(grid.shape), grid.spec)
-            return z, 1.0, ScalarReport(1.0, 0.0, 1, True, "admissible", ("w",))
+            return z, 1.0, ScalarReport(1.0, 0.0, 1, "admissible", ("w",))
 
         monkeypatch.setattr(C, "scalar_ground_state", fake)
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=0.0, fam="identity"))
@@ -333,7 +333,7 @@ class TestCommands:
         assert capsys.readouterr().err == "warning: component 1: w\n"
 
     def test_sweep_prints_row_warnings(self, tmp_path, monkeypatch, capsys):
-        rep = SolveReport(1.0, 1.0, 1.0, 1.0, 0.0, NehariResidual(0.0, 0.0),
+        rep = SolveReport(1.0, 1.0, 1.0, 0.0, NehariResidual(0.0, 0.0),
                           True, True, 1, "cooperative", ("w",))
 
         def fake(beta_list, *args):
