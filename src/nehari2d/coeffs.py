@@ -220,6 +220,13 @@ def _fail_witness(samples: np.ndarray, bad: np.ndarray) -> float:
     return float(samples[np.flatnonzero(bad)[0]])
 
 
+def _verdict(condition: str, samples: np.ndarray, bad: np.ndarray) -> ConditionVerdict:
+    """FAIL with the first sample where `bad` holds, else PASS."""
+    if bad.any():
+        return ConditionVerdict(condition, FAIL, _fail_witness(samples, bad))
+    return ConditionVerdict(condition, PASS)
+
+
 def certify(
     family: CoefficientFamily,
     p: float,
@@ -242,29 +249,12 @@ def certify(
         bad = ~(np.isfinite(A) & np.isfinite(dA))
         raise NonFiniteSample(f"profile non-finite at s = {_fail_witness(s, bad)}")
 
-    verdicts = []
-
-    bad = (np.abs(A) > family.c0) | (np.abs(dA) > family.c0)
-    verdicts.append(
-        ConditionVerdict("a1_bounds", FAIL, _fail_witness(s, bad))
-        if bad.any()
-        else ConditionVerdict("a1_bounds", PASS)
-    )
-
-    bad = A < family.nu
-    verdicts.append(
-        ConditionVerdict("a2_ellipticity", FAIL, _fail_witness(s, bad))
-        if bad.any()
-        else ConditionVerdict("a2_ellipticity", PASS)
-    )
-
     sda = s * dA
-    bad = (sda < 0.0) | (sda > family.gamma * A)
-    verdicts.append(
-        ConditionVerdict("a3_growth", FAIL, _fail_witness(s, bad))
-        if bad.any()
-        else ConditionVerdict("a3_growth", PASS)
-    )
+    verdicts = [
+        _verdict("a1_bounds", s, (np.abs(A) > family.c0) | (np.abs(dA) > family.c0)),
+        _verdict("a2_ellipticity", s, A < family.nu),
+        _verdict("a3_growth", s, (sda < 0.0) | (sda > family.gamma * A)),
+    ]
 
     # (a4) on positive samples only, strict comparison, zero tolerance
     pos = s > 0.0
@@ -275,12 +265,7 @@ def certify(
         verdicts.append(ConditionVerdict("a4_monotone", FAIL, witness_s=None))
     else:
         phi = sp ** (3.0 - p) * dAp
-        bad = ~(phi[1:] < phi[:-1])
-        verdicts.append(
-            ConditionVerdict("a4_monotone", FAIL, float(sp[1:][bad][0]))
-            if bad.any()
-            else ConditionVerdict("a4_monotone", PASS)
-        )
+        verdicts.append(_verdict("a4_monotone", sp[1:], ~(phi[1:] < phi[:-1])))
 
     verdicts.append(
         ConditionVerdict("gamma_window", PASS)
