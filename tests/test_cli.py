@@ -1,10 +1,21 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nehari2d.cli as C
-from nehari2d import ScalarField, StatePair, load_field
+from nehari2d import (
+    GridSpec,
+    ProblemParams,
+    ScalarField,
+    SolverOptions,
+    StatePair,
+    load_field,
+)
 from nehari2d.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -24,6 +35,8 @@ from nehari2d.errors import (
 )
 from nehari2d.energy import NehariResidual
 from nehari2d.solvers import ScalarReport, SolveReport, SweepRow
+
+from conftest import PROPERTY
 
 MINIMAL = """
 grid.nx = 9
@@ -120,6 +133,108 @@ class TestParseConfig:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
         assert config_digest(again) == config_digest(cfg)
+
+
+def finite(**kwargs):
+    return st.floats(allow_nan=False, allow_infinity=False, **kwargs)
+
+
+positive = finite(min_value=0.0, exclude_min=True)
+counts = st.integers(min_value=0, max_value=2**40)
+
+
+@st.composite
+def valid_configs(draw):
+    """Valid RunConfigs with every key drawn, sweep.betas nonempty."""
+    p = draw(finite(min_value=2.5, max_value=100.0))
+    s_min = draw(finite(min_value=-1e6, max_value=1e6))
+    family = st.builds(C.FamilySpec, st.sampled_from(["identity", "example"]),
+                       positive)
+    return RunConfig(
+        grid=GridSpec(draw(st.integers(2, 500)), draw(st.integers(2, 500)),
+                      draw(positive), draw(positive)),
+        params=ProblemParams(
+            draw(finite()), draw(finite()), draw(finite()), p,
+            draw(finite(min_value=0.0, max_value=p - 2.0, exclude_min=True,
+                        exclude_max=True)),
+        ),
+        family1=draw(family),
+        family2=draw(family),
+        solver=SolverOptions(draw(positive), draw(counts), draw(counts),
+                             draw(counts)),
+        certify=C.CertifySpec(
+            s_min, draw(finite(min_value=s_min, max_value=2e6, exclude_min=True)),
+            draw(st.integers(100, 10**6)),
+        ),
+        sweep=C.SweepSpec(tuple(draw(st.lists(
+            st.floats(allow_nan=False), min_size=1, max_size=5
+        )))),
+    )
+
+
+non_finite = st.sampled_from(["nan", "inf", "-inf"])
+negative = st.integers(max_value=-1).map(str)
+
+# key -> (strategy for an invalid value, the key the error names)
+INVALID = {
+    "solver.seed": (negative, "solver.seed"),
+    "solver.max_iter": (negative, "solver.max_iter"),
+    "solver.n_restarts": (negative, "solver.n_restarts"),
+    "grid.nx": (st.integers(max_value=1).map(str), "grid"),
+    "certify.n_samples": (st.integers(max_value=99).map(str), "certify.n_samples"),
+    "solver.tol": (non_finite | finite(max_value=0.0).map(repr), "solver.tol"),
+    "family1.gamma": (non_finite | finite(max_value=0.0).map(repr), "family1.gamma"),
+    "family2.kind": (
+        st.text("abcdefghijklmnopqrstuvwxyz", min_size=1).filter(
+            lambda k: k not in ("identity", "example")
+        ),
+        "family2.kind",
+    ),
+    "certify.s_min": (non_finite, "certify.s_min"),
+    "certify.s_max": (non_finite, "certify.s_max"),
+    "params.beta": (non_finite, "params"),
+    "grid.ly": (non_finite, "grid"),
+}
+
+
+class TestConfigProperties:
+    @PROPERTY
+    @given(valid_configs())
+    def test_round_trip_covers_every_key(self, cfg):
+        text = serialize_config(cfg)
+        assert [line.split(" = ")[0] for line in text.splitlines()] == list(C._KEYS)
+        assert parse_config(text) == cfg
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(INVALID)).flatmap(
+        lambda key: st.tuples(st.just(key), INVALID[key][0])
+    ))
+    def test_invalid_value_is_bad_config_keyed_by_field(self, tmp_path_factory,
+                                                        key_value):
+        key, value = key_value
+        self.assert_bad_config(tmp_path_factory, f"{key} = {value}\n",
+                               INVALID[key][1])
+
+    @PROPERTY
+    @given(finite(min_value=-1e6, max_value=1e6), finite(min_value=0.0, max_value=1e6))
+    def test_empty_certify_range_is_bad_config(self, tmp_path_factory, s_max, gap):
+        text = f"certify.s_min = {s_max + gap!r}\ncertify.s_max = {s_max!r}\n"
+        self.assert_bad_config(tmp_path_factory, text, "certify.s_min")
+
+    @staticmethod
+    def assert_bad_config(tmp_path_factory, text, key):
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert err.value.key == key
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main(["eigen", "--config", str(path), "--out", str(path.parent)])
+        assert rc == EXIT_USAGE
+        assert stderr.getvalue() == f"bad config: {err.value}\n"
+        assert stderr.getvalue().startswith(f"bad config: {key}: ")
+        assert list(path.parent.iterdir()) == [path]
 
 
 class TestHelp:

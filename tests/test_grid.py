@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nehari2d.grid as G
 from nehari2d import GridSpec, ScalarField, StatePair, build_grid
 from nehari2d.errors import GridMismatch, InvalidSpec, InvalidState
 
-from conftest import zero_field
+from conftest import PROPERTY, zero_field
 
 
 def sine_field(grid):
@@ -238,6 +241,20 @@ class TestFieldDump:
         g = G.load_field(path)
         assert g.spec == grid15.spec
         assert np.array_equal(g.values, f.values)
+
+    @PROPERTY
+    @given(st.data(), st.integers(7, 15), st.integers(7, 15),
+           st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+    def test_round_trip_property(self, tmp_path_factory, data, nx, ny, lx, ly):
+        if lx == ly:
+            ly = 2.0 * lx
+        grid = build_grid(GridSpec(nx, ny, lx, ly))
+        values = data.draw(arrays(float, grid.shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        f = ScalarField(values, grid.spec)
+        path = tmp_path_factory.mktemp("dump") / "f.field"
+        G.dump_field(f, grid, path)
+        assert G.load_field(path) == f
 
     def test_header_format(self, grid15, tmp_path):
         path = tmp_path / "f.field"

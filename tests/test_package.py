@@ -17,3 +17,18 @@ def test_readme_example_uses_only_exports():
     used = set(re.findall(r"\bnh\.(\w+)", "".join(blocks)))
     assert "solve_system" in used
     assert used - set(nh.__all__) == set()
+
+
+def test_every_error_is_documented_with_its_status_and_label():
+    from nehari2d import errors
+
+    classes = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    assert errors.Nehari2dError in classes
+    text = README.read_text()
+    for cls in classes:
+        assert issubclass(cls, errors.Nehari2dError)
+        row = rf"^\| `{cls.__name__}` \| {cls.exit_status} \| `{cls.label}` \|"
+        assert re.search(row, text, re.M), cls.__name__
