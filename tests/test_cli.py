@@ -205,13 +205,12 @@ class TestConfigProperties:
         assert [line.split(" = ")[0] for line in text.splitlines()] == list(C._KEYS)
         assert parse_config(text) == cfg
 
+    @pytest.mark.parametrize("key", sorted(INVALID))
     @PROPERTY
-    @given(st.sampled_from(sorted(INVALID)).flatmap(
-        lambda key: st.tuples(st.just(key), INVALID[key][0])
-    ))
+    @given(data=st.data())
     def test_invalid_value_is_bad_config_keyed_by_field(self, tmp_path_factory,
-                                                        key_value):
-        key, value = key_value
+                                                        key, data):
+        value = data.draw(INVALID[key][0])
         self.assert_bad_config(tmp_path_factory, f"{key} = {value}\n",
                                INVALID[key][1])
 
