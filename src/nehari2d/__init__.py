@@ -14,8 +14,6 @@ from .coeffs import (
     CertReport,
     CoefficientFamily,
     certify,
-    eval_A,
-    eval_dA,
     example_family,
     identity_family,
     tabulated_family,
@@ -26,17 +24,12 @@ from .energy import (
     coupling_G,
     coupling_grad_g,
     euler_gradient,
-    nehari_residual,
-    scalar_energy,
     total_energy,
 )
 from .fiber import (
     FiberPoint,
     ProjectionResult,
-    fiber_gradient,
-    fiber_value,
     project_to_nehari,
-    sphere_normalize,
 )
 from .grid import (
     Grid,
@@ -45,9 +38,7 @@ from .grid import (
     StatePair,
     build_grid,
     dump_field,
-    grad_sq,
     integrate,
-    l2_inner,
     load_field,
 )
 from .solvers import (
@@ -58,7 +49,7 @@ from .solvers import (
     scalar_ground_state,
     solve_system,
 )
-from .spectrum import EigenPair, admissible, principal_eigenpair
+from .spectrum import EigenPair, principal_eigenpair
 
 __version__ = "0.1.0"
 
@@ -76,7 +67,6 @@ __all__ = [
     "SolveReport",
     "SolverOptions",
     "StatePair",
-    "admissible",
     "beta_sweep",
     "build_grid",
     "certify",
@@ -84,24 +74,15 @@ __all__ = [
     "coupling_grad_g",
     "dump_field",
     "euler_gradient",
-    "eval_A",
-    "eval_dA",
     "example_family",
-    "fiber_gradient",
-    "fiber_value",
-    "grad_sq",
     "identity_family",
     "integrate",
-    "l2_inner",
     "load_field",
-    "nehari_residual",
     "principal_eigenpair",
     "project_to_nehari",
     "refine_solution",
-    "scalar_energy",
     "scalar_ground_state",
     "solve_system",
-    "sphere_normalize",
     "tabulated_family",
     "total_energy",
 ]

@@ -55,18 +55,6 @@ class CoefficientFamily:
             raise InvalidParams(f"need a finite gamma > 0, got {self.gamma}")
 
 
-def eval_A(family: CoefficientFamily, s) -> np.ndarray | float:
-    """Profile value A(s); vectorized over s."""
-    out = family.a(np.asarray(s, dtype=float))
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
-
-
-def eval_dA(family: CoefficientFamily, s) -> np.ndarray | float:
-    """Derivative A'(s); vectorized over s, odd when A is even."""
-    out = family.da(np.asarray(s, dtype=float))
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
-
-
 def identity_family(gamma: float = 1.0) -> CoefficientFamily:
     """Constant coefficient A(s) = 1 (plain Laplacian diffusion)."""
     return CoefficientFamily(

@@ -31,7 +31,6 @@ from .coeffs import CoefficientFamily
 from .errors import InvalidParams
 from .grid import (
     Grid,
-    ScalarField,
     StatePair,
     cell_form_matrix,
     cell_gradients,
@@ -248,10 +247,6 @@ class Energy:
         )
 
 
-def _pair_sample(u: StatePair, grid: Grid) -> CellSample:
-    return CellSample(u.stacked(), grid)
-
-
 def total_energy(
     u: StatePair,
     params: ProblemParams,
@@ -259,20 +254,7 @@ def total_energy(
     fam2: CoefficientFamily,
     grid: Grid,
 ) -> float:
-    return Energy.pair(params, fam1, fam2).value(_pair_sample(u, grid))
-
-
-def scalar_energy(
-    z: ScalarField,
-    i: int,
-    params: ProblemParams,
-    fam: CoefficientFamily,
-    grid: Grid,
-) -> float:
-    """One-component energy: the system energy of (z, 0) for any beta."""
-    return Energy.scalar(params, params.lam(i), fam).value(
-        CellSample(z.values[None], grid)
-    )
+    return Energy.pair(params, fam1, fam2).value(CellSample(u.stacked(), grid))
 
 
 def euler_gradient(
@@ -283,24 +265,5 @@ def euler_gradient(
     grid: Grid,
 ) -> StatePair:
     """Exact gradient of total_energy in function-space scaling (see Energy)."""
-    g = Energy.pair(params, fam1, fam2).gradient(_pair_sample(u, grid))
+    g = Energy.pair(params, fam1, fam2).gradient(CellSample(u.stacked(), grid))
     return StatePair.from_stack(g, grid.spec)
-
-
-def nehari_residual(
-    u: StatePair,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-) -> NehariResidual:
-    """Constraint values r_i; r_1 + r_2 equals <E'(u), u> exactly."""
-    r1, r2 = Energy.pair(params, fam1, fam2).residuals(_pair_sample(u, grid))
-    return NehariResidual(float(r1), float(r2))
-
-
-def scale_state(u: StatePair, t1: float, t2: float) -> StatePair:
-    return StatePair(
-        ScalarField(t1 * u.u1.values, u.spec),
-        ScalarField(t2 * u.u2.values, u.spec),
-    )

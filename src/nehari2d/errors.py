@@ -21,7 +21,8 @@ class InvalidSpec(Nehari2dError, ValueError):
 
 
 class GridMismatch(Nehari2dError, ValueError):
-    """Operands live on different grids."""
+    """Operands live on different grids, or a state array has the wrong
+    shape."""
 
     label = "grid mismatch"
 
@@ -34,8 +35,8 @@ class InvalidParams(Nehari2dError, ValueError):
 
 
 class InvalidState(Nehari2dError, ValueError):
-    """A field is non-finite, a field dump is malformed, or a fiber point
-    is not finite and positive."""
+    """A field or state is non-finite, a field dump is malformed, or a
+    fiber point is not finite and positive."""
 
     label = "invalid state"
 

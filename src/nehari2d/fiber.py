@@ -27,6 +27,12 @@ energetically redundant, which callers treat as candidate collapse.
 Every t-dependent integral separates: the profile terms depend on t_i
 only through A_i(t_i u_i), so value/gradient grids over the scan box cost
 O(n_scan * n_cells) per component instead of O(n_scan^2 * n_cells).
+
+A state is a bare nodal array: `project_to_nehari` and
+`critical_cell_count` take a (2, nx, ny) pair stack, `scalar_fiber_root`
+an (nx, ny) field.  Each checks its input in one place (shape, finite
+entries, no zero component) and samples it once; a projection returns
+the sample of the projected stack.
 """
 
 from __future__ import annotations
@@ -37,16 +43,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import KIND_IDENTITY, CoefficientFamily
-from .energy import (
-    CellSample,
-    Energy,
-    NehariResidual,
-    ProblemParams,
-    scale_state,
-    total_energy,
+from .energy import CellSample, Energy, NehariResidual, ProblemParams
+from .errors import (
+    DegenerateInput,
+    GridMismatch,
+    InvalidParams,
+    InvalidState,
+    NoConvergence,
 )
-from .errors import DegenerateInput, InvalidParams, InvalidState, NoConvergence
-from .grid import Grid, ScalarField, StatePair, cell_gradients
+from .grid import Grid, cell_gradients
 
 STATUS_INTERIOR_MAX = "interior_max"
 STATUS_NOT_PROJECTABLE = "not_projectable"
@@ -68,9 +73,10 @@ class FiberPoint:
 class ProjectionResult:
     """A projection onto the constraint set.
 
-    For a projectable pair, `energy` is h_u(t) and `residual` holds
-    t_i dh_u/dt_i(t): the energy and constraint residuals of `projected`,
-    read from the fiber map.  `sample` is the cell sample of `projected`.
+    For a projectable pair, `sample` is the cell sample of the projected
+    stack `sample.x`, and `energy` is h_u(t) and `residual` holds
+    t_i dh_u/dt_i(t): its energy and constraint residuals, read from the
+    fiber map.
     """
 
     status: str
@@ -83,13 +89,6 @@ class ProjectionResult:
     @property
     def projectable(self) -> bool:
         return self.status == STATUS_INTERIOR_MAX
-
-    @property
-    def projected(self) -> StatePair | None:
-        """The projected pair, built from the nodal values of `sample`."""
-        if self.sample is None:
-            return None
-        return StatePair.from_stack(self.sample.x, self.sample.grid.spec)
 
 
 class FiberEvaluator:
@@ -202,46 +201,21 @@ class FiberEvaluator:
         return g, J
 
 
-def _pair_evaluator(
-    u: StatePair,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-) -> FiberEvaluator:
-    energy = Energy.pair(params, fam1, fam2)
-    return FiberEvaluator(energy, CellSample(u.stacked(), grid))
-
-
-def fiber_value(
-    u: StatePair,
-    t: FiberPoint,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-) -> float:
-    """h_u(t); evaluated as total_energy of the scaled pair (same quadrature)."""
-    return total_energy(scale_state(u, t.t1, t.t2), params, fam1, fam2, grid)
-
-
-def fiber_gradient(
-    u: StatePair,
-    t: FiberPoint,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-) -> tuple[float, float]:
-    """(dh/dt1, dh/dt2) at t."""
-    return _pair_evaluator(u, params, fam1, fam2, grid).grad(t.t1, t.t2)
-
-
-def _check_nontrivial(u: StatePair):
-    if not np.any(u.u1.values != 0.0):
-        raise DegenerateInput("first component is identically zero")
-    if not np.any(u.u2.values != 0.0):
-        raise DegenerateInput("second component is identically zero")
+def _sample(x: np.ndarray, grid: Grid, lead: tuple[int, ...]) -> CellSample:
+    """The cell sample of x, a (*lead, nx, ny) array, as a stack of its
+    components.  Raises GridMismatch for any other shape, InvalidState for
+    a non-finite entry and DegenerateInput for a zero component."""
+    x = np.asarray(x, dtype=float)
+    shape = (*lead, *grid.shape)
+    if x.shape != shape:
+        raise GridMismatch(f"need a state of shape {shape}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidState("state contains non-finite entries")
+    x = x.reshape(-1, *grid.shape)
+    for i, comp in enumerate(x, start=1):
+        if not np.any(comp != 0.0):
+            raise DegenerateInput(f"component {i} is identically zero")
+    return CellSample(x, grid)
 
 
 def _solve_2x2(J: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -411,7 +385,7 @@ _SCAN_N = 64
 
 
 def project_to_nehari(
-    u: StatePair,
+    x: np.ndarray,
     params: ProblemParams,
     fam1: CoefficientFamily,
     fam2: CoefficientFamily,
@@ -419,7 +393,8 @@ def project_to_nehari(
     *,
     t_init: tuple[float, float] | None = None,
 ) -> ProjectionResult:
-    """Rescale u onto the constraint set via its fiber maximizer.
+    """Rescale the pair stack x, a (2, nx, ny) array, onto the constraint
+    set via its fiber maximizer.
 
     Returns not_projectable when the necessary membership inequalities
     fail or when the coarse-scan maximum escapes the search box even
@@ -427,8 +402,7 @@ def project_to_nehari(
     coarse scan when Newton succeeds from it; by uniqueness of the fiber
     critical point the outcome is the same.
     """
-    _check_nontrivial(u)
-    ev = _pair_evaluator(u, params, fam1, fam2, grid)
+    ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
     m1, m2 = ev.membership_values()
     if m1 <= 0.0 or m2 <= 0.0:
         return ProjectionResult(
@@ -500,30 +474,25 @@ def h1_normalize(x: np.ndarray, grid: Grid) -> np.ndarray:
     return x / nrm[:, None, None]
 
 
-def sphere_normalize(u: StatePair, grid: Grid) -> StatePair:
-    """Scale each component to unit gradient norm."""
-    _check_nontrivial(u)
-    return StatePair.from_stack(h1_normalize(u.stacked(), grid), u.spec)
-
-
 # the uniqueness check samples the scan box with this many log-spaced t
 # per axis
 _UNIQUENESS_N = 200
 
 
 def critical_cell_count(
-    u: StatePair,
+    x: np.ndarray,
     params: ProblemParams,
     fam1: CoefficientFamily,
     fam2: CoefficientFamily,
     grid: Grid,
 ) -> int:
-    """Count scan cells where both fiber gradient components change sign.
+    """Count scan cells where both fiber gradient components change sign,
+    for the pair stack x.
 
     A transversal fiber critical point shows up as exactly one such cell;
     the count is the sampled check of critical-point uniqueness.
     """
-    ev = _pair_evaluator(u, params, fam1, fam2, grid)
+    ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
     taus = np.logspace(
         math.log10(_SCAN_T_MIN), math.log10(_SCAN_T_MAX), _UNIQUENESS_N
     )
@@ -540,7 +509,7 @@ def critical_cell_count(
 
 
 def scalar_fiber_root(
-    z: ScalarField,
+    z: np.ndarray,
     lam: float,
     params: ProblemParams,
     fam: CoefficientFamily,
@@ -548,18 +517,16 @@ def scalar_fiber_root(
     nonlin_coeff: float = 1.0,
     tau_init: float | None = None,
 ) -> float:
-    """Unique positive rescaling tau with tau*z on the scalar constraint set.
+    """Unique positive rescaling tau with tau*z on the scalar constraint set,
+    for the (nx, ny) nodal array z.
 
     Solves tau*(int A(tau z)|grad z|^2 - lam int z^2)
            + tau^2/2 int A'(tau z) z |grad z|^2
            - c * tau^(p-1) int |z|^p = 0.
     """
-    if not np.any(z.values != 0.0):
-        raise DegenerateInput("cannot rescale the zero field")
+    sample = _sample(z, grid, ())
     if nonlin_coeff <= 0.0:
         raise InvalidParams(f"need a positive nonlinearity weight, got {nonlin_coeff}")
-    ev = FiberEvaluator(
-        Energy.scalar(params, lam, fam, nonlin_coeff), CellSample(z.values[None], grid)
-    )
+    ev = FiberEvaluator(Energy.scalar(params, lam, fam, nonlin_coeff), sample)
     warm = tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init)
     return ev.axis_root(0, tau_init if warm else None)

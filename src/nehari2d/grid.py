@@ -187,11 +187,6 @@ class StatePair:
         )
 
 
-def _check(field: ScalarField, grid: Grid):
-    if field.spec != grid.spec:
-        raise GridMismatch(f"field on {field.spec}, grid is {grid.spec}")
-
-
 def cell_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Bilinear interpolant at every cell center, of nodal arrays with any
     leading axes (a (k, nx, ny) stack gives (k, nx+1, ny+1))."""
@@ -219,20 +214,6 @@ def integrate(cellvals: np.ndarray, grid: Grid) -> float:
             f"expected cell array of shape {grid.cell_shape}, got {cellvals.shape}"
         )
     return float(np.sum(cellvals)) * grid.cell_area
-
-
-def grad_sq(fld: ScalarField, grid: Grid) -> np.ndarray:
-    """Cell-sampled |grad u|^2 of the bilinear interpolant."""
-    _check(fld, grid)
-    gx, gy = cell_gradients(fld.values, grid)
-    return gx * gx + gy * gy
-
-
-def l2_inner(f: ScalarField, g: ScalarField, grid: Grid) -> float:
-    """Quadrature of the product of the two interpolants."""
-    _check(f, grid)
-    _check(g, grid)
-    return integrate(cell_values(f.values, grid) * cell_values(g.values, grid), grid)
 
 
 def scatter_cells(
@@ -371,7 +352,8 @@ def cell_form_matrix(
 
 
 def dump_field(fld: ScalarField, grid: Grid, path) -> None:
-    _check(fld, grid)
+    if fld.spec != grid.spec:
+        raise GridMismatch(f"field on {fld.spec}, grid is {grid.spec}")
     nx, ny = grid.shape
     with open(path, "w") as fh:
         fh.write(f"FIELD {nx} {ny} {grid.spec.lx:.17g} {grid.spec.ly:.17g}\n")
@@ -383,27 +365,38 @@ def dump_field(fld: ScalarField, grid: Grid, path) -> None:
                 )
 
 
+def _numbers(path, line_no: int, kinds, texts) -> list:
+    """texts converted by kinds, or InvalidState naming the path and line."""
+    try:
+        return [kind(text) for kind, text in zip(kinds, texts)]
+    except ValueError:
+        raise InvalidState(f"{path}: line {line_no}: non-numeric entry") from None
+
+
 def load_field(path) -> ScalarField:
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "FIELD":
             raise InvalidState(f"{path}: not a field dump")
-        nx, ny = int(header[1]), int(header[2])
-        spec = GridSpec(nx, ny, float(header[3]), float(header[4]))
+        nx, ny, lx, ly = _numbers(path, 1, (int, int, float, float), header[1:])
+        spec = GridSpec(nx, ny, lx, ly)
         vals = np.zeros((nx, ny))
         seen = np.zeros((nx, ny), dtype=bool)
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 5:
                 raise InvalidState(f"{path}: malformed row {line!r}")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            i, j, value = _numbers(
+                path, line_no, (int, int, float), (parts[0], parts[1], parts[4])
+            )
+            i, j = i - 1, j - 1
             if not (0 <= i < nx and 0 <= j < ny):
                 raise InvalidState(f"{path}: node ({i + 1}, {j + 1}) out of range")
             if seen[i, j]:
                 raise InvalidState(f"{path}: node ({i + 1}, {j + 1}) repeated")
-            vals[i, j] = float(parts[4])
+            vals[i, j] = value
             seen[i, j] = True
         if not seen.all():
             raise InvalidState(f"{path}: expected {nx * ny} rows, found {seen.sum()}")

@@ -54,6 +54,7 @@ from .errors import (
     DegenerateInput,
     InadmissibleLambda,
     InvalidParams,
+    InvalidState,
     Nehari2dError,
     NoConvergence,
     NotProjectable,
@@ -223,8 +224,9 @@ def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
 # ---------------------------------------------------------------------------
 # the descent driver
 
-# what a fiber map raises to reject a trial step or a start
-_REJECTS = (DegenerateInput, NoConvergence, NotProjectable)
+# what a fiber map raises to reject a trial step or a start; a coercivity
+# violation is evidence against the hypotheses and aborts the solve instead
+_REJECTS = (DegenerateInput, InvalidState, NoConvergence, NotProjectable)
 
 # Armijo sufficient-decrease constant, and the stagnation stop: the energy
 # fell by no more than _STAGNATION_TOL (relative) over _STAGNATION_WINDOW steps
@@ -588,7 +590,7 @@ def scalar_ground_state(
 
     def fiber(y, t_init):
         tau = scalar_fiber_root(
-            ScalarField(y[0], grid.spec), lam, params, fam, grid, nonlin_coeff,
+            y[0], lam, params, fam, grid, nonlin_coeff,
             tau_init=None if t_init is None else t_init[0],
         )
         sample = CellSample(tau * y, grid)
@@ -671,10 +673,7 @@ def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
     nu = min(fam1.nu, fam2.nu)
 
     def project(y, t_init):
-        proj = project_to_nehari(
-            StatePair.from_stack(y, grid.spec), params, fam1, fam2, grid,
-            t_init=t_init,
-        )
+        proj = project_to_nehari(y, params, fam1, fam2, grid, t_init=t_init)
         if not proj.projectable:
             raise NotProjectable(proj.reason)
         return (y, (proj.t.t1, proj.t.t2), proj.sample, proj.residual), proj.energy
@@ -700,11 +699,11 @@ def diagonal_candidate(
     grid: Grid,
     opts: SolverOptions = SolverOptions(),
     warnings: list[str] | None = None,
-) -> tuple[StatePair, float]:
-    """Synchronized state (w, w) from the scalar problem with the coupled
-    nonlinearity weight 1 + beta; an exact critical point of the system
-    when the problem is symmetric.  The warnings of the scalar solve are
-    appended to `warnings`, when given."""
+) -> tuple[np.ndarray, float]:
+    """Synchronized state (w, w), as a pair stack, and int |w|^p, from the
+    scalar problem with the coupled nonlinearity weight 1 + beta; an exact
+    critical point of the system when the problem is symmetric.  The
+    warnings of the scalar solve are appended to `warnings`, when given."""
     if params.beta <= -1.0:
         raise InvalidParams("diagonal reduction needs 1 + beta > 0")
     w, _e, rep = scalar_ground_state(
@@ -713,7 +712,7 @@ def diagonal_candidate(
     if warnings is not None:
         warnings.extend(f"diagonal scalar problem: {note}" for note in rep.warnings)
     _gr, _q, pp = CellSample(w.values[None], grid).integrals(params.p)
-    return StatePair(w, w), float(pp[0])
+    return np.stack((w.values, w.values)), float(pp[0])
 
 
 def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings):
@@ -738,7 +737,7 @@ def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings)
     else:
         envelope, tag = (1.0, 1.0), 31
         if symmetric:
-            diag = diagonal_candidate(params, fam1, grid, opts, warnings)[0].stacked()
+            diag = diagonal_candidate(params, fam1, grid, opts, warnings)[0]
             pairs.append((diag, diag))
         eps = 1e-2
         pairs.append((

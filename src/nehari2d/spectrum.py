@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dstn
 
-from .energy import CellSample, ProblemParams
+from .energy import CellSample
 from .errors import InvalidParams, NoConvergence
 from .grid import Grid, ScalarField
 
@@ -152,12 +152,6 @@ def principal_eigenpair(grid: Grid) -> EigenPair:
         mu=mu, phi=ScalarField(v, grid.spec), iterations=iterations,
         residual=residual, mu_quad=float(gr[0] / q[0]),
     )
-
-
-def admissible(params: ProblemParams, nu: float, gamma: float, mu1: float) -> str:
-    """The verdict of `admissibility` on (lambda1, lambda2)."""
-    lams = (params.lambda1, params.lambda2)
-    return admissibility(lams, params.p, gamma, nu, mu1)[0]
 
 
 def admissibility(lams, p: float, gamma: float, nu: float, mu1: float):

@@ -23,10 +23,10 @@ def zero_field(grid):
 
 
 def positive_state(grid, seed):
+    """A random positive pair, as a (2, nx, ny) stack."""
     rng = np.random.default_rng(seed)
-    return StatePair(
-        ScalarField(np.abs(rng.standard_normal(grid.shape)) + 0.1, grid.spec),
-        ScalarField(np.abs(rng.standard_normal(grid.shape)) + 0.1, grid.spec),
+    return np.stack(
+        [np.abs(rng.standard_normal(grid.shape)) + 0.1 for _ in range(2)]
     )
 
 
@@ -75,7 +75,8 @@ def random_state(grid, seed=0, scale=1.0):
 
 
 def segregated_random_state(grid, seed=0):
-    """Random positive bumps in opposite halves; projectable for beta < 0."""
+    """Random positive bumps in opposite halves, as a (2, nx, ny) stack;
+    projectable for beta < 0."""
     rng = np.random.default_rng(seed)
     s = grid.spec
     X, Y = grid.node_mesh()
@@ -89,7 +90,7 @@ def segregated_random_state(grid, seed=0):
               rng.uniform(0.5, 2.0))
     u2 = bump(s.lx * rng.uniform(0.7, 0.85), s.ly * rng.uniform(0.3, 0.7), w2,
               rng.uniform(0.5, 2.0))
-    return StatePair(ScalarField(u1, s), ScalarField(u2, s))
+    return np.stack((u1, u2))
 
 
 @pytest.fixture(scope="session")

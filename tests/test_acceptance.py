@@ -12,9 +12,7 @@ import time
 import numpy as np
 import pytest
 
-import nehari2d.grid as G
 from nehari2d import (
-    FiberPoint,
     GridSpec,
     ProblemParams,
     ScalarField,
@@ -24,8 +22,6 @@ from nehari2d import (
     certify,
     euler_gradient,
     example_family,
-    fiber_gradient,
-    fiber_value,
     identity_family,
     principal_eigenpair,
     project_to_nehari,
@@ -34,8 +30,8 @@ from nehari2d import (
     total_energy,
 )
 from nehari2d.coeffs import tabulated_family
-from nehari2d.energy import CellSample
-from nehari2d.fiber import critical_cell_count
+from nehari2d.energy import CellSample, Energy
+from nehari2d.fiber import FiberEvaluator, critical_cell_count
 from nehari2d.solvers import (
     conservative_mu1,
     diagonal_candidate,
@@ -113,17 +109,20 @@ def test_criterion_2_gradient_consistency():
             gv = (g.u1 if comp == 1 else g.u2).values[i, j] * grid.cell_area
             assert abs(gv - fd) / (1.0 + abs(fd)) < 1e-6
 
-        t = FiberPoint(*rng.uniform(0.3, 2.5, size=2))
-        g1, g2 = fiber_gradient(u, t, params, fam, fam, grid)
+        # the fiber evaluator's gradient against differences of the energy
+        # of freshly sampled scaled pairs
+        t = rng.uniform(0.3, 2.5, size=2)
+        energy = Energy.pair(params, fam, fam)
+        x = u.stacked()
+        g1, g2 = FiberEvaluator(energy, CellSample(x, grid)).grad(*t)
         dt = 1e-6
         for k, gk in enumerate((g1, g2)):
-            tp = [t.t1, t.t2]
-            tm = [t.t1, t.t2]
+            tp, tm = t.copy(), t.copy()
             tp[k] += dt
             tm[k] -= dt
             fd = (
-                fiber_value(u, FiberPoint(*tp), params, fam, fam, grid)
-                - fiber_value(u, FiberPoint(*tm), params, fam, fam, grid)
+                energy.value(CellSample(tp[:, None, None] * x, grid))
+                - energy.value(CellSample(tm[:, None, None] * x, grid))
             ) / (2.0 * dt)
             assert abs(gk - fd) / (1.0 + abs(fd)) < 1e-7
     _report(2, "gradient consistency", t0, 10.0)
@@ -161,10 +160,11 @@ def test_criterion_4_competitive_regime():
     assert rep.euler_residual_norm <= 1e-6
 
     mu1 = conservative_mu1(grid)
-    assert nehari_floors_hold(CellSample(u.stacked(), grid), params, fam.nu, mu1)
+    sample = CellSample(u.stacked(), grid)
+    assert nehari_floors_hold(sample, params, fam.nu, mu1)
 
     p, gam = params.p, params.gamma
-    gr = [G.integrate(G.grad_sq(c, grid), grid) for c in (u.u1, u.u2)]
+    gr, _q, _pp = sample.integrals(p)
     bound = (p - 2.0 - gam) / (2.0 * p) * fam.nu * sum(gr)
     assert rep.energy >= bound - 1e-8 * (1.0 + abs(rep.energy))
     _CACHE["competitive63"] = (grid, params, fam, u, rep)
@@ -179,14 +179,14 @@ def test_criterion_5_fiber_uniqueness():
     found = 0
     seed = 0
     while found < 50:
-        u = segregated_random_state(grid, seed=seed)
+        x = segregated_random_state(grid, seed=seed)
         seed += 1
-        proj = project_to_nehari(u, params, fam, fam, grid)
+        proj = project_to_nehari(x, params, fam, fam, grid)
         if not proj.projectable:
             continue
         found += 1
-        assert critical_cell_count(u, params, fam, fam, grid) == 1
-        again = project_to_nehari(proj.projected, params, fam, fam, grid)
+        assert critical_cell_count(x, params, fam, fam, grid) == 1
+        again = project_to_nehari(proj.sample.x, params, fam, fam, grid)
         assert abs(again.t.t1 - 1.0) <= 1e-8
         assert abs(again.t.t2 - 1.0) <= 1e-8
     _report(5, "fiber critical point uniqueness", t0, 120.0)
@@ -199,8 +199,8 @@ def test_criterion_6_diagonal_exclusion():
     params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        v = ScalarField(np.abs(rng.standard_normal(grid.shape)) + 0.02, grid.spec)
-        res = project_to_nehari(StatePair(v, v), params, fam, fam, grid)
+        v = np.abs(rng.standard_normal(grid.shape)) + 0.02
+        res = project_to_nehari(np.stack((v, v)), params, fam, fam, grid)
         assert res.status == "not_projectable"
     _report(6, "diagonal exclusion", t0, 30.0)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nehari2d import certify, eval_A, eval_dA, example_family, identity_family
+from nehari2d import certify, example_family, identity_family
 from nehari2d.coeffs import FAIL, PASS, PASS_DEGENERATE, tabulated_family
 from nehari2d.errors import InvalidParams, InvalidRange, NonFiniteSample
 
@@ -27,48 +27,51 @@ def d2a_scale(gamma, s):
 
 
 class TestEvalA:
+    """A(s), evaluated by a family's `a`."""
+
     def test_identity_constant(self):
         fam = identity_family()
-        assert eval_A(fam, 7.3) == 1.0
-        assert eval_A(fam, -123.0) == 1.0
+        assert fam.a(7.3) == 1.0
+        assert fam.a(-123.0) == 1.0
 
     def test_example_at_one(self):
         fam = example_family(2.0)
-        assert eval_A(fam, 1.0) == pytest.approx(1.5, rel=1e-14)
+        assert fam.a(1.0) == pytest.approx(1.5, rel=1e-14)
 
     def test_example_bounds_large_s(self):
         fam = example_family(2.0)
         for s in (-1e8, -10.0, 0.0, 10.0, 1e8):
-            assert 1.0 <= eval_A(fam, s) <= 2.0
+            assert 1.0 <= fam.a(s) <= 2.0
 
     def test_vectorized(self):
         fam = example_family(1.0)
-        out = eval_A(fam, np.array([0.0, 1.0]))
+        out = fam.a(np.array([0.0, 1.0]))
         assert out.shape == (2,)
         assert out[0] == 1.0 and out[1] == pytest.approx(1.5)
 
 
 class TestEvalDA:
+    """A'(s), evaluated by a family's `da`."""
+
     def test_identity_zero(self):
         fam = identity_family()
-        assert eval_dA(fam, 3.0) == 0.0
+        assert fam.da(3.0) == 0.0
 
     def test_example_gamma2_values(self):
         fam = example_family(2.0)
-        assert eval_dA(fam, 1.0) == pytest.approx(0.5, rel=1e-14)
-        assert eval_dA(fam, -1.0) == pytest.approx(-0.5, rel=1e-14)
+        assert fam.da(1.0) == pytest.approx(0.5, rel=1e-14)
+        assert fam.da(-1.0) == pytest.approx(-0.5, rel=1e-14)
 
     def test_oddness_random(self):
         rng = np.random.default_rng(0)
         for gamma in (1.0, 1.5, 2.0, 3.0):
             fam = example_family(gamma)
             s = rng.uniform(0.01, 50.0, size=50)
-            assert np.allclose(eval_dA(fam, -s), -np.asarray(eval_dA(fam, s)),
-                               rtol=1e-14, atol=0.0)
+            assert np.allclose(fam.da(-s), -fam.da(s), rtol=1e-14, atol=0.0)
 
     def test_zero_at_origin(self):
         for gamma in (1.0, 1.5, 2.0):
-            assert eval_dA(example_family(gamma), 0.0) == 0.0
+            assert example_family(gamma).da(0.0) == 0.0
 
 
 class TestD2A:

@@ -15,17 +15,9 @@ from nehari2d import (
     euler_gradient,
     example_family,
     identity_family,
-    nehari_residual,
-    scalar_energy,
     total_energy,
 )
-from nehari2d.energy import (
-    CellSample,
-    Energy,
-    coupling_hess_g,
-    scale_state,
-    sgn_pow,
-)
+from nehari2d.energy import CellSample, Energy, coupling_hess_g, sgn_pow
 from nehari2d.errors import InvalidParams
 from oracles import stencil_semilinear_gradient
 
@@ -118,8 +110,11 @@ class TestTotalEnergy:
         params = ProblemParams(0.3, -0.2, 0.0, 4.0, 1.0)
         u = random_state(grid15, seed=8)
         e = total_energy(u, params, identity, example1, grid15)
-        e1 = scalar_energy(u.u1, 1, params, identity, grid15)
-        e2 = scalar_energy(u.u2, 2, params, example1, grid15)
+        e1, e2 = (
+            Energy.scalar(params, params.lam(i), fam).value(
+                CellSample(comp.values[None], grid15))
+            for i, fam, comp in ((1, identity, u.u1), (2, example1, u.u2))
+        )
         assert e == pytest.approx(e1 + e2, rel=1e-12)
 
     def test_swap_symmetry(self, grid15, identity, example1):
@@ -132,7 +127,7 @@ class TestTotalEnergy:
     def test_evenness(self, grid15, example1):
         params = ProblemParams(0.1, 0.2, 1.5, 4.0, 1.0)
         u = random_state(grid15, seed=10)
-        minus = scale_state(u, -1.0, -1.0)
+        minus = StatePair.from_stack(-u.stacked(), u.spec)
         assert total_energy(minus, params, example1, example1, grid15) == \
             pytest.approx(total_energy(u, params, example1, example1, grid15),
                           rel=1e-13)
@@ -158,8 +153,6 @@ class TestTotalEnergy:
         assert np.all(g2 == 0.0)
         h1 = (pair.hessian(two) @ np.concatenate((d, zero)).ravel())[: d.size]
         assert rel_err(scalar.hessian(one) @ d.ravel(), h1) < 1e-13
-        assert scalar_energy(ScalarField(z, grid7.spec), 1, params, fam, grid7) == \
-            scalar.value(one)
 
     @PROPERTY
     @given(fam1=core_families, fam2=core_families,
@@ -169,7 +162,7 @@ class TestTotalEnergy:
                                                seed, t):
         # the stencils are linear: samples of x scaled by t serve for t x
         params = ProblemParams(0.2, -0.3, beta, p, 0.5)
-        x = positive_state(grid7, seed).stacked()
+        x = positive_state(grid7, seed)
         scaled = CellSample(x, grid7).scaled(t)
         fresh = CellSample(np.reshape(t, (2, 1, 1)) * x, grid7)
         pair = Energy.pair(params, fam1, fam2)
@@ -184,16 +177,18 @@ class TestTotalEnergy:
 
     def test_scalar_energy_hand_formula(self, grid31, identity):
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
-        z = random_state(grid31, seed=12).u1
-        e = scalar_energy(z, 1, params, identity, grid31)
+        z = random_state(grid31, seed=12).u1.values
+        e = Energy.scalar(params, 0.0, identity).value(CellSample(z[None], grid31))
         v = G.cell_values(z, grid31)
-        hand = 0.5 * G.integrate(G.grad_sq(z, grid31), grid31) - 0.25 * G.integrate(
+        gx, gy = G.cell_gradients(z, grid31)
+        hand = 0.5 * G.integrate(gx * gx + gy * gy, grid31) - 0.25 * G.integrate(
             v**4, grid31
         )
         assert e == pytest.approx(hand, rel=1e-13)
 
     def test_zero_scalar(self, grid15, identity, params_p4):
-        assert scalar_energy(zero_field(grid15), 1, params_p4, identity, grid15) == 0.0
+        zero = CellSample(np.zeros((1, *grid15.shape)), grid15)
+        assert Energy.scalar(params_p4, 0.0, identity).value(zero) == 0.0
 
 
 class TestEulerGradient:
@@ -253,13 +248,6 @@ class TestEulerGradient:
             assert num / den < bound
 
 
-def shifted(u, d1, d2, eps):
-    return StatePair(
-        ScalarField(u.u1.values + eps * d1, u.spec),
-        ScalarField(u.u2.values + eps * d2, u.spec),
-    )
-
-
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -270,22 +258,21 @@ class TestHessian:
     def test_pair_matches_difference_of_gradient(self, grid7, fam1, fam2, beta, p,
                                                  seed):
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
-        u = positive_state(grid7, seed)
-        d1, d2 = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
-        h = Energy.pair(params, fam1, fam2).hessian(
-            CellSample(u.stacked(), grid7)
-        ) @ np.concatenate((d1.ravel(), d2.ravel()))
+        x = positive_state(grid7, seed)
+        d = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
+        energy = Energy.pair(params, fam1, fam2)
+        h = energy.hessian(CellSample(x, grid7)) @ d.ravel()
         eps = 1e-6
-        gp = euler_gradient(shifted(u, d1, d2, eps), params, fam1, fam2, grid7)
-        gm = euler_gradient(shifted(u, d1, d2, -eps), params, fam1, fam2, grid7)
-        fd = np.concatenate([(gp.u1.values - gm.u1.values).ravel(),
-                             (gp.u2.values - gm.u2.values).ravel()]) / (2 * eps)
-        assert rel_err(h, fd) < 1e-6
+
+        def grad(s):
+            return energy.gradient(CellSample(x + s * d, grid7)).ravel()
+
+        assert rel_err(h, (grad(eps) - grad(-eps)) / (2 * eps)) < 1e-6
 
     @PROPERTY
     @given(fam=families, p=exponents, c=st.floats(0.5, 3.0), seed=seeds)
     def test_scalar_matches_difference_of_gradient(self, grid7, fam, p, c, seed):
-        z = positive_state(grid7, seed).u1.values[None]
+        z = positive_state(grid7, seed)[:1]
         d = np.random.default_rng(seed + 1).standard_normal((1, *grid7.shape))
         energy = Energy.scalar(ProblemParams(0.4, 0.4, 0.0, p, 0.5), 0.4, fam, c)
         h = energy.hessian(CellSample(z, grid7)) @ d.ravel()
@@ -300,16 +287,16 @@ class TestHessian:
     @given(fam1=families, fam2=families, beta=betas, p=exponents, seed=seeds)
     def test_products_are_symmetric(self, grid7, fam1, fam2, beta, p, seed):
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
-        u = positive_state(grid7, seed)
+        x = positive_state(grid7, seed)
         d = np.random.default_rng(seed + 1).standard_normal((2, *grid7.shape))
         e = np.random.default_rng(seed + 2).standard_normal((2, *grid7.shape))
         d, e = d.ravel(), e.ravel()
-        hess = Energy.pair(params, fam1, fam2).hessian(CellSample(u.stacked(), grid7))
+        hess = Energy.pair(params, fam1, fam2).hessian(CellSample(x, grid7))
         hd, he = hess @ d, hess @ e
         bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e)
         assert abs(np.sum(hd * e) - np.sum(d * he)) <= bound
         shess = Energy.scalar(params, 0.4, fam1, 1.0 + abs(beta)).hessian(
-            CellSample(u.u1.values[None], grid7)
+            CellSample(x[:1], grid7)
         )
         d, e = d[: grid7.spec.n_nodes], e[: grid7.spec.n_nodes]
         hd, he = shess @ d, shess @ e
@@ -401,33 +388,31 @@ class TestAssembledHessian:
 
 class TestNehariResidual:
     def test_zero_state(self, grid15, identity, params_p4):
-        u = StatePair(zero_field(grid15), zero_field(grid15))
-        r = nehari_residual(u, params_p4, identity, identity, grid15)
-        assert r.r1 == 0.0 and r.r2 == 0.0
+        zero = CellSample(np.zeros((2, *grid15.shape)), grid15)
+        r1, r2 = Energy.pair(params_p4, identity, identity).residuals(zero)
+        assert r1 == 0.0 and r2 == 0.0
 
     @pytest.mark.parametrize("beta", [-2.0, 0.0, 1.5])
     def test_pairing_identity(self, grid15, example1, beta):
         params = ProblemParams(0.15, -0.25, beta, 4.0, 1.0)
+        energy = Energy.pair(params, example1, example1)
         for seed in range(5):
             u = random_state(grid15, seed=200 + seed)
-            r = nehari_residual(u, params, example1, example1, grid15)
+            sample = CellSample(u.stacked(), grid15)
+            r1, r2 = energy.residuals(sample)
             g = euler_gradient(u, params, example1, example1, grid15)
-            pairing = grid15.cell_area * sum(
-                float(np.sum(gc.values * uc.values))
-                for gc, uc in ((g.u1, u.u1), (g.u2, u.u2))
-            )
-            assert abs(r.r1 + r.r2 - pairing) / (1.0 + abs(pairing)) < 1e-10
+            pairing = grid15.cell_area * float(np.sum(g.stacked() * u.stacked()))
+            assert abs(r1 + r2 - pairing) / (1.0 + abs(pairing)) < 1e-10
 
 
 class TestFiberIdentity:
     def test_energy_of_scaled_state(self, grid15, example1):
-        from nehari2d import FiberPoint, fiber_value
-
+        # the pair energy of the scaled stack, and total_energy of the
+        # scaled pair: the same quadrature path, bitwise
         params = ProblemParams(0.0, 0.1, -2.0, 4.0, 1.0)
-        u = random_state(grid15, seed=21)
-        t = FiberPoint(0.7, 1.9)
-        lhs = fiber_value(u, t, params, example1, example1, grid15)
+        x = np.reshape((0.7, 1.9), (2, 1, 1)) * random_state(grid15, seed=21).stacked()
+        lhs = Energy.pair(params, example1, example1).value(CellSample(x, grid15))
         rhs = total_energy(
-            scale_state(u, 0.7, 1.9), params, example1, example1, grid15
+            StatePair.from_stack(x, grid15.spec), params, example1, example1, grid15
         )
-        assert lhs == rhs  # same quadrature path, bitwise
+        assert lhs == rhs

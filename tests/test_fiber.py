@@ -6,28 +6,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-import nehari2d.grid as G
 from nehari2d import (
     FiberPoint,
     ProblemParams,
-    ScalarField,
-    StatePair,
     example_family,
-    fiber_gradient,
-    fiber_value,
     identity_family,
-    nehari_residual,
     project_to_nehari,
-    sphere_normalize,
     total_energy,
 )
 from nehari2d.coeffs import tabulated_family
 from nehari2d.energy import CellSample, Energy
-from nehari2d.errors import DegenerateInput, InvalidState, NoConvergence
+from nehari2d.errors import (
+    DegenerateInput,
+    GridMismatch,
+    InvalidState,
+    NoConvergence,
+)
 from nehari2d.fiber import (
     FiberEvaluator,
     _newton_polish,
     critical_cell_count,
+    h1_normalize,
     positive_root,
     scalar_fiber_root,
 )
@@ -38,7 +37,6 @@ from conftest import (
     positive_state,
     random_state,
     segregated_random_state,
-    zero_field,
 )
 
 
@@ -48,8 +46,7 @@ def competitive_params():
 
 
 def bump_state(grid):
-    left, right = segregated_pair(grid)
-    return StatePair(ScalarField(left, grid.spec), ScalarField(right, grid.spec))
+    return np.stack(segregated_pair(grid))
 
 
 def disjoint_state(grid):
@@ -57,10 +54,23 @@ def disjoint_state(grid):
     left, right = segregated_pair(grid)
     X, _ = grid.node_mesh()
     s = grid.spec
-    return StatePair(
-        ScalarField(np.where(X < 0.4 * s.lx, left, 0.0), s),
-        ScalarField(np.where(X > 0.6 * s.lx, right, 0.0), s),
+    return np.stack(
+        (np.where(X < 0.4 * s.lx, left, 0.0), np.where(X > 0.6 * s.lx, right, 0.0))
     )
+
+
+pair_families = st.sampled_from([(identity_family(), example_family(1.0)),
+                                 (example_family(0.5), example_family(1.3))])
+
+
+def fiber_value(x, t, energy, grid):
+    """h_x(t) = E(t1 x1, t2 x2), the energy of a fresh sample of the scaled
+    stack: a path independent of FiberEvaluator."""
+    return energy.value(CellSample(np.reshape(t, (2, 1, 1)) * x, grid))
+
+
+def fiber_gradient(x, t, energy, grid):
+    return FiberEvaluator(energy, CellSample(x, grid)).grad(*t)
 
 
 class TestFiberPoint:
@@ -76,27 +86,22 @@ class TestFiberPoint:
 class TestFiberValue:
     def test_identity_at_unit_point(self, grid15, example1, competitive_params):
         u = random_state(grid15, seed=1)
-        t = FiberPoint(1.0, 1.0)
-        assert fiber_value(u, t, competitive_params, example1, example1, grid15) == \
+        energy = Energy.pair(competitive_params, example1, example1)
+        assert fiber_value(u.stacked(), (1.0, 1.0), energy, grid15) == \
             total_energy(u, competitive_params, example1, example1, grid15)
 
     def test_decoupled_closed_form(self, grid31, identity):
         # disjoint supports, constant profile, lambda = 0:
         # h(t) = sum t_i^2 a_i / 2 - t_i^p b_i / p
         params = ProblemParams(0.0, 0.0, -3.0, 4.0, 1.0)
-        u = disjoint_state(grid31)
-        a = [G.integrate(G.grad_sq(c, grid31), grid31) for c in (u.u1, u.u2)]
-        b = [
-            G.integrate(np.abs(G.cell_values(c, grid31)) ** 4, grid31)
-            for c in (u.u1, u.u2)
-        ]
-        cross = G.integrate(
-            np.abs(G.cell_values(u.u1, grid31) * G.cell_values(u.u2, grid31)) ** 2,
-            grid31,
-        )
+        x = disjoint_state(grid31)
+        sample = CellSample(x, grid31)
+        a, _q, b = sample.integrals(4.0)
+        cross = np.sum(np.abs(sample.v[0] * sample.v[1]) ** 2)
         assert cross == 0.0  # genuinely disjoint supports
+        energy = Energy.pair(params, identity, identity)
         for t1, t2 in ((0.5, 2.0), (1.3, 0.7), (3.0, 3.0)):
-            h = fiber_value(u, FiberPoint(t1, t2), params, identity, identity, grid31)
+            h = fiber_value(x, (t1, t2), energy, grid31)
             closed = sum(
                 0.5 * t * t * ai - 0.25 * t**4 * bi
                 for t, ai, bi in ((t1, a[0], b[0]), (t2, a[1], b[1]))
@@ -104,9 +109,8 @@ class TestFiberValue:
             assert h == pytest.approx(closed, rel=1e-9)
 
     def test_decays_to_minus_infinity(self, grid15, example1, competitive_params):
-        u = bump_state(grid15)
         ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
-                            CellSample(u.stacked(), grid15))
+                            CellSample(bump_state(grid15), grid15))
         m1, m2 = ev.membership_values()
         assert m1 > 0.0 and m2 > 0.0
         vals = [ev.value(s, s) for s in (10.0, 100.0, 1000.0)]
@@ -117,12 +121,11 @@ class TestFiberGradient:
     def test_finite_difference_match(self, grid15, example1):
         params = ProblemParams(0.1, -0.2, -1.4, 4.0, 1.0)
         rng = np.random.default_rng(5)
-        u = random_state(grid15, seed=3)
+        x = random_state(grid15, seed=3).stacked()
+        energy = Energy.pair(params, example1, example1)
         for _ in range(10):
             t1, t2 = rng.uniform(0.2, 3.0, size=2)
-            g1, g2 = fiber_gradient(
-                u, FiberPoint(t1, t2), params, example1, example1, grid15
-            )
+            g1, g2 = fiber_gradient(x, (t1, t2), energy, grid15)
             dt = 1e-6
             for k, (gk, tk) in enumerate(((g1, t1), (g2, t2))):
                 tp = [t1, t2]
@@ -130,15 +133,14 @@ class TestFiberGradient:
                 tp[k] += dt
                 tm[k] -= dt
                 fd = (
-                    fiber_value(u, FiberPoint(*tp), params, example1, example1, grid15)
-                    - fiber_value(u, FiberPoint(*tm), params, example1, example1, grid15)
+                    fiber_value(x, tp, energy, grid15)
+                    - fiber_value(x, tm, energy, grid15)
                 ) / (2 * dt)
                 assert abs(gk - fd) / (1.0 + abs(fd)) < 1e-7
 
     @PROPERTY
     @given(
-        fams=st.sampled_from([(identity_family(), example_family(1.0)),
-                              (example_family(0.5), example_family(1.3))]),
+        fams=pair_families,
         beta=st.sampled_from((-2.0, 0.7)),
         p=st.sampled_from((3.0, 4.0)),
         t=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
@@ -148,7 +150,7 @@ class TestFiberGradient:
                                                      seed):
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
         ev = FiberEvaluator(Energy.pair(params, *fams),
-                            CellSample(positive_state(grid7, seed).stacked(), grid7))
+                            CellSample(positive_state(grid7, seed), grid7))
         g, J = ev.grad_and_jacobian(*t)
         np.testing.assert_allclose(g, ev.grad(*t), rtol=1e-12, atol=1e-12)
         dt = 1e-6
@@ -161,21 +163,20 @@ class TestFiberGradient:
         assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_gradient_small_at_projection(self, grid15, example1, competitive_params):
-        u = bump_state(grid15)
-        res = project_to_nehari(u, competitive_params, example1, example1, grid15)
+        x = bump_state(grid15)
+        res = project_to_nehari(x, competitive_params, example1, example1, grid15)
         assert res.projectable
-        g1, g2 = fiber_gradient(
-            u, res.t, competitive_params, example1, example1, grid15
-        )
-        h = fiber_value(u, res.t, competitive_params, example1, example1, grid15)
+        energy = Energy.pair(competitive_params, example1, example1)
+        t = (res.t.t1, res.t.t2)
+        g1, g2 = fiber_gradient(x, t, energy, grid15)
+        h = fiber_value(x, t, energy, grid15)
         assert max(abs(g1), abs(g2)) <= 1e-9 * (abs(h) + 1.0)
 
     def test_decoupled_root_closed_form(self, grid31, identity):
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
-        u = bump_state(grid31)
-        a = G.integrate(G.grad_sq(u.u1, grid31), grid31)
-        b = G.integrate(np.abs(G.cell_values(u.u1, grid31)) ** 4, grid31)
-        tau = scalar_fiber_root(u.u1, 0.0, params, identity, grid31)
+        z = bump_state(grid31)[0]
+        (a,), _q, (b,) = CellSample(z[None], grid31).integrals(4.0)
+        tau = scalar_fiber_root(z, 0.0, params, identity, grid31)
         assert tau == pytest.approx((a / b) ** 0.5, rel=1e-11)
 
     @PROPERTY
@@ -195,7 +196,7 @@ class TestFiberGradient:
             "tabulated": tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=1.3),
         }[kind]
         energy = Energy.scalar(ProblemParams(0.4, 0.4, 0.0, p, 0.5), 0.4, fam, c)
-        z = positive_state(grid7, seed).u1.values[None]
+        z = positive_state(grid7, seed)[:1]
         ev = FiberEvaluator(energy, CellSample(z, grid7))
         _, grad, slope = ev._axis(0, tau, 2)
         dt = 1e-6
@@ -224,10 +225,7 @@ def counted(psi):
 def modulated_bump(grid):
     X, Y = grid.node_mesh()
     rng = np.random.default_rng(5)
-    return ScalarField(
-        np.sin(np.pi * X) * np.sin(np.pi * Y) * (1.0 + 0.3 * rng.random(grid.shape)),
-        grid.spec,
-    )
+    return np.sin(np.pi * X) * np.sin(np.pi * Y) * (1.0 + 0.3 * rng.random(grid.shape))
 
 
 class TestPositiveRoot:
@@ -258,7 +256,7 @@ class TestPositiveRoot:
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
         z = modulated_bump(grid15)
         ev = FiberEvaluator(Energy.scalar(params, lam, fam, nonlin),
-                            CellSample(z.values[None], grid15))
+                            CellSample(z[None], grid15))
         ref = brentq(lambda t: float(ev._axis(0, t, 1)[1]), 1e-6, 1e6, xtol=1e-300,
                      rtol=1e-15)
         for tau_init in (None, 0.01 * ref, 100.0 * ref):
@@ -285,43 +283,69 @@ class TestPositiveRoot:
 class TestProjection:
     def test_decoupled_identity_closed_form(self, grid31, identity):
         params = ProblemParams(0.0, 0.0, -1.5, 4.0, 1.0)
-        u = disjoint_state(grid31)
-        res = project_to_nehari(u, params, identity, identity, grid31)
+        x = disjoint_state(grid31)
+        res = project_to_nehari(x, params, identity, identity, grid31)
         assert res.projectable
-        for comp, tk in ((u.u1, res.t.t1), (u.u2, res.t.t2)):
-            a = G.integrate(G.grad_sq(comp, grid31), grid31)
-            b = G.integrate(np.abs(G.cell_values(comp, grid31)) ** 4, grid31)
-            assert tk == pytest.approx((a / b) ** 0.5, rel=1e-10, abs=0.0)
+        a, _q, b = CellSample(x, grid31).integrals(4.0)
+        for k, tk in enumerate((res.t.t1, res.t.t2)):
+            assert tk == pytest.approx((a[k] / b[k]) ** 0.5, rel=1e-10, abs=0.0)
 
     def test_diagonal_not_projectable(self, grid15, example1, competitive_params):
         rng = np.random.default_rng(17)
         for seed in range(10):
-            v = ScalarField(
-                np.abs(rng.standard_normal(grid15.shape)) + 0.05, grid15.spec
-            )
+            v = np.abs(rng.standard_normal(grid15.shape)) + 0.05
             res = project_to_nehari(
-                StatePair(v, v), competitive_params, example1, example1, grid15
+                np.stack((v, v)), competitive_params, example1, example1, grid15
             )
             assert res.status == "not_projectable"
 
     def test_idempotent(self, grid15, example1, competitive_params):
-        u = bump_state(grid15)
-        first = project_to_nehari(u, competitive_params, example1, example1, grid15)
+        x = bump_state(grid15)
+        first = project_to_nehari(x, competitive_params, example1, example1, grid15)
         assert first.projectable
         assert first.residual.max_abs <= 1e-8
         again = project_to_nehari(
-            first.projected, competitive_params, example1, example1, grid15
+            first.sample.x, competitive_params, example1, example1, grid15
         )
         assert abs(again.t.t1 - 1.0) <= 10 * 1e-8
         assert abs(again.t.t2 - 1.0) <= 10 * 1e-8
+
+    @PROPERTY
+    @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=st.floats(-4.0, -0.5),
+           p=st.sampled_from((3.0, 4.0)), seed=st.integers(0, 2**31))
+    def test_idempotent_property(self, grid7, grid15, n, fams, beta, p, seed):
+        # criterion 5's bound: a projected pair is its own projection
+        grid = grid7 if n == 7 else grid15
+        params = ProblemParams(0.4, -0.3, beta, p, 0.5)
+        first = project_to_nehari(segregated_random_state(grid, seed), params,
+                                  *fams, grid)
+        assert first.projectable
+        again = project_to_nehari(first.sample.x, params, *fams, grid)
+        assert abs(again.t.t1 - 1.0) <= 1e-8
+        assert abs(again.t.t2 - 1.0) <= 1e-8
+
+    @PROPERTY
+    @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=st.floats(-4.0, -0.5),
+           p=st.sampled_from((3.0, 4.0)), seed=st.integers(0, 2**31))
+    def test_swap_equivariance_property(self, grid7, grid15, n, fams, beta, p, seed):
+        # the swapped pair with the swapped data projects with t swapped
+        grid = grid7 if n == 7 else grid15
+        params = ProblemParams(0.4, -0.3, beta, p, 0.5)
+        x = segregated_random_state(grid, seed)
+        res = project_to_nehari(x, params, *fams, grid)
+        sw = project_to_nehari(x[::-1], params.swapped(), *fams[::-1], grid)
+        assert res.projectable and sw.projectable
+        assert sw.t.t1 == pytest.approx(res.t.t2, rel=1e-10)
+        assert sw.t.t2 == pytest.approx(res.t.t1, rel=1e-10)
+        assert sw.energy == pytest.approx(res.energy, rel=1e-12)
 
     def test_far_warm_start_is_cheap(self, monkeypatch, grid15, example1,
                                      competitive_params):
         # at 0.05 t* h is convex, so the Newton step descends and the line
         # search could only creep within its rounding slack: the polish
         # must give up at once and leave t* to the scan
-        u = bump_state(grid15)
-        cold = project_to_nehari(u, competitive_params, example1, example1, grid15)
+        x = bump_state(grid15)
+        cold = project_to_nehari(x, competitive_params, example1, example1, grid15)
         calls = []
         value = FiberEvaluator.value
         monkeypatch.setattr(
@@ -329,7 +353,7 @@ class TestProjection:
             lambda self, t1, t2: calls.append(1) or value(self, t1, t2),
         )
         warm = project_to_nehari(
-            u, competitive_params, example1, example1, grid15,
+            x, competitive_params, example1, example1, grid15,
             t_init=(0.05 * cold.t.t1, 0.05 * cold.t.t2),
         )
         assert warm.t == cold.t
@@ -339,51 +363,45 @@ class TestProjection:
                                                      competitive_params):
         # the same far start without the warm give-up: gradient ascent
         # steps carry t to where Newton takes over and converges to t*
-        u = bump_state(grid15)
-        cold = project_to_nehari(u, competitive_params, example1, example1, grid15)
+        x = bump_state(grid15)
+        cold = project_to_nehari(x, competitive_params, example1, example1, grid15)
         ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
-                            CellSample(u.stacked(), grid15))
+                            CellSample(x, grid15))
         t_star = np.array([cold.t.t1, cold.t.t2])
         t, converged = _newton_polish(ev, 0.05 * t_star, warm=False)
         assert converged
         assert np.allclose(t, t_star, rtol=1e-10, atol=0.0)
 
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
-        u = StatePair(
-            ScalarField(np.ones(grid15.shape), grid15.spec), zero_field(grid15)
-        )
+        x = np.stack((np.ones(grid15.shape), np.zeros(grid15.shape)))
         with pytest.raises(DegenerateInput):
-            project_to_nehari(u, competitive_params, example1, example1, grid15)
+            project_to_nehari(x, competitive_params, example1, example1, grid15)
 
     def test_homeomorphism_round_trip(self, grid15, example1, competitive_params):
-        u = sphere_normalize(bump_state(grid15), grid15)
-        res = project_to_nehari(u, competitive_params, example1, example1, grid15)
-        back = sphere_normalize(res.projected, grid15)
-        assert np.max(np.abs(back.u1.values - u.u1.values)) < 1e-8
-        assert np.max(np.abs(back.u2.values - u.u2.values)) < 1e-8
+        x = h1_normalize(bump_state(grid15), grid15)
+        res = project_to_nehari(x, competitive_params, example1, example1, grid15)
+        back = h1_normalize(res.sample.x, grid15)
+        assert np.max(np.abs(back[0] - x[0])) < 1e-8
+        assert np.max(np.abs(back[1] - x[1])) < 1e-8
 
     def test_continuity_probe(self, grid15, example1, competitive_params):
         # t_u varies continuously: shrinking perturbations give shrinking |dt|
-        u = bump_state(grid15)
-        base = project_to_nehari(u, competitive_params, example1, example1, grid15)
+        x = bump_state(grid15)
+        base = project_to_nehari(x, competitive_params, example1, example1, grid15)
         rng = np.random.default_rng(23)
         d1 = rng.standard_normal(grid15.shape)
         d2 = rng.standard_normal(grid15.shape)
         deltas = []
         for eps in (1e-3, 1e-4, 1e-5):
-            up = StatePair(
-                ScalarField(u.u1.values + eps * d1, grid15.spec),
-                ScalarField(u.u2.values + eps * d2, grid15.spec),
-            )
-            r = project_to_nehari(up, competitive_params, example1, example1, grid15)
+            xp = x + eps * np.stack((d1, d2))
+            r = project_to_nehari(xp, competitive_params, example1, example1, grid15)
             deltas.append(math.hypot(r.t.t1 - base.t.t1, r.t.t2 - base.t.t2))
         assert deltas[1] < 0.2 * deltas[0]
         assert deltas[2] < 0.2 * deltas[1]
 
     @PROPERTY
     @given(
-        fams=st.sampled_from([(identity_family(), example_family(1.0)),
-                              (example_family(0.5), example_family(1.3))]),
+        fams=pair_families,
         beta=st.sampled_from((-2.0, 0.7)),
         p=st.sampled_from((3.0, 4.0)),
         seed=st.integers(0, 2**31),
@@ -391,62 +409,101 @@ class TestProjection:
     def test_reported_energy_and_residuals(self, grid7, fams, beta, p, seed):
         # read from the fiber map at t, they are those of a fresh sample
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
-        res = project_to_nehari(segregated_random_state(grid7, seed), params, *fams,
-                                grid7)
+        x = segregated_random_state(grid7, seed)
+        res = project_to_nehari(x, params, *fams, grid7)
         assert res.projectable
-        w = res.projected
-        energy = total_energy(w, params, *fams, grid7)
-        resid = nehari_residual(w, params, *fams, grid7)
+        w = np.reshape((res.t.t1, res.t.t2), (2, 1, 1)) * x
+        assert np.array_equal(res.sample.x, w)
+        fresh = CellSample(w, grid7)
+        energy = Energy.pair(params, *fams)
+        r1, r2 = energy.residuals(fresh)
         # the size of the integrals that cancel in the energy and residuals
-        terms = sum(
-            G.integrate(G.grad_sq(c, grid7) + np.abs(G.cell_values(c, grid7)) ** p,
-                        grid7)
-            for c in (w.u1, w.u2)
-        )
-        assert abs(res.energy - energy) <= 1e-12 * terms
-        assert abs(res.residual.r1 - resid.r1) <= 1e-12 * terms
-        assert abs(res.residual.r2 - resid.r2) <= 1e-12 * terms
-        assert np.array_equal(res.sample.x, w.stacked())
+        gr, _q, pp = fresh.integrals(p)
+        terms = float(np.sum(gr + pp))
+        assert abs(res.energy - energy.value(fresh)) <= 1e-12 * terms
+        assert abs(res.residual.r1 - r1) <= 1e-12 * terms
+        assert abs(res.residual.r2 - r2) <= 1e-12 * terms
 
     def test_attractive_rescale_matches_diagonal_root(self, grid15, identity):
         # symmetric state, beta > 0: rescale = scalar root with weight 1+beta
         params = ProblemParams(0.0, 0.0, 3.0, 4.0, 1.0)
-        v = ScalarField(np.abs(random_state(grid15, 31).u1.values) + 0.1, grid15.spec)
-        u = StatePair(v, v)
-        res = project_to_nehari(u, params, identity, identity, grid15)
+        v = np.abs(random_state(grid15, 31).u1.values) + 0.1
+        res = project_to_nehari(np.stack((v, v)), params, identity, identity, grid15)
         assert res.projectable
         tau = scalar_fiber_root(v, 0.0, params, identity, grid15, nonlin_coeff=4.0)
         assert res.t.t1 == pytest.approx(tau, rel=1e-9)
         assert res.t.t2 == pytest.approx(tau, rel=1e-9)
 
 
+class TestStateInput:
+    """The one check of the state a projection takes: its shape, finite
+    entries and nontrivial components."""
+
+    FUNCTIONS = pytest.mark.parametrize(
+        "fn", [project_to_nehari, critical_cell_count, scalar_fiber_root],
+        ids=lambda fn: fn.__name__,
+    )
+
+    @staticmethod
+    def state(fn, grid):
+        x = bump_state(grid)
+        return x[0] if fn is scalar_fiber_root else x
+
+    @staticmethod
+    def call(fn, state, grid):
+        params, fam = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0), example_family(1.0)
+        if fn is scalar_fiber_root:
+            return fn(state, 0.0, params, fam, grid)
+        return fn(state, params, fam, fam, grid)
+
+    @FUNCTIONS
+    @pytest.mark.parametrize("wrong", ["leading axis", "grid"])
+    def test_wrong_shape_is_grid_mismatch(self, grid7, grid15, fn, wrong):
+        if wrong == "grid":
+            state = self.state(fn, grid7)
+        else:
+            state = np.stack([self.state(fn, grid15)] * 3)
+        with pytest.raises(GridMismatch):
+            self.call(fn, state, grid15)
+
+    @FUNCTIONS
+    def test_non_finite_entry_is_invalid_state(self, grid15, fn):
+        state = self.state(fn, grid15).copy()
+        state[..., 3, 4] = np.nan
+        with pytest.raises(InvalidState, match="non-finite"):
+            self.call(fn, state, grid15)
+
+    @FUNCTIONS
+    def test_zero_component_is_degenerate(self, grid15, fn):
+        state = self.state(fn, grid15).copy()
+        component = state if state.ndim == 2 else state[-1]
+        component[...] = 0.0
+        with pytest.raises(DegenerateInput, match="identically zero"):
+            self.call(fn, state, grid15)
+
+
 class TestSphereNormalize:
+    """`h1_normalize`: each component of a stack onto its unit gradient sphere."""
+
     def test_unit_norm(self, grid15):
-        u = sphere_normalize(random_state(grid15, seed=2), grid15)
-        for comp in (u.u1, u.u2):
-            assert G.integrate(G.grad_sq(comp, grid15), grid15) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        x = h1_normalize(random_state(grid15, seed=2).stacked(), grid15)
+        gr, _q, _pp = CellSample(x, grid15).integrals(2.0)
+        assert gr == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_scaling_invariance(self, grid15):
-        u = random_state(grid15, seed=4)
-        from nehari2d.energy import scale_state
-
-        a = sphere_normalize(u, grid15)
-        b = sphere_normalize(scale_state(u, 17.0, 0.003), grid15)
-        assert np.allclose(a.u1.values, b.u1.values, rtol=1e-12, atol=1e-15)
-        assert np.allclose(a.u2.values, b.u2.values, rtol=1e-12, atol=1e-15)
+        x = random_state(grid15, seed=4).stacked()
+        a = h1_normalize(x, grid15)
+        b = h1_normalize(np.reshape((17.0, 0.003), (2, 1, 1)) * x, grid15)
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_already_normalized_unchanged(self, grid15):
-        u = sphere_normalize(random_state(grid15, seed=6), grid15)
-        again = sphere_normalize(u, grid15)
-        assert np.max(np.abs(again.u1.values - u.u1.values)) < 1e-14
+        x = h1_normalize(random_state(grid15, seed=6).stacked(), grid15)
+        again = h1_normalize(x, grid15)
+        assert np.max(np.abs(again[0] - x[0])) < 1e-14
 
     def test_degenerate(self, grid15):
         with pytest.raises(DegenerateInput):
-            sphere_normalize(
-                StatePair(zero_field(grid15), zero_field(grid15)), grid15
-            )
+            h1_normalize(np.zeros((2, *grid15.shape)), grid15)
 
 
 class TestUniquenessScan:
@@ -454,24 +511,24 @@ class TestUniquenessScan:
         found = 0
         seed = 0
         while found < 10:
-            u = segregated_random_state(grid15, seed=seed)
+            x = segregated_random_state(grid15, seed=seed)
             seed += 1
             ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
-                                CellSample(u.stacked(), grid15))
+                                CellSample(x, grid15))
             m1, m2 = ev.membership_values()
             if m1 <= 0 or m2 <= 0:
                 continue
             found += 1
             assert critical_cell_count(
-                u, competitive_params, example1, example1, grid15
+                x, competitive_params, example1, example1, grid15
             ) == 1
 
     def test_maximality_over_scan(self, grid15, example1, competitive_params):
-        u = bump_state(grid15)
-        res = project_to_nehari(u, competitive_params, example1, example1, grid15)
-        ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
-                            CellSample(u.stacked(), grid15))
+        x = bump_state(grid15)
+        res = project_to_nehari(x, competitive_params, example1, example1, grid15)
+        energy = Energy.pair(competitive_params, example1, example1)
+        ev = FiberEvaluator(energy, CellSample(x, grid15))
         taus = np.logspace(-3, 3, 64)
         H = ev.value(taus[:, None], taus[None, :])
-        h_star = fiber_value(u, res.t, competitive_params, example1, example1, grid15)
+        h_star = fiber_value(x, (res.t.t1, res.t.t2), energy, grid15)
         assert h_star >= np.max(H) - 1e-9 * (abs(h_star) + 1.0)

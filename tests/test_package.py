@@ -19,6 +19,25 @@ def test_readme_example_uses_only_exports():
     assert used - set(nh.__all__) == set()
 
 
+def readme_public_api() -> set:
+    """The names listed in the README's "Public API" section."""
+    section = README.read_text().split("## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = section[section.index("\n- "):]
+    return set(re.findall(r"`(\w+)`", listed))
+
+
+def test_exports_are_the_readme_public_api():
+    assert len(nh.__all__) == len(set(nh.__all__))
+    assert set(nh.__all__) == readme_public_api()
+
+
+def test_benchmark_imports_stay_exported():
+    # the benchmark under bench/ imports these from the package
+    for name in ("StatePair", "load_field", "total_energy", "euler_gradient",
+                 "refine_solution", "project_to_nehari", "build_grid"):
+        assert name in nh.__all__, name
+
+
 def test_every_error_is_documented_with_its_status_and_label():
     from nehari2d import errors
 

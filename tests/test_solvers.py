@@ -24,9 +24,12 @@ from nehari2d import (
 from nehari2d.coeffs import tabulated_family
 from nehari2d.energy import CellSample, Energy
 from nehari2d.errors import (
+    CoercivityViolation,
     DegenerateInput,
     InadmissibleLambda,
+    InvalidState,
     NoConvergence,
+    NotProjectable,
 )
 from nehari2d.solvers import (
     _POLISH_MAX_ITER,
@@ -67,7 +70,7 @@ class TestScalarGroundState:
         # L >= ((p-2-gamma)/(2p) nu - (p-2) lam / (2 p mu1)) * |grad z|^2
         grid, params, z, L, _rep = scalar15
         mu1 = conservative_mu1(grid)
-        gradsq = G.integrate(G.grad_sq(z, grid), grid)
+        (gradsq,), _q, _pp = CellSample(z.values[None], grid).integrals(params.p)
         p, gam, lam, nu = params.p, params.gamma, params.lambda1, identity.nu
         bound = ((p - 2 - gam) / (2 * p) * nu - (p - 2) * lam / (2 * p * mu1)) * gradsq
         assert L >= bound - 1e-10
@@ -110,8 +113,14 @@ class TestScalarGroundState:
         assert rep.admissibility == "admissible_weak"
         assert any("weak" in w for w in rep.warnings)
 
+    @pytest.mark.parametrize(
+        "error",
+        [NoConvergence, NotProjectable, DegenerateInput, InvalidState,
+         CoercivityViolation],
+        ids=lambda error: error.__name__,
+    )
     def test_raising_start_is_rejected(self, monkeypatch, scalar15, identity,
-                                       fast_opts):
+                                       fast_opts, error):
         # the bump start raises; the random start alone gives the level
         grid, params, _z, L, _rep = scalar15
         real = S._descend
@@ -120,10 +129,17 @@ class TestScalarGroundState:
         def first_raises(*args):
             calls.append(1)
             if len(calls) == 1:
-                raise NoConvergence("stub failure")
+                raise error("stub failure")
             return real(*args)
 
         monkeypatch.setattr(S, "_descend", first_raises)
+        if error is CoercivityViolation:
+            # evidence against the hypotheses, not one start's failure: the
+            # solve aborts
+            with pytest.raises(CoercivityViolation, match="stub failure"):
+                scalar_ground_state(1, params, identity, grid, fast_opts)
+            assert len(calls) == 1
+            return
         _z, L_rej, rep = scalar_ground_state(1, params, identity, grid, fast_opts)
         assert len(calls) == 2
         assert "start rejected: stub failure" in rep.warnings
@@ -132,12 +148,10 @@ class TestScalarGroundState:
     def test_scalar_residual_is_nehari_zero(self, scalar15, identity):
         # converged scalar state pairs to ~zero against itself
         grid, params, z, _L, _rep = scalar15
-        from nehari2d import nehari_residual
-
-        u = StatePair(z, zero_field(grid))
-        r = nehari_residual(u, params, identity, identity, grid)
-        assert abs(r.r1) <= 1e-7
-        assert r.r2 == 0.0
+        x = np.stack((z.values, np.zeros(grid.shape)))
+        r1, r2 = Energy.pair(params, identity, identity).residuals(CellSample(x, grid))
+        assert abs(r1) <= 1e-7
+        assert r2 == 0.0
 
 
 def stub_scalar_solves(monkeypatch):
@@ -786,9 +800,7 @@ class TestCompetitive:
         params, u, rep = solved
         mu1 = conservative_mu1(grid31)
         p, gam = params.p, params.gamma
-        ints = [
-            G.integrate(G.grad_sq(c, grid31), grid31) for c in (u.u1, u.u2)
-        ]
+        ints, _q, _pp = CellSample(u.stacked(), grid31).integrals(p)
         bound = (p - 2 - gam) / (2 * p) * example1.nu * sum(ints)
         assert rep.energy >= bound - 1e-8 * (1 + abs(rep.energy))
 
@@ -851,12 +863,9 @@ class TestCooperative:
 
     def test_diagonal_candidate_exact_solution(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, 5.0, 4.0, 1.0)
-        pair, pp = diagonal_candidate(params, identity, grid15, fast_opts)
-        g = euler_gradient(pair, params, identity, identity, grid15)
-        res = math.sqrt(
-            grid15.cell_area
-            * (np.sum(g.u1.values**2) + np.sum(g.u2.values**2))
-        )
+        x, pp = diagonal_candidate(params, identity, grid15, fast_opts)
+        g = Energy.pair(params, identity, identity).gradient(CellSample(x, grid15))
+        res = math.sqrt(grid15.cell_area * np.sum(g**2))
         assert res <= 1e-6
         assert pp > 0.0
 
@@ -866,7 +875,7 @@ class TestCooperative:
         masses = []
         for beta in betas:
             params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
-            _pair, pp = diagonal_candidate(params, identity, grid15, fast_opts)
+            _x, pp = diagonal_candidate(params, identity, grid15, fast_opts)
             masses.append(pp)
         assert all(b < a for a, b in zip(masses, masses[1:]))
         slope = np.polyfit(np.log(betas), np.log(masses), 1)[0]
@@ -1005,23 +1014,12 @@ class TestDeterminismAndSymmetry:
         # minimizers are degenerate under the domain's reflections, so
         # compare reflection-invariant component integrals, swapped
         def integrals(state):
-            out = []
-            for comp in (state.u1, state.u2):
-                v = G.cell_values(comp, grid15)
-                out.append(
-                    (
-                        G.integrate(G.grad_sq(comp, grid15), grid15),
-                        G.integrate(v * v, grid15),
-                        G.integrate(np.abs(v) ** 4, grid15),
-                    )
-                )
-            return out
+            return np.array(CellSample(state.stacked(), grid15).integrals(4.0))
 
         ints = integrals(u)
         ints_sw = integrals(u_sw)
-        for a, b in zip(ints_sw, reversed(ints)):
-            for x, y in zip(a, b):
-                assert abs(x - y) <= 1e-9 * (1.0 + abs(y))
+        swapped = ints[:, ::-1]
+        assert np.all(np.abs(ints_sw - swapped) <= 1e-9 * (1.0 + np.abs(swapped)))
 
     @pytest.mark.parametrize("beta, level", [(5.0, 17.206402257128417),
                                              (0.5, 110.6663003289)])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import nehari2d.grid as G
-from nehari2d import GridSpec, ProblemParams, build_grid, principal_eigenpair
+from nehari2d import GridSpec, build_grid, principal_eigenpair
+from nehari2d.energy import CellSample
 from nehari2d.errors import InvalidParams
 from nehari2d.spectrum import (
     ADMISSIBLE,
     ADMISSIBLE_WEAK,
     INADMISSIBLE,
-    admissible,
+    admissibility,
     apply_neg_laplacian,
     make_poisson_solver,
     quadrature_eigenvalue_exact,
@@ -102,40 +103,35 @@ class TestPrincipalEigenpair:
         mu = pair.mu_conservative
         rng = np.random.default_rng(3)
         for _ in range(100):
-            f = G.ScalarField(rng.standard_normal(grid31.shape), grid31.spec)
-            num = G.integrate(G.grad_sq(f, grid31), grid31)
-            den = G.l2_inner(f, f, grid31)
+            f = rng.standard_normal(grid31.shape)
+            (num,), (den,), _pp = CellSample(f[None], grid31).integrals(2.0)
             assert num >= mu * den * (1.0 - 1e-12)
 
 
 class TestAdmissible:
+    """The verdict of `admissibility(lams, p, gamma, nu, mu1)`."""
+
     def test_zero_lambdas_always_admissible(self):
-        params = ProblemParams(0.0, 0.0, 1.0, 4.0, 1.0)
-        assert admissible(params, 1.0, 1.0, 19.7) == ADMISSIBLE
+        assert admissibility((0.0, 0.0), 4.0, 1.0, 1.0, 19.7)[0] == ADMISSIBLE
 
     def test_threshold_shrinks_with_gamma(self):
         # gamma close to p - 2 pushes the strong threshold toward zero
         mu1 = 2.0 * math.pi**2
-        params = ProblemParams(mu1 / 2.0, mu1 / 2.0, 0.0, 4.0, 1.999)
-        assert admissible(params, 1.0, 1.999, mu1) != ADMISSIBLE
+        lams = (mu1 / 2.0, mu1 / 2.0)
+        assert admissibility(lams, 4.0, 1.999, 1.0, mu1)[0] != ADMISSIBLE
 
     def test_example_numbers(self):
         # p = 4, gamma = 1, nu = 1, mu1 = 2 pi^2: threshold is pi^2 = 9.87
         mu1 = 2.0 * math.pi**2
-        params = ProblemParams(9.0, 9.0, 0.0, 4.0, 1.0)
-        assert admissible(params, 1.0, 1.0, mu1) == ADMISSIBLE
+        assert admissibility((9.0, 9.0), 4.0, 1.0, 1.0, mu1)[0] == ADMISSIBLE
 
     def test_weak_band(self):
-        mu1 = 10.0
-        params = ProblemParams(8.0, 0.0, 0.0, 4.0, 1.0)
         # strong threshold = 5, weak = 10
-        assert admissible(params, 1.0, 1.0, mu1) == ADMISSIBLE_WEAK
+        assert admissibility((8.0, 0.0), 4.0, 1.0, 1.0, 10.0)[0] == ADMISSIBLE_WEAK
 
     def test_inadmissible(self):
-        params = ProblemParams(11.0, 0.0, 0.0, 4.0, 1.0)
-        assert admissible(params, 1.0, 1.0, 10.0) == INADMISSIBLE
+        assert admissibility((11.0, 0.0), 4.0, 1.0, 1.0, 10.0)[0] == INADMISSIBLE
 
     def test_requires_positive_mu(self):
-        params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
         with pytest.raises(InvalidParams):
-            admissible(params, 1.0, 1.0, 0.0)
+            admissibility((0.0, 0.0), 4.0, 1.0, 1.0, 0.0)
