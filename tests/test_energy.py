@@ -110,11 +110,10 @@ class TestTotalEnergy:
         params = ProblemParams(0.3, -0.2, 0.0, 4.0, 1.0)
         u = random_state(grid15, seed=8)
         e = total_energy(u, params, identity, example1, grid15)
-        e1, e2 = (
-            Energy.scalar(params, params.lam(i), fam).value(
-                CellSample(comp.values[None], grid15))
-            for i, fam, comp in ((1, identity, u.u1), (2, example1, u.u2))
-        )
+        e1 = Energy.scalar(params, params.lambda1, identity).value(
+            CellSample(u.u1.values[None], grid15))
+        e2 = Energy.scalar(params, params.lambda2, example1).value(
+            CellSample(u.u2.values[None], grid15))
         assert e == pytest.approx(e1 + e2, rel=1e-12)
 
     def test_swap_symmetry(self, grid15, identity, example1):
