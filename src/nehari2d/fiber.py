@@ -5,10 +5,10 @@ For a pair u with both components nontrivial, the fibering map
     h_u(t1, t2) = E(t1 u1, t2 u2)
 
 has critical points exactly at the rescalings t of u with (t1 u1, t2 u2)
-on the constraint set (both residuals zero).  For repulsive or vanishing
-coupling (beta <= 0), under the structural hypotheses on the diffusion
-profiles and admissible linear coefficients, the critical point is unique
-and is the global maximizer, so the projection
+on the constraint set (both residuals zero).  Under the structural
+hypotheses on the diffusion profiles and admissible linear coefficients
+the interior critical point is unique: for repulsive or vanishing
+coupling (beta <= 0) it is the global maximizer of h, and the projection
 
     m(u) = (t1* u1, t2* u2)
 
@@ -16,17 +16,16 @@ is well defined whenever the necessary membership inequalities
 
     int |u_i|^p + beta * int |u1 u2|^(p/2) > 0,   i = 1, 2
 
-hold; it is located by a log-spaced coarse scan (one automatic box
-enlargement) followed by damped Newton on the fiber gradient.  For
-attractive coupling (beta > 0) the fully nontrivial critical point is a
-saddle of h (the axis maxima of the semi-trivial rescalings dominate), so
-the rescale is computed by damped Newton root-finding on the fiber
-gradient instead; it may genuinely fail to exist when one component is
-energetically redundant, which callers treat as candidate collapse.
+hold; for attractive coupling (beta > 0) it is a saddle of h (the axis
+maxima of the semi-trivial rescalings dominate), and it may genuinely
+fail to exist when one component is energetically redundant, which
+callers treat as candidate collapse.  For both signs one damped Newton
+on the fiber gradient locates it, from a warm guess and else from the
+axis roots, with a stationarity test relative to t_k int |grad u_k|^2.
 
 Every t-dependent integral separates: the profile terms depend on t_i
-only through A_i(t_i u_i), so value/gradient grids over the scan box cost
-O(n_scan * n_cells) per component instead of O(n_scan^2 * n_cells).
+only through A_i(t_i u_i), so value/gradient grids over a box of n t per
+axis cost O(n * n_cells) per component instead of O(n^2 * n_cells).
 
 A state is a bare nodal array: `project_to_nehari` and
 `critical_cell_count` take a (2, nx, ny) pair stack, `scalar_fiber_root`
@@ -73,10 +72,14 @@ class FiberPoint:
 class ProjectionResult:
     """A projection onto the constraint set.
 
-    For a projectable pair, `sample` is the cell sample of the projected
-    stack `sample.x`, and `energy` is h_u(t) and `residual` holds
-    t_i dh_u/dt_i(t): its energy and constraint residuals, read from the
-    fiber map.
+    `status` is interior_max when the fiber Newton converged to the
+    interior critical point t of the fibering map, for either sign of
+    beta, and not_projectable, with a `reason`, when the membership
+    inequalities fail or neither the warm nor the axis-root start
+    converged.  For a projectable pair, `sample` is the cell sample of
+    the projected stack `sample.x`, and `energy` is h_u(t) and `residual`
+    holds t_i dh_u/dt_i(t): its energy and constraint residuals, read
+    from the fiber map.
     """
 
     status: str
@@ -285,10 +288,18 @@ def positive_root(psi, tau0: float) -> float:
     )
 
 
-# Newton on the fiber gradient stops at this gradient tolerance, relative
-# to 1 + |h|, or fails after this many steps
+# Newton on the fiber gradient stops once |dh/dt_k| <= _FIBER_TOL * t_k *
+# int |grad u_k|^2 for both k, or fails after _FIBER_MAX_ITER steps
 _FIBER_TOL = 1e-10
 _FIBER_MAX_ITER = 100
+
+
+def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, tol: float) -> bool:
+    """Whether the fiber gradient g at t is zero to tol, relative to
+    t_k int |grad u_k|^2 in component k.  The test is unchanged when the
+    pair is rescaled, and a t_k collapsing to 0, where dh/dt_k vanishes
+    with t_k, does not pass it."""
+    return bool(np.all(np.abs(g) <= tol * t * ev._ia0))
 
 
 def _sharpen(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, J: np.ndarray):
@@ -303,85 +314,48 @@ def _sharpen(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, J: np.ndarray):
     return t
 
 
-def _newton_root(ev: FiberEvaluator, t: np.ndarray):
-    """Damped Newton for a zero of the fiber gradient (beta > 0 rescale).
+def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
+                  warm: bool = False):
+    """Damped Newton from t for the interior zero of the fiber gradient;
+    returns (t, converged).
 
-    With attractive coupling the fully nontrivial critical point is a
-    saddle of h, so the merit function is the gradient norm rather than
-    the fiber value.
+    With `maximize` (beta <= 0, where the zero is the maximizer of h) a
+    trial must not lower h beyond rounding slack.  Where the Newton step
+    is not an ascent direction (h is not concave there), a line search
+    along it could only creep within that slack: a `warm` start then
+    gives up at once, and any other start takes a gradient ascent step
+    instead.  Without (beta > 0, where the zero is a saddle of h) a trial
+    must lower max |dh/dt_k|.  A step is halved until a trial is
+    accepted; when none is, t is converged if stationary to 10 * tol.
     """
     g, J = ev.grad_and_jacobian(t[0], t[1])
-    merit = float(np.max(np.abs(g)))
+    h = ev.value(t[0], t[1]) if maximize else None
     for _ in range(_FIBER_MAX_ITER):
-        h = ev.value(t[0], t[1])
-        if merit <= _FIBER_TOL * (abs(h) + 1.0):
+        if _stationary(ev, t, g, _FIBER_TOL):
             return _sharpen(ev, t, g, J), True
         step = _solve_2x2(J, g, t)
-        scale = 1.0
-        accepted = False
-        for _ in range(60):
-            trial = t + scale * step
-            if np.all(trial > 0.0):
-                g_try, J_try = ev.grad_and_jacobian(trial[0], trial[1])
-                m_try = float(np.max(np.abs(g_try)))
-                if m_try < merit:
-                    t, g, J, merit = trial, g_try, J_try, m_try
-                    accepted = True
-                    break
-            scale *= 0.5
-        if not accepted:
-            return t, False
-    return t, False
-
-
-def _newton_polish(ev: FiberEvaluator, t: np.ndarray, warm: bool):
-    """Damped Newton on the fiber gradient, maximizing h along the way.
-
-    Where the Newton step is not an ascent direction (h is not concave
-    there), a line search along it could only creep within its rounding
-    slack without increasing h.  A warm start then gives up at once and
-    leaves t to the scan; a start from the scan maximum takes a gradient
-    ascent step instead.
-    """
-    h = ev.value(t[0], t[1])
-    for _ in range(_FIBER_MAX_ITER):
-        g, J = ev.grad_and_jacobian(t[0], t[1])
-        if np.max(np.abs(g)) <= _FIBER_TOL * (abs(h) + 1.0):
-            return _sharpen(ev, t, g, J), True
-        step = _solve_2x2(J, g, t)
-        if float(g @ step) <= 0.0:
+        if maximize and float(g @ step) <= 0.0:
             if warm:
                 return t, False
             step = _ascent_step(g, t)
-
-        # halve until positive and h does not decrease (tiny fp slack)
-        slack = 32.0 * np.finfo(float).eps * (abs(h) + 1.0)
-        scale = 1.0
-        accepted = False
-        for _ in range(60):
+        for scale in 0.5 ** np.arange(60.0):
             trial = t + scale * step
-            if np.all(trial > 0.0):
+            if not np.all(trial > 0.0):
+                continue
+            if maximize:
                 h_trial = ev.value(trial[0], trial[1])
-                if h_trial >= h - slack:
-                    t, h = trial, h_trial
-                    accepted = True
-                    break
-            scale *= 0.5
-        if not accepted:
-            return t, _stationary(ev, t, h, 10.0 * _FIBER_TOL)
-    return t, _stationary(ev, t, h, _FIBER_TOL)
-
-
-def _stationary(ev: FiberEvaluator, t: np.ndarray, h: float, tol: float) -> bool:
-    g = np.array(ev.grad(t[0], t[1]))
-    return bool(np.max(np.abs(g)) <= tol * (abs(h) + 1.0))
-
-
-# the coarse scan for beta <= 0: _SCAN_N log-spaced t per axis over
-# [_SCAN_T_MIN, _SCAN_T_MAX]
-_SCAN_T_MIN = 1e-3
-_SCAN_T_MAX = 1e3
-_SCAN_N = 64
+                if h_trial < h - 32.0 * np.finfo(float).eps * (abs(h) + 1.0):
+                    continue
+                t, h = trial, h_trial
+                g, J = ev.grad_and_jacobian(t[0], t[1])
+                break
+            g_trial, J_trial = ev.grad_and_jacobian(trial[0], trial[1])
+            if np.max(np.abs(g_trial)) < np.max(np.abs(g)):
+                t, g, J = trial, g_trial, J_trial
+                break
+        else:
+            return t, _stationary(ev, t, g, 10.0 * _FIBER_TOL)
+    return t, _stationary(ev, t, g, _FIBER_TOL)
 
 
 def project_to_nehari(
@@ -394,13 +368,17 @@ def project_to_nehari(
     t_init: tuple[float, float] | None = None,
 ) -> ProjectionResult:
     """Rescale the pair stack x, a (2, nx, ny) array, onto the constraint
-    set via its fiber maximizer.
+    set at the interior critical point t of its fibering map.
 
-    Returns not_projectable when the necessary membership inequalities
-    fail or when the coarse-scan maximum escapes the search box even
-    after one tenfold enlargement.  A warm-start guess `t_init` skips the
-    coarse scan when Newton succeeds from it; by uniqueness of the fiber
-    critical point the outcome is the same.
+    One damped Newton on the fiber gradient (`_fiber_newton`) finds t,
+    maximizing h for beta <= 0 and lowering the gradient for beta > 0.
+    It stops when |dh/dt_k| <= 1e-10 * t_k * int |grad u_k|^2 for both k.
+    It runs from the warm guess `t_init` when one is given and, when that
+    does not converge, from the axis roots: the rescales of each component
+    with the coupling ignored.  By uniqueness of the interior critical
+    point both starts give the same t.  Returns not_projectable when the
+    membership inequalities fail or when neither start converges; a
+    stalled Newton never raises NoConvergence.
     """
     ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
     m1, m2 = ev.membership_values()
@@ -410,50 +388,23 @@ def project_to_nehari(
             reason=f"membership inequalities fail: ({m1:.3e}, {m2:.3e})",
         )
 
-    if params.beta > 0.0:
-        # attractive coupling: the fully nontrivial critical point is a
-        # saddle of h, found by root-finding instead of maximization
-        if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
-            t0 = np.asarray(t_init, dtype=float)
-        else:
-            t0 = np.array([ev.axis_root(0), ev.axis_root(1)])
-        t, converged = _newton_root(ev, t0)
-        if not converged:
-            return ProjectionResult(
-                status=STATUS_NOT_PROJECTABLE,
-                reason="no interior rescale found (attractive coupling)",
-            )
-    else:
-        t = None
-        if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
-            t_warm, converged = _newton_polish(
-                ev, np.asarray(t_init, dtype=float), warm=True
-            )
-            if converged:
-                t = t_warm
-        if t is None:
-            lo, hi = _SCAN_T_MIN, _SCAN_T_MAX
-            for attempt in range(2):
-                taus = np.logspace(math.log10(lo), math.log10(hi), _SCAN_N)
-                H = ev.value(taus[:, None], taus[None, :])
-                k1, k2 = np.unravel_index(int(np.argmax(H)), H.shape)
-                on_border = k1 in (0, _SCAN_N - 1) or k2 in (0, _SCAN_N - 1)
-                if not on_border:
-                    break
-                lo, hi = lo / 10.0, hi * 10.0
-            else:
-                return ProjectionResult(
-                    status=STATUS_NOT_PROJECTABLE,
-                    reason="scan maximum on box boundary after enlargement",
-                )
-
-            t0 = np.array([taus[k1], taus[k2]])
-            t, converged = _newton_polish(ev, t0, warm=False)
-            if not converged:
-                raise NoConvergence(
-                    f"fiber Newton stalled at t = ({t[0]:.6g}, {t[1]:.6g})",
-                    iterations=_FIBER_MAX_ITER,
-                )
+    maximize = params.beta <= 0.0
+    converged = False
+    if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
+        t, converged = _fiber_newton(
+            ev, np.asarray(t_init, dtype=float), maximize, warm=True
+        )
+    if not converged:
+        try:
+            t = np.array([ev.axis_root(0), ev.axis_root(1)])
+        except NoConvergence as err:
+            return ProjectionResult(status=STATUS_NOT_PROJECTABLE, reason=str(err))
+        t, converged = _fiber_newton(ev, t, maximize)
+    if not converged:
+        return ProjectionResult(
+            status=STATUS_NOT_PROJECTABLE,
+            reason=f"fiber Newton stalled at t = ({t[0]:.6g}, {t[1]:.6g})",
+        )
     t1, t2 = float(t[0]), float(t[1])
     g1, g2 = ev.grad(t1, t2)
     return ProjectionResult(
@@ -474,8 +425,8 @@ def h1_normalize(x: np.ndarray, grid: Grid) -> np.ndarray:
     return x / nrm[:, None, None]
 
 
-# the uniqueness check samples the scan box with this many log-spaced t
-# per axis
+# the uniqueness check samples the box [1e-3, 1e3] with this many
+# log-spaced t per axis
 _UNIQUENESS_N = 200
 
 
@@ -486,16 +437,14 @@ def critical_cell_count(
     fam2: CoefficientFamily,
     grid: Grid,
 ) -> int:
-    """Count scan cells where both fiber gradient components change sign,
+    """Count box cells where both fiber gradient components change sign,
     for the pair stack x.
 
     A transversal fiber critical point shows up as exactly one such cell;
     the count is the sampled check of critical-point uniqueness.
     """
     ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
-    taus = np.logspace(
-        math.log10(_SCAN_T_MIN), math.log10(_SCAN_T_MAX), _UNIQUENESS_N
-    )
+    taus = np.logspace(-3.0, 3.0, _UNIQUENESS_N)
     g1, g2 = ev.grad(taus[:, None], taus[None, :])
     s1 = g1 > 0.0
     s2 = g2 > 0.0

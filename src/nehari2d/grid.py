@@ -42,10 +42,6 @@ class GridSpec:
     def hy(self) -> float:
         return self.ly / (self.ny + 1)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nx * self.ny
-
 
 class Grid:
     """Precomputed coordinates and quadrature helpers for one GridSpec.
@@ -137,11 +133,6 @@ class ScalarField:
         """The nodal values, so a field passes wherever an array does."""
         return np.array(self.values, dtype=dtype, copy=copy)
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Row-major vector of length nx*ny (i outer, j inner)."""
-        return self.values.reshape(-1)
-
     def __eq__(self, other):
         return (
             isinstance(other, ScalarField)
@@ -167,9 +158,6 @@ class StatePair:
     @property
     def spec(self) -> GridSpec:
         return self.u1.spec
-
-    def swapped(self) -> "StatePair":
-        return StatePair(self.u2, self.u1)
 
     def stacked(self) -> np.ndarray:
         """The nodal values as one (2, nx, ny) array."""

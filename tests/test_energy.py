@@ -120,7 +120,8 @@ class TestTotalEnergy:
         params = ProblemParams(0.4, -0.1, -1.3, 4.0, 1.0)
         u = random_state(grid15, seed=9)
         e = total_energy(u, params, identity, example1, grid15)
-        e_sw = total_energy(u.swapped(), params.swapped(), example1, identity, grid15)
+        e_sw = total_energy(StatePair(u.u2, u.u1), params.swapped(), example1,
+                            identity, grid15)
         assert e_sw == pytest.approx(e, rel=1e-13)
 
     def test_evenness(self, grid15, example1):
@@ -297,7 +298,8 @@ class TestHessian:
         shess = Energy.scalar(params, 0.4, fam1, 1.0 + abs(beta)).hessian(
             CellSample(x[:1], grid7)
         )
-        d, e = d[: grid7.spec.n_nodes], e[: grid7.spec.n_nodes]
+        n = grid7.spec.nx * grid7.spec.ny
+        d, e = d[:n], e[:n]
         hd, he = shess @ d, shess @ e
         bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e)
         assert abs(np.sum(hd * e) - np.sum(d * he)) <= bound

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -24,7 +24,7 @@ from nehari2d.errors import (
 )
 from nehari2d.fiber import (
     FiberEvaluator,
-    _newton_polish,
+    _fiber_newton,
     critical_cell_count,
     h1_normalize,
     positive_root,
@@ -59,8 +59,21 @@ def disjoint_state(grid):
     )
 
 
+def far_start_pair(grid, beta):
+    """Pairs on which a far warm start can head for t_k -> 0: for
+    beta > 0 (b, b (1 + 0.3 x)) with b = sin(pi x) sin(pi y), for
+    beta <= 0 the segregated bumps."""
+    if beta <= 0.0:
+        return bump_state(grid)
+    X, Y = grid.node_mesh()
+    b = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    return np.stack((b, b * (1.0 + 0.3 * X)))
+
+
 pair_families = st.sampled_from([(identity_family(), example_family(1.0)),
                                  (example_family(0.5), example_family(1.3))])
+# repulsive and attractive coupling
+betas = st.floats(-4.0, -0.5) | st.floats(0.5, 4.0)
 
 
 def fiber_value(x, t, energy, grid):
@@ -299,6 +312,15 @@ class TestProjection:
             )
             assert res.status == "not_projectable"
 
+    def test_no_axis_root_is_not_projectable(self, grid15, example1):
+        # lambda1 far above mu1: the first axis has no positive root, so
+        # the cold start does not exist and nothing is raised
+        params = ProblemParams(10.0 * conservative_mu1(grid15), 0.0, -2.0, 4.0, 1.0)
+        res = project_to_nehari(bump_state(grid15), params, example1, example1,
+                                grid15)
+        assert res.status == "not_projectable"
+        assert "fiber root not found" in res.reason
+
     def test_idempotent(self, grid15, example1, competitive_params):
         x = bump_state(grid15)
         first = project_to_nehari(x, competitive_params, example1, example1, grid15)
@@ -311,7 +333,7 @@ class TestProjection:
         assert abs(again.t.t2 - 1.0) <= 10 * 1e-8
 
     @PROPERTY
-    @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=st.floats(-4.0, -0.5),
+    @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=betas,
            p=st.sampled_from((3.0, 4.0)), seed=st.integers(0, 2**31))
     def test_idempotent_property(self, grid7, grid15, n, fams, beta, p, seed):
         # criterion 5's bound: a projected pair is its own projection
@@ -325,7 +347,7 @@ class TestProjection:
         assert abs(again.t.t2 - 1.0) <= 1e-8
 
     @PROPERTY
-    @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=st.floats(-4.0, -0.5),
+    @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=betas,
            p=st.sampled_from((3.0, 4.0)), seed=st.integers(0, 2**31))
     def test_swap_equivariance_property(self, grid7, grid15, n, fams, beta, p, seed):
         # the swapped pair with the swapped data projects with t swapped
@@ -342,8 +364,8 @@ class TestProjection:
     def test_far_warm_start_is_cheap(self, monkeypatch, grid15, example1,
                                      competitive_params):
         # at 0.05 t* h is convex, so the Newton step descends and the line
-        # search could only creep within its rounding slack: the polish
-        # must give up at once and leave t* to the scan
+        # search could only creep within its rounding slack: the warm
+        # Newton must give up at once and leave t* to the axis-root start
         x = bump_state(grid15)
         cold = project_to_nehari(x, competitive_params, example1, example1, grid15)
         calls = []
@@ -359,6 +381,41 @@ class TestProjection:
         assert warm.t == cold.t
         assert len(calls) <= 61
 
+    @PROPERTY
+    @given(beta=st.sampled_from((-2.0, 5.0)), log_t=st.tuples(st.floats(-6.0, 6.0),
+                                                             st.floats(-6.0, 6.0)))
+    @example(beta=5.0, log_t=(-3.0, -3.0))
+    @example(beta=-2.0, log_t=(6.0, -6.0))
+    def test_any_warm_start_gives_the_cold_projection(self, grid15, identity,
+                                                      example1, beta, log_t):
+        # a warm start either converges to the interior critical point or
+        # hands over to the axis roots: never a boundary point t_k -> 0
+        params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
+        x = far_start_pair(grid15, beta)
+        cold = project_to_nehari(x, params, identity, example1, grid15)
+        warm = project_to_nehari(x, params, identity, example1, grid15,
+                                 t_init=(10.0 ** log_t[0], 10.0 ** log_t[1]))
+        assert cold.projectable and warm.projectable
+        assert warm.t.t1 == pytest.approx(cold.t.t1, rel=1e-10)
+        assert warm.t.t2 == pytest.approx(cold.t.t2, rel=1e-10)
+
+    @PROPERTY
+    @given(fams=pair_families, beta=betas, seed=st.integers(0, 2**31),
+           log_s=st.floats(-6.0, 6.0))
+    @example(fams=(identity_family(), example_family(1.0)), beta=-2.0, seed=0,
+             log_s=-4.0)
+    def test_scale_equivariance_property(self, grid15, fams, beta, seed, log_s):
+        # s x projects onto the same pair as x, with t divided by s
+        s = 10.0 ** log_s
+        params = ProblemParams(0.4, -0.3, beta, 4.0, 0.5)
+        x = segregated_random_state(grid15, seed)
+        res = project_to_nehari(x, params, *fams, grid15)
+        scaled = project_to_nehari(s * x, params, *fams, grid15)
+        assert res.projectable and scaled.projectable
+        assert s * scaled.t.t1 == pytest.approx(res.t.t1, rel=1e-10)
+        assert s * scaled.t.t2 == pytest.approx(res.t.t2, rel=1e-10)
+        assert scaled.energy == pytest.approx(res.energy, rel=1e-10)
+
     def test_cold_polish_climbs_out_of_convex_region(self, grid15, example1,
                                                      competitive_params):
         # the same far start without the warm give-up: gradient ascent
@@ -368,7 +425,7 @@ class TestProjection:
         ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
                             CellSample(x, grid15))
         t_star = np.array([cold.t.t1, cold.t.t2])
-        t, converged = _newton_polish(ev, 0.05 * t_star, warm=False)
+        t, converged = _fiber_newton(ev, 0.05 * t_star, maximize=True)
         assert converged
         assert np.allclose(t, t_star, rtol=1e-10, atol=0.0)
 

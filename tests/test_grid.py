@@ -36,7 +36,8 @@ class TestGridSpec:
         assert spec.hx == 0.25 and spec.hy == 0.25
 
     def test_node_count(self):
-        assert GridSpec(63, 63).n_nodes == 3969
+        spec = GridSpec(63, 63)
+        assert spec.nx * spec.ny == 3969 == G.Grid(spec).node_mesh()[0].size
 
     @pytest.mark.parametrize(
         "nx,ny,lx,ly",
@@ -212,7 +213,7 @@ class TestFields:
         spec = GridSpec(2, 3, 1.0, 1.0)
         f = ScalarField([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], spec)
         assert f.values.shape == (2, 3)
-        assert list(f.flat) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert list(f.values.reshape(-1)) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_rejects_nonfinite(self):
         spec = GridSpec(2, 2)
@@ -232,8 +233,8 @@ class TestFields:
         rng = np.random.default_rng(0)
         a = ScalarField(rng.standard_normal(grid15.shape), grid15.spec)
         b = ScalarField(rng.standard_normal(grid15.shape), grid15.spec)
-        sw = StatePair(a, b).swapped()
-        assert sw.u1 == b and sw.u2 == a
+        sw = StatePair(b, a)
+        assert np.array_equal(sw.stacked(), StatePair(a, b).stacked()[::-1])
 
 
 class TestFieldDump:

@@ -38,6 +38,19 @@ def test_benchmark_imports_stay_exported():
         assert name in nh.__all__, name
 
 
+def test_readme_fiber_settings_are_the_code_constants():
+    from nehari2d import fiber
+
+    bullet = README.read_text().split("- **Fibering maps**", 1)[1]
+    bullet = " ".join(bullet.split("\n- **", 1)[0].split())
+    tol = re.search(r"`\|dh/dt_k\| <= (\S+) \* t_k", bullet).group(1)
+    steps = re.search(r"fiber Newton takes at most (\d+) steps", bullet).group(1)
+    n = re.search(r"on (\d+) log-spaced `t` per axis", bullet).group(1)
+    assert float(tol) == fiber._FIBER_TOL
+    assert int(steps) == fiber._FIBER_MAX_ITER
+    assert int(n) == fiber._UNIQUENESS_N
+
+
 def test_every_error_is_documented_with_its_status_and_label():
     from nehari2d import errors
 

@@ -176,7 +176,8 @@ class TestDescentDriver:
 
     @staticmethod
     def problem(grid, shrink=1.0, calls=None):
-        target = np.linspace(0.1, 1.0, grid.spec.n_nodes).reshape(grid.shape)
+        n = grid.spec.nx * grid.spec.ny
+        target = np.linspace(0.1, 1.0, n).reshape(grid.shape)
         calls = {} if calls is None else calls
 
         def energy(x):
@@ -533,7 +534,7 @@ class TestNewtonHandoff:
         # |g| has a floor between 1e-2 * tol and tol that no step can pass
         opts = SolverOptions(tol=1e-8)
         shape = (1, *grid7.shape)
-        n = grid7.spec.n_nodes
+        n = grid7.spec.nx * grid7.spec.ny
         free = (np.arange(n) % 2 == 0).reshape(shape)
         target = np.linspace(0.1, 1.0, n).reshape(shape)
         floor = np.where(free, 0.0, 1.0)
