@@ -183,25 +183,26 @@ class FiberEvaluator:
         g2 = self._axis(1, t2, 1)[1] - b * t2 ** (half - 1.0) * t1**half * self.cross
         return g1, g2
 
-    def grad_and_jacobian(self, t1: float, t2: float):
-        """Fiber gradient and its exact Jacobian at (t1, t2).
+    def derivatives(self, t1: float, t2: float):
+        """(h, g, J) at (t1, t2): h, the fiber gradient and its exact
+        Jacobian, from one `_axis` call per component.
 
         The cross-term derivatives are analytic monomials; the axis terms
         come from A, A' and A'' at one scaled sample per component.
         """
         p, b = self.params.p, self.params.beta
         half = p / 2.0
-        g = np.empty(2)
-        J = np.empty((2, 2))
+        h, g, J = np.empty(2), np.empty(2), np.empty((2, 2))
         for k, tk in enumerate((t1, t2)):
-            _, g[k], J[k, k] = self._axis(k, tk, 2)
+            h[k], g[k], J[k, k] = self._axis(k, tk, 2)
         c = b * self.cross
         g[0] -= c * t1 ** (half - 1.0) * t2**half
         g[1] -= c * t2 ** (half - 1.0) * t1**half
         J[0, 0] -= c * (half - 1.0) * t1 ** (half - 2.0) * t2**half
         J[1, 1] -= c * (half - 1.0) * t2 ** (half - 2.0) * t1**half
         J[0, 1] = J[1, 0] = -c * half * t1 ** (half - 1.0) * t2 ** (half - 1.0)
-        return g, J
+        cross = (2.0 * b / p) * t1**half * t2**half * self.cross
+        return float(h[0] + h[1] - cross), g, J
 
 
 def _sample(x: np.ndarray, grid: Grid, lead: tuple[int, ...]) -> CellSample:
@@ -292,6 +293,7 @@ def positive_root(psi, tau0: float) -> float:
 # int |grad u_k|^2 for both k, or fails after _FIBER_MAX_ITER steps
 _FIBER_TOL = 1e-10
 _FIBER_MAX_ITER = 100
+_WARM_MAX_ITER = 20     # steps from a warm guess before the axis roots take over
 
 
 def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, tol: float) -> bool:
@@ -302,22 +304,23 @@ def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, tol: float) ->
     return bool(np.all(np.abs(g) <= tol * t * ev._ia0))
 
 
-def _sharpen(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, J: np.ndarray):
-    """t after one extra quadratic step from a converged t, with fiber
-    gradient g and Jacobian J there: it sharpens t well past the gradient
+def _sharpen(ev: FiberEvaluator, t: np.ndarray, h: float, g: np.ndarray, J: np.ndarray):
+    """(t, h, g) after one extra quadratic step from a converged t with
+    value h, gradient g and Jacobian J: it sharpens t well past the gradient
     tol, and is kept only when it does not increase the gradient."""
     trial = t + _solve_2x2(J, g, t)
     if np.all(trial > 0.0) and np.all(np.isfinite(trial)):
-        g_trial = np.array(ev.grad(trial[0], trial[1]))
+        h_trial, g_trial, _J = ev.derivatives(trial[0], trial[1])
         if np.max(np.abs(g_trial)) <= np.max(np.abs(g)):
-            return trial
-    return t
+            return trial, h_trial, g_trial
+    return t, h, g
 
 
 def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
                   warm: bool = False):
     """Damped Newton from t for the interior zero of the fiber gradient;
-    returns (t, converged).
+    returns (t, h, g, converged), with h and g read at the final t from
+    the one `derivatives` evaluation that each start and trial gets.
 
     With `maximize` (beta <= 0, where the zero is the maximizer of h) a
     trial must not lower h beyond rounding slack.  Where the Newton step
@@ -326,36 +329,33 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
     gives up at once, and any other start takes a gradient ascent step
     instead.  Without (beta > 0, where the zero is a saddle of h) a trial
     must lower max |dh/dt_k|.  A step is halved until a trial is
-    accepted; when none is, t is converged if stationary to 10 * tol.
+    accepted; when none is, t is converged if stationary to 10 * tol.  A
+    `warm` start stops after _WARM_MAX_ITER steps.
     """
-    g, J = ev.grad_and_jacobian(t[0], t[1])
-    h = ev.value(t[0], t[1]) if maximize else None
-    for _ in range(_FIBER_MAX_ITER):
+    h, g, J = ev.derivatives(t[0], t[1])
+    for _ in range(_WARM_MAX_ITER if warm else _FIBER_MAX_ITER):
         if _stationary(ev, t, g, _FIBER_TOL):
-            return _sharpen(ev, t, g, J), True
+            return (*_sharpen(ev, t, h, g, J), True)
         step = _solve_2x2(J, g, t)
         if maximize and float(g @ step) <= 0.0:
             if warm:
-                return t, False
+                return t, h, g, False
             step = _ascent_step(g, t)
         for scale in 0.5 ** np.arange(60.0):
             trial = t + scale * step
             if not np.all(trial > 0.0):
                 continue
+            h_trial, g_trial, J_trial = ev.derivatives(trial[0], trial[1])
             if maximize:
-                h_trial = ev.value(trial[0], trial[1])
                 if h_trial < h - 32.0 * np.finfo(float).eps * (abs(h) + 1.0):
                     continue
-                t, h = trial, h_trial
-                g, J = ev.grad_and_jacobian(t[0], t[1])
-                break
-            g_trial, J_trial = ev.grad_and_jacobian(trial[0], trial[1])
-            if np.max(np.abs(g_trial)) < np.max(np.abs(g)):
-                t, g, J = trial, g_trial, J_trial
-                break
+            elif not np.max(np.abs(g_trial)) < np.max(np.abs(g)):
+                continue
+            t, h, g, J = trial, h_trial, g_trial, J_trial
+            break
         else:
-            return t, _stationary(ev, t, g, 10.0 * _FIBER_TOL)
-    return t, _stationary(ev, t, g, _FIBER_TOL)
+            return t, h, g, _stationary(ev, t, g, 10.0 * _FIBER_TOL)
+    return t, h, g, _stationary(ev, t, g, _FIBER_TOL)
 
 
 def project_to_nehari(
@@ -374,11 +374,12 @@ def project_to_nehari(
     maximizing h for beta <= 0 and lowering the gradient for beta > 0.
     It stops when |dh/dt_k| <= 1e-10 * t_k * int |grad u_k|^2 for both k.
     It runs from the warm guess `t_init` when one is given and, when that
-    does not converge, from the axis roots: the rescales of each component
-    with the coupling ignored.  By uniqueness of the interior critical
-    point both starts give the same t.  Returns not_projectable when the
-    membership inequalities fail or when neither start converges; a
-    stalled Newton never raises NoConvergence.
+    does not converge in _WARM_MAX_ITER steps, from the axis roots: the
+    rescales of each component with the coupling ignored.  By uniqueness
+    of the interior critical point both starts give the same t, and the
+    energy and residuals are read from its last evaluation.  Returns
+    not_projectable when the membership inequalities fail or when neither
+    start converges; a stalled Newton never raises NoConvergence.
     """
     ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
     m1, m2 = ev.membership_values()
@@ -391,27 +392,25 @@ def project_to_nehari(
     maximize = params.beta <= 0.0
     converged = False
     if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
-        t, converged = _fiber_newton(
-            ev, np.asarray(t_init, dtype=float), maximize, warm=True
-        )
+        t, h, g, converged = _fiber_newton(ev, np.asarray(t_init, dtype=float),
+                                           maximize, warm=True)
     if not converged:
         try:
             t = np.array([ev.axis_root(0), ev.axis_root(1)])
         except NoConvergence as err:
             return ProjectionResult(status=STATUS_NOT_PROJECTABLE, reason=str(err))
-        t, converged = _fiber_newton(ev, t, maximize)
+        t, h, g, converged = _fiber_newton(ev, t, maximize)
     if not converged:
         return ProjectionResult(
             status=STATUS_NOT_PROJECTABLE,
             reason=f"fiber Newton stalled at t = ({t[0]:.6g}, {t[1]:.6g})",
         )
     t1, t2 = float(t[0]), float(t[1])
-    g1, g2 = ev.grad(t1, t2)
     return ProjectionResult(
         status=STATUS_INTERIOR_MAX,
         t=FiberPoint(t1, t2),
-        residual=NehariResidual(t1 * g1, t2 * g2),
-        energy=ev.value(t1, t2),
+        residual=NehariResidual(t1 * g[0], t2 * g[1]),
+        energy=h,
         sample=ev.sample.scaled((t1, t2)),
     )
 

@@ -14,7 +14,7 @@ solution.  Both coupled regimes run one start set, each start followed
 by its mirror (the start the swapped problem builds, components swapped
 back), and fail one way, with NoConvergence, when no start gives a
 candidate.  The descent only brings a start near a critical point: at
-Euler residual 1e-2 it hands over to a damped Newton-Krylov root finder
+Euler residual 1e-1 it hands over to a damped Newton-Krylov root finder
 on the exact gradient and Hessian, and resumes only when that polish
 fails its guard.  Every solve runs one start loop with one acceptance
 rule: a polished state is a candidate when its Euler residual is at most
@@ -292,8 +292,9 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
 
 
 # Newton takes over from the descent at this Euler residual: from there the
-# polish converges in one or two steps, where the descent needs hundreds
-_HANDOFF_RES = 1e-2
+# polish converges in two or three steps, where the descent needs hundreds,
+# and it never accepts an energy increase, so it cannot end above its start
+_HANDOFF_RES = 1e-1
 
 
 def _rejection(sample, res, params, opts):

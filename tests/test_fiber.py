@@ -23,6 +23,7 @@ from nehari2d.errors import (
     NoConvergence,
 )
 from nehari2d.fiber import (
+    _WARM_MAX_ITER,
     FiberEvaluator,
     _fiber_newton,
     critical_cell_count,
@@ -164,7 +165,8 @@ class TestFiberGradient:
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
         ev = FiberEvaluator(Energy.pair(params, *fams),
                             CellSample(positive_state(grid7, seed), grid7))
-        g, J = ev.grad_and_jacobian(*t)
+        h, g, J = ev.derivatives(*t)
+        assert h == ev.value(*t)
         np.testing.assert_allclose(g, ev.grad(*t), rtol=1e-12, atol=1e-12)
         dt = 1e-6
         fd = np.empty((2, 2))
@@ -367,19 +369,36 @@ class TestProjection:
         # search could only creep within its rounding slack: the warm
         # Newton must give up at once and leave t* to the axis-root start
         x = bump_state(grid15)
+        evaluate = counted(FiberEvaluator.derivatives)
+        monkeypatch.setattr(FiberEvaluator, "derivatives", evaluate)
         cold = project_to_nehari(x, competitive_params, example1, example1, grid15)
-        calls = []
-        value = FiberEvaluator.value
-        monkeypatch.setattr(
-            FiberEvaluator, "value",
-            lambda self, t1, t2: calls.append(1) or value(self, t1, t2),
-        )
+        cold_calls, evaluate.calls = evaluate.calls, 0
         warm = project_to_nehari(
             x, competitive_params, example1, example1, grid15,
             t_init=(0.05 * cold.t.t1, 0.05 * cold.t.t2),
         )
         assert warm.t == cold.t
-        assert len(calls) <= 61
+        # one evaluation at the warm guess, then the cold projection's
+        assert evaluate.calls == cold_calls + 1 <= 5
+
+    @pytest.mark.parametrize("beta, t_init", [(5.0, (1e-3, 1e-3)),
+                                              (-2.0, (1e6, 1e-6))])
+    def test_warm_run_is_capped(self, monkeypatch, grid15, identity, example1,
+                                beta, t_init):
+        # far warm starts heading for t_k -> 0: the warm run stops at its
+        # cap of 20 steps and the axis-root start takes over; each evaluated
+        # fiber point costs one `_axis` call per component
+        params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
+        x = far_start_pair(grid15, beta)
+        axis = counted(FiberEvaluator._axis)
+        monkeypatch.setattr(FiberEvaluator, "_axis", axis)
+        cold = project_to_nehari(x, params, identity, example1, grid15)
+        cold_calls, axis.calls = axis.calls, 0
+        warm = project_to_nehari(x, params, identity, example1, grid15,
+                                 t_init=t_init)
+        assert warm.t == cold.t
+        assert _WARM_MAX_ITER == 20
+        assert axis.calls <= cold_calls + 2 * (1 + 20)
 
     @PROPERTY
     @given(beta=st.sampled_from((-2.0, 5.0)), log_t=st.tuples(st.floats(-6.0, 6.0),
@@ -425,9 +444,12 @@ class TestProjection:
         ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
                             CellSample(x, grid15))
         t_star = np.array([cold.t.t1, cold.t.t2])
-        t, converged = _fiber_newton(ev, 0.05 * t_star, maximize=True)
+        t, h, g, converged = _fiber_newton(ev, 0.05 * t_star, maximize=True)
         assert converged
         assert np.allclose(t, t_star, rtol=1e-10, atol=0.0)
+        assert h == ev.value(t[0], t[1])
+        assert h == pytest.approx(cold.energy, rel=1e-12)
+        np.testing.assert_allclose(g, ev.grad(t[0], t[1]), rtol=1e-12, atol=1e-12)
 
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
         x = np.stack((np.ones(grid15.shape), np.zeros(grid15.shape)))

@@ -46,9 +46,20 @@ def test_readme_fiber_settings_are_the_code_constants():
     tol = re.search(r"`\|dh/dt_k\| <= (\S+) \* t_k", bullet).group(1)
     steps = re.search(r"fiber Newton takes at most (\d+) steps", bullet).group(1)
     n = re.search(r"on (\d+) log-spaced `t` per axis", bullet).group(1)
+    warm = re.search(r"a warm run at most (\d+) steps", bullet).group(1)
     assert float(tol) == fiber._FIBER_TOL
     assert int(steps) == fiber._FIBER_MAX_ITER
     assert int(n) == fiber._UNIQUENESS_N
+    assert int(warm) == fiber._WARM_MAX_ITER
+
+
+def test_readme_handoff_residual_is_the_code_constant():
+    from nehari2d import solvers
+
+    text = " ".join(README.read_text().split())
+    res = re.search(r"once the Euler residual is at most (\S+) \(or `100 \* tol`",
+                    text).group(1)
+    assert float(res) == solvers._HANDOFF_RES
 
 
 def test_every_error_is_documented_with_its_status_and_label():

@@ -470,7 +470,8 @@ class TestZeroMaxIter:
 
 
 class TestNewtonHandoff:
-    """The descent hands off to Newton at residual 1e-2, behind a guard."""
+    """The descent hands off to Newton at residual _HANDOFF_RES, behind a
+    guard."""
 
     def test_failed_handoff_resumes_descent(self, monkeypatch, grid7, identity,
                                             params_p4):
@@ -493,9 +494,10 @@ class TestNewtonHandoff:
             energy = Energy.scalar(params_p4, 0.0, identity)
             return S._vol_norm(energy.gradient(CellSample(x, grid7)), grid7)
 
-        # handed off at residual <= 1e-2, polished again after more descent
+        # handed off at residual <= _HANDOFF_RES, polished again after more
+        # descent
         assert len(starts) == 2
-        assert 1e2 * opts.tol < residual(starts[0]) <= 1e-2
+        assert 1e2 * opts.tol < residual(starts[0]) <= S._HANDOFF_RES
         assert residual(starts[1]) < residual(starts[0])
         assert rep_fb.iterations > rep.iterations
         (note,) = rep_fb.warnings
@@ -556,6 +558,48 @@ class TestNewtonHandoff:
         assert converged
         assert 1e-2 * opts.tol < res <= opts.tol
         assert its < _POLISH_MAX_ITER
+
+    @pytest.mark.parametrize("kind, energy_ref", [("asymmetric", 269.82059859222215),
+                                                   ("symmetric", 455.05691158972957)])
+    def test_handoff_keeps_bump_start_energy(self, grid15, identity, example1,
+                                             kind, energy_ref):
+        # the bump starts alone (both end on the side-by-side state, above
+        # the least energy): the energies measured with the handoff at 1e-2
+        lam = 0.05 * conservative_mu1(grid15) if kind == "asymmetric" else 0.0
+        params = ProblemParams(lam, 0.0, -2.0, 4.0, 1.0)
+        fam1 = identity if kind == "asymmetric" else example1
+        _u, rep = solve_system(params, fam1, example1, grid15,
+                               SolverOptions(n_restarts=0))
+        assert rep.energy == pytest.approx(energy_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [-2.0, 5.0])
+    def test_accepted_polishes_are_newton_quick(self, monkeypatch, grid15,
+                                                identity, example1, beta):
+        # every polish that hands a candidate over (the scalar levels' and
+        # the pair starts') is inside Newton's quadratic region
+        real_polish, real_rejection = S._newton_krylov_polish, S._rejection
+        polishes, accepted = [], []
+
+        def polish(*args, **kwargs):
+            out = real_polish(*args, **kwargs)
+            polishes.append(out)
+            return out
+
+        def rejection(sample, res, *args):
+            reason = real_rejection(sample, res, *args)
+            if reason is None:
+                accepted.append(res)
+            return reason
+
+        monkeypatch.setattr(S, "_newton_krylov_polish", polish)
+        monkeypatch.setattr(S, "_rejection", rejection)
+        lam = 0.05 * conservative_mu1(grid15)
+        params = ProblemParams(lam, 0.0, beta, 4.0, 1.0)
+        solve_system(params, identity, example1, grid15,
+                     SolverOptions(n_restarts=1))
+        steps = [its for _sample, res, _conv, its in polishes if res in accepted]
+        assert len(steps) == len(accepted) > 0
+        assert max(steps) <= 3
 
     def test_hessian_products_do_not_scatter(self, monkeypatch, grid15, example1,
                                              params_p4):
