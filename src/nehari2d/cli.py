@@ -323,8 +323,7 @@ def _cmd_solve_system(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     if not cfg.sweep.betas:
-        print("sweep requires `sweep.betas` in the config", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError("sweep.betas", "sweep needs at least one beta")
     grid = build_grid(cfg.grid)
     fam1, fam2 = cfg.family1.build(), cfg.family2.build()
     rows = beta_sweep(cfg.sweep.betas, cfg.params, fam1, fam2, grid, cfg.solver)

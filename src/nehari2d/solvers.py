@@ -228,9 +228,12 @@ def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
 # violation is evidence against the hypotheses and aborts the solve instead
 _REJECTS = (DegenerateInput, InvalidState, NoConvergence, NotProjectable)
 
-# Armijo sufficient-decrease constant, and the stagnation stop: the energy
-# fell by no more than _STAGNATION_TOL (relative) over _STAGNATION_WINDOW steps
+# Armijo sufficient-decrease constant; the bounds, as fractions of the failed
+# step, on the next trial step; and the stagnation stop: the energy fell by
+# no more than _STAGNATION_TOL (relative) over _STAGNATION_WINDOW steps
 _ARMIJO = 1e-4
+_SHRINK_MIN = 0.1
+_SHRINK_MAX = 0.5
 _STAGNATION_TOL = 1e-12
 _STAGNATION_WINDOW = 20
 
@@ -249,7 +252,10 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
     on every accepted state.
 
     The first trial step is a = 1, each later one twice the last accepted
-    step (at most 1e3); a is halved up to 50 times.  Stops when
+    step (at most 1e3).  A trial that fails the Armijo test is followed by
+    the minimizer of the quadratic through (0, energy), the slope and
+    (a, e_try), kept in [_SHRINK_MIN * a, _SHRINK_MAX * a]; a rejected
+    retraction or a non-finite e_try halves a.  Up to 50 trials.  Stops when
     res <= stop, when no step passes the Armijo test, when the energy
     fell by no more than _STAGNATION_TOL over the last _STAGNATION_WINDOW
     steps, or after max_iter gradients.  Returns (x, energy, res,
@@ -275,7 +281,14 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
                 continue
             if e_try <= energy_val + _ARMIJO * a * slope:
                 break
-            a *= 0.5
+            # the quadratic's curvature, positive after an Armijo failure at
+            # a finite e_try with slope <= 0; anything else halves
+            q = e_try - energy_val - slope * a
+            if 0.0 < q < math.inf:
+                a = min(max(-0.5 * slope * a * a / q, _SHRINK_MIN * a),
+                        _SHRINK_MAX * a)
+            else:
+                a *= 0.5
         else:
             break
         x, energy_val = x_try, e_try

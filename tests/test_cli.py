@@ -392,10 +392,13 @@ class TestCommands:
         energy, L1, L2 = float(row[1]), float(row[2]), float(row[3])
         assert energy == pytest.approx(L1 + L2, rel=1e-9)
 
-    def test_sweep_without_betas_is_usage_error(self, tmp_path):
+    def test_sweep_without_betas_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=0.0, fam="identity"))
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
+        assert rc == EXIT_USAGE == ValidationError.exit_status
+        err = capsys.readouterr().err
+        assert err == "bad config: sweep.betas: sweep needs at least one beta\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_solve_scalar_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=0.0, fam="identity"))

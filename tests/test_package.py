@@ -62,6 +62,16 @@ def test_readme_handoff_residual_is_the_code_constant():
     assert float(res) == solvers._HANDOFF_RES
 
 
+def test_readme_backtracking_bounds_are_the_code_constants():
+    from nehari2d import solvers
+
+    text = " ".join(README.read_text().split())
+    lo, hi = re.search(r"the quadratic step is kept in `\[(\S+) a, (\S+) a\]`",
+                       text).groups()
+    assert float(lo) == solvers._SHRINK_MIN
+    assert float(hi) == solvers._SHRINK_MAX
+
+
 def test_every_error_is_documented_with_its_status_and_label():
     from nehari2d import errors
 
