@@ -19,9 +19,14 @@ is well defined whenever the necessary membership inequalities
 hold; for attractive coupling (beta > 0) it is a saddle of h (the axis
 maxima of the semi-trivial rescalings dominate), and it may genuinely
 fail to exist when one component is energetically redundant, which
-callers treat as candidate collapse.  For both signs one damped Newton
-on the fiber gradient locates it, from a warm guess and else from the
-axis roots, with a stationarity test relative to t_k int |grad u_k|^2.
+callers treat as candidate collapse.  The one-parameter rescale of a
+single field z is the maximizer of tau -> E(tau z).
+
+One damped Newton on the fiber gradient (`_fiber_newton`) locates the
+critical point for one field (k = 1) and for a pair (k = 2) of either
+sign of beta.  It runs from a warm guess and else from the closed-form
+root of each axis with a constant profile and no coupling, and tests
+stationarity relative to t_k int |grad u_k|^2.
 
 Every t-dependent integral separates: the profile terms depend on t_i
 only through A_i(t_i u_i), so value/gradient grids over a box of n t per
@@ -75,7 +80,7 @@ class ProjectionResult:
     `status` is interior_max when the fiber Newton converged to the
     interior critical point t of the fibering map, for either sign of
     beta, and not_projectable, with a `reason`, when the membership
-    inequalities fail or neither the warm nor the axis-root start
+    inequalities fail or neither the warm nor the cold start
     converged.  For a projectable pair, `sample` is the cell sample of
     the projected stack `sample.x`, and `energy` is h_u(t) and `residual`
     holds t_i dh_u/dt_i(t): its energy and constraint residuals, read
@@ -158,16 +163,16 @@ class FiberEvaluator:
             )
         return terms
 
-    def axis_root(self, k: int, tau0: float | None = None):
-        """Unique positive zero of the axis gradient (coupling ignored), from
-        tau0, or else from the root of the constant-profile gradient
-        tau (ia0 - lam q) - c tau^(p-1) pp (1 when that has none)."""
-        if tau0 is None:
-            quad = self._ia0[k] - self.lams[k] * self.q[k]
-            nonlin = self.c * self.pp[k]
+    def cold_start(self) -> np.ndarray:
+        """The k-vector of constant-profile axis roots: the positive zero
+        ((ia0 - lam q) / (c pp))^(1/(p-2)) of each axis gradient
+        tau (ia0 - lam q) - c tau^(p-1) pp, or 1 where that has none."""
+        taus = []
+        for ia0, lam, q, pp in zip(self._ia0, self.lams, self.q, self.pp):
+            quad, nonlin = ia0 - lam * q, self.c * pp
             ok = quad > 0.0 and nonlin > 0.0
-            tau0 = (quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok else 1.0
-        return positive_root(lambda tau: self._axis(k, tau, 2)[1:], tau0)
+            taus.append((quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok else 1.0)
+        return np.array(taus)
 
     def value(self, t1, t2):
         """h(t1, t2); t1 and t2 may be arrays that broadcast together."""
@@ -183,26 +188,31 @@ class FiberEvaluator:
         g2 = self._axis(1, t2, 1)[1] - b * t2 ** (half - 1.0) * t1**half * self.cross
         return g1, g2
 
-    def derivatives(self, t1: float, t2: float):
-        """(h, g, J) at (t1, t2): h, the fiber gradient and its exact
-        Jacobian, from one `_axis` call per component.
+    def derivatives(self, t: np.ndarray):
+        """(h, g, J) at the k-vector t: h, the fiber gradient and its exact
+        k x k Jacobian, from one `_axis` call per component.
 
-        The cross-term derivatives are analytic monomials; the axis terms
-        come from A, A' and A'' at one scaled sample per component.
+        For a pair the cross-term derivatives are analytic monomials; the
+        axis terms come from A, A' and A'' at one scaled sample per
+        component.
         """
-        p, b = self.params.p, self.params.beta
-        half = p / 2.0
-        h, g, J = np.empty(2), np.empty(2), np.empty((2, 2))
-        for k, tk in enumerate((t1, t2)):
-            h[k], g[k], J[k, k] = self._axis(k, tk, 2)
-        c = b * self.cross
-        g[0] -= c * t1 ** (half - 1.0) * t2**half
-        g[1] -= c * t2 ** (half - 1.0) * t1**half
-        J[0, 0] -= c * (half - 1.0) * t1 ** (half - 2.0) * t2**half
-        J[1, 1] -= c * (half - 1.0) * t2 ** (half - 2.0) * t1**half
-        J[0, 1] = J[1, 0] = -c * half * t1 ** (half - 1.0) * t2 ** (half - 1.0)
-        cross = (2.0 * b / p) * t1**half * t2**half * self.cross
-        return float(h[0] + h[1] - cross), g, J
+        k = len(t)
+        h, g, J = 0.0, np.empty(k), np.zeros((k, k))
+        for i in range(k):
+            h_i, g[i], J[i, i] = self._axis(i, t[i], 2)
+            h += h_i
+        if k == 2:
+            p, b = self.params.p, self.params.beta
+            half = p / 2.0
+            t1, t2 = t
+            c = b * self.cross
+            g[0] -= c * t1 ** (half - 1.0) * t2**half
+            g[1] -= c * t2 ** (half - 1.0) * t1**half
+            J[0, 0] -= c * (half - 1.0) * t1 ** (half - 2.0) * t2**half
+            J[1, 1] -= c * (half - 1.0) * t2 ** (half - 2.0) * t1**half
+            J[0, 1] = J[1, 0] = -c * half * t1 ** (half - 1.0) * t2 ** (half - 1.0)
+            h -= (2.0 * b / p) * t1**half * t2**half * self.cross
+        return float(h), g, J
 
 
 def _sample(x: np.ndarray, grid: Grid, lead: tuple[int, ...]) -> CellSample:
@@ -222,140 +232,109 @@ def _sample(x: np.ndarray, grid: Grid, lead: tuple[int, ...]) -> CellSample:
     return CellSample(x, grid)
 
 
-def _solve_2x2(J: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    if det != 0.0 and np.all(np.isfinite(J)):
-        step = np.array(
-            [
-                (-g[0] * J[1, 1] + g[1] * J[0, 1]) / det,
-                (-g[1] * J[0, 0] + g[0] * J[1, 0]) / det,
-            ]
-        )
-        if np.all(np.isfinite(step)):
+def _newton_step(J: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The Newton step -J^-1 g for the k x k Jacobian J, k = 1 or 2, or the
+    ascent step where J is singular or not finite."""
+    if len(g) == 1:
+        det, num = J[0, 0], -g
+    else:
+        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        num = np.array([-g[0] * J[1, 1] + g[1] * J[0, 1],
+                        -g[1] * J[0, 0] + g[0] * J[1, 0]])
+    if det != 0.0 and np.isfinite(J).all():
+        step = num / det
+        if np.isfinite(step).all():
             return step
     return _ascent_step(g, t)
 
 
 def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Step along the fiber gradient, no longer than the smaller of t."""
-    return g * (min(t[0], t[1]) / (np.max(np.abs(g)) + 1.0))
-
-
-# positive_root stops at this step size relative to tau
-_ROOT_TOL = 1e-12
-
-
-def positive_root(psi, tau0: float) -> float:
-    """Unique positive zero of psi, which is > 0 below it and < 0 above it.
-
-    `psi(tau)` returns psi and its exact slope at one tau, one call per
-    step.  The bracket starts open, (0, inf), and is tightened by the sign
-    of psi.  A Newton step is taken when it stays inside the bracket and,
-    across a side still open, within a factor 2 of tau; otherwise tau is
-    doubled or halved while a side is open, and bisected once the bracket
-    is closed.  Returns as soon as psi is exactly zero or the step is
-    within _ROOT_TOL * tau; raises NoConvergence after 100 steps.
-    """
-    lo, hi = 0.0, math.inf
-    tau = float(tau0)
-    for _ in range(100):
-        f, df = psi(tau)
-        if f == 0.0:
-            return tau
-        if f > 0.0:
-            lo = tau
-        else:
-            hi = tau
-        t_new = tau - f / df if df != 0.0 else math.nan
-        # tested before the safeguard: a converged step lands on the
-        # bracket end tau itself, which the strict test below rejects
-        if abs(t_new - tau) <= _ROOT_TOL * tau:
-            return float(t_new)
-        lower = lo if lo > 0.0 else 0.5 * tau
-        upper = hi if hi < math.inf else 2.0 * tau
-        if not lower < t_new < upper:
-            if hi == math.inf:
-                t_new = 2.0 * tau
-            elif lo == 0.0:
-                t_new = 0.5 * tau
-            else:
-                t_new = 0.5 * (lo + hi)
-                if hi - lo <= 2.0 * _ROOT_TOL * t_new:
-                    return t_new
-        tau = float(t_new)
-    raise NoConvergence(
-        f"fiber root not found in 100 steps (bracket [{lo:.6g}, {hi:.6g}])",
-        iterations=100,
-    )
+    """Step along the fiber gradient, no longer than the smallest t_k."""
+    return g * (t.min() / (np.abs(g).max() + 1.0))
 
 
 # Newton on the fiber gradient stops once |dh/dt_k| <= _FIBER_TOL * t_k *
-# int |grad u_k|^2 for both k, or fails after _FIBER_MAX_ITER steps
+# int |grad u_k|^2 for every k, or fails after _FIBER_MAX_ITER steps
 _FIBER_TOL = 1e-10
 _FIBER_MAX_ITER = 100
-_WARM_MAX_ITER = 20     # steps from a warm guess before the axis roots take over
+_WARM_MAX_ITER = 20     # steps from a warm guess before the cold start takes over
 
 
 def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, tol: float) -> bool:
     """Whether the fiber gradient g at t is zero to tol, relative to
     t_k int |grad u_k|^2 in component k.  The test is unchanged when the
-    pair is rescaled, and a t_k collapsing to 0, where dh/dt_k vanishes
+    state is rescaled, and a t_k collapsing to 0, where dh/dt_k vanishes
     with t_k, does not pass it."""
-    return bool(np.all(np.abs(g) <= tol * t * ev._ia0))
+    return bool((np.abs(g) <= tol * t * ev._ia0).all())
 
 
 def _sharpen(ev: FiberEvaluator, t: np.ndarray, h: float, g: np.ndarray, J: np.ndarray):
     """(t, h, g) after one extra quadratic step from a converged t with
     value h, gradient g and Jacobian J: it sharpens t well past the gradient
     tol, and is kept only when it does not increase the gradient."""
-    trial = t + _solve_2x2(J, g, t)
-    if np.all(trial > 0.0) and np.all(np.isfinite(trial)):
-        h_trial, g_trial, _J = ev.derivatives(trial[0], trial[1])
-        if np.max(np.abs(g_trial)) <= np.max(np.abs(g)):
+    trial = t + _newton_step(J, g, t)
+    if (trial > 0.0).all() and np.isfinite(trial).all():
+        h_trial, g_trial, _J = ev.derivatives(trial)
+        if np.abs(g_trial).max() <= np.abs(g).max():
             return trial, h_trial, g_trial
     return t, h, g
 
 
 def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
                   warm: bool = False):
-    """Damped Newton from t for the interior zero of the fiber gradient;
-    returns (t, h, g, converged), with h and g read at the final t from
-    the one `derivatives` evaluation that each start and trial gets.
+    """Damped Newton from the k-vector t for the interior zero of the fiber
+    gradient; returns (t, h, g, converged), with h and g read at the final
+    t from the one `derivatives` evaluation that each start and trial gets.
 
-    With `maximize` (beta <= 0, where the zero is the maximizer of h) a
-    trial must not lower h beyond rounding slack.  Where the Newton step
-    is not an ascent direction (h is not concave there), a line search
-    along it could only creep within that slack: a `warm` start then
-    gives up at once, and any other start takes a gradient ascent step
-    instead.  Without (beta > 0, where the zero is a saddle of h) a trial
-    must lower max |dh/dt_k|.  A step is halved until a trial is
-    accepted; when none is, t is converged if stationary to 10 * tol.  A
-    `warm` start stops after _WARM_MAX_ITER steps.
+    With `maximize` (a single field, and a pair with beta <= 0, where the
+    zero is the maximizer of h) a trial must not lower h beyond rounding
+    slack.  Where the Newton step is not an ascent direction (h is not
+    concave there), a line search along it could only creep within that
+    slack: a `warm` start then gives up at once, and any other start
+    takes a gradient ascent step instead.  Without (a pair with beta > 0,
+    where the zero is a saddle of h) a trial must lower max |dh/dt_k|.  A
+    step is halved until a trial is accepted; when none is, t is
+    converged if stationary to 10 * tol.  A `warm` start stops after
+    _WARM_MAX_ITER steps.
     """
-    h, g, J = ev.derivatives(t[0], t[1])
+    h, g, J = ev.derivatives(t)
     for _ in range(_WARM_MAX_ITER if warm else _FIBER_MAX_ITER):
         if _stationary(ev, t, g, _FIBER_TOL):
             return (*_sharpen(ev, t, h, g, J), True)
-        step = _solve_2x2(J, g, t)
+        step = _newton_step(J, g, t)
         if maximize and float(g @ step) <= 0.0:
             if warm:
                 return t, h, g, False
             step = _ascent_step(g, t)
         for scale in 0.5 ** np.arange(60.0):
             trial = t + scale * step
-            if not np.all(trial > 0.0):
+            if not (trial > 0.0).all():
                 continue
-            h_trial, g_trial, J_trial = ev.derivatives(trial[0], trial[1])
+            h_trial, g_trial, J_trial = ev.derivatives(trial)
             if maximize:
                 if h_trial < h - 32.0 * np.finfo(float).eps * (abs(h) + 1.0):
                     continue
-            elif not np.max(np.abs(g_trial)) < np.max(np.abs(g)):
+            elif not np.abs(g_trial).max() < np.abs(g).max():
                 continue
             t, h, g, J = trial, h_trial, g_trial, J_trial
             break
         else:
             return t, h, g, _stationary(ev, t, g, 10.0 * _FIBER_TOL)
     return t, h, g, _stationary(ev, t, g, _FIBER_TOL)
+
+
+def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
+    """`_fiber_newton` from the warm guess t_init, a k-sequence or None, and
+    from `ev.cold_start()` when t_init is not positive and finite or its
+    run, capped at _WARM_MAX_ITER steps, does not converge.  By
+    uniqueness of the interior zero both starts give the same t."""
+    if t_init is not None:
+        t = np.asarray(t_init, dtype=float)
+        if np.all(t > 0.0) and np.all(np.isfinite(t)):
+            t, h, g, converged = _fiber_newton(ev, t, maximize, warm=True)
+            if converged:
+                return t, h, g, True
+    return _fiber_newton(ev, ev.cold_start(), maximize)
 
 
 def project_to_nehari(
@@ -374,12 +353,11 @@ def project_to_nehari(
     maximizing h for beta <= 0 and lowering the gradient for beta > 0.
     It stops when |dh/dt_k| <= 1e-10 * t_k * int |grad u_k|^2 for both k.
     It runs from the warm guess `t_init` when one is given and, when that
-    does not converge in _WARM_MAX_ITER steps, from the axis roots: the
-    rescales of each component with the coupling ignored.  By uniqueness
-    of the interior critical point both starts give the same t, and the
-    energy and residuals are read from its last evaluation.  Returns
-    not_projectable when the membership inequalities fail or when neither
-    start converges; a stalled Newton never raises NoConvergence.
+    does not converge in _WARM_MAX_ITER steps, from the cold start: the
+    constant-profile root of each component with the coupling ignored.
+    The energy and residuals are read from the last evaluation at t.
+    Returns not_projectable when the membership inequalities fail or when
+    neither start converges; a stalled Newton never raises NoConvergence.
     """
     ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
     m1, m2 = ev.membership_values()
@@ -388,18 +366,7 @@ def project_to_nehari(
             status=STATUS_NOT_PROJECTABLE,
             reason=f"membership inequalities fail: ({m1:.3e}, {m2:.3e})",
         )
-
-    maximize = params.beta <= 0.0
-    converged = False
-    if t_init is not None and t_init[0] > 0.0 and t_init[1] > 0.0:
-        t, h, g, converged = _fiber_newton(ev, np.asarray(t_init, dtype=float),
-                                           maximize, warm=True)
-    if not converged:
-        try:
-            t = np.array([ev.axis_root(0), ev.axis_root(1)])
-        except NoConvergence as err:
-            return ProjectionResult(status=STATUS_NOT_PROJECTABLE, reason=str(err))
-        t, h, g, converged = _fiber_newton(ev, t, maximize)
+    t, h, g, converged = _fiber_root(ev, t_init, maximize=params.beta <= 0.0)
     if not converged:
         return ProjectionResult(
             status=STATUS_NOT_PROJECTABLE,
@@ -470,11 +437,19 @@ def scalar_fiber_root(
 
     Solves tau*(int A(tau z)|grad z|^2 - lam int z^2)
            + tau^2/2 int A'(tau z) z |grad z|^2
-           - c * tau^(p-1) int |z|^p = 0.
+           - c * tau^(p-1) int |z|^p = 0
+    by the fiber Newton of the pair rescale with k = 1, maximizing
+    tau -> E(tau z): from `tau_init` when it is positive and finite, and
+    else or when that does not converge, from the constant-profile root.
+    Raises NoConvergence when neither start converges.
     """
     sample = _sample(z, grid, ())
     if nonlin_coeff <= 0.0:
         raise InvalidParams(f"need a positive nonlinearity weight, got {nonlin_coeff}")
     ev = FiberEvaluator(Energy.scalar(params, lam, fam, nonlin_coeff), sample)
-    warm = tau_init is not None and tau_init > 0.0 and math.isfinite(tau_init)
-    return ev.axis_root(0, tau_init if warm else None)
+    t, _h, _g, converged = _fiber_root(
+        ev, None if tau_init is None else (tau_init,), maximize=True
+    )
+    if not converged:
+        raise NoConvergence(f"fiber Newton stalled at tau = {t[0]:.6g}")
+    return float(t[0])

@@ -122,7 +122,12 @@ class ScalarField:
     __slots__ = ("values", "spec")
 
     def __init__(self, values, spec: GridSpec):
-        arr = np.array(values, dtype=float).reshape(spec.nx, spec.ny)
+        arr = np.array(values, dtype=float)
+        if arr.size != spec.nx * spec.ny:
+            raise GridMismatch(
+                f"field values of shape {arr.shape}, grid is {(spec.nx, spec.ny)}"
+            )
+        arr = arr.reshape(spec.nx, spec.ny)
         if not np.all(np.isfinite(arr)):
             raise InvalidState("field contains non-finite entries")
         arr.setflags(write=False)

@@ -28,7 +28,6 @@ from nehari2d.fiber import (
     _fiber_newton,
     critical_cell_count,
     h1_normalize,
-    positive_root,
     scalar_fiber_root,
 )
 from nehari2d.solvers import conservative_mu1, segregated_pair
@@ -165,7 +164,7 @@ class TestFiberGradient:
         params = ProblemParams(0.4, -0.3, beta, p, 0.5)
         ev = FiberEvaluator(Energy.pair(params, *fams),
                             CellSample(positive_state(grid7, seed), grid7))
-        h, g, J = ev.derivatives(*t)
+        h, g, J = ev.derivatives(np.array(t))
         assert h == ev.value(*t)
         np.testing.assert_allclose(g, ev.grad(*t), rtol=1e-12, atol=1e-12)
         dt = 1e-6
@@ -244,22 +243,47 @@ def modulated_bump(grid):
 
 
 class TestPositiveRoot:
-    def test_start_on_root_costs_one_call(self):
-        # psi(2) == 0 exactly: a start on the root must not walk away from it
-        psi = counted(lambda t: (t * (4.0 - t * t), 4.0 - 3.0 * t * t))
-        assert positive_root(psi, 2.0) == 2.0
-        assert psi.calls == 1
+    """The unique positive root of the scalar fiber gradient,
+    `scalar_fiber_root`."""
 
-    def test_step_rounding_to_nothing_is_kept(self):
-        # psi(2) is tiny but nonzero, so the Newton step rounds to nothing
-        # and lands on the bracket end that psi's sign has just set
-        psi = counted(lambda t: (1e-20 + (2.0 - t), -1.0))
-        assert positive_root(psi, 2.0) == 2.0
-        assert psi.calls == 1
+    def test_start_on_root_costs_two_calls(self, monkeypatch, grid15, identity):
+        # with the identity profile and lambda = 0 the cold start is the
+        # exact root: one evaluation there, then the sharpening step
+        params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
+        z = modulated_bump(grid15)
+        (a,), _q, (b,) = CellSample(z[None], grid15).integrals(4.0)
+        axis = counted(FiberEvaluator._axis)
+        monkeypatch.setattr(FiberEvaluator, "_axis", axis)
+        tau = scalar_fiber_root(z, 0.0, params, identity, grid15)
+        assert tau == pytest.approx((a / b) ** 0.5, rel=1e-15)
+        assert 0 < axis.calls <= 2
 
-    def test_no_root_raises(self):
+    def test_no_root_raises(self, grid15, identity):
+        # lambda above the first sine mode's Rayleigh quotient: the fiber
+        # gradient is negative for every tau > 0
+        lam = 1.5 * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
+        X, Y = grid15.node_mesh()
+        z = np.sin(np.pi * X) * np.sin(np.pi * Y)
         with pytest.raises(NoConvergence):
-            positive_root(lambda t: (1.0 + t, 1.0), 1.0)
+            scalar_fiber_root(z, lam, params, identity, grid15)
+
+    def test_extreme_warm_guess_gives_the_cold_root(self, grid15, example1):
+        # a guess at which the fiber map over- or underflows, or one that
+        # is not finite, hands over to the cold start
+        lam = 0.3 * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
+        z = modulated_bump(grid15)
+        ref = scalar_fiber_root(z, lam, params, example1, grid15)
+        for tau_init in (1e-300, 1e300):
+            with np.errstate(over="ignore", invalid="ignore"):
+                tau = scalar_fiber_root(z, lam, params, example1, grid15,
+                                        tau_init=tau_init)
+            assert tau == pytest.approx(ref, rel=1e-12)
+        for tau_init in (math.inf, math.nan):
+            tau = scalar_fiber_root(z, lam, params, example1, grid15,
+                                    tau_init=tau_init)
+            assert tau == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["identity", "example"])
     @pytest.mark.parametrize("lam_frac,nonlin", [(0.0, 1.0), (0.3, 1.0), (0.3, 2.5),
@@ -314,14 +338,14 @@ class TestProjection:
             )
             assert res.status == "not_projectable"
 
-    def test_no_axis_root_is_not_projectable(self, grid15, example1):
-        # lambda1 far above mu1: the first axis has no positive root, so
-        # the cold start does not exist and nothing is raised
+    def test_no_interior_point_is_not_projectable(self, grid15, example1):
+        # lambda1 far above mu1: h decreases in t1 for every t1 > 0, so the
+        # Newton stalls toward t1 -> 0 and nothing is raised
         params = ProblemParams(10.0 * conservative_mu1(grid15), 0.0, -2.0, 4.0, 1.0)
         res = project_to_nehari(bump_state(grid15), params, example1, example1,
                                 grid15)
         assert res.status == "not_projectable"
-        assert "fiber root not found" in res.reason
+        assert "fiber Newton stalled" in res.reason
 
     def test_idempotent(self, grid15, example1, competitive_params):
         x = bump_state(grid15)
@@ -367,19 +391,21 @@ class TestProjection:
                                      competitive_params):
         # at 0.05 t* h is convex, so the Newton step descends and the line
         # search could only creep within its rounding slack: the warm
-        # Newton must give up at once and leave t* to the axis-root start
+        # Newton must give up at once and leave t* to the cold start
         x = bump_state(grid15)
-        evaluate = counted(FiberEvaluator.derivatives)
-        monkeypatch.setattr(FiberEvaluator, "derivatives", evaluate)
+        axis = counted(FiberEvaluator._axis)
+        monkeypatch.setattr(FiberEvaluator, "_axis", axis)
         cold = project_to_nehari(x, competitive_params, example1, example1, grid15)
-        cold_calls, evaluate.calls = evaluate.calls, 0
+        cold_calls, axis.calls = axis.calls, 0
         warm = project_to_nehari(
             x, competitive_params, example1, example1, grid15,
             t_init=(0.05 * cold.t.t1, 0.05 * cold.t.t2),
         )
         assert warm.t == cold.t
-        # one evaluation at the warm guess, then the cold projection's
-        assert evaluate.calls == cold_calls + 1 <= 5
+        # one evaluation (an `_axis` call per component) at the warm guess,
+        # then the cold projection's, which takes a handful of Newton steps
+        assert axis.calls == cold_calls + 2
+        assert cold_calls <= 22
 
     @pytest.mark.parametrize("beta, t_init", [(5.0, (1e-3, 1e-3)),
                                               (-2.0, (1e6, 1e-6))])

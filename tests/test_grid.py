@@ -215,6 +215,14 @@ class TestFields:
         assert f.values.shape == (2, 3)
         assert list(f.values.reshape(-1)) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
+    @pytest.mark.parametrize("values", [np.zeros(5), np.zeros((3, 3))],
+                             ids=["flat", "square"])
+    def test_wrong_entry_count_is_grid_mismatch(self, values):
+        spec = GridSpec(2, 3, 1.0, 1.0)
+        with pytest.raises(GridMismatch, match=r"\(2, 3\)") as err:
+            ScalarField(values, spec)
+        assert str(values.shape) in str(err.value)
+
     def test_rejects_nonfinite(self):
         spec = GridSpec(2, 2)
         with pytest.raises(InvalidState):

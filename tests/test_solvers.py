@@ -404,6 +404,7 @@ class TestDescentDriver:
         memos = []
         entered_at = []
         descent_its = []
+        residual_stops = []
         polished_at = []
         real_rule, real_descend = S._conjugate_lift, S._descend
         real_polish = S._newton_krylov_polish
@@ -416,6 +417,8 @@ class TestDescentDriver:
             entered_at.append(len(memos))
             out = real_descend(*args)
             descent_its.append(out[3])
+            # (x, energy, gradient, direction, retract, opts, stop, ...)
+            residual_stops.append(out[2] <= args[6])
             return out
 
         def polish(x0, energy, grid, *args):
@@ -427,10 +430,13 @@ class TestDescentDriver:
         monkeypatch.setattr(S, "_conjugate_lift", recorded)
         monkeypatch.setattr(S, "_descend", descend)
         monkeypatch.setattr(S, "_newton_krylov_polish", polish)
-        _z, _L, rep = scalar_ground_state(1, params_p4, identity, grid7, opts)
+        _z, level, rep = scalar_ground_state(1, params_p4, identity, grid7, opts)
         (note,) = rep.warnings
         assert note.endswith("descent resumed") and len(polished_at) == 2
-        assert len(memos) == sum(descent_its) - 2
+        # every descent step asks for a direction, except a last one that
+        # the residual test ends
+        assert len(memos) == sum(descent_its) - sum(residual_stops)
+        assert level == pytest.approx(41.20411605014968, rel=1e-10)
         fresh = [k for k, memo in enumerate(memos) if memo is None]
         assert fresh == [0, polished_at[0]] == entered_at
 
@@ -972,6 +978,25 @@ class TestCooperative:
         assert rep.fully_nontrivial and rep.nonnegative
         assert rep.energy < min(rep.L1, rep.L2)
         assert rep.euler_residual_norm <= 1e-8
+
+    def test_mixed_profiles_reach_a_nontrivial_state(self, grid15, identity,
+                                                     example1):
+        # the near-semi-trivial start (z1, 1e-2 z2) and its mirror must
+        # project: a fiber Newton started from the exact axis roots stalls
+        # on them toward t2 -> 0, one started from the constant-profile
+        # roots converges
+        lam = 0.3 * conservative_mu1(grid15)
+        opts = SolverOptions(n_restarts=0)
+        u, rep = solve_system(ProblemParams(lam, 0.0, 2.0, 4.0, 1.0), example1,
+                              identity, grid15, opts)
+        assert rep.fully_nontrivial and rep.nonnegative
+        assert rep.energy == pytest.approx(30.48537981432166, rel=1e-10)
+        assert rep.energy < min(rep.L1, rep.L2)
+        sw, sw_rep = solve_system(ProblemParams(0.0, lam, 2.0, 4.0, 1.0), identity,
+                                  example1, grid15, opts)
+        assert sw_rep.energy == pytest.approx(rep.energy, rel=1e-12)
+        np.testing.assert_allclose(sw.u1.values, u.u2.values, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sw.u2.values, u.u1.values, rtol=0.0, atol=1e-12)
 
     def test_diagonal_candidate_exact_solution(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, 5.0, 4.0, 1.0)
