@@ -46,6 +46,16 @@ class CoefficientFamily:
     gamma: float
     label: str = ""
 
+    def jet(self, s: np.ndarray, order: int) -> tuple:
+        """(A(s), ..., A^(order)(s)) for order 0, 1 or 2: one `a` call for
+        order 0, else one pass for `example` and the `a`, `da`, `d2a`
+        calls for the other kinds."""
+        if order == 0:
+            return (self.a(s),)
+        if self.kind == KIND_EXAMPLE:
+            return _example_jet(s, order, self.gamma)
+        return tuple(f(s) for f in (self.a, self.da, self.d2a)[: order + 1])
+
     def __post_init__(self):
         if not (0.0 < self.nu <= 1.0):
             raise InvalidParams(f"need nu in (0, 1], got {self.nu}")
@@ -105,29 +115,34 @@ def example_family(gamma: float) -> CoefficientFamily:
         base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s), where=s != 0.0)
         return gamma * base * s / (1.0 + a_s**gamma) ** 2
 
-    def d2a(s):
-        a_s = np.abs(np.asarray(s, dtype=float))
-        if gamma >= 2.0:
-            base = a_s ** (gamma - 2.0)
-        else:
-            # A'' has no value at 0 for gamma < 2; use 0 there, as da does
-            base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s),
-                            where=a_s != 0.0)
-        sg = a_s**gamma
-        return gamma * base * ((gamma - 1.0) - (gamma + 1.0) * sg) / (1.0 + sg) ** 3
-
     sup_da = _example_sup_abs_da(gamma)
     c0 = max(2.0, sup_da) if math.isfinite(sup_da) else 2.0
     return CoefficientFamily(
         kind=KIND_EXAMPLE,
         a=a,
         da=da,
-        d2a=d2a,
+        d2a=lambda s: _example_jet(np.asarray(s, dtype=float), 2, gamma)[2],
         nu=1.0,
         c0=c0,
         gamma=gamma,
         label=f"example(gamma={gamma:g})",
     )
+
+
+def _example_jet(s: np.ndarray, order: int, gamma: float) -> tuple:
+    """A, A' and, for order 2, A'' of the example profile in one pass: one
+    power |s|^(gamma-2) (with its A''-limit 1 or 0 at s = 0), then
+    |s|^gamma = |s|^(gamma-2) s^2 and one 1/(1 + |s|^gamma)."""
+    a_s = np.abs(s)
+    base = np.power(a_s, gamma - 2.0, out=np.full_like(a_s, float(gamma == 2.0)),
+                    where=a_s != 0.0)
+    sg = base * a_s * a_s
+    r = 1.0 / (1.0 + sg)
+    d1 = gamma * base * r * r
+    out = (1.0 + sg * r, d1 * s)
+    if order == 2:
+        out += (d1 * r * ((gamma - 1.0) - (gamma + 1.0) * sg),)
+    return out
 
 
 def tabulated_family(

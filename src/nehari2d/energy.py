@@ -172,11 +172,11 @@ class Energy:
 
     A pair (k = 2) carries the system energy of the module docstring; a
     scalar problem (k = 1) is the energy of (z, 0) with its |z|^p term
-    weighted by `c`.  Every method reads one CellSample of the state.
-    The gradient and Hessian products are nodal (k, nx, ny) arrays in
-    function-space scaling: the derivative with respect to a node divided
-    by the lumped node volume hx*hy, so that their volume-weighted l2
-    norms mimic continuum norms.
+    weighted by `c`.  Every method reads one CellSample of the state and
+    one profile `jet` per component.  The gradient and Hessian products
+    are nodal (k, nx, ny) arrays in function-space scaling: the
+    derivative with respect to a node divided by the lumped node volume
+    hx*hy, so that their volume-weighted l2 norms mimic continuum norms.
     """
 
     def __init__(self, params: ProblemParams, fams, lams, c: float = 1.0):
@@ -193,9 +193,11 @@ class Energy:
     def scalar(cls, params, lam, fam, c: float = 1.0) -> "Energy":
         return cls(params, (fam,), (lam,), c)
 
-    def _profile(self, s: CellSample, name: str) -> np.ndarray:
-        """A, A' or A'' of each component at its cell values."""
-        return np.stack([getattr(f, name)(v) for f, v in zip(self.fams, s.v)])
+    def _profile(self, s: CellSample, order: int) -> list[np.ndarray]:
+        """A and its first `order` derivatives at the cell values, each
+        stacked over the components: one `jet` call per component."""
+        jets = [f.jet(v, order) for f, v in zip(self.fams, s.v)]
+        return [np.stack(d) for d in zip(*jets)]
 
     def _lam(self) -> np.ndarray:
         return np.reshape(self.lams, (-1, 1, 1))
@@ -211,24 +213,20 @@ class Energy:
             G = coupling_G(s.v[0], s.v[1], self.params)
         else:
             G = (self.c / self.params.p) * np.abs(s.v[0]) ** self.params.p
-        dens = 0.5 * np.sum(self._profile(s, "a") * s.gsq - self._lam() * s.v**2, axis=0)
+        (a,) = self._profile(s, 0)
+        dens = 0.5 * np.sum(a * s.gsq - self._lam() * s.v**2, axis=0)
         return float(np.sum(dens - G)) * s.grid.cell_area
 
     def gradient(self, s: CellSample) -> np.ndarray:
-        a = self._profile(s, "a")
-        w_val = (
-            0.5 * self._profile(s, "da") * s.gsq - self._lam() * s.v - self._dG(s.v)
-        )
+        a, da = self._profile(s, 1)
+        w_val = 0.5 * da * s.gsq - self._lam() * s.v - self._dG(s.v)
         return scatter_cells(s.grid, w_val, a * s.gx, a * s.gy)
 
     def residuals(self, s: CellSample) -> np.ndarray:
         """The constraint values r_i = <E'(x), x_i>, the fiber derivatives
         t_i dh/dt_i at t = 1; their sum is <E'(x), x>."""
-        dens = (
-            (self._profile(s, "a") + 0.5 * self._profile(s, "da") * s.v) * s.gsq
-            - self._lam() * s.v**2
-            - s.v * self._dG(s.v)
-        )
+        a, da = self._profile(s, 1)
+        dens = (a + 0.5 * da * s.v) * s.gsq - self._lam() * s.v**2 - s.v * self._dG(s.v)
         return np.sum(dens, axis=(-2, -1)) * s.grid.cell_area
 
     def hessian(self, s: CellSample):
@@ -240,11 +238,9 @@ class Energy:
         else:
             p = self.params.p
             diag, cross = self.c * (p - 1.0) * np.abs(s.v) ** (p - 2.0), None
-        m = 0.5 * self._profile(s, "d2a") * s.gsq - self._lam() - diag
-        da = self._profile(s, "da")
-        return cell_form_matrix(
-            s.grid, m, da * s.gx, da * s.gy, self._profile(s, "a"), cross
-        )
+        a, da, d2a = self._profile(s, 2)
+        m = 0.5 * d2a * s.gsq - self._lam() - diag
+        return cell_form_matrix(s.grid, m, da * s.gx, da * s.gy, a, cross)
 
 
 def total_energy(

@@ -119,8 +119,9 @@ class FiberEvaluator:
         p = self.params.p
         v, gsq = sample.v, sample.gsq
         self._v = v
-        # weights of the profile integrals int A^(j)(tau v) v^j |grad v|^2
-        self._w = (gsq, v * gsq, v * v * gsq)
+        # raveled weights, area included, of int A^(j)(tau v) v^j |grad v|^2
+        self._w = [(w * self.area).reshape(len(v), -1)
+                   for w in (gsq, v * gsq, v * v * gsq)]
         self._ia0, self.q, self.pp = sample.integrals(p)
         self._const_profile = [fam.kind == KIND_IDENTITY for fam in self.fams]
         self.cross = (
@@ -139,19 +140,16 @@ class FiberEvaluator:
         tau, a float or an array, and their first `order` (<= 2) derivatives.
 
         With I_j(tau) = int A^(j)(tau v) v^j |grad v|^2, so that I_j' =
-        I_(j+1), all read from one scaled sample tau*v, the terms are
-        tau^2/2 (I_0 - lam q) - c tau^p/p int |v|^p.
+        I_(j+1), the terms are tau^2/2 (I_0 - lam q) - c tau^p/p int |v|^p.
+        One `jet` call reads A, A', A'' at the scaled sample tau*v; each I_j
+        is one dot product over the cells, for a float or an array tau.
         """
         p, c, pp = self.params.p, self.c, self.pp[k]
         if self._const_profile[k]:
             ia = (self._ia0[k], 0.0, 0.0)
         else:
-            fam = self.fams[k]
-            sv = np.multiply.outer(tau, self._v[k])
-            ia = [
-                np.sum(f(sv) * w[k], axis=(-2, -1)) * self.area
-                for f, w in zip((fam.a, fam.da, fam.d2a)[: order + 1], self._w)
-            ]
+            jet = self.fams[k].jet(np.multiply.outer(tau, self._v[k]), order)
+            ia = [f.reshape(*f.shape[:-2], -1) @ w[k] for f, w in zip(jet, self._w)]
         quad = ia[0] - self.lams[k] * self.q[k]
         terms = [0.5 * tau**2 * quad - (c / p) * tau**p * pp]
         if order >= 1:
@@ -258,6 +256,7 @@ def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
 _FIBER_TOL = 1e-10
 _FIBER_MAX_ITER = 100
 _WARM_MAX_ITER = 20     # steps from a warm guess before the cold start takes over
+_COLLAPSE = 1e-6        # a run stops once a t_k falls below this share of its cold root
 
 
 def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, tol: float) -> bool:
@@ -295,9 +294,11 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
     where the zero is a saddle of h) a trial must lower max |dh/dt_k|.  A
     step is halved until a trial is accepted; when none is, t is
     converged if stationary to 10 * tol.  A `warm` start stops after
-    _WARM_MAX_ITER steps.
+    _WARM_MAX_ITER steps, and any run once a step takes a t_k below
+    _COLLAPSE times its cold-start root (no interior zero is near).
     """
     h, g, J = ev.derivatives(t)
+    floor = _COLLAPSE * ev.cold_start()
     for _ in range(_WARM_MAX_ITER if warm else _FIBER_MAX_ITER):
         if _stationary(ev, t, g, _FIBER_TOL):
             return (*_sharpen(ev, t, h, g, J), True)
@@ -320,6 +321,8 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
             break
         else:
             return t, h, g, _stationary(ev, t, g, 10.0 * _FIBER_TOL)
+        if ((t < floor) & (step < 0.0)).any():
+            return t, h, g, False
     return t, h, g, _stationary(ev, t, g, _FIBER_TOL)
 
 

@@ -104,6 +104,68 @@ class TestD2A:
         assert err <= 1e-6 * d2a_scale(gamma, s)
 
 
+def closed_form_d2a(gamma, s):
+    """A'' of the example profile, gamma |s|^(gamma-2) [(gamma-1) -
+    (gamma+1)|s|^gamma] / (1 + |s|^gamma)^3, with 0^0 = 1 at gamma = 2 and
+    0 at s = 0 below; and the size of its two terms, which cancel near
+    its zero crossing."""
+    a_s = np.abs(s)
+    if gamma >= 2.0:
+        base = a_s ** (gamma - 2.0)
+    else:
+        base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s), where=a_s != 0.0)
+    sg = a_s**gamma
+    head = gamma * base / (1.0 + sg) ** 3
+    return (head * ((gamma - 1.0) - (gamma + 1.0) * sg),
+            head * (abs(gamma - 1.0) + (gamma + 1.0) * sg))
+
+
+# s = 0, and |s| from 1e-6 to 1e4 of either sign
+JET_S = np.geomspace(1e-6, 1e4, 41)
+JET_S = np.concatenate(([0.0], JET_S, -JET_S))
+
+
+class TestJet:
+    """A family's `jet(s, order)`: A and its first `order` derivatives."""
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.0, 1.3, 2.0, 2.5))
+    def test_example_matches_a_da_and_d2a(self, gamma):
+        fam = example_family(gamma)
+        A, dA, d2A = fam.jet(JET_S, 2)
+        assert np.allclose(A, fam.a(JET_S), rtol=1e-13, atol=0.0)
+        assert np.allclose(dA, fam.da(JET_S), rtol=1e-13, atol=0.0)
+        ref, scale = closed_form_d2a(gamma, JET_S)
+        assert np.all(np.abs(d2A - ref) <= 1e-13 * scale)
+        assert dA[0] == 0.0 and d2A[0] == ref[0] == (2.0 if gamma == 2.0 else 0.0)
+        # d2a is a view of the jet
+        assert np.array_equal(fam.d2a(JET_S), d2A)
+
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    def test_truncation_to_order(self, order):
+        fam = example_family(1.3)
+        jet = fam.jet(JET_S, order)
+        assert len(jet) == order + 1
+        # order 0 is the family's `a`, higher orders the fused pass
+        want = (fam.a(JET_S),) if order == 0 else fam.jet(JET_S, 2)
+        for got, w in zip(jet, want):
+            assert np.array_equal(got, w)
+
+    def test_identity_constants(self):
+        A, dA, d2A = identity_family().jet(JET_S, 2)
+        assert A.shape == dA.shape == d2A.shape == JET_S.shape
+        assert np.all(A == 1.0) and np.all(dA == 0.0) and np.all(d2A == 0.0)
+
+    def test_tabulated_is_a_da_and_difference_quotient(self):
+        ex = example_family(1.3)
+        fam = tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=1.3)
+        want = (ex.a(JET_S), ex.da(JET_S), fam.d2a(JET_S))
+        for order in (0, 1, 2):
+            jet = fam.jet(JET_S, order)
+            assert len(jet) == order + 1
+            for got, w in zip(jet, want):
+                assert np.array_equal(got, w)
+
+
 class TestCertify:
     def test_example_gamma1_passes(self):
         report = certify(example_family(1.0), 4.0, (-10.0, 10.0), 10000)

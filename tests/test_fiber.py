@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from nehari2d import (
     project_to_nehari,
     total_energy,
 )
-from nehari2d.coeffs import tabulated_family
+from nehari2d.coeffs import CoefficientFamily, tabulated_family
 from nehari2d.energy import CellSample, Energy
 from nehari2d.errors import (
     DegenerateInput,
@@ -23,6 +24,7 @@ from nehari2d.errors import (
     NoConvergence,
 )
 from nehari2d.fiber import (
+    _COLLAPSE,
     _WARM_MAX_ITER,
     FiberEvaluator,
     _fiber_newton,
@@ -242,6 +244,61 @@ def modulated_bump(grid):
     return np.sin(np.pi * X) * np.sin(np.pi * Y) * (1.0 + 0.3 * rng.random(grid.shape))
 
 
+class TestAxisEvaluation:
+    @pytest.mark.parametrize("order", (0, 1, 2))
+    def test_tau_grid_matches_scalar_taus(self, grid15, order):
+        # one dot product per integral serves a column of taus and a float
+        ex = example_family(0.5)
+        fams = (example_family(1.3),
+                tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=0.5))
+        energy = Energy.pair(ProblemParams(0.4, -0.3, 2.0, 4.0, 1.0), *fams)
+        ev = FiberEvaluator(energy, CellSample(positive_state(grid15, 3), grid15))
+        taus = np.logspace(-3.0, 3.0, 25)
+        for k in (0, 1):
+            on_grid = ev._axis(k, taus[:, None], order)
+            assert len(on_grid) == order + 1
+            for j, term in enumerate(on_grid):
+                stacked = np.array([ev._axis(k, tau, order)[j] for tau in taus])
+                assert term.shape == (len(taus), 1)
+                assert np.allclose(term[:, 0], stacked, rtol=1e-13, atol=0.0)
+
+    def test_critical_cell_counts_unchanged(self, grid15, identity, example1):
+        # counts recorded before the reduction became a dot product
+        params = ProblemParams(0.6 * conservative_mu1(grid15), 0.0, 2.0, 4.0, 1.0)
+        xs = ([bump_state(grid15), far_start_pair(grid15, 2.0)]
+              + [positive_state(grid15, seed) for seed in range(3)]
+              + [segregated_random_state(grid15, seed) for seed in range(3)])
+        counts = [critical_cell_count(x, params, identity, example1, grid15)
+                  for x in xs]
+        assert counts == [1, 0, 13, 13, 16, 1, 1, 1]
+
+    def test_one_jet_call_per_component(self, monkeypatch, grid15):
+        # A, A' and A'' come from one fused jet per component: no a, da or
+        # d2a call in the fiber Newton's evaluation or in Energy's
+        # gradient, residuals and Hessian
+        jets = []
+        jet = CoefficientFamily.jet
+
+        def counting_jet(fam, s, order):
+            jets.append((fam.gamma, order))
+            return jet(fam, s, order)
+
+        monkeypatch.setattr(CoefficientFamily, "jet", counting_jet)
+        fams = [dataclasses.replace(fam, a=counted(fam.a), da=counted(fam.da),
+                                    d2a=counted(fam.d2a))
+                for fam in (example_family(1.0), example_family(1.3))]
+        energy = Energy.pair(ProblemParams(0.4, -0.3, 2.0, 4.0, 1.0), *fams)
+        sample = CellSample(positive_state(grid15, 0), grid15)
+        FiberEvaluator(energy, sample).derivatives(np.array([0.8, 1.7]))
+        assert jets == [(1.0, 2), (1.3, 2)]
+        for method, order in ((energy.gradient, 1), (energy.residuals, 1),
+                              (energy.hessian, 2)):
+            jets.clear()
+            method(sample)
+            assert jets == [(1.0, order), (1.3, order)]
+        assert [(f.a.calls, f.da.calls, f.d2a.calls) for f in fams] == [(0, 0, 0)] * 2
+
+
 class TestPositiveRoot:
     """The unique positive root of the scalar fiber gradient,
     `scalar_fiber_root`."""
@@ -346,6 +403,26 @@ class TestProjection:
                                 grid15)
         assert res.status == "not_projectable"
         assert "fiber Newton stalled" in res.reason
+
+    def test_collapsing_fiber_stops_early(self, monkeypatch, grid15, identity,
+                                          example1):
+        # beta > 0 and no interior critical point near the fiber: t_1 heads
+        # for 0, where A' and A'' of tiny samples can overflow.  The Newton
+        # used to run all 100 steps (102 evaluations, ending at t_1 =
+        # 1.2e-53); it now stops once t_1 falls below _COLLAPSE times its
+        # cold-start root.  Warnings are errors in this suite.
+        params = ProblemParams(0.6 * conservative_mu1(grid15), 0.0, 2.0, 4.0, 1.0)
+        x = positive_state(grid15, 1)
+        cold = FiberEvaluator(Energy.pair(params, identity, example1),
+                              CellSample(x, grid15)).cold_start()
+        derivatives = counted(FiberEvaluator.derivatives)
+        monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
+        res = project_to_nehari(x, params, identity, example1, grid15)
+        assert res.status == "not_projectable"
+        assert res.reason.startswith("fiber Newton stalled at t = (")
+        t1 = float(res.reason.split("(")[1].split(",")[0])
+        assert 0.0 < t1 < _COLLAPSE * cold[0]
+        assert derivatives.calls <= 10
 
     def test_idempotent(self, grid15, example1, competitive_params):
         x = bump_state(grid15)

@@ -47,10 +47,12 @@ def test_readme_fiber_settings_are_the_code_constants():
     steps = re.search(r"fiber Newton takes at most (\d+) steps", bullet).group(1)
     n = re.search(r"on (\d+) log-spaced `t` per axis", bullet).group(1)
     warm = re.search(r"a warm run at most (\d+) steps", bullet).group(1)
+    collapse = re.search(r"takes a `t_k` below (\S+) times its", bullet).group(1)
     assert float(tol) == fiber._FIBER_TOL
     assert int(steps) == fiber._FIBER_MAX_ITER
     assert int(n) == fiber._UNIQUENESS_N
     assert int(warm) == fiber._WARM_MAX_ITER
+    assert float(collapse) == fiber._COLLAPSE
 
 
 def test_readme_handoff_residual_is_the_code_constant():
