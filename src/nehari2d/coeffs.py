@@ -47,9 +47,8 @@ class CoefficientFamily:
     label: str = ""
 
     def jet(self, s: np.ndarray, order: int) -> tuple:
-        """(A(s), ..., A^(order)(s)) for order 0, 1 or 2: one `a` call for
-        order 0, else one pass for `example` and the `a`, `da`, `d2a`
-        calls for the other kinds."""
+        """(A(s), ..., A^(order)(s)), order <= 2: one `a` call for order 0,
+        else one pass for `example` and `a`, `da`, `d2a` calls otherwise."""
         if order == 0:
             return (self.a(s),)
         if self.kind == KIND_EXAMPLE:
@@ -109,11 +108,7 @@ def example_family(gamma: float) -> CoefficientFamily:
         return 1.0 + sg / (1.0 + sg)
 
     def da(s):
-        s = np.asarray(s, dtype=float)
-        a_s = np.abs(s)
-        # |s|^(gamma-2) only where s != 0; the limit value at 0 is 0
-        base = np.power(a_s, gamma - 2.0, out=np.zeros_like(a_s), where=s != 0.0)
-        return gamma * base * s / (1.0 + a_s**gamma) ** 2
+        return _example_jet(np.asarray(s, dtype=float), 1, gamma)[1]
 
     sup_da = _example_sup_abs_da(gamma)
     c0 = max(2.0, sup_da) if math.isfinite(sup_da) else 2.0

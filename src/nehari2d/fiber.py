@@ -161,15 +161,21 @@ class FiberEvaluator:
             )
         return terms
 
-    def cold_start(self) -> np.ndarray:
+    def cold_start(self, floor: bool = False) -> np.ndarray:
         """The k-vector of constant-profile axis roots: the positive zero
         ((ia0 - lam q) / (c pp))^(1/(p-2)) of each axis gradient
-        tau (ia0 - lam q) - c tau^(p-1) pp, or 1 where that has none."""
+        tau (ia0 - lam q) - c tau^(p-1) pp, or 1 where that has none.
+        With `floor`, the beta > 0 collapse floor of `_fiber_newton`: that
+        zero for _COLLAPSE (nu ia0 - lam q) and c pp + beta cross (a lower
+        bound for A >= nu, s A' >= 0 and t_j = t_k, scaled down), or 0."""
+        share, b = (_COLLAPSE, max(self.params.beta, 0.0)) if floor else (1.0, 0.0)
         taus = []
-        for ia0, lam, q, pp in zip(self._ia0, self.lams, self.q, self.pp):
-            quad, nonlin = ia0 - lam * q, self.c * pp
+        for fam, ia0, lam, q, pp in zip(self.fams, self._ia0, self.lams, self.q, self.pp):
+            quad = share * ((fam.nu if floor else 1.0) * ia0 - lam * q)
+            nonlin = self.c * pp + b * self.cross
             ok = quad > 0.0 and nonlin > 0.0
-            taus.append((quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok else 1.0)
+            taus.append((quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok
+                        else float(not floor))
         return np.array(taus)
 
     def value(self, t1, t2):
@@ -256,7 +262,7 @@ def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
 _FIBER_TOL = 1e-10
 _FIBER_MAX_ITER = 100
 _WARM_MAX_ITER = 20     # steps from a warm guess before the cold start takes over
-_COLLAPSE = 1e-6        # a run stops once a t_k falls below this share of its cold root
+_COLLAPSE = 1e-12       # quadratic share of the beta > 0 collapse floor
 
 
 def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, tol: float) -> bool:
@@ -294,11 +300,11 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
     where the zero is a saddle of h) a trial must lower max |dh/dt_k|.  A
     step is halved until a trial is accepted; when none is, t is
     converged if stationary to 10 * tol.  A `warm` start stops after
-    _WARM_MAX_ITER steps, and any run once a step takes a t_k below
-    _COLLAPSE times its cold-start root (no interior zero is near).
+    _WARM_MAX_ITER steps, and a run without `maximize` once a step takes
+    a t_k below its collapse floor `ev.cold_start(floor=True)`.
     """
     h, g, J = ev.derivatives(t)
-    floor = _COLLAPSE * ev.cold_start()
+    floor = 0.0 if maximize else ev.cold_start(floor=True)
     for _ in range(_WARM_MAX_ITER if warm else _FIBER_MAX_ITER):
         if _stationary(ev, t, g, _FIBER_TOL):
             return (*_sharpen(ev, t, h, g, J), True)

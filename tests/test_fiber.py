@@ -24,7 +24,6 @@ from nehari2d.errors import (
     NoConvergence,
 )
 from nehari2d.fiber import (
-    _COLLAPSE,
     _WARM_MAX_ITER,
     FiberEvaluator,
     _fiber_newton,
@@ -45,6 +44,14 @@ from conftest import (
 @pytest.fixture
 def competitive_params():
     return ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+
+
+@pytest.fixture
+def half_profile():
+    """A = 0.5, nu = 0.5: a certifiable family with A below 1."""
+    return tabulated_family(lambda s: np.full_like(np.asarray(s, dtype=float), 0.5),
+                            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                            nu=0.5, c0=1.0, gamma=0.01)
 
 
 def bump_state(grid):
@@ -325,6 +332,17 @@ class TestPositiveRoot:
         with pytest.raises(NoConvergence):
             scalar_fiber_root(z, lam, params, identity, grid15)
 
+    def test_root_far_below_the_cold_start_near_p_2(self, grid15, half_profile):
+        # A = 0.5 and p = 2.05: the root is 0.5^20 ~ 9.5e-7 times the cold
+        # start, the A = 1 root, and the maximizing Newton walks down to it
+        params = ProblemParams(0.0, 0.0, 0.0, 2.05, 0.01)
+        X, Y = grid15.node_mesh()
+        z = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        (a,), _q, (b,) = CellSample(z[None], grid15).integrals(2.05)
+        tau = scalar_fiber_root(z, 0.0, params, half_profile, grid15)
+        assert tau == pytest.approx((0.5 * a / b) ** 20.0, rel=1e-9)
+        assert tau < 1e-6 * (a / b) ** 20.0
+
     def test_extreme_warm_guess_gives_the_cold_root(self, grid15, example1):
         # a guess at which the fiber map over- or underflows, or one that
         # is not finite, hands over to the cold start
@@ -409,20 +427,36 @@ class TestProjection:
         # beta > 0 and no interior critical point near the fiber: t_1 heads
         # for 0, where A' and A'' of tiny samples can overflow.  The Newton
         # used to run all 100 steps (102 evaluations, ending at t_1 =
-        # 1.2e-53); it now stops once t_1 falls below _COLLAPSE times its
-        # cold-start root.  Warnings are errors in this suite.
+        # 1.2e-53); it now stops once t_1 falls below its collapse floor.
+        # Warnings are errors in this suite.
         params = ProblemParams(0.6 * conservative_mu1(grid15), 0.0, 2.0, 4.0, 1.0)
         x = positive_state(grid15, 1)
-        cold = FiberEvaluator(Energy.pair(params, identity, example1),
-                              CellSample(x, grid15)).cold_start()
+        floor = FiberEvaluator(Energy.pair(params, identity, example1),
+                               CellSample(x, grid15)).cold_start(floor=True)
         derivatives = counted(FiberEvaluator.derivatives)
         monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
         res = project_to_nehari(x, params, identity, example1, grid15)
         assert res.status == "not_projectable"
         assert res.reason.startswith("fiber Newton stalled at t = (")
         t1 = float(res.reason.split("(")[1].split(",")[0])
-        assert 0.0 < t1 < _COLLAPSE * cold[0]
+        assert 0.0 < t1 < floor[0]
         assert derivatives.calls <= 10
+
+    @pytest.mark.parametrize("beta", (2.0, 10.0))
+    def test_coupled_root_far_below_the_cold_start_near_p_2(self, grid15,
+                                                            half_profile, beta):
+        # A = 0.5, p = 2.05 and u1 = u2: the saddle is at t_1 = t_2 =
+        # (0.5 ia0 / ((1 + beta) pp))^20, 0.5^20 / (1 + beta)^20 times the
+        # cold start, and the beta > 0 Newton reaches it
+        params = ProblemParams(0.0, 0.0, beta, 2.05, 0.01)
+        X, Y = grid15.node_mesh()
+        z = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        (a,), _q, (b,) = CellSample(z[None], grid15).integrals(2.05)
+        res = project_to_nehari(np.stack([z, z]), params, half_profile,
+                                half_profile, grid15)
+        assert res.projectable
+        t = (0.5 * a / ((1.0 + beta) * b)) ** 20.0
+        assert (res.t.t1, res.t.t2) == pytest.approx((t, t), rel=1e-9)
 
     def test_idempotent(self, grid15, example1, competitive_params):
         x = bump_state(grid15)

@@ -47,7 +47,7 @@ def test_readme_fiber_settings_are_the_code_constants():
     steps = re.search(r"fiber Newton takes at most (\d+) steps", bullet).group(1)
     n = re.search(r"on (\d+) log-spaced `t` per axis", bullet).group(1)
     warm = re.search(r"a warm run at most (\d+) steps", bullet).group(1)
-    collapse = re.search(r"takes a `t_k` below (\S+) times its", bullet).group(1)
+    collapse = re.search(r"the quadratic term scaled by (\S+) ", bullet).group(1)
     assert float(tol) == fiber._FIBER_TOL
     assert int(steps) == fiber._FIBER_MAX_ITER
     assert int(n) == fiber._UNIQUENESS_N
