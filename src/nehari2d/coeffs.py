@@ -241,8 +241,7 @@ def certify(
         raise InvalidRange(f"need at least 100 samples, got {n_samples}")
 
     s = np.linspace(s_min, s_max, n_samples)
-    A = np.asarray(family.a(s), dtype=float)
-    dA = np.asarray(family.da(s), dtype=float)
+    A, dA = (np.asarray(f, dtype=float) for f in family.jet(s, 1))
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(dA))):
         bad = ~(np.isfinite(A) & np.isfinite(dA))
         raise NonFiniteSample(f"profile non-finite at s = {_fail_witness(s, bad)}")

@@ -79,8 +79,8 @@ class Grid:
         P[..., 1:-1, 1:-1] = values
         return P
 
-    # built on first use through the spectrum module's functions, looked
-    # up at call time (spectrum imports this module)
+    # the DST solvers, built on first use by `spectrum.make_poisson_solver`,
+    # looked up at call time (spectrum imports this module)
     @cached_property
     def poisson_solver(self):
         """Exact 5-point -Laplace solve, `spectrum.make_poisson_solver`."""
@@ -103,13 +103,6 @@ class Grid:
         that picks its entries, in CSR order, out of the per-node stencil
         layout the cell blocks are summed into."""
         return {k: _form_pattern(*self.shape, k) for k in (1, 2)}
-
-    @cached_property
-    def eigenpair(self):
-        """Principal stencil eigenpair, `spectrum.principal_eigenpair`."""
-        from . import spectrum
-
-        return spectrum.principal_eigenpair(self)
 
 
 def build_grid(spec: GridSpec) -> Grid:

@@ -62,7 +62,14 @@ from .errors import (
 )
 from .fiber import h1_normalize, project_to_nehari, scalar_fiber_root
 from .grid import Grid, ScalarField, StatePair, cell_gradients
-from .spectrum import ADMISSIBLE, ADMISSIBLE_WEAK, INADMISSIBLE, admissibility
+from .spectrum import (
+    ADMISSIBLE,
+    ADMISSIBLE_WEAK,
+    INADMISSIBLE,
+    admissibility,
+    quadrature_eigenvalue_exact,
+    stencil_eigenvalue_exact,
+)
 
 REGIME_COOPERATIVE = "cooperative"
 REGIME_COMPETITIVE = "competitive"
@@ -112,7 +119,8 @@ class SolveReport:
 
 
 def conservative_mu1(grid: Grid) -> float:
-    return grid.eigenpair.mu_conservative
+    """The smaller of the stencil and quadrature first eigenvalues."""
+    return min(stencil_eigenvalue_exact(grid), quadrature_eigenvalue_exact(grid))
 
 
 def _vol_norm(values: np.ndarray, grid: Grid) -> float:

@@ -1,17 +1,16 @@
 """Principal Dirichlet eigenpair of the 5-point Laplacian and admissibility.
 
-Inverse power iteration, each step an exact sine-transform solve, computes
-the smallest stencil eigenvalue mu1 and its positive eigenvector.
-On a rectangle the exact discrete value is
+On a rectangle the 5-point eigenpair is known in closed form: the
+smallest eigenvalue is
 
     mu1 = (4/hx^2) sin^2(pi hx / (2 lx)) + (4/hy^2) sin^2(pi hy / (2 ly)),
 
-which the tests use as an oracle.  A second eigenvalue notion coexists:
-the quadrature Rayleigh quotient of the eigenvector, which for this
-scheme equals the analogous tangent formula and so lies above both the
-stencil value and the continuum limit.  Admissibility decisions use the
-smaller of the two notions, so every threshold comparison errs on the
-conservative side.
+with the sampled sin(pi x / lx) sin(pi y / ly) as eigenvector.  A second
+eigenvalue notion coexists: the quadrature Rayleigh quotient of the
+eigenvector, which for this scheme equals the analogous tangent formula
+and so lies above both the stencil value and the continuum limit.
+Admissibility decisions use the smaller of the two notions, so every
+threshold comparison errs on the conservative side.
 
 The quadrature stiffness (the energy's gradient term) is diagonal in the
 same sine basis, with symbol
@@ -30,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dstn
 
-from .energy import CellSample
-from .errors import InvalidParams, NoConvergence
+from .errors import InvalidParams
 from .grid import Grid, ScalarField
 
 ADMISSIBLE = "admissible"
@@ -40,25 +38,25 @@ INADMISSIBLE = "inadmissible"
 
 
 def apply_neg_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """5-point stencil action of -Laplace with zero Dirichlet boundary."""
+    """5-point stencil action of -Laplace with zero Dirichlet boundary, on
+    nodal arrays with any leading axes."""
     P = grid.padded(values)
     ihx2 = 1.0 / grid.hx**2
     ihy2 = 1.0 / grid.hy**2
     return (
-        2.0 * (ihx2 + ihy2) * P[1:-1, 1:-1]
-        - ihx2 * (P[:-2, 1:-1] + P[2:, 1:-1])
-        - ihy2 * (P[1:-1, :-2] + P[1:-1, 2:])
+        2.0 * (ihx2 + ihy2) * P[..., 1:-1, 1:-1]
+        - ihx2 * (P[..., :-2, 1:-1] + P[..., 2:, 1:-1])
+        - ihy2 * (P[..., 1:-1, :-2] + P[..., 1:-1, 2:])
     )
 
 
 def make_poisson_solver(grid: Grid, quadrature: bool = False):
     """Direct solver for a -Laplace system via sine transforms.
 
-    By default the system is the 5-point stencil, used by inverse
-    iteration and as the Riesz lift in the descent solvers.  With
-    `quadrature` it is the stiffness of the energy's gradient term (the
-    cell-centre quadrature of the bilinear interpolant), used to
-    precondition the Newton polish.  Both diagonalize in the discrete
+    By default the system is the 5-point stencil, used as the Riesz lift
+    in the descent solvers.  With `quadrature` it is the stiffness of the
+    energy's gradient term (the cell-centre quadrature of the bilinear
+    interpolant), used to precondition the Newton polish.  Both diagonalize in the discrete
     sine basis, so the solve is exact up to roundoff.  Leading axes of
     the right-hand side are a batch: a (k, nx, ny) stack is solved
     component by component.
@@ -103,54 +101,27 @@ class EigenPair:
 
     mu: float
     phi: ScalarField
-    iterations: int
-    residual: float
+    residual: float  # volume-weighted L2 norm of -Lap_h phi - mu phi
     mu_quad: float  # quadrature Rayleigh quotient of phi
-
-    @property
-    def mu_conservative(self) -> float:
-        return min(self.mu, self.mu_quad)
-
-
-# inverse iteration stops when mu and the residual are both within this
-# tolerance, relative to 1 + mu, or fails after this many steps
-_EIGEN_TOL = 1e-10
-_EIGEN_MAX_ITER = 200
 
 
 def principal_eigenpair(grid: Grid) -> EigenPair:
-    """Inverse power iteration for the smallest stencil eigenpair.
+    """The smallest stencil eigenpair in closed form.
 
-    Each step inverts the stencil with the grid's sine-transform solver.
+    phi is the sampled sin(pi x / lx) sin(pi y / ly), positive with unit
+    volume-weighted L2 norm; mu and mu_quad are the sine and tangent
+    formulas.  `residual` applies the stencil to phi, the check that
+    stays independent of the formulas.
     """
-    vol = grid.cell_area
-
-    v = np.ones(grid.shape)
-    v /= math.sqrt(float(np.sum(v * v)) * vol)
-    mu_prev = math.inf
-    mu = residual = math.nan
-    iterations = 0
-    for it in range(1, _EIGEN_MAX_ITER + 1):
-        iterations = it
-        w = grid.poisson_solver(v)
-        w /= math.sqrt(float(np.sum(w * w)) * vol)
-        Aw = apply_neg_laplacian(w, grid)
-        mu = float(np.sum(w * Aw)) / float(np.sum(w * w))
-        residual = math.sqrt(float(np.sum((Aw - mu * w) ** 2)) * vol)
-        v = w
-        bound = _EIGEN_TOL * (1.0 + abs(mu))
-        if abs(mu - mu_prev) <= bound and residual <= bound:
-            break
-        mu_prev = mu
-    else:
-        raise NoConvergence("power iteration did not converge", iterations=it)
-
-    if float(np.sum(v)) < 0.0:
-        v = -v
-    gr, q, _pp = CellSample(v[None], grid).integrals(2.0)
+    s = grid.spec
+    v = np.outer(np.sin(np.pi * grid.xs / s.lx), np.sin(np.pi * grid.ys / s.ly))
+    v /= math.sqrt(float(np.sum(v * v)) * grid.cell_area)
+    mu = stencil_eigenvalue_exact(grid)
+    r = apply_neg_laplacian(v, grid) - mu * v
     return EigenPair(
-        mu=mu, phi=ScalarField(v, grid.spec), iterations=iterations,
-        residual=residual, mu_quad=float(gr[0] / q[0]),
+        mu=mu, phi=ScalarField(v, s),
+        residual=math.sqrt(float(np.sum(r * r)) * grid.cell_area),
+        mu_quad=quadrature_eigenvalue_exact(grid),
     )
 
 

@@ -69,6 +69,7 @@ def test_criterion_1_eigenvalue_oracle():
         h = 1.0 / (n + 1)
         exact = (8.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
         assert abs(pair.mu - exact) / exact <= 1e-10
+        assert pair.residual <= 1e-10 * (1.0 + pair.mu)
         if n == 63:
             assert abs(pair.mu - 2.0 * math.pi**2) / (2.0 * math.pi**2) <= 1e-3
     _report(1, "eigenvalue oracle", t0, 5.0)

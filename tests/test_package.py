@@ -55,6 +55,14 @@ def test_readme_fiber_settings_are_the_code_constants():
     assert float(collapse) == fiber._COLLAPSE
 
 
+def test_readme_csv_schemas_are_the_code_headers():
+    from nehari2d import cli
+
+    text = " ".join(README.read_text().split())
+    assert f"`eigen.csv` (schema `{cli.EIGEN_HEADER}`" in text
+    assert f"`system.csv` (schema `{cli.SWEEP_HEADER}`" in text
+
+
 def test_readme_handoff_residual_is_the_code_constant():
     from nehari2d import solvers
 

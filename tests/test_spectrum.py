@@ -7,6 +7,7 @@ import nehari2d.grid as G
 from nehari2d import GridSpec, build_grid, principal_eigenpair
 from nehari2d.energy import CellSample
 from nehari2d.errors import InvalidParams
+from nehari2d.solvers import conservative_mu1
 from nehari2d.spectrum import (
     ADMISSIBLE,
     ADMISSIBLE_WEAK,
@@ -14,8 +15,6 @@ from nehari2d.spectrum import (
     admissibility,
     apply_neg_laplacian,
     make_poisson_solver,
-    quadrature_eigenvalue_exact,
-    stencil_eigenvalue_exact,
 )
 
 
@@ -48,13 +47,33 @@ class TestPoissonSolver:
         assert np.max(np.abs(K @ x5.ravel() - b.ravel())) >= 0.5
 
 
+class TestNegLaplacian:
+    def test_stack_is_applied_per_component(self):
+        grid = build_grid(GridSpec(7, 9, 1.0, 1.3))
+        stack = np.random.default_rng(1).standard_normal((2, *grid.shape))
+        out = apply_neg_laplacian(stack, grid)
+        assert out.shape == stack.shape
+        for i in range(2):
+            assert np.array_equal(out[i], apply_neg_laplacian(stack[i], grid))
+
+
 class TestPrincipalEigenpair:
-    @pytest.mark.parametrize("n", [15, 31])
-    def test_matches_closed_form(self, n):
-        grid = build_grid(GridSpec(n, n, 1.0, 1.0))
+    @pytest.mark.parametrize(
+        "nx,ny,lx,ly",
+        [(7, 7, 1.0, 1.0), (9, 5, 2.0, 0.5), (15, 23, 1.0, 1.7)],
+        ids=["7x7", "9x5", "15x23"],
+    )
+    def test_matches_dense_eigensolver(self, nx, ny, lx, ly):
+        # the 5-point matrix, assembled column by column from the stencil
+        grid = build_grid(GridSpec(nx, ny, lx, ly))
+        n = nx * ny
+        cols = apply_neg_laplacian(np.eye(n).reshape(n, nx, ny), grid)
+        evals, evecs = np.linalg.eigh(cols.reshape(n, n).T)
+        phi = evecs[:, 0].reshape(nx, ny)
+        phi *= np.sign(phi.sum()) / math.sqrt(np.sum(phi * phi) * grid.cell_area)
         pair = principal_eigenpair(grid)
-        exact = stencil_eigenvalue_exact(grid)
-        assert abs(pair.mu - exact) / exact <= 1e-10
+        assert abs(pair.mu - evals[0]) <= 1e-13 * evals[0]
+        assert np.max(np.abs(pair.phi.values - phi)) <= 1e-12
 
     def test_rectangle_refinement(self):
         # lx = 2, ly = 1: continuum value 5 pi^2 / 4
@@ -81,10 +100,12 @@ class TestPrincipalEigenpair:
         assert pair.residual <= 1e-10 * (1.0 + pair.mu)
 
     def test_quadrature_rayleigh_matches_tangent_formula(self):
-        for n in (15, 31, 63):
-            grid = build_grid(GridSpec(n, n, 1.0, 1.0))
+        for spec in (GridSpec(15, 15), GridSpec(31, 31), GridSpec(63, 63),
+                     GridSpec(9, 5, 2.0, 0.5)):
+            grid = build_grid(spec)
             pair = principal_eigenpair(grid)
-            assert abs(pair.mu_quad - quadrature_eigenvalue_exact(grid)) <= 1e-8
+            (num,), (den,), _pp = CellSample(pair.phi.values[None], grid).integrals(2.0)
+            assert abs(num / den - pair.mu_quad) <= 1e-13 * pair.mu_quad
 
     def test_two_notions_bracket_continuum(self):
         # stencil below, quadrature above, both converging at O(h^2)
@@ -99,8 +120,7 @@ class TestPrincipalEigenpair:
         assert math.log2(gaps[1] / gaps[2]) >= 1.9
 
     def test_poincare_with_conservative_eigenvalue(self, grid31):
-        pair = principal_eigenpair(grid31)
-        mu = pair.mu_conservative
+        mu = conservative_mu1(grid31)
         rng = np.random.default_rng(3)
         for _ in range(100):
             f = rng.standard_normal(grid31.shape)
