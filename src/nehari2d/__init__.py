@@ -21,8 +21,6 @@ from .coeffs import (
 from .energy import (
     NehariResidual,
     ProblemParams,
-    coupling_G,
-    coupling_grad_g,
     euler_gradient,
     total_energy,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "beta_sweep",
     "build_grid",
     "certify",
-    "coupling_G",
-    "coupling_grad_g",
     "dump_field",
     "euler_gradient",
     "example_family",

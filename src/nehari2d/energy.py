@@ -6,7 +6,10 @@ For a pair u = (u1, u2) with diffusion profiles A1, A2 the energy is
                    - 1/p int |u_i|^p ]  -  2 beta/p int |u1|^(p/2) |u2|^(p/2)
 
 with every integral evaluated by the one cell-center quadrature of the
-grid module (A_i applied to the interpolated cell value of u_i).  Because
+grid module (A_i applied to the interpolated cell value of u_i).  The
+nonlinearity is the one potential density G_beta of the last two terms,
+with g_i = dG_beta/du_i; `Energy.potential` computes it and its first and
+second derivatives from one power per component.  Because
 the quadrature is a smooth function of the nodal values, E has an exact
 gradient, assembled here by the chain rule; the infinite-dimensional
 subtlety that the A'-term only pairs with bounded test functions has no
@@ -75,62 +78,6 @@ class NehariResidual:
     @property
     def max_abs(self) -> float:
         return max(abs(self.r1), abs(self.r2))
-
-
-def sgn_pow(t, q):
-    """sign(t) * |t|^q for q > 0, vectorized, exactly 0 at t = 0."""
-    t = np.asarray(t, dtype=float)
-    return np.sign(t) * np.abs(t) ** q
-
-
-def coupling_G(t1, t2, params: ProblemParams):
-    """Coupling potential (|t1|^p + 2 beta |t1 t2|^(p/2) + |t2|^p) / p."""
-    p, beta = params.p, params.beta
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    return (
-        np.abs(t1) ** p
-        + 2.0 * beta * np.abs(t1) ** (p / 2.0) * np.abs(t2) ** (p / 2.0)
-        + np.abs(t2) ** p
-    ) / p
-
-
-def coupling_grad_g(t1, t2, params: ProblemParams):
-    """Gradient of the coupling potential, componentwise.
-
-    g_i = |t_i|^(p-2) t_i + beta |t_i|^(p/2-2) t_i |t_j|^(p/2), written in
-    sign form so both exponents are positive and t = 0 is exact.
-    """
-    p, beta = params.p, params.beta
-    a1 = np.abs(np.asarray(t1, dtype=float))
-    a2 = np.abs(np.asarray(t2, dtype=float))
-    g1 = sgn_pow(t1, p - 1.0) + beta * sgn_pow(t1, p / 2.0 - 1.0) * a2 ** (p / 2.0)
-    g2 = sgn_pow(t2, p - 1.0) + beta * sgn_pow(t2, p / 2.0 - 1.0) * a1 ** (p / 2.0)
-    return g1, g2
-
-
-def _abs_pow(a, q):
-    """a^q for a = |t| >= 0; 0 at a = 0 when q < 0 (no derivative there)."""
-    if q >= 0.0:
-        return a**q
-    return np.power(a, q, out=np.zeros_like(a), where=a != 0.0)
-
-
-def coupling_hess_g(t1, t2, params: ProblemParams):
-    """Second derivatives (dg1/dt1, dg1/dt2 = dg2/dt1, dg2/dt2) of the
-    coupling potential, with the 0-at-0 convention of the module."""
-    p, beta = params.p, params.beta
-    half = p / 2.0
-    a1 = np.abs(np.asarray(t1, dtype=float))
-    a2 = np.abs(np.asarray(t2, dtype=float))
-    h11 = (p - 1.0) * a1 ** (p - 2.0) + beta * (half - 1.0) * _abs_pow(
-        a1, half - 2.0
-    ) * a2**half
-    h22 = (p - 1.0) * a2 ** (p - 2.0) + beta * (half - 1.0) * _abs_pow(
-        a2, half - 2.0
-    ) * a1**half
-    h12 = beta * half * sgn_pow(t1, half - 1.0) * sgn_pow(t2, half - 1.0)
-    return h11, h12, h22
 
 
 class CellSample:
@@ -202,45 +149,62 @@ class Energy:
     def _lam(self) -> np.ndarray:
         return np.reshape(self.lams, (-1, 1, 1))
 
-    def _dG(self, v: np.ndarray) -> np.ndarray:
-        """Gradient of the potential, one row per component."""
-        if len(v) == 2:
-            return np.stack(coupling_grad_g(v[0], v[1], self.params))
-        return self.c * sgn_pow(v, self.params.p - 1.0)
+    def potential(self, v: np.ndarray, order: int = 0) -> list:
+        """[G] at the (k, ...) cell values v, then for order >= 1 the
+        gradient rows g_i = dG/dv_i and for order 2 the Hessian diagonal
+        rows dg_i/dv_i and the cross term dg_1/dv_2 (None for k = 1), of
+        G = sum_i c|v_i|^p/p, plus 2 beta/p |v1 v2|^(p/2) for a pair.
+
+        One power w = |v|^(p/2-2) per component (1 at p = 4, else 0 at
+        v = 0) gives m = |v|^(p/2) = w v^2 and s = w v.  With f_i = c m_i +
+        beta m_j, G = sum_i m_i f_i / p and g_i = s_i f_i: every row reads
+        alike in i and j, so a swap of the components swaps each output exactly.
+        """
+        p, c, beta = self.params.p, self.c, self.params.beta
+        half = p / 2.0
+        a = np.abs(v)
+        w = np.power(a, half - 2.0, out=np.full_like(a, float(half == 2.0)),
+                     where=a != 0.0)
+        m = w * a * a
+        bm = beta * m[::-1] if len(v) == 2 else 0.0
+        f = c * m + bm
+        out = [(m * f).sum(axis=0) / p]
+        if order >= 1:
+            s = w * v
+            out.append(s * f)
+        if order >= 2:
+            out.append(w * ((p - 1.0) * c * m + (half - 1.0) * bm))
+            out.append(beta * half * (s[0] * s[1]) if len(v) == 2 else None)
+        return out
 
     def value(self, s: CellSample) -> float:
-        if len(s.v) == 2:
-            G = coupling_G(s.v[0], s.v[1], self.params)
-        else:
-            G = (self.c / self.params.p) * np.abs(s.v[0]) ** self.params.p
+        (G,) = self.potential(s.v)
         (a,) = self._profile(s, 0)
         dens = 0.5 * np.sum(a * s.gsq - self._lam() * s.v**2, axis=0)
         return float(np.sum(dens - G)) * s.grid.cell_area
 
     def gradient(self, s: CellSample) -> np.ndarray:
+        _G, g = self.potential(s.v, 1)
         a, da = self._profile(s, 1)
-        w_val = 0.5 * da * s.gsq - self._lam() * s.v - self._dG(s.v)
+        w_val = 0.5 * da * s.gsq - self._lam() * s.v - g
         return scatter_cells(s.grid, w_val, a * s.gx, a * s.gy)
 
     def residuals(self, s: CellSample) -> np.ndarray:
         """The constraint values r_i = <E'(x), x_i>, the fiber derivatives
         t_i dh/dt_i at t = 1; their sum is <E'(x), x>."""
+        _G, g = self.potential(s.v, 1)
         a, da = self._profile(s, 1)
-        dens = (a + 0.5 * da * s.v) * s.gsq - self._lam() * s.v**2 - s.v * self._dG(s.v)
+        dens = (a + 0.5 * da * s.v) * s.gsq - self._lam() * s.v**2 - s.v * g
         return np.sum(dens, axis=(-2, -1)) * s.grid.cell_area
 
     def hessian(self, s: CellSample):
         """Exact Hessian at the sampled state: the derivative of `gradient`,
         as a CSR matrix of order k*nx*ny on raveled (k, nx, ny) stacks."""
-        if len(s.v) == 2:
-            h11, h12, h22 = coupling_hess_g(s.v[0], s.v[1], self.params)
-            diag, cross = np.stack((h11, h22)), -h12
-        else:
-            p = self.params.p
-            diag, cross = self.c * (p - 1.0) * np.abs(s.v) ** (p - 2.0), None
+        _G, _g, diag, cross = self.potential(s.v, 2)
         a, da, d2a = self._profile(s, 2)
         m = 0.5 * d2a * s.gsq - self._lam() - diag
-        return cell_form_matrix(s.grid, m, da * s.gx, da * s.gy, a, cross)
+        return cell_form_matrix(s.grid, m, da * s.gx, da * s.gy, a,
+                                None if cross is None else -cross)
 
 
 def total_energy(

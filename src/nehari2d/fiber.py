@@ -28,9 +28,12 @@ sign of beta.  It runs from a warm guess and else from the closed-form
 root of each axis with a constant profile and no coupling, and tests
 stationarity relative to t_k int |grad u_k|^2.
 
-Every t-dependent integral separates: the profile terms depend on t_i
-only through A_i(t_i u_i), so value/gradient grids over a box of n t per
-axis cost O(n * n_cells) per component instead of O(n^2 * n_cells).
+One evaluation, `FiberEvaluator.derivatives`, gives h and its first one
+or two derivatives, for the Newton's one point t and for a grid of t
+alike.  Every t-dependent integral separates: the profile terms depend
+on t_i only through A_i(t_i u_i), and the cross term is a monomial in t
+times one integral, so grids over a box of n t per axis cost
+O(n * n_cells) per component instead of O(n^2 * n_cells).
 
 A state is a bare nodal array: `project_to_nehari` and
 `critical_cell_count` take a (2, nx, ny) pair stack, `scalar_fiber_root`
@@ -178,45 +181,37 @@ class FiberEvaluator:
                         else float(not floor))
         return np.array(taus)
 
-    def value(self, t1, t2):
-        """h(t1, t2); t1 and t2 may be arrays that broadcast together."""
-        p, b = self.params.p, self.params.beta
-        cross = (2.0 * b / p) * t1 ** (p / 2.0) * t2 ** (p / 2.0) * self.cross
-        return self._axis(0, t1, 0)[0] + self._axis(1, t2, 0)[0] - cross
-
-    def grad(self, t1, t2):
-        """(dh/dt1, dh/dt2) at (t1, t2), broadcast like `value`."""
-        p, b = self.params.p, self.params.beta
-        half = p / 2.0
-        g1 = self._axis(0, t1, 1)[1] - b * t1 ** (half - 1.0) * t2**half * self.cross
-        g2 = self._axis(1, t2, 1)[1] - b * t2 ** (half - 1.0) * t1**half * self.cross
-        return g1, g2
-
-    def derivatives(self, t: np.ndarray):
-        """(h, g, J) at the k-vector t: h, the fiber gradient and its exact
-        k x k Jacobian, from one `_axis` call per component.
-
-        For a pair the cross-term derivatives are analytic monomials; the
-        axis terms come from A, A' and A'' at one scaled sample per
-        component.
+    def derivatives(self, t, order: int = 2) -> tuple:
+        """(h,), (h, g) or (h, g, J) at t = (t_1, ..., t_k): h, the fiber
+        gradient g and its exact k x k Jacobian J, from one `_axis` call
+        per component and, for a pair, the cross-term monomials.  The t_k
+        are floats (the Newton's point: a k-vector g, a k x k J) or arrays
+        that broadcast together (a grid of t: h, g, J end in its shape).
         """
+        t = tuple(t)
         k = len(t)
-        h, g, J = 0.0, np.empty(k), np.zeros((k, k))
-        for i in range(k):
-            h_i, g[i], J[i, i] = self._axis(i, t[i], 2)
-            h += h_i
+        axes = [self._axis(i, t_i, order) for i, t_i in enumerate(t)]
+        h = sum([ax[0] for ax in axes])
+        shape = (k, *h.shape)
+        g, J = np.zeros(shape), np.zeros((k, *shape))
+        for i, ax in enumerate(axes):
+            if order >= 1:
+                g[i] = ax[1]
+            if order >= 2:
+                J[i, i] = ax[2]
         if k == 2:
             p, b = self.params.p, self.params.beta
             half = p / 2.0
-            t1, t2 = t
             c = b * self.cross
-            g[0] -= c * t1 ** (half - 1.0) * t2**half
-            g[1] -= c * t2 ** (half - 1.0) * t1**half
-            J[0, 0] -= c * (half - 1.0) * t1 ** (half - 2.0) * t2**half
-            J[1, 1] -= c * (half - 1.0) * t2 ** (half - 2.0) * t1**half
-            J[0, 1] = J[1, 0] = -c * half * t1 ** (half - 1.0) * t2 ** (half - 1.0)
-            h -= (2.0 * b / p) * t1**half * t2**half * self.cross
-        return float(h), g, J
+            m = [t_i**half for t_i in t]
+            s = [t_i ** (half - 1.0) for t_i in t]
+            h = h - (2.0 * b / p) * m[0] * m[1] * self.cross
+            for i, j in ((0, 1), (1, 0)):
+                g[i] -= c * s[i] * m[j]
+                if order >= 2:
+                    J[i, i] -= c * (half - 1.0) * t[i] ** (half - 2.0) * m[j]
+                    J[i, j] = -c * half * s[0] * s[1]
+        return (h, g, J)[: order + 1]
 
 
 def _sample(x: np.ndarray, grid: Grid, lead: tuple[int, ...]) -> CellSample:
@@ -386,7 +381,7 @@ def project_to_nehari(
         status=STATUS_INTERIOR_MAX,
         t=FiberPoint(t1, t2),
         residual=NehariResidual(t1 * g[0], t2 * g[1]),
-        energy=h,
+        energy=float(h),
         sample=ev.sample.scaled((t1, t2)),
     )
 
@@ -420,7 +415,7 @@ def critical_cell_count(
     """
     ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
     taus = np.logspace(-3.0, 3.0, _UNIQUENESS_N)
-    g1, g2 = ev.grad(taus[:, None], taus[None, :])
+    _h, (g1, g2) = ev.derivatives((taus[:, None], taus[None, :]), order=1)
     s1 = g1 > 0.0
     s2 = g2 > 0.0
 

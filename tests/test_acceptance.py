@@ -115,7 +115,7 @@ def test_criterion_2_gradient_consistency():
         t = rng.uniform(0.3, 2.5, size=2)
         energy = Energy.pair(params, fam, fam)
         x = u.stacked()
-        g1, g2 = FiberEvaluator(energy, CellSample(x, grid)).grad(*t)
+        g1, g2 = FiberEvaluator(energy, CellSample(x, grid)).derivatives(t, 1)[1]
         dt = 1e-6
         for k, gk in enumerate((g1, g2)):
             tp, tm = t.copy(), t.copy()

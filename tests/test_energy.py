@@ -10,14 +10,12 @@ from nehari2d import (
     ProblemParams,
     ScalarField,
     StatePair,
-    coupling_G,
-    coupling_grad_g,
     euler_gradient,
     example_family,
     identity_family,
     total_energy,
 )
-from nehari2d.energy import CellSample, Energy, coupling_hess_g, sgn_pow
+from nehari2d.energy import CellSample, Energy
 from nehari2d.errors import InvalidParams
 from oracles import stencil_semilinear_gradient
 
@@ -57,29 +55,35 @@ class TestProblemParams:
         assert (p.lambda1, p.lambda2) == (2.0, 1.0)
 
 
+def pair_potential(params, v1, v2, order=0):
+    """Energy.potential of a pair at the cell values (v1, v2)."""
+    energy = Energy.pair(params, identity_family(), identity_family())
+    return energy.potential(np.array([v1, v2], dtype=float), order)
+
+
 class TestCouplingPotential:
     def test_zero(self, params_p4):
-        assert coupling_G(0.0, 0.0, params_p4) == 0.0
+        assert pair_potential(params_p4, 0.0, 0.0)[0] == 0.0
 
     def test_unit_values(self):
         p0 = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
-        assert coupling_G(1.0, 1.0, p0) == pytest.approx(0.5)
+        assert pair_potential(p0, 1.0, 1.0)[0] == pytest.approx(0.5)
         pm1 = ProblemParams(0.0, 0.0, -1.0, 4.0, 1.0)
-        assert coupling_G(1.0, 1.0, pm1) == pytest.approx(0.0, abs=1e-15)
+        assert pair_potential(pm1, 1.0, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_even_and_symmetric(self):
         p = ProblemParams(0.0, 0.0, 2.0, 3.5, 1.0)
         rng = np.random.default_rng(2)
         for _ in range(20):
             t1, t2 = rng.standard_normal(2) * 3.0
-            v = coupling_G(t1, t2, p)
-            assert coupling_G(-t1, t2, p) == pytest.approx(v, rel=1e-14)
-            assert coupling_G(t2, t1, p) == pytest.approx(v, rel=1e-14)
+            (v,) = pair_potential(p, t1, t2)
+            assert pair_potential(p, -t1, t2)[0] == pytest.approx(v, rel=1e-14)
+            assert pair_potential(p, t2, t1)[0] == v
 
     def test_gradient_trivial_cases(self):
         p2 = ProblemParams(0.0, 0.0, 2.0, 4.0, 1.0)
-        assert coupling_grad_g(1.0, 0.0, p2) == (1.0, 0.0)
-        g = coupling_grad_g(1.0, 1.0, p2)
+        assert pair_potential(p2, 1.0, 0.0, 1)[1].tolist() == [1.0, 0.0]
+        g = pair_potential(p2, 1.0, 1.0, 1)[1]
         assert g[0] == pytest.approx(3.0) and g[1] == pytest.approx(3.0)
 
     @pytest.mark.parametrize("p_exp", [2.5, 3.0, 4.0, 5.5])
@@ -89,16 +93,37 @@ class TestCouplingPotential:
         h = 1e-7
         for _ in range(25):
             t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-            g1, g2 = coupling_grad_g(t1, t2, params)
-            fd1 = (coupling_G(t1 + h, t2, params) - coupling_G(t1 - h, t2, params)) / (2 * h)
-            fd2 = (coupling_G(t1, t2 + h, params) - coupling_G(t1, t2 - h, params)) / (2 * h)
+            g1, g2 = pair_potential(params, t1, t2, 1)[1]
+            fd1 = (pair_potential(params, t1 + h, t2)[0]
+                   - pair_potential(params, t1 - h, t2)[0]) / (2 * h)
+            fd2 = (pair_potential(params, t1, t2 + h)[0]
+                   - pair_potential(params, t1, t2 - h)[0]) / (2 * h)
             assert abs(g1 - fd1) / (1.0 + abs(fd1)) < 1e-8
             assert abs(g2 - fd2) / (1.0 + abs(fd2)) < 1e-8
 
-    def test_sgn_pow_zero_safe(self):
-        assert sgn_pow(0.0, 0.5) == 0.0
-        out = sgn_pow(np.array([-2.0, 0.0, 2.0]), 1.0)
-        assert np.array_equal(out, [-2.0, 0.0, 2.0])
+    @pytest.mark.parametrize("p_exp", [2.5, 3.0, 4.0, 5.5])
+    def test_second_derivatives_match_finite_differences(self, p_exp):
+        params = ProblemParams(0.0, 0.0, -1.7, p_exp, min(1.0, (p_exp - 2) / 2))
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for _ in range(25):
+            t1, t2 = rng.uniform(-2.0, 2.0, size=2)
+            _G, _g, (h11, h22), h12 = pair_potential(params, t1, t2, 2)
+            d1 = (pair_potential(params, t1 + h, t2, 1)[1]
+                  - pair_potential(params, t1 - h, t2, 1)[1]) / (2 * h)
+            d2 = (pair_potential(params, t1, t2 + h, 1)[1]
+                  - pair_potential(params, t1, t2 - h, 1)[1]) / (2 * h)
+            for exact, fd in ((h11, d1[0]), (h22, d2[1]), (h12, d1[1]), (h12, d2[0])):
+                assert abs(exact - fd) / (1.0 + abs(fd)) < 1e-6
+
+    def test_gradient_zero_at_zero(self):
+        for p_exp in (2.5, 3.0, 4.0, 5.5):
+            params = ProblemParams(0.0, 0.0, 1.3, p_exp, min(1.0, (p_exp - 2) / 2))
+            assert pair_potential(params, 0.0, 0.0, 1)[1].tolist() == [0.0, 0.0]
+            assert pair_potential(params, 0.0, -2.0, 1)[1][0] == 0.0
+            energy = Energy.scalar(params, 0.0, identity_family())
+            g = energy.potential(np.array([[-2.0, 0.0, 2.0]]), 1)[1]
+            assert g[0, 1] == 0.0 and g[0, 0] == -g[0, 2] < 0.0
 
 
 class TestTotalEnergy:
@@ -123,6 +148,37 @@ class TestTotalEnergy:
         e_sw = total_energy(StatePair(u.u2, u.u1), params.swapped(), example1,
                             identity, grid15)
         assert e_sw == pytest.approx(e, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.5])
+    @pytest.mark.parametrize("beta", [-1.3, 0.7])
+    def test_swap_symmetry_is_exact(self, grid7, p, beta):
+        # the swapped problem at the swapped stack gives the same value and
+        # the row-swapped gradient, residuals and potential, bit for bit,
+        # also where cell values are exactly 0.  Large smooth states make
+        # the potential dominate the value, so a last-bit asymmetry in it
+        # shows in the sum.
+        params = ProblemParams(0.4, -0.1, beta, p, (p - 2.0) / 2.0)
+        fams = (identity_family(), example_family(0.5))
+        energy = Energy.pair(params, *fams)
+        swapped = Energy.pair(params.swapped(), *fams[::-1])
+        nodes = np.linspace(0.0, 1.0, grid7.shape[0] + 2)[1:-1]
+        bump = np.outer(np.sin(np.pi * nodes), np.sin(np.pi * nodes))
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = 1e3 * bump * (1.0 + 0.5 * rng.random((2, *grid7.shape)))
+            x[0, :2, :2] = 0.0
+            x[1, -2:, -3:] = 0.0
+            s, s_sw = CellSample(x, grid7), CellSample(x[::-1], grid7)
+            assert np.any(s.v == 0.0)
+            assert energy.value(s) == swapped.value(s_sw)
+            for method in ("gradient", "residuals"):
+                ref = getattr(swapped, method)(s_sw)
+                assert np.array_equal(getattr(energy, method)(s), ref[::-1])
+            G, g, diag, cross = energy.potential(s.v, 2)
+            G_sw, g_sw, diag_sw, cross_sw = swapped.potential(s_sw.v, 2)
+            assert np.array_equal(G, G_sw) and np.array_equal(cross, cross_sw)
+            assert np.array_equal(g, g_sw[::-1])
+            assert np.array_equal(diag, diag_sw[::-1])
 
     def test_evenness(self, grid15, example1):
         params = ProblemParams(0.1, 0.2, 1.5, 4.0, 1.0)
@@ -309,9 +365,9 @@ class TestHessian:
         # p = 4: that power is |t1|^0 = 1, the smooth value
         for p, h11_at_zero in ((3.0, 0.0), (4.0, 2.0 * 0.25)):
             params = ProblemParams(0.0, 0.0, 2.0, p, 0.5)
-            h11, h12, _h22 = coupling_hess_g(np.array([0.0]), np.array([0.5]), params)
-            assert h11[0] == pytest.approx(h11_at_zero, abs=1e-15)
-            assert h12[0] == 0.0
+            _G, _g, (h11, _h22), h12 = pair_potential(params, 0.0, 0.5, 2)
+            assert h11 == pytest.approx(h11_at_zero, abs=1e-15)
+            assert h12 == 0.0
 
 
 def matrix_free_hessian(energy, s, d):
@@ -321,12 +377,8 @@ def matrix_free_hessian(energy, s, d):
         np.stack([getattr(f, name)(v) for f, v in zip(energy.fams, s.v)])
         for name in ("a", "da", "d2a")
     )
-    if len(s.v) == 2:
-        h11, h12, h22 = coupling_hess_g(s.v[0], s.v[1], energy.params)
-        diag = np.stack((h11, h22))
-    else:
-        p = energy.params.p
-        h12, diag = 0.0, energy.c * (p - 1.0) * np.abs(s.v) ** (p - 2.0)
+    _G, _g, diag, h12 = energy.potential(s.v, 2)
+    h12 = 0.0 if h12 is None else h12
     m = 0.5 * d2a * s.gsq - np.reshape(energy.lams, (-1, 1, 1)) - diag
     ds = CellSample(d, s.grid)
     w_val = m * ds.v - h12 * ds.v[::-1] + da * (s.gx * ds.gx + s.gy * ds.gy)

@@ -92,7 +92,7 @@ def fiber_value(x, t, energy, grid):
 
 
 def fiber_gradient(x, t, energy, grid):
-    return FiberEvaluator(energy, CellSample(x, grid)).grad(*t)
+    return FiberEvaluator(energy, CellSample(x, grid)).derivatives(t, order=1)[1]
 
 
 class TestFiberPoint:
@@ -135,7 +135,7 @@ class TestFiberValue:
                             CellSample(bump_state(grid15), grid15))
         m1, m2 = ev.membership_values()
         assert m1 > 0.0 and m2 > 0.0
-        vals = [ev.value(s, s) for s in (10.0, 100.0, 1000.0)]
+        vals = [ev.derivatives((s, s), order=0)[0] for s in (10.0, 100.0, 1000.0)]
         assert vals[2] < vals[1] < vals[0] and vals[2] < -1e6
 
 
@@ -174,16 +174,33 @@ class TestFiberGradient:
         ev = FiberEvaluator(Energy.pair(params, *fams),
                             CellSample(positive_state(grid7, seed), grid7))
         h, g, J = ev.derivatives(np.array(t))
-        assert h == ev.value(*t)
-        np.testing.assert_allclose(g, ev.grad(*t), rtol=1e-12, atol=1e-12)
+        # order 0 reads A from `a`, order 2 from the jet: equal to rounding
+        assert h == pytest.approx(ev.derivatives(t, order=0)[0], rel=1e-14)
+        assert np.array_equal(g, ev.derivatives(t, order=1)[1])
         dt = 1e-6
         fd = np.empty((2, 2))
         for k in range(2):
             tp, tm = list(t), list(t)
             tp[k] += dt
             tm[k] -= dt
-            fd[:, k] = (np.array(ev.grad(*tp)) - np.array(ev.grad(*tm))) / (2 * dt)
+            fd[:, k] = (ev.derivatives(tp, 1)[1] - ev.derivatives(tm, 1)[1]) / (2 * dt)
         assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("beta", (-2.0, 0.7))
+    def test_grid_of_t_matches_points(self, grid7, beta):
+        # arrays of t that broadcast together give, entry by entry, the
+        # h, g and J of the one-point evaluation
+        params = ProblemParams(0.4, -0.3, beta, 3.0, 0.5)
+        ev = FiberEvaluator(Energy.pair(params, example_family(0.5), example_family(1.3)),
+                            CellSample(positive_state(grid7, 3), grid7))
+        t1, t2 = np.array([0.3, 1.0, 2.2]), np.array([0.5, 1.7])
+        h, g, J = ev.derivatives((t1[:, None], t2[None, :]))
+        assert h.shape == (3, 2) and g.shape == (2, 3, 2) and J.shape == (2, 2, 3, 2)
+        for i, j in np.ndindex(3, 2):
+            h_ij, g_ij, J_ij = ev.derivatives(np.array([t1[i], t2[j]]))
+            assert h[i, j] == pytest.approx(h_ij, rel=1e-13)
+            np.testing.assert_allclose(g[:, i, j], g_ij, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(J[:, :, i, j], J_ij, rtol=1e-12, atol=1e-12)
 
     def test_gradient_small_at_projection(self, grid15, example1, competitive_params):
         x = bump_state(grid15)
@@ -584,9 +601,9 @@ class TestProjection:
         t, h, g, converged = _fiber_newton(ev, 0.05 * t_star, maximize=True)
         assert converged
         assert np.allclose(t, t_star, rtol=1e-10, atol=0.0)
-        assert h == ev.value(t[0], t[1])
+        assert h == ev.derivatives(t, order=0)[0]
         assert h == pytest.approx(cold.energy, rel=1e-12)
-        np.testing.assert_allclose(g, ev.grad(t[0], t[1]), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(g, ev.derivatives(t, order=1)[1])
 
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
         x = np.stack((np.ones(grid15.shape), np.zeros(grid15.shape)))
@@ -745,6 +762,6 @@ class TestUniquenessScan:
         energy = Energy.pair(competitive_params, example1, example1)
         ev = FiberEvaluator(energy, CellSample(x, grid15))
         taus = np.logspace(-3, 3, 64)
-        H = ev.value(taus[:, None], taus[None, :])
+        (H,) = ev.derivatives((taus[:, None], taus[None, :]), order=0)
         h_star = fiber_value(x, (res.t.t1, res.t.t2), energy, grid15)
         assert h_star >= np.max(H) - 1e-9 * (abs(h_star) + 1.0)
