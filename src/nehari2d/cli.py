@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .coeffs import CoefficientFamily, certify, example_family, identity_family
 from .energy import ProblemParams
@@ -114,29 +115,12 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in items)
 
 
-# key `section.field` -> converter of its value
+# key `section.field` of RunConfig -> converter of its value, by the field's type
+_CONVERTERS = {int: int, float: float, str: str, tuple[float, ...]: _float_list}
 _KEYS = {
-    "grid.nx": int,
-    "grid.ny": int,
-    "grid.lx": float,
-    "grid.ly": float,
-    "params.lambda1": float,
-    "params.lambda2": float,
-    "params.beta": float,
-    "params.p": float,
-    "params.gamma": float,
-    "family1.kind": str,
-    "family1.gamma": float,
-    "family2.kind": str,
-    "family2.gamma": float,
-    "solver.tol": float,
-    "solver.max_iter": int,
-    "solver.n_restarts": int,
-    "solver.seed": int,
-    "certify.s_min": float,
-    "certify.s_max": float,
-    "certify.n_samples": int,
-    "sweep.betas": _float_list,
+    f"{section}.{name}": _CONVERTERS[hint]
+    for section, spec in get_type_hints(RunConfig).items()
+    for name, hint in get_type_hints(spec).items()
 }
 
 

@@ -25,8 +25,8 @@ single field z is the maximizer of tau -> E(tau z).
 One damped Newton on the fiber gradient (`_fiber_newton`) locates the
 critical point for one field (k = 1) and for a pair (k = 2) of either
 sign of beta.  It runs from a warm guess and else from the closed-form
-root of each axis with a constant profile and no coupling, and tests
-stationarity relative to t_k int |grad u_k|^2.
+root of each axis with a constant profile and no coupling, and stops at
+the first point stationary relative to t_k int |grad u_k|^2.
 
 One evaluation, `FiberEvaluator.derivatives`, gives h and its first one
 or two derivatives, for the Newton's one point t and for a grid of t
@@ -254,30 +254,18 @@ def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 # Newton on the fiber gradient stops once |dh/dt_k| <= _FIBER_TOL * t_k *
 # int |grad u_k|^2 for every k, or fails after _FIBER_MAX_ITER steps
-_FIBER_TOL = 1e-10
+_FIBER_TOL = 1e-12
 _FIBER_MAX_ITER = 100
 _WARM_MAX_ITER = 20     # steps from a warm guess before the cold start takes over
 _COLLAPSE = 1e-12       # quadratic share of the beta > 0 collapse floor
 
 
-def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray, tol: float) -> bool:
-    """Whether the fiber gradient g at t is zero to tol, relative to
+def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray) -> bool:
+    """Whether the fiber gradient g at t is zero to _FIBER_TOL, relative to
     t_k int |grad u_k|^2 in component k.  The test is unchanged when the
     state is rescaled, and a t_k collapsing to 0, where dh/dt_k vanishes
     with t_k, does not pass it."""
-    return bool((np.abs(g) <= tol * t * ev._ia0).all())
-
-
-def _sharpen(ev: FiberEvaluator, t: np.ndarray, h: float, g: np.ndarray, J: np.ndarray):
-    """(t, h, g) after one extra quadratic step from a converged t with
-    value h, gradient g and Jacobian J: it sharpens t well past the gradient
-    tol, and is kept only when it does not increase the gradient."""
-    trial = t + _newton_step(J, g, t)
-    if (trial > 0.0).all() and np.isfinite(trial).all():
-        h_trial, g_trial, _J = ev.derivatives(trial)
-        if np.abs(g_trial).max() <= np.abs(g).max():
-            return trial, h_trial, g_trial
-    return t, h, g
+    return bool((np.abs(g) <= _FIBER_TOL * t * ev._ia0).all())
 
 
 def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
@@ -292,17 +280,19 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
     concave there), a line search along it could only creep within that
     slack: a `warm` start then gives up at once, and any other start
     takes a gradient ascent step instead.  Without (a pair with beta > 0,
-    where the zero is a saddle of h) a trial must lower max |dh/dt_k|.  A
-    step is halved until a trial is accepted; when none is, t is
-    converged if stationary to 10 * tol.  A `warm` start stops after
-    _WARM_MAX_ITER steps, and a run without `maximize` once a step takes
-    a t_k below its collapse floor `ev.cold_start(floor=True)`.
+    where the zero is a saddle of h) a trial must lower max |dh/dt_k| or
+    pass `_stationary`, as one component may sit at its rounding floor
+    while the other converges.  A step is halved until a trial is
+    accepted.  The run converges at the first evaluated point that passes
+    `_stationary`; it fails when no trial is accepted, after
+    _WARM_MAX_ITER (`warm`) or _FIBER_MAX_ITER steps, and, without
+    `maximize`, once a step takes a t_k below `ev.cold_start(floor=True)`.
     """
     h, g, J = ev.derivatives(t)
     floor = 0.0 if maximize else ev.cold_start(floor=True)
     for _ in range(_WARM_MAX_ITER if warm else _FIBER_MAX_ITER):
-        if _stationary(ev, t, g, _FIBER_TOL):
-            return (*_sharpen(ev, t, h, g, J), True)
+        if _stationary(ev, t, g):
+            return t, h, g, True
         step = _newton_step(J, g, t)
         if maximize and float(g @ step) <= 0.0:
             if warm:
@@ -316,15 +306,16 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
             if maximize:
                 if h_trial < h - 32.0 * np.finfo(float).eps * (abs(h) + 1.0):
                     continue
-            elif not np.abs(g_trial).max() < np.abs(g).max():
+            elif not (np.abs(g_trial).max() < np.abs(g).max()
+                      or _stationary(ev, trial, g_trial)):
                 continue
             t, h, g, J = trial, h_trial, g_trial, J_trial
             break
         else:
-            return t, h, g, _stationary(ev, t, g, 10.0 * _FIBER_TOL)
+            break
         if ((t < floor) & (step < 0.0)).any():
             return t, h, g, False
-    return t, h, g, _stationary(ev, t, g, _FIBER_TOL)
+    return t, h, g, _stationary(ev, t, g)
 
 
 def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
@@ -355,7 +346,7 @@ def project_to_nehari(
 
     One damped Newton on the fiber gradient (`_fiber_newton`) finds t,
     maximizing h for beta <= 0 and lowering the gradient for beta > 0.
-    It stops when |dh/dt_k| <= 1e-10 * t_k * int |grad u_k|^2 for both k.
+    It stops when |dh/dt_k| <= 1e-12 * t_k * int |grad u_k|^2 for both k.
     It runs from the warm guess `t_init` when one is given and, when that
     does not converge in _WARM_MAX_ITER steps, from the cold start: the
     constant-profile root of each component with the coupling ignored.

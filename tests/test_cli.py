@@ -31,6 +31,7 @@ from nehari2d.errors import (
     CoercivityViolation,
     InadmissibleLambda,
     InvalidState,
+    NoConvergence,
     ParseError,
     ValidationError,
 )
@@ -381,6 +382,23 @@ class TestCommands:
         row = lines[1].split(",")
         energy, L1, L2 = float(row[1]), float(row[2]), float(row[3])
         assert energy == pytest.approx(L1 + L2, rel=1e-9)
+
+    def test_sweep_row_error_is_written_and_reported(self, tmp_path, capsys):
+        text = FAST_SOLVE.format(beta=0.0, fam="identity").replace(
+            "= 9\n", "= 7\n") + "sweep.betas = -2, nan\n"
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == NoConvergence.exit_status == 2
+        lines = [
+            ln
+            for ln in (tmp_path / "sweep.csv").read_text().splitlines()
+            if not ln.startswith("#")
+        ]
+        assert lines[0] == SWEEP_HEADER and len(lines) == 3
+        assert lines[1].startswith("-2,") and lines[1].endswith(",ok")
+        assert lines[2] == "nan," + "nan," * 7 + "false,false,0,error:non-finite beta"
+        assert len(lines[2].split(",")) == len(SWEEP_HEADER.split(","))
+        assert capsys.readouterr().err == "beta = nan failed: non-finite beta\n"
 
     def test_sweep_without_betas_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FAST_SOLVE.format(beta=0.0, fam="identity"))

@@ -327,9 +327,9 @@ class TestPositiveRoot:
     """The unique positive root of the scalar fiber gradient,
     `scalar_fiber_root`."""
 
-    def test_start_on_root_costs_two_calls(self, monkeypatch, grid15, identity):
+    def test_start_on_root_costs_one_call(self, monkeypatch, grid15, identity):
         # with the identity profile and lambda = 0 the cold start is the
-        # exact root: one evaluation there, then the sharpening step
+        # exact root: one evaluation there, which passes the stationarity test
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
         z = modulated_bump(grid15)
         (a,), _q, (b,) = CellSample(z[None], grid15).integrals(4.0)
@@ -337,7 +337,7 @@ class TestPositiveRoot:
         monkeypatch.setattr(FiberEvaluator, "_axis", axis)
         tau = scalar_fiber_root(z, 0.0, params, identity, grid15)
         assert tau == pytest.approx((a / b) ** 0.5, rel=1e-15)
-        assert 0 < axis.calls <= 2
+        assert axis.calls == 1
 
     def test_no_root_raises(self, grid15, identity):
         # lambda above the first sine mode's Rayleigh quotient: the fiber
@@ -534,6 +534,42 @@ class TestProjection:
         # then the cold projection's, which takes a handful of Newton steps
         assert axis.calls == cold_calls + 2
         assert cold_calls <= 22
+
+    @pytest.mark.parametrize("lam_share, beta", [(0.0, 1.0), (0.5, 0.3)])
+    def test_saddle_converges_with_one_component_at_its_rounding_floor(
+            self, monkeypatch, grid15, lam_share, beta):
+        # p = 3, t = (275, 6.6e-5) and (3.5e-5, 162): the far larger
+        # |dh/dt_k| of one component sits at its rounding floor, so no
+        # trial lowers max |dh/dt_k|; a stationary trial is accepted
+        lam = lam_share * conservative_mu1(grid15)
+        params = ProblemParams(lam, -0.2 * lam, beta, 3.0, 0.5)
+        fams = (example_family(0.5), example_family(1.3))
+        x = segregated_random_state(grid15, 7)
+        derivatives = counted(FiberEvaluator.derivatives)
+        monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
+        res = project_to_nehari(x, params, *fams, grid15)
+        assert res.projectable
+        assert derivatives.calls <= 20
+        t = np.array([res.t.t1, res.t.t2])
+        ev = FiberEvaluator(Energy.pair(params, *fams), CellSample(x, grid15))
+        _h, g = ev.derivatives(t, 1)
+        assert (np.abs(g) <= 1e-12 * t * ev._ia0).all()
+
+    @pytest.mark.parametrize("beta", [-2.0, 0.7])
+    def test_warm_start_on_its_own_root_costs_one_call(self, monkeypatch, grid15,
+                                                       identity, example1, beta):
+        # warm-started from its own converged t, a projection evaluates the
+        # fiber once, there, and returns that t bit for bit
+        params = ProblemParams(0.4, -0.3, beta, 4.0, 1.0)
+        x = bump_state(grid15)
+        res = project_to_nehari(x, params, identity, example1, grid15)
+        assert res.projectable
+        derivatives = counted(FiberEvaluator.derivatives)
+        monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
+        warm = project_to_nehari(x, params, identity, example1, grid15,
+                                 t_init=(res.t.t1, res.t.t2))
+        assert derivatives.calls == 1
+        assert warm.t == res.t
 
     @pytest.mark.parametrize("beta, t_init", [(5.0, (1e-3, 1e-3)),
                                               (-2.0, (1e6, 1e-6))])

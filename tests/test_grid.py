@@ -303,6 +303,46 @@ class TestFieldDump:
         with pytest.raises(InvalidState, match=r"node \(1, 1\) repeated"):
             G.load_field(path)
 
+    @pytest.mark.parametrize("header", ["FIELD 7 7 1", "FIELD 7 7 1 1 1",
+                                        "FIELDS 7 7 1 1", ""])
+    def test_bad_header_rejected(self, grid7, tmp_path, header):
+        path = tmp_path / "f.field"
+        G.dump_field(zero_field(grid7), grid7, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+        with pytest.raises(InvalidState, match=r"f\.field: not a field dump"):
+            G.load_field(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1 1 0.125 0.125", r"malformed row '1 1 0\.125 0\.125\\n'"),
+        ("1 1 0.125 0.125 0 0", "malformed row"),
+        ("8 1 1 0.125 0", r"node \(8, 1\) out of range"),
+        ("1 0 0.125 0 0", r"node \(1, 0\) out of range"),
+    ])
+    def test_bad_row_rejected(self, grid7, tmp_path, row, message):
+        path = tmp_path / "f.field"
+        G.dump_field(zero_field(grid7), grid7, path)
+        lines = path.read_text().splitlines()
+        lines = [row if l.startswith("1 1 ") else l for l in lines]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidState, match=message):
+            G.load_field(path)
+
+    def test_blank_lines_skipped(self, grid7, tmp_path):
+        rng = np.random.default_rng(7)
+        f = ScalarField(rng.standard_normal(grid7.shape), grid7.spec)
+        path = tmp_path / "f.field"
+        G.dump_field(f, grid7, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n\n".join([lines[0], *lines[1:], ""]) + "  \n")
+        assert G.load_field(path) == f
+
+    def test_dump_to_another_grid_rejected(self, grid7, grid15, tmp_path):
+        path = tmp_path / "f.field"
+        with pytest.raises(GridMismatch):
+            G.dump_field(zero_field(grid7), grid15, path)
+        assert not path.exists()
+
     def test_energy_reproduced(self, grid31, tmp_path):
         # the reported-energy round trip lives in the cli tests; here: integrals
         rng = np.random.default_rng(5)
