@@ -118,27 +118,26 @@ class Energy:
     """The discrete energy of a k-component state, and its derivatives.
 
     A pair (k = 2) carries the system energy of the module docstring; a
-    scalar problem (k = 1) is the energy of (z, 0) with its |z|^p term
-    weighted by `c`.  Every method reads one CellSample of the state and
-    one profile `jet` per component.  The gradient and Hessian products
-    are nodal (k, nx, ny) arrays in function-space scaling: the
-    derivative with respect to a node divided by the lumped node volume
-    hx*hy, so that their volume-weighted l2 norms mimic continuum norms.
+    scalar problem (k = 1) is the energy of (z, 0).  Every method reads
+    one CellSample of the state and one profile `jet` per component.  The
+    gradient and Hessian products are nodal (k, nx, ny) arrays in
+    function-space scaling: the derivative with respect to a node divided
+    by the lumped node volume hx*hy, so that their volume-weighted l2
+    norms mimic continuum norms.
     """
 
-    def __init__(self, params: ProblemParams, fams, lams, c: float = 1.0):
+    def __init__(self, params: ProblemParams, fams, lams):
         self.params = params
         self.fams = tuple(fams)
         self.lams = tuple(lams)
-        self.c = c
 
     @classmethod
     def pair(cls, params, fam1, fam2) -> "Energy":
         return cls(params, (fam1, fam2), (params.lambda1, params.lambda2))
 
     @classmethod
-    def scalar(cls, params, lam, fam, c: float = 1.0) -> "Energy":
-        return cls(params, (fam,), (lam,), c)
+    def scalar(cls, params, lam, fam) -> "Energy":
+        return cls(params, (fam,), (lam,))
 
     def _profile(self, s: CellSample, order: int) -> list[np.ndarray]:
         """A and its first `order` derivatives at the cell values, each
@@ -153,27 +152,27 @@ class Energy:
         """[G] at the (k, ...) cell values v, then for order >= 1 the
         gradient rows g_i = dG/dv_i and for order 2 the Hessian diagonal
         rows dg_i/dv_i and the cross term dg_1/dv_2 (None for k = 1), of
-        G = sum_i c|v_i|^p/p, plus 2 beta/p |v1 v2|^(p/2) for a pair.
+        G = sum_i |v_i|^p/p, plus 2 beta/p |v1 v2|^(p/2) for a pair.
 
         One power w = |v|^(p/2-2) per component (1 at p = 4, else 0 at
-        v = 0) gives m = |v|^(p/2) = w v^2 and s = w v.  With f_i = c m_i +
+        v = 0) gives m = |v|^(p/2) = w v^2 and s = w v.  With f_i = m_i +
         beta m_j, G = sum_i m_i f_i / p and g_i = s_i f_i: every row reads
         alike in i and j, so a swap of the components swaps each output exactly.
         """
-        p, c, beta = self.params.p, self.c, self.params.beta
+        p, beta = self.params.p, self.params.beta
         half = p / 2.0
         a = np.abs(v)
         w = np.power(a, half - 2.0, out=np.full_like(a, float(half == 2.0)),
                      where=a != 0.0)
         m = w * a * a
         bm = beta * m[::-1] if len(v) == 2 else 0.0
-        f = c * m + bm
+        f = m + bm
         out = [(m * f).sum(axis=0) / p]
         if order >= 1:
             s = w * v
             out.append(s * f)
         if order >= 2:
-            out.append(w * ((p - 1.0) * c * m + (half - 1.0) * bm))
+            out.append(w * ((p - 1.0) * m + (half - 1.0) * bm))
             out.append(beta * half * (s[0] * s[1]) if len(v) == 2 else None)
         return out
 

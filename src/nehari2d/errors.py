@@ -29,7 +29,7 @@ class GridMismatch(Nehari2dError, ValueError):
 
 class InvalidParams(Nehari2dError, ValueError):
     """Problem or coefficient parameters violate an invariant (p > 2,
-    0 < gamma < p - 2, nu in (0, 1], a positive weight or mu1)."""
+    0 < gamma < p - 2, nu in (0, 1] or mu1)."""
 
     label = "invalid parameters"
 

@@ -54,7 +54,6 @@ from .energy import CellSample, Energy, NehariResidual, ProblemParams
 from .errors import (
     DegenerateInput,
     GridMismatch,
-    InvalidParams,
     InvalidState,
     NoConvergence,
 )
@@ -106,8 +105,8 @@ class FiberEvaluator:
     """Cached per-cell data of one state for fast fiber evaluations.
 
     Built on one CellSample of a k-component state and the Energy it is
-    measured in: k = 1 for the scalar fiber tau -> E(tau z), whose |z|^p
-    term carries the weight c, and k = 2 for a pair with its cross term.
+    measured in: k = 1 for the scalar fiber tau -> E(tau z), and k = 2 for
+    a pair with its cross term.
     Axis k reads component k of the sample: its cell values v, |grad v|^2
     and q = int v^2, pp = int |v|^p, ia0 = int |grad v|^2.
     """
@@ -116,7 +115,6 @@ class FiberEvaluator:
         self.params = energy.params
         self.fams = energy.fams
         self.lams = energy.lams
-        self.c = energy.c
         self.sample = sample
         self.area = sample.grid.cell_area
         p = self.params.p
@@ -143,39 +141,39 @@ class FiberEvaluator:
         tau, a float or an array, and their first `order` (<= 2) derivatives.
 
         With I_j(tau) = int A^(j)(tau v) v^j |grad v|^2, so that I_j' =
-        I_(j+1), the terms are tau^2/2 (I_0 - lam q) - c tau^p/p int |v|^p.
+        I_(j+1), the terms are tau^2/2 (I_0 - lam q) - tau^p/p int |v|^p.
         One `jet` call reads A, A', A'' at the scaled sample tau*v; each I_j
         is one dot product over the cells, for a float or an array tau.
         """
-        p, c, pp = self.params.p, self.c, self.pp[k]
+        p, pp = self.params.p, self.pp[k]
         if self._const_profile[k]:
             ia = (self._ia0[k], 0.0, 0.0)
         else:
             jet = self.fams[k].jet(np.multiply.outer(tau, self._v[k]), order)
             ia = [f.reshape(*f.shape[:-2], -1) @ w[k] for f, w in zip(jet, self._w)]
         quad = ia[0] - self.lams[k] * self.q[k]
-        terms = [0.5 * tau**2 * quad - (c / p) * tau**p * pp]
+        terms = [0.5 * tau**2 * quad - (1.0 / p) * tau**p * pp]
         if order >= 1:
-            terms.append(tau * quad + 0.5 * tau**2 * ia[1] - c * tau ** (p - 1.0) * pp)
+            terms.append(tau * quad + 0.5 * tau**2 * ia[1] - tau ** (p - 1.0) * pp)
         if order >= 2:
             terms.append(
                 quad + 2.0 * tau * ia[1] + 0.5 * tau**2 * ia[2]
-                - c * (p - 1.0) * tau ** (p - 2.0) * pp
+                - (p - 1.0) * tau ** (p - 2.0) * pp
             )
         return terms
 
     def cold_start(self, floor: bool = False) -> np.ndarray:
         """The k-vector of constant-profile axis roots: the positive zero
-        ((ia0 - lam q) / (c pp))^(1/(p-2)) of each axis gradient
-        tau (ia0 - lam q) - c tau^(p-1) pp, or 1 where that has none.
+        ((ia0 - lam q) / pp)^(1/(p-2)) of each axis gradient
+        tau (ia0 - lam q) - tau^(p-1) pp, or 1 where that has none.
         With `floor`, the beta > 0 collapse floor of `_fiber_newton`: that
-        zero for _COLLAPSE (nu ia0 - lam q) and c pp + beta cross (a lower
+        zero for _COLLAPSE (nu ia0 - lam q) and pp + beta cross (a lower
         bound for A >= nu, s A' >= 0 and t_j = t_k, scaled down), or 0."""
         share, b = (_COLLAPSE, max(self.params.beta, 0.0)) if floor else (1.0, 0.0)
         taus = []
         for fam, ia0, lam, q, pp in zip(self.fams, self._ia0, self.lams, self.q, self.pp):
             quad = share * ((fam.nu if floor else 1.0) * ia0 - lam * q)
-            nonlin = self.c * pp + b * self.cross
+            nonlin = pp + b * self.cross
             ok = quad > 0.0 and nonlin > 0.0
             taus.append((quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok
                         else float(not floor))
@@ -424,7 +422,6 @@ def scalar_fiber_root(
     params: ProblemParams,
     fam: CoefficientFamily,
     grid: Grid,
-    nonlin_coeff: float = 1.0,
     tau_init: float | None = None,
 ) -> float:
     """Unique positive rescaling tau with tau*z on the scalar constraint set,
@@ -432,16 +429,13 @@ def scalar_fiber_root(
 
     Solves tau*(int A(tau z)|grad z|^2 - lam int z^2)
            + tau^2/2 int A'(tau z) z |grad z|^2
-           - c * tau^(p-1) int |z|^p = 0
+           - tau^(p-1) int |z|^p = 0
     by the fiber Newton of the pair rescale with k = 1, maximizing
     tau -> E(tau z): from `tau_init` when it is positive and finite, and
     else or when that does not converge, from the constant-profile root.
     Raises NoConvergence when neither start converges.
     """
-    sample = _sample(z, grid, ())
-    if nonlin_coeff <= 0.0:
-        raise InvalidParams(f"need a positive nonlinearity weight, got {nonlin_coeff}")
-    ev = FiberEvaluator(Energy.scalar(params, lam, fam, nonlin_coeff), sample)
+    ev = FiberEvaluator(Energy.scalar(params, lam, fam), _sample(z, grid, ()))
     t, _h, _g, converged = _fiber_root(
         ev, None if tau_init is None else (tau_init,), maximize=True
     )

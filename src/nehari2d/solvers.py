@@ -53,7 +53,6 @@ from .errors import (
     CoercivityViolation,
     DegenerateInput,
     InadmissibleLambda,
-    InvalidParams,
     InvalidState,
     Nehari2dError,
     NoConvergence,
@@ -581,7 +580,6 @@ def scalar_ground_state(
     fam: CoefficientFamily,
     grid: Grid,
     opts: SolverOptions = SolverOptions(),
-    nonlin_coeff: float = 1.0,
 ) -> tuple[ScalarField, float, ScalarReport]:
     """Least energy state of the one-component problem, and its level.
 
@@ -590,8 +588,7 @@ def scalar_ground_state(
     constraint set, and a candidate is a polished state that `_rejection`
     accepts, at the handoff and at the final pick.
     The output is sign-normalized to the nonnegative representative (the
-    energy is even in the field).  `nonlin_coeff` weights the |z|^(p-2) z
-    term; the default 1 is the plain scalar problem.
+    energy is even in the field).
 
     Raises InadmissibleLambda when lambda_i reaches nu * mu1.
     """
@@ -607,14 +604,12 @@ def scalar_ground_state(
         )
     if verdict == ADMISSIBLE_WEAK:
         warnings.append(f"lambda_{i} admissible only in the weak sense ({thresholds})")
-    energy = Energy.scalar(params, lam, fam, nonlin_coeff)
+    energy = Energy.scalar(params, lam, fam)
     polish_its = 0
 
     def fiber(y, t_init):
-        tau = scalar_fiber_root(
-            y[0], lam, params, fam, grid, nonlin_coeff,
-            tau_init=None if t_init is None else t_init[0],
-        )
+        tau = scalar_fiber_root(y[0], lam, params, fam, grid,
+                                tau_init=None if t_init is None else t_init[0])
         sample = CellSample(tau * y, grid)
         return (y, (tau,), sample, None), energy.value(sample)
 
@@ -715,35 +710,16 @@ def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
     )
 
 
-def diagonal_candidate(
-    params: ProblemParams,
-    fam: CoefficientFamily,
-    grid: Grid,
-    opts: SolverOptions = SolverOptions(),
-    warnings: list[str] | None = None,
-) -> tuple[np.ndarray, float]:
-    """Synchronized state (w, w), as a pair stack, and int |w|^p, from the
-    scalar problem with the coupled nonlinearity weight 1 + beta; an exact
-    critical point of the system when the problem is symmetric.  The
-    warnings of the scalar solve are appended to `warnings`, when given."""
-    if params.beta <= -1.0:
-        raise InvalidParams("diagonal reduction needs 1 + beta > 0")
-    w, _e, rep = scalar_ground_state(
-        1, params, fam, grid, opts, nonlin_coeff=1.0 + params.beta
-    )
-    if warnings is not None:
-        warnings.extend(f"diagonal scalar problem: {note}" for note in rep.warnings)
-    _gr, _q, pp = CellSample(w.values[None], grid).integrals(params.p)
-    return np.stack((w.values, w.values)), float(pp[0])
-
-
-def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings):
+def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start):
     """The start stacks of a coupled solve (beta != 0), warm start first.
 
     Repulsive coupling: the segregated bumps, then random positives
-    shaped by them.  Attractive coupling: the diagonal state (symmetric
-    data only: otherwise it is no critical point), the near-semitrivial
-    pair (z1, eps z2), then random positives.  Each start is followed by
+    shaped by them.  Attractive coupling: the synchronized pair (z1, z1)
+    (symmetric data only: otherwise no synchronized state is critical),
+    the near-semitrivial pair (z1, eps z2), then random positives.  A
+    start's scale is fixed by `project_to_nehari`, so for a constant
+    profile the projected (z1, z1) is the synchronized critical point
+    (w, w), w = (1 + beta)^(-1/(p-2)) z1.  Each start is followed by
     its mirror, the start that the swapped problem builds with its
     components swapped back, so that the explored set is swap-symmetric:
     y[::-1], and (eps z1, z2) for the near-semitrivial pair.  For
@@ -759,7 +735,7 @@ def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings)
     else:
         envelope, tag = (1.0, 1.0), 31
         if symmetric:
-            diag = diagonal_candidate(params, fam1, grid, opts, warnings)[0]
+            diag = np.stack((z1.values, z1.values))
             pairs.append((diag, diag))
         eps = 1e-2
         pairs.append((
@@ -829,9 +805,7 @@ def solve_system(
     if beta == 0.0:
         x, iterations = np.stack((z1.values, z2.values)), 0
     else:
-        starts = _system_starts(
-            params, fam1, fam2, grid, opts, z1, z2, warm_start, warnings
-        )
+        starts = _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start)
         best, iterations = _pair_starts(
             starts, params, fam1, fam2, grid, opts, beta < 0.0, warnings
         )

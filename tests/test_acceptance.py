@@ -34,7 +34,6 @@ from nehari2d.energy import CellSample, Energy
 from nehari2d.fiber import FiberEvaluator, critical_cell_count
 from nehari2d.solvers import (
     conservative_mu1,
-    diagonal_candidate,
     nehari_floors_hold,
 )
 from conftest import segregated_random_state
@@ -226,8 +225,9 @@ def test_criterion_7_cooperative_regime():
         assert rep.fully_nontrivial
         assert rep.euler_residual_norm <= 1e-8
         assert rep.energy < min_L
-        _pair, mass = diagonal_candidate(params, iden, grid, opts)
-        masses.append(mass)
+        masses.append(float(
+            CellSample(u.u1.values[None], grid).integrals(params.p)[2][0]
+        ))
     assert all(b < a for a, b in zip(masses, masses[1:]))
     slope = np.polyfit(np.log(betas), np.log(masses), 1)[0]
     assert slope <= -0.9

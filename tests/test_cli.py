@@ -426,7 +426,7 @@ class TestCommands:
                                                      fam2, expected):
         calls = []
 
-        def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
+        def fake(i, params, fam, grid, opts=None):
             calls.append(i)
             z = ScalarField(np.full(grid.shape, float(i)), grid.spec)
             return z, float(i), ScalarReport(float(i), 0.0, i, "admissible")
@@ -446,7 +446,7 @@ class TestCommands:
         assert np.all(z2.values == float(expected[-1]))
 
     def test_solve_scalar_prints_warnings(self, tmp_path, monkeypatch, capsys):
-        def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
+        def fake(i, params, fam, grid, opts=None):
             z = ScalarField(np.ones(grid.shape), grid.spec)
             return z, 1.0, ScalarReport(1.0, 0.0, 1, "admissible", ("w",))
 

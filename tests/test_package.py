@@ -82,6 +82,24 @@ def test_readme_backtracking_bounds_are_the_code_constants():
     assert float(hi) == solvers._SHRINK_MAX
 
 
+def test_readme_descent_and_polish_settings_are_the_code_constants():
+    from nehari2d import solvers
+
+    text = " ".join(README.read_text().split())
+    steps, inner = re.search(
+        r"Newton takes at most (\d+) steps, each with at most (\d+) MINRES", text
+    ).groups()
+    armijo = re.search(r"the Armijo constant is (\S+);", text).group(1)
+    tol, window = re.search(
+        r"fell by no more than (\S+) \(relative\) over the last (\d+) steps", text
+    ).groups()
+    assert int(steps) == solvers._POLISH_MAX_ITER
+    assert int(inner) == solvers._POLISH_INNER_ITER
+    assert float(armijo) == solvers._ARMIJO
+    assert float(tol) == solvers._STAGNATION_TOL
+    assert int(window) == solvers._STAGNATION_WINDOW
+
+
 def test_every_error_is_documented_with_its_status_and_label():
     from nehari2d import errors
 

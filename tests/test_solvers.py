@@ -37,7 +37,6 @@ from nehari2d.solvers import (
     REGIME_DECOUPLED,
     ScalarReport,
     conservative_mu1,
-    diagonal_candidate,
     nehari_floors_hold,
     scalar_levels,
 )
@@ -159,7 +158,7 @@ def stub_scalar_solves(monkeypatch):
     list of its calls."""
     calls = []
 
-    def fake(i, params, fam, grid, opts=None, nonlin_coeff=1.0):
+    def fake(i, params, fam, grid, opts=None):
         calls.append(i)
         z = ScalarField(np.full(grid.shape, float(i)), grid.spec)
         return z, float(i), ScalarReport(
@@ -831,11 +830,6 @@ class TestScalarLevels:
         assert rep.warnings[:2] == notes
         (row,) = beta_sweep([0.0], params, identity, example1, grid15, fast_opts)
         assert row.report.warnings[:2] == notes
-        warnings = []
-        diagonal_candidate(
-            replace(params, beta=1.0), identity, grid15, fast_opts, warnings
-        )
-        assert warnings == ["diagonal scalar problem: note 1"]
 
 
 class TestRefineSolution:
@@ -971,6 +965,19 @@ class TestCompetitive:
         assert gaps[2] < 0.011
 
 
+@pytest.fixture(scope="module")
+def synchronized15(scalar15, identity, fast_opts):
+    """(beta, state, report) of the symmetric cooperative solves on scalar15's
+    data, for beta = 5, 10, 20, 40."""
+    grid, params, z, L, _rep = scalar15
+    out = []
+    for beta in (5.0, 10.0, 20.0, 40.0):
+        u, rep = solve_system(replace(params, beta=beta), identity, identity,
+                              grid, fast_opts, scalar_data=(z, z, L, L))
+        out.append((beta, u, rep))
+    return out
+
+
 class TestCooperative:
     def test_beats_scalar_levels(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, 10.0, 4.0, 1.0)
@@ -998,22 +1005,26 @@ class TestCooperative:
         np.testing.assert_allclose(sw.u1.values, u.u2.values, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(sw.u2.values, u.u1.values, rtol=0.0, atol=1e-12)
 
-    def test_diagonal_candidate_exact_solution(self, grid15, identity, fast_opts):
-        params = ProblemParams(0.0, 0.0, 5.0, 4.0, 1.0)
-        x, pp = diagonal_candidate(params, identity, grid15, fast_opts)
-        g = Energy.pair(params, identity, identity).gradient(CellSample(x, grid15))
-        res = math.sqrt(grid15.cell_area * np.sum(g**2))
-        assert res <= 1e-6
-        assert pp > 0.0
+    def test_synchronized_state_is_rescaled_ground_state(self, scalar15,
+                                                         synchronized15):
+        # symmetric identity data at p = 4: the least-energy state is
+        # (w, w) with w = z1 / sqrt(1 + beta), at energy 2 L1 / (1 + beta)
+        _grid, _params, z, L, _rep = scalar15
+        for beta, u, rep in synchronized15:
+            w = z.values / math.sqrt(1.0 + beta)
+            np.testing.assert_allclose(u.u1.values, w, rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(u.u2.values, u.u1.values, rtol=0.0,
+                                       atol=1e-12)
+            assert rep.energy == pytest.approx(2.0 * L / (1.0 + beta), rel=1e-10)
 
-    def test_diagonal_mass_decays(self, grid15, identity, fast_opts):
-        # int |w_beta|^p decreasing in beta, log-log slope <= -0.9
-        betas = [5.0, 10.0, 20.0, 40.0]
-        masses = []
-        for beta in betas:
-            params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
-            _x, pp = diagonal_candidate(params, identity, grid15, fast_opts)
-            masses.append(pp)
+    def test_diagonal_mass_decays(self, scalar15, synchronized15):
+        # int |u1|^p decreasing in beta, log-log slope <= -0.9
+        grid, params, _z, _L, _rep = scalar15
+        betas = [beta for beta, _u, _rep in synchronized15]
+        masses = [
+            float(CellSample(u.u1.values[None], grid).integrals(params.p)[2][0])
+            for _beta, u, _rep in synchronized15
+        ]
         assert all(b < a for a, b in zip(masses, masses[1:]))
         slope = np.polyfit(np.log(betas), np.log(masses), 1)[0]
         assert slope <= -0.9
@@ -1072,6 +1083,21 @@ class TestDecoupledAndSweep:
         for row in rows:
             assert row.status == "ok"
             assert row.report.fully_nontrivial and row.report.nonnegative
+
+    def test_sweep_solves_scalar_problem_once(self, monkeypatch, grid15,
+                                              identity, fast_opts):
+        calls = []
+
+        def counted(i, *args, **kwargs):
+            calls.append(i)
+            return scalar_ground_state(i, *args, **kwargs)
+
+        monkeypatch.setattr(S, "scalar_ground_state", counted)
+        params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
+        rows = beta_sweep([5.0, 10.0], params, identity, identity, grid15,
+                          fast_opts)
+        assert [row.status for row in rows] == ["ok", "ok"]
+        assert calls == [1]
 
     def test_sweep_survives_bad_beta(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
