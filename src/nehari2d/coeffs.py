@@ -104,8 +104,7 @@ def example_family(gamma: float) -> CoefficientFamily:
     violation honestly.
     """
     def a(s):
-        sg = np.abs(s) ** gamma
-        return 1.0 + sg / (1.0 + sg)
+        return _example_jet(np.asarray(s, dtype=float), 0, gamma)[0]
 
     def da(s):
         return _example_jet(np.asarray(s, dtype=float), 1, gamma)[1]
@@ -124,19 +123,42 @@ def example_family(gamma: float) -> CoefficientFamily:
     )
 
 
+# the smallest normal float
+_TINY = np.finfo(float).tiny
+
+
 def _example_jet(s: np.ndarray, order: int, gamma: float) -> tuple:
-    """A, A' and, for order 2, A'' of the example profile in one pass: one
-    power |s|^(gamma-2) (with its A''-limit 1 or 0 at s = 0), then
-    |s|^gamma = |s|^(gamma-2) s^2 and one 1/(1 + |s|^gamma)."""
+    """A and its first `order` derivatives (order <= 2) of the example
+    profile in one pass.
+
+    With x = |s|^gamma and r = 1/(1 + x): A = 1 + x r, A' = d1 s and
+    A'' = d1 [(gamma-1) r - (gamma+1) x r], d1 = gamma |s|^(gamma-2) r^2.
+    x r and r are taken from y = |s|^-gamma, as 1/(1 + y) and
+    1/(1 + 1/y), so they keep their limits where y is inf (s = 0, or x
+    below the float range) or 0 (x above it): A is in [1, 2] at every
+    finite s.  |s|^(gamma-2) is set to its A''-limit at s = 0 (1 at
+    gamma = 2, else 0), and also below the normal floats and, for
+    gamma > 2, above 2^(1000/(gamma-2)), lest an inf meet a 0 there.  So
+    A' and A'' are never NaN; they are +-inf only where |s|^(gamma-2)
+    reaches the top of the float range.
+    """
     a_s = np.abs(s)
-    base = np.power(a_s, gamma - 2.0, out=np.full_like(a_s, float(gamma == 2.0)),
-                    where=a_s != 0.0)
-    sg = base * a_s * a_s
-    r = 1.0 / (1.0 + sg)
-    d1 = gamma * base * r * r
-    out = (1.0 + sg * r, d1 * s)
+    with np.errstate(divide="ignore", over="ignore"):
+        y = a_s ** -gamma
+        xr = 1.0 / (1.0 + y)
+        out = (1.0 + xr,)
+        if order == 0:
+            return out
+        r = 1.0 / (1.0 + 1.0 / y)
+        normal = a_s >= _TINY
+        if gamma > 2.0:
+            normal &= a_s <= 2.0 ** min(1000.0 / (gamma - 2.0), 1023.0)
+        base = np.power(a_s, gamma - 2.0, out=np.full_like(a_s, float(gamma == 2.0)),
+                        where=normal)
+        d1 = gamma * base * r * r
+    out += (d1 * s,)
     if order == 2:
-        out += (d1 * r * ((gamma - 1.0) - (gamma + 1.0) * sg),)
+        out += (d1 * ((gamma - 1.0) * r - (gamma + 1.0) * xr),)
     return out
 
 

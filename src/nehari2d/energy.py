@@ -14,9 +14,10 @@ the quadrature is a smooth function of the nodal values, E has an exact
 gradient, assembled here by the chain rule; the infinite-dimensional
 subtlety that the A'-term only pairs with bounded test functions has no
 finite-dimensional counterpart.  Away from zero cell values E is twice
-differentiable, and its Hessian is assembled exactly from A''; where a
-cell value is exactly 0 and a second derivative does not exist there
-(A'' for gamma < 2, the coupling for p < 4), it is taken to be 0.
+differentiable, and its exact Hessian, built from A'', is applied as a
+product: no matrix is formed.  Where a cell value is exactly 0 and a
+second derivative does not exist there (A'' for gamma < 2, the coupling
+for p < 4), it is taken to be 0.
 
 The two constraint residuals r_i pair each component's equation with the
 component itself; r_1 = r_2 = 0 (with both components nontrivial) is the
@@ -32,14 +33,7 @@ import numpy as np
 
 from .coeffs import CoefficientFamily
 from .errors import InvalidParams
-from .grid import (
-    Grid,
-    StatePair,
-    cell_form_matrix,
-    cell_gradients,
-    cell_values,
-    scatter_cells,
-)
+from .grid import Grid, StatePair, cell_gradients, cell_values, scatter_cells
 
 
 @dataclass(frozen=True)
@@ -197,13 +191,25 @@ class Energy:
         return np.sum(dens, axis=(-2, -1)) * s.grid.cell_area
 
     def hessian(self, s: CellSample):
-        """Exact Hessian at the sampled state: the derivative of `gradient`,
-        as a CSR matrix of order k*nx*ny on raveled (k, nx, ny) stacks."""
+        """Exact Hessian at the sampled state, the derivative of `gradient`,
+        as a product d -> H d on (k, nx, ny) stacks.  The weights are formed
+        here, once; each product samples d with the cell stencils and
+        scatters the linearized gradient weights back."""
         _G, _g, diag, cross = self.potential(s.v, 2)
         a, da, d2a = self._profile(s, 2)
         m = 0.5 * d2a * s.gsq - self._lam() - diag
-        return cell_form_matrix(s.grid, m, da * s.gx, da * s.gy, a,
-                                None if cross is None else -cross)
+        ax, ay = da * s.gx, da * s.gy
+        grid = s.grid
+
+        def product(d: np.ndarray) -> np.ndarray:
+            dv = cell_values(d, grid)
+            dgx, dgy = cell_gradients(d, grid)
+            w_val = m * dv + ax * dgx + ay * dgy
+            if cross is not None:
+                w_val -= cross * dv[::-1]
+            return scatter_cells(grid, w_val, ax * dv + a * dgx, ay * dv + a * dgy)
+
+        return product
 
 
 def total_energy(

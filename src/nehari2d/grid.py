@@ -96,14 +96,6 @@ class Grid:
 
         return spectrum.make_poisson_solver(self, quadrature=True)
 
-    @cached_property
-    def form_patterns(self):
-        """`{k: (indptr, indices, mask)}` for k = 1, 2: the 9-point CSR
-        pattern of `cell_form_matrix` on k-component stacks, and the mask
-        that picks its entries, in CSR order, out of the per-node stencil
-        layout the cell blocks are summed into."""
-        return {k: _form_pattern(*self.shape, k) for k in (1, 2)}
-
 
 def build_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
@@ -177,19 +169,18 @@ def cell_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Bilinear interpolant at every cell center, of nodal arrays with any
     leading axes (a (k, nx, ny) stack gives (k, nx+1, ny+1))."""
     P = grid.padded(values)
-    return 0.25 * (
-        P[..., :-1, :-1] + P[..., 1:, :-1] + P[..., :-1, 1:] + P[..., 1:, 1:]
-    )
+    sx = P[..., :-1, :] + P[..., 1:, :]  # neighbours in x, summed
+    return 0.25 * (sx[..., :-1] + sx[..., 1:])
 
 
 def cell_gradients(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(d/dx, d/dy) of the bilinear interpolant at every cell center, of
     nodal arrays with any leading axes."""
     P = grid.padded(values)
-    a, b = P[..., :-1, :-1], P[..., 1:, :-1]
-    c, d = P[..., :-1, 1:], P[..., 1:, 1:]
-    gx = ((b + d) - (a + c)) / (2.0 * grid.hx)
-    gy = ((c + d) - (a + b)) / (2.0 * grid.hy)
+    left, right = P[..., :-1, :], P[..., 1:, :]
+    sx, dx = left + right, right - left
+    gx = (dx[..., :-1] + dx[..., 1:]) / (2.0 * grid.hx)
+    gy = (sx[..., 1:] - sx[..., :-1]) / (2.0 * grid.hy)
     return gx, gy
 
 
@@ -216,121 +207,22 @@ def scatter_cells(
     induced by d.  This is the chain-rule backbone of every exact
     discrete gradient below.  Weights with leading axes (k, nx+1, ny+1)
     give a (k, nx, ny) stack.
+
+    Node (i, j) gathers the four cells around it: cells i and i+1 in x lie
+    left and right of it, cells j and j+1 in y below and above it.  The
+    weights are summed over the two cells in y, then over the two in x.
     """
-    lead = next(np.shape(w)[:-2] for w in (w_val, w_gx, w_gy) if w is not None)
-    N = np.zeros((*lead, grid.spec.nx + 2, grid.spec.ny + 2))
-    a, b = N[..., :-1, :-1], N[..., 1:, :-1]
-    c, d = N[..., :-1, 1:], N[..., 1:, 1:]
-    if w_val is not None:
-        q = 0.25 * w_val
-        a += q
-        b += q
-        c += q
-        d += q
-    if w_gx is not None:
-        q = w_gx / (2.0 * grid.hx)
-        a -= q
-        c -= q
-        b += q
-        d += q
-    if w_gy is not None:
-        q = w_gy / (2.0 * grid.hy)
-        a -= q
-        b -= q
-        c += q
-        d += q
-    return N[..., 1:-1, 1:-1]
-
-
-def _form_pattern(nx: int, ny: int, k: int):
-    """CSR pattern of the 9-point stencil on k-component stacks.
-
-    Row (c, i, j) couples to the in-range nodes (c', i+di, j+dj), di and
-    dj in {-1, 0, 1}, whatever c is; `mask` marks those entries of the
-    (nx, ny, k, 3, 3) array indexed [i, j, c', di+1, dj+1], whose C order
-    is CSR order within the rows of one component.
-    """
-    i = np.arange(nx)[:, None, None, None, None]
-    j = np.arange(ny)[None, :, None, None, None]
-    off = np.arange(-1, 2)[:, None]
-    ni, nj = i + off, j + off.T
-    inside = (ni >= 0) & (ni < nx) & (nj >= 0) & (nj < ny)
-    cols = np.arange(k)[:, None, None] * (nx * ny) + ni * ny + nj
-    mask = np.broadcast_to(inside, cols.shape).copy()
-    indices = np.tile(cols[mask].astype(np.int32), k)
-    indptr = np.zeros(k * nx * ny + 1, dtype=np.int32)
-    np.cumsum(np.tile(mask.sum(axis=(2, 3, 4)).ravel(), k), out=indptr[1:])
-    for arr in (indptr, indices, mask):
-        arr.setflags(write=False)
-    return indptr, indices, mask
-
-
-# the four corner nodes of a cell, in the order (a, b, c, d) of the
-# stencils above, as offsets from the cell's lower-left padded node
-_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def cell_form_matrix(
-    grid: Grid,
-    w_vv: np.ndarray,
-    w_vx: np.ndarray,
-    w_vy: np.ndarray,
-    w_gg: np.ndarray,
-    w_cross: np.ndarray | None = None,
-):
-    """The matrix of a symmetric form in the cell samples of two stacks.
-
-    The weights are (k, nx+1, ny+1) cell arrays, k = 1 or 2, and
-    `w_cross` (k = 2 only) one (nx+1, ny+1) array.  Returns the
-    `scipy.sparse.csr_array` H of order k*nx*ny on raveled (k, nx, ny)
-    stacks with
-        H d = scatter_cells(grid, w_vv*dV + w_vx*dgx + w_vy*dgy
-                                  + w_cross*dV[::-1],
-                            w_vx*dV + w_gg*dgx, w_vy*dV + w_gg*dgy)
-    for every stack d with cell values dV and gradients (dgx, dgy).  Each
-    cell adds to its corner nodes the 4x4 block
-        w_vv vv' + w_vx (vx' + xv') + w_vy (vy' + yv') + w_gg (xx' + yy'),
-    v, x and y being the corners' weights in the cell value and
-    gradients, and w_cross vv' between the two components.
-    """
-    k = len(w_vv)
-    nx, ny = grid.shape
-    indptr, indices, mask = grid.form_patterns[k]
-    # the corners' weights in the cell value and gradients
-    v = np.full(4, 0.25)
-    x = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * grid.hx)
-    y = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * grid.hy)
-    # coef[r, s] weighs (w_vv, w_vx, w_vy, w_gg) in the (r, s) block entry
-    outer = np.outer
-    coef = np.stack(
-        (outer(v, v), outer(v, x) + outer(x, v), outer(v, y) + outer(y, v),
-         outer(x, x) + outer(y, y)),
-        axis=-1,
+    shape = next(np.shape(w) for w in (w_val, w_gx, w_gy) if w is not None)
+    if shape[-2:] != grid.cell_shape:
+        raise GridMismatch(f"cell weights of shape {shape}, grid is {grid.cell_shape}")
+    v, x, y = (
+        np.zeros(shape) if w is None else c * w
+        for w, c in ((w_val, 0.25), (w_gx, 0.5 / grid.hx), (w_gy, 0.5 / grid.hy))
     )
-    if w_cross is not None:
-        cross = w_cross / 16.0  # every entry of vv'
-    data = np.empty(len(indices))
-    rows = np.split(data, k)  # the entries of each component's rows
-    for c in range(k):
-        # S[c', di+1, dj+1, i, j] = H[(c, i, j), (c', i+di, j+dj)]
-        S = np.zeros((k, 3, 3, nx, ny))
-        weights = np.reshape((w_vv[c], w_vx[c], w_vy[c], w_gg[c]), (4, -1))
-        for r, (ai, aj) in enumerate(_CORNERS):
-            # the cells with row node (i, j) at corner r
-            cells = (slice(1 - ai, nx + 1 - ai), slice(1 - aj, ny + 1 - aj))
-            blocks = (coef[r] @ weights).reshape(4, nx + 1, ny + 1)
-            for s, (bi, bj) in enumerate(_CORNERS):
-                slot = (1 + bi - ai, 1 + bj - aj)
-                S[c][slot] += blocks[s][cells]
-                if w_cross is not None:
-                    S[1 - c][slot] += cross[cells]
-        rows[c][:] = S.transpose(3, 4, 0, 1, 2)[mask]
-    # imported on first use: at module level, ahead of the rest of scipy,
-    # it made the package import about 20 ms slower
-    from scipy.sparse import csr_array
-
-    n = k * nx * ny
-    return csr_array((data, indices, indptr), shape=(n, n))
+    below, above = v + y, v - y
+    sy = below[..., :-1] + above[..., 1:]
+    sx = x[..., :-1] + x[..., 1:]
+    return (sy + sx)[..., :-1, :] + (sy - sx)[..., 1:, :]
 
 
 # field dump format: header `FIELD nx ny lx ly`, then nx*ny lines

@@ -66,7 +66,6 @@ from .spectrum import (
     ADMISSIBLE_WEAK,
     INADMISSIBLE,
     admissibility,
-    quadrature_eigenvalue_exact,
     stencil_eigenvalue_exact,
 )
 
@@ -118,8 +117,10 @@ class SolveReport:
 
 
 def conservative_mu1(grid: Grid) -> float:
-    """The smaller of the stencil and quadrature first eigenvalues."""
-    return min(stencil_eigenvalue_exact(grid), quadrature_eigenvalue_exact(grid))
+    """The smaller of the stencil and quadrature first eigenvalues, which
+    is always the stencil one: with t = pi h / (2 l) in (0, pi/6] on every
+    axis, the quadrature value's tan^2 t exceeds the stencil's sin^2 t."""
+    return stencil_eigenvalue_exact(grid)
 
 
 def _vol_norm(values: np.ndarray, grid: Grid) -> float:
@@ -472,9 +473,11 @@ def _best_polished(starts, fiber, polish, energy, grid, opts, warnings,
 # ---------------------------------------------------------------------------
 # Newton-Krylov polish on the exact gradient
 
-# at most this many Newton steps, each with at most this many MINRES iterations
+# at most this many Newton steps, each with at most this many MINRES
+# iterations, run to this relative residual
 _POLISH_MAX_ITER = 60
 _POLISH_INNER_ITER = 400
+_POLISH_RTOL = 1e-6
 
 
 def _newton_krylov_polish(
@@ -490,12 +493,13 @@ def _newton_krylov_polish(
     Every iterate and every line-search trial is sampled once, and the
     gradient (`gradient(sample)`, by default `energy.gradient`), the
     energy and, at the start of each Newton step, the Hessian are read
-    from that sample.  The Hessian is a sparse matrix on the raveled
-    stack, inverted approximately by MINRES (it is symmetric but may be
-    indefinite at the saddle-type critical points sought here),
-    preconditioned by the exact inverse of each component's quadrature
-    stiffness (`grid.quadrature_solver`, the Hessian's gradient term at
-    unit coefficient), so the MINRES count does not grow with the mesh.
+    from that sample.  The Hessian is a product on the stack
+    (`energy.hessian`), inverted approximately by MINRES to relative
+    residual `_POLISH_RTOL` (it is symmetric but may be indefinite at the
+    saddle-type critical points sought here), preconditioned by the
+    exact inverse of each component's quadrature stiffness
+    (`grid.quadrature_solver`, the Hessian's gradient term at unit
+    coefficient), so the MINRES count does not grow with the mesh.
     Steps are halved until the residual norm decreases; accepted steps may
     not raise the energy beyond rounding level.  Converged means res <= tol.
     Past tol, Newton steps continue while they lower the residual, up to
@@ -507,11 +511,13 @@ def _newton_krylov_polish(
     gradient = gradient or energy.gradient
     tol = opts.tol
     shape, n = x0.shape, x0.size
-    solve = grid.quadrature_solver
-    M = LinearOperator(
-        (n, n), matvec=lambda r: solve(r.reshape(-1, *grid.shape)).ravel(),
-        dtype=float,
-    )
+
+    def operator(apply):
+        return LinearOperator(
+            (n, n), matvec=lambda v: apply(v.reshape(shape)).ravel(), dtype=float
+        )
+
+    M = operator(grid.quadrature_solver)
     sample = CellSample(x0.copy(), grid)
     g = gradient(sample)
     res = _vol_norm(g, grid)
@@ -521,7 +527,7 @@ def _newton_krylov_polish(
         if res <= 1e-2 * tol:
             return sample, res, True, its - 1
         step, _info = minres(
-            energy.hessian(sample), -g.ravel(), rtol=1e-6,
+            operator(energy.hessian(sample)), -g.ravel(), rtol=_POLISH_RTOL,
             maxiter=_POLISH_INNER_ITER, M=M,
         )
         step = step.reshape(shape)

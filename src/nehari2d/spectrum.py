@@ -8,9 +8,11 @@ smallest eigenvalue is
 with the sampled sin(pi x / lx) sin(pi y / ly) as eigenvector.  A second
 eigenvalue notion coexists: the quadrature Rayleigh quotient of the
 eigenvector, which for this scheme equals the analogous tangent formula
-and so lies above both the stencil value and the continuum limit.
-Admissibility decisions use the smaller of the two notions, so every
-threshold comparison errs on the conservative side.
+and so lies above both the stencil value and the continuum limit (with
+pi h / (2 l) <= pi/6, since n >= 2, tan^2 exceeds sin^2 on each axis).
+Admissibility decisions use the smaller of the two notions, which is
+therefore the stencil value, so every threshold comparison errs on the
+conservative side.
 
 The quadrature stiffness (the energy's gradient term) is diagonal in the
 same sine basis, with symbol

@@ -95,3 +95,37 @@ def stencil_semilinear_gradient(u1, u2, lam1, lam2, beta, p, hx, hy):
 
 def central_difference(f, x0: float, h: float) -> float:
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
+
+
+def quasilinear_strong_form(X, Y, profiles, lams, beta, p):
+    """The continuum Euler operator of the system energy,
+
+        -div(A_i(u_i) grad u_i) + A_i'(u_i) |grad u_i|^2 / 2
+            - lambda_i u_i - d_i G_beta(u),
+
+    at the points (X, Y) of the unit square, for the fields
+    u1 = sin(pi x) sin(pi y) and u2 = (1 + x) sin(pi x) sin(pi y) / 2.
+    The derivatives of the fields are written out by hand; `profiles`
+    holds one (A, A') pair of callables per component.  Returns the two
+    component arrays.
+    """
+    pi = np.pi
+    S = np.sin(pi * X) * np.sin(pi * Y)
+    Sx = pi * np.cos(pi * X) * np.sin(pi * Y)
+    Sy = pi * np.sin(pi * X) * np.cos(pi * Y)
+    lap_S = -2.0 * pi**2 * S
+    w = 0.5 * (1.0 + X)
+    fields = (S, w * S)
+    grads = ((Sx, Sy), (0.5 * S + w * Sx, w * Sy))
+    laps = (lap_S, Sx + w * lap_S)
+    half = p / 2.0
+    out = []
+    for i, j in ((0, 1), (1, 0)):
+        A, dA = profiles[i]
+        u, (gx, gy) = fields[i], grads[i]
+        gsq = gx * gx + gy * gy
+        # -div(A(u) grad u) = -A(u) lap u - A'(u) |grad u|^2
+        dG = (np.abs(u) ** (p - 2.0) * u
+              + beta * np.abs(u) ** (half - 2.0) * u * np.abs(fields[j]) ** half)
+        out.append(-A(u) * laps[i] - 0.5 * dA(u) * gsq - lams[i] * u - dG)
+    return out

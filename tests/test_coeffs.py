@@ -140,12 +140,14 @@ class TestJet:
     def test_example_matches_a_da_and_d2a(self, gamma):
         fam = example_family(gamma)
         A, dA, d2A = fam.jet(JET_S, 2)
-        assert np.allclose(A, fam.a(JET_S), rtol=1e-13, atol=0.0)
+        sg = np.abs(JET_S) ** gamma
+        assert np.allclose(A, 1.0 + sg / (1.0 + sg), rtol=1e-15, atol=0.0)
         assert np.allclose(dA, closed_form_da(gamma, JET_S), rtol=1e-13, atol=0.0)
         ref, scale = closed_form_d2a(gamma, JET_S)
         assert np.all(np.abs(d2A - ref) <= 1e-13 * scale)
         assert dA[0] == 0.0 and d2A[0] == ref[0] == (2.0 if gamma == 2.0 else 0.0)
-        # da and d2a are views of the jet
+        # a, da and d2a are views of the jet
+        assert np.array_equal(fam.a(JET_S), A)
         assert np.array_equal(fam.da(JET_S), dA)
         assert np.array_equal(fam.d2a(JET_S), d2A)
 
@@ -154,10 +156,37 @@ class TestJet:
         fam = example_family(1.3)
         jet = fam.jet(JET_S, order)
         assert len(jet) == order + 1
-        # order 0 is the family's `a`, higher orders the fused pass
-        want = (fam.a(JET_S),) if order == 0 else fam.jet(JET_S, 2)
-        for got, w in zip(jet, want):
+        for got, w in zip(jet, fam.jet(JET_S, 2)):
             assert np.array_equal(got, w)
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.0))
+    def test_one_profile_value_for_every_order(self, gamma):
+        # order 0 is the family's `a`, higher orders the fused pass: the
+        # same A bit for bit
+        fam = example_family(gamma)
+        s = np.linspace(-3.0, 3.0, 100_001)
+        A = fam.jet(s, 0)[0]
+        for order in (1, 2):
+            assert np.array_equal(fam.jet(s, order)[0], A)
+
+    @pytest.mark.parametrize("gamma", (0.05, 0.5, 1.0, 1.3, 2.0, 2.5, 3.0, 3.7, 30.0))
+    def test_example_jet_at_extreme_s(self, gamma):
+        # A is finite and A', A'' are never NaN, without a warning (the
+        # suite turns warnings into errors), from the subnormals to the
+        # largest float; A keeps its limits 1 and 2
+        tiny = np.array([5e-324, 1e-310, 1e-300, 1e-207, 3e-206, 1e-160])
+        huge = np.array([1e160, 1e300, np.finfo(float).max])
+        s = np.concatenate(([0.0], tiny, huge, -tiny, -huge))
+        fam = example_family(gamma)
+        A, dA, d2A = fam.jet(s, 2)
+        assert np.all(np.isfinite(A)) and np.all((1.0 <= A) & (A <= 2.0))
+        assert not np.any(np.isnan(dA)) and not np.any(np.isnan(d2A))
+        assert np.array_equal(fam.a(s), A) and np.array_equal(fam.da(s), dA)
+        sg = np.abs(tiny) ** gamma
+        assert np.allclose(A[1:7], 1.0 + sg / (1.0 + sg), rtol=1e-15, atol=0.0)
+        sg = np.abs(huge) ** -gamma  # 1/|s|^gamma, which would overflow
+        assert np.allclose(A[7:10], 1.0 + 1.0 / (1.0 + sg), rtol=1e-15, atol=0.0)
+        assert np.array_equal(dA[1:10], -dA[10:]) and np.array_equal(d2A[1:10], d2A[10:])
 
     def test_identity_constants(self):
         A, dA, d2A = identity_family().jet(JET_S, 2)

@@ -72,44 +72,6 @@ class TestGridSpec:
         assert grid.quadrature_solver is not grid.poisson_solver
         assert built == [{}, {"quadrature": True}]
 
-    def test_form_patterns_built_once_per_grid(self, monkeypatch):
-        built = []
-        real = G._form_pattern
-
-        def counting(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(G, "_form_pattern", counting)
-        grid = build_grid(GridSpec(5, 4, 1.0, 1.0))
-        w = np.ones((4, 2, 6, 5))
-        first = G.cell_form_matrix(grid, *w, w[0, 0])
-        for _ in range(2):
-            G.cell_form_matrix(grid, *w[:, :1])
-            again = G.cell_form_matrix(grid, *w, w[0, 0])
-        assert sorted(built) == [(5, 4, 1), (5, 4, 2)]
-        assert np.shares_memory(first.indices, again.indices)
-
-
-class TestCellFormMatrix:
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_product_is_the_scattered_form(self, k):
-        grid = build_grid(GridSpec(9, 6, 1.0, 1.7))
-        rng = np.random.default_rng(k)
-        w_vv, w_vx, w_vy, w_gg = rng.standard_normal((4, k, 10, 7))
-        w_cross = rng.standard_normal((10, 7)) if k == 2 else None
-        H = G.cell_form_matrix(grid, w_vv, w_vx, w_vy, w_gg, w_cross)
-        for d in rng.standard_normal((3, k, 9, 6)):
-            dv = G.cell_values(d, grid)
-            dgx, dgy = G.cell_gradients(d, grid)
-            w_val = w_vv * dv + w_vx * dgx + w_vy * dgy
-            if k == 2:
-                w_val += w_cross * dv[::-1]
-            ref = G.scatter_cells(grid, w_val, w_vx * dv + w_gg * dgx,
-                                  w_vy * dv + w_gg * dgy)
-            err = np.linalg.norm(H @ d.ravel() - ref.ravel())
-            assert err <= 1e-13 * np.linalg.norm(ref)
-
 
 class TestIntegrate:
     def test_constant_one_is_area(self):
@@ -131,6 +93,68 @@ class TestIntegrate:
     def test_shape_mismatch(self, grid15, grid31):
         with pytest.raises(GridMismatch):
             G.integrate(np.ones(grid31.cell_shape), grid15)
+
+
+def corner_samples(values, grid):
+    """Reference cell values and gradients, written corner by corner: the
+    cell's four nodes a, b, c, d at (x-, y-), (x+, y-), (x-, y+), (x+, y+)."""
+    P = grid.padded(values)
+    a, b = P[..., :-1, :-1], P[..., 1:, :-1]
+    c, d = P[..., :-1, 1:], P[..., 1:, 1:]
+    return (0.25 * (a + b + c + d), ((b + d) - (a + c)) / (2.0 * grid.hx),
+            ((c + d) - (a + b)) / (2.0 * grid.hy))
+
+
+def corner_scatter(grid, w_val, w_gx, w_gy):
+    """Reference adjoint of `corner_samples`: every cell adds its weights
+    to its four corner nodes."""
+    N = np.zeros((*np.shape(w_val)[:-2], grid.spec.nx + 2, grid.spec.ny + 2))
+    corners = {(0, 0): (-1, -1), (1, 0): (1, -1), (0, 1): (-1, 1), (1, 1): (1, 1)}
+    for (i, j), (sx, sy) in corners.items():
+        N[..., i:i + grid.spec.nx + 1, j:j + grid.spec.ny + 1] += (
+            0.25 * w_val + sx * w_gx / (2.0 * grid.hx) + sy * w_gy / (2.0 * grid.hy)
+        )
+    return N[..., 1:-1, 1:-1]
+
+
+class TestStencils:
+    """The cell stencils and their adjoint against the corner references."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("spec", [GridSpec(2, 2), GridSpec(9, 6, 1.0, 1.7),
+                                      GridSpec(31, 31)])
+    def test_match_corner_references(self, spec, k):
+        grid = build_grid(spec)
+        rng = np.random.default_rng(spec.nx + k)
+        x = rng.standard_normal((k, *grid.shape))
+        for mine, ref in zip((G.cell_values(x, grid), *G.cell_gradients(x, grid)),
+                             corner_samples(x, grid)):
+            assert np.max(np.abs(mine - ref)) <= 1e-14 * np.max(np.abs(ref))
+        w = rng.standard_normal((3, k, *grid.cell_shape))
+        ref = corner_scatter(grid, *w)
+        err = np.max(np.abs(G.scatter_cells(grid, *w) - ref))
+        assert err <= 1e-14 * np.max(np.abs(ref))
+        # a missing weight is a zero weight
+        zero = np.zeros_like(w[0])
+        for i in range(3):
+            parts = [zero if j == i else w[j] for j in range(3)]
+            missing = [None if j == i else w[j] for j in range(3)]
+            assert np.array_equal(G.scatter_cells(grid, *missing),
+                                  G.scatter_cells(grid, *parts))
+
+    def test_scatter_is_the_adjoint_of_sampling(self):
+        grid = build_grid(GridSpec(9, 6, 1.0, 1.7))
+        rng = np.random.default_rng(7)
+        d = rng.standard_normal((2, *grid.shape))
+        w = rng.standard_normal((3, 2, *grid.cell_shape))
+        cells = (G.cell_values(d, grid), *G.cell_gradients(d, grid))
+        lhs = sum(np.sum(wi * ci) for wi, ci in zip(w, cells))
+        rhs = np.sum(G.scatter_cells(grid, *w) * d)
+        assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    def test_scatter_rejects_other_cell_shapes(self, grid15):
+        with pytest.raises(GridMismatch):
+            G.scatter_cells(grid15, np.ones((2, *grid15.shape)))
 
 
 class TestGradSq:

@@ -82,6 +82,19 @@ def test_readme_backtracking_bounds_are_the_code_constants():
     assert float(hi) == solvers._SHRINK_MAX
 
 
+def test_readme_polish_settings_are_the_code_constants():
+    from nehari2d import solvers
+
+    text = " ".join(README.read_text().split())
+    steps, inner, rtol = re.search(
+        r"Newton takes at most (\d+) steps, each with at most (\d+) MINRES "
+        r"iterations, run to relative residual `rtol = (\S+)`", text
+    ).groups()
+    assert int(steps) == solvers._POLISH_MAX_ITER
+    assert int(inner) == solvers._POLISH_INNER_ITER
+    assert float(rtol) == solvers._POLISH_RTOL
+
+
 def test_readme_descent_and_polish_settings_are_the_code_constants():
     from nehari2d import solvers
 

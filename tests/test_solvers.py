@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import diags_array
 
 import nehari2d.energy as E
 import nehari2d.grid as G
@@ -485,10 +484,22 @@ class TestOneSamplePerState:
 
     def test_scalar_polish(self, monkeypatch, grid15, example1, params_p4):
         # the start and every accepted trial are sampled once, and the
-        # gradient, energy and Hessian of an iterate read that sample
+        # gradient, energy and Hessian of an iterate read that sample; the
+        # Hessian products sample their directions, which are not counted
         counts = count_stencils(monkeypatch)
-        real = S._newton_krylov_polish
+        real, real_hessian = S._newton_krylov_polish, Energy.hessian
         polishes = []
+
+        def hessian(energy, sample):
+            product = real_hessian(energy, sample)
+
+            def uncounted(d):
+                before = dict(counts)
+                out = product(d)
+                counts.update(before)
+                return out
+
+            return uncounted
 
         def polish(*args):
             before = dict(counts)
@@ -497,6 +508,7 @@ class TestOneSamplePerState:
             return out
 
         monkeypatch.setattr(S, "_newton_krylov_polish", polish)
+        monkeypatch.setattr(Energy, "hessian", hessian)
         opts = SolverOptions(n_restarts=0)
         scalar_ground_state(1, params_p4, example1, grid15, opts)
         # two Newton steps, each accepting its full step
@@ -604,7 +616,7 @@ class TestNewtonHandoff:
                 return 0.0
 
             def hessian(self, sample):
-                return diags_array(free.ravel().astype(float))
+                return lambda d: free * d
 
         _sample, res, converged, its = S._newton_krylov_polish(
             np.zeros(shape), Quadratic(), grid7, opts
@@ -655,17 +667,19 @@ class TestNewtonHandoff:
         assert len(steps) == len(accepted) > 0
         assert max(steps) <= 3
 
-    def test_hessian_products_do_not_scatter(self, monkeypatch, grid15, example1,
-                                             params_p4):
-        # the Hessian is assembled once per Newton step: MINRES iterations
-        # multiply by a matrix and scatter nothing back through the cells
+    def test_each_hessian_product_scatters_once(self, monkeypatch, grid15,
+                                                example1, params_p4):
+        # the Hessian weights are formed once per Newton step: each MINRES
+        # iteration makes one product, which scatters once through the
+        # cells, and each gradient scatters once
         opts = SolverOptions(n_restarts=0)
         z, _L, _rep = scalar_ground_state(1, params_p4, example1, grid15, opts)
         rng = np.random.default_rng(0)
         x0 = (z.values * (1.0 + 1e-3 * rng.standard_normal(grid15.shape)))[None]
         energy = Energy.scalar(params_p4, 0.0, example1)
-        counts = {"scatter": 0, "gradient": 0, "minres": 0}
+        counts = {"scatter": 0, "gradient": 0, "minres": 0, "hessian": 0}
         real_scatter, real_minres = E.scatter_cells, S.minres
+        real_hessian = energy.hessian
 
         def scatter(*args):
             counts["scatter"] += 1
@@ -681,14 +695,20 @@ class TestNewtonHandoff:
             counts["gradient"] += 1
             return energy.gradient(sample)
 
+        def hessian(sample):
+            counts["hessian"] += 1
+            return real_hessian(sample)
+
         monkeypatch.setattr(E, "scatter_cells", scatter)
         monkeypatch.setattr(S, "minres", minres)
+        monkeypatch.setattr(energy, "hessian", hessian)
         _sample, _res, converged, its = S._newton_krylov_polish(
             x0, energy, grid15, opts, gradient
         )
         assert converged and its >= 2
-        assert counts["scatter"] == counts["gradient"]
-        assert counts["minres"] > 2 * counts["scatter"]
+        assert counts["hessian"] == its
+        assert counts["minres"] > 2 * counts["gradient"]
+        assert counts["scatter"] == counts["gradient"] + counts["minres"]
 
     @pytest.mark.parametrize(
         "n, energy_ref", [(15, 110.464861107188), (31, 108.038290994432)]

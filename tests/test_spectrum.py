@@ -119,6 +119,19 @@ class TestPrincipalEigenpair:
         assert math.log2(gaps[0] / gaps[1]) >= 1.9
         assert math.log2(gaps[1] / gaps[2]) >= 1.9
 
+    @pytest.mark.parametrize("nx,ny,lx,ly", [
+        (2, 2, 1.0, 1.0), (2, 9, 1.0, 3.0), (9, 2, 0.1, 5.0), (3, 40, 7.0, 0.2),
+        (64, 2, 1.0, 1.0),
+    ])
+    def test_conservative_eigenvalue_is_the_stencil_one(self, nx, ny, lx, ly):
+        # down to two nodes on an axis the quadrature Rayleigh quotient (its
+        # tan^2 formula) lies above the stencil eigenvalue (sin^2)
+        grid = build_grid(GridSpec(nx, ny, lx, ly))
+        pair = principal_eigenpair(grid)
+        (num,), (den,), _pp = CellSample(pair.phi.values[None], grid).integrals(2.0)
+        assert pair.mu < num / den and pair.mu < pair.mu_quad
+        assert conservative_mu1(grid) == pair.mu
+
     def test_poincare_with_conservative_eigenvalue(self, grid31):
         mu = conservative_mu1(grid31)
         rng = np.random.default_rng(3)
