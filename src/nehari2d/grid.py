@@ -79,8 +79,9 @@ class Grid:
         P[..., 1:-1, 1:-1] = values
         return P
 
-    # the DST solvers, built on first use by `spectrum.make_poisson_solver`,
-    # looked up at call time (spectrum imports this module)
+    # the two sine-basis Poisson solvers, built on first use by
+    # `spectrum.make_poisson_solver`, looked up at call time (spectrum
+    # imports this module)
     @cached_property
     def poisson_solver(self):
         """Exact 5-point -Laplace solve, `spectrum.make_poisson_solver`."""

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .coeffs import KIND_TABULATED, CoefficientFamily
 from .energy import (
@@ -480,6 +479,66 @@ _POLISH_INNER_ITER = 400
 _POLISH_RTOL = 1e-6
 
 
+def _minres(apply, b, precond, rtol, maxiter, callback=None):
+    """Preconditioned MINRES (Paige & Saunders, SINUM 1975) for the
+    symmetric, possibly indefinite apply(x) = b from x = 0, on arrays of
+    any shape, with symmetric positive definite `precond`.  A port of the
+    recurrence and stopping rule of `scipy.sparse.linalg.minres`: stop
+    once ||r|| / (||A|| ||x||) or ||A r|| / (||A|| ||r||) is at most rtol,
+    the estimate of cond(A) reaches 0.1/eps, or after maxiter iterations,
+    each making one product and one `callback(x)`.
+    """
+    eps = np.finfo(float).eps
+    x = w = w2 = np.zeros_like(b)
+    r1 = r2 = b
+    y = precond(b)
+    beta1 = float(np.vdot(b, y))
+    if beta1 < 0.0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0.0:
+        return x
+    beta1 = beta = phibar = math.sqrt(beta1)
+    oldb = dbar = epsln = tnorm2 = gmax = sn = 0.0
+    gmin, cs = math.inf, -1.0
+    for itn in range(1, maxiter + 1):
+        # Lanczos step: v = y / beta, the next y = M^-1 r2
+        v = (1.0 / beta) * y
+        y = apply(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        oldb, beta = beta, float(np.vdot(r2, y))
+        if beta < 0.0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # apply the previous plane rotation, then form the next one
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar, epsln, dbar = sn * dbar - cs * alfa, sn * beta, -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm, xnorm = math.sqrt(tnorm2), float(np.linalg.norm(x))
+        test1 = phibar / (anorm * xnorm) if xnorm > 0.0 else math.inf
+        test2 = root / anorm
+        if callback is not None:
+            callback(x)
+        # 1 + t <= 1 exactly when t <= eps / 2, the test for rtol < eps
+        if (itn == 1 and beta / beta1 <= 10.0 * eps
+                or min(test1, test2) <= max(rtol, eps / 2.0)
+                or gmax / gmin >= 0.1 / eps or anorm * xnorm * eps >= beta1):
+            break
+    return x
+
+
 def _newton_krylov_polish(
     x0: np.ndarray,
     energy: Energy,
@@ -494,10 +553,10 @@ def _newton_krylov_polish(
     gradient (`gradient(sample)`, by default `energy.gradient`), the
     energy and, at the start of each Newton step, the Hessian are read
     from that sample.  The Hessian is a product on the stack
-    (`energy.hessian`), inverted approximately by MINRES to relative
+    (`energy.hessian`), inverted approximately by `_minres` to relative
     residual `_POLISH_RTOL` (it is symmetric but may be indefinite at the
     saddle-type critical points sought here), preconditioned by the
-    exact inverse of each component's quadrature stiffness
+    exact sine-basis inverse of each component's quadrature stiffness
     (`grid.quadrature_solver`, the Hessian's gradient term at unit
     coefficient), so the MINRES count does not grow with the mesh.
     Steps are halved until the residual norm decreases; accepted steps may
@@ -510,14 +569,6 @@ def _newton_krylov_polish(
     """
     gradient = gradient or energy.gradient
     tol = opts.tol
-    shape, n = x0.shape, x0.size
-
-    def operator(apply):
-        return LinearOperator(
-            (n, n), matvec=lambda v: apply(v.reshape(shape)).ravel(), dtype=float
-        )
-
-    M = operator(grid.quadrature_solver)
     sample = CellSample(x0.copy(), grid)
     g = gradient(sample)
     res = _vol_norm(g, grid)
@@ -526,11 +577,8 @@ def _newton_krylov_polish(
     for its in range(1, _POLISH_MAX_ITER + 1):
         if res <= 1e-2 * tol:
             return sample, res, True, its - 1
-        step, _info = minres(
-            operator(energy.hessian(sample)), -g.ravel(), rtol=_POLISH_RTOL,
-            maxiter=_POLISH_INNER_ITER, M=M,
-        )
-        step = step.reshape(shape)
+        step = _minres(energy.hessian(sample), -g, grid.quadrature_solver,
+                       _POLISH_RTOL, _POLISH_INNER_ITER)
         if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) == 0.0:
             step = -g
 

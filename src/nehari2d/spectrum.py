@@ -21,6 +21,8 @@ same sine basis, with symbol
 
 t = pi k / (n + 1).  Unlike the 5-point symbol it nearly vanishes on the
 checkerboard modes; its exact inverse preconditions the Newton polish.
+Both solves change basis with the dense orthonormal sine matrices
+S[j, k] = sqrt(2/(n+1)) sin(pi j k / (n+1)), symmetric with S S = I.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn
 
 from .errors import InvalidParams
 from .grid import Grid, ScalarField
@@ -52,16 +53,24 @@ def apply_neg_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     )
 
 
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal sine matrix sqrt(2/(n+1)) sin(pi j k / (n+1)),
+    j, k = 1..n, with j k reduced mod 2(n+1) before scaling by pi."""
+    k = np.arange(1, n + 1)
+    jk = np.outer(k, k) % (2 * (n + 1))
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * jk)
+
+
 def make_poisson_solver(grid: Grid, quadrature: bool = False):
-    """Direct solver for a -Laplace system via sine transforms.
+    """Direct solver for a -Laplace system in the discrete sine basis.
 
     By default the system is the 5-point stencil, used as the Riesz lift
     in the descent solvers.  With `quadrature` it is the stiffness of the
     energy's gradient term (the cell-centre quadrature of the bilinear
-    interpolant), used to precondition the Newton polish.  Both diagonalize in the discrete
-    sine basis, so the solve is exact up to roundoff.  Leading axes of
-    the right-hand side are a batch: a (k, nx, ny) stack is solved
-    component by component.
+    interpolant), used to precondition the Newton polish.  Both are diagonal
+    in the sine basis, so the solve (sine matrices, symbol, sine matrices)
+    is exact up to roundoff.  Leading axes of the right-hand side are a
+    batch: a (k, nx, ny) stack is solved component by component.
     """
     nx, ny = grid.shape
     sx = np.sin(np.pi * np.arange(1, nx + 1) / (2.0 * (nx + 1)))[:, None] ** 2
@@ -72,11 +81,10 @@ def make_poisson_solver(grid: Grid, quadrature: bool = False):
         denom = lx_eig * (1.0 - sy) + (1.0 - sx) * ly_eig
     else:
         denom = lx_eig + ly_eig
-    norm = 4.0 * (nx + 1) * (ny + 1)
+    Sx, Sy = _sine_matrix(nx), _sine_matrix(ny)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        bh = dstn(b, type=1, axes=(-2, -1))
-        return dstn(bh / denom, type=1, axes=(-2, -1)) / norm
+        return Sx @ ((Sx @ b @ Sy) / denom) @ Sy
 
     return solve
 

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import nehari2d as nh
@@ -126,3 +129,35 @@ def test_every_error_is_documented_with_its_status_and_label():
         assert issubclass(cls, errors.Nehari2dError)
         row = rf"^\| `{cls.__name__}` \| {cls.exit_status} \| `{cls.label}` \|"
         assert re.search(row, text, re.M), cls.__name__
+
+
+RUNTIME_SCRIPT = r"""
+import sys
+from pathlib import Path
+
+import nehari2d.cli as C
+
+BASE = (
+    "grid.nx = 7\ngrid.ny = 7\nparams.p = 4\nsolver.n_restarts = 0\n"
+    "family1.kind = example\nfamily1.gamma = 1\n"
+    "family2.kind = example\nfamily2.gamma = 1\n"
+)
+for command, extra in (("solve-system", "params.beta = -2\n"),
+                       ("sweep", "sweep.betas = -1.5, 2\n")):
+    assert C.run(command, C.parse_config(BASE + extra), Path(command)) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh interpreter imports the
+    # command line, runs a competitive solve (descent and Newton-MINRES
+    # polish) and a sweep, and has loaded no scipy module, eagerly or lazily
+    src = str(Path(nh.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_SCRIPT], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -16,6 +16,8 @@ from nehari2d import (
     beta_sweep,
     build_grid,
     euler_gradient,
+    example_family,
+    identity_family,
     refine_solution,
     scalar_ground_state,
     solve_system,
@@ -42,7 +44,12 @@ from nehari2d.solvers import (
 from nehari2d.fiber import h1_normalize
 from oracles import semilinear_ground_level
 
-from conftest import StopSolve, capture_first_descent, zero_field
+from conftest import (
+    StopSolve,
+    capture_first_descent,
+    segregated_random_state,
+    zero_field,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +91,16 @@ class TestScalarGroundState:
         L_oracle, _ = semilinear_ground_level(31, p=4.0)
         assert abs(L - L_oracle) / L_oracle < 0.01  # independent discretizations
 
-    def test_level_converges_second_order(self, identity, fast_opts):
+    # the saturating example profile keeps the order: log2 of the
+    # increment ratio is 2.00 for the identity and 1.93 for the example
+    @pytest.mark.parametrize("fam", [identity_family(1.0), example_family(1.0)],
+                             ids=["identity", "example"])
+    def test_level_converges_second_order(self, fam, fast_opts):
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
         levels = []
         for n in (15, 31, 63):
             grid = build_grid(GridSpec(n, n, 1.0, 1.0))
-            _z, L, _rep = scalar_ground_state(1, params, identity, grid, fast_opts)
+            _z, L, _rep = scalar_ground_state(1, params, fam, grid, fast_opts)
             levels.append(L)
         # Richardson: successive increments shrink by ~4 under halving h
         d1 = levels[0] - levels[1]
@@ -678,7 +689,7 @@ class TestNewtonHandoff:
         x0 = (z.values * (1.0 + 1e-3 * rng.standard_normal(grid15.shape)))[None]
         energy = Energy.scalar(params_p4, 0.0, example1)
         counts = {"scatter": 0, "gradient": 0, "minres": 0, "hessian": 0}
-        real_scatter, real_minres = E.scatter_cells, S.minres
+        real_scatter, real_minres = E.scatter_cells, S._minres
         real_hessian = energy.hessian
 
         def scatter(*args):
@@ -700,7 +711,7 @@ class TestNewtonHandoff:
             return real_hessian(sample)
 
         monkeypatch.setattr(E, "scatter_cells", scatter)
-        monkeypatch.setattr(S, "minres", minres)
+        monkeypatch.setattr(S, "_minres", minres)
         monkeypatch.setattr(energy, "hessian", hessian)
         _sample, _res, converged, its = S._newton_krylov_polish(
             x0, energy, grid15, opts, gradient
@@ -725,7 +736,7 @@ class TestNewtonHandoff:
         x0 = (z.values * (1.0 + 1e-3 * rng.standard_normal(grid.shape)))[None]
         energy = Energy.scalar(params_p4, 0.0, example1)
         counts = {"minres": 0}
-        real_minres = S.minres
+        real_minres = S._minres
 
         def minres(*args, **kwargs):
             def callback(_xk):
@@ -733,13 +744,85 @@ class TestNewtonHandoff:
 
             return real_minres(*args, callback=callback, **kwargs)
 
-        monkeypatch.setattr(S, "minres", minres)
+        monkeypatch.setattr(S, "_minres", minres)
         sample, _res, converged, its = S._newton_krylov_polish(
             x0, energy, grid, opts
         )
         assert converged and its >= 1
         assert counts["minres"] <= 15 * its
         assert energy.value(sample) == pytest.approx(energy_ref, rel=1e-10)
+
+
+class TestMinres:
+    """The in-package MINRES against `scipy.sparse.linalg.minres`, an
+    independent implementation of the same recurrence, on Hessian
+    products at saddle-type states: both must take the same iterations to
+    the same solution."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, grid15, example1):
+        # states large enough that -3 v^2 beats the stiffness somewhere:
+        # the Hessians have 3 (scalar) and 2 (pair) negative eigenvalues
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        X, Y = grid15.node_mesh()
+        bump = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        out = {}
+        for name, energy, x in (
+            ("scalar", Energy.scalar(params, 0.0, example1), 12.0 * bump[None]),
+            ("pair", Energy.pair(params, example1, example1),
+             12.0 * segregated_random_state(grid15, 0)),
+        ):
+            sample = CellSample(x, grid15)
+            out[name] = energy.hessian(sample), -energy.gradient(sample)
+        return out
+
+    @staticmethod
+    def solve_both(apply, b, precond, rtol, maxiter):
+        from scipy.sparse.linalg import LinearOperator, minres
+
+        def operator(f):
+            return LinearOperator((b.size, b.size), dtype=float,
+                                  matvec=lambda v: f(v.reshape(b.shape)).ravel())
+
+        ref_its, its = [], []
+        ref, _info = minres(operator(apply), b.ravel(), rtol=rtol, maxiter=maxiter,
+                            M=None if precond is None else operator(precond),
+                            callback=ref_its.append)
+        x = S._minres(apply, b, precond or (lambda r: r), rtol, maxiter,
+                      callback=its.append)
+        return x, ref.reshape(b.shape), (len(ref_its), len(its))
+
+    @pytest.mark.parametrize("name", ["scalar", "pair"])
+    @pytest.mark.parametrize("quadrature", [True, False], ids=["quadrature", "plain"])
+    def test_matches_scipy(self, systems, grid15, name, quadrature):
+        apply, b = systems[name]
+        H = np.column_stack([apply(col.reshape(b.shape)).ravel()
+                             for col in np.eye(b.size)])
+        assert np.sum(np.linalg.eigvalsh(H) < 0.0) == {"scalar": 3, "pair": 2}[name]
+        precond = grid15.quadrature_solver if quadrature else None
+        for rtol in (S._POLISH_RTOL, 1e-10):
+            x, ref, (n_ref, n) = self.solve_both(apply, b, precond, rtol,
+                                                 S._POLISH_INNER_ITER)
+            assert n == n_ref < S._POLISH_INNER_ITER
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_maxiter_caps_the_iterations(self, systems):
+        apply, b = systems["pair"]
+        x, ref, counts = self.solve_both(apply, b, None, 1e-12, 5)
+        assert counts == (5, 5)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_zero_right_hand_side_makes_no_product(self, grid15):
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return v
+
+        b = np.zeros((2, *grid15.shape))
+        x = S._minres(apply, b, grid15.quadrature_solver, 1e-6, 400,
+                      callback=lambda _x: calls.append(1))
+        assert not calls and x.shape == b.shape and not np.any(x)
 
 
 class TestAcceptanceRule:

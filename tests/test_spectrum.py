@@ -13,6 +13,7 @@ from nehari2d.spectrum import (
     ADMISSIBLE_WEAK,
     INADMISSIBLE,
     admissibility,
+    _sine_matrix,
     apply_neg_laplacian,
     make_poisson_solver,
 )
@@ -46,6 +47,41 @@ class TestPoissonSolver:
         x5 = make_poisson_solver(grid)(b)
         assert np.max(np.abs(K @ x5.ravel() - b.ravel())) >= 0.5
 
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", [
+        (9, 5, 2.0, 0.5), (63, 31, 1.0, 1.0), (31, 63, 1.0, 2.0),
+        (127, 127, 1.0, 1.0),
+    ], ids=["9x5", "63x31", "31x63", "127x127"])
+    @pytest.mark.parametrize("quadrature", [False, True],
+                             ids=["stencil", "quadrature"])
+    def test_matches_sine_transform_oracle(self, nx, ny, lx, ly, quadrature):
+        # the oracle reads the symbol off the operator itself: scipy's DST-I
+        # of the operator applied to the inverse transform of all-ones
+        from scipy.fft import dstn
+
+        grid = build_grid(GridSpec(nx, ny, lx, ly))
+
+        def operator(x):
+            if not quadrature:
+                return apply_neg_laplacian(x, grid)
+            return G.scatter_cells(grid, None, *G.cell_gradients(x, grid))
+
+        def dst(a):
+            return dstn(a, type=1, axes=(-2, -1))
+
+        norm = 4.0 * (nx + 1) * (ny + 1)
+        symbol = dst(operator(dst(np.ones(grid.shape)) / norm))
+        b = np.random.default_rng(nx + ny).standard_normal((2, nx, ny))
+        x = make_poisson_solver(grid, quadrature)(b)
+        ref = dst(dst(b) / symbol) / norm
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.linalg.norm(operator(x) - b) <= 1e-11 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("n", [2, 9, 31, 63, 127, 255])
+    def test_sine_matrix_is_a_symmetric_involution(self, n):
+        S = _sine_matrix(n)
+        assert np.array_equal(S, S.T)
+        assert np.max(np.abs(S @ S - np.eye(n))) <= 1e-13
 
 class TestNegLaplacian:
     def test_stack_is_applied_per_component(self):
