@@ -25,7 +25,6 @@ from .energy import (
     total_energy,
 )
 from .fiber import (
-    FiberPoint,
     ProjectionResult,
     project_to_nehari,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "CertReport",
     "CoefficientFamily",
     "EigenPair",
-    "FiberPoint",
     "Grid",
     "GridSpec",
     "NehariResidual",

@@ -12,15 +12,22 @@ coupling (beta <= 0) it is the global maximizer of h, and the projection
 
     m(u) = (t1* u1, t2* u2)
 
-is well defined whenever the necessary membership inequalities
+is well defined; for attractive coupling (beta > 0) it is a saddle of h
+(the axis maxima of the semi-trivial rescalings dominate), and it may
+genuinely fail to exist when one component is energetically redundant,
+which callers treat as candidate collapse.  The one-parameter rescale of
+a single field z is the maximizer of tau -> E(tau z).
+
+A rescale first checks the membership inequalities
 
     int |u_i|^p + beta * int |u1 u2|^(p/2) > 0,   i = 1, 2
 
-hold; for attractive coupling (beta > 0) it is a saddle of h (the axis
-maxima of the semi-trivial rescalings dominate), and it may genuinely
-fail to exist when one component is energetically redundant, which
-callers treat as candidate collapse.  The one-parameter rescale of a
-single field z is the maximizer of tau -> E(tau z).
+at the input's own component scales.  They are a precheck, not a
+necessary condition: the critical point is covariant under
+u -> (c1 u1, c2 u2), as h_{c u}(t) = h_u(c t), but the inequalities are
+not, so a pair that fails them may have a rescaled copy that passes and
+projects.  The descent H1-normalizes every competitive trial before it
+projects it, so the precheck always sees unit gradient norms.
 
 One damped Newton on the fiber gradient (`_fiber_newton`) locates the
 critical point for one field (k = 1) and for a pair (k = 2) of either
@@ -38,67 +45,42 @@ O(n * n_cells) per component instead of O(n^2 * n_cells).
 A state is a bare nodal array: `project_to_nehari` and
 `critical_cell_count` take a (2, nx, ny) pair stack, `scalar_fiber_root`
 an (nx, ny) field.  Each checks its input in one place (shape, finite
-entries, no zero component) and samples it once; a projection returns
-the sample of the projected stack.
+entries, no zero component) and samples it once.  Both rescales return
+one `ProjectionResult`, built by `_rescale`, with the sample of the
+rescaled stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coeffs import KIND_IDENTITY, CoefficientFamily
-from .energy import CellSample, Energy, NehariResidual, ProblemParams
-from .errors import (
-    DegenerateInput,
-    GridMismatch,
-    InvalidState,
-    NoConvergence,
-)
+from .energy import CellSample, Energy, ProblemParams
+from .errors import DegenerateInput, GridMismatch, InvalidState
 from .grid import Grid, cell_gradients
-
-STATUS_INTERIOR_MAX = "interior_max"
-STATUS_NOT_PROJECTABLE = "not_projectable"
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        if not (self.t1 > 0.0 and self.t2 > 0.0):
-            raise InvalidState(f"fiber point must be positive, got ({self.t1}, {self.t2})")
-        if not (math.isfinite(self.t1) and math.isfinite(self.t2)):
-            raise InvalidState("fiber point must be finite")
 
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A projection onto the constraint set.
+    """A rescale onto the constraint set, of a field (k = 1) or a pair (k = 2).
 
-    `status` is interior_max when the fiber Newton converged to the
-    interior critical point t of the fibering map, for either sign of
-    beta, and not_projectable, with a `reason`, when the membership
-    inequalities fail or neither the warm nor the cold start
-    converged.  For a projectable pair, `sample` is the cell sample of
-    the projected stack `sample.x`, and `energy` is h_u(t) and `residual`
-    holds t_i dh_u/dt_i(t): its energy and constraint residuals, read
-    from the fiber map.
+    `projectable` is False, with a `reason`, when the membership
+    inequalities fail or neither the warm nor the cold start of the fiber
+    Newton converged.  Otherwise the Newton converged to the interior
+    critical point t of the fibering map h, and `t` and `residual` are
+    k-tuples: the scalings t_i and the constraint residuals t_i dh/dt_i(t).
+    `energy` is h(t), and `sample` is the cell sample of the rescaled
+    stack `sample.x`; all are read from the Newton's last evaluation.
     """
 
-    status: str
-    t: FiberPoint | None = None
-    residual: NehariResidual | None = None
+    projectable: bool
+    t: tuple[float, ...] | None = None
+    residual: tuple[float, ...] | None = None
     reason: str = ""
     energy: float | None = None
     sample: CellSample | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def projectable(self) -> bool:
-        return self.status == STATUS_INTERIOR_MAX
 
 
 class FiberEvaluator:
@@ -131,10 +113,10 @@ class FiberEvaluator:
             else 0.0
         )
 
-    def membership_values(self) -> tuple[float, float]:
-        """int |u_i|^p + beta * cross term, for i = 1, 2."""
-        b = self.params.beta
-        return (self.pp[0] + b * self.cross, self.pp[1] + b * self.cross)
+    def membership_values(self) -> tuple[float, ...]:
+        """int |u_i|^p + beta * cross term, for each component i (a single
+        field has no cross term)."""
+        return tuple(float(m) for m in self.pp + self.params.beta * self.cross)
 
     def _axis(self, k: int, tau, order: int) -> list:
         """The terms of h depending on t_k alone (all but the cross term) at
@@ -316,18 +298,50 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
     return t, h, g, _stationary(ev, t, g)
 
 
+def _positive(t: np.ndarray) -> bool:
+    return bool(np.all(t > 0.0) and np.all(np.isfinite(t)))
+
+
 def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
     """`_fiber_newton` from the warm guess t_init, a k-sequence or None, and
     from `ev.cold_start()` when t_init is not positive and finite or its
-    run, capped at _WARM_MAX_ITER steps, does not converge.  By
-    uniqueness of the interior zero both starts give the same t."""
+    run, capped at _WARM_MAX_ITER steps, does not converge.  A run
+    converges only at a positive and finite t.  By uniqueness of the
+    interior zero both starts give the same t."""
     if t_init is not None:
         t = np.asarray(t_init, dtype=float)
-        if np.all(t > 0.0) and np.all(np.isfinite(t)):
+        if _positive(t):
             t, h, g, converged = _fiber_newton(ev, t, maximize, warm=True)
-            if converged:
+            if converged and _positive(t):
                 return t, h, g, True
-    return _fiber_newton(ev, ev.cold_start(), maximize)
+    t, h, g, converged = _fiber_newton(ev, ev.cold_start(), maximize)
+    return t, h, g, converged and _positive(t)
+
+
+def _rescale(energy: Energy, x: np.ndarray, grid: Grid, lead: tuple[int, ...],
+             t_init) -> ProjectionResult:
+    """The rescale of the (*lead, nx, ny) stack x onto the constraint set
+    of `energy`, k = 1 or 2 components: the membership precheck, then
+    `_fiber_root` from t_init, maximizing h for a single field and for
+    beta <= 0."""
+    ev = FiberEvaluator(energy, _sample(x, grid, lead))
+    m = ev.membership_values()
+    if min(m) <= 0.0:
+        values = ", ".join(f"{v:.3e}" for v in m)
+        return ProjectionResult(False, reason=f"membership inequalities fail: ({values})")
+    maximize = len(m) == 1 or energy.params.beta <= 0.0
+    t, h, g, converged = _fiber_root(ev, t_init, maximize)
+    if not converged:
+        values = ", ".join(f"{v:.6g}" for v in t)
+        return ProjectionResult(False, reason=f"fiber Newton stalled at t = ({values})")
+    t = tuple(float(v) for v in t)
+    return ProjectionResult(
+        True,
+        t=t,
+        residual=tuple(float(v) for v in np.multiply(t, g)),
+        energy=float(h),
+        sample=ev.sample.scaled(t),
+    )
 
 
 def project_to_nehari(
@@ -349,30 +363,11 @@ def project_to_nehari(
     does not converge in _WARM_MAX_ITER steps, from the cold start: the
     constant-profile root of each component with the coupling ignored.
     The energy and residuals are read from the last evaluation at t.
-    Returns not_projectable when the membership inequalities fail or when
-    neither start converges; a stalled Newton never raises NoConvergence.
+    Not projectable when the membership inequalities fail at the scales
+    of x (a precheck, not a necessary condition: see the module notes)
+    or when neither start converges; nothing is raised for a stall.
     """
-    ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
-    m1, m2 = ev.membership_values()
-    if m1 <= 0.0 or m2 <= 0.0:
-        return ProjectionResult(
-            status=STATUS_NOT_PROJECTABLE,
-            reason=f"membership inequalities fail: ({m1:.3e}, {m2:.3e})",
-        )
-    t, h, g, converged = _fiber_root(ev, t_init, maximize=params.beta <= 0.0)
-    if not converged:
-        return ProjectionResult(
-            status=STATUS_NOT_PROJECTABLE,
-            reason=f"fiber Newton stalled at t = ({t[0]:.6g}, {t[1]:.6g})",
-        )
-    t1, t2 = float(t[0]), float(t[1])
-    return ProjectionResult(
-        status=STATUS_INTERIOR_MAX,
-        t=FiberPoint(t1, t2),
-        residual=NehariResidual(t1 * g[0], t2 * g[1]),
-        energy=float(h),
-        sample=ev.sample.scaled((t1, t2)),
-    )
+    return _rescale(Energy.pair(params, fam1, fam2), x, grid, (2,), t_init)
 
 
 def h1_normalize(x: np.ndarray, grid: Grid) -> np.ndarray:
@@ -423,22 +418,19 @@ def scalar_fiber_root(
     fam: CoefficientFamily,
     grid: Grid,
     tau_init: float | None = None,
-) -> float:
-    """Unique positive rescaling tau with tau*z on the scalar constraint set,
-    for the (nx, ny) nodal array z.
+) -> ProjectionResult:
+    """Rescale the field z, an (nx, ny) array, onto the scalar constraint
+    set at the unique positive root tau of
 
-    Solves tau*(int A(tau z)|grad z|^2 - lam int z^2)
+        tau*(int A(tau z)|grad z|^2 - lam int z^2)
            + tau^2/2 int A'(tau z) z |grad z|^2
-           - tau^(p-1) int |z|^p = 0
-    by the fiber Newton of the pair rescale with k = 1, maximizing
-    tau -> E(tau z): from `tau_init` when it is positive and finite, and
-    else or when that does not converge, from the constant-profile root.
-    Raises NoConvergence when neither start converges.
+           - tau^(p-1) int |z|^p = 0,
+
+    the maximizer of tau -> E(tau z), by the fiber Newton of the pair
+    rescale with k = 1: from `tau_init` when it is positive and finite,
+    and else or when that does not converge, from the constant-profile
+    root.  Returns the k = 1 ProjectionResult, t = (tau,); not
+    projectable when neither start converges.
     """
-    ev = FiberEvaluator(Energy.scalar(params, lam, fam), _sample(z, grid, ()))
-    t, _h, _g, converged = _fiber_root(
-        ev, None if tau_init is None else (tau_init,), maximize=True
-    )
-    if not converged:
-        raise NoConvergence(f"fiber Newton stalled at tau = {t[0]:.6g}")
-    return float(t[0])
+    return _rescale(Energy.scalar(params, lam, fam), z, grid, (),
+                    None if tau_init is None else (tau_init,))

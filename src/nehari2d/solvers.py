@@ -24,9 +24,10 @@ guard and the final pick, and the lowest-energy candidate wins.
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
 The energy, gradient, checks and direction rule of an accepted descent
-state read one cell sample of it: for a pair the projection's, for a
-field the sample of its rescaled state.  The Newton polish likewise reads
-each of its iterates from one sample.
+state read one cell sample of it, the one its rescale returns: one
+`fiber.ProjectionResult` for a field (`scalar_fiber_root`) and for a pair
+(`project_to_nehari`).  The Newton polish likewise reads each of its
+iterates from one sample.
 
 Determinism: every random draw flows from the seed in SolverOptions, and
 asymmetric candidates are explored in both component orders so that
@@ -180,7 +181,7 @@ def check_coercivity_bound(
     sample: CellSample,
     params: ProblemParams,
     nu: float,
-    residual: NehariResidual,
+    residual: tuple[float, ...],
 ) -> None:
     """Abort when a constrained iterate undercuts the coercivity bound.
 
@@ -189,7 +190,7 @@ def check_coercivity_bound(
         - (p-2)/(2p) * sum_i lambda_i int u_i^2,
     an exact consequence of the growth hypothesis on the profiles.  The
     slack absorbs quadrature roundoff and the distance of the iterate
-    from the constraint set (measured by the residuals).
+    from the constraint set (measured by the residuals, one per component).
     """
     p, g = params.p, params.gamma
     gr, q, _pp = sample.integrals(p)
@@ -197,11 +198,12 @@ def check_coercivity_bound(
     bound = float(np.sum(
         (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lams * q
     ))
-    slack = 1e-8 * (1.0 + abs(energy_val)) + abs(residual.r1) + abs(residual.r2)
+    slack = 1e-8 * (1.0 + abs(energy_val)) + sum(abs(r) for r in residual)
     if energy_val < bound - slack:
+        residuals = ", ".join(f"{r:.3e}" for r in residual)
         raise CoercivityViolation(
             f"constrained energy {energy_val:.12g} fell below the bound "
-            f"{bound:.12g} (residuals {residual.r1:.3e}, {residual.r2:.3e})"
+            f"{bound:.12g} (residuals {residuals})"
         )
 
 
@@ -231,9 +233,10 @@ def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
 # ---------------------------------------------------------------------------
 # the descent driver
 
-# what a fiber map raises to reject a trial step or a start; a coercivity
-# violation is evidence against the hypotheses and aborts the solve instead
-_REJECTS = (DegenerateInput, InvalidState, NoConvergence, NotProjectable)
+# what rejects a trial step or a start: a state the rescale cannot take or
+# project; a coercivity violation is evidence against the hypotheses and
+# aborts the solve instead
+_REJECTS = (DegenerateInput, InvalidState, NotProjectable)
 
 # Armijo sufficient-decrease constant; the bounds, as fractions of the failed
 # step, on the next trial step; and the stagnation stop: the energy fell by
@@ -377,20 +380,23 @@ def _conjugate_lift(g, sample, t, grid, memo):
     return d, slope, (pg, gpg, d)
 
 
-def _best_polished(starts, fiber, polish, energy, grid, opts, warnings,
+def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
                    check=None, sphere=True):
     """Descend from every start on the constraint set, polish, and keep the
     lowest-energy candidate.
 
-    `fiber(y, t_init)` maps a stack y onto the constraint set and returns
-    (x, energy) for the point x = (y, t, sample, residual): the fiber
-    scalings t, the cell sample of the rescaled state w = t y and its
-    constraint residuals (or None); it raises one of _REJECTS to reject y.
-    The descent (`_descend`) runs on the Euler gradient of `energy` at w,
-    and `check(x, energy)`, when given, runs on each start's point and on
-    every accepted one.  On the sphere product (`sphere`), a start is
-    normalized onto the unit gradient spheres and moves by the conjugate
-    lift, and each trial is renormalized and rescaled from the current t.
+    `rescale(y, t_init)` maps a stack y onto the constraint set and
+    returns its `fiber.ProjectionResult`: the fiber scalings t, the
+    energy, residuals and cell sample of the rescaled state w = t y.  A
+    point of the descent is x = (y, result).  An unprojectable y raises
+    NotProjectable here, the one place a result becomes an error; the
+    rescale itself raises DegenerateInput or InvalidState for a y it
+    cannot sample.  The descent (`_descend`) runs on the Euler gradient
+    of `energy` at w, and `check(x, energy)`, when given, runs on each
+    start's point and on every accepted one.  On the sphere product
+    (`sphere`), a start is normalized onto the unit gradient spheres and
+    moves by the conjugate lift, and each trial is renormalized and
+    rescaled from the current t.
     Otherwise a trial steps from w along the plain Riesz lift -r and is
     rescaled from t = (1, 1).
 
@@ -404,23 +410,29 @@ def _best_polished(starts, fiber, polish, energy, grid, opts, warnings,
     (best, descent iterations): best is the lowest-energy (state, energy,
     res) among the polished states `_rejection` accepts, or None.
     """
+    def fiber(y, t_init):
+        proj = rescale(y, t_init)
+        if not proj.projectable:
+            raise NotProjectable(proj.reason)
+        return (y, proj), proj.energy
+
     def gradient(x):
-        g = energy.gradient(x[2])
+        g = energy.gradient(x[1].sample)
         return g, _vol_norm(g, grid)
 
     if sphere:
         def direction(x, g, memo):
-            return _conjugate_lift(g, x[2], x[1], grid, memo)
+            return _conjugate_lift(g, x[1].sample, x[1].t, grid, memo)
 
         def retract(x, d, a):
-            return fiber(h1_normalize(x[0] + a * d, grid), x[1])
+            return fiber(h1_normalize(x[0] + a * d, grid), x[1].t)
     else:
         def direction(x, g, memo):
             d = -grid.poisson_solver(g)
             return d, float(np.sum(g * d)) * grid.cell_area, None
 
         def retract(x, d, a):
-            return fiber(x[2].x + a * d, (1.0, 1.0))
+            return fiber(x[1].sample.x + a * d, (1.0, 1.0))
 
     final = 1e2 * opts.tol
     stop = max(_HANDOFF_RES, final)
@@ -661,16 +673,14 @@ def scalar_ground_state(
     energy = Energy.scalar(params, lam, fam)
     polish_its = 0
 
-    def fiber(y, t_init):
-        tau = scalar_fiber_root(y[0], lam, params, fam, grid,
-                                tau_init=None if t_init is None else t_init[0])
-        sample = CellSample(tau * y, grid)
-        return (y, (tau,), sample, None), energy.value(sample)
+    def rescale(y, t_init):
+        return scalar_fiber_root(y[0], lam, params, fam, grid,
+                                 tau_init=None if t_init is None else t_init[0])
 
     def polish(x):
         nonlocal polish_its
         sample, res, _converged, its = _newton_krylov_polish(
-            x[2].x, energy, grid, opts
+            x[1].sample.x, energy, grid, opts
         )
         polish_its += its
         return sample, res
@@ -680,7 +690,7 @@ def scalar_ground_state(
         starts.append(_random_positive(grid, _rng(opts.seed, 11, i, k)))
 
     best, total_iters = _best_polished(
-        [z[None] for z in starts], fiber, polish, energy, grid, opts, warnings
+        [z[None] for z in starts], rescale, polish, energy, grid, opts, warnings
     )
     total_iters += polish_its
     if best is None:
@@ -737,24 +747,22 @@ def scalar_levels(
 def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
     """`_best_polished` on the system energy from the pair stacks `starts`.
 
-    The fiber is `project_to_nehari` (an unprojectable pair is rejected),
-    the coercivity bound is checked on each start and on every accepted
-    projection, and the polish is `refine_solution`.
+    The rescale is `project_to_nehari`, the coercivity bound is checked
+    on each start and on every accepted projection, and the polish is
+    `refine_solution`.
     """
     nu = min(fam1.nu, fam2.nu)
 
     def project(y, t_init):
-        proj = project_to_nehari(y, params, fam1, fam2, grid, t_init=t_init)
-        if not proj.projectable:
-            raise NotProjectable(proj.reason)
-        return (y, (proj.t.t1, proj.t.t2), proj.sample, proj.residual), proj.energy
+        return project_to_nehari(y, params, fam1, fam2, grid, t_init=t_init)
 
     def check(x, energy_val):
-        check_coercivity_bound(energy_val, x[2], params, nu, x[3])
+        check_coercivity_bound(energy_val, x[1].sample, params, nu, x[1].residual)
 
     def polish(x):
         u, res, _converged = refine_solution(
-            StatePair.from_stack(x[2].x, grid.spec), params, fam1, fam2, grid, opts
+            StatePair.from_stack(x[1].sample.x, grid.spec), params, fam1, fam2,
+            grid, opts,
         )
         return CellSample(u.stacked(), grid), res
 

@@ -187,8 +187,8 @@ def test_criterion_5_fiber_uniqueness():
         found += 1
         assert critical_cell_count(x, params, fam, fam, grid) == 1
         again = project_to_nehari(proj.sample.x, params, fam, fam, grid)
-        assert abs(again.t.t1 - 1.0) <= 1e-8
-        assert abs(again.t.t2 - 1.0) <= 1e-8
+        assert abs(again.t[0] - 1.0) <= 1e-8
+        assert abs(again.t[1] - 1.0) <= 1e-8
     _report(5, "fiber critical point uniqueness", t0, 120.0)
 
 
@@ -201,7 +201,7 @@ def test_criterion_6_diagonal_exclusion():
     for _ in range(10):
         v = np.abs(rng.standard_normal(grid.shape)) + 0.02
         res = project_to_nehari(np.stack((v, v)), params, fam, fam, grid)
-        assert res.status == "not_projectable"
+        assert not res.projectable
     _report(6, "diagonal exclusion", t0, 30.0)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nehari2d import (
-    FiberPoint,
     ProblemParams,
     example_family,
     identity_family,
@@ -17,12 +16,8 @@ from nehari2d import (
 )
 from nehari2d.coeffs import CoefficientFamily, tabulated_family
 from nehari2d.energy import CellSample, Energy
-from nehari2d.errors import (
-    DegenerateInput,
-    GridMismatch,
-    InvalidState,
-    NoConvergence,
-)
+from nehari2d.errors import DegenerateInput, GridMismatch, InvalidState
+from nehari2d import fiber
 from nehari2d.fiber import (
     _WARM_MAX_ITER,
     FiberEvaluator,
@@ -95,14 +90,24 @@ def fiber_gradient(x, t, energy, grid):
     return FiberEvaluator(energy, CellSample(x, grid)).derivatives(t, order=1)[1]
 
 
-class TestFiberPoint:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidState):
-            FiberPoint(0.0, 1.0)
-        with pytest.raises(InvalidState):
-            FiberPoint(1.0, -2.0)
-        with pytest.raises(InvalidState):
-            FiberPoint(1.0, math.inf)
+class TestFiberRoot:
+    def test_rejects_nonpositive(self, monkeypatch, grid15, example1,
+                                 competitive_params):
+        # a Newton run reported converged at a t that is not positive and
+        # finite is no root: neither start's run counts
+        ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
+                            CellSample(bump_state(grid15), grid15))
+        for t in ((0.0, 1.0), (1.0, -2.0), (1.0, math.inf)):
+            runs = []
+
+            def fake_newton(ev, t_start, maximize, warm=False):
+                runs.append(warm)
+                return np.array(t), 0.0, np.zeros(2), True
+
+            monkeypatch.setattr(fiber, "_fiber_newton", fake_newton)
+            *_rest, converged = fiber._fiber_root(ev, (1.0, 1.0), maximize=True)
+            assert not converged
+            assert runs == [True, False]
 
 
 class TestFiberValue:
@@ -207,7 +212,7 @@ class TestFiberGradient:
         res = project_to_nehari(x, competitive_params, example1, example1, grid15)
         assert res.projectable
         energy = Energy.pair(competitive_params, example1, example1)
-        t = (res.t.t1, res.t.t2)
+        t = res.t
         g1, g2 = fiber_gradient(x, t, energy, grid15)
         h = fiber_value(x, t, energy, grid15)
         assert max(abs(g1), abs(g2)) <= 1e-9 * (abs(h) + 1.0)
@@ -216,7 +221,7 @@ class TestFiberGradient:
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
         z = bump_state(grid31)[0]
         (a,), _q, (b,) = CellSample(z[None], grid31).integrals(4.0)
-        tau = scalar_fiber_root(z, 0.0, params, identity, grid31)
+        tau = scalar_fiber_root(z, 0.0, params, identity, grid31).t[0]
         assert tau == pytest.approx((a / b) ** 0.5, rel=1e-11)
 
     @PROPERTY
@@ -333,19 +338,37 @@ class TestPositiveRoot:
         (a,), _q, (b,) = CellSample(z[None], grid15).integrals(4.0)
         axis = counted(FiberEvaluator._axis)
         monkeypatch.setattr(FiberEvaluator, "_axis", axis)
-        tau = scalar_fiber_root(z, 0.0, params, identity, grid15)
+        tau = scalar_fiber_root(z, 0.0, params, identity, grid15).t[0]
         assert tau == pytest.approx((a / b) ** 0.5, rel=1e-15)
         assert axis.calls == 1
 
-    def test_no_root_raises(self, grid15, identity):
+    def test_no_root_is_not_projectable(self, grid15, identity):
         # lambda above the first sine mode's Rayleigh quotient: the fiber
-        # gradient is negative for every tau > 0
+        # gradient is negative for every tau > 0, and nothing is raised
         lam = 1.5 * conservative_mu1(grid15)
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
         X, Y = grid15.node_mesh()
         z = np.sin(np.pi * X) * np.sin(np.pi * Y)
-        with pytest.raises(NoConvergence):
-            scalar_fiber_root(z, lam, params, identity, grid15)
+        res = scalar_fiber_root(z, lam, params, identity, grid15)
+        assert not res.projectable
+        assert res.reason.startswith("fiber Newton stalled at t = (")
+        assert res.t is None and res.sample is None
+
+    @pytest.mark.parametrize("lam_frac", [0.0, 0.3])
+    def test_result_is_the_rescaled_sample(self, grid15, example1, lam_frac):
+        # the rescale returns the root finder's own sample scaled by tau,
+        # and h(tau) as the energy of that sample
+        lam = lam_frac * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
+        z = modulated_bump(grid15)
+        res = scalar_fiber_root(z, lam, params, example1, grid15)
+        assert res.projectable and len(res.t) == 1 and len(res.residual) == 1
+        ref = CellSample(z[None], grid15).scaled(res.t)
+        for name in ("x", "v", "gx", "gy", "gsq"):
+            assert np.array_equal(getattr(res.sample, name), getattr(ref, name))
+        energy = Energy.scalar(params, lam, example1).value(ref)
+        assert res.energy == pytest.approx(energy, rel=1e-12)
+        assert abs(res.residual[0]) <= 1e-10 * abs(res.energy)
 
     def test_root_far_below_the_cold_start_near_p_2(self, grid15, half_profile):
         # A = 0.5 and p = 2.05: the root is 0.5^20 ~ 9.5e-7 times the cold
@@ -354,7 +377,7 @@ class TestPositiveRoot:
         X, Y = grid15.node_mesh()
         z = np.sin(np.pi * X) * np.sin(np.pi * Y)
         (a,), _q, (b,) = CellSample(z[None], grid15).integrals(2.05)
-        tau = scalar_fiber_root(z, 0.0, params, half_profile, grid15)
+        tau = scalar_fiber_root(z, 0.0, params, half_profile, grid15).t[0]
         assert tau == pytest.approx((0.5 * a / b) ** 20.0, rel=1e-9)
         assert tau < 1e-6 * (a / b) ** 20.0
 
@@ -364,15 +387,15 @@ class TestPositiveRoot:
         lam = 0.3 * conservative_mu1(grid15)
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
         z = modulated_bump(grid15)
-        ref = scalar_fiber_root(z, lam, params, example1, grid15)
+        ref = scalar_fiber_root(z, lam, params, example1, grid15).t[0]
         for tau_init in (1e-300, 1e300):
             with np.errstate(over="ignore", invalid="ignore"):
                 tau = scalar_fiber_root(z, lam, params, example1, grid15,
-                                        tau_init=tau_init)
+                                        tau_init=tau_init).t[0]
             assert tau == pytest.approx(ref, rel=1e-12)
         for tau_init in (math.inf, math.nan):
             tau = scalar_fiber_root(z, lam, params, example1, grid15,
-                                    tau_init=tau_init)
+                                    tau_init=tau_init).t[0]
             assert tau == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["identity", "example"])
@@ -388,7 +411,7 @@ class TestPositiveRoot:
                      rtol=1e-15)
         for tau_init in (None, 0.01 * ref, 100.0 * ref):
             tau = scalar_fiber_root(z, lam, params, fam, grid15,
-                                    tau_init=tau_init)
+                                    tau_init=tau_init).t[0]
             assert tau == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("offset", [0.99, 1.0, 1.01])
@@ -398,11 +421,11 @@ class TestPositiveRoot:
         lam = 0.3 * conservative_mu1(grid15)
         params = ProblemParams(lam, lam, 0.0, 4.0, 1.0)
         z = modulated_bump(grid15)
-        ref = scalar_fiber_root(z, lam, params, example1, grid15)
+        ref = scalar_fiber_root(z, lam, params, example1, grid15).t[0]
         psi = counted(FiberEvaluator._axis)
         monkeypatch.setattr(FiberEvaluator, "_axis", psi)
         tau = scalar_fiber_root(z, lam, params, example1, grid15,
-                                tau_init=offset * ref)
+                                tau_init=offset * ref).t[0]
         assert tau == pytest.approx(ref, rel=1e-12)
         assert 0 < psi.calls <= 8
 
@@ -414,7 +437,7 @@ class TestProjection:
         res = project_to_nehari(x, params, identity, identity, grid31)
         assert res.projectable
         a, _q, b = CellSample(x, grid31).integrals(4.0)
-        for k, tk in enumerate((res.t.t1, res.t.t2)):
+        for k, tk in enumerate(res.t):
             assert tk == pytest.approx((a[k] / b[k]) ** 0.5, rel=1e-10, abs=0.0)
 
     def test_diagonal_not_projectable(self, grid15, example1, competitive_params):
@@ -424,7 +447,7 @@ class TestProjection:
             res = project_to_nehari(
                 np.stack((v, v)), competitive_params, example1, example1, grid15
             )
-            assert res.status == "not_projectable"
+            assert not res.projectable
 
     def test_no_interior_point_is_not_projectable(self, grid15, example1):
         # lambda1 far above mu1: h decreases in t1 for every t1 > 0, so the
@@ -432,7 +455,7 @@ class TestProjection:
         params = ProblemParams(10.0 * conservative_mu1(grid15), 0.0, -2.0, 4.0, 1.0)
         res = project_to_nehari(bump_state(grid15), params, example1, example1,
                                 grid15)
-        assert res.status == "not_projectable"
+        assert not res.projectable
         assert "fiber Newton stalled" in res.reason
 
     def test_collapsing_fiber_stops_early(self, monkeypatch, grid15, identity,
@@ -449,7 +472,7 @@ class TestProjection:
         derivatives = counted(FiberEvaluator.derivatives)
         monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
         res = project_to_nehari(x, params, identity, example1, grid15)
-        assert res.status == "not_projectable"
+        assert not res.projectable
         assert res.reason.startswith("fiber Newton stalled at t = (")
         t1 = float(res.reason.split("(")[1].split(",")[0])
         assert 0.0 < t1 < floor[0]
@@ -469,18 +492,18 @@ class TestProjection:
                                 half_profile, grid15)
         assert res.projectable
         t = (0.5 * a / ((1.0 + beta) * b)) ** 20.0
-        assert (res.t.t1, res.t.t2) == pytest.approx((t, t), rel=1e-9)
+        assert res.t == pytest.approx((t, t), rel=1e-9)
 
     def test_idempotent(self, grid15, example1, competitive_params):
         x = bump_state(grid15)
         first = project_to_nehari(x, competitive_params, example1, example1, grid15)
         assert first.projectable
-        assert first.residual.max_abs <= 1e-8
+        assert max(map(abs, first.residual)) <= 1e-8
         again = project_to_nehari(
             first.sample.x, competitive_params, example1, example1, grid15
         )
-        assert abs(again.t.t1 - 1.0) <= 10 * 1e-8
-        assert abs(again.t.t2 - 1.0) <= 10 * 1e-8
+        assert abs(again.t[0] - 1.0) <= 10 * 1e-8
+        assert abs(again.t[1] - 1.0) <= 10 * 1e-8
 
     @PROPERTY
     @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=betas,
@@ -493,8 +516,8 @@ class TestProjection:
                                   *fams, grid)
         assert first.projectable
         again = project_to_nehari(first.sample.x, params, *fams, grid)
-        assert abs(again.t.t1 - 1.0) <= 1e-8
-        assert abs(again.t.t2 - 1.0) <= 1e-8
+        assert abs(again.t[0] - 1.0) <= 1e-8
+        assert abs(again.t[1] - 1.0) <= 1e-8
 
     @PROPERTY
     @given(n=st.sampled_from((7, 15)), fams=pair_families, beta=betas,
@@ -507,8 +530,8 @@ class TestProjection:
         res = project_to_nehari(x, params, *fams, grid)
         sw = project_to_nehari(x[::-1], params.swapped(), *fams[::-1], grid)
         assert res.projectable and sw.projectable
-        assert sw.t.t1 == pytest.approx(res.t.t2, rel=1e-10)
-        assert sw.t.t2 == pytest.approx(res.t.t1, rel=1e-10)
+        assert sw.t[0] == pytest.approx(res.t[1], rel=1e-10)
+        assert sw.t[1] == pytest.approx(res.t[0], rel=1e-10)
         assert sw.energy == pytest.approx(res.energy, rel=1e-12)
 
     def test_far_warm_start_is_cheap(self, monkeypatch, grid15, example1,
@@ -523,7 +546,7 @@ class TestProjection:
         cold_calls, axis.calls = axis.calls, 0
         warm = project_to_nehari(
             x, competitive_params, example1, example1, grid15,
-            t_init=(0.05 * cold.t.t1, 0.05 * cold.t.t2),
+            t_init=(0.05 * cold.t[0], 0.05 * cold.t[1]),
         )
         assert warm.t == cold.t
         # one evaluation (an `_axis` call per component) at the warm guess,
@@ -546,7 +569,7 @@ class TestProjection:
         res = project_to_nehari(x, params, *fams, grid15)
         assert res.projectable
         assert derivatives.calls <= 20
-        t = np.array([res.t.t1, res.t.t2])
+        t = np.array(res.t)
         ev = FiberEvaluator(Energy.pair(params, *fams), CellSample(x, grid15))
         _h, g = ev.derivatives(t, 1)
         assert (np.abs(g) <= 1e-12 * t * ev._ia0).all()
@@ -563,7 +586,7 @@ class TestProjection:
         derivatives = counted(FiberEvaluator.derivatives)
         monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
         warm = project_to_nehari(x, params, identity, example1, grid15,
-                                 t_init=(res.t.t1, res.t.t2))
+                                 t_init=res.t)
         assert derivatives.calls == 1
         assert warm.t == res.t
 
@@ -601,8 +624,8 @@ class TestProjection:
         warm = project_to_nehari(x, params, identity, example1, grid15,
                                  t_init=(10.0 ** log_t[0], 10.0 ** log_t[1]))
         assert cold.projectable and warm.projectable
-        assert warm.t.t1 == pytest.approx(cold.t.t1, rel=1e-10)
-        assert warm.t.t2 == pytest.approx(cold.t.t2, rel=1e-10)
+        assert warm.t[0] == pytest.approx(cold.t[0], rel=1e-10)
+        assert warm.t[1] == pytest.approx(cold.t[1], rel=1e-10)
 
     @PROPERTY
     @given(fams=pair_families, beta=betas, seed=st.integers(0, 2**31),
@@ -617,8 +640,8 @@ class TestProjection:
         res = project_to_nehari(x, params, *fams, grid15)
         scaled = project_to_nehari(s * x, params, *fams, grid15)
         assert res.projectable and scaled.projectable
-        assert s * scaled.t.t1 == pytest.approx(res.t.t1, rel=1e-10)
-        assert s * scaled.t.t2 == pytest.approx(res.t.t2, rel=1e-10)
+        assert s * scaled.t[0] == pytest.approx(res.t[0], rel=1e-10)
+        assert s * scaled.t[1] == pytest.approx(res.t[1], rel=1e-10)
         assert scaled.energy == pytest.approx(res.energy, rel=1e-10)
 
     def test_cold_polish_climbs_out_of_convex_region(self, grid15, example1,
@@ -629,13 +652,28 @@ class TestProjection:
         cold = project_to_nehari(x, competitive_params, example1, example1, grid15)
         ev = FiberEvaluator(Energy.pair(competitive_params, example1, example1),
                             CellSample(x, grid15))
-        t_star = np.array([cold.t.t1, cold.t.t2])
+        t_star = np.array(cold.t)
         t, h, g, converged = _fiber_newton(ev, 0.05 * t_star, maximize=True)
         assert converged
         assert np.allclose(t, t_star, rtol=1e-10, atol=0.0)
         assert h == ev.derivatives(t, order=0)[0]
         assert h == pytest.approx(cold.energy, rel=1e-12)
         assert np.array_equal(g, ev.derivatives(t, order=1)[1])
+
+    def test_componentwise_scale_covariance(self, grid15, example1,
+                                            competitive_params):
+        # h_{c u}(t) = h_u(c t): with u2 times 10 the precheck still passes,
+        # t2 scales by 1/10 and the energy is unchanged.  (The precheck is
+        # not covariant: with u2 times 100 it fails, though (t1, t2 / 100)
+        # is the critical point of that pair's fiber.)
+        x = h1_normalize(bump_state(grid15), grid15)
+        res = project_to_nehari(x, competitive_params, example1, example1, grid15)
+        scaled = project_to_nehari(x * np.reshape((1.0, 10.0), (2, 1, 1)),
+                                   competitive_params, example1, example1, grid15)
+        assert res.projectable and scaled.projectable
+        assert scaled.t[0] == pytest.approx(res.t[0], rel=1e-10)
+        assert scaled.t[1] == pytest.approx(res.t[1] / 10.0, rel=1e-10)
+        assert scaled.energy == pytest.approx(res.energy, rel=1e-12)
 
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
         x = np.stack((np.ones(grid15.shape), np.zeros(grid15.shape)))
@@ -660,7 +698,7 @@ class TestProjection:
         for eps in (1e-3, 1e-4, 1e-5):
             xp = x + eps * np.stack((d1, d2))
             r = project_to_nehari(xp, competitive_params, example1, example1, grid15)
-            deltas.append(math.hypot(r.t.t1 - base.t.t1, r.t.t2 - base.t.t2))
+            deltas.append(math.hypot(r.t[0] - base.t[0], r.t[1] - base.t[1]))
         assert deltas[1] < 0.2 * deltas[0]
         assert deltas[2] < 0.2 * deltas[1]
 
@@ -677,7 +715,7 @@ class TestProjection:
         x = segregated_random_state(grid7, seed)
         res = project_to_nehari(x, params, *fams, grid7)
         assert res.projectable
-        w = np.reshape((res.t.t1, res.t.t2), (2, 1, 1)) * x
+        w = np.reshape(res.t, (2, 1, 1)) * x
         assert np.array_equal(res.sample.x, w)
         fresh = CellSample(w, grid7)
         energy = Energy.pair(params, *fams)
@@ -686,8 +724,8 @@ class TestProjection:
         gr, _q, pp = fresh.integrals(p)
         terms = float(np.sum(gr + pp))
         assert abs(res.energy - energy.value(fresh)) <= 1e-12 * terms
-        assert abs(res.residual.r1 - r1) <= 1e-12 * terms
-        assert abs(res.residual.r2 - r2) <= 1e-12 * terms
+        assert abs(res.residual[0] - r1) <= 1e-12 * terms
+        assert abs(res.residual[1] - r2) <= 1e-12 * terms
 
     def test_attractive_rescale_matches_diagonal_root(self, grid15, identity):
         # symmetric state, beta > 0, constant profile, p = 4: the rescale is
@@ -696,9 +734,9 @@ class TestProjection:
         v = np.abs(random_state(grid15, 31).u1.values) + 0.1
         res = project_to_nehari(np.stack((v, v)), params, identity, identity, grid15)
         assert res.projectable
-        tau = scalar_fiber_root(v, 0.0, params, identity, grid15) / 2.0
-        assert res.t.t1 == pytest.approx(tau, rel=1e-9)
-        assert res.t.t2 == pytest.approx(tau, rel=1e-9)
+        tau = scalar_fiber_root(v, 0.0, params, identity, grid15).t[0] / 2.0
+        assert res.t[0] == pytest.approx(tau, rel=1e-9)
+        assert res.t[1] == pytest.approx(tau, rel=1e-9)
 
 
 class TestStateInput:
@@ -796,5 +834,5 @@ class TestUniquenessScan:
         ev = FiberEvaluator(energy, CellSample(x, grid15))
         taus = np.logspace(-3, 3, 64)
         (H,) = ev.derivatives((taus[:, None], taus[None, :]), order=0)
-        h_star = fiber_value(x, (res.t.t1, res.t.t2), energy, grid15)
+        h_star = fiber_value(x, res.t, energy, grid15)
         assert h_star >= np.max(H) - 1e-9 * (abs(h_star) + 1.0)

@@ -75,6 +75,17 @@ def test_readme_handoff_residual_is_the_code_constant():
     assert float(res) == solvers._HANDOFF_RES
 
 
+def test_readme_step_rejections_are_the_code_rejects():
+    from nehari2d import solvers
+
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"a trial whose rescale raises (.*?) halves the step",
+                       text).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert len(names) == len(set(names))
+    assert set(names) == {cls.__name__ for cls in solvers._REJECTS}
+
+
 def test_readme_backtracking_bounds_are_the_code_constants():
     from nehari2d import solvers
 

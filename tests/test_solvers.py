@@ -108,6 +108,22 @@ class TestScalarGroundState:
         assert d1 > 0 and d2 > 0  # converges from above
         assert math.log2(d1 / d2) >= 1.9
 
+    def test_competitive_level_converges_second_order(self, fast_opts):
+        # the repulsive least-energy level (example profiles, beta = -2):
+        # 439.62, 419.04 and 413.67, log2 of the increment ratio 1.94
+        fam = example_family(1.0)
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        levels = []
+        for n in (15, 31, 63):
+            grid = build_grid(GridSpec(n, n, 1.0, 1.0))
+            _u, rep = solve_system(params, fam, fam, grid, fast_opts)
+            assert rep.fully_nontrivial
+            levels.append(rep.energy)
+        d1 = levels[0] - levels[1]
+        d2 = levels[1] - levels[2]
+        assert d1 > 0 and d2 > 0  # converges from above
+        assert math.log2(d1 / d2) >= 1.9
+
     def test_inadmissible_lambda_raises(self, grid15, identity, fast_opts):
         mu1 = conservative_mu1(grid15)
         params = ProblemParams(1.5 * mu1, 0.0, 0.0, 4.0, 1.0)
@@ -124,8 +140,7 @@ class TestScalarGroundState:
 
     @pytest.mark.parametrize(
         "error",
-        [NoConvergence, NotProjectable, DegenerateInput, InvalidState,
-         CoercivityViolation],
+        [NotProjectable, DegenerateInput, InvalidState, CoercivityViolation],
         ids=lambda error: error.__name__,
     )
     def test_raising_start_is_rejected(self, monkeypatch, scalar15, identity,
@@ -491,7 +506,31 @@ class TestOneSamplePerState:
         captured["gradient"](x_try)
         assert counts == {"values": 2, "gradients": 4}
         energy = S.Energy.pair(params, example1, example1)
-        assert e_try == pytest.approx(energy.value(x_try[2]), rel=1e-14)
+        assert e_try == pytest.approx(energy.value(x_try[1].sample), rel=1e-14)
+
+    def test_scalar_trial(self, monkeypatch, grid15, example1, params_p4):
+        # a scalar rescale samples its trial once, inside
+        # `scalar_fiber_root`, and the descent reads that sample: outside
+        # the polish a scalar solve samples once per root
+        counts = count_stencils(monkeypatch)
+        real_polish, real_root = S._newton_krylov_polish, S.scalar_fiber_root
+        roots = []
+
+        def polish(*args):
+            before = dict(counts)
+            out = real_polish(*args)
+            counts.update(before)
+            return out
+
+        def root(*args, **kwargs):
+            roots.append(1)
+            return real_root(*args, **kwargs)
+
+        monkeypatch.setattr(S, "_newton_krylov_polish", polish)
+        monkeypatch.setattr(S, "scalar_fiber_root", root)
+        scalar_ground_state(1, params_p4, example1, grid15, SolverOptions(n_restarts=0))
+        assert len(roots) > 10
+        assert counts["values"] == len(roots)
 
     def test_scalar_polish(self, monkeypatch, grid15, example1, params_p4):
         # the start and every accepted trial are sampled once, and the
@@ -1146,7 +1185,6 @@ class TestSemiTrivialGuard:
 
 class TestCoercivityGuard:
     def test_violation_aborts_with_diagnostics(self, grid15, identity):
-        from nehari2d.energy import NehariResidual
         from nehari2d.errors import CoercivityViolation
         from nehari2d.solvers import check_coercivity_bound
 
@@ -1160,7 +1198,7 @@ class TestCoercivityGuard:
         with pytest.raises(CoercivityViolation):
             check_coercivity_bound(
                 fake_energy, CellSample(u.stacked(), grid15), params, identity.nu,
-                NehariResidual(0.0, 0.0),
+                (0.0, 0.0),
             )
 
 
