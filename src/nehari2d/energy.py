@@ -33,7 +33,15 @@ import numpy as np
 
 from .coeffs import CoefficientFamily
 from .errors import InvalidParams
-from .grid import Grid, StatePair, cell_gradients, cell_values, scatter_cells
+from .grid import (
+    CellWorkspace,
+    Grid,
+    StatePair,
+    cell_gradients,
+    cell_values,
+    sample_cells,
+    scatter_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -192,22 +200,34 @@ class Energy:
 
     def hessian(self, s: CellSample):
         """Exact Hessian at the sampled state, the derivative of `gradient`,
-        as a product d -> H d on (k, nx, ny) stacks.  The weights are formed
-        here, once; each product samples d with the cell stencils and
-        scatters the linearized gradient weights back."""
+        as a product d -> H d on (k, nx, ny) stacks.  The weights and one
+        workspace for the products are formed here, once: each product
+        samples d into the workspace with the fused cell stencils, forms the
+        linearized gradient weights in place and scatters them back into a
+        new array, which the caller owns."""
         _G, _g, diag, cross = self.potential(s.v, 2)
         a, da, d2a = self._profile(s, 2)
         m = 0.5 * d2a * s.gsq - self._lam() - diag
         ax, ay = da * s.gx, da * s.gy
         grid = s.grid
+        work = CellWorkspace(grid, m.shape[:-2])
+        weights = tuple(np.empty_like(m) for _ in range(3))
 
         def product(d: np.ndarray) -> np.ndarray:
-            dv = cell_values(d, grid)
-            dgx, dgy = cell_gradients(d, grid)
-            w_val = m * dv + ax * dgx + ay * dgy
+            dv, dgx, dgy = sample_cells(d, grid, work)
+            w_val, w_gx, w_gy = weights
+            # w_val = m dv + ax dgx + ay dgy - cross dv_swapped,
+            # w_gx = ax dv + a dgx and w_gy = ay dv + a dgy
+            np.multiply(m, dv, out=w_val)
+            w_val += np.multiply(ax, dgx, out=w_gx)
+            w_val += np.multiply(ay, dgy, out=w_gy)
             if cross is not None:
-                w_val -= cross * dv[::-1]
-            return scatter_cells(grid, w_val, ax * dv + a * dgx, ay * dv + a * dgy)
+                w_val -= np.multiply(cross, dv[::-1], out=w_gx)
+            np.multiply(ax, dv, out=w_gx)
+            w_gx += np.multiply(a, dgx, out=dgx)
+            np.multiply(ay, dv, out=w_gy)
+            w_gy += np.multiply(a, dgy, out=dgy)
+            return scatter_cells(grid, w_val, w_gx, w_gy, work)
 
         return product
 

@@ -185,6 +185,64 @@ def cell_gradients(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarr
     return gx, gy
 
 
+class CellWorkspace:
+    """Buffers, allocated once, for sampling (*lead, nx, ny) stacks onto the
+    cells and scattering cell weights back: the padded copy, whose zero
+    ring is never written, three arrays shaped like the sums of its
+    x-neighbours, four cell arrays and one nodal array one entry wider in y.
+    Every `sample_cells` or `scatter_cells` call handed the workspace
+    overwrites them, so what one call returns in it lives until the next.
+    """
+
+    __slots__ = ("padded", "x_pairs", "cells", "nodes")
+
+    def __init__(self, grid: Grid, lead: tuple[int, ...]):
+        nx, ny = grid.shape
+        self.padded = np.zeros((*lead, nx + 2, ny + 2))
+        self.x_pairs = tuple(np.empty((*lead, nx + 1, ny + 2)) for _ in range(3))
+        self.cells = tuple(np.empty((*lead, nx + 1, ny + 1)) for _ in range(4))
+        self.nodes = np.empty((*lead, nx, ny + 1))
+
+
+# numpy buffers every operand of a ufunc that is a view sliced along the
+# last axis, allocating its buffers (up to 64 KiB each) on every call.  So
+# the kernels below pair y-neighbours over the flattened C-contiguous
+# arrays, entry i with entry i + 1: the pairs in the last column straddle
+# two rows and are discarded.
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1)
+
+
+def sample_cells(values: np.ndarray, grid: Grid, work: CellWorkspace):
+    """(v, gx, gy): `cell_values` and `cell_gradients` at once, bit for
+    bit, from one padded copy, each formed in the buffers of `work`, a
+    workspace for the leading axes of `values`."""
+    P = work.padded
+    interior = P[..., 1:-1, 1:-1]
+    if np.shape(values) != interior.shape:
+        raise GridMismatch(
+            f"nodal arrays of shape {np.shape(values)}, expected {interior.shape}"
+        )
+    interior[...] = values
+    sx, dx, pairs = work.x_pairs
+    np.add(P[..., :-1, :], P[..., 1:, :], out=sx)  # neighbours in x, summed
+    np.subtract(P[..., 1:, :], P[..., :-1, :], out=dx)
+    v, gx, gy, _t = work.cells
+    s, d, t = _flat(sx), _flat(dx), _flat(pairs)
+    np.add(s[:-1], s[1:], out=t[:-1])
+    v[...] = pairs[..., :-1]
+    v *= 0.25
+    np.add(d[:-1], d[1:], out=t[:-1])
+    gx[...] = pairs[..., :-1]
+    gx /= 2.0 * grid.hx
+    np.subtract(s[1:], s[:-1], out=t[:-1])
+    gy[...] = pairs[..., :-1]
+    gy /= 2.0 * grid.hy
+    return v, gx, gy
+
+
 def integrate(cellvals: np.ndarray, grid: Grid) -> float:
     """Midpoint quadrature: sum of cell-center samples times cell area."""
     if cellvals.shape != grid.cell_shape:
@@ -199,15 +257,18 @@ def scatter_cells(
     w_val: np.ndarray | None = None,
     w_gx: np.ndarray | None = None,
     w_gy: np.ndarray | None = None,
+    work: CellWorkspace | None = None,
 ) -> np.ndarray:
-    """Adjoint of the cell sampling maps, as an interior nodal array.
+    """Adjoint of the cell sampling maps, as a new interior nodal array.
 
     Returns the nodal array G with, for every nodal perturbation d,
         sum_cells (w_val*dV + w_gx*dgx + w_gy*dgy) = sum_nodes G*d,
     where dV, dgx, dgy are the cell-center value/gradient perturbations
     induced by d.  This is the chain-rule backbone of every exact
     discrete gradient below.  Weights with leading axes (k, nx+1, ny+1)
-    give a (k, nx, ny) stack.
+    give a (k, nx, ny) stack.  The intermediate sums are formed in the
+    cells and y-neighbour sums of `work` when one is given (none of its
+    cells may hold a weight), else in arrays allocated here.
 
     Node (i, j) gathers the four cells around it: cells i and i+1 in x lie
     left and right of it, cells j and j+1 in y below and above it.  The
@@ -216,14 +277,29 @@ def scatter_cells(
     shape = next(np.shape(w) for w in (w_val, w_gx, w_gy) if w is not None)
     if shape[-2:] != grid.cell_shape:
         raise GridMismatch(f"cell weights of shape {shape}, grid is {grid.cell_shape}")
-    v, x, y = (
-        np.zeros(shape) if w is None else c * w
-        for w, c in ((w_val, 0.25), (w_gx, 0.5 / grid.hx), (w_gy, 0.5 / grid.hy))
-    )
-    below, above = v + y, v - y
-    sy = below[..., :-1] + above[..., 1:]
-    sx = x[..., :-1] + x[..., 1:]
-    return (sy + sx)[..., :-1, :] + (sy - sx)[..., 1:, :]
+    if work is None:
+        v, x, y, below = (np.empty(shape) for _ in range(4))
+        nodes = np.empty((*shape[:-2], grid.spec.nx, grid.spec.ny + 1))
+    else:
+        (v, x, y, below), nodes = work.cells, work.nodes
+    for w, c, out in ((w_val, 0.25, v), (w_gx, 0.5 / grid.hx, x),
+                      (w_gy, 0.5 / grid.hy, y)):
+        if w is None:
+            out.fill(0.0)
+        else:
+            np.multiply(w, c, out=out)
+    np.add(v, y, out=below)
+    above = np.subtract(v, y, out=v)
+    # sy = below[..., :-1] + above[..., 1:] into y, then sx = x[..., :-1] +
+    # x[..., 1:] into v, each valid in the first ny columns
+    sy = y
+    np.add(_flat(below)[:-1], _flat(above)[1:], out=_flat(sy)[:-1])
+    sx = v
+    np.add(_flat(x)[:-1], _flat(x)[1:], out=_flat(sx)[:-1])
+    # (sy + sx) of the left cell plus (sy - sx) of the right one
+    plus, minus = np.add(sy, sx, out=below), np.subtract(sy, sx, out=sx)
+    np.add(plus[..., :-1, :], minus[..., 1:, :], out=nodes)
+    return nodes[..., :-1].copy()
 
 
 # field dump format: header `FIELD nx ny lx ly`, then nx*ny lines

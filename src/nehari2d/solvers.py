@@ -499,12 +499,20 @@ def _minres(apply, b, precond, rtol, maxiter, callback=None):
     once ||r|| / (||A|| ||x||) or ||A r|| / (||A|| ||r||) is at most rtol,
     the estimate of cond(A) reaches 0.1/eps, or after maxiter iterations,
     each making one product and one `callback(x)`.
+
+    The recurrence runs in place, in the same order of operations, on
+    buffers allocated once per solve: `precond(r, out=z)` writes M^-1 r
+    into z, and `apply(v)` must return a new array, which becomes a
+    Lanczos vector and is overwritten.  `b` is left unchanged and the
+    result is a new array, but `callback(x)` receives the live iterate,
+    which later iterations overwrite.
     """
     eps = np.finfo(float).eps
-    x = w = w2 = np.zeros_like(b)
+    x, w, w2 = (np.zeros_like(b) for _ in range(3))
+    w1, v, z, tmp = (np.empty_like(b) for _ in range(4))
     r1 = r2 = b
-    y = precond(b)
-    beta1 = float(np.vdot(b, y))
+    precond(b, out=z)
+    beta1 = float(np.vdot(b, z))
     if beta1 < 0.0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0.0:
@@ -513,16 +521,17 @@ def _minres(apply, b, precond, rtol, maxiter, callback=None):
     oldb = dbar = epsln = tnorm2 = gmax = sn = 0.0
     gmin, cs = math.inf, -1.0
     for itn in range(1, maxiter + 1):
-        # Lanczos step: v = y / beta, the next y = M^-1 r2
-        v = (1.0 / beta) * y
+        # Lanczos step: v = z / beta, y = A v less its projections on the
+        # last two residuals, then z = M^-1 y
+        np.multiply(z, 1.0 / beta, out=v)
         y = apply(v)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = float(np.vdot(v, y))
-        y = y - (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=tmp)
         r1, r2 = r2, y
-        y = precond(r2)
-        oldb, beta = beta, float(np.vdot(r2, y))
+        precond(r2, out=z)
+        oldb, beta = beta, float(np.vdot(r2, z))
         if beta < 0.0:
             raise ValueError("non-symmetric matrix")
         beta = math.sqrt(beta)
@@ -534,9 +543,12 @@ def _minres(apply, b, precond, rtol, maxiter, callback=None):
         gamma = max(math.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x = x + phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma, into the oldest w buffer
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w *= 1.0 / gamma
+        x += np.multiply(w, phi, out=tmp)
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         anorm, xnorm = math.sqrt(tnorm2), float(np.linalg.norm(x))
         test1 = phibar / (anorm * xnorm) if xnorm > 0.0 else math.inf

@@ -70,7 +70,10 @@ def make_poisson_solver(grid: Grid, quadrature: bool = False):
     interpolant), used to precondition the Newton polish.  Both are diagonal
     in the sine basis, so the solve (sine matrices, symbol, sine matrices)
     is exact up to roundoff.  Leading axes of the right-hand side are a
-    batch: a (k, nx, ny) stack is solved component by component.
+    batch: a (k, nx, ny) stack is solved component by component.  The
+    returned `solve(b, out=None)` writes the solution into `out` when it
+    is given, a C-contiguous array of b's shape other than b, and
+    returns it.
     """
     nx, ny = grid.shape
     sx = np.sin(np.pi * np.arange(1, nx + 1) / (2.0 * (nx + 1)))[:, None] ** 2
@@ -83,8 +86,16 @@ def make_poisson_solver(grid: Grid, quadrature: bool = False):
         denom = lx_eig + ly_eig
     Sx, Sy = _sine_matrix(nx), _sine_matrix(ny)
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        return Sx @ ((Sx @ b @ Sy) / denom) @ Sy
+    def solve(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # Sx ((Sx b Sy) / denom) Sy; the division runs one matrix at a
+        # time because numpy buffers, allocating on every call, a ufunc
+        # that broadcasts denom over leading axes
+        scratch = np.matmul(Sx, b)
+        out = np.matmul(scratch, Sy, out=out)
+        for matrix in out.reshape(-1, nx, ny):
+            matrix /= denom
+        np.matmul(Sx, out, out=scratch)
+        return np.matmul(scratch, Sy, out=out)
 
     return solve
 

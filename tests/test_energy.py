@@ -399,6 +399,50 @@ class TestHessian:
         bound = 1e-10 * np.linalg.norm(hd) * np.linalg.norm(e)
         assert abs(np.sum(hd * e) - np.sum(d * he)) <= bound
 
+    @pytest.mark.parametrize("beta", [-1.5, 0.0])
+    def test_products_are_new_arrays(self, grid15, example1, beta):
+        # each product is a new array that later products of the same
+        # closure leave alone, equal bit for bit to a fresh closure's
+        # product and to the allocating formula, with d left unchanged
+        params = ProblemParams(0.4, -0.3, beta, 3.0, 0.5)
+        x = positive_state(grid15, 3)
+        energy = Energy.pair(params, example1, example_family(0.5))
+        s = CellSample(x, grid15)
+        d, e = np.random.default_rng(4).standard_normal((2, *x.shape))
+        d0 = d.copy()
+        product = energy.hessian(s)
+        hd = product(d)
+        hd0 = hd.copy()
+        he = product(e)
+        assert not np.shares_memory(hd, he)
+        assert np.array_equal(hd, hd0) and np.array_equal(d, d0)
+        for v, hv in ((d, hd), (e, he)):
+            assert np.array_equal(hv, energy.hessian(CellSample(x, grid15))(v))
+            assert np.array_equal(hv, allocating_product(energy, s, v))
+
+    def test_product_peak_memory(self, grid31, example1):
+        # once the closure is built, a product's temporaries live in its
+        # workspace: its traced peak is its result plus small change, far
+        # under the 17 nodal stacks of a product that allocates each step
+        import tracemalloc
+
+        params = ProblemParams(0.4, -0.3, -1.5, 4.0, 1.0)
+        x = positive_state(grid31, 0)
+        d = np.random.default_rng(1).standard_normal(x.shape)
+        product = Energy.pair(params, example1, example1).hessian(CellSample(x, grid31))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            product(d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 5 * d.nbytes
+
     def test_coupling_second_derivatives_zero_convention(self):
         # p = 3: |t1|^(p/2-2) has no value at t1 = 0, taken as 0 there;
         # p = 4: that power is |t1|^0 = 1, the smooth value
@@ -407,6 +451,21 @@ class TestHessian:
             _G, _g, (h11, _h22), h12 = pair_potential(params, 0.0, 0.5, 2)
             assert h11 == pytest.approx(h11_at_zero, abs=1e-15)
             assert h12 == 0.0
+
+
+def allocating_product(energy, s, d):
+    """H d with every step an expression allocating its result, in the
+    order of operations of `Energy.hessian`'s in-place product."""
+    _G, _g, diag, cross = energy.potential(s.v, 2)
+    a, da, d2a = energy._profile(s, 2)
+    m = 0.5 * d2a * s.gsq - np.reshape(energy.lams, (-1, 1, 1)) - diag
+    ax, ay = da * s.gx, da * s.gy
+    dv = G.cell_values(d, s.grid)
+    dgx, dgy = G.cell_gradients(d, s.grid)
+    w_val = m * dv + ax * dgx + ay * dgy
+    if cross is not None:
+        w_val = w_val - cross * dv[::-1]
+    return G.scatter_cells(s.grid, w_val, ax * dv + a * dgx, ay * dv + a * dgy)
 
 
 def matrix_free_hessian(energy, s, d):

@@ -117,6 +117,16 @@ def corner_scatter(grid, w_val, w_gx, w_gy):
     return N[..., 1:-1, 1:-1]
 
 
+def allocating_scatter(grid, w_val, w_gx, w_gy):
+    """`scatter_cells` as one expression per step, each allocating its
+    result: the reference the in-place form must equal bit for bit."""
+    v, x, y = (0.25 * w_val, (0.5 / grid.hx) * w_gx, (0.5 / grid.hy) * w_gy)
+    below, above = v + y, v - y
+    sy = below[..., :-1] + above[..., 1:]
+    sx = x[..., :-1] + x[..., 1:]
+    return (sy + sx)[..., :-1, :] + (sy - sx)[..., 1:, :]
+
+
 class TestStencils:
     """The cell stencils and their adjoint against the corner references."""
 
@@ -155,6 +165,41 @@ class TestStencils:
     def test_scatter_rejects_other_cell_shapes(self, grid15):
         with pytest.raises(GridMismatch):
             G.scatter_cells(grid15, np.ones((2, *grid15.shape)))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("spec", [GridSpec(2, 2), GridSpec(9, 6, 1.0, 1.7),
+                                      GridSpec(63, 63)])
+    def test_workspace_kernels_are_bit_identical(self, spec, k):
+        # the fused sampler equals cell_values and cell_gradients, and the
+        # scatter equals its allocating form with or without a workspace;
+        # each call reuses the workspace and leaves its inputs alone
+        grid = build_grid(spec)
+        rng = np.random.default_rng(spec.nx + k)
+        work = G.CellWorkspace(grid, (k,))
+        for _ in range(2):
+            x = rng.standard_normal((k, *grid.shape))
+            w = rng.standard_normal((3, k, *grid.cell_shape))
+            x0, w0 = x.copy(), w.copy()
+            sampled = G.sample_cells(x, grid, work)
+            refs = (G.cell_values(x, grid), *G.cell_gradients(x, grid))
+            for mine, ref in zip(sampled, refs):
+                assert np.array_equal(mine, ref)
+                assert any(mine is buf for buf in work.cells)
+            ref = allocating_scatter(grid, *w)
+            assert np.array_equal(G.scatter_cells(grid, *w), ref)
+            assert np.array_equal(G.scatter_cells(grid, *w, work), ref)
+            assert np.array_equal(x, x0) and np.array_equal(w, w0)
+        # a missing weight is a zero weight through a workspace too
+        assert np.array_equal(G.scatter_cells(grid, None, w[1], w[2], work),
+                              allocating_scatter(grid, np.zeros_like(w[0]), w[1], w[2]))
+
+    def test_sample_rejects_other_shapes(self, grid15):
+        # the nodal values must fill the workspace's interior exactly,
+        # rather than broadcast into it
+        work = G.CellWorkspace(grid15, (2,))
+        for shape in (grid15.shape, (1, *grid15.shape), (2, 15, 14), (2, 16, 15)):
+            with pytest.raises(GridMismatch):
+                G.sample_cells(np.ones(shape), grid15, work)
 
 
 class TestGradSq:

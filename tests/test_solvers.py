@@ -792,6 +792,53 @@ class TestNewtonHandoff:
         assert energy.value(sample) == pytest.approx(energy_ref, rel=1e-10)
 
 
+def allocating_minres(apply, b, precond, rtol, maxiter):
+    """`_minres` with every vector a new array, the reference for the
+    order of operations of the in-place recurrence."""
+    eps = np.finfo(float).eps
+    x = w = w2 = np.zeros_like(b)
+    r1 = r2 = b
+    y = precond(b)
+    beta1 = float(np.vdot(b, y))
+    beta1 = beta = phibar = math.sqrt(beta1)
+    oldb = dbar = epsln = tnorm2 = gmax = sn = 0.0
+    gmin, cs = math.inf, -1.0
+    for itn in range(1, maxiter + 1):
+        v = (1.0 / beta) * y
+        y = apply(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        oldb, beta = beta, math.sqrt(float(np.vdot(r2, y)))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar, epsln, dbar = sn * dbar - cs * alfa, sn * beta, -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm, xnorm = math.sqrt(tnorm2), float(np.linalg.norm(x))
+        test1 = phibar / (anorm * xnorm) if xnorm > 0.0 else math.inf
+        if (itn == 1 and beta / beta1 <= 10.0 * eps
+                or min(test1, root / anorm) <= max(rtol, eps / 2.0)
+                or gmax / gmin >= 0.1 / eps or anorm * xnorm * eps >= beta1):
+            break
+    return x
+
+
+def copy_into(r, out):
+    """The identity preconditioner, in the `precond(r, out=...)` form."""
+    out[...] = r
+    return out
+
+
 class TestMinres:
     """The in-package MINRES against `scipy.sparse.linalg.minres`, an
     independent implementation of the same recurrence, on Hessian
@@ -827,7 +874,7 @@ class TestMinres:
         ref, _info = minres(operator(apply), b.ravel(), rtol=rtol, maxiter=maxiter,
                             M=None if precond is None else operator(precond),
                             callback=ref_its.append)
-        x = S._minres(apply, b, precond or (lambda r: r), rtol, maxiter,
+        x = S._minres(apply, b, precond or copy_into, rtol, maxiter,
                       callback=its.append)
         return x, ref.reshape(b.shape), (len(ref_its), len(its))
 
@@ -850,6 +897,32 @@ class TestMinres:
         x, ref, counts = self.solve_both(apply, b, None, 1e-12, 5)
         assert counts == (5, 5)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", ["scalar", "pair"])
+    def test_matches_allocating_recurrence(self, systems, grid15, name):
+        # the in-place recurrence keeps the order of operations of the one
+        # that allocates every vector, so the two agree bit for bit
+        apply, b = systems[name]
+        for rtol in (S._POLISH_RTOL, 1e-10):
+            x = S._minres(apply, b, grid15.quadrature_solver, rtol,
+                          S._POLISH_INNER_ITER)
+            ref = allocating_minres(apply, b, grid15.quadrature_solver, rtol,
+                                    S._POLISH_INNER_ITER)
+            assert np.array_equal(x, ref)
+
+    def test_inputs_and_results_are_not_shared(self, systems, grid15):
+        # b is left unchanged; each solve returns a new array, which the
+        # callback saw as the live iterate
+        apply, b = systems["pair"]
+        b0 = b.copy()
+        seen = []
+        x = S._minres(apply, b, grid15.quadrature_solver, 1e-10, 400,
+                      callback=seen.append)
+        y = S._minres(apply, b, grid15.quadrature_solver, 1e-10, 400)
+        assert np.array_equal(b, b0)
+        assert not np.shares_memory(x, b) and not np.shares_memory(x, y)
+        assert np.array_equal(x, y)
+        assert len(seen) > 1 and all(xk is x for xk in seen)
 
     def test_zero_right_hand_side_makes_no_product(self, grid15):
         calls = []

@@ -83,6 +83,17 @@ class TestPoissonSolver:
         assert np.array_equal(S, S.T)
         assert np.max(np.abs(S @ S - np.eye(n))) <= 1e-13
 
+    @pytest.mark.parametrize("quadrature", [False, True],
+                             ids=["stencil", "quadrature"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["field", "stack"])
+    def test_out_receives_the_same_bits(self, grid31, quadrature, lead):
+        solve = make_poisson_solver(grid31, quadrature)
+        b = np.random.default_rng(3).standard_normal((*lead, *grid31.shape))
+        b0, out = b.copy(), np.full_like(b, np.nan)
+        assert solve(b, out=out) is out
+        assert np.array_equal(out, solve(b)) and np.array_equal(b, b0)
+
+
 class TestNegLaplacian:
     def test_stack_is_applied_per_component(self):
         grid = build_grid(GridSpec(7, 9, 1.0, 1.3))
