@@ -22,12 +22,8 @@ A rescale first checks the membership inequalities
 
     int |u_i|^p + beta * int |u1 u2|^(p/2) > 0,   i = 1, 2
 
-at the input's own component scales.  They are a precheck, not a
-necessary condition: the critical point is covariant under
-u -> (c1 u1, c2 u2), as h_{c u}(t) = h_u(c t), but the inequalities are
-not, so a pair that fails them may have a rescaled copy that passes and
-projects.  The descent H1-normalizes every competitive trial before it
-projects it, so the precheck always sees unit gradient norms.
+at unit gradient norms, so that, like the critical point (h_{c u}(t) =
+h_u(c t)), the verdict is covariant under u -> (c1 u1, c2 u2).
 
 One damped Newton on the fiber gradient (`_fiber_newton`) locates the
 critical point for one field (k = 1) and for a pair (k = 2) of either
@@ -114,9 +110,13 @@ class FiberEvaluator:
         )
 
     def membership_values(self) -> tuple[float, ...]:
-        """int |u_i|^p + beta * cross term, for each component i (a single
-        field has no cross term)."""
-        return tuple(float(m) for m in self.pp + self.params.beta * self.cross)
+        """int |u_i|^p + beta * cross term for each component i at unit
+        gradient norms, scaled back by ia0_i^(p/2): pp_i + beta * cross *
+        (ia0_i / ia0_j)^(p/4), j the other component (a single field has
+        no cross term)."""
+        ia0 = self._ia0
+        ratio = (ia0 / ia0[::-1]) ** (self.params.p / 4.0)
+        return tuple(float(m) for m in self.pp + self.params.beta * self.cross * ratio)
 
     def _axis(self, k: int, tau, order: int) -> list:
         """The terms of h depending on t_k alone (all but the cross term) at
@@ -363,9 +363,9 @@ def project_to_nehari(
     does not converge in _WARM_MAX_ITER steps, from the cold start: the
     constant-profile root of each component with the coupling ignored.
     The energy and residuals are read from the last evaluation at t.
-    Not projectable when the membership inequalities fail at the scales
-    of x (a precheck, not a necessary condition: see the module notes)
-    or when neither start converges; nothing is raised for a stall.
+    Not projectable when the membership inequalities fail at unit
+    gradient norms (see the module notes) or when neither start
+    converges; nothing is raised for a stall.
     """
     return _rescale(Energy.pair(params, fam1, fam2), x, grid, (2,), t_init)
 

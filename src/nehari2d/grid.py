@@ -79,23 +79,15 @@ class Grid:
         P[..., 1:-1, 1:-1] = values
         return P
 
-    # the two sine-basis Poisson solvers, built on first use by
-    # `spectrum.make_poisson_solver`, looked up at call time (spectrum
-    # imports this module)
-    @cached_property
-    def poisson_solver(self):
-        """Exact 5-point -Laplace solve, `spectrum.make_poisson_solver`."""
-        from . import spectrum
-
-        return spectrum.make_poisson_solver(self)
-
     @cached_property
     def quadrature_solver(self):
         """Exact solve with the quadrature stiffness of the gradient term,
-        `spectrum.make_poisson_solver(quadrature=True)`."""
+        the one sine-basis solver of the grid, built on first use by
+        `spectrum.make_poisson_solver` (looked up at call time: spectrum
+        imports this module)."""
         from . import spectrum
 
-        return spectrum.make_poisson_solver(self, quadrature=True)
+        return spectrum.make_poisson_solver(self)
 
 
 def build_grid(spec: GridSpec) -> Grid:

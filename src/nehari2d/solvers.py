@@ -3,7 +3,7 @@
 Scalar ground states minimize the one-component energy over the unit
 gradient sphere: each trial direction is rescaled onto the scalar
 constraint set by its unique fiber root, and the descent direction is the
-Riesz lift of the exact energy gradient projected onto the sphere
+H1 Riesz lift of the exact energy gradient projected onto the sphere
 tangent.  `solve_system` solves the system for every sign of beta, and
 the sign picks only the method.  Repulsive coupling runs the scalar
 scheme on the product of two spheres, with the two-parameter fiber
@@ -336,16 +336,17 @@ def _conjugate_lift(g, sample, t, grid, memo):
     """Conjugate direction from the sphere-tangent Riesz lift.
 
     g is the Euler gradient at the state w sampled by `sample`, and t_i
-    scales component i of the sphere point v onto w = t v.  pg is the
-    Riesz lift r of g projected onto the H1 tangent space of the spheres
-    at v (the projection along v is the one along w), and <g, pg> =
-    sum_i t_i <g_i, pg_i>.  The direction is -pg + beta T(d_prev), with T
-    the tangent projection and beta the Polak-Ribiere value clamped to
+    scales component i of the sphere point v onto w = t v.  pg is the H1
+    Riesz lift r = K^-1 g (`grid.quadrature_solver`, K the quadrature
+    stiffness) projected K-orthogonally onto the tangent space of the
+    spheres at v (the projection along v is the one along w), and
+    <g, pg> = sum_i t_i <g_i, pg_i> = cell_area sum_i t_i pg_i^T K pg_i,
+    so -pg always descends.  The direction is -pg + beta T(d_prev), with
+    T the tangent projection and beta the Polak-Ribiere value clamped to
     [0, Fletcher-Reeves]; `memo` carries (pg, <g, pg>, d) from the last
-    step of the same descent, or is None.  Where a direction is not one
-    of descent the rule restarts from -pg, and from the plain lift -r
-    where -pg is not one either.  Returns (d, slope sum_i t_i <g_i, d_i>,
-    memo), all arrays stacked like g.
+    step of the same descent, or is None.  Where the conjugate direction
+    does not descend the rule restarts from -pg.  Returns (d, slope
+    sum_i t_i <g_i, d_i>, memo), all arrays stacked like g.
     """
     t = np.asarray(t)
 
@@ -362,8 +363,7 @@ def _conjugate_lift(g, sample, t, grid, memo):
     def dot(a, b):
         return float(np.sum(t * per_component(a * b)))
 
-    r = grid.poisson_solver(g)
-    pg = tangent(r)
+    pg = tangent(grid.quadrature_solver(g))
     gpg = dot(g, pg)
     d, slope = -pg, -gpg
     if memo is not None and memo[1] > 0.0:
@@ -374,9 +374,6 @@ def _conjugate_lift(g, sample, t, grid, memo):
             s_cg = dot(g, cg)
             if s_cg < 0.0:
                 d, slope = cg, s_cg
-    if slope >= 0.0:
-        d = -r
-        slope = dot(g, d)
     return d, slope, (pg, gpg, d)
 
 
@@ -397,8 +394,8 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
     (`sphere`), a start is normalized onto the unit gradient spheres and
     moves by the conjugate lift, and each trial is renormalized and
     rescaled from the current t.
-    Otherwise a trial steps from w along the plain Riesz lift -r and is
-    rescaled from t = (1, 1).
+    Otherwise a trial steps from w along the plain H1 Riesz lift -K^-1 g
+    (`grid.quadrature_solver`) and is rescaled from t = (1, 1).
 
     Each start descends to max(_HANDOFF_RES, 1e2 * tol), and `polish(x)`
     returns (sample, res) for the polished state.  When `_rejection`
@@ -428,7 +425,7 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
             return fiber(h1_normalize(x[0] + a * d, grid), x[1].t)
     else:
         def direction(x, g, memo):
-            d = -grid.poisson_solver(g)
+            d = -grid.quadrature_solver(g)
             return d, float(np.sum(g * d)) * grid.cell_area, None
 
         def retract(x, d, a):

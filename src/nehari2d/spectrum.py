@@ -1,4 +1,4 @@
-"""Principal Dirichlet eigenpair of the 5-point Laplacian and admissibility.
+"""5-point Dirichlet eigenpair, the quadrature-stiffness Poisson solve, admissibility.
 
 On a rectangle the 5-point eigenpair is known in closed form: the
 smallest eigenvalue is
@@ -14,14 +14,16 @@ Admissibility decisions use the smaller of the two notions, which is
 therefore the stencil value, so every threshold comparison errs on the
 conservative side.
 
-The quadrature stiffness (the energy's gradient term) is diagonal in the
+The quadrature stiffness K (the energy's gradient term, the H1 inner
+product of every descent and of the Newton polish) is diagonal in the
 same sine basis, with symbol
 
     (4/hx^2) sin^2(tx/2) cos^2(ty/2) + (4/hy^2) cos^2(tx/2) sin^2(ty/2),
 
 t = pi k / (n + 1).  Unlike the 5-point symbol it nearly vanishes on the
-checkerboard modes; its exact inverse preconditions the Newton polish.
-Both solves change basis with the dense orthonormal sine matrices
+checkerboard modes.  Its exact inverse is the one Poisson solve: the
+descent's Riesz lift and the Newton polish's preconditioner.  It changes
+basis with the dense orthonormal sine matrices
 S[j, k] = sqrt(2/(n+1)) sin(pi j k / (n+1)), symmetric with S S = I.
 """
 
@@ -61,29 +63,23 @@ def _sine_matrix(n: int) -> np.ndarray:
     return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * jk)
 
 
-def make_poisson_solver(grid: Grid, quadrature: bool = False):
-    """Direct solver for a -Laplace system in the discrete sine basis.
-
-    By default the system is the 5-point stencil, used as the Riesz lift
-    in the descent solvers.  With `quadrature` it is the stiffness of the
-    energy's gradient term (the cell-centre quadrature of the bilinear
-    interpolant), used to precondition the Newton polish.  Both are diagonal
-    in the sine basis, so the solve (sine matrices, symbol, sine matrices)
-    is exact up to roundoff.  Leading axes of the right-hand side are a
-    batch: a (k, nx, ny) stack is solved component by component.  The
-    returned `solve(b, out=None)` writes the solution into `out` when it
-    is given, a C-contiguous array of b's shape other than b, and
-    returns it.
+def make_poisson_solver(grid: Grid):
+    """Direct solver for the quadrature stiffness K of the energy's
+    gradient term (the cell-centre quadrature of the bilinear
+    interpolant), the H1 Riesz lift of the descents and the Newton
+    preconditioner.  K is diagonal in the sine basis, so the solve (sine
+    matrices, symbol, sine matrices) is exact up to roundoff.  Leading
+    axes of the right-hand side are a batch: a (k, nx, ny) stack is
+    solved component by component.  The returned `solve(b, out=None)`
+    writes the solution into `out` when it is given, a C-contiguous
+    array of b's shape other than b, and returns it.
     """
     nx, ny = grid.shape
     sx = np.sin(np.pi * np.arange(1, nx + 1) / (2.0 * (nx + 1)))[:, None] ** 2
     sy = np.sin(np.pi * np.arange(1, ny + 1) / (2.0 * (ny + 1)))[None, :] ** 2
     lx_eig = 4.0 / grid.hx**2 * sx
     ly_eig = 4.0 / grid.hy**2 * sy
-    if quadrature:
-        denom = lx_eig * (1.0 - sy) + (1.0 - sx) * ly_eig
-    else:
-        denom = lx_eig + ly_eig
+    denom = lx_eig * (1.0 - sy) + (1.0 - sx) * ly_eig
     Sx, Sy = _sine_matrix(nx), _sine_matrix(ny)
 
     def solve(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

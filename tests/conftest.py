@@ -12,6 +12,7 @@ from nehari2d import (
     example_family,
     identity_family,
 )
+from nehari2d.grid import cell_gradients
 
 
 # property tests: reproducible examples, no wall-clock deadline
@@ -28,6 +29,16 @@ def positive_state(grid, seed):
     return np.stack(
         [np.abs(rng.standard_normal(grid.shape)) + 0.1 for _ in range(2)]
     )
+
+
+def quadrature_stiffness(grid):
+    """K = sum over cells of gx_i gx_j + gy_i gy_j, the gradient term's
+    stiffness as a dense matrix on the raveled nodes, assembled from the
+    cell gradients of unit vectors."""
+    n = grid.shape[0] * grid.shape[1]
+    gx, gy = cell_gradients(np.eye(n).reshape(n, *grid.shape), grid)
+    gx, gy = gx.reshape(n, -1), gy.reshape(n, -1)
+    return gx @ gx.T + gy @ gy.T
 
 
 @pytest.fixture(scope="session")

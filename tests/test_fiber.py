@@ -662,18 +662,21 @@ class TestProjection:
 
     def test_componentwise_scale_covariance(self, grid15, example1,
                                             competitive_params):
-        # h_{c u}(t) = h_u(c t): with u2 times 10 the precheck still passes,
-        # t2 scales by 1/10 and the energy is unchanged.  (The precheck is
-        # not covariant: with u2 times 100 it fails, though (t1, t2 / 100)
-        # is the critical point of that pair's fiber.)
+        # h_{c u}(t) = h_u(c t): with u2 times c the precheck still passes,
+        # t2 scales by 1/c and the energy is unchanged.  The precheck reads
+        # unit gradient norms: at the input's own scales u2 times 100 or
+        # 0.01 would fail it.
         x = h1_normalize(bump_state(grid15), grid15)
         res = project_to_nehari(x, competitive_params, example1, example1, grid15)
-        scaled = project_to_nehari(x * np.reshape((1.0, 10.0), (2, 1, 1)),
-                                   competitive_params, example1, example1, grid15)
-        assert res.projectable and scaled.projectable
-        assert scaled.t[0] == pytest.approx(res.t[0], rel=1e-10)
-        assert scaled.t[1] == pytest.approx(res.t[1] / 10.0, rel=1e-10)
-        assert scaled.energy == pytest.approx(res.energy, rel=1e-12)
+        assert res.projectable
+        for c in (10.0, 100.0, 0.01):
+            scaled = project_to_nehari(x * np.reshape((1.0, c), (2, 1, 1)),
+                                       competitive_params, example1, example1,
+                                       grid15)
+            assert scaled.projectable, scaled.reason
+            assert scaled.t[0] == pytest.approx(res.t[0], rel=1e-10)
+            assert scaled.t[1] == pytest.approx(res.t[1] / c, rel=1e-10)
+            assert scaled.energy == pytest.approx(res.energy, rel=1e-12)
 
     def test_degenerate_component_raises(self, grid15, example1, competitive_params):
         x = np.stack((np.ones(grid15.shape), np.zeros(grid15.shape)))

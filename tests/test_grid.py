@@ -59,18 +59,15 @@ class TestGridSpec:
         built = []
         real = spectrum.make_poisson_solver
 
-        def counting(grid, **kwargs):
-            built.append(kwargs)
-            return real(grid, **kwargs)
+        def counting(grid):
+            built.append(grid)
+            return real(grid)
 
         monkeypatch.setattr(spectrum, "make_poisson_solver", counting)
         grid = build_grid(GridSpec(7, 7, 1.0, 1.0))
         assert built == []
-        assert grid.poisson_solver is grid.poisson_solver
-        assert built == [{}]
         assert grid.quadrature_solver is grid.quadrature_solver
-        assert grid.quadrature_solver is not grid.poisson_solver
-        assert built == [{}, {"quadrature": True}]
+        assert built == [grid]
 
 
 class TestIntegrate:
@@ -433,12 +430,12 @@ def test_stacked_calls_equal_per_component_calls(n):
     x = rng.standard_normal((2, n, n))
     w = rng.standard_normal((3, 2, n + 1, n + 1))
     stacked = (
-        grid.poisson_solver(x), G.cell_values(x, grid), *G.cell_gradients(x, grid),
+        grid.quadrature_solver(x), G.cell_values(x, grid), *G.cell_gradients(x, grid),
         G.scatter_cells(grid, *w),
     )
     for i in range(2):
         single = (
-            grid.poisson_solver(x[i]), G.cell_values(x[i], grid),
+            grid.quadrature_solver(x[i]), G.cell_values(x[i], grid),
             *G.cell_gradients(x[i], grid), G.scatter_cells(grid, *w[:, i]),
         )
         for a, b in zip(stacked, single):

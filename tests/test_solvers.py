@@ -47,6 +47,8 @@ from oracles import semilinear_ground_level
 from conftest import (
     StopSolve,
     capture_first_descent,
+    positive_state,
+    quadrature_stiffness,
     segregated_random_state,
     zero_field,
 )
@@ -419,6 +421,27 @@ class TestDescentDriver:
         d2, slope2, memo2 = rule(v0, g, ascent)
         assert np.array_equal(d2, d) and slope2 == slope
         assert np.array_equal(memo2[2], d)
+
+    def test_lift_slope_is_minus_the_tangent_h1_norm(self):
+        # with r = K^-1 g, K the quadrature stiffness, and P the
+        # K-orthogonal tangent projection, <g, pg> = cell_area sum_i t_i
+        # pg_i^T K pg_i, so -pg descends at every state, gradient and
+        # fiber scale
+        grid = build_grid(GridSpec(7, 9, 1.0, 1.3))
+        n = grid.shape[0] * grid.shape[1]
+        K = quadrature_stiffness(grid)
+        rng = np.random.default_rng(0)
+        for seed in range(200):
+            w = positive_state(grid, seed)
+            g = rng.standard_normal((2, *grid.shape))
+            t = rng.uniform(0.1, 10.0, 2)
+            d, slope, (pg, _gpg, _d) = S._conjugate_lift(
+                g, CellSample(w, grid), t, grid, None)
+            assert np.array_equal(d, -pg)
+            pg = pg.reshape(2, n)
+            norm = grid.cell_area * sum(t[i] * (pg[i] @ K @ pg[i]) for i in range(2))
+            assert slope < 0.0
+            assert slope == pytest.approx(-norm, rel=1e-12)
 
     def test_every_descent_starts_without_memory(self, monkeypatch, grid7,
                                                  identity, params_p4):
