@@ -2,11 +2,11 @@
 
 The package discretizes the energy of a two-component gradient system
 whose diffusion coefficients depend on the unknown itself, and computes
-ground states in the attractive and repulsive coupling regimes by
+ground states in the attractive and repulsive coupling regimes by one
 constrained variational descent: fibering-map rescaling onto the natural
-constraint set, reduced minimization over the product of unit spheres,
-and multistart descent with rescaling.  Supporting machinery certifies
-the structural hypotheses on the coefficients and the spectral
+constraint set and multistart reduced minimization over the product of
+unit spheres, for either sign of the coupling.  Supporting machinery
+certifies the structural hypotheses on the coefficients and the spectral
 admissibility of the linear terms.
 """
 

@@ -27,9 +27,10 @@ h_u(c t)), the verdict is covariant under u -> (c1 u1, c2 u2).
 
 One damped Newton on the fiber gradient (`_fiber_newton`) locates the
 critical point for one field (k = 1) and for a pair (k = 2) of either
-sign of beta.  It runs from a warm guess and else from the closed-form
-root of each axis with a constant profile and no coupling, and stops at
-the first point stationary relative to t_k int |grad u_k|^2.
+sign of beta.  It runs from a warm guess, else from the closed-form root
+of each axis with a constant profile and no coupling, else (a pair) from
+the ray start, and stops at the first point stationary relative to
+t_k int |grad u_k|^2.
 
 One evaluation, `FiberEvaluator.derivatives`, gives h and its first one
 or two derivatives, for the Newton's one point t and for a grid of t
@@ -63,10 +64,10 @@ class ProjectionResult:
     """A rescale onto the constraint set, of a field (k = 1) or a pair (k = 2).
 
     `projectable` is False, with a `reason`, when the membership
-    inequalities fail or neither the warm nor the cold start of the fiber
-    Newton converged.  Otherwise the Newton converged to the interior
-    critical point t of the fibering map h, and `t` and `residual` are
-    k-tuples: the scalings t_i and the constraint residuals t_i dh/dt_i(t).
+    inequalities fail or no start of the fiber Newton converged.
+    Otherwise the Newton converged to the interior critical point t of
+    the fibering map h, and `t` and `residual` are k-tuples: the
+    scalings t_i and the constraint residuals t_i dh/dt_i(t).
     `energy` is h(t), and `sample` is the cell sample of the rescaled
     stack `sample.x`; all are read from the Newton's last evaluation.
     """
@@ -161,6 +162,20 @@ class FiberEvaluator:
                         else float(not floor))
         return np.array(taus)
 
+    def ray_start(self) -> np.ndarray | None:
+        """The maximizer of the constant-profile h along the ray through the
+        pair's `cold_start()` t: t rho, with rho^(p-2) = S / (S + 2 beta
+        cross (t_1 t_2)^(p/2)) and S = sum_k pp_k t_k^p, or None where
+        either sum is not positive.  For identical constant profiles it is
+        the synchronized root, which the uncoupled cold start misses."""
+        t = self.cold_start()
+        p = self.params.p
+        s = float(np.sum(self.pp * t**p))
+        total = s + 2.0 * self.params.beta * self.cross * (t[0] * t[1]) ** (p / 2.0)
+        if s <= 0.0 or total <= 0.0:
+            return None
+        return t * (s / total) ** (1.0 / (p - 2.0))
+
     def derivatives(self, t, order: int = 2) -> tuple:
         """(h,), (h, g) or (h, g, J) at t = (t_1, ..., t_k): h, the fiber
         gradient g and its exact k x k Jacobian J, from one `_axis` call
@@ -185,12 +200,13 @@ class FiberEvaluator:
             c = b * self.cross
             m = [t_i**half for t_i in t]
             s = [t_i ** (half - 1.0) for t_i in t]
-            h = h - (2.0 * b / p) * m[0] * m[1] * self.cross
+            # pair products first, so that a swap swaps h, g and J exactly
+            h = h - (2.0 * b / p) * (m[0] * m[1]) * self.cross
             for i, j in ((0, 1), (1, 0)):
                 g[i] -= c * s[i] * m[j]
                 if order >= 2:
                     J[i, i] -= c * (half - 1.0) * t[i] ** (half - 2.0) * m[j]
-                    J[i, j] = -c * half * s[0] * s[1]
+                    J[i, j] = -c * half * (s[0] * s[1])
         return (h, g, J)[: order + 1]
 
 
@@ -305,9 +321,11 @@ def _positive(t: np.ndarray) -> bool:
 def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
     """`_fiber_newton` from the warm guess t_init, a k-sequence or None, and
     from `ev.cold_start()` when t_init is not positive and finite or its
-    run, capped at _WARM_MAX_ITER steps, does not converge.  A run
-    converges only at a positive and finite t.  By uniqueness of the
-    interior zero both starts give the same t."""
+    run, capped at _WARM_MAX_ITER steps, does not converge, and for a
+    pair from `ev.ray_start()`, if any, when that fails too: at beta =
+    p - 2 the cold start of identical constant profiles is singular.
+    A run converges only at a positive and finite t.  By uniqueness of the
+    interior zero every start gives the same t."""
     if t_init is not None:
         t = np.asarray(t_init, dtype=float)
         if _positive(t):
@@ -315,6 +333,10 @@ def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
             if converged and _positive(t):
                 return t, h, g, True
     t, h, g, converged = _fiber_newton(ev, ev.cold_start(), maximize)
+    if not (converged and _positive(t)) and len(t) == 2:
+        ray = ev.ray_start()
+        if ray is not None:
+            t, h, g, converged = _fiber_newton(ev, ray, maximize)
     return t, h, g, converged and _positive(t)
 
 
@@ -361,11 +383,12 @@ def project_to_nehari(
     It stops when |dh/dt_k| <= 1e-12 * t_k * int |grad u_k|^2 for both k.
     It runs from the warm guess `t_init` when one is given and, when that
     does not converge in _WARM_MAX_ITER steps, from the cold start: the
-    constant-profile root of each component with the coupling ignored.
+    constant-profile root of each component with the coupling ignored,
+    and when that fails too, from `FiberEvaluator.ray_start`.
     The energy and residuals are read from the last evaluation at t.
     Not projectable when the membership inequalities fail at unit
-    gradient norms (see the module notes) or when neither start
-    converges; nothing is raised for a stall.
+    gradient norms (see the module notes) or when no start converges;
+    nothing is raised for a stall.
     """
     return _rescale(Energy.pair(params, fam1, fam2), x, grid, (2,), t_init)
 

@@ -1,18 +1,15 @@
 """Ground-state solvers: the scalar solve, the one system solve, and sweeps.
 
-Scalar ground states minimize the one-component energy over the unit
-gradient sphere: each trial direction is rescaled onto the scalar
-constraint set by its unique fiber root, and the descent direction is the
-H1 Riesz lift of the exact energy gradient projected onto the sphere
-tangent.  `solve_system` solves the system for every sign of beta, and
-the sign picks only the method.  Repulsive coupling runs the scalar
-scheme on the product of two spheres, with the two-parameter fiber
-projection supplying the constrained energy.  Attractive coupling has no
-sphere reduction: each start descends with per-iteration rescaling onto
-the constraint set.  At beta = 0 the pair of scalar ground states is the
-solution.  Both coupled regimes run one start set, each start followed
-by its mirror (the start the swapped problem builds, components swapped
-back), and fail one way, with NoConvergence, when no start gives a
+Every solve descends on the product of the unit gradient spheres, one
+per component (Li & Zhou, SIAM J. Sci. Comput. 2001): each trial is
+rescaled onto the constraint set by its fiber root, and the direction is
+the H1 Riesz lift of the exact energy gradient projected onto the sphere
+tangent.  `scalar_ground_state` uses one sphere and the scalar fiber
+root.  `solve_system` uses two and the pair projection for every sign of
+beta, which picks only the starts; at beta = 0 the pair of scalar ground
+states is the solution.  Each coupled start is followed by its mirror
+(the start the swapped problem builds, components swapped back), and a
+coupled solve fails one way, with NoConvergence, when no start gives a
 candidate.  The descent only brings a start near a critical point: at
 Euler residual 1e-1 it hands over to a damped Newton-Krylov root finder
 on the exact gradient and Hessian, and resumes only when that polish
@@ -378,7 +375,7 @@ def _conjugate_lift(g, sample, t, grid, memo):
 
 
 def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
-                   check=None, sphere=True):
+                   check=None):
     """Descend from every start on the constraint set, polish, and keep the
     lowest-energy candidate.
 
@@ -390,12 +387,10 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
     rescale itself raises DegenerateInput or InvalidState for a y it
     cannot sample.  The descent (`_descend`) runs on the Euler gradient
     of `energy` at w, and `check(x, energy)`, when given, runs on each
-    start's point and on every accepted one.  On the sphere product
-    (`sphere`), a start is normalized onto the unit gradient spheres and
-    moves by the conjugate lift, and each trial is renormalized and
-    rescaled from the current t.
-    Otherwise a trial steps from w along the plain H1 Riesz lift -K^-1 g
-    (`grid.quadrature_solver`) and is rescaled from t = (1, 1).
+    start's point and on every accepted one.  Every start is normalized
+    onto the unit gradient spheres, a point moves on them by
+    `_conjugate_lift`, and each trial is renormalized and rescaled from
+    the current t.
 
     Each start descends to max(_HANDOFF_RES, 1e2 * tol), and `polish(x)`
     returns (sample, res) for the polished state.  When `_rejection`
@@ -417,19 +412,11 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
         g = energy.gradient(x[1].sample)
         return g, _vol_norm(g, grid)
 
-    if sphere:
-        def direction(x, g, memo):
-            return _conjugate_lift(g, x[1].sample, x[1].t, grid, memo)
+    def direction(x, g, memo):
+        return _conjugate_lift(g, x[1].sample, x[1].t, grid, memo)
 
-        def retract(x, d, a):
-            return fiber(h1_normalize(x[0] + a * d, grid), x[1].t)
-    else:
-        def direction(x, g, memo):
-            d = -grid.quadrature_solver(g)
-            return d, float(np.sum(g * d)) * grid.cell_area, None
-
-        def retract(x, d, a):
-            return fiber(x[1].sample.x + a * d, (1.0, 1.0))
+    def retract(x, d, a):
+        return fiber(h1_normalize(x[0] + a * d, grid), x[1].t)
 
     final = 1e2 * opts.tol
     stop = max(_HANDOFF_RES, final)
@@ -438,7 +425,7 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
     total_iters = 0
     for k, y in enumerate(starts):
         try:
-            x, energy_val = fiber(h1_normalize(y, grid) if sphere else y, None)
+            x, energy_val = fiber(h1_normalize(y, grid), None)
             if check is not None:
                 check(x, energy_val)
             x, energy_val, res, its = _descend(
@@ -753,7 +740,7 @@ def scalar_levels(
 # systems: one solve for both coupling regimes
 
 
-def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
+def _pair_starts(starts, params, fam1, fam2, grid, opts, warnings):
     """`_best_polished` on the system energy from the pair stacks `starts`.
 
     The rescale is `project_to_nehari`, the coercivity bound is checked
@@ -777,7 +764,7 @@ def _pair_starts(starts, params, fam1, fam2, grid, opts, sphere, warnings):
 
     return _best_polished(
         starts, project, polish, Energy.pair(params, fam1, fam2), grid, opts,
-        warnings, check, sphere,
+        warnings, check,
     )
 
 
@@ -785,41 +772,31 @@ def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start):
     """The start stacks of a coupled solve (beta != 0), warm start first.
 
     Repulsive coupling: the segregated bumps, then random positives
-    shaped by them.  Attractive coupling: the synchronized pair (z1, z1)
-    (symmetric data only: otherwise no synchronized state is critical),
-    the near-semitrivial pair (z1, eps z2), then random positives.  A
-    start's scale is fixed by `project_to_nehari`, so for a constant
-    profile the projected (z1, z1) is the synchronized critical point
-    (w, w), w = (1 + beta)^(-1/(p-2)) z1.  Each start is followed by
-    its mirror, the start that the swapped problem builds with its
-    components swapped back, so that the explored set is swap-symmetric:
-    y[::-1], and (eps z1, z2) for the near-semitrivial pair.  For
-    symmetric data a mirror run is arithmetically identical to its start
-    and is skipped.  Ties go to the earlier start.
+    shaped by them.  Attractive coupling: the scalar pair (z1, z2), then
+    random positives.  Every start is normalized onto the unit gradient
+    spheres, so (z1, z2) stands for every (z1, eps z2); for symmetric
+    data it is (z1, z1), which a constant profile projects onto the
+    synchronized critical point (w, w), w = (1 + beta)^(-1/(p-2)) z1.
+    Each start is followed by its mirror, the start that the swapped
+    problem builds with its components swapped back: y[::-1], so that the
+    explored set is swap-symmetric.  The scalar pair is its own mirror,
+    and for symmetric data every mirror run would repeat its start; those
+    run once.  Ties go to the earlier start.
     """
     symmetric = symmetric_problem(params, fam1, fam2)
-    pairs = []  # (start, mirror)
+    starts = [] if warm_start is None else [warm_start.stacked()]
     if params.beta < 0.0:
         envelope, tag = segregated_pair(grid), 21
-        y = np.stack(envelope)
-        pairs.append((y, y[::-1]))
+        mirrored = [np.stack(envelope)]
     else:
         envelope, tag = (1.0, 1.0), 31
-        if symmetric:
-            diag = np.stack((z1.values, z1.values))
-            pairs.append((diag, diag))
-        eps = 1e-2
-        pairs.append((
-            np.stack((z1.values, eps * z2.values)),
-            np.stack((eps * z1.values, z2.values)),
-        ))
+        starts.append(np.stack((z1.values, z2.values)))
+        mirrored = []
     for k in range(opts.n_restarts):
         rng = _rng(opts.seed, tag, k)
-        y = np.stack([_random_positive(grid, rng) * e for e in envelope])
-        pairs.append((y, y[::-1]))
-    starts = [] if warm_start is None else [warm_start.stacked()]
-    for y, mirror in pairs:
-        starts += [y] if symmetric else [y, mirror]
+        mirrored.append(np.stack([_random_positive(grid, rng) * e for e in envelope]))
+    for y in mirrored:
+        starts += [y] if symmetric else [y, y[::-1]]
     return starts
 
 
@@ -834,11 +811,10 @@ def solve_system(
 ) -> tuple[StatePair, SolveReport]:
     """Least energy fully nontrivial state of the system, and its report.
 
-    The sign of beta picks the method.  Competitive (beta < 0): the
-    reduced energy J(m(v)) is minimized over projectable pairs on the
-    sphere product.  Cooperative (beta > 0): each start descends with
-    rescaling onto the constraint set.  Both run `_pair_starts` from
-    `_system_starts` and report the lowest-energy candidate.  Decoupled
+    Coupled (beta != 0): the reduced energy J(m(v)) is descended over
+    projectable pairs v on the sphere product, from the starts of
+    `_system_starts`, whose set alone depends on the sign of beta, by
+    `_pair_starts`, and the lowest-energy candidate is reported.  Decoupled
     (beta = 0): the pair of scalar ground states is the solution, and
     `warm_start` has no use.  `scalar_data` may carry precomputed
     (z1, z2, L1, L2) to skip the scalar solves.
@@ -878,7 +854,7 @@ def solve_system(
     else:
         starts = _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start)
         best, iterations = _pair_starts(
-            starts, params, fam1, fam2, grid, opts, beta < 0.0, warnings
+            starts, params, fam1, fam2, grid, opts, warnings
         )
         if best is None:
             raise NoConvergence(

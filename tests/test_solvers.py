@@ -514,7 +514,7 @@ class TestOneSamplePerState:
         params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
         with pytest.raises(StopSolve):
             S._pair_starts([np.stack(S.segregated_pair(grid15))], params,
-                           example1, example1, grid15, SolverOptions(), True, [])
+                           example1, example1, grid15, SolverOptions(), [])
         x = captured["x"]
         g, _res = captured["gradient"](x)
         d, _slope, _memo = captured["direction"](x, g, None)
@@ -1000,8 +1000,10 @@ class TestAcceptanceRule:
             solve_system(
                 params, identity, identity, grid15, opts, scalar_data=scalars
             )
-        # the diagonal and the near-semitrivial start were both polished
-        assert len(calls) >= 2
+        # the one start, the scalar pair (z1, z1), projects onto the
+        # synchronized critical point: its descent stops at once, below the
+        # resume threshold, and it is polished exactly once
+        assert len(calls) == 1
         (row,) = beta_sweep([5.0], params, identity, identity, grid15, opts)
         assert row.status == "error" and row.report is None
         assert "no cooperative start" in row.error
@@ -1216,6 +1218,46 @@ def synchronized15(scalar15, identity, fast_opts):
     return out
 
 
+class TestSystemStarts:
+    """The start list of a coupled solve: the warm start, the deterministic
+    start, then the random starts, each start followed by its mirror
+    unless the data are symmetric or the start is its own mirror."""
+
+    @pytest.mark.parametrize("warm", (False, True))
+    @pytest.mark.parametrize("symmetric", (True, False))
+    @pytest.mark.parametrize("beta", (-2.0, 2.0))
+    def test_order_and_mirrors(self, grid7, identity, example1, beta, symmetric,
+                               warm):
+        z1 = ScalarField(S._bump(grid7, 0.5, 0.5, 0.2), grid7.spec)
+        # scalar_levels solves symmetric data once and returns z1 twice
+        z2 = z1 if symmetric else ScalarField(S._bump(grid7, 0.4, 0.6, 0.3),
+                                              grid7.spec)
+        fam2 = identity if symmetric else example1
+        warm_start = StatePair(z2, ScalarField(2.0 * z1.values, grid7.spec))
+        params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
+        starts = S._system_starts(params, identity, fam2, grid7,
+                                  SolverOptions(n_restarts=1), z1, z2,
+                                  warm_start if warm else None)
+
+        pair = np.stack((z1.values, z2.values))
+        if beta < 0.0:
+            envelope = np.stack(S.segregated_pair(grid7))
+            deterministic = [envelope] if symmetric else [envelope, envelope[::-1]]
+        else:
+            envelope = 1.0
+            deterministic = [pair]
+        y = starts[-1] if symmetric else starts[-2]
+        expected = ([warm_start.stacked()] if warm else []) + deterministic + (
+            [y] if symmetric else [y, y[::-1]]
+        )
+        assert len(starts) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(starts, expected))
+        # the random start is a positive draw shaped by the envelope, and
+        # the scalar pair, its own mirror, runs once (beta > 0 only)
+        assert np.all(y >= 0.1 * envelope) and not np.array_equal(y, y[::-1])
+        assert sum(np.array_equal(x, pair) for x in starts) == (beta > 0.0)
+
+
 class TestCooperative:
     def test_beats_scalar_levels(self, grid15, identity, fast_opts):
         params = ProblemParams(0.0, 0.0, 10.0, 4.0, 1.0)
@@ -1226,10 +1268,9 @@ class TestCooperative:
 
     def test_mixed_profiles_reach_a_nontrivial_state(self, grid15, identity,
                                                      example1):
-        # the near-semi-trivial start (z1, 1e-2 z2) and its mirror must
-        # project: a fiber Newton started from the exact axis roots stalls
-        # on them toward t2 -> 0, one started from the constant-profile
-        # roots converges
+        # the scalar pair (z1, z2) must project: a fiber Newton started
+        # from the exact axis roots stalls on such pairs toward t2 -> 0,
+        # one started from the constant-profile roots converges
         lam = 0.3 * conservative_mu1(grid15)
         opts = SolverOptions(n_restarts=0)
         u, rep = solve_system(ProblemParams(lam, 0.0, 2.0, 4.0, 1.0), example1,
@@ -1242,6 +1283,22 @@ class TestCooperative:
         assert sw_rep.energy == pytest.approx(rep.energy, rel=1e-12)
         np.testing.assert_allclose(sw.u1.values, u.u2.values, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(sw.u2.values, u.u1.values, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("fam, lam_frac, level", [
+        (identity_family(), 0.3, 229.7081907461717),
+        (example_family(0.5), 0.0, 3605.1324252260365),
+    ])
+    def test_coarse_grid_reaches_the_lower_state(self, grid7, fam, lam_frac, level):
+        # 7^2, p = 3, beta = 0.3: the coupled system has upper critical
+        # states (274.529, 4179.97) above min(L1, L2); the solve reaches the
+        # lower state, and the report carries no "not below" warning
+        lam = lam_frac * conservative_mu1(grid7)
+        _u, rep = solve_system(ProblemParams(lam, lam, 0.3, 3.0, 0.5), fam, fam,
+                               grid7, SolverOptions(n_restarts=1))
+        assert rep.fully_nontrivial
+        assert rep.energy == pytest.approx(level, rel=1e-10)
+        assert rep.energy < min(rep.L1, rep.L2)
+        assert not any("not below min(L1, L2)" in w for w in rep.warnings)
 
     def test_synchronized_state_is_rescaled_ground_state(self, scalar15,
                                                          synchronized15):
@@ -1425,7 +1482,8 @@ class TestDeterminismAndSymmetry:
                                              (0.5, 110.6663003289)])
     def test_swap_equivariance_cooperative(self, grid15, identity, example1,
                                            fast_opts, beta, level):
-        # asymmetric data: the near-semitrivial start runs in both orders
+        # asymmetric data: the scalar pair is its own mirror and runs once,
+        # each random start runs in both orders
         lam = 0.05 * conservative_mu1(grid15)
         params = ProblemParams(lam, 0.0, beta, 4.0, 1.0)
         u, rep = solve_system(params, identity, example1, grid15, fast_opts)
