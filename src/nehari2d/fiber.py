@@ -127,6 +127,9 @@ class FiberEvaluator:
         I_(j+1), the terms are tau^2/2 (I_0 - lam q) - tau^p/p int |v|^p.
         One `jet` call reads A, A', A'' at the scaled sample tau*v; each I_j
         is one dot product over the cells, for a float or an array tau.
+        Where tau^2/2 underflows to 0, tau^2/2 I_1 = O(tau^(gamma+1)) and
+        tau^2/2 I_2 = O(tau^gamma) are taken as 0, their limit, even where
+        A' and A'' are infinite.
         """
         p, pp = self.params.p, self.pp[k]
         if self._const_profile[k]:
@@ -135,12 +138,17 @@ class FiberEvaluator:
             jet = self.fams[k].jet(np.multiply.outer(tau, self._v[k]), order)
             ia = [f.reshape(*f.shape[:-2], -1) @ w[k] for f, w in zip(jet, self._w)]
         quad = ia[0] - self.lams[k] * self.q[k]
-        terms = [0.5 * tau**2 * quad - (1.0 / p) * tau**p * pp]
+        half_sq = 0.5 * tau**2
+        terms = [half_sq * quad - (1.0 / p) * tau**p * pp]
+        # np.float64 is a float; an array tau is never near 0
+        underflow = isinstance(half_sq, float) and half_sq == 0.0
         if order >= 1:
-            terms.append(tau * quad + 0.5 * tau**2 * ia[1] - tau ** (p - 1.0) * pp)
+            sq1 = 0.0 if underflow else half_sq * ia[1]
+            terms.append(tau * quad + sq1 - tau ** (p - 1.0) * pp)
         if order >= 2:
+            sq2 = 0.0 if underflow else half_sq * ia[2]
             terms.append(
-                quad + 2.0 * tau * ia[1] + 0.5 * tau**2 * ia[2]
+                quad + 2.0 * tau * ia[1] + sq2
                 - (p - 1.0) * tau ** (p - 2.0) * pp
             )
         return terms

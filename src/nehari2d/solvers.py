@@ -13,10 +13,13 @@ coupled solve fails one way, with NoConvergence, when no start gives a
 candidate.  The descent only brings a start near a critical point: at
 Euler residual 1e-1 it hands over to a damped Newton-Krylov root finder
 on the exact gradient and Hessian, and resumes only when that polish
-fails its guard.  Every solve runs one start loop with one acceptance
-rule: a polished state is a candidate when its Euler residual is at most
-tol and none of its components is trivial.  The rule is both the handoff
-guard and the final pick, and the lowest-energy candidate wins.
+fails its guard.  Every solve runs one start loop, `_best_polished`,
+and passes it only its rescale and its polish.  The loop checks every
+start and every accepted descent state against the coercivity floor,
+and has one acceptance rule: a polished state is a candidate when its
+Euler residual is at most tol and none of its components is trivial.
+The rule is both the handoff guard and the final pick, and the
+lowest-energy candidate wins.
 
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
@@ -176,22 +179,24 @@ def symmetric_problem(params, fam1, fam2) -> bool:
 def check_coercivity_bound(
     energy_val: float,
     sample: CellSample,
-    params: ProblemParams,
-    nu: float,
+    energy: Energy,
     residual: tuple[float, ...],
 ) -> None:
     """Abort when a constrained iterate undercuts the coercivity bound.
 
-    On the constraint set the energy of the sampled pair dominates
-    (p-2-gamma)/(2p) * nu * sum_i int |grad u_i|^2
-        - (p-2)/(2p) * sum_i lambda_i int u_i^2,
-    an exact consequence of the growth hypothesis on the profiles.  The
-    slack absorbs quadrature roundoff and the distance of the iterate
-    from the constraint set (measured by the residuals, one per component).
+    On the constraint set of `energy` (a field or a pair) the energy of
+    the sampled state dominates
+        (p-2-gamma)/(2p) * nu * sum_i int |grad u_i|^2
+            - (p-2)/(2p) * sum_i lambda_i int u_i^2,
+    nu the smallest of the profiles' floors, an exact consequence of the
+    growth hypothesis on the profiles.  The slack absorbs quadrature
+    roundoff and the distance of the iterate from the constraint set
+    (measured by the residuals, one per component).
     """
-    p, g = params.p, params.gamma
+    p, g = energy.params.p, energy.params.gamma
+    nu = min(fam.nu for fam in energy.fams)
     gr, q, _pp = sample.integrals(p)
-    lams = np.array((params.lambda1, params.lambda2))
+    lams = np.array(energy.lams)
     bound = float(np.sum(
         (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lams * q
     ))
@@ -374,8 +379,7 @@ def _conjugate_lift(g, sample, t, grid, memo):
     return d, slope, (pg, gpg, d)
 
 
-def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
-                   check=None):
+def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
     """Descend from every start on the constraint set, polish, and keep the
     lowest-energy candidate.
 
@@ -386,8 +390,8 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
     NotProjectable here, the one place a result becomes an error; the
     rescale itself raises DegenerateInput or InvalidState for a y it
     cannot sample.  The descent (`_descend`) runs on the Euler gradient
-    of `energy` at w, and `check(x, energy)`, when given, runs on each
-    start's point and on every accepted one.  Every start is normalized
+    of `energy` at w, and `check_coercivity_bound` guards each start's
+    point and every accepted one.  Every start is normalized
     onto the unit gradient spheres, a point moves on them by
     `_conjugate_lift`, and each trial is renormalized and rescaled from
     the current t.
@@ -415,6 +419,9 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
     def direction(x, g, memo):
         return _conjugate_lift(g, x[1].sample, x[1].t, grid, memo)
 
+    def check(x, energy_val):
+        check_coercivity_bound(energy_val, x[1].sample, energy, x[1].residual)
+
     def retract(x, d, a):
         return fiber(h1_normalize(x[0] + a * d, grid), x[1].t)
 
@@ -426,8 +433,7 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
     for k, y in enumerate(starts):
         try:
             x, energy_val = fiber(h1_normalize(y, grid), None)
-            if check is not None:
-                check(x, energy_val)
+            check(x, energy_val)
             x, energy_val, res, its = _descend(
                 x, energy_val, gradient, direction, retract, opts, stop, check
             )
@@ -446,7 +452,7 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
                 )
                 reason = _rejection(sample, res_p, energy.params, opts)
         except _REJECTS as exc:
-            warnings.append(f"start rejected: {exc}")
+            warnings.append(f"start {k} rejected: {exc}")
             continue
         total_iters += its
         if reason is None:
@@ -475,21 +481,20 @@ _POLISH_INNER_ITER = 400
 _POLISH_RTOL = 1e-6
 
 
-def _minres(apply, b, precond, rtol, maxiter, callback=None):
+def _minres(apply, b, precond, rtol, maxiter):
     """Preconditioned MINRES (Paige & Saunders, SINUM 1975) for the
     symmetric, possibly indefinite apply(x) = b from x = 0, on arrays of
     any shape, with symmetric positive definite `precond`.  A port of the
     recurrence and stopping rule of `scipy.sparse.linalg.minres`: stop
     once ||r|| / (||A|| ||x||) or ||A r|| / (||A|| ||r||) is at most rtol,
     the estimate of cond(A) reaches 0.1/eps, or after maxiter iterations,
-    each making one product and one `callback(x)`.
+    each making one product.
 
     The recurrence runs in place, in the same order of operations, on
     buffers allocated once per solve: `precond(r, out=z)` writes M^-1 r
     into z, and `apply(v)` must return a new array, which becomes a
     Lanczos vector and is overwritten.  `b` is left unchanged and the
-    result is a new array, but `callback(x)` receives the live iterate,
-    which later iterations overwrite.
+    result is a new array.
     """
     eps = np.finfo(float).eps
     x, w, w2 = (np.zeros_like(b) for _ in range(3))
@@ -537,8 +542,6 @@ def _minres(apply, b, precond, rtol, maxiter, callback=None):
         anorm, xnorm = math.sqrt(tnorm2), float(np.linalg.norm(x))
         test1 = phibar / (anorm * xnorm) if xnorm > 0.0 else math.inf
         test2 = root / anorm
-        if callback is not None:
-            callback(x)
         # 1 + t <= 1 exactly when t <= eps / 2, the test for rtol < eps
         if (itn == 1 and beta / beta1 <= 10.0 * eps
                 or min(test1, test2) <= max(rtol, eps / 2.0)
@@ -740,34 +743,6 @@ def scalar_levels(
 # systems: one solve for both coupling regimes
 
 
-def _pair_starts(starts, params, fam1, fam2, grid, opts, warnings):
-    """`_best_polished` on the system energy from the pair stacks `starts`.
-
-    The rescale is `project_to_nehari`, the coercivity bound is checked
-    on each start and on every accepted projection, and the polish is
-    `refine_solution`.
-    """
-    nu = min(fam1.nu, fam2.nu)
-
-    def project(y, t_init):
-        return project_to_nehari(y, params, fam1, fam2, grid, t_init=t_init)
-
-    def check(x, energy_val):
-        check_coercivity_bound(energy_val, x[1].sample, params, nu, x[1].residual)
-
-    def polish(x):
-        u, res, _converged = refine_solution(
-            StatePair.from_stack(x[1].sample.x, grid.spec), params, fam1, fam2,
-            grid, opts,
-        )
-        return CellSample(u.stacked(), grid), res
-
-    return _best_polished(
-        starts, project, polish, Energy.pair(params, fam1, fam2), grid, opts,
-        warnings, check,
-    )
-
-
 def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start):
     """The start stacks of a coupled solve (beta != 0), warm start first.
 
@@ -814,7 +789,8 @@ def solve_system(
     Coupled (beta != 0): the reduced energy J(m(v)) is descended over
     projectable pairs v on the sphere product, from the starts of
     `_system_starts`, whose set alone depends on the sign of beta, by
-    `_pair_starts`, and the lowest-energy candidate is reported.  Decoupled
+    `_best_polished` with the rescale `project_to_nehari` and the polish
+    `refine_solution`, and the lowest-energy candidate is reported.  Decoupled
     (beta = 0): the pair of scalar ground states is the solution, and
     `warm_start` has no use.  `scalar_data` may carry precomputed
     (z1, z2, L1, L2) to skip the scalar solves.
@@ -848,13 +824,24 @@ def solve_system(
     if scalar_data is None:
         scalar_data = scalar_levels(params, fam1, fam2, grid, opts, warnings)
     z1, z2, L1, L2 = scalar_data
+    energy = Energy.pair(params, fam1, fam2)
 
     if beta == 0.0:
         x, iterations = np.stack((z1.values, z2.values)), 0
     else:
+        def project(y, t_init):
+            return project_to_nehari(y, params, fam1, fam2, grid, t_init=t_init)
+
+        def polish(x):
+            u, res, _converged = refine_solution(
+                StatePair.from_stack(x[1].sample.x, grid.spec), params, fam1,
+                fam2, grid, opts,
+            )
+            return CellSample(u.stacked(), grid), res
+
         starts = _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start)
-        best, iterations = _pair_starts(
-            starts, params, fam1, fam2, grid, opts, warnings
+        best, iterations = _best_polished(
+            starts, project, polish, energy, grid, opts, warnings
         )
         if best is None:
             raise NoConvergence(
@@ -865,7 +852,6 @@ def solve_system(
 
     x = _sign_fix(x)
     sample = CellSample(x, grid)
-    energy = Energy.pair(params, fam1, fam2)
     energy_val = energy.value(sample)
     r1, r2 = energy.residuals(sample)
     nontrivial = _fully_nontrivial(sample, params, opts)
@@ -912,9 +898,11 @@ def beta_sweep(
 ) -> list[SweepRow]:
     """One solve per beta, warm-starting from the previous solution.
 
-    A package error (Nehari2dError) never aborts the sweep; it is recorded
-    as a row-level status marker.  Any other exception propagates.  The scalar levels
-    are solved once, and their warnings head those of every row report.
+    The scalar levels are solved once, before the first row, and their
+    warnings head those of every row report; an error there (say, an
+    inadmissible lambda) ends the sweep with no rows.  A package error
+    (Nehari2dError) of a row's solve is recorded as that row's status
+    marker and the sweep goes on.  Any other exception propagates.
     """
     rows: list[SweepRow] = []
     scalar_warnings = []

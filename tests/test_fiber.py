@@ -364,6 +364,32 @@ class TestAxisEvaluation:
             assert jets == [(1.0, order), (1.3, order)]
         assert [(f.a.calls, f.da.calls, f.d2a.calls) for f in fams] == [(0, 0, 0)] * 2
 
+    def test_underflowed_square_terms_vanish(self, grid15):
+        # at tau = 1e-210, tau^2/2 underflows to 0 while A'(tau v) of the
+        # gamma = 0.5 profile overflows to inf: tau^2/2 I_1 and tau^2/2 I_2
+        # are taken as their limit 0, not 0 * inf
+        energy = Energy.scalar(ProblemParams(0.0, 0.0, 0.0, 3.0, 0.5), 0.0,
+                               example_family(0.5))
+        ev = FiberEvaluator(energy, CellSample(modulated_bump(grid15)[None], grid15))
+        tau = 1e-210
+        value, slope, curvature = ev._axis(0, tau, 2)
+        # A(tau v) = 1 to rounding, and tau^3 and tau^2 underflow too
+        assert value == 0.0
+        assert slope == pytest.approx(tau * ev._ia0[0], rel=1e-12)
+        assert curvature == math.inf
+
+    def test_solve_through_underflowed_taus(self, grid7):
+        # a competitive solve whose fiber Newton runs through such taus
+        # (it warned twice under numpy's invalid-value rule)
+        from nehari2d.solvers import SolverOptions, solve_system
+
+        mu1 = conservative_mu1(grid7)
+        params = ProblemParams(0.3 * mu1, -0.06 * mu1, -4.0, 3.0, 0.5)
+        _u, rep = solve_system(params, example_family(0.5), example_family(1.3),
+                               grid7, SolverOptions(n_restarts=1, max_iter=600))
+        assert rep.fully_nontrivial
+        assert rep.energy == pytest.approx(50809.963368347642, rel=1e-10)
+
 
 class TestPositiveRoot:
     """The unique positive root of the scalar fiber gradient,

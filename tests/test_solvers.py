@@ -168,7 +168,7 @@ class TestScalarGroundState:
             return
         _z, L_rej, rep = scalar_ground_state(1, params, identity, grid, fast_opts)
         assert len(calls) == 2
-        assert "start rejected: stub failure" in rep.warnings
+        assert "start 0 rejected: stub failure" in rep.warnings
         assert L_rej == pytest.approx(L, rel=1e-10)
 
     def test_scalar_residual_is_nehari_zero(self, scalar15, identity):
@@ -488,6 +488,16 @@ class TestDescentDriver:
         assert fresh == [0, polished_at[0]] == entered_at
 
 
+def counted_products(apply, counts):
+    """The operator `apply`, counting its products in counts["minres"]:
+    `_minres` makes one per iteration."""
+    def product(v):
+        counts["minres"] += 1
+        return apply(v)
+
+    return product
+
+
 def count_stencils(monkeypatch):
     """Count cell samplings by every module, a (k, nx, ny) stack as k."""
     import nehari2d.energy as E
@@ -509,12 +519,15 @@ def count_stencils(monkeypatch):
 
 class TestOneSamplePerState:
     def test_sphere_product_trial(self, monkeypatch, grid15, example1):
-        # the descent's own callbacks, taken from one competitive start
+        # the descent's own callbacks, taken from the first competitive
+        # start (the segregated pair); the scalar data skips the scalar
+        # solves, which a competitive solve does not start from
         captured = capture_first_descent(monkeypatch, S)
         params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
         with pytest.raises(StopSolve):
-            S._pair_starts([np.stack(S.segregated_pair(grid15))], params,
-                           example1, example1, grid15, SolverOptions(), [])
+            solve_system(params, example1, example1, grid15,
+                         SolverOptions(n_restarts=0),
+                         scalar_data=(None, None, 0.0, 0.0))
         x = captured["x"]
         g, _res = captured["gradient"](x)
         d, _slope, _memo = captured["direction"](x, g, None)
@@ -751,18 +764,11 @@ class TestNewtonHandoff:
         x0 = (z.values * (1.0 + 1e-3 * rng.standard_normal(grid15.shape)))[None]
         energy = Energy.scalar(params_p4, 0.0, example1)
         counts = {"scatter": 0, "gradient": 0, "minres": 0, "hessian": 0}
-        real_scatter, real_minres = E.scatter_cells, S._minres
-        real_hessian = energy.hessian
+        real_scatter, real_hessian = E.scatter_cells, energy.hessian
 
         def scatter(*args):
             counts["scatter"] += 1
             return real_scatter(*args)
-
-        def minres(*args, **kwargs):
-            def callback(_xk):
-                counts["minres"] += 1
-
-            return real_minres(*args, callback=callback, **kwargs)
 
         def gradient(sample):
             counts["gradient"] += 1
@@ -770,10 +776,9 @@ class TestNewtonHandoff:
 
         def hessian(sample):
             counts["hessian"] += 1
-            return real_hessian(sample)
+            return counted_products(real_hessian(sample), counts)
 
         monkeypatch.setattr(E, "scatter_cells", scatter)
-        monkeypatch.setattr(S, "_minres", minres)
         monkeypatch.setattr(energy, "hessian", hessian)
         _sample, _res, converged, its = S._newton_krylov_polish(
             x0, energy, grid15, opts, gradient
@@ -798,15 +803,11 @@ class TestNewtonHandoff:
         x0 = (z.values * (1.0 + 1e-3 * rng.standard_normal(grid.shape)))[None]
         energy = Energy.scalar(params_p4, 0.0, example1)
         counts = {"minres": 0}
-        real_minres = S._minres
-
-        def minres(*args, **kwargs):
-            def callback(_xk):
-                counts["minres"] += 1
-
-            return real_minres(*args, callback=callback, **kwargs)
-
-        monkeypatch.setattr(S, "_minres", minres)
+        real_hessian = energy.hessian
+        monkeypatch.setattr(
+            energy, "hessian",
+            lambda sample: counted_products(real_hessian(sample), counts),
+        )
         sample, _res, converged, its = S._newton_krylov_polish(
             x0, energy, grid, opts
         )
@@ -893,13 +894,13 @@ class TestMinres:
             return LinearOperator((b.size, b.size), dtype=float,
                                   matvec=lambda v: f(v.reshape(b.shape)).ravel())
 
-        ref_its, its = [], []
+        ref_its, counts = [], {"minres": 0}
         ref, _info = minres(operator(apply), b.ravel(), rtol=rtol, maxiter=maxiter,
                             M=None if precond is None else operator(precond),
                             callback=ref_its.append)
-        x = S._minres(apply, b, precond or copy_into, rtol, maxiter,
-                      callback=its.append)
-        return x, ref.reshape(b.shape), (len(ref_its), len(its))
+        x = S._minres(counted_products(apply, counts), b, precond or copy_into,
+                      rtol, maxiter)
+        return x, ref.reshape(b.shape), (len(ref_its), counts["minres"])
 
     @pytest.mark.parametrize("name", ["scalar", "pair"])
     @pytest.mark.parametrize("quadrature", [True, False], ids=["quadrature", "plain"])
@@ -934,18 +935,14 @@ class TestMinres:
             assert np.array_equal(x, ref)
 
     def test_inputs_and_results_are_not_shared(self, systems, grid15):
-        # b is left unchanged; each solve returns a new array, which the
-        # callback saw as the live iterate
+        # b is left unchanged, and each solve returns a new array
         apply, b = systems["pair"]
         b0 = b.copy()
-        seen = []
-        x = S._minres(apply, b, grid15.quadrature_solver, 1e-10, 400,
-                      callback=seen.append)
+        x = S._minres(apply, b, grid15.quadrature_solver, 1e-10, 400)
         y = S._minres(apply, b, grid15.quadrature_solver, 1e-10, 400)
         assert np.array_equal(b, b0)
         assert not np.shares_memory(x, b) and not np.shares_memory(x, y)
         assert np.array_equal(x, y)
-        assert len(seen) > 1 and all(xk is x for xk in seen)
 
     def test_zero_right_hand_side_makes_no_product(self, grid15):
         calls = []
@@ -955,8 +952,7 @@ class TestMinres:
             return v
 
         b = np.zeros((2, *grid15.shape))
-        x = S._minres(apply, b, grid15.quadrature_solver, 1e-6, 400,
-                      callback=lambda _x: calls.append(1))
+        x = S._minres(apply, b, grid15.quadrature_solver, 1e-6, 400)
         assert not calls and x.shape == b.shape and not np.any(x)
 
 
@@ -1350,9 +1346,22 @@ class TestCoercivityGuard:
         fake_energy = -1e6  # far below any admissible constrained level
         with pytest.raises(CoercivityViolation):
             check_coercivity_bound(
-                fake_energy, CellSample(u.stacked(), grid15), params, identity.nu,
-                (0.0, 0.0),
+                fake_energy, CellSample(u.stacked(), grid15),
+                Energy.pair(params, identity, identity), (0.0, 0.0),
             )
+
+    def test_scalar_solve_is_guarded(self, monkeypatch, grid15, example1,
+                                     params_p4, fast_opts):
+        # the scalar start loop checks the floor as the pair loop does: a
+        # rescale reporting an energy far below it aborts the solve
+        real = S.scalar_fiber_root
+
+        def fake_energy(*args, **kwargs):
+            return replace(real(*args, **kwargs), energy=-1e6)
+
+        monkeypatch.setattr(S, "scalar_fiber_root", fake_energy)
+        with pytest.raises(CoercivityViolation, match="fell below the bound"):
+            scalar_ground_state(1, params_p4, example1, grid15, fast_opts)
 
 
 class TestDecoupledAndSweep:
