@@ -43,8 +43,6 @@ from .solvers import (
 )
 from .spectrum import principal_eigenpair
 
-COMMANDS = ("certify", "eigen", "solve-scalar", "solve-system", "sweep")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 
@@ -320,6 +318,15 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if not bad else NoConvergence.exit_status
 
 
+COMMANDS = {
+    "certify": _cmd_certify,
+    "eigen": _cmd_eigen,
+    "solve-scalar": _cmd_solve_scalar,
+    "solve-system": _cmd_solve_system,
+    "sweep": _cmd_sweep,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     defaults = "\n".join(
         "  " + line for line in serialize_config(RunConfig()).splitlines()
@@ -347,15 +354,8 @@ def run(command: str, cfg: RunConfig, out_dir) -> int:
     """Execute one subcommand; returns the process exit status."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "certify": _cmd_certify,
-        "eigen": _cmd_eigen,
-        "solve-scalar": _cmd_solve_scalar,
-        "solve-system": _cmd_solve_system,
-        "sweep": _cmd_sweep,
-    }
     try:
-        return dispatch[command](cfg, out)
+        return COMMANDS[command](cfg, out)
     except Nehari2dError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_status

@@ -77,12 +77,6 @@ class NoConvergence(Nehari2dError, RuntimeError):
         self.iterations = iterations
 
 
-class NotProjectable(Nehari2dError, RuntimeError):
-    """A state admits no constraint-set rescaling (no fiber critical point)."""
-
-    label = "not projectable"
-
-
 class CoercivityViolation(Nehari2dError, RuntimeError):
     """A constrained iterate broke the theoretical lower energy bound."""
 

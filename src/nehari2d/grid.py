@@ -11,6 +11,7 @@ differentiable function of the nodal values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,8 +30,13 @@ class GridSpec:
     ly: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise InvalidSpec(f"need nx, ny >= 2, got ({self.nx}, {self.ny})")
+        try:
+            small = min(operator.index(self.nx), operator.index(self.ny)) < 2
+        except TypeError:
+            small = True
+        if small:
+            raise InvalidSpec(
+                f"need integers nx, ny >= 2, got ({self.nx!r}, {self.ny!r})")
         if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
             raise InvalidSpec(f"need finite lx, ly > 0, got ({self.lx}, {self.ly})")
 

@@ -14,12 +14,13 @@ candidate.  The descent only brings a start near a critical point: at
 Euler residual 1e-1 it hands over to a damped Newton-Krylov root finder
 on the exact gradient and Hessian, and resumes only when that polish
 fails its guard.  Every solve runs one start loop, `_best_polished`,
-and passes it only its rescale and its polish.  The loop checks every
-start and every accepted descent state against the coercivity floor,
-and has one acceptance rule: a polished state is a candidate when its
-Euler residual is at most tol and none of its components is trivial.
-The rule is both the handoff guard and the final pick, and the
-lowest-energy candidate wins.
+and passes it only its rescale and its polish.  A stack the rescale
+cannot take or project has energy +inf, which halves a trial step and
+drops a start, and every projected state is checked against the
+coercivity floor.  The loop has one acceptance rule: a polished state is
+a candidate when its Euler residual is at most tol and none of its
+components is trivial.  The rule is both the handoff guard and the final
+pick, and the lowest-energy candidate wins.
 
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
@@ -37,6 +38,7 @@ swapping the problem data swaps the solution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,10 +58,9 @@ from .errors import (
     InvalidState,
     Nehari2dError,
     NoConvergence,
-    NotProjectable,
     ValidationError,
 )
-from .fiber import h1_normalize, project_to_nehari, scalar_fiber_root
+from .fiber import ProjectionResult, h1_normalize, project_to_nehari, scalar_fiber_root
 from .grid import Grid, ScalarField, StatePair, cell_gradients
 from .spectrum import (
     ADMISSIBLE,
@@ -83,8 +84,11 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("seed", "max_iter", "n_restarts"):
-            if getattr(self, name) < 0:
-                raise ValidationError(name, "must be nonnegative")
+            try:
+                if operator.index(getattr(self, name)) < 0:
+                    raise ValidationError(name, "must be nonnegative")
+            except TypeError:
+                raise ValidationError(name, "must be an integer") from None
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValidationError("tol", "must be a finite positive number")
 
@@ -195,7 +199,8 @@ def check_coercivity_bound(
     """
     p, g = energy.params.p, energy.params.gamma
     nu = min(fam.nu for fam in energy.fams)
-    gr, q, _pp = sample.integrals(p)
+    gr, q = (np.sum(f, axis=(-2, -1)) * sample.grid.cell_area
+             for f in (sample.gsq, sample.v * sample.v))
     lams = np.array(energy.lams)
     bound = float(np.sum(
         (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lams * q
@@ -235,10 +240,10 @@ def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
 # ---------------------------------------------------------------------------
 # the descent driver
 
-# what rejects a trial step or a start: a state the rescale cannot take or
-# project; a coercivity violation is evidence against the hypotheses and
-# aborts the solve instead
-_REJECTS = (DegenerateInput, InvalidState, NotProjectable)
+# what a stack the rescale cannot take or sample raises; its descent point
+# has energy +inf, like an unprojectable one, while a coercivity violation
+# is evidence against the hypotheses and aborts the solve
+_REJECTS = (DegenerateInput, InvalidState)
 
 # Armijo sufficient-decrease constant; the bounds, as fractions of the failed
 # step, on the next trial step; and the stagnation stop: the energy fell by
@@ -250,8 +255,7 @@ _STAGNATION_TOL = 1e-12
 _STAGNATION_WINDOW = 20
 
 
-def _descend(x, energy_val, gradient, direction, retract, opts, stop,
-             check=None):
+def _descend(x, energy_val, gradient, direction, retract, max_iter, stop):
     """Armijo descent from x, shared by every solver.
 
     `gradient(x)` returns (g, res): the Euler gradient at x and its norm.
@@ -259,38 +263,33 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
     the energy slope along it, and what the rule keeps for its next call
     (memo is None on the first call of every descent, so each descent
     starts without memory).  `retract(x, d, a)` returns (x_try, energy),
-    the trial point at step a mapped back onto the constraint set, and
-    raises one of _REJECTS to reject the step.  `check(x, energy)` runs
-    on every accepted state.
+    the trial point at step a mapped back onto the constraint set, with
+    energy +inf for a trial it cannot map.
 
     The first trial step is a = 1, each later one twice the last accepted
     step (at most 1e3).  A trial that fails the Armijo test is followed by
     the minimizer of the quadratic through (0, energy), the slope and
-    (a, e_try), kept in [_SHRINK_MIN * a, _SHRINK_MAX * a]; a rejected
-    retraction or a non-finite e_try halves a.  Up to 50 trials.  Stops when
-    res <= stop, when no step passes the Armijo test, when the energy
-    fell by no more than _STAGNATION_TOL over the last _STAGNATION_WINDOW
-    steps, or after max_iter gradients.  Returns (x, energy, res,
-    iterations), with res the last residual computed (inf if none was);
-    res <= stop exactly when the residual test ended the descent.
+    (a, e_try), kept in [_SHRINK_MIN * a, _SHRINK_MAX * a]; a non-finite
+    e_try halves a.  Up to 50 trials.  Stops when res <= stop, when no
+    step passes the Armijo test, when the energy fell by no more than
+    _STAGNATION_TOL over the last _STAGNATION_WINDOW steps, or after
+    max_iter gradients.  Returns (x, energy, res, iterations), with res
+    the last residual computed (inf if none was); res <= stop exactly
+    when the residual test ended the descent.
     """
     alpha = 1.0
     history = [energy_val]
     res = math.inf
     it = 0
     memo = None
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, max_iter + 1):
         g, res = gradient(x)
         if res <= stop:
             break
         d, slope, memo = direction(x, g, memo)
         a = alpha
         for _ in range(50):
-            try:
-                x_try, e_try = retract(x, d, a)
-            except _REJECTS:
-                a *= 0.5
-                continue
+            x_try, e_try = retract(x, d, a)
             if e_try <= energy_val + _ARMIJO * a * slope:
                 break
             # the quadratic's curvature, positive after an Armijo failure at
@@ -304,8 +303,6 @@ def _descend(x, energy_val, gradient, direction, retract, opts, stop,
         else:
             break
         x, energy_val = x_try, e_try
-        if check is not None:
-            check(x, energy_val)
         alpha = min(a * 2.0, 1e3)
         history.append(energy_val)
         if len(history) > _STAGNATION_WINDOW and (
@@ -385,16 +382,15 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
 
     `rescale(y, t_init)` maps a stack y onto the constraint set and
     returns its `fiber.ProjectionResult`: the fiber scalings t, the
-    energy, residuals and cell sample of the rescaled state w = t y.  A
-    point of the descent is x = (y, result).  An unprojectable y raises
-    NotProjectable here, the one place a result becomes an error; the
-    rescale itself raises DegenerateInput or InvalidState for a y it
-    cannot sample.  The descent (`_descend`) runs on the Euler gradient
-    of `energy` at w, and `check_coercivity_bound` guards each start's
-    point and every accepted one.  Every start is normalized
-    onto the unit gradient spheres, a point moves on them by
-    `_conjugate_lift`, and each trial is renormalized and rescaled from
-    the current t.
+    energy, residuals and cell sample of the rescaled state w = t y.
+    `point(y, t_init)` is the one way a stack becomes a descent point
+    x = (v, result), v = y normalized onto the unit gradient spheres, and
+    its energy: +inf, with a not projectable result, when the result is
+    not projectable or normalizing or sampling y raises one of _REJECTS,
+    and otherwise the energy of w, which `check_coercivity_bound` guards.
+    The descent (`_descend`) runs on the Euler gradient of `energy` at w,
+    a point moves on the spheres by `_conjugate_lift`, and each trial is
+    the point of the moved stack, rescaled from the current t.
 
     Each start descends to max(_HANDOFF_RES, 1e2 * tol), and `polish(x)`
     returns (sample, res) for the polished state.  When `_rejection`
@@ -402,14 +398,19 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
     the descent resumes once from there, with a fresh step and stagnation
     window and what is left of max_iter, down to 1e2 * tol, and the state
     it reaches is polished instead (a warning notes the fallback).  A
-    start that raises one of _REJECTS is dropped with a warning.  Returns
-    (best, descent iterations): best is the lowest-energy (state, energy,
-    res) among the polished states `_rejection` accepts, or None.
+    start whose point is not projectable is dropped with a warning.
+    Returns (best, descent iterations): best is the lowest-energy (state,
+    energy, res) among the polished states `_rejection` accepts, or None.
     """
-    def fiber(y, t_init):
-        proj = rescale(y, t_init)
+    def point(y, t_init):
+        try:
+            y = h1_normalize(y, grid)
+            proj = rescale(y, t_init)
+        except _REJECTS as exc:
+            proj = ProjectionResult(False, reason=str(exc))
         if not proj.projectable:
-            raise NotProjectable(proj.reason)
+            return (y, proj), math.inf
+        check_coercivity_bound(proj.energy, proj.sample, energy, proj.residual)
         return (y, proj), proj.energy
 
     def gradient(x):
@@ -419,11 +420,8 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
     def direction(x, g, memo):
         return _conjugate_lift(g, x[1].sample, x[1].t, grid, memo)
 
-    def check(x, energy_val):
-        check_coercivity_bound(energy_val, x[1].sample, energy, x[1].residual)
-
     def retract(x, d, a):
-        return fiber(h1_normalize(x[0] + a * d, grid), x[1].t)
+        return point(x[0] + a * d, x[1].t)
 
     final = 1e2 * opts.tol
     stop = max(_HANDOFF_RES, final)
@@ -431,29 +429,27 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
     energies = []
     total_iters = 0
     for k, y in enumerate(starts):
-        try:
-            x, energy_val = fiber(h1_normalize(y, grid), None)
-            check(x, energy_val)
-            x, energy_val, res, its = _descend(
-                x, energy_val, gradient, direction, retract, opts, stop, check
-            )
-            sample, res_p = polish(x)
-            reason = _rejection(sample, res_p, energy.params, opts)
-            if reason is not None and final < res <= stop and its < opts.max_iter:
-                x, _e, _res, more = _descend(
-                    x, energy_val, gradient, direction, retract,
-                    replace(opts, max_iter=opts.max_iter - its), final, check,
-                )
-                its += more
-                sample, res_p = polish(x)
-                warnings.append(
-                    f"start {k}: Newton handoff at res {res:.2e} failed "
-                    f"({reason}); descent resumed"
-                )
-                reason = _rejection(sample, res_p, energy.params, opts)
-        except _REJECTS as exc:
-            warnings.append(f"start {k} rejected: {exc}")
+        x, energy_val = point(y, None)
+        if not x[1].projectable:
+            warnings.append(f"start {k} rejected: {x[1].reason}")
             continue
+        x, energy_val, res, its = _descend(
+            x, energy_val, gradient, direction, retract, opts.max_iter, stop
+        )
+        sample, res_p = polish(x)
+        reason = _rejection(sample, res_p, energy.params, opts)
+        if reason is not None and final < res <= stop and its < opts.max_iter:
+            x, _e, _res, more = _descend(
+                x, energy_val, gradient, direction, retract,
+                opts.max_iter - its, final,
+            )
+            its += more
+            sample, res_p = polish(x)
+            warnings.append(
+                f"start {k}: Newton handoff at res {res:.2e} failed "
+                f"({reason}); descent resumed"
+            )
+            reason = _rejection(sample, res_p, energy.params, opts)
         total_iters += its
         if reason is None:
             e = energy.value(sample)

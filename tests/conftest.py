@@ -125,10 +125,9 @@ def capture_first_descent(monkeypatch, solvers):
     they are recorded in."""
     captured = {}
 
-    def capture(x, energy_val, gradient, direction, retract, opts, stop,
-                check=None):
+    def capture(x, energy_val, gradient, direction, retract, max_iter, stop):
         captured.update(x=x, energy=energy_val, gradient=gradient,
-                        direction=direction, retract=retract, check=check)
+                        direction=direction, retract=retract)
         raise StopSolve
 
     monkeypatch.setattr(solvers, "_descend", capture)

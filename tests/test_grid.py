@@ -48,6 +48,14 @@ class TestGridSpec:
         with pytest.raises(InvalidSpec):
             GridSpec(nx, ny, lx, ly)
 
+    @pytest.mark.parametrize("nx,ny", [(7.5, 7), (7, 7.0), (7, "7")])
+    def test_non_integer_node_counts(self, nx, ny):
+        with pytest.raises(InvalidSpec, match="need integers nx, ny >= 2"):
+            GridSpec(nx, ny)
+
+    def test_numpy_integer_node_counts(self):
+        assert build_grid(GridSpec(np.int64(7), np.int32(5))).shape == (7, 5)
+
     def test_build_deterministic(self):
         a = build_grid(GridSpec(5, 7, 2.0, 3.0))
         b = build_grid(GridSpec(5, 7, 2.0, 3.0))

@@ -79,8 +79,8 @@ def test_readme_step_rejections_are_the_code_rejects():
     from nehari2d import solvers
 
     text = " ".join(README.read_text().split())
-    listed = re.search(r"a trial whose rescale raises (.*?) halves the step",
-                       text).group(1)
+    listed = re.search(r"or whose normalization or rescale raises (.*?), has "
+                       r"energy \+inf and halves the step", text).group(1)
     names = re.findall(r"`(\w+)`", listed)
     assert len(names) == len(set(names))
     assert set(names) == {cls.__name__ for cls in solvers._REJECTS}

@@ -30,7 +30,7 @@ from nehari2d.errors import (
     InadmissibleLambda,
     InvalidState,
     NoConvergence,
-    NotProjectable,
+    ValidationError,
 )
 from nehari2d.solvers import (
     _POLISH_MAX_ITER,
@@ -140,36 +140,56 @@ class TestScalarGroundState:
         assert rep.admissibility == "admissible_weak"
         assert any("weak" in w for w in rep.warnings)
 
+    @staticmethod
+    def first_raises(monkeypatch, name, error):
+        """Make the first call of `S.<name>` raise error("stub failure");
+        returns the list of its calls."""
+        real = getattr(S, name)
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise error("stub failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(S, name, stub)
+        return calls
+
     @pytest.mark.parametrize(
         "error",
-        [NotProjectable, DegenerateInput, InvalidState, CoercivityViolation],
+        [DegenerateInput, InvalidState, CoercivityViolation],
         ids=lambda error: error.__name__,
     )
     def test_raising_start_is_rejected(self, monkeypatch, scalar15, identity,
                                        fast_opts, error):
-        # the bump start raises; the random start alone gives the level
         grid, params, _z, L, _rep = scalar15
-        real = S._descend
-        calls = []
-
-        def first_raises(*args):
-            calls.append(1)
-            if len(calls) == 1:
-                raise error("stub failure")
-            return real(*args)
-
-        monkeypatch.setattr(S, "_descend", first_raises)
         if error is CoercivityViolation:
             # evidence against the hypotheses, not one start's failure: the
             # solve aborts
+            calls = self.first_raises(monkeypatch, "_descend", error)
             with pytest.raises(CoercivityViolation, match="stub failure"):
                 scalar_ground_state(1, params, identity, grid, fast_opts)
             assert len(calls) == 1
             return
+        # the bump start's rescale raises; the random start alone gives the
+        # level
+        calls = self.first_raises(monkeypatch, "scalar_fiber_root", error)
         _z, L_rej, rep = scalar_ground_state(1, params, identity, grid, fast_opts)
-        assert len(calls) == 2
+        assert len(calls) > 2
         assert "start 0 rejected: stub failure" in rep.warnings
         assert L_rej == pytest.approx(L, rel=1e-10)
+
+    def test_raising_polish_aborts(self, monkeypatch, scalar15, identity,
+                                   fast_opts):
+        # only a rescale rejects a start: an error of the polish propagates,
+        # although the random start alone would give the level
+        grid, params, _z, _L, _rep = scalar15
+        calls = self.first_raises(monkeypatch, "_newton_krylov_polish",
+                                  InvalidState)
+        with pytest.raises(InvalidState, match="stub failure"):
+            scalar_ground_state(1, params, identity, grid, fast_opts)
+        assert len(calls) == 1
 
     def test_scalar_residual_is_nehari_zero(self, scalar15, identity):
         # converged scalar state pairs to ~zero against itself
@@ -231,7 +251,7 @@ class TestDescentDriver:
         x0, e0, gradient, direction, retract, target = self.problem(grid7)
         stop = 1e2 * opts.tol
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, retract, opts, stop
+            x0, e0, gradient, direction, retract, opts.max_iter, stop
         )
         # the full step lands on x*, and the next gradient stops the descent
         assert its == 2
@@ -250,7 +270,7 @@ class TestDescentDriver:
             return g, res
 
         x, e, res, its = S._descend(
-            x0, e0, recorded, direction, retract, opts, 1e-2
+            x0, e0, recorded, direction, retract, opts.max_iter, 1e-2
         )
         assert its == len(seen) > 2
         assert seen[-1] == res <= 1e-2 < min(seen[:-1])
@@ -259,24 +279,32 @@ class TestDescentDriver:
     def test_max_iter_reached(self, grid7):
         opts = SolverOptions(tol=1e-8, max_iter=3)
         calls = {}
-        x0, e0, gradient, direction, retract, _t = self.problem(
+        x0, e0, gradient, direction, retract, target = self.problem(
             grid7, shrink=1e-3, calls=calls
         )
-        accepted = []
+        # each gradient after the first is taken at the last accepted state
+        at = []
+
+        def recorded(x):
+            at.append(x)
+            return gradient(x)
+
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, retract, opts, 1e2 * opts.tol,
-            check=lambda x, e: accepted.append(e),
+            x0, e0, recorded, direction, retract, opts.max_iter, 1e2 * opts.tol
         )
         assert its == opts.max_iter == calls["gradient"]
         assert res > 1e2 * opts.tol
-        assert len(accepted) == 3 and accepted[-1] == e < e0
+        accepted = at[1:] + [x]
+        energies = [0.5 * float(np.sum((y - target) ** 2)) for y in accepted]
+        assert at[0] is x0 and len(accepted) == 3
+        assert e0 > energies[0] > energies[1] > energies[2] == e
 
     def test_zero_max_iter_returns_start(self, grid7):
         calls = {}
         x0, e0, gradient, direction, retract, _t = self.problem(grid7, calls=calls)
         opts = SolverOptions(max_iter=0)
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, retract, opts, 1e2 * opts.tol
+            x0, e0, gradient, direction, retract, opts.max_iter, 1e2 * opts.tol
         )
         assert x is x0 and e == e0 and res == math.inf and its == 0
         assert calls == {}
@@ -294,7 +322,8 @@ class TestDescentDriver:
             return x, e0
 
         x, e, res, its = S._descend(
-            x0, e0, gradient, flat_direction, flat_retract, opts, 1e2 * opts.tol
+            x0, e0, gradient, flat_direction, flat_retract, opts.max_iter,
+            1e2 * opts.tol,
         )
         assert calls["retract"] == its <= _STAGNATION_WINDOW + 1
         assert its < opts.max_iter and e == e0
@@ -321,7 +350,7 @@ class TestDescentDriver:
         x0, e0, gradient, direction, retract, target = self.problem(grid7, shrink=3.0)
         steps, recorded = self.recorded_steps(retract)
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, recorded, opts, 1e2 * opts.tol
+            x0, e0, gradient, direction, recorded, opts.max_iter, 1e2 * opts.tol
         )
         assert steps[0] == 1.0 and steps[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert its == 2 and res <= 1e2 * opts.tol
@@ -331,7 +360,7 @@ class TestDescentDriver:
         opts = SolverOptions(tol=1e-8)
         x0, e0, gradient, direction, retract, _t = self.problem(grid7)
         steps, recorded = self.recorded_steps(retract, [1e300])
-        S._descend(x0, e0, gradient, direction, recorded, opts, 1e2 * opts.tol)
+        S._descend(x0, e0, gradient, direction, recorded, opts.max_iter, 1e2 * opts.tol)
         assert steps[:2] == [1.0, S._SHRINK_MIN] == [1.0, 0.1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -342,7 +371,7 @@ class TestDescentDriver:
         x0, e0, gradient, direction, retract, _t = self.problem(grid7, shrink=6.0)
         steps, recorded = self.recorded_steps(retract, [bad])
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, recorded, opts, 1e2 * opts.tol
+            x0, e0, gradient, direction, recorded, opts.max_iter, 1e2 * opts.tol
         )
         assert steps[:2] == [1.0, 0.5]
         assert steps[2] == pytest.approx(1.0 / 6.0, rel=1e-12)
@@ -355,15 +384,13 @@ class TestDescentDriver:
 
         def rejects(x, d, a):
             steps.append(a)
-            raise DegenerateInput("rejected")
+            return x + a * d, math.inf
 
-        accepted = []
         x, e, res, its = S._descend(
-            x0, e0, gradient, direction, rejects, opts, 1e2 * opts.tol,
-            check=lambda x, e: accepted.append(e),
+            x0, e0, gradient, direction, rejects, opts.max_iter, 1e2 * opts.tol
         )
         assert len(steps) == 50 and steps[-1] == 0.5**49
-        assert x is x0 and e == e0 and its == 1 and accepted == []
+        assert x is x0 and e == e0 and its == 1
 
     @staticmethod
     def sphere_problem(grid):
@@ -400,7 +427,7 @@ class TestDescentDriver:
             return rule(v, gs, None)
 
         runs = [
-            S._descend(v0, e0, gradient, d, retract, opts, 1e-4)
+            S._descend(v0, e0, gradient, d, retract, opts.max_iter, 1e-4)
             for d in (rule, plain)
         ]
         (_x, e_cg, res_cg, its_cg), (_y, e_sd, res_sd, its_sd) = runs
@@ -533,12 +560,21 @@ class TestOneSamplePerState:
         d, _slope, _memo = captured["direction"](x, g, None)
 
         counts = count_stencils(monkeypatch)
+        guarded = []
+        real_guard = S.check_coercivity_bound
+
+        def guard(energy_val, sample, *args):
+            guarded.append(sample)
+            return real_guard(energy_val, sample, *args)
+
+        monkeypatch.setattr(S, "check_coercivity_bound", guard)
         # normalization samples gradients, project_to_nehari samples the
         # normalized pair once, and its energy comes from the fiber map
         x_try, e_try = captured["retract"](x, d, 0.01)
         assert counts == {"values": 2, "gradients": 4}
-        # the accepted state's checks and gradient read the same sample
-        captured["check"](x_try, e_try)
+        # the trial's guard and the accepted state's gradient read the same
+        # sample
+        assert len(guarded) == 1 and guarded[0] is x_try[1].sample
         captured["gradient"](x_try)
         assert counts == {"values": 2, "gradients": 4}
         energy = S.Energy.pair(params, example1, example1)
@@ -599,6 +635,29 @@ class TestOneSamplePerState:
         scalar_ground_state(1, params_p4, example1, grid15, opts)
         # two Newton steps, each accepting its full step
         assert polishes == [(2, 3, 3)]
+
+
+class TestIntegerCounts:
+    """Counts are integers, NumPy's included; anything else is a typed
+    error, not a TypeError deep inside a solve."""
+
+    @pytest.mark.parametrize(
+        "name,value", [("max_iter", 2.5), ("n_restarts", 1.5), ("seed", "0")]
+    )
+    def test_non_integer_count_is_invalid(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name}: must be an integer$"):
+            SolverOptions(**{name: value})
+
+    def test_numpy_integer_counts_solve(self, identity, params_p4):
+        levels = [
+            scalar_ground_state(
+                1, params_p4, identity, build_grid(GridSpec(nx, 7)),
+                SolverOptions(max_iter=its, n_restarts=restarts),
+            )[1]
+            for nx, its, restarts in ((7, 600, 1),
+                                      (np.int64(7), np.int64(600), np.int32(1)))
+        ]
+        assert levels[0] == levels[1]
 
 
 class TestZeroMaxIter:
@@ -1133,6 +1192,25 @@ class TestCompetitive:
         ints, _q, _pp = CellSample(u.stacked(), grid31).integrals(p)
         bound = (p - 2 - gam) / (2 * p) * example1.nu * sum(ints)
         assert rep.energy >= bound - 1e-8 * (1 + abs(rep.energy))
+
+    def test_unprojectable_warm_start_is_rejected(self, grid15, example1):
+        # the diagonal pair (v, v) is not projectable at beta = -2 (criterion
+        # 6): the warm start is dropped with the fiber's reason, and the
+        # solve goes on exactly as without it
+        params = ProblemParams(0.0, 0.0, -2.0, 4.0, 1.0)
+        opts = SolverOptions(n_restarts=0)
+        v = ScalarField(np.abs(np.random.default_rng(7).standard_normal(
+            grid15.shape)) + 0.02, grid15.spec)
+        scalars = (None, None, 0.0, 0.0)
+        u, rep = solve_system(params, example1, example1, grid15, opts,
+                              scalars, StatePair(v, v))
+        u0, rep0 = solve_system(params, example1, example1, grid15, opts,
+                                scalars)
+        (note,) = rep.warnings
+        assert note.startswith("start 0 rejected: membership inequalities fail: (")
+        assert rep0.warnings == ()
+        assert replace(rep, warnings=()) == rep0
+        assert np.array_equal(u.stacked(), u0.stacked())
 
     def test_energy_between_bounds(self, solved):
         # repulsive coupling costs energy: above the decoupled sum
