@@ -55,6 +55,25 @@ class CoefficientFamily:
             return _example_jet(s, order, self.gamma)
         return tuple(f(s) for f in (self.a, self.da, self.d2a)[: order + 1])
 
+    def on_sample(self, v: np.ndarray, w: np.ndarray, area: float):
+        """The profile bound to one sampled component: its cell values v,
+        cell weights w and the cell area.  Returns integrals(tau, order)
+        -> (I_0, ..., I_order), order <= 2, with
+
+            I_j(tau) = area * sum over the cells of A^(j)(tau v) v^j w,
+
+        floats for a float tau and arrays of its shape for an array of
+        taus.  `identity` returns its constants, and `example` reads two
+        cell arrays fixed here (`_example_integrals`); any other family
+        evaluates `jet` at tau v."""
+        if self.kind == KIND_IDENTITY:
+            constants = (float(np.sum(w) * area), 0.0, 0.0)
+            return lambda tau, order: constants[: order + 1]
+        exact = _jet_integrals(self, v, w, area)
+        if self.kind == KIND_EXAMPLE:
+            return _example_integrals(v, w, area, self.gamma, exact)
+        return exact
+
     def __post_init__(self):
         if not (0.0 < self.nu <= 1.0):
             raise InvalidParams(f"need nu in (0, 1], got {self.nu}")
@@ -185,6 +204,83 @@ def tabulated_family(
         kind=KIND_TABULATED, a=a, da=da, d2a=d2a, nu=nu, c0=c0, gamma=gamma,
         label=label,
     )
+
+
+def _jet_integrals(fam: CoefficientFamily, v: np.ndarray, w: np.ndarray, area: float):
+    """`CoefficientFamily.on_sample` from `fam.jet` at tau v: one quadrature
+    sum per integral.  Where A' or A'' is infinite or near the top of the
+    float range, so is its integral, without a warning."""
+
+    def integrals(tau, order: int):
+        jet = fam.jet(np.multiply.outer(tau, v), order)
+        weights = (w, v * w, v * v * w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [np.sum(f * wj, axis=(-2, -1)) * area for f, wj in zip(jet, weights)]
+        return [float(i) for i in out] if isinstance(tau, float) else out
+
+    return integrals
+
+
+# a float tau is bound to the example profile's sample when (gamma +
+# max(gamma, 2)) |log2 |tau v|| is at most this for every nonzero cell value
+# v: then every power of |tau v| that `_example_integrals` and `_example_jet`
+# form is within 2^(+-_SPAN), far inside the normal floats
+_SPAN = 600.0
+
+
+def _example_integrals(v: np.ndarray, w: np.ndarray, area: float, gamma: float,
+                       exact):
+    """`CoefficientFamily.on_sample` of the example profile.
+
+    With iy = |tau v|^gamma = tau^gamma |v|^gamma and r = 1/(1 + iy),
+    `_example_jet` reads A(tau v) = 1 + iy r, A'(tau v) v = (gamma/tau)
+    iy r^2 and A''(tau v) v^2 = (gamma/tau^2) iy r^3 ((gamma-1) -
+    (gamma+1) iy).  So each evaluation is products of |v|^gamma, fixed
+    here, with tau^gamma, and dot products of r, r^2 and r^3 ((gamma-1) -
+    (gamma+1) iy) with |v|^gamma area w, also fixed here; they are formed
+    in one work array.  Where (gamma + max(gamma, 2)) |log2 |tau v||
+    exceeds _SPAN at a nonzero cell, for a tau that is not a positive
+    float and for an array of taus, `exact` evaluates the jet, so that
+    its limits and masks at extreme s, which act only there, still hold.
+    """
+    a_v = np.abs(v).ravel()
+    g_v = a_v**gamma
+    gwa = g_v * (w * area).ravel()
+    total = float(w.sum() * area)
+    top, low = float(a_v.max()), float(a_v.min())
+    if low == 0.0:
+        low = float(np.min(a_v, initial=top, where=a_v > 0.0))
+    lo, hi = (math.log2(low), math.log2(top)) if low > 0.0 else (0.0, 0.0)
+    reach = _SPAN / (gamma + max(gamma, 2.0))
+    bound = max(abs(lo), abs(hi)) <= reach
+    work = np.empty((4, a_v.size))
+
+    def integrals(tau, order: int):
+        if not (bound and isinstance(tau, float) and tau > 0.0):
+            return exact(tau, order)
+        e = math.log2(tau)
+        if not max(abs(e), abs(e + lo), abs(e + hi)) <= reach:
+            return exact(tau, order)
+        tg = tau**gamma
+        r, r2, r3q, iy = work
+        np.multiply(g_v, tg, out=iy)
+        np.reciprocal(np.add(iy, 1.0, out=r), out=r)
+        if order >= 1:
+            np.multiply(r, r, out=r2)
+        if order == 2:
+            np.multiply(iy, -(gamma + 1.0), out=r3q)
+            r3q += gamma - 1.0
+            r3q *= r2
+            r3q *= r
+        out = [total + tg * float(r @ gwa)]
+        if order >= 1:
+            c = gamma / tau * tg
+            out.append(c * float(r2 @ gwa))
+        if order == 2:
+            out.append(c / tau * float(r3q @ gwa))
+        return out
+
+    return integrals
 
 
 PASS = "pass"

@@ -108,11 +108,14 @@ class CellSample:
             t * self.x, self.grid, (t * self.v, t * self.gx, t * self.gy, t * t * self.gsq)
         )
 
+    def integral(self, f: np.ndarray) -> np.ndarray:
+        """The quadrature of the (k, nx+1, ny+1) cell array f, one per component."""
+        return f.sum(axis=(-2, -1)) * self.grid.cell_area
+
     def integrals(self, p: float):
         """(int |grad x_i|^2, int x_i^2, int |x_i|^p), each one per component."""
         return tuple(
-            np.sum(f, axis=(-2, -1)) * self.grid.cell_area
-            for f in (self.gsq, self.v * self.v, np.abs(self.v) ** p)
+            self.integral(f) for f in (self.gsq, self.v * self.v, np.abs(self.v) ** p)
         )
 
 

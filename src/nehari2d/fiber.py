@@ -42,21 +42,23 @@ O(n * n_cells) per component instead of O(n^2 * n_cells).
 A state is a bare nodal array: `project_to_nehari` and
 `critical_cell_count` take a (2, nx, ny) pair stack, `scalar_fiber_root`
 an (nx, ny) field.  Each checks its input in one place (shape, finite
-entries, no zero component) and samples it once.  Both rescales return
-one `ProjectionResult`, built by `_rescale`, with the sample of the
-rescaled stack.
+entries, no zero component) and samples it once; the rescales also take
+the CellSample of the stack, as `unit_sample` gives it.  Both rescales
+return one `ProjectionResult`, built by `_rescale`, with the sample of
+the rescaled stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import KIND_IDENTITY, CoefficientFamily
+from .coeffs import CoefficientFamily
 from .energy import CellSample, Energy, ProblemParams
 from .errors import DegenerateInput, GridMismatch, InvalidState
-from .grid import Grid, cell_gradients
+from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,9 @@ class FiberEvaluator:
     Built on one CellSample of a k-component state and the Energy it is
     measured in: k = 1 for the scalar fiber tau -> E(tau z), and k = 2 for
     a pair with its cross term.
-    Axis k reads component k of the sample: its cell values v, |grad v|^2
-    and q = int v^2, pp = int |v|^p, ia0 = int |grad v|^2.
+    Axis k reads component k of the sample: its profile bound to the cell
+    values v and |grad v|^2 (`CoefficientFamily.on_sample`), and the
+    floats q = int v^2, pp = int |v|^p and ia0 = int |grad v|^2.
     """
 
     def __init__(self, energy: Energy, sample: CellSample):
@@ -95,17 +98,15 @@ class FiberEvaluator:
         self.fams = energy.fams
         self.lams = energy.lams
         self.sample = sample
-        self.area = sample.grid.cell_area
         p = self.params.p
         v, gsq = sample.v, sample.gsq
-        self._v = v
-        # raveled weights, area included, of int A^(j)(tau v) v^j |grad v|^2
-        self._w = [(w * self.area).reshape(len(v), -1)
-                   for w in (gsq, v * gsq, v * v * gsq)]
-        self._ia0, self.q, self.pp = sample.integrals(p)
-        self._const_profile = [fam.kind == KIND_IDENTITY for fam in self.fams]
+        area = sample.grid.cell_area
+        self._integrals = [fam.on_sample(v_k, w_k, area)
+                           for fam, v_k, w_k in zip(self.fams, v, gsq)]
+        self._ia0, self.q, self.pp = (tuple(float(f_k) for f_k in f)
+                                      for f in sample.integrals(p))
         self.cross = (
-            float(np.sum(np.abs(v[0] * v[1]) ** (p / 2.0))) * self.area
+            float(np.sum(np.abs(v[0] * v[1]) ** (p / 2.0))) * area
             if len(v) == 2
             else 0.0
         )
@@ -115,9 +116,9 @@ class FiberEvaluator:
         gradient norms, scaled back by ia0_i^(p/2): pp_i + beta * cross *
         (ia0_i / ia0_j)^(p/4), j the other component (a single field has
         no cross term)."""
-        ia0 = self._ia0
-        ratio = (ia0 / ia0[::-1]) ** (self.params.p / 4.0)
-        return tuple(float(m) for m in self.pp + self.params.beta * self.cross * ratio)
+        ia0, c = self._ia0, self.params.beta * self.cross
+        return tuple(pp + c * _pow(a_i / a_j, self.params.p / 4.0)
+                     for pp, a_i, a_j in zip(self.pp, ia0, ia0[::-1]))
 
     def _axis(self, k: int, tau, order: int) -> list:
         """The terms of h depending on t_k alone (all but the cross term) at
@@ -125,31 +126,26 @@ class FiberEvaluator:
 
         With I_j(tau) = int A^(j)(tau v) v^j |grad v|^2, so that I_j' =
         I_(j+1), the terms are tau^2/2 (I_0 - lam q) - tau^p/p int |v|^p.
-        One `jet` call reads A, A', A'' at the scaled sample tau*v; each I_j
-        is one dot product over the cells, for a float or an array tau.
-        Where tau^2/2 underflows to 0, tau^2/2 I_1 = O(tau^(gamma+1)) and
-        tau^2/2 I_2 = O(tau^gamma) are taken as 0, their limit, even where
-        A' and A'' are infinite.
+        The I_j come from the profile bound to the sample, floats for a
+        float tau.  Where tau^2/2 underflows to 0, tau^2/2 I_1 =
+        O(tau^(gamma+1)) and tau^2/2 I_2 = O(tau^gamma) are taken as 0,
+        their limit, even where A' and A'' are infinite.
         """
         p, pp = self.params.p, self.pp[k]
-        if self._const_profile[k]:
-            ia = (self._ia0[k], 0.0, 0.0)
-        else:
-            jet = self.fams[k].jet(np.multiply.outer(tau, self._v[k]), order)
-            ia = [f.reshape(*f.shape[:-2], -1) @ w[k] for f, w in zip(jet, self._w)]
+        ia = self._integrals[k](tau, order)
         quad = ia[0] - self.lams[k] * self.q[k]
-        half_sq = 0.5 * tau**2
-        terms = [half_sq * quad - (1.0 / p) * tau**p * pp]
-        # np.float64 is a float; an array tau is never near 0
+        half_sq = 0.5 * _pow(tau, 2.0)
+        terms = [half_sq * quad - (1.0 / p) * _pow(tau, p) * pp]
+        # an array tau is never near 0
         underflow = isinstance(half_sq, float) and half_sq == 0.0
         if order >= 1:
             sq1 = 0.0 if underflow else half_sq * ia[1]
-            terms.append(tau * quad + sq1 - tau ** (p - 1.0) * pp)
+            terms.append(tau * quad + sq1 - _pow(tau, p - 1.0) * pp)
         if order >= 2:
             sq2 = 0.0 if underflow else half_sq * ia[2]
             terms.append(
                 quad + 2.0 * tau * ia[1] + sq2
-                - (p - 1.0) * tau ** (p - 2.0) * pp
+                - (p - 1.0) * _pow(tau, p - 2.0) * pp
             )
         return terms
 
@@ -166,7 +162,7 @@ class FiberEvaluator:
             quad = share * ((fam.nu if floor else 1.0) * ia0 - lam * q)
             nonlin = pp + b * self.cross
             ok = quad > 0.0 and nonlin > 0.0
-            taus.append((quad / nonlin) ** (1.0 / (self.params.p - 2.0)) if ok
+            taus.append(_pow(quad / nonlin, 1.0 / (self.params.p - 2.0)) if ok
                         else float(not floor))
         return np.array(taus)
 
@@ -178,7 +174,7 @@ class FiberEvaluator:
         the synchronized root, which the uncoupled cold start misses."""
         t = self.cold_start()
         p = self.params.p
-        s = float(np.sum(self.pp * t**p))
+        s = float(np.sum(np.multiply(self.pp, t**p)))
         total = s + 2.0 * self.params.beta * self.cross * (t[0] * t[1]) ** (p / 2.0)
         if s <= 0.0 or total <= 0.0:
             return None
@@ -188,72 +184,107 @@ class FiberEvaluator:
         """(h,), (h, g) or (h, g, J) at t = (t_1, ..., t_k): h, the fiber
         gradient g and its exact k x k Jacobian J, from one `_axis` call
         per component and, for a pair, the cross-term monomials.  The t_k
-        are floats (the Newton's point: a k-vector g, a k x k J) or arrays
-        that broadcast together (a grid of t: h, g, J end in its shape).
+        are floats, the Newton's point, which give a float h, a list g
+        and a nested list J; or arrays that broadcast together, a grid of
+        t, which give arrays h, g and J ending in the grid's shape.
         """
-        t = tuple(t)
-        k = len(t)
+        if isinstance(t, np.ndarray):
+            t = t.tolist()
         axes = [self._axis(i, t_i, order) for i, t_i in enumerate(t)]
         h = sum([ax[0] for ax in axes])
-        shape = (k, *h.shape)
-        g, J = np.zeros(shape), np.zeros((k, *shape))
-        for i, ax in enumerate(axes):
-            if order >= 1:
-                g[i] = ax[1]
-            if order >= 2:
-                J[i, i] = ax[2]
-        if k == 2:
+        g = [ax[1] for ax in axes] if order >= 1 else []
+        J = ([[ax[2] if i == j else 0.0 for j in range(len(t))]
+              for i, ax in enumerate(axes)] if order >= 2 else [])
+        if len(t) == 2:
             p, b = self.params.p, self.params.beta
             half = p / 2.0
             c = b * self.cross
-            m = [t_i**half for t_i in t]
-            s = [t_i ** (half - 1.0) for t_i in t]
+            m = [_pow(t_i, half) for t_i in t]
             # pair products first, so that a swap swaps h, g and J exactly
             h = h - (2.0 * b / p) * (m[0] * m[1]) * self.cross
-            for i, j in ((0, 1), (1, 0)):
-                g[i] -= c * s[i] * m[j]
-                if order >= 2:
-                    J[i, i] -= c * (half - 1.0) * t[i] ** (half - 2.0) * m[j]
-                    J[i, j] = -c * half * (s[0] * s[1])
+            if g:
+                s = [_pow(t_i, half - 1.0) for t_i in t]
+                for i, j in ((0, 1), (1, 0)):
+                    g[i] = g[i] - c * s[i] * m[j]
+                    if J:
+                        J[i][i] = J[i][i] - c * (half - 1.0) * _pow(t[i], half - 2.0) * m[j]
+                        J[i][j] = -c * half * (s[0] * s[1])
+        if not isinstance(h, float):
+            g = np.array(np.broadcast_arrays(h, *g)[1:])
+            J = np.array([np.broadcast_arrays(h, *row)[1:] for row in J])
         return (h, g, J)[: order + 1]
 
 
-def _sample(x: np.ndarray, grid: Grid, lead: tuple[int, ...]) -> CellSample:
+def _pow(x, y):
+    """x ** y for x >= 0, a float or an array; inf, numpy's value, where a
+    float power overflows and Python raises OverflowError."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _sample(x, grid: Grid, lead: tuple[int, ...]) -> CellSample:
     """The cell sample of x, a (*lead, nx, ny) array, as a stack of its
     components.  Raises GridMismatch for any other shape, InvalidState for
-    a non-finite entry and DegenerateInput for a zero component."""
+    a non-finite entry and DegenerateInput for a zero component.  A
+    CellSample of that stack, of prod(lead) components, is taken as
+    checked, as `unit_sample` makes it, and returned as is."""
+    if isinstance(x, CellSample):
+        if x.x.shape == (math.prod(lead), *grid.shape):
+            return x
+        x = x.x
     x = np.asarray(x, dtype=float)
     shape = (*lead, *grid.shape)
     if x.shape != shape:
         raise GridMismatch(f"need a state of shape {shape}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidState("state contains non-finite entries")
     x = x.reshape(-1, *grid.shape)
-    for i, comp in enumerate(x, start=1):
-        if not np.any(comp != 0.0):
-            raise DegenerateInput(f"component {i} is identically zero")
+    nonzero = x.any(axis=(-2, -1))
+    if not nonzero.all():
+        raise DegenerateInput(f"component {int(np.argmin(nonzero)) + 1} is identically zero")
     return CellSample(x, grid)
 
 
-def _newton_step(J: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+def unit_sample(x: np.ndarray, grid: Grid) -> CellSample:
+    """The cell sample of the (k, nx, ny) stack x with each component
+    scaled to unit gradient norm: x is checked and sampled once, as by the
+    rescales, and the sample is scaled (`CellSample.scaled`).  Raises
+    DegenerateInput, too, where a gradient norm is 0 or not finite."""
+    x = np.asarray(x, dtype=float)
+    sample = _sample(x, grid, x.shape[:1])
+    nrm = np.sqrt(sample.integral(sample.gsq))
+    if not ((nrm > 0.0) & (nrm < math.inf)).all():
+        raise DegenerateInput("cannot normalize a gradient-free field")
+    return sample.scaled(1.0 / nrm)
+
+
+def _newton_step(J: list, g: list, t: list) -> list:
     """The Newton step -J^-1 g for the k x k Jacobian J, k = 1 or 2, or the
     ascent step where J is singular or not finite."""
     if len(g) == 1:
-        det, num = J[0, 0], -g
+        det, num = J[0][0], [-g[0]]
     else:
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        num = np.array([-g[0] * J[1, 1] + g[1] * J[0, 1],
-                        -g[1] * J[0, 0] + g[0] * J[1, 0]])
-    if det != 0.0 and np.isfinite(J).all():
-        step = num / det
-        if np.isfinite(step).all():
+        det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+        num = [-g[0] * J[1][1] + g[1] * J[0][1],
+               -g[1] * J[0][0] + g[0] * J[1][0]]
+    if det != 0.0 and all(math.isfinite(v) for row in J for v in row):
+        step = [v / det for v in num]
+        if all(math.isfinite(v) for v in step):
             return step
     return _ascent_step(g, t)
 
 
-def _ascent_step(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _max_abs(g: list) -> float:
+    """max_k |g_k|, NaN where a g_k is, like numpy's max."""
+    return math.nan if any(map(math.isnan, g)) else max(map(abs, g))
+
+
+def _ascent_step(g: list, t: list) -> list:
     """Step along the fiber gradient, no longer than the smallest t_k."""
-    return g * (t.min() / (np.abs(g).max() + 1.0))
+    scale = min(t) / (_max_abs(g) + 1.0)
+    return [v * scale for v in g]
 
 
 # Newton on the fiber gradient stops once |dh/dt_k| <= _FIBER_TOL * t_k *
@@ -262,21 +293,25 @@ _FIBER_TOL = 1e-12
 _FIBER_MAX_ITER = 100
 _WARM_MAX_ITER = 20     # steps from a warm guess before the cold start takes over
 _COLLAPSE = 1e-12       # quadratic share of the beta > 0 collapse floor
+# the line search's step scales, and its rounding slack on h
+_HALVINGS = tuple(0.5**i for i in range(60))
+_SLACK = 32.0 * float(np.finfo(float).eps)
 
 
-def _stationary(ev: FiberEvaluator, t: np.ndarray, g: np.ndarray) -> bool:
+def _stationary(ev: FiberEvaluator, t: list, g: list) -> bool:
     """Whether the fiber gradient g at t is zero to _FIBER_TOL, relative to
     t_k int |grad u_k|^2 in component k.  The test is unchanged when the
     state is rescaled, and a t_k collapsing to 0, where dh/dt_k vanishes
     with t_k, does not pass it."""
-    return bool((np.abs(g) <= _FIBER_TOL * t * ev._ia0).all())
+    return all(abs(g_k) <= _FIBER_TOL * t_k * a_k
+               for g_k, t_k, a_k in zip(g, t, ev._ia0))
 
 
-def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
-                  warm: bool = False):
+def _fiber_newton(ev: FiberEvaluator, t, maximize: bool, warm: bool = False):
     """Damped Newton from the k-vector t for the interior zero of the fiber
     gradient; returns (t, h, g, converged), with h and g read at the final
     t from the one `derivatives` evaluation that each start and trial gets.
+    The run is Python float arithmetic on k-lists.
 
     With `maximize` (a single field, and a pair with beta <= 0, where the
     zero is the maximizer of h) a trial must not lower h beyond rounding
@@ -292,38 +327,39 @@ def _fiber_newton(ev: FiberEvaluator, t: np.ndarray, maximize: bool,
     _WARM_MAX_ITER (`warm`) or _FIBER_MAX_ITER steps, and, without
     `maximize`, once a step takes a t_k below `ev.cold_start(floor=True)`.
     """
+    t = [float(t_k) for t_k in t]
     h, g, J = ev.derivatives(t)
-    floor = 0.0 if maximize else ev.cold_start(floor=True)
+    floor = None if maximize else ev.cold_start(floor=True).tolist()
     for _ in range(_WARM_MAX_ITER if warm else _FIBER_MAX_ITER):
         if _stationary(ev, t, g):
             return t, h, g, True
         step = _newton_step(J, g, t)
-        if maximize and float(g @ step) <= 0.0:
+        if maximize and sum([g_k * s_k for g_k, s_k in zip(g, step)]) <= 0.0:
             if warm:
                 return t, h, g, False
             step = _ascent_step(g, t)
-        for scale in 0.5 ** np.arange(60.0):
-            trial = t + scale * step
-            if not (trial > 0.0).all():
+        for scale in _HALVINGS:
+            trial = [t_k + scale * s_k for t_k, s_k in zip(t, step)]
+            if not all(t_k > 0.0 for t_k in trial):
                 continue
             h_trial, g_trial, J_trial = ev.derivatives(trial)
             if maximize:
-                if h_trial < h - 32.0 * np.finfo(float).eps * (abs(h) + 1.0):
+                if h_trial < h - _SLACK * (abs(h) + 1.0):
                     continue
-            elif not (np.abs(g_trial).max() < np.abs(g).max()
+            elif not (_max_abs(g_trial) < _max_abs(g)
                       or _stationary(ev, trial, g_trial)):
                 continue
             t, h, g, J = trial, h_trial, g_trial, J_trial
             break
         else:
             break
-        if ((t < floor) & (step < 0.0)).any():
+        if floor and any(t_k < f and s_k < 0.0 for t_k, f, s_k in zip(t, floor, step)):
             return t, h, g, False
     return t, h, g, _stationary(ev, t, g)
 
 
-def _positive(t: np.ndarray) -> bool:
-    return bool(np.all(t > 0.0) and np.all(np.isfinite(t)))
+def _positive(t) -> bool:
+    return all(t_k > 0.0 and math.isfinite(t_k) for t_k in t)
 
 
 def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
@@ -335,7 +371,7 @@ def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
     A run converges only at a positive and finite t.  By uniqueness of the
     interior zero every start gives the same t."""
     if t_init is not None:
-        t = np.asarray(t_init, dtype=float)
+        t = [float(t_k) for t_k in t_init]
         if _positive(t):
             t, h, g, converged = _fiber_newton(ev, t, maximize, warm=True)
             if converged and _positive(t):
@@ -368,7 +404,7 @@ def _rescale(energy: Energy, x: np.ndarray, grid: Grid, lead: tuple[int, ...],
     return ProjectionResult(
         True,
         t=t,
-        residual=tuple(float(v) for v in np.multiply(t, g)),
+        residual=tuple(t_k * g_k for t_k, g_k in zip(t, g)),
         energy=float(h),
         sample=ev.sample.scaled(t),
     )
@@ -383,8 +419,9 @@ def project_to_nehari(
     *,
     t_init: tuple[float, float] | None = None,
 ) -> ProjectionResult:
-    """Rescale the pair stack x, a (2, nx, ny) array, onto the constraint
-    set at the interior critical point t of its fibering map.
+    """Rescale the pair stack x, a (2, nx, ny) array or its CellSample,
+    onto the constraint set at the interior critical point t of its
+    fibering map.
 
     One damped Newton on the fiber gradient (`_fiber_newton`) finds t,
     maximizing h for beta <= 0 and lowering the gradient for beta > 0.
@@ -399,15 +436,6 @@ def project_to_nehari(
     nothing is raised for a stall.
     """
     return _rescale(Energy.pair(params, fam1, fam2), x, grid, (2,), t_init)
-
-
-def h1_normalize(x: np.ndarray, grid: Grid) -> np.ndarray:
-    """Each component of the (k, nx, ny) stack x scaled to unit gradient norm."""
-    gx, gy = cell_gradients(x, grid)
-    nrm = np.sqrt(np.sum(gx * gx + gy * gy, axis=(-2, -1)) * grid.cell_area)
-    if np.any(nrm == 0.0):
-        raise DegenerateInput("cannot normalize a gradient-free field")
-    return x / nrm[:, None, None]
 
 
 # the uniqueness check samples the box [1e-3, 1e3] with this many
@@ -450,8 +478,9 @@ def scalar_fiber_root(
     grid: Grid,
     tau_init: float | None = None,
 ) -> ProjectionResult:
-    """Rescale the field z, an (nx, ny) array, onto the scalar constraint
-    set at the unique positive root tau of
+    """Rescale the field z, an (nx, ny) array or the CellSample of its
+    (1, nx, ny) stack, onto the scalar constraint set at the unique
+    positive root tau of
 
         tau*(int A(tau z)|grad z|^2 - lam int z^2)
            + tau^2/2 int A'(tau z) z |grad z|^2

@@ -60,7 +60,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .fiber import ProjectionResult, h1_normalize, project_to_nehari, scalar_fiber_root
+from .fiber import ProjectionResult, project_to_nehari, scalar_fiber_root, unit_sample
 from .grid import Grid, ScalarField, StatePair, cell_gradients
 from .spectrum import (
     ADMISSIBLE,
@@ -199,8 +199,7 @@ def check_coercivity_bound(
     """
     p, g = energy.params.p, energy.params.gamma
     nu = min(fam.nu for fam in energy.fams)
-    gr, q = (np.sum(f, axis=(-2, -1)) * sample.grid.cell_area
-             for f in (sample.gsq, sample.v * sample.v))
+    gr, q = sample.integral(sample.gsq), sample.integral(sample.v * sample.v)
     lams = np.array(energy.lams)
     bound = float(np.sum(
         (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lams * q
@@ -224,7 +223,7 @@ def nehari_floors_hold(
     (beta <= 0); negative lambdas enter through their positive part since
     the spectral bound only helps against positive ones.
     """
-    gr, _q, pp = sample.integrals(params.p)
+    gr, pp = sample.integral(sample.gsq), _pp(sample, params)
     for g, lp, lam in zip(gr, pp, (params.lambda1, params.lambda2)):
         lhs = nu * (1.0 - max(lam, 0.0) / (nu * mu1)) * g
         if lhs > lp + 1e-10 * (1.0 + abs(lp)):
@@ -232,9 +231,13 @@ def nehari_floors_hold(
     return True
 
 
+def _pp(sample: CellSample, params) -> np.ndarray:
+    """int |u_i|^p of the sampled state, one per component."""
+    return sample.integral(np.abs(sample.v) ** params.p)
+
+
 def _fully_nontrivial(sample: CellSample, params, opts) -> bool:
-    _gr, _q, pp = sample.integrals(params.p)
-    return bool(np.all(pp > 1e3 * opts.tol))
+    return bool(np.all(_pp(sample, params) > 1e3 * opts.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,10 @@ def _descend(x, energy_val, gradient, direction, retract, max_iter, stop):
     return x, energy_val, res, it
 
 
+# polished candidates whose energies agree to this (relative) are one level,
+# reached from two starts: which one is lower is rounding, so the earlier wins
+_TIE = 1e-12
+
 # Newton takes over from the descent at this Euler residual: from there the
 # polish converges in two or three steps, where the descent needs hundreds,
 # and it never accepts an energy increase, so it cannot end above its start
@@ -380,14 +387,16 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
     """Descend from every start on the constraint set, polish, and keep the
     lowest-energy candidate.
 
-    `rescale(y, t_init)` maps a stack y onto the constraint set and
-    returns its `fiber.ProjectionResult`: the fiber scalings t, the
-    energy, residuals and cell sample of the rescaled state w = t y.
-    `point(y, t_init)` is the one way a stack becomes a descent point
-    x = (v, result), v = y normalized onto the unit gradient spheres, and
-    its energy: +inf, with a not projectable result, when the result is
-    not projectable or normalizing or sampling y raises one of _REJECTS,
-    and otherwise the energy of w, which `check_coercivity_bound` guards.
+    `rescale(v, t_init)` maps the cell sample v of a stack onto the
+    constraint set and returns its `fiber.ProjectionResult`: the fiber
+    scalings t, the energy, residuals and cell sample of the rescaled
+    state w = t v.  `point(y, t_init)` is the one way a stack becomes a
+    descent point x = (v, result), v = y normalized onto the unit gradient
+    spheres, and its energy: y is sampled once, and its sample scaled
+    onto the spheres is rescaled (`fiber.unit_sample`).  The energy is
+    +inf, with a not projectable result, when the result is not
+    projectable or sampling y raises one of _REJECTS, and otherwise the
+    energy of w, which `check_coercivity_bound` guards.
     The descent (`_descend`) runs on the Euler gradient of `energy` at w,
     a point moves on the spheres by `_conjugate_lift`, and each trial is
     the point of the moved stack, rescaled from the current t.
@@ -400,18 +409,20 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
     it reaches is polished instead (a warning notes the fallback).  A
     start whose point is not projectable is dropped with a warning.
     Returns (best, descent iterations): best is the lowest-energy (state,
-    energy, res) among the polished states `_rejection` accepts, or None.
+    energy, res) among the polished states `_rejection` accepts, or None;
+    energies within _TIE (relative) of each other tie, and a tie goes to
+    the earlier start.
     """
     def point(y, t_init):
         try:
-            y = h1_normalize(y, grid)
-            proj = rescale(y, t_init)
+            v = unit_sample(y, grid)
+            proj = rescale(v, t_init)
         except _REJECTS as exc:
-            proj = ProjectionResult(False, reason=str(exc))
+            return (y, ProjectionResult(False, reason=str(exc))), math.inf
         if not proj.projectable:
-            return (y, proj), math.inf
+            return (v.x, proj), math.inf
         check_coercivity_bound(proj.energy, proj.sample, energy, proj.residual)
-        return (y, proj), proj.energy
+        return (v.x, proj), proj.energy
 
     def gradient(x):
         g = energy.gradient(x[1].sample)
@@ -454,7 +465,7 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
         if reason is None:
             e = energy.value(sample)
             energies.append(e)
-            if best is None or e < best[1]:
+            if best is None or e < best[1] - _TIE * (1.0 + abs(best[1])):
                 best = (sample.x, e, res_p)
     # distinct converged minimizers are reported, not resolved
     if len(energies) > 1:
@@ -668,8 +679,8 @@ def scalar_ground_state(
     energy = Energy.scalar(params, lam, fam)
     polish_its = 0
 
-    def rescale(y, t_init):
-        return scalar_fiber_root(y[0], lam, params, fam, grid,
+    def rescale(v, t_init):
+        return scalar_fiber_root(v, lam, params, fam, grid,
                                  tau_init=None if t_init is None else t_init[0])
 
     def polish(x):

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nehari2d import certify, example_family, identity_family
-from nehari2d.coeffs import FAIL, PASS, PASS_DEGENERATE, tabulated_family
+from nehari2d.coeffs import (
+    FAIL,
+    PASS,
+    PASS_DEGENERATE,
+    CoefficientFamily,
+    tabulated_family,
+)
 from nehari2d.errors import InvalidParams, InvalidRange, NonFiniteSample
 
 from conftest import PROPERTY
@@ -202,6 +208,94 @@ class TestJet:
             assert len(jet) == order + 1
             for got, w in zip(jet, want):
                 assert np.array_equal(got, w)
+
+
+def bound_sample(seed):
+    """Signed cell values, weights and a cell area: one sampled component.
+    Some values are exact zeros, and for every third seed one is 1e-280
+    times the rest, so that its tau v leaves the normal floats first."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((16, 16)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    v[rng.random(v.shape) < 0.1] = 0.0
+    if seed % 3 == 2:
+        v[3, 5] *= 1e-280
+    return v, rng.random(v.shape), 10.0 ** rng.uniform(-4.0, 0.0)
+
+
+def jet_integrals(fam, v, w, area, tau, order):
+    """I_j = area * sum A^(j)(tau v) v^j w from the jet at tau v."""
+    jet = fam.jet(tau * v, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(np.sum(f * (v**j * w)) * area) for j, f in enumerate(jet)]
+
+
+class TestOnSample:
+    """`on_sample`: a profile bound to one sampled component gives the
+    integrals of its jet at tau v."""
+
+    ex = example_family(1.3)
+    FAMILIES = {
+        "identity": identity_family(),
+        "tabulated": tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=1.3),
+        **{f"example({g:g})": example_family(g) for g in (0.5, 1.0, 1.3, 2.5)},
+    }
+
+    @staticmethod
+    def check(fam, seed, tau, order):
+        v, w, area = bound_sample(seed)
+        got = fam.on_sample(v, w, area)(tau, order)
+        want = jet_integrals(fam, v, w, area, tau, order)
+        assert len(got) == order + 1 and all(type(i) is float for i in got)
+        if fam.kind == "example":
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_taus_across_the_float_range(self, name):
+        # from where every tau v is below the normal floats to where the
+        # profile's powers overflow: the bound example kernel where it
+        # applies, the jet elsewhere
+        for seed in range(3):
+            for tau in np.logspace(-200.0, 200.0, 81).tolist():
+                for order in (0, 1, 2):
+                    self.check(self.FAMILIES[name], seed, tau, order)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 2**31),
+           log_tau=st.floats(-200.0, 200.0), order=st.sampled_from((0, 1, 2)))
+    def test_matches_the_jet(self, name, seed, log_tau, order):
+        self.check(self.FAMILIES[name], seed, 10.0**log_tau, order)
+
+    def test_exact_jet_where_a_cell_leaves_the_range(self, monkeypatch):
+        # the bound kernel calls no jet; a tau that takes the smallest or
+        # the largest nonzero |tau v| far from 1 is evaluated by the jet
+        calls = []
+        jet = CoefficientFamily.jet
+        monkeypatch.setattr(CoefficientFamily, "jet",
+                            lambda fam, s, order: calls.append(1) or jet(fam, s, order))
+        v, w, area = bound_sample(0)
+        small, tiny = v.copy(), v.copy()
+        small[3, 5], tiny[3, 5] = 1e-60, 1e-280
+        fam = example_family(0.5)
+        for cells, tau, n_jets in ((v, 1.0, 0), (v, 1e-200, 1), (v, 1e200, 1),
+                                   (small, 1.0, 0), (small, 1e-20, 1),
+                                   (tiny, 1.0, 1), (v, np.array([1.0]), 1)):
+            calls.clear()
+            fam.on_sample(cells, w, area)(tau, 2)
+            assert len(calls) == n_jets
+
+    def test_array_of_taus_matches_floats(self):
+        v, w, area = bound_sample(3)
+        taus = np.logspace(-3.0, 3.0, 7)
+        for fam in self.FAMILIES.values():
+            integrals = fam.on_sample(v, w, area)
+            on_grid = integrals(taus[:, None], 2)
+            for j, column in enumerate(on_grid):
+                np.testing.assert_allclose(
+                    np.broadcast_to(column, (7, 1))[:, 0],
+                    [integrals(tau, 2)[j] for tau in taus.tolist()],
+                    rtol=1e-14, atol=0.0)
 
 
 class TestCertify:

@@ -23,9 +23,10 @@ from nehari2d.fiber import (
     FiberEvaluator,
     _fiber_newton,
     critical_cell_count,
-    h1_normalize,
     scalar_fiber_root,
+    unit_sample,
 )
+from nehari2d.grid import cell_values
 from nehari2d.solvers import conservative_mu1, segregated_pair
 
 from conftest import (
@@ -198,7 +199,7 @@ class TestFiberGradient:
         ev = FiberEvaluator(Energy.pair(params, *fams),
                             CellSample(positive_state(grid7, seed), grid7))
         h, g, J = ev.derivatives(np.array(t))
-        # order 0 reads A from `a`, order 2 from the jet: the same A
+        # orders 0 and 2 read the same I_0 from the bound profile: the same h
         assert h == ev.derivatives(t, order=0)[0]
         assert np.array_equal(g, ev.derivatives(t, order=1)[1])
         dt = 1e-6
@@ -207,7 +208,8 @@ class TestFiberGradient:
             tp, tm = list(t), list(t)
             tp[k] += dt
             tm[k] -= dt
-            fd[:, k] = (ev.derivatives(tp, 1)[1] - ev.derivatives(tm, 1)[1]) / (2 * dt)
+            fd[:, k] = np.subtract(ev.derivatives(tp, 1)[1],
+                                   ev.derivatives(tm, 1)[1]) / (2 * dt)
         assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_swap_is_bit_exact(self, grid15, identity, example1):
@@ -228,7 +230,7 @@ class TestFiberGradient:
             ).derivatives(t[::-1])
             assert h_sw == h
             assert np.array_equal(g_sw, g[::-1])
-            assert np.array_equal(J_sw, J[::-1, ::-1])
+            assert np.array_equal(J_sw, np.array(J)[::-1, ::-1])
 
     @pytest.mark.parametrize("beta", (-2.0, 0.7))
     def test_grid_of_t_matches_points(self, grid7, beta):
@@ -339,24 +341,32 @@ class TestAxisEvaluation:
         assert counts == [1, 0, 13, 13, 16, 1, 1, 1]
 
     def test_one_jet_call_per_component(self, monkeypatch, grid15):
-        # A, A' and A'' come from one fused jet per component: no a, da or
-        # d2a call in the fiber Newton's evaluation or in Energy's
-        # gradient, residuals and Hessian
-        jets = []
-        jet = CoefficientFamily.jet
+        # the fiber evaluator binds each profile to its sample once, with
+        # one `on_sample` call per component, and its evaluations call no
+        # jet; Energy's gradient, residuals and Hessian read one fused jet
+        # per component.  No a, da or d2a call in either
+        jets, bound = [], []
+        jet, on_sample = CoefficientFamily.jet, CoefficientFamily.on_sample
 
         def counting_jet(fam, s, order):
             jets.append((fam.gamma, order))
             return jet(fam, s, order)
 
+        def counting_on_sample(fam, *args):
+            bound.append(fam.gamma)
+            return on_sample(fam, *args)
+
         monkeypatch.setattr(CoefficientFamily, "jet", counting_jet)
+        monkeypatch.setattr(CoefficientFamily, "on_sample", counting_on_sample)
         fams = [dataclasses.replace(fam, a=counted(fam.a), da=counted(fam.da),
                                     d2a=counted(fam.d2a))
                 for fam in (example_family(1.0), example_family(1.3))]
         energy = Energy.pair(ProblemParams(0.4, -0.3, 2.0, 4.0, 1.0), *fams)
         sample = CellSample(positive_state(grid15, 0), grid15)
-        FiberEvaluator(energy, sample).derivatives(np.array([0.8, 1.7]))
-        assert jets == [(1.0, 2), (1.3, 2)]
+        ev = FiberEvaluator(energy, sample)
+        for t in ((0.8, 1.7), (0.9, 1.5), (2.0, 0.3)):
+            ev.derivatives(t)
+        assert bound == [1.0, 1.3] and jets == []
         for method, order in ((energy.gradient, 1), (energy.residuals, 1),
                               (energy.hessian, 2)):
             jets.clear()
@@ -648,6 +658,21 @@ class TestProjection:
         _h, g = ev.derivatives(t, 1)
         assert (np.abs(g) <= 1e-12 * t * ev._ia0).all()
 
+    def test_evaluation_count_is_pinned(self, monkeypatch, grid15):
+        # a cold projection whose Newton takes the most steps of the pinned
+        # 15^2 cases: the example kernels bound to the sample take the
+        # steps of the jet they replaced (18 evaluations when written)
+        params = ProblemParams(0.4, -0.3, -2.0, 3.0, 0.5)
+        fams = (example_family(0.5), example_family(1.3))
+        derivatives = counted(FiberEvaluator.derivatives)
+        monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
+        res = project_to_nehari(segregated_random_state(grid15, 7), params, *fams,
+                                grid15)
+        assert res.projectable
+        assert res.t == pytest.approx((274.9769030213417, 160.93695351671468),
+                                      rel=1e-12)
+        assert derivatives.calls == 18
+
     @pytest.mark.parametrize("beta", [-2.0, 0.7])
     def test_warm_start_on_its_own_root_costs_one_call(self, monkeypatch, grid15,
                                                        identity, example1, beta):
@@ -740,7 +765,7 @@ class TestProjection:
         # t2 scales by 1/c and the energy is unchanged.  The precheck reads
         # unit gradient norms: at the input's own scales u2 times 100 or
         # 0.01 would fail it.
-        x = h1_normalize(bump_state(grid15), grid15)
+        x = unit_sample(bump_state(grid15), grid15).x
         res = project_to_nehari(x, competitive_params, example1, example1, grid15)
         assert res.projectable
         for c in (10.0, 100.0, 0.01):
@@ -758,9 +783,9 @@ class TestProjection:
             project_to_nehari(x, competitive_params, example1, example1, grid15)
 
     def test_homeomorphism_round_trip(self, grid15, example1, competitive_params):
-        x = h1_normalize(bump_state(grid15), grid15)
+        x = unit_sample(bump_state(grid15), grid15).x
         res = project_to_nehari(x, competitive_params, example1, example1, grid15)
-        back = h1_normalize(res.sample.x, grid15)
+        back = unit_sample(res.sample.x, grid15).x
         assert np.max(np.abs(back[0] - x[0])) < 1e-8
         assert np.max(np.abs(back[1] - x[1])) < 1e-8
 
@@ -864,27 +889,48 @@ class TestStateInput:
 
 
 class TestSphereNormalize:
-    """`h1_normalize`: each component of a stack onto its unit gradient sphere."""
+    """`unit_sample`: each component of a stack onto its unit gradient sphere."""
 
     def test_unit_norm(self, grid15):
-        x = h1_normalize(random_state(grid15, seed=2).stacked(), grid15)
+        x = unit_sample(random_state(grid15, seed=2).stacked(), grid15).x
         gr, _q, _pp = CellSample(x, grid15).integrals(2.0)
         assert gr == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_scaling_invariance(self, grid15):
         x = random_state(grid15, seed=4).stacked()
-        a = h1_normalize(x, grid15)
-        b = h1_normalize(np.reshape((17.0, 0.003), (2, 1, 1)) * x, grid15)
+        a = unit_sample(x, grid15).x
+        b = unit_sample(np.reshape((17.0, 0.003), (2, 1, 1)) * x, grid15).x
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_already_normalized_unchanged(self, grid15):
-        x = h1_normalize(random_state(grid15, seed=6).stacked(), grid15)
-        again = h1_normalize(x, grid15)
+        x = unit_sample(random_state(grid15, seed=6).stacked(), grid15).x
+        again = unit_sample(x, grid15).x
         assert np.max(np.abs(again[0] - x[0])) < 1e-14
 
     def test_degenerate(self, grid15):
         with pytest.raises(DegenerateInput):
-            h1_normalize(np.zeros((2, *grid15.shape)), grid15)
+            unit_sample(np.zeros((2, *grid15.shape)), grid15).x
+
+    def test_scaled_sample_is_the_sample_of_its_stack(self, grid15):
+        # the stack is sampled once and the sample scaled: by linearity of
+        # the stencils it is a fresh sample of the scaled stack to rounding
+        unit = unit_sample(random_state(grid15, seed=3).stacked(), grid15)
+        fresh = CellSample(unit.x, grid15)
+        for name in ("v", "gx", "gy", "gsq"):
+            got, want = getattr(unit, name), getattr(fresh, name)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_rescales_take_the_sample(self, monkeypatch, grid15, example1,
+                                      competitive_params):
+        # a rescale handed the unit sample samples nothing, and a sample of
+        # the wrong shape is a GridMismatch
+        unit = unit_sample(bump_state(grid15), grid15)
+        calls = counted(cell_values)
+        monkeypatch.setattr("nehari2d.energy.cell_values", calls)
+        res = project_to_nehari(unit, competitive_params, example1, example1, grid15)
+        assert res.projectable and calls.calls == 0
+        with pytest.raises(GridMismatch):
+            scalar_fiber_root(unit, 0.0, competitive_params, example1, grid15)
 
 
 class TestUniquenessScan:

@@ -41,7 +41,7 @@ from nehari2d.solvers import (
     nehari_floors_hold,
     scalar_levels,
 )
-from nehari2d.fiber import h1_normalize
+from nehari2d.fiber import unit_sample
 from oracles import semilinear_ground_level
 
 from conftest import (
@@ -410,13 +410,13 @@ class TestDescentDriver:
             return g, S._vol_norm(g, grid)
 
         def retract(v, d, a):
-            y = h1_normalize(v + a * d, grid)
+            y = unit_sample(v + a * d, grid).x
             return y, energy(y)
 
         def rule(v, g, memo):
             return S._conjugate_lift(g, CellSample(v, grid), [1.0], grid, memo)
 
-        v0 = h1_normalize(np.ones((1, *grid.shape)), grid)
+        v0 = unit_sample(np.ones((1, *grid.shape)), grid).x
         return v0, energy(v0), gradient, rule, retract
 
     def test_conjugate_rule_beats_plain_lift(self, grid7):
@@ -568,15 +568,16 @@ class TestOneSamplePerState:
             return real_guard(energy_val, sample, *args)
 
         monkeypatch.setattr(S, "check_coercivity_bound", guard)
-        # normalization samples gradients, project_to_nehari samples the
-        # normalized pair once, and its energy comes from the fiber map
+        # the trial pair is sampled once: normalization scales that sample,
+        # project_to_nehari rescales it, and its energy comes from the
+        # fiber map
         x_try, e_try = captured["retract"](x, d, 0.01)
-        assert counts == {"values": 2, "gradients": 4}
+        assert counts == {"values": 2, "gradients": 2}
         # the trial's guard and the accepted state's gradient read the same
         # sample
         assert len(guarded) == 1 and guarded[0] is x_try[1].sample
         captured["gradient"](x_try)
-        assert counts == {"values": 2, "gradients": 4}
+        assert counts == {"values": 2, "gradients": 2}
         energy = S.Energy.pair(params, example1, example1)
         assert e_try == pytest.approx(energy.value(x_try[1].sample), rel=1e-14)
 
@@ -1073,6 +1074,37 @@ class TestAcceptanceRule:
         monkeypatch.setattr(S, "_newton_krylov_polish", collapses)
         with pytest.raises(NoConvergence, match="nontrivial"):
             scalar_ground_state(1, params_p4, identity, grid7, opts)
+
+
+    def test_rounding_ties_go_to_the_earlier_start(self, grid7, identity,
+                                                   params_p4):
+        # candidates whose energies agree to rounding are one level: the
+        # earlier start's is kept, though the later one is lower by a few
+        # ulps; a candidate lower by more than rounding replaces it
+        energy = Energy.scalar(params_p4, 0.0, identity)
+        w = positive_state(grid7, 2)[:1]
+        level = energy.value(CellSample(w, grid7))
+        slope = float(np.sum(energy.gradient(CellSample(w, grid7)) * w))
+        down = -math.copysign(1.0, slope)
+
+        def run(scales):
+            candidates = iter(CellSample((1.0 + down * c) * w, grid7) for c in scales)
+
+            def rescale(v, t_init):
+                return S.scalar_fiber_root(v, 0.0, params_p4, identity, grid7)
+
+            best, _its = S._best_polished(
+                [w] * len(scales), rescale, lambda x: (next(candidates), 0.0),
+                energy, grid7, SolverOptions(max_iter=0), [])
+            return best
+
+        second = energy.value(CellSample((1.0 + down * 1e-14) * w, grid7))
+        assert level - 1e-12 * abs(level) < second < level
+        tie = run((0.0, 1e-14))
+        assert tie[1] == level and np.array_equal(tie[0], w)
+        lower = run((0.0, 1e-14, 1e-6))
+        assert lower[1] < level - 1e-9 * abs(level)
+        assert np.array_equal(lower[0], (1.0 + down * 1e-6) * w)
 
 
 class TestScalarLevels:
