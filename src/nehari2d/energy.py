@@ -22,6 +22,16 @@ for p < 4), it is taken to be 0.
 The two constraint residuals r_i pair each component's equation with the
 component itself; r_1 = r_2 = 0 (with both components nontrivial) is the
 natural constraint set containing every solution.
+
+For symmetric data (lambda1 = lambda2, A1 = A2) the diagonal u1 = u2 is
+left invariant, and a synchronized field u stands for the pair (u, u):
+it is measured by E_s(u) = E(u, u)/2, the scalar energy with the
+nonlinearity (1 + beta)|u|^p/p (`Energy.synchronized`).  Its coupling term
+reads the field as its own partner, with the pair's arithmetic, so that
+E(u, u) = 2 E_s(u), grad E(u, u) = (grad E_s(u), grad E_s(u)) and
+H(u, u)(d, d) = (H_s d, H_s d), H_s = H11 + H12, hold bit for bit.  By the
+principle of symmetric criticality (Palais, Comm. Math. Phys. 1979) a
+critical point of E_s gives the critical point (u, u) of E.
 """
 
 from __future__ import annotations
@@ -123,7 +133,8 @@ class Energy:
     """The discrete energy of a k-component state, and its derivatives.
 
     A pair (k = 2) carries the system energy of the module docstring; a
-    scalar problem (k = 1) is the energy of (z, 0).  Every method reads
+    scalar problem (k = 1) is the energy of (z, 0), and a synchronized
+    field (k = 1, `coupled`) the energy E(u, u)/2.  Every method reads
     one CellSample of the state and one profile `jet` per component.  The
     gradient and Hessian products are nodal (k, nx, ny) arrays in
     function-space scaling: the derivative with respect to a node divided
@@ -131,18 +142,28 @@ class Energy:
     norms mimic continuum norms.
     """
 
-    def __init__(self, params: ProblemParams, fams, lams):
+    def __init__(self, params: ProblemParams, fams, lams, coupled: bool = False):
         self.params = params
         self.fams = tuple(fams)
         self.lams = tuple(lams)
+        # whether the coupling term is present: a pair's components are each
+        # other's partners, and a synchronized field is its own
+        self.coupled = coupled
 
     @classmethod
     def pair(cls, params, fam1, fam2) -> "Energy":
-        return cls(params, (fam1, fam2), (params.lambda1, params.lambda2))
+        return cls(params, (fam1, fam2), (params.lambda1, params.lambda2),
+                   coupled=True)
 
     @classmethod
     def scalar(cls, params, lam, fam) -> "Energy":
         return cls(params, (fam,), (lam,))
+
+    @classmethod
+    def synchronized(cls, params, lam, fam) -> "Energy":
+        """E_s(u) = E(u, u)/2 of the symmetric pair with profile `fam` and
+        lambda1 = lambda2 = lam (see the module notes)."""
+        return cls(params, (fam,), (lam,), coupled=True)
 
     def _profile(self, s: CellSample, order: int) -> list[np.ndarray]:
         """A and its first `order` derivatives at the cell values, each
@@ -156,8 +177,10 @@ class Energy:
     def potential(self, v: np.ndarray, order: int = 0) -> list:
         """[G] at the (k, ...) cell values v, then for order >= 1 the
         gradient rows g_i = dG/dv_i and for order 2 the Hessian diagonal
-        rows dg_i/dv_i and the cross term dg_1/dv_2 (None for k = 1), of
-        G = sum_i |v_i|^p/p, plus 2 beta/p |v1 v2|^(p/2) for a pair.
+        rows dg_i/dv_i and the cross term dg_1/dv_2 (None without the
+        coupling), of G = sum_i |v_i|^p/p, plus 2 beta/p |v1 v2|^(p/2) for a
+        pair.  A synchronized field is its own partner (v_2 = v_1, halved):
+        G = |v|^p/p + beta/p |v|^p, and the cross term is that of (v, v).
 
         One power w = |v|^(p/2-2) per component (1 at p = 4, else 0 at
         v = 0) gives m = |v|^(p/2) = w v^2 and s = w v.  With f_i = m_i +
@@ -170,7 +193,7 @@ class Energy:
         w = np.power(a, half - 2.0, out=np.full_like(a, float(half == 2.0)),
                      where=a != 0.0)
         m = w * a * a
-        bm = beta * m[::-1] if len(v) == 2 else 0.0
+        bm = beta * m[::-1] if self.coupled else 0.0
         f = m + bm
         out = [(m * f).sum(axis=0) / p]
         if order >= 1:
@@ -178,7 +201,7 @@ class Energy:
             out.append(s * f)
         if order >= 2:
             out.append(w * ((p - 1.0) * m + (half - 1.0) * bm))
-            out.append(beta * half * (s[0] * s[1]) if len(v) == 2 else None)
+            out.append(beta * half * (s[0] * s[-1]) if self.coupled else None)
         return out
 
     def value(self, s: CellSample) -> float:

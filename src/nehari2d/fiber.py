@@ -90,7 +90,10 @@ class FiberEvaluator:
     a pair with its cross term.
     Axis k reads component k of the sample: its profile bound to the cell
     values v and |grad v|^2 (`CoefficientFamily.on_sample`), and the
-    floats q = int v^2, pp = int |v|^p and ia0 = int |grad v|^2.
+    floats q = int v^2, pp = int |v|^p and ia0 = int |grad v|^2.  A
+    synchronized field (`Energy.synchronized`) is its own partner, so its
+    coupling joins the nonlinearity: its pp is (1 + beta) int |v|^p, and
+    h_(u,u)(t, t) = 2 h_s(t).
     """
 
     def __init__(self, energy: Energy, sample: CellSample):
@@ -103,8 +106,11 @@ class FiberEvaluator:
         area = sample.grid.cell_area
         self._integrals = [fam.on_sample(v_k, w_k, area)
                            for fam, v_k, w_k in zip(self.fams, v, gsq)]
+        ia0, q, pp = sample.integrals(p)
+        if energy.coupled and len(v) == 1:
+            pp = (1.0 + self.params.beta) * pp
         self._ia0, self.q, self.pp = (tuple(float(f_k) for f_k in f)
-                                      for f in sample.integrals(p))
+                                      for f in (ia0, q, pp))
         self.cross = (
             float(np.sum(np.abs(v[0] * v[1]) ** (p / 2.0))) * area
             if len(v) == 2
@@ -477,6 +483,8 @@ def scalar_fiber_root(
     fam: CoefficientFamily,
     grid: Grid,
     tau_init: float | None = None,
+    *,
+    synchronized: bool = False,
 ) -> ProjectionResult:
     """Rescale the field z, an (nx, ny) array or the CellSample of its
     (1, nx, ny) stack, onto the scalar constraint set at the unique
@@ -491,6 +499,11 @@ def scalar_fiber_root(
     and else or when that does not converge, from the constant-profile
     root.  Returns the k = 1 ProjectionResult, t = (tau,); not
     projectable when neither start converges.
+
+    With `synchronized`, z is the synchronized field of a symmetric pair,
+    measured by E(z, z)/2 (`Energy.synchronized`), whose nonlinearity is
+    (1 + beta)|z|^p/p: (tau, tau) is then the interior fiber root of the
+    pair (z, z), and the energy is half the pair's.
     """
-    return _rescale(Energy.scalar(params, lam, fam), z, grid, (),
-                    None if tau_init is None else (tau_init,))
+    energy = (Energy.synchronized if synchronized else Energy.scalar)(params, lam, fam)
+    return _rescale(energy, z, grid, (), None if tau_init is None else (tau_init,))

@@ -127,8 +127,14 @@ def conservative_mu1(grid: Grid) -> float:
     return stencil_eigenvalue_exact(grid)
 
 
-def _vol_norm(values: np.ndarray, grid: Grid) -> float:
-    return math.sqrt(float(np.sum(values * values)) * grid.cell_area)
+def _vol_norm(values: np.ndarray, grid: Grid, copies: int = 1) -> float:
+    """The volume-weighted l2 norm of the (k, nx, ny) stack `values`, each
+    component standing for `copies` equal ones (2 for a synchronized
+    field, whose norm is then that of the pair (u, u) bit for bit).  Each
+    component is reduced alone and the k sums are added, so that the norm
+    does not depend on the order of the components."""
+    sq = sum(float(np.sum(c * c)) for c in values)
+    return math.sqrt(copies * sq * grid.cell_area)
 
 
 def _sign_fix(x: np.ndarray) -> np.ndarray:
@@ -383,7 +389,8 @@ def _conjugate_lift(g, sample, t, grid, memo):
     return d, slope, (pg, gpg, d)
 
 
-def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
+def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
+                   fold=None):
     """Descend from every start on the constraint set, polish, and keep the
     lowest-energy candidate.
 
@@ -408,42 +415,53 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
     window and what is left of max_iter, down to 1e2 * tol, and the state
     it reaches is polished instead (a warning notes the fallback).  A
     start whose point is not projectable is dropped with a warning.
+
+    `fold`, given for symmetric data, is the (rescale, polish, energy) of
+    the synchronized field (`Energy.synchronized`).  A start y with y[0]
+    == y[1] (bit for bit) runs on it as the one field y[0]: by symmetric
+    criticality its critical points are those of the pair (u, u), at half
+    the cost.  Its residuals are those of (u, u) (`_vol_norm` with 2
+    copies, which `polish` must use too), so every threshold reads as on
+    the pair, and its candidate enters the pick as (u, u), with energy
+    2 E_s(u) = E(u, u).  Every other start runs on the pair.
     Returns (best, descent iterations): best is the lowest-energy (state,
     energy, res) among the polished states `_rejection` accepts, or None;
     energies within _TIE (relative) of each other tie, and a tie goes to
     the earlier start.
     """
-    def point(y, t_init):
-        try:
-            v = unit_sample(y, grid)
-            proj = rescale(v, t_init)
-        except _REJECTS as exc:
-            return (y, ProjectionResult(False, reason=str(exc))), math.inf
-        if not proj.projectable:
-            return (v.x, proj), math.inf
-        check_coercivity_bound(proj.energy, proj.sample, energy, proj.residual)
-        return (v.x, proj), proj.energy
-
-    def gradient(x):
-        g = energy.gradient(x[1].sample)
-        return g, _vol_norm(g, grid)
+    final = 1e2 * opts.tol
+    stop = max(_HANDOFF_RES, final)
 
     def direction(x, g, memo):
         return _conjugate_lift(g, x[1].sample, x[1].t, grid, memo)
 
-    def retract(x, d, a):
-        return point(x[0] + a * d, x[1].t)
+    def run(k, y, rescale, polish, energy, copies):
+        """(candidate, descent iterations) of start k: the candidate is the
+        (state, energy, res) of its polished state, lifted to `copies`
+        equal components, or None when `_rejection` refuses it or its
+        point is not projectable."""
+        def point(y, t_init):
+            try:
+                v = unit_sample(y, grid)
+                proj = rescale(v, t_init)
+            except _REJECTS as exc:
+                return (y, ProjectionResult(False, reason=str(exc))), math.inf
+            if not proj.projectable:
+                return (v.x, proj), math.inf
+            check_coercivity_bound(proj.energy, proj.sample, energy, proj.residual)
+            return (v.x, proj), proj.energy
 
-    final = 1e2 * opts.tol
-    stop = max(_HANDOFF_RES, final)
-    best = None
-    energies = []
-    total_iters = 0
-    for k, y in enumerate(starts):
+        def gradient(x):
+            g = energy.gradient(x[1].sample)
+            return g, _vol_norm(g, grid, copies)
+
+        def retract(x, d, a):
+            return point(x[0] + a * d, x[1].t)
+
         x, energy_val = point(y, None)
         if not x[1].projectable:
             warnings.append(f"start {k} rejected: {x[1].reason}")
-            continue
+            return None, 0
         x, energy_val, res, its = _descend(
             x, energy_val, gradient, direction, retract, opts.max_iter, stop
         )
@@ -461,12 +479,25 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings):
                 f"({reason}); descent resumed"
             )
             reason = _rejection(sample, res_p, energy.params, opts)
+        if reason is not None:
+            return None, its
+        state = np.repeat(sample.x, copies, axis=0)
+        return (state, copies * energy.value(sample), res_p), its
+
+    best = None
+    energies = []
+    total_iters = 0
+    for k, y in enumerate(starts):
+        if fold is not None and np.array_equal(y[0], y[1]):
+            candidate, its = run(k, y[:1], *fold, copies=2)
+        else:
+            candidate, its = run(k, y, rescale, polish, energy, copies=1)
         total_iters += its
-        if reason is None:
-            e = energy.value(sample)
+        if candidate is not None:
+            e = candidate[1]
             energies.append(e)
             if best is None or e < best[1] - _TIE * (1.0 + abs(best[1])):
-                best = (sample.x, e, res_p)
+                best = candidate
     # distinct converged minimizers are reported, not resolved
     if len(energies) > 1:
         lo, hi = min(energies), max(energies)
@@ -557,15 +588,31 @@ def _minres(apply, b, precond, rtol, maxiter):
     return x
 
 
+def _canonical_order(x: np.ndarray) -> slice:
+    """The order of the components of the stack x in which the polish runs
+    `_minres`: as they are, unless x is a pair whose components first
+    differ at a node where the second is larger, then reversed.  The
+    mirror x[::-1] gets the opposite order, so the two run on the same
+    arrays: `_minres` sums each inner product over the stack in order, as
+    scipy's does, and every other step of the polish is per component."""
+    if len(x) == 2:
+        differ = np.flatnonzero(x[0] != x[1])
+        if differ.size and x[1].flat[differ[0]] > x[0].flat[differ[0]]:
+            return slice(None, None, -1)
+    return slice(None)
+
+
 def _newton_krylov_polish(
     x0: np.ndarray,
     energy: Energy,
     grid: Grid,
     opts: SolverOptions,
     gradient=None,
+    copies: int = 1,
 ):
     """Damped Newton on the Euler gradient of `energy`, with its exact
-    Hessian, from the state stack x0.
+    Hessian, from the state stack x0.  Residual norms are `_vol_norm`s
+    with `copies` (2 for a synchronized field, measured as the pair).
 
     Every iterate and every line-search trial is sampled once, and the
     gradient (`gradient(sample)`, by default `energy.gradient`), the
@@ -587,16 +634,21 @@ def _newton_krylov_polish(
     """
     gradient = gradient or energy.gradient
     tol = opts.tol
+    order = _canonical_order(x0)
     sample = CellSample(x0.copy(), grid)
     g = gradient(sample)
-    res = _vol_norm(g, grid)
+    res = _vol_norm(g, grid, copies)
     energy_val = energy.value(sample)
     its = 0
     for its in range(1, _POLISH_MAX_ITER + 1):
         if res <= 1e-2 * tol:
             return sample, res, True, its - 1
-        step = _minres(energy.hessian(sample), -g, grid.quadrature_solver,
-                       _POLISH_RTOL, _POLISH_INNER_ITER)
+        hessian = energy.hessian(sample)
+        step = _minres(
+            lambda v: np.ascontiguousarray(hessian(v[order])[order]),
+            np.ascontiguousarray(-g[order]), grid.quadrature_solver,
+            _POLISH_RTOL, _POLISH_INNER_ITER,
+        )[order]
         if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) == 0.0:
             step = -g
 
@@ -605,7 +657,7 @@ def _newton_krylov_polish(
         for _ in range(40):
             trial = CellSample(sample.x + s * step, grid)
             g_try = gradient(trial)
-            res_try = _vol_norm(g_try, grid)
+            res_try = _vol_norm(g_try, grid, copies)
             if res_try < res:
                 e_try = energy.value(trial)
                 if e_try <= energy_val + 1e-11 * (1.0 + abs(energy_val)):
@@ -646,6 +698,17 @@ def refine_solution(
 # scalar ground state
 
 
+def _field_rescale(lam, params, fam, grid, synchronized=False):
+    """The rescale of a single field for `_best_polished`: its fiber root
+    (`scalar_fiber_root`), warm from the current tau."""
+    def rescale(v, t_init):
+        return scalar_fiber_root(v, lam, params, fam, grid,
+                                 tau_init=None if t_init is None else t_init[0],
+                                 synchronized=synchronized)
+
+    return rescale
+
+
 def scalar_ground_state(
     i: int,
     params: ProblemParams,
@@ -679,10 +742,6 @@ def scalar_ground_state(
     energy = Energy.scalar(params, lam, fam)
     polish_its = 0
 
-    def rescale(v, t_init):
-        return scalar_fiber_root(v, lam, params, fam, grid,
-                                 tau_init=None if t_init is None else t_init[0])
-
     def polish(x):
         nonlocal polish_its
         sample, res, _converged, its = _newton_krylov_polish(
@@ -696,7 +755,8 @@ def scalar_ground_state(
         starts.append(_random_positive(grid, _rng(opts.seed, 11, i, k)))
 
     best, total_iters = _best_polished(
-        [z[None] for z in starts], rescale, polish, energy, grid, opts, warnings
+        [z[None] for z in starts], _field_rescale(lam, params, fam, grid),
+        polish, energy, grid, opts, warnings,
     )
     total_iters += polish_its
     if best is None:
@@ -758,7 +818,8 @@ def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start):
     random positives.  Every start is normalized onto the unit gradient
     spheres, so (z1, z2) stands for every (z1, eps z2); for symmetric
     data it is (z1, z1), which a constant profile projects onto the
-    synchronized critical point (w, w), w = (1 + beta)^(-1/(p-2)) z1.
+    synchronized critical point (w, w), w = (1 + beta)^(-1/(p-2)) z1, and
+    which `solve_system` runs as the one synchronized field z1.
     Each start is followed by its mirror, the start that the swapped
     problem builds with its components swapped back: y[::-1], so that the
     explored set is swap-symmetric.  The scalar pair is its own mirror,
@@ -797,7 +858,11 @@ def solve_system(
     projectable pairs v on the sphere product, from the starts of
     `_system_starts`, whose set alone depends on the sign of beta, by
     `_best_polished` with the rescale `project_to_nehari` and the polish
-    `refine_solution`, and the lowest-energy candidate is reported.  Decoupled
+    `refine_solution`, and the lowest-energy candidate is reported.  For
+    symmetric data (`symmetric_problem`) a start with u1 = u2 stays on the
+    diagonal and runs as one synchronized field u (`Energy.synchronized`):
+    its rescale is `scalar_fiber_root` of E(u, u)/2, its polish a
+    one-field Newton, and its candidate is (u, u).  Decoupled
     (beta = 0): the pair of scalar ground states is the solution, and
     `warm_start` has no use.  `scalar_data` may carry precomputed
     (z1, z2, L1, L2) to skip the scalar solves.
@@ -846,9 +911,22 @@ def solve_system(
             )
             return CellSample(u.stacked(), grid), res
 
+        fold = None
+        if symmetric_problem(params, fam1, fam2):
+            lam = params.lambda1
+            synchronized = Energy.synchronized(params, lam, fam1)
+
+            def polish_synchronized(x):
+                sample, res, _converged, _its = _newton_krylov_polish(
+                    x[1].sample.x, synchronized, grid, opts, copies=2
+                )
+                return sample, res
+
+            fold = (_field_rescale(lam, params, fam1, grid, synchronized=True),
+                    polish_synchronized, synchronized)
         starts = _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start)
         best, iterations = _best_polished(
-            starts, project, polish, energy, grid, opts, warnings
+            starts, project, polish, energy, grid, opts, warnings, fold
         )
         if best is None:
             raise NoConvergence(

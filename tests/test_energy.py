@@ -570,3 +570,48 @@ class TestFiberIdentity:
             StatePair.from_stack(x, grid15.spec), params, example1, example1, grid15
         )
         assert lhs == rhs
+
+
+class TestSynchronizedField:
+    """For symmetric data the synchronized field u stands for the pair
+    (u, u): E_s(u) = E(u, u)/2 carries the pair's value, gradient and
+    Hessian on the diagonal bit for bit, and its residual in the pair norm
+    is sqrt(2) |grad E_s|."""
+
+    @pytest.mark.parametrize("beta", [0.5, 5.0])
+    @pytest.mark.parametrize("fam", [identity_family(), example_family(1.0)],
+                             ids=["identity", "example1"])
+    def test_pair_on_the_diagonal(self, grid15, fam, beta):
+        from nehari2d.solvers import _vol_norm
+
+        lam = 3.0
+        params = ProblemParams(lam, lam, beta, 4.0, 1.0)
+        u = positive_state(grid15, 3)[0]
+        d = random_state(grid15, 4).u1.values
+        pair = Energy.pair(params, fam, fam)
+        sync = Energy.synchronized(params, lam, fam)
+        s_pair = CellSample(np.stack((u, u)), grid15)
+        s_sync = CellSample(u[None], grid15)
+        assert pair.value(s_pair) == 2.0 * sync.value(s_sync)
+        g_pair, g_sync = pair.gradient(s_pair), sync.gradient(s_sync)
+        assert np.array_equal(g_pair, np.concatenate((g_sync, g_sync)))
+        h_pair = pair.hessian(s_pair)(np.stack((d, d)))
+        h_sync = sync.hessian(s_sync)(d[None])
+        assert np.array_equal(h_pair, np.concatenate((h_sync, h_sync)))
+        res = _vol_norm(g_sync, grid15, 2)
+        assert _vol_norm(g_pair, grid15) == res
+        assert res == pytest.approx(math.sqrt(2.0) * _vol_norm(g_sync, grid15),
+                                    rel=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.5, 5.0])
+    def test_nonlinearity_is_weighted(self, grid15, example1, beta):
+        # E_s is the scalar energy with nonlinearity (1 + beta)|u|^p/p
+        lam, p = 3.0, 4.0
+        params = ProblemParams(lam, lam, beta, p, 1.0)
+        s = CellSample(positive_state(grid15, 5)[:1], grid15)
+        (pp,) = s.integrals(p)[2]
+        scalar = Energy.scalar(params, lam, example1).value(s)
+        sync = Energy.synchronized(params, lam, example1).value(s)
+        assert sync == pytest.approx(scalar - beta / p * pp, rel=1e-13)
+        assert Energy.synchronized(params, lam, example1).coupled
+        assert not Energy.scalar(params, lam, example1).coupled

@@ -959,3 +959,24 @@ class TestUniquenessScan:
         (H,) = ev.derivatives((taus[:, None], taus[None, :]), order=0)
         h_star = fiber_value(x, res.t, energy, grid15)
         assert h_star >= np.max(H) - 1e-9 * (abs(h_star) + 1.0)
+
+
+class TestSynchronizedRoot:
+    @pytest.mark.parametrize("beta", [0.5, 5.0])
+    @pytest.mark.parametrize("fam", [identity_family(), example_family(1.0)],
+                             ids=["identity", "example1"])
+    def test_pair_root_is_the_synchronized_root(self, grid15, fam, beta):
+        # h_(u,u)(t, t) = 2 h_s(t): the pair's interior fiber root of (u, u)
+        # is (tau, tau), tau the root of the synchronized field u
+        lam = 0.05 * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, beta, 4.0, 1.0)
+        u = positive_state(grid15, 6)[0]
+        pair = project_to_nehari(np.stack((u, u)), params, fam, fam, grid15)
+        sync = scalar_fiber_root(u, lam, params, fam, grid15, synchronized=True)
+        assert pair.projectable and sync.projectable
+        (tau,) = sync.t
+        for t_k in pair.t:
+            assert t_k == pytest.approx(tau, rel=1e-12, abs=0.0)
+        assert pair.energy == pytest.approx(2.0 * sync.energy, rel=1e-12)
+        plain = scalar_fiber_root(u, lam, params, fam, grid15)
+        assert plain.t[0] > tau

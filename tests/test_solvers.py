@@ -1040,10 +1040,13 @@ class TestAcceptanceRule:
         assert len(calls) == 2
 
     def test_semitrivial_cooperative_state_is_refused(self, monkeypatch, grid15,
-                                                      identity):
+                                                      identity, example1):
+        # asymmetric data: the one start, the scalar pair (z1, z2), runs on
+        # the pair and its polish is refused at the handoff and after the
+        # resumed descent
         opts = SolverOptions(n_restarts=0)
         params = ProblemParams(0.0, 0.0, 5.0, 4.0, 1.0)
-        scalars = scalar_levels(params, identity, identity, grid15, opts)
+        scalars = scalar_levels(params, identity, example1, grid15, opts)
         calls = []
 
         def semitrivial(u, *args):
@@ -1054,15 +1057,43 @@ class TestAcceptanceRule:
         with pytest.raises(NoConvergence, match="no cooperative start reached a "
                                                 "fully nontrivial state at tol"):
             solve_system(
-                params, identity, identity, grid15, opts, scalar_data=scalars
+                params, identity, example1, grid15, opts, scalar_data=scalars
             )
-        # the one start, the scalar pair (z1, z1), projects onto the
-        # synchronized critical point: its descent stops at once, below the
-        # resume threshold, and it is polished exactly once
-        assert len(calls) == 1
-        (row,) = beta_sweep([5.0], params, identity, identity, grid15, opts)
+        assert len(calls) == 2
+        (row,) = beta_sweep([5.0], params, identity, example1, grid15, opts)
         assert row.status == "error" and row.report is None
         assert "no cooperative start" in row.error
+
+    def test_trivial_synchronized_state_is_refused(self, monkeypatch, grid15,
+                                                   identity):
+        # symmetric data: the one start, the scalar pair (z1, z1), runs as
+        # the synchronized field z1, and a polish that collapses it to 0 is
+        # refused as a trivial state
+        opts = SolverOptions(n_restarts=0)
+        params = ProblemParams(0.0, 0.0, 5.0, 4.0, 1.0)
+        scalars = scalar_levels(params, identity, identity, grid15, opts)
+        real = S._rejection
+        polished, reasons = [], []
+
+        def collapses(x0, energy, grid, *args, **kwargs):
+            polished.append(x0.shape)
+            return CellSample(np.zeros_like(x0), grid), 0.0, True, 0
+
+        def rejection(sample, res, *args):
+            reasons.append(real(sample, res, *args))
+            return reasons[-1]
+
+        monkeypatch.setattr(S, "_newton_krylov_polish", collapses)
+        monkeypatch.setattr(S, "_rejection", rejection)
+        with pytest.raises(NoConvergence, match="no cooperative start reached a "
+                                                "fully nontrivial state at tol"):
+            solve_system(
+                params, identity, identity, grid15, opts, scalar_data=scalars
+            )
+        # (z1, z1) projects onto the synchronized critical point: its descent
+        # stops at once, below the resume threshold, and it is polished once
+        assert polished == [(1, *grid15.shape)]
+        assert reasons == ["trivial state"]
 
     def test_collapsed_scalar_state_is_refused(self, monkeypatch, grid7, identity,
                                                params_p4):
@@ -1193,6 +1224,32 @@ class TestRefineSolution:
         _out, res, _conv = refine_solution(u, params, identity, identity, grid,
                                            fast_opts)
         assert res <= res0
+
+    def test_mirrored_pairs_polish_to_mirrors(self, grid15, identity, example1):
+        # every step of the polish is per component or adds per-component
+        # sums (the residual norm), and MINRES, whose inner products run
+        # over the stack in order, runs on the components in a canonical
+        # order: polishing the mirrored pair on the swapped problem gives
+        # the mirror bit for bit
+        lam = 0.05 * conservative_mu1(grid15)
+        params = ProblemParams(lam, 0.0, 0.5, 4.0, 1.0)
+        opts = SolverOptions(n_restarts=0)
+        u, _rep = solve_system(params, identity, example1, grid15, opts)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            x = u.stacked() * (1.0 + 1e-3 * rng.standard_normal(u.stacked().shape))
+            out, res, converged = refine_solution(
+                StatePair.from_stack(x, grid15.spec), params, identity, example1,
+                grid15, opts)
+            sw, res_sw, converged_sw = refine_solution(
+                StatePair.from_stack(x[::-1], grid15.spec), params.swapped(),
+                example1, identity, grid15, opts)
+            assert converged and converged_sw and res == res_sw
+            assert np.array_equal(sw.stacked(), out.stacked()[::-1])
+            energy = Energy.pair(params, identity, example1)
+            energy_sw = Energy.pair(params.swapped(), example1, identity)
+            assert (energy.value(CellSample(out.stacked(), grid15))
+                    == energy_sw.value(CellSample(sw.stacked(), grid15)))
 
 
 @pytest.fixture(scope="module")
@@ -1429,6 +1486,90 @@ class TestCooperative:
         assert all(b < a for a, b in zip(masses, masses[1:]))
         slope = np.polyfit(np.log(betas), np.log(masses), 1)[0]
         assert slope <= -0.9
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap `S.<name>` for each name; returns {name: list of the kwargs of
+    each call}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(S, name), **kwargs):
+            calls[_name].append(kwargs)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(S, name, counted)
+    return calls
+
+
+class TestSynchronizedFold:
+    """For symmetric data a start with u1 = u2 runs as one synchronized
+    field (`Energy.synchronized`): its rescales are scalar fiber roots and
+    its polish a one-field Newton, and its candidate is lifted to (u, u)."""
+
+    @pytest.mark.parametrize("beta, level", [(0.5, 140.3866562320665),
+                                             (5.0, 28.90248738751315)])
+    def test_deterministic_start_runs_folded(self, monkeypatch, grid15,
+                                             example1, beta, level):
+        # the levels are the pair solve's before the fold
+        opts = SolverOptions(n_restarts=0)
+        params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
+        scalars = scalar_levels(params, example1, example1, grid15, opts)
+        calls = count_calls(monkeypatch, "project_to_nehari", "refine_solution",
+                            "scalar_fiber_root", "_newton_krylov_polish")
+        u, rep = solve_system(params, example1, example1, grid15, opts,
+                              scalar_data=scalars)
+        assert calls["project_to_nehari"] == calls["refine_solution"] == []
+        assert calls["scalar_fiber_root"] and all(
+            kw["synchronized"] for kw in calls["scalar_fiber_root"])
+        assert [kw["copies"] for kw in calls["_newton_krylov_polish"]] == [2]
+        assert rep.energy == pytest.approx(level, rel=1e-12)
+        assert rep.euler_residual_norm <= 1e-8 and rep.fully_nontrivial
+        assert np.array_equal(u.u1.values, u.u2.values)
+
+    def test_random_start_stays_on_the_pair(self, monkeypatch, grid15, identity,
+                                            fast_opts):
+        # n_restarts = 1: the scalar pair (z1, z1) is folded, the random
+        # start runs on the pair, and both candidates enter the pick.  They
+        # reach one level, and the tie goes to the earlier, folded start,
+        # lifted to (u, u) bit for bit
+        params = ProblemParams(0.0, 0.0, 10.0, 4.0, 1.0)
+        scalars = scalar_levels(params, identity, identity, grid15, fast_opts)
+        calls = count_calls(monkeypatch, "project_to_nehari", "refine_solution")
+        real = S._rejection
+        candidates = []
+
+        def rejection(sample, res, *args):
+            reason = real(sample, res, *args)
+            if reason is None:
+                candidates.append(sample.x)
+            return reason
+
+        monkeypatch.setattr(S, "_rejection", rejection)
+        u, rep = solve_system(params, identity, identity, grid15, fast_opts,
+                              scalar_data=scalars)
+        assert calls["project_to_nehari"] and len(calls["refine_solution"]) == 1
+        folded, pair = candidates
+        assert folded.shape == (1, *grid15.shape) and pair.shape == (2, *grid15.shape)
+        energy = Energy.pair(params, identity, identity)
+        e_pair = energy.value(CellSample(pair, grid15))
+        assert e_pair == pytest.approx(rep.energy, rel=1e-12)
+        assert not np.array_equal(pair[0], pair[1])
+        assert np.array_equal(u.stacked(), np.concatenate((folded, folded)))
+        assert not any("candidates span" in w for w in rep.warnings)
+
+    def test_span_warning_counts_folded_candidates(self, grid7, identity):
+        # 7^2, p = 3: the folded scalar pair reaches the synchronized upper
+        # state, the random start on the pair the lower one
+        lam = 0.3 * conservative_mu1(grid7)
+        params = ProblemParams(lam, lam, 0.3, 3.0, 0.5)
+        _u, rep0 = solve_system(params, identity, identity, grid7,
+                                SolverOptions(n_restarts=0))
+        assert rep0.energy == pytest.approx(274.5293011356687, rel=1e-10)
+        _u, rep = solve_system(params, identity, identity, grid7,
+                               SolverOptions(n_restarts=1))
+        assert rep.energy == pytest.approx(229.7081907461717, rel=1e-10)
+        assert ("2 converged candidates span energies [229.7081907, "
+                "274.5293011]; reporting the lowest") in rep.warnings
 
 
 class TestSemiTrivialGuard:
