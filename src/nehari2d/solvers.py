@@ -7,20 +7,18 @@ the H1 Riesz lift of the exact energy gradient projected onto the sphere
 tangent.  `scalar_ground_state` uses one sphere and the scalar fiber
 root.  `solve_system` uses two and the pair projection for every sign of
 beta, which picks only the starts; at beta = 0 the pair of scalar ground
-states is the solution.  Each coupled start is followed by its mirror
-(the start the swapped problem builds, components swapped back), and a
-coupled solve fails one way, with NoConvergence, when no start gives a
-candidate.  The descent only brings a start near a critical point: at
-Euler residual 1e-1 it hands over to a damped Newton-Krylov root finder
-on the exact gradient and Hessian, and resumes only when that polish
-fails its guard.  Every solve runs one start loop, `_best_polished`,
-and passes it only its rescale and its polish.  A stack the rescale
-cannot take or project has energy +inf, which halves a trial step and
-drops a start, and every projected state is checked against the
-coercivity floor.  The loop has one acceptance rule: a polished state is
-a candidate when its Euler residual is at most tol and none of its
-components is trivial.  The rule is both the handoff guard and the final
-pick, and the lowest-energy candidate wins.
+states is the solution.  A coupled solve fails one way, with
+NoConvergence, when no start gives a candidate.  The descent only brings
+a start near a critical point: at Euler residual 1e-1 it hands over to a
+damped Newton-Krylov root finder on the exact gradient and Hessian, and
+resumes only when that polish fails its guard.  Every solve runs one
+start loop, `_best_polished`, and passes it only its rescale and its
+polish.  A stack the rescale cannot take or project has energy +inf,
+which halves a trial step and drops a start, and every projected state
+is checked against the coercivity floor.  The loop has one acceptance
+rule: a polished state is a candidate when its Euler residual is at most
+tol and none of its components is trivial.  The rule is both the handoff
+guard and the final pick, and the lowest-energy candidate wins.
 
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
@@ -30,15 +28,21 @@ state read one cell sample of it, the one its rescale returns: one
 (`project_to_nehari`).  The Newton polish likewise reads each of its
 iterates from one sample.
 
-Determinism: every random draw flows from the seed in SolverOptions, and
-asymmetric candidates are explored in both component orders so that
-swapping the problem data swaps the solution.
+Determinism: every random draw flows from the seed in SolverOptions.
+Swap equivariance holds by construction: `solve_system` and `beta_sweep`
+run asymmetric data in one canonical component order, given by a key of
+each component's data, and swap the result back, so swapping the problem
+data swaps the solution bit for bit.  Only where the keys tie on
+asymmetric data (tabulated families with equal constants) is each coupled
+start followed by its mirror, the start that the swapped problem builds.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,7 +83,7 @@ REGIME_DECOUPLED = "decoupled"
 class SolverOptions:
     tol: float = 1e-8              # Euler residual target, function-space l2 norm
     max_iter: int = 2000
-    n_restarts: int = 2            # random starts; each explored in both orders
+    n_restarts: int = 2            # random starts; mirrored only on key ties
     seed: int = 0
 
     def __post_init__(self):
@@ -170,20 +174,33 @@ def segregated_pair(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def symmetric_problem(params, fam1, fam2) -> bool:
-    """True when both components pose the same problem."""
-    # a tabulated family's constants do not determine its profile
+# how `_component_order` places the two components
+_ORDERED, _SWAPPED, _SAME, _TIED = "ordered", "swapped", "same", "tied"
+
+
+def _component_order(params, fam1, fam2) -> str:
+    """The order of the two components by their keys (lambda_i, kind,
+    gamma, nu, c0): _SWAPPED when component 2's key is the smaller, so
+    that a coupled solve runs the swapped problem, else _ORDERED; for
+    equal keys, _SAME when both components pose the same problem and
+    _TIED when they do not, which only tabulated families with equal
+    constants and different callables can do (a tabulated family's
+    constants do not determine its profile)."""
+    key1, key2 = (
+        (params.lam(i), fam.kind, fam.gamma, fam.nu, fam.c0)
+        for i, fam in ((1, fam1), (2, fam2))
+    )
+    if key1 != key2:
+        return _SWAPPED if key2 < key1 else _ORDERED
     same_profile = fam1.kind != KIND_TABULATED or (
         fam1.a is fam2.a and fam1.da is fam2.da
     )
-    return (
-        params.lambda1 == params.lambda2
-        and fam1.kind == fam2.kind
-        and same_profile
-        and fam1.gamma == fam2.gamma
-        and fam1.nu == fam2.nu
-        and fam1.c0 == fam2.c0
-    )
+    return _SAME if same_profile else _TIED
+
+
+def symmetric_problem(params, fam1, fam2) -> bool:
+    """True when both components pose the same problem."""
+    return _component_order(params, fam1, fam2) == _SAME
 
 
 def check_coercivity_bound(
@@ -820,27 +837,62 @@ def _system_starts(params, fam1, fam2, grid, opts, z1, z2, warm_start):
     data it is (z1, z1), which a constant profile projects onto the
     synchronized critical point (w, w), w = (1 + beta)^(-1/(p-2)) z1, and
     which `solve_system` runs as the one synchronized field z1.
-    Each start is followed by its mirror, the start that the swapped
-    problem builds with its components swapped back: y[::-1], so that the
-    explored set is swap-symmetric.  The scalar pair is its own mirror,
-    and for symmetric data every mirror run would repeat its start; those
-    run once.  Ties go to the earlier start.
+    Each start runs once: `solve_system` runs asymmetric data in one
+    canonical component order, so the problem and its swap run the same
+    starts.  Only where the keys of `_component_order` tie on asymmetric
+    data is each start but the scalar pair (its own mirror) followed by
+    its mirror y[::-1], the start that the swapped problem builds with its
+    components swapped back, so that the explored set is swap-symmetric.
+    Ties go to the earlier start.
     """
-    symmetric = symmetric_problem(params, fam1, fam2)
+    mirror = _component_order(params, fam1, fam2) == _TIED
     starts = [] if warm_start is None else [warm_start.stacked()]
     if params.beta < 0.0:
         envelope, tag = segregated_pair(grid), 21
-        mirrored = [np.stack(envelope)]
+        coupled = [np.stack(envelope)]
     else:
         envelope, tag = (1.0, 1.0), 31
         starts.append(np.stack((z1.values, z2.values)))
-        mirrored = []
+        coupled = []
     for k in range(opts.n_restarts):
         rng = _rng(opts.seed, tag, k)
-        mirrored.append(np.stack([_random_positive(grid, rng) * e for e in envelope]))
-    for y in mirrored:
-        starts += [y] if symmetric else [y, y[::-1]]
+        coupled.append(np.stack([_random_positive(grid, rng) * e for e in envelope]))
+    for y in coupled:
+        starts += [y, y[::-1]] if mirror else [y]
     return starts
+
+
+# the names of a component in messages, and the values listed one per
+# component (projection reasons and the coercivity residuals); compiled on
+# first use, not at import
+_NAMED = r"(scalar problem |component |lambda_?)([12])\b"
+_LISTED = r"((?:fail: |t = )\(|\(residuals )([^,()]+), ([^,()]+)\)"
+
+
+def _relabel(text: str) -> str:
+    """A message of the swapped problem, told in the caller's order: the
+    component it names by number is the other one, and its per-component
+    value lists are reversed."""
+    text = re.sub(_NAMED, lambda m: m[1] + "21"[int(m[2]) - 1], text)
+    return re.sub(_LISTED, r"\1\3, \2)", text)
+
+
+@contextmanager
+def _relabeled_errors():
+    """Package errors raised inside, told in the caller's order."""
+    try:
+        yield
+    except Nehari2dError as exc:
+        exc.args = (_relabel(str(exc)),)
+        raise
+
+
+def _swapped_report(rep: SolveReport) -> SolveReport:
+    r = rep.nehari_residual
+    return replace(
+        rep, L1=rep.L2, L2=rep.L1, nehari_residual=NehariResidual(r.r2, r.r1),
+        warnings=tuple(map(_relabel, rep.warnings)),
+    )
 
 
 def solve_system(
@@ -853,6 +905,13 @@ def solve_system(
     warm_start: StatePair | None = None,
 ) -> tuple[StatePair, SolveReport]:
     """Least energy fully nontrivial state of the system, and its report.
+
+    The solve runs in one canonical component order (`_component_order`):
+    when component 2 comes first, it solves the swapped problem, with
+    `scalar_data` and `warm_start` swapped, and swaps back the state, the
+    levels, the Nehari residuals and the component names and value lists
+    of its warnings and errors.  The problem and its swap thus run the
+    same arithmetic, and their results are mirrors bit for bit.
 
     Coupled (beta != 0): the reduced energy J(m(v)) is descended over
     projectable pairs v on the sphere product, from the starts of
@@ -871,6 +930,16 @@ def solve_system(
     below the strong threshold, and NoConvergence when no start reaches a
     candidate.
     """
+    if _component_order(params, fam1, fam2) == _SWAPPED:
+        if scalar_data is not None:
+            z1, z2, L1, L2 = scalar_data
+            scalar_data = (z2, z1, L2, L1)
+        if warm_start is not None:
+            warm_start = StatePair(warm_start.u2, warm_start.u1)
+        with _relabeled_errors():
+            u, rep = solve_system(params.swapped(), fam2, fam1, grid, opts,
+                                  scalar_data, warm_start)
+        return StatePair(u.u2, u.u1), _swapped_report(rep)
     beta = params.beta
     if beta < 0.0:
         regime = REGIME_COMPETITIVE
@@ -988,7 +1057,17 @@ def beta_sweep(
     inadmissible lambda) ends the sweep with no rows.  A package error
     (Nehari2dError) of a row's solve is recorded as that row's status
     marker and the sweep goes on.  Any other exception propagates.
+    Like `solve_system`, the sweep runs in canonical component order, and
+    the rows of the swapped problem are the swapped rows bit for bit.
     """
+    if _component_order(params, fam1, fam2) == _SWAPPED:
+        with _relabeled_errors():
+            rows = beta_sweep(beta_list, params.swapped(), fam2, fam1, grid, opts)
+        return [
+            replace(row, error=_relabel(row.error),
+                    report=row.report and _swapped_report(row.report))
+            for row in rows
+        ]
     rows: list[SweepRow] = []
     scalar_warnings = []
     scalars = scalar_levels(params, fam1, fam2, grid, opts, scalar_warnings)

@@ -276,5 +276,7 @@ def test_criterion_9_determinism_and_swap():
     u_sw, rep_sw = solve_system(
         params.swapped(), fam, iden, grid, opts
     )
-    assert abs(rep_a.energy - rep_sw.energy) <= 1e-10 * (1.0 + abs(rep_a.energy))
+    assert rep_sw.energy == rep_a.energy
+    assert np.array_equal(u_sw.u1.values, u_a.u2.values)
+    assert np.array_equal(u_sw.u2.values, u_a.u1.values)
     _report(9, "determinism and swap equivariance", t0, 300.0)

@@ -1181,13 +1181,21 @@ class TestScalarLevels:
 
     def test_scalar_warnings_reach_system_reports(self, monkeypatch, grid15,
                                                   identity, example1, fast_opts):
+        # the stub notes the index it was called with: both orders of the
+        # data solve example1 first, and the reports name the problems as
+        # the caller numbers them
         stub_scalar_solves(monkeypatch)
-        notes = ("scalar problem 1: note 1", "scalar problem 2: note 2")
         params = ProblemParams(0.0, 0.0, 0.0, 4.0, 1.0)
-        _u, rep = solve_system(params, identity, example1, grid15, fast_opts)
-        assert rep.warnings[:2] == notes
-        (row,) = beta_sweep([0.0], params, identity, example1, grid15, fast_opts)
-        assert row.report.warnings[:2] == notes
+        for fams, notes in (
+            ((example1, identity), ("scalar problem 1: note 1",
+                                    "scalar problem 2: note 2")),
+            ((identity, example1), ("scalar problem 2: note 1",
+                                    "scalar problem 1: note 2")),
+        ):
+            _u, rep = solve_system(params, *fams, grid15, fast_opts)
+            assert rep.warnings[:2] == notes
+            (row,) = beta_sweep([0.0], params, *fams, grid15, fast_opts)
+            assert row.report.warnings[:2] == notes
 
 
 class TestRefineSolution:
@@ -1383,35 +1391,34 @@ def synchronized15(scalar15, identity, fast_opts):
 
 class TestSystemStarts:
     """The start list of a coupled solve: the warm start, the deterministic
-    start, then the random starts, each start followed by its mirror
-    unless the data are symmetric or the start is its own mirror."""
+    start, then the random starts.  Each start runs once, unless the keys
+    of the two components tie on asymmetric data (tabulated families with
+    equal constants): then each start but the scalar pair, its own
+    mirror, is followed by its mirror."""
 
-    @pytest.mark.parametrize("warm", (False, True))
-    @pytest.mark.parametrize("symmetric", (True, False))
-    @pytest.mark.parametrize("beta", (-2.0, 2.0))
-    def test_order_and_mirrors(self, grid7, identity, example1, beta, symmetric,
-                               warm):
-        z1 = ScalarField(S._bump(grid7, 0.5, 0.5, 0.2), grid7.spec)
+    @staticmethod
+    def check_starts(grid, fams, beta, symmetric, warm, mirror):
+        z1 = ScalarField(S._bump(grid, 0.5, 0.5, 0.2), grid.spec)
         # scalar_levels solves symmetric data once and returns z1 twice
-        z2 = z1 if symmetric else ScalarField(S._bump(grid7, 0.4, 0.6, 0.3),
-                                              grid7.spec)
-        fam2 = identity if symmetric else example1
-        warm_start = StatePair(z2, ScalarField(2.0 * z1.values, grid7.spec))
+        z2 = z1 if symmetric else ScalarField(S._bump(grid, 0.4, 0.6, 0.3),
+                                              grid.spec)
+        warm_start = StatePair(z2, ScalarField(2.0 * z1.values, grid.spec))
         params = ProblemParams(0.0, 0.0, beta, 4.0, 1.0)
-        starts = S._system_starts(params, identity, fam2, grid7,
+        assert S.symmetric_problem(params, *fams) == symmetric
+        starts = S._system_starts(params, *fams, grid,
                                   SolverOptions(n_restarts=1), z1, z2,
                                   warm_start if warm else None)
 
         pair = np.stack((z1.values, z2.values))
         if beta < 0.0:
-            envelope = np.stack(S.segregated_pair(grid7))
-            deterministic = [envelope] if symmetric else [envelope, envelope[::-1]]
+            envelope = np.stack(S.segregated_pair(grid))
+            deterministic = [envelope, envelope[::-1]] if mirror else [envelope]
         else:
             envelope = 1.0
             deterministic = [pair]
-        y = starts[-1] if symmetric else starts[-2]
+        y = starts[-2] if mirror else starts[-1]
         expected = ([warm_start.stacked()] if warm else []) + deterministic + (
-            [y] if symmetric else [y, y[::-1]]
+            [y, y[::-1]] if mirror else [y]
         )
         assert len(starts) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(starts, expected))
@@ -1419,6 +1426,24 @@ class TestSystemStarts:
         # the scalar pair, its own mirror, runs once (beta > 0 only)
         assert np.all(y >= 0.1 * envelope) and not np.array_equal(y, y[::-1])
         assert sum(np.array_equal(x, pair) for x in starts) == (beta > 0.0)
+
+    @pytest.mark.parametrize("warm", (False, True))
+    @pytest.mark.parametrize("symmetric", (True, False))
+    @pytest.mark.parametrize("beta", (-2.0, 2.0))
+    def test_order_and_mirrors(self, grid7, identity, example1, beta, symmetric,
+                               warm):
+        # asymmetric data with distinct keys runs no mirror
+        fams = (identity, identity) if symmetric else (example1, identity)
+        self.check_starts(grid7, fams, beta, symmetric, warm, mirror=False)
+
+    @pytest.mark.parametrize("warm", (False, True))
+    @pytest.mark.parametrize("beta", (-2.0, 2.0))
+    def test_tied_keys_keep_mirrors(self, grid7, beta, warm):
+        ex = example_family(1.0)
+        fams = (tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=1.0),
+                tabulated_family(lambda s: ex.a(s), ex.da, nu=1.0, c0=2.0,
+                                 gamma=1.0))
+        self.check_starts(grid7, fams, beta, False, warm, mirror=True)
 
 
 class TestCooperative:
@@ -1727,23 +1752,16 @@ class TestDeterminismAndSymmetry:
         u_sw, rep_sw = solve_system(
             params.swapped(), example1, identity, grid15, fast_opts
         )
-        assert abs(rep.energy - rep_sw.energy) <= 1e-10 * (1 + abs(rep.energy))
-        # minimizers are degenerate under the domain's reflections, so
-        # compare reflection-invariant component integrals, swapped
-        def integrals(state):
-            return np.array(CellSample(state.stacked(), grid15).integrals(4.0))
-
-        ints = integrals(u)
-        ints_sw = integrals(u_sw)
-        swapped = ints[:, ::-1]
-        assert np.all(np.abs(ints_sw - swapped) <= 1e-9 * (1.0 + np.abs(swapped)))
+        # both orders run the same solve, so the results are mirrors to
+        # the bit
+        assert rep_sw.energy == rep.energy
+        assert np.array_equal(u_sw.stacked(), u.stacked()[::-1])
 
     @pytest.mark.parametrize("beta, level", [(5.0, 17.206402257128417),
                                              (0.5, 110.6663003289)])
     def test_swap_equivariance_cooperative(self, grid15, identity, example1,
                                            fast_opts, beta, level):
-        # asymmetric data: the scalar pair is its own mirror and runs once,
-        # each random start runs in both orders
+        # asymmetric data: both orders run one solve, in canonical order
         lam = 0.05 * conservative_mu1(grid15)
         params = ProblemParams(lam, 0.0, beta, 4.0, 1.0)
         u, rep = solve_system(params, identity, example1, grid15, fast_opts)
@@ -1752,12 +1770,88 @@ class TestDeterminismAndSymmetry:
         )
         assert rep.fully_nontrivial and rep_sw.fully_nontrivial
         assert rep.energy == pytest.approx(level, rel=1e-10)
-        assert rep_sw.energy == pytest.approx(rep.energy, rel=1e-12)
-        assert np.max(np.abs(u.u1.values - u_sw.u2.values)) <= 1e-12
-        assert np.max(np.abs(u.u2.values - u_sw.u1.values)) <= 1e-12
+        assert rep_sw.energy == rep.energy
+        assert np.array_equal(u_sw.stacked(), u.stacked()[::-1])
         # above min(L1, L2) the report says so, in both orders
         warned = [
             any("not below min(L1, L2) = 35.1423" in w for w in r.warnings)
             for r in (rep, rep_sw)
         ]
         assert warned == [beta < 1.0] * 2
+
+    def test_components_named_in_callers_order(self, grid15, identity,
+                                               example1, fast_opts):
+        # lambda_1 is only weakly admissible at beta = 0; the swapped data
+        # is solved in the same order, and its report names component 2
+        mu1 = conservative_mu1(grid15)
+        params = ProblemParams(0.7 * mu1, 0.0, 0.0, 4.0, 1.0)
+        _u, rep = solve_system(params, identity, example1, grid15, fast_opts)
+        _u, rep_sw = solve_system(params.swapped(), example1, identity, grid15,
+                                  fast_opts)
+        weak = "scalar problem {0}: lambda_{0} admissible only in the weak sense"
+        assert rep.warnings[0].startswith(weak.format(1))
+        assert rep_sw.warnings[0].startswith(weak.format(2))
+        assert (rep_sw.L1, rep_sw.L2) == (rep.L2, rep.L1)
+        r, r_sw = rep.nehari_residual, rep_sw.nehari_residual
+        assert (r_sw.r1, r_sw.r2) == (r.r2, r.r1) and r.r1 != r.r2
+        # a rejected warm start: the component it names, and the values
+        # it lists per component, follow the caller's order
+        params = ProblemParams(0.05 * mu1, 0.0, -2.0, 4.0, 1.0)
+        b = ScalarField(S._bump(grid15, 0.5, 0.5, 0.2), grid15.spec)
+        c = ScalarField(S._bump(grid15, 0.45, 0.5, 0.25), grid15.spec)
+        opts = SolverOptions(n_restarts=0)
+        for warm, reasons in (
+            ((b, c), ("membership inequalities fail: (-4.921e-03, -5.250e-03)",
+                      "membership inequalities fail: (-5.250e-03, -4.921e-03)")),
+            ((b, zero_field(grid15)), ("component 2 is identically zero",
+                                       "component 1 is identically zero")),
+        ):
+            _u, rep = solve_system(params, identity, example1, grid15, opts,
+                                   warm_start=StatePair(*warm))
+            _u, rep_sw = solve_system(params.swapped(), example1, identity,
+                                      grid15, opts,
+                                      warm_start=StatePair(*warm[::-1]))
+            assert [r.warnings[0] for r in (rep, rep_sw)] == [
+                f"start 0 rejected: {reason}" for reason in reasons
+            ]
+        # errors too: component 1 of the caller is inadmissible
+        params = ProblemParams(1.1 * mu1, 0.0, 0.0, 4.0, 1.0)
+        with pytest.raises(InadmissibleLambda, match="^lambda_1 = "):
+            solve_system(params, identity, example1, grid15, opts)
+        with pytest.raises(InadmissibleLambda, match="^lambda_2 = "):
+            beta_sweep([0.0], params.swapped(), example1, identity, grid15, opts)
+
+    def test_relabel(self):
+        assert S._relabel(
+            "scalar problem 2: lambda_2 = 3, (lambda1, lambda2) = (4, 5), "
+            "component 1; membership inequalities fail: (-1e-03, -2e-03), "
+            "fiber Newton stalled at t = (1, 2e+20) (residuals 1e-3, 2e-3) "
+            "(strong threshold = 1, weak threshold = 2) [1, 2]"
+        ) == (
+            "scalar problem 1: lambda_1 = 3, (lambda2, lambda1) = (4, 5), "
+            "component 2; membership inequalities fail: (-2e-03, -1e-03), "
+            "fiber Newton stalled at t = (2e+20, 1) (residuals 2e-3, 1e-3) "
+            "(strong threshold = 1, weak threshold = 2) [1, 2]"
+        )
+
+    def test_swapped_sweep_rows_are_swapped_rows(self, grid15, identity,
+                                                 example1, fast_opts):
+        lam = 0.05 * conservative_mu1(grid15)
+        params = ProblemParams(lam, 0.0, 5.0, 4.0, 1.0)
+        rows = beta_sweep([5.0, 0.5], params, identity, example1, grid15,
+                          fast_opts)
+        rows_sw = beta_sweep([5.0, 0.5], params.swapped(), example1, identity,
+                             grid15, fast_opts)
+        assert [row.status for row in rows + rows_sw] == ["ok"] * 4
+        for row, row_sw in zip(rows, rows_sw):
+            rep, rep_sw = row.report, row_sw.report
+            r = rep.nehari_residual
+            assert row_sw.beta == row.beta
+            assert rep_sw == replace(
+                rep, L1=rep.L2, L2=rep.L1,
+                nehari_residual=E.NehariResidual(r.r2, r.r1),
+            )
+            assert r.r1 != r.r2 and rep.L1 != rep.L2
+        assert rows[1].report.warnings == (
+            "energy 110.666 not below min(L1, L2) = 35.1423",
+        )
