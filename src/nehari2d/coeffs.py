@@ -58,14 +58,13 @@ class CoefficientFamily:
     def on_sample(self, v: np.ndarray, w: np.ndarray, area: float):
         """The profile bound to one sampled component: its cell values v,
         cell weights w and the cell area.  Returns integrals(tau, order)
-        -> (I_0, ..., I_order), order <= 2, with
+        -> [I_0, ..., I_order], order <= 2, the floats
 
-            I_j(tau) = area * sum over the cells of A^(j)(tau v) v^j w,
+            I_j(tau) = area * sum over the cells of A^(j)(tau v) v^j w
 
-        floats for a float tau and arrays of its shape for an array of
-        taus.  `identity` returns its constants, and `example` reads two
-        cell arrays fixed here (`_example_integrals`); any other family
-        evaluates `jet` at tau v."""
+        at a float tau.  `identity` returns its constants, and `example`
+        reads two cell arrays fixed here (`_example_integrals`); any other
+        family evaluates `jet` at tau v."""
         if self.kind == KIND_IDENTITY:
             constants = (float(np.sum(w) * area), 0.0, 0.0)
             return lambda tau, order: constants[: order + 1]
@@ -211,12 +210,12 @@ def _jet_integrals(fam: CoefficientFamily, v: np.ndarray, w: np.ndarray, area: f
     sum per integral.  Where A' or A'' is infinite or near the top of the
     float range, so is its integral, without a warning."""
 
-    def integrals(tau, order: int):
-        jet = fam.jet(np.multiply.outer(tau, v), order)
+    def integrals(tau: float, order: int):
+        jet = fam.jet(tau * v, order)
         weights = (w, v * w, v * v * w)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = [np.sum(f * wj, axis=(-2, -1)) * area for f, wj in zip(jet, weights)]
-        return [float(i) for i in out] if isinstance(tau, float) else out
+            return [float(np.sum(f * wj, axis=(-2, -1)) * area)
+                    for f, wj in zip(jet, weights)]
 
     return integrals
 
@@ -239,9 +238,9 @@ def _example_integrals(v: np.ndarray, w: np.ndarray, area: float, gamma: float,
     here, with tau^gamma, and dot products of r, r^2 and r^3 ((gamma-1) -
     (gamma+1) iy) with |v|^gamma area w, also fixed here; they are formed
     in one work array.  Where (gamma + max(gamma, 2)) |log2 |tau v||
-    exceeds _SPAN at a nonzero cell, for a tau that is not a positive
-    float and for an array of taus, `exact` evaluates the jet, so that
-    its limits and masks at extreme s, which act only there, still hold.
+    exceeds _SPAN at a nonzero cell, and for a tau that is not positive,
+    `exact` evaluates the jet, so that its limits and masks at extreme s,
+    which act only there, still hold.
     """
     a_v = np.abs(v).ravel()
     g_v = a_v**gamma
@@ -255,8 +254,8 @@ def _example_integrals(v: np.ndarray, w: np.ndarray, area: float, gamma: float,
     bound = max(abs(lo), abs(hi)) <= reach
     work = np.empty((4, a_v.size))
 
-    def integrals(tau, order: int):
-        if not (bound and isinstance(tau, float) and tau > 0.0):
+    def integrals(tau: float, order: int):
+        if not (bound and tau > 0.0):
             return exact(tau, order)
         e = math.log2(tau)
         if not max(abs(e), abs(e + lo), abs(e + hi)) <= reach:

@@ -33,19 +33,17 @@ the ray start, and stops at the first point stationary relative to
 t_k int |grad u_k|^2.
 
 One evaluation, `FiberEvaluator.derivatives`, gives h and its first one
-or two derivatives, for the Newton's one point t and for a grid of t
-alike.  Every t-dependent integral separates: the profile terms depend
-on t_i only through A_i(t_i u_i), and the cross term is a monomial in t
-times one integral, so grids over a box of n t per axis cost
-O(n * n_cells) per component instead of O(n^2 * n_cells).
+or two derivatives at the Newton's point t, in Python floats.  Every
+t-dependent integral separates: the profile terms depend on t_i only
+through A_i(t_i u_i), and the cross term is a monomial in t times one
+integral.
 
-A state is a bare nodal array: `project_to_nehari` and
-`critical_cell_count` take a (2, nx, ny) pair stack, `scalar_fiber_root`
-an (nx, ny) field.  Each checks its input in one place (shape, finite
-entries, no zero component) and samples it once; the rescales also take
-the CellSample of the stack, as `unit_sample` gives it.  Both rescales
-return one `ProjectionResult`, built by `_rescale`, with the sample of
-the rescaled stack.
+A state is a bare nodal array: `project_to_nehari` takes a (2, nx, ny)
+pair stack, `scalar_fiber_root` an (nx, ny) field.  Each checks its
+input in one place (shape, finite entries, no zero component) and
+samples it once, or takes the CellSample of the stack, as `unit_sample`
+gives it.  Both rescales return one `ProjectionResult`, built by
+`_rescale`, with the sample of the rescaled stack.
 """
 
 from __future__ import annotations
@@ -126,24 +124,23 @@ class FiberEvaluator:
         return tuple(pp + c * _pow(a_i / a_j, self.params.p / 4.0)
                      for pp, a_i, a_j in zip(self.pp, ia0, ia0[::-1]))
 
-    def _axis(self, k: int, tau, order: int) -> list:
+    def _axis(self, k: int, tau: float, order: int) -> list:
         """The terms of h depending on t_k alone (all but the cross term) at
-        tau, a float or an array, and their first `order` (<= 2) derivatives.
+        the float tau, and their first `order` (<= 2) derivatives.
 
         With I_j(tau) = int A^(j)(tau v) v^j |grad v|^2, so that I_j' =
         I_(j+1), the terms are tau^2/2 (I_0 - lam q) - tau^p/p int |v|^p.
-        The I_j come from the profile bound to the sample, floats for a
-        float tau.  Where tau^2/2 underflows to 0, tau^2/2 I_1 =
-        O(tau^(gamma+1)) and tau^2/2 I_2 = O(tau^gamma) are taken as 0,
-        their limit, even where A' and A'' are infinite.
+        The I_j come from the profile bound to the sample.  Where tau^2/2
+        underflows to 0, tau^2/2 I_1 = O(tau^(gamma+1)) and tau^2/2 I_2 =
+        O(tau^gamma) are taken as 0, their limit, even where A' and A''
+        are infinite.
         """
         p, pp = self.params.p, self.pp[k]
         ia = self._integrals[k](tau, order)
         quad = ia[0] - self.lams[k] * self.q[k]
         half_sq = 0.5 * _pow(tau, 2.0)
         terms = [half_sq * quad - (1.0 / p) * _pow(tau, p) * pp]
-        # an array tau is never near 0
-        underflow = isinstance(half_sq, float) and half_sq == 0.0
+        underflow = half_sq == 0.0
         if order >= 1:
             sq1 = 0.0 if underflow else half_sq * ia[1]
             terms.append(tau * quad + sq1 - _pow(tau, p - 1.0) * pp)
@@ -155,8 +152,8 @@ class FiberEvaluator:
             )
         return terms
 
-    def cold_start(self, floor: bool = False) -> np.ndarray:
-        """The k-vector of constant-profile axis roots: the positive zero
+    def cold_start(self, floor: bool = False) -> list:
+        """The k-list of constant-profile axis roots: the positive zero
         ((ia0 - lam q) / pp)^(1/(p-2)) of each axis gradient
         tau (ia0 - lam q) - tau^(p-1) pp, or 1 where that has none.
         With `floor`, the beta > 0 collapse floor of `_fiber_newton`: that
@@ -170,9 +167,9 @@ class FiberEvaluator:
             ok = quad > 0.0 and nonlin > 0.0
             taus.append(_pow(quad / nonlin, 1.0 / (self.params.p - 2.0)) if ok
                         else float(not floor))
-        return np.array(taus)
+        return taus
 
-    def ray_start(self) -> np.ndarray | None:
+    def ray_start(self) -> list | None:
         """The maximizer of the constant-profile h along the ray through the
         pair's `cold_start()` t: t rho, with rho^(p-2) = S / (S + 2 beta
         cross (t_1 t_2)^(p/2)) and S = sum_k pp_k t_k^p, or None where
@@ -180,22 +177,21 @@ class FiberEvaluator:
         the synchronized root, which the uncoupled cold start misses."""
         t = self.cold_start()
         p = self.params.p
-        s = float(np.sum(np.multiply(self.pp, t**p)))
-        total = s + 2.0 * self.params.beta * self.cross * (t[0] * t[1]) ** (p / 2.0)
+        s = sum([pp_k * _pow(t_k, p) for pp_k, t_k in zip(self.pp, t)])
+        total = s + 2.0 * self.params.beta * self.cross * _pow(t[0] * t[1], p / 2.0)
         if s <= 0.0 or total <= 0.0:
             return None
-        return t * (s / total) ** (1.0 / (p - 2.0))
+        rho = _pow(s / total, 1.0 / (p - 2.0))
+        return [t_k * rho for t_k in t]
 
     def derivatives(self, t, order: int = 2) -> tuple:
         """(h,), (h, g) or (h, g, J) at t = (t_1, ..., t_k): h, the fiber
         gradient g and its exact k x k Jacobian J, from one `_axis` call
-        per component and, for a pair, the cross-term monomials.  The t_k
-        are floats, the Newton's point, which give a float h, a list g
-        and a nested list J; or arrays that broadcast together, a grid of
-        t, which give arrays h, g and J ending in the grid's shape.
+        per component and, for a pair, the cross-term monomials.  The t_k,
+        of any real type, are read as Python floats, and h is a float, g a
+        list and J a nested list of floats.
         """
-        if isinstance(t, np.ndarray):
-            t = t.tolist()
+        t = [float(t_k) for t_k in t]
         axes = [self._axis(i, t_i, order) for i, t_i in enumerate(t)]
         h = sum([ax[0] for ax in axes])
         g = [ax[1] for ax in axes] if order >= 1 else []
@@ -215,15 +211,12 @@ class FiberEvaluator:
                     if J:
                         J[i][i] = J[i][i] - c * (half - 1.0) * _pow(t[i], half - 2.0) * m[j]
                         J[i][j] = -c * half * (s[0] * s[1])
-        if not isinstance(h, float):
-            g = np.array(np.broadcast_arrays(h, *g)[1:])
-            J = np.array([np.broadcast_arrays(h, *row)[1:] for row in J])
         return (h, g, J)[: order + 1]
 
 
-def _pow(x, y):
-    """x ** y for x >= 0, a float or an array; inf, numpy's value, where a
-    float power overflows and Python raises OverflowError."""
+def _pow(x: float, y: float) -> float:
+    """x ** y for a float x >= 0; inf, numpy's value, where the power
+    overflows and Python raises OverflowError."""
     try:
         return x**y
     except OverflowError:
@@ -335,7 +328,7 @@ def _fiber_newton(ev: FiberEvaluator, t, maximize: bool, warm: bool = False):
     """
     t = [float(t_k) for t_k in t]
     h, g, J = ev.derivatives(t)
-    floor = None if maximize else ev.cold_start(floor=True).tolist()
+    floor = None if maximize else ev.cold_start(floor=True)
     for _ in range(_WARM_MAX_ITER if warm else _FIBER_MAX_ITER):
         if _stationary(ev, t, g):
             return t, h, g, True
@@ -442,38 +435,6 @@ def project_to_nehari(
     nothing is raised for a stall.
     """
     return _rescale(Energy.pair(params, fam1, fam2), x, grid, (2,), t_init)
-
-
-# the uniqueness check samples the box [1e-3, 1e3] with this many
-# log-spaced t per axis
-_UNIQUENESS_N = 200
-
-
-def critical_cell_count(
-    x: np.ndarray,
-    params: ProblemParams,
-    fam1: CoefficientFamily,
-    fam2: CoefficientFamily,
-    grid: Grid,
-) -> int:
-    """Count box cells where both fiber gradient components change sign,
-    for the pair stack x.
-
-    A transversal fiber critical point shows up as exactly one such cell;
-    the count is the sampled check of critical-point uniqueness.
-    """
-    ev = FiberEvaluator(Energy.pair(params, fam1, fam2), _sample(x, grid, (2,)))
-    taus = np.logspace(-3.0, 3.0, _UNIQUENESS_N)
-    _h, (g1, g2) = ev.derivatives((taus[:, None], taus[None, :]), order=1)
-    s1 = g1 > 0.0
-    s2 = g2 > 0.0
-
-    def mixed(s):
-        blocks = s[:-1, :-1] & s[1:, :-1] & s[:-1, 1:] & s[1:, 1:]
-        any_true = s[:-1, :-1] | s[1:, :-1] | s[:-1, 1:] | s[1:, 1:]
-        return any_true & ~blocks
-
-    return int(np.sum(mixed(s1) & mixed(s2)))
 
 
 def scalar_fiber_root(

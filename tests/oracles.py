@@ -1,10 +1,19 @@
 """Independent reference computations used by the test suite.
 
-Everything here deliberately avoids the package's quadrature and solver
-paths: the ground-level oracle discretizes with the plain 5-point stencil
-and nodal sums, solves with sparse LU, and iterates a semi-implicit
-normalized gradient flow.  Agreement with the package is then evidence,
-not circularity.
+Each reference here deliberately avoids the package path it checks: the
+ground-level oracle discretizes with the plain 5-point stencil and nodal
+sums, solves with sparse LU, and iterates a semi-implicit normalized
+gradient flow.  Agreement with the package is then evidence, not
+circularity.
+
+The fibering-map oracles (`fiber_axis`, `fiber_box`) and the uniqueness
+scan built on them (`critical_cell_count`) read only a `CellSample` of
+the state (its cell values, |grad|^2 weights and integrals; the state is
+checked by `fiber._sample`) and each profile's `jet`, evaluated at tau v
+on a whole column of taus at once.  They avoid `FiberEvaluator` and the
+profile kernels bound by `CoefficientFamily.on_sample`, and write the
+cross term out by hand, so that they check the float evaluations of the
+fiber Newton.
 """
 
 from __future__ import annotations
@@ -12,6 +21,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from nehari2d import fiber
+
+# the uniqueness scan samples the box [1e-3, 1e3] with this many
+# log-spaced t per axis
+UNIQUENESS_N = 200
 
 
 def neg_laplacian_matrix(n, hx, hy):
@@ -129,3 +144,72 @@ def quasilinear_strong_form(X, Y, profiles, lams, beta, p):
               + beta * np.abs(u) ** (half - 2.0) * u * np.abs(fields[j]) ** half)
         out.append(-A(u) * laps[i] - 0.5 * dA(u) * gsq - lams[i] * u - dG)
     return out
+
+
+def fiber_axis(fam, lam, p, sample, k, taus, order):
+    """The terms of the fibering map h that depend on t_k alone (all but
+    the cross term), and their first `order` (<= 2) derivatives, at each
+    t_k of the 1-d array taus, for component k of the CellSample `sample`
+    with profile `fam` and linear coefficient lam.
+
+    With I_j(tau) = int A^(j)(tau v) v^j |grad v|^2, summed over the cells
+    from `fam.jet` at tau v, the terms are tau^2/2 (I_0 - lam int v^2) -
+    tau^p/p int |v|^p.  Returns a list of order + 1 arrays shaped like taus.
+    """
+    v, w = sample.v[k], sample.gsq[k]
+    area = sample.grid.cell_area
+    _ia0, q, pp = (f[k] for f in sample.integrals(p))
+    jet = fam.jet(np.multiply.outer(taus, v), order)
+    weights = (w, v * w, v * v * w)
+    ia = [np.sum(f * wj, axis=(-2, -1)) * area for f, wj in zip(jet, weights)]
+    quad = ia[0] - lam * q
+    half_sq = 0.5 * taus**2
+    terms = [half_sq * quad - (1.0 / p) * taus**p * pp]
+    if order >= 1:
+        terms.append(taus * quad + half_sq * ia[1] - taus ** (p - 1.0) * pp)
+    if order >= 2:
+        terms.append(quad + 2.0 * taus * ia[1] + half_sq * ia[2]
+                     - (p - 1.0) * taus ** (p - 2.0) * pp)
+    return terms
+
+
+def fiber_box(x, params, fam1, fam2, grid, taus, order=1):
+    """h, and for order 1 the fiber gradient (g1, g2), of the fibering map
+    h(t1, t2) = E(t1 x1, t2 x2) of the pair stack x at every t of the box
+    taus x taus: (n, n) arrays, t1 along the first axis.  x is checked
+    and sampled as by the rescales (`fiber._sample`)."""
+    sample = fiber._sample(x, grid, (2,))
+    p, b = params.p, params.beta
+    axes = [fiber_axis(fam, lam, p, sample, k, taus, order)
+            for k, (fam, lam) in enumerate(((fam1, params.lambda1),
+                                            (fam2, params.lambda2)))]
+    # the cross term -2 beta/p (t1 t2)^(p/2) int |v1 v2|^(p/2) by hand
+    v1, v2 = sample.v
+    cross = float(np.sum(np.abs(v1 * v2) ** (p / 2.0))) * sample.grid.cell_area
+    half = p / 2.0
+    m = [taus[:, None] ** half, taus[None, :] ** half]
+    h = axes[0][0][:, None] + axes[1][0][None, :] - (2.0 * b / p) * (m[0] * m[1]) * cross
+    if order == 0:
+        return (h,)
+    s = [taus[:, None] ** (half - 1.0), taus[None, :] ** (half - 1.0)]
+    c = b * cross
+    g1 = axes[0][1][:, None] - c * s[0] * m[1]
+    g2 = axes[1][1][None, :] - c * s[1] * m[0]
+    return h, (g1, g2)
+
+
+def critical_cell_count(x, params, fam1, fam2, grid):
+    """The number of cells of the box [1e-3, 1e3]^2, sampled at
+    UNIQUENESS_N log-spaced t per axis, where both components of the fiber
+    gradient of the pair stack x change sign.  A transversal fiber critical
+    point shows up as exactly one such cell: the count is a sampled check
+    of critical-point uniqueness."""
+    taus = np.logspace(-3.0, 3.0, UNIQUENESS_N)
+    _h, (g1, g2) = fiber_box(x, params, fam1, fam2, grid, taus)
+
+    def mixed(s):
+        blocks = s[:-1, :-1] & s[1:, :-1] & s[:-1, 1:] & s[1:, 1:]
+        any_true = s[:-1, :-1] | s[1:, :-1] | s[:-1, 1:] | s[1:, 1:]
+        return any_true & ~blocks
+
+    return int(np.sum(mixed(g1 > 0.0) & mixed(g2 > 0.0)))

@@ -31,13 +31,13 @@ from nehari2d import (
 )
 from nehari2d.coeffs import tabulated_family
 from nehari2d.energy import CellSample, Energy
-from nehari2d.fiber import FiberEvaluator, critical_cell_count
+from nehari2d.fiber import FiberEvaluator
 from nehari2d.solvers import (
     conservative_mu1,
     nehari_floors_hold,
 )
 from conftest import segregated_random_state
-from oracles import semilinear_ground_level
+from oracles import critical_cell_count, semilinear_ground_level
 
 _CACHE = {}
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from nehari2d.fiber import (
     _WARM_MAX_ITER,
     FiberEvaluator,
     _fiber_newton,
-    critical_cell_count,
     scalar_fiber_root,
     unit_sample,
 )
@@ -35,6 +35,7 @@ from conftest import (
     random_state,
     segregated_random_state,
 )
+from oracles import critical_cell_count, fiber_axis, fiber_box
 
 
 @pytest.fixture
@@ -234,19 +235,36 @@ class TestFiberGradient:
 
     @pytest.mark.parametrize("beta", (-2.0, 0.7))
     def test_grid_of_t_matches_points(self, grid7, beta):
-        # arrays of t that broadcast together give, entry by entry, the
-        # h, g and J of the one-point evaluation
+        # the oracle's h and g on a box of t, from the jet on a column of
+        # taus, are the one-point evaluations at each t of the box
         params = ProblemParams(0.4, -0.3, beta, 3.0, 0.5)
+        fams = (example_family(0.5), example_family(1.3))
+        x = positive_state(grid7, 3)
+        ev = FiberEvaluator(Energy.pair(params, *fams), CellSample(x, grid7))
+        taus = np.array([0.3, 1.0, 2.2])
+        h, g = fiber_box(x, params, *fams, grid7, taus)
+        for i, j in np.ndindex(3, 3):
+            h_ij, g_ij = ev.derivatives((taus[i], taus[j]), order=1)
+            assert h[i, j] == pytest.approx(h_ij, rel=1e-13)
+            np.testing.assert_allclose([g[0][i, j], g[1][i, j]], g_ij,
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("as_t", [np.array, lambda t: tuple(map(np.float64, t)), list],
+                             ids=["ndarray", "float64", "list"])
+    def test_point_of_any_real_type_gives_floats(self, grid7, as_t):
+        # t is read as Python floats: h is a float, g a list and J a nested
+        # list of floats, and where a power of t overflows it reads inf
+        # without a warning
+        params = ProblemParams(0.4, -0.3, -2.0, 4.0, 0.5)
         ev = FiberEvaluator(Energy.pair(params, example_family(0.5), example_family(1.3)),
                             CellSample(positive_state(grid7, 3), grid7))
-        t1, t2 = np.array([0.3, 1.0, 2.2]), np.array([0.5, 1.7])
-        h, g, J = ev.derivatives((t1[:, None], t2[None, :]))
-        assert h.shape == (3, 2) and g.shape == (2, 3, 2) and J.shape == (2, 2, 3, 2)
-        for i, j in np.ndindex(3, 2):
-            h_ij, g_ij, J_ij = ev.derivatives(np.array([t1[i], t2[j]]))
-            assert h[i, j] == pytest.approx(h_ij, rel=1e-13)
-            np.testing.assert_allclose(g[:, i, j], g_ij, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(J[:, :, i, j], J_ij, rtol=1e-12, atol=1e-12)
+        for t in ((0.7, 1.9), (1e200, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h, g, J = ev.derivatives(as_t(t))
+            assert type(h) is float
+            assert all(type(v) is float for v in (*g, *J[0], *J[1]))
+        assert ev.derivatives(as_t((0.7, 1.9))) == ev.derivatives((0.7, 1.9))
 
     def test_gradient_small_at_projection(self, grid15, example1, competitive_params):
         x = bump_state(grid15)
@@ -315,20 +333,21 @@ def modulated_bump(grid):
 class TestAxisEvaluation:
     @pytest.mark.parametrize("order", (0, 1, 2))
     def test_tau_grid_matches_scalar_taus(self, grid15, order):
-        # one dot product per integral serves a column of taus and a float
+        # the oracle's axis terms, from the jet on a column of taus, are
+        # `_axis` at each float tau: the bound example kernel and the jet
         ex = example_family(0.5)
         fams = (example_family(1.3),
                 tabulated_family(ex.a, ex.da, nu=1.0, c0=2.0, gamma=0.5))
-        energy = Energy.pair(ProblemParams(0.4, -0.3, 2.0, 4.0, 1.0), *fams)
-        ev = FiberEvaluator(energy, CellSample(positive_state(grid15, 3), grid15))
+        params = ProblemParams(0.4, -0.3, 2.0, 4.0, 1.0)
+        sample = CellSample(positive_state(grid15, 3), grid15)
+        ev = FiberEvaluator(Energy.pair(params, *fams), sample)
         taus = np.logspace(-3.0, 3.0, 25)
-        for k in (0, 1):
-            on_grid = ev._axis(k, taus[:, None], order)
+        for k, lam in enumerate((params.lambda1, params.lambda2)):
+            on_grid = fiber_axis(fams[k], lam, params.p, sample, k, taus, order)
             assert len(on_grid) == order + 1
             for j, term in enumerate(on_grid):
-                stacked = np.array([ev._axis(k, tau, order)[j] for tau in taus])
-                assert term.shape == (len(taus), 1)
-                assert np.allclose(term[:, 0], stacked, rtol=1e-13, atol=0.0)
+                stacked = np.array([ev._axis(k, tau, order)[j] for tau in taus.tolist()])
+                assert np.allclose(term, stacked, rtol=1e-13, atol=0.0)
 
     def test_critical_cell_counts_unchanged(self, grid15, identity, example1):
         # counts recorded before the reduction became a dot product
@@ -464,9 +483,8 @@ class TestPositiveRoot:
         z = modulated_bump(grid15)
         ref = scalar_fiber_root(z, lam, params, example1, grid15).t[0]
         for tau_init in (1e-300, 1e300):
-            with np.errstate(over="ignore", invalid="ignore"):
-                tau = scalar_fiber_root(z, lam, params, example1, grid15,
-                                        tau_init=tau_init).t[0]
+            tau = scalar_fiber_root(z, lam, params, example1, grid15,
+                                    tau_init=tau_init).t[0]
             assert tau == pytest.approx(ref, rel=1e-12)
         for tau_init in (math.inf, math.nan):
             tau = scalar_fiber_root(z, lam, params, example1, grid15,
@@ -954,9 +972,9 @@ class TestUniquenessScan:
         x = bump_state(grid15)
         res = project_to_nehari(x, competitive_params, example1, example1, grid15)
         energy = Energy.pair(competitive_params, example1, example1)
-        ev = FiberEvaluator(energy, CellSample(x, grid15))
         taus = np.logspace(-3, 3, 64)
-        (H,) = ev.derivatives((taus[:, None], taus[None, :]), order=0)
+        (H,) = fiber_box(x, competitive_params, example1, example1, grid15, taus,
+                         order=0)
         h_star = fiber_value(x, res.t, energy, grid15)
         assert h_star >= np.max(H) - 1e-9 * (abs(h_star) + 1.0)
 

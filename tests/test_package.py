@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import nehari2d as nh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(nh.__file__).resolve().parent
 
 
 def test_every_export_resolves():
@@ -41,8 +43,25 @@ def test_benchmark_imports_stay_exported():
         assert name in nh.__all__, name
 
 
+def test_every_public_layer_function_is_used_or_exported():
+    # a public function of a layer module that no other place in the
+    # package reads and `__all__` does not export serves only the tests,
+    # which keep such code in `tests/`
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{module}.{node.name}"
+              for module in ("grid", "coeffs", "energy", "fiber", "spectrum", "solvers")
+              for node in trees[module].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in used and node.name not in nh.__all__]
+    assert unused == []
+
+
 def test_readme_fiber_settings_are_the_code_constants():
     from nehari2d import fiber
+    from oracles import UNIQUENESS_N
 
     bullet = README.read_text().split("- **Fibering maps**", 1)[1]
     bullet = " ".join(bullet.split("\n- **", 1)[0].split())
@@ -53,7 +72,7 @@ def test_readme_fiber_settings_are_the_code_constants():
     collapse = re.search(r"the quadratic term scaled by (\S+) ", bullet).group(1)
     assert float(tol) == fiber._FIBER_TOL
     assert int(steps) == fiber._FIBER_MAX_ITER
-    assert int(n) == fiber._UNIQUENESS_N
+    assert int(n) == UNIQUENESS_N
     assert int(warm) == fiber._WARM_MAX_ITER
     assert float(collapse) == fiber._COLLAPSE
 
