@@ -182,16 +182,17 @@ class Energy:
         pair.  A synchronized field is its own partner (v_2 = v_1, halved):
         G = |v|^p/p + beta/p |v|^p, and the cross term is that of (v, v).
 
-        One power w = |v|^(p/2-2) per component (1 at p = 4, else 0 at
-        v = 0) gives m = |v|^(p/2) = w v^2 and s = w v.  With f_i = m_i +
-        beta m_j, G = sum_i m_i f_i / p and g_i = s_i f_i: every row reads
-        alike in i and j, so a swap of the components swaps each output exactly.
+        One power w = |v|^(p/2-2) per component (0 at v = 0, and the float
+        1 at p = 4, where no power is taken) gives m = |v|^(p/2) = w v^2
+        and s = w v.  With f_i = m_i + beta m_j, G = sum_i m_i f_i / p and
+        g_i = s_i f_i: every row reads alike in i and j, so a swap of the
+        components swaps each output exactly.
         """
         p, beta = self.params.p, self.params.beta
         half = p / 2.0
         a = np.abs(v)
-        w = np.power(a, half - 2.0, out=np.full_like(a, float(half == 2.0)),
-                     where=a != 0.0)
+        w = 1.0 if half == 2.0 else np.power(a, half - 2.0, out=np.zeros_like(a),
+                                             where=a != 0.0)
         m = w * a * a
         bm = beta * m[::-1] if self.coupled else 0.0
         f = m + bm
