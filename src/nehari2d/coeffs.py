@@ -55,22 +55,25 @@ class CoefficientFamily:
             return _example_jet(s, order, self.gamma)
         return tuple(f(s) for f in (self.a, self.da, self.d2a)[: order + 1])
 
-    def on_sample(self, v: np.ndarray, w: np.ndarray, area: float):
+    def on_sample(self, v: np.ndarray, w: np.ndarray, area: float,
+                  scale: float = 1.0):
         """The profile bound to one sampled component: its cell values v,
-        cell weights w and the cell area.  Returns integrals(tau, order)
-        -> [I_0, ..., I_order], order <= 2, the floats
+        cell weights w and the cell area, read as the component scaled by
+        `scale` (values c v and weights c^2 w, c = scale, with no array
+        scaled).  Returns integrals(tau, order) -> [I_0, ..., I_order],
+        order <= 2, the floats
 
-            I_j(tau) = area * sum over the cells of A^(j)(tau v) v^j w
+            I_j(tau) = area * sum over the cells of A^(j)(tau c v) (c v)^j c^2 w
 
         at a float tau.  `identity` returns its constants, and `example`
         reads two cell arrays fixed here (`_example_integrals`); any other
-        family evaluates `jet` at tau v."""
+        family evaluates `jet` at tau c v."""
         if self.kind == KIND_IDENTITY:
-            constants = (float(np.sum(w) * area), 0.0, 0.0)
+            constants = (float(np.sum(w) * area) * (scale * scale), 0.0, 0.0)
             return lambda tau, order: constants[: order + 1]
-        exact = _jet_integrals(self, v, w, area)
+        exact = _jet_integrals(self, v, w, area, scale)
         if self.kind == KIND_EXAMPLE:
-            return _example_integrals(v, w, area, self.gamma, exact)
+            return _example_integrals(v, w, area, self.gamma, exact, scale)
         return exact
 
     def __post_init__(self):
@@ -205,47 +208,51 @@ def tabulated_family(
     )
 
 
-def _jet_integrals(fam: CoefficientFamily, v: np.ndarray, w: np.ndarray, area: float):
-    """`CoefficientFamily.on_sample` from `fam.jet` at tau v: one quadrature
-    sum per integral.  Where A' or A'' is infinite or near the top of the
-    float range, so is its integral, without a warning."""
+def _jet_integrals(fam: CoefficientFamily, v: np.ndarray, w: np.ndarray, area: float,
+                   scale: float):
+    """`CoefficientFamily.on_sample` from `fam.jet` at tau scale v: one
+    quadrature sum per integral, the factor scale^(2+j) of I_j folded into
+    its area.  Where A' or A'' is infinite or near the top of the float
+    range, so is its integral, without a warning."""
+    a2 = area * (scale * scale)
+    areas = (a2, a2 * scale, a2 * scale * scale)
 
     def integrals(tau: float, order: int):
-        jet = fam.jet(tau * v, order)
+        jet = fam.jet((tau * scale) * v, order)
         weights = (w, v * w, v * v * w)
         with np.errstate(over="ignore", invalid="ignore"):
-            return [float(np.sum(f * wj, axis=(-2, -1)) * area)
-                    for f, wj in zip(jet, weights)]
+            return [float(np.sum(f * wj, axis=(-2, -1)) * a_j)
+                    for f, wj, a_j in zip(jet, weights, areas)]
 
     return integrals
 
 
-# a float tau is bound to the example profile's sample when (gamma +
-# max(gamma, 2)) |log2 |tau v|| is at most this for every nonzero cell value
-# v: then every power of |tau v| that `_example_integrals` and `_example_jet`
+# a float s is bound to the example profile's sample when (gamma +
+# max(gamma, 2)) |log2 |s v|| is at most this for every nonzero cell value
+# v: then every power of |s v| that `_example_integrals` and `_example_jet`
 # form is within 2^(+-_SPAN), far inside the normal floats
 _SPAN = 600.0
 
 
 def _example_integrals(v: np.ndarray, w: np.ndarray, area: float, gamma: float,
-                       exact):
+                       exact, scale: float):
     """`CoefficientFamily.on_sample` of the example profile.
 
-    With iy = |tau v|^gamma = tau^gamma |v|^gamma and r = 1/(1 + iy),
-    `_example_jet` reads A(tau v) = 1 + iy r, A'(tau v) v = (gamma/tau)
-    iy r^2 and A''(tau v) v^2 = (gamma/tau^2) iy r^3 ((gamma-1) -
-    (gamma+1) iy).  So each evaluation is products of |v|^gamma, fixed
-    here, with tau^gamma, and dot products of r, r^2 and r^3 ((gamma-1) -
-    (gamma+1) iy) with |v|^gamma area w, also fixed here; they are formed
-    in one work array.  Where (gamma + max(gamma, 2)) |log2 |tau v||
-    exceeds _SPAN at a nonzero cell, and for a tau that is not positive,
-    `exact` evaluates the jet, so that its limits and masks at extreme s,
-    which act only there, still hold.
+    With s = tau scale, iy = |s v|^gamma = s^gamma |v|^gamma and r = 1/(1
+    + iy), `_example_jet` reads A(s v) = 1 + iy r, A'(s v) scale v =
+    (gamma/tau) iy r^2 and A''(s v) (scale v)^2 = (gamma/tau^2) iy r^3
+    ((gamma-1) - (gamma+1) iy).  So each evaluation is products of
+    |v|^gamma, fixed here, with s^gamma, and dot products of r, r^2 and r^3
+    ((gamma-1) - (gamma+1) iy) with |v|^gamma area scale^2 w, also fixed
+    here; they are formed in one work array.  Where (gamma + max(gamma,
+    2)) |log2 |s v|| exceeds _SPAN at a nonzero cell, and for an s that is
+    not positive, `exact` evaluates the jet, so that its limits and masks
+    at extreme s, which act only there, still hold.
     """
     a_v = np.abs(v).ravel()
     g_v = a_v**gamma
-    gwa = g_v * (w * area).ravel()
-    total = float(w.sum() * area)
+    gwa = g_v * (w * (area * (scale * scale))).ravel()
+    total = float(w.sum() * area) * (scale * scale)
     top, low = float(a_v.max()), float(a_v.min())
     if low == 0.0:
         low = float(np.min(a_v, initial=top, where=a_v > 0.0))
@@ -255,12 +262,13 @@ def _example_integrals(v: np.ndarray, w: np.ndarray, area: float, gamma: float,
     work = np.empty((4, a_v.size))
 
     def integrals(tau: float, order: int):
-        if not (bound and tau > 0.0):
+        s = tau * scale
+        if not (bound and s > 0.0):
             return exact(tau, order)
-        e = math.log2(tau)
+        e = math.log2(s)
         if not max(abs(e), abs(e + lo), abs(e + hi)) <= reach:
             return exact(tau, order)
-        tg = tau**gamma
+        tg = s**gamma
         r, r2, r3q, iy = work
         np.multiply(g_v, tg, out=iy)
         np.reciprocal(np.add(iy, 1.0, out=r), out=r)

@@ -30,7 +30,9 @@ critical point for one field (k = 1) and for a pair (k = 2) of either
 sign of beta.  It runs from a warm guess, else from the closed-form root
 of each axis with a constant profile and no coupling, else (a pair) from
 the ray start, and stops at the first point stationary relative to
-t_k int |grad u_k|^2.
+t_k int |grad u_k|^2.  A field's warm guess is first clamped into the
+closed-form bracket of its root that the profile bounds give
+(`FiberEvaluator.bracket`).
 
 One evaluation, `FiberEvaluator.derivatives`, gives h and its first one
 or two derivatives at the Newton's point t, in Python floats.  Every
@@ -41,15 +43,18 @@ integral.
 A state is a bare nodal array: `project_to_nehari` takes a (2, nx, ny)
 pair stack, `scalar_fiber_root` an (nx, ny) field.  Each checks its
 input in one place (shape, finite entries, no zero component) and
-samples it once, or takes the CellSample of the stack, as `unit_sample`
-gives it.  Both rescales return one `ProjectionResult`, built by
-`_rescale`, with the sample of the rescaled stack.
+samples it once, or takes the CellSample of the stack, or a descent
+trial's UnitSample (`unit_sample`): the unscaled sample of a stack y and
+its gradient norms n, read as the sphere point y / n.  Both rescales
+return one `ProjectionResult`, built by `_rescale`, whose sample of the
+rescaled stack is built on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +73,11 @@ class ProjectionResult:
     Otherwise the Newton converged to the interior critical point t of
     the fibering map h, and `t` and `residual` are k-tuples: the
     scalings t_i and the constraint residuals t_i dh/dt_i(t).
-    `energy` is h(t), and `sample` is the cell sample of the rescaled
-    stack `sample.x`; all are read from the Newton's last evaluation.
+    `energy` is h(t), and `integrals` the k-tuples (int |grad w_i|^2,
+    int w_i^2) of the rescaled stack w; all are floats, read from the
+    fiber evaluator and the Newton's last evaluation.  `sample`, the cell
+    sample of w = `sample.x`, is built on first read (`_Rescaled`), so a
+    trial that is only weighed never builds it.
     """
 
     projectable: bool
@@ -77,40 +85,72 @@ class ProjectionResult:
     residual: tuple[float, ...] | None = None
     reason: str = ""
     energy: float | None = None
-    sample: CellSample | None = field(default=None, repr=False, compare=False)
+    integrals: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    rescaled: _Rescaled | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def sample(self) -> CellSample | None:
+        return None if self.rescaled is None else self.rescaled.read()
+
+
+class _Rescaled:
+    """The cell sample of a rescaled stack w = s y, held as the sample of y
+    and the factors s until its first read, which scales it once and lets
+    the sample of y go."""
+
+    __slots__ = ("unscaled", "scale", "sample")
+
+    def __init__(self, unscaled: CellSample, scale: list):
+        self.unscaled, self.scale, self.sample = unscaled, scale, None
+
+    def read(self) -> CellSample:
+        if self.sample is None:
+            self.sample = self.unscaled.scaled(self.scale)
+            self.unscaled = None
+        return self.sample
 
 
 class FiberEvaluator:
     """Cached per-cell data of one state for fast fiber evaluations.
 
-    Built on one CellSample of a k-component state and the Energy it is
+    Built on one CellSample of a k-component stack y and the Energy it is
     measured in: k = 1 for the scalar fiber tau -> E(tau z), and k = 2 for
-    a pair with its cross term.
+    a pair with its cross term.  The state u it evaluates is y / n, for
+    per-component `norms` n (1 where not given): the factors 1/n_k enter
+    the floats below and the bound profiles once, here, so that t scales
+    u and y itself is never scaled.
     Axis k reads component k of the sample: its profile bound to the cell
-    values v and |grad v|^2 (`CoefficientFamily.on_sample`), and the
-    floats q = int v^2, pp = int |v|^p and ia0 = int |grad v|^2.  A
-    synchronized field (`Energy.synchronized`) is its own partner, so its
-    coupling joins the nonlinearity: its pp is (1 + beta) int |v|^p, and
-    h_(u,u)(t, t) = 2 h_s(t).
+    values and |grad|^2 of u_k (`CoefficientFamily.on_sample`), and the
+    floats q = int u^2, pp = int |u|^p and ia0 = int |grad u|^2; the
+    powers |y|^(p/2) that pp and the cross term read are products of y^2
+    at p = 4.  A synchronized field (`Energy.synchronized`) is its own
+    partner, so its coupling joins the nonlinearity: its pp is (1 + beta)
+    int |u|^p, and h_(u,u)(t, t) = 2 h_s(t).
     """
 
-    def __init__(self, energy: Energy, sample: CellSample):
+    def __init__(self, energy: Energy, sample: CellSample, norms=None):
         self.params = energy.params
         self.fams = energy.fams
         self.lams = energy.lams
         self.sample = sample
         p = self.params.p
         v, gsq = sample.v, sample.gsq
+        self.norms = (1.0,) * len(v) if norms is None else tuple(norms)
+        c = [1.0 / n_k for n_k in self.norms]
         area = sample.grid.cell_area
-        self._integrals = [fam.on_sample(v_k, w_k, area)
-                           for fam, v_k, w_k in zip(self.fams, v, gsq)]
-        ia0, q, pp = sample.integrals(p)
+        self._integrals = [fam.on_sample(v_k, w_k, area, c_k)
+                           for fam, v_k, w_k, c_k in zip(self.fams, v, gsq, c)]
+        v2 = v * v
+        m = v2 if p == 4.0 else np.abs(v) ** (p / 2.0)
+        ia0, q, pp = (sample.integral(f).tolist() for f in (gsq, v2, m * m))
+        self._ia0, self.q = ([f_k * (c_k * c_k) for f_k, c_k in zip(f, c)]
+                             for f in (ia0, q))
+        pp = [f_k * _pow(c_k, p) for f_k, c_k in zip(pp, c)]
         if energy.coupled and len(v) == 1:
-            pp = (1.0 + self.params.beta) * pp
-        self._ia0, self.q, self.pp = (tuple(float(f_k) for f_k in f)
-                                      for f in (ia0, q, pp))
+            pp = [(1.0 + self.params.beta) * pp[0]]
+        self.pp = pp
         self.cross = (
-            float(np.sum(np.abs(v[0] * v[1]) ** (p / 2.0))) * area
+            float(np.vdot(m[0], m[1])) * area * _pow(c[0] * c[1], p / 2.0)
             if len(v) == 2
             else 0.0
         )
@@ -168,6 +208,23 @@ class FiberEvaluator:
             taus.append(_pow(quad / nonlin, 1.0 / (self.params.p - 2.0)) if ok
                         else float(not floor))
         return taus
+
+    def bracket(self) -> tuple[float, float]:
+        """(lo, hi) around the fiber root of a field (k = 1).  The root
+        solves tau^(p-2) pp = I_0 - lam q + tau I_1 / 2, and nu <= A <= C0
+        and 0 <= s A' <= gamma A give I_0 in [nu ia0, C0 ia0] and tau I_1
+        in [0, gamma C0 ia0]: lo and hi solve it for a ia0 - lam q with a =
+        nu and a = (1 + gamma/2) C0, and are 0 and inf where that is not
+        positive."""
+        (fam,), (ia0,), (lam,), (q,), (pp,) = (self.fams, self._ia0, self.lams,
+                                               self.q, self.pp)
+        ends = []
+        for a, unbounded in ((fam.nu, 0.0),
+                             ((1.0 + 0.5 * fam.gamma) * fam.c0, math.inf)):
+            quad = a * ia0 - lam * q
+            ends.append(_pow(quad / pp, 1.0 / (self.params.p - 2.0))
+                        if quad > 0.0 and pp > 0.0 else unbounded)
+        return tuple(ends)
 
     def ray_start(self) -> list | None:
         """The maximizer of the constant-profile h along the ray through the
@@ -228,7 +285,8 @@ def _sample(x, grid: Grid, lead: tuple[int, ...]) -> CellSample:
     components.  Raises GridMismatch for any other shape, InvalidState for
     a non-finite entry and DegenerateInput for a zero component.  A
     CellSample of that stack, of prod(lead) components, is taken as
-    checked, as `unit_sample` makes it, and returned as is."""
+    checked, as `unit_sample` makes it for a UnitSample, and returned as
+    is."""
     if isinstance(x, CellSample):
         if x.x.shape == (math.prod(lead), *grid.shape):
             return x
@@ -246,17 +304,32 @@ def _sample(x, grid: Grid, lead: tuple[int, ...]) -> CellSample:
     return CellSample(x, grid)
 
 
-def unit_sample(x: np.ndarray, grid: Grid) -> CellSample:
-    """The cell sample of the (k, nx, ny) stack x with each component
-    scaled to unit gradient norm: x is checked and sampled once, as by the
-    rescales, and the sample is scaled (`CellSample.scaled`).  Raises
-    DegenerateInput, too, where a gradient norm is 0 or not finite."""
+class UnitSample(NamedTuple):
+    """A stack y read on the unit gradient spheres as x = y / n: the cell
+    sample of y itself, unscaled, and the gradient norms n_k = ||grad y_k||.
+    The rescales take it in place of x, and bind y's sample with the
+    factors 1/n_k (`FiberEvaluator`)."""
+
+    sample: CellSample
+    norms: tuple[float, ...]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The sphere point x = y / n."""
+        return self.sample.x / np.reshape(self.norms, (-1, 1, 1))
+
+
+def unit_sample(x: np.ndarray, grid: Grid) -> UnitSample:
+    """The (k, nx, ny) stack x on the unit gradient spheres: x is checked
+    and sampled once, as by the rescales, and its sample is kept unscaled
+    beside its gradient norms (`UnitSample`).  Raises DegenerateInput,
+    too, where a gradient norm is 0 or not finite."""
     x = np.asarray(x, dtype=float)
     sample = _sample(x, grid, x.shape[:1])
     nrm = np.sqrt(sample.integral(sample.gsq))
     if not ((nrm > 0.0) & (nrm < math.inf)).all():
         raise DegenerateInput("cannot normalize a gradient-free field")
-    return sample.scaled(1.0 / nrm)
+    return UnitSample(sample, tuple(nrm.tolist()))
 
 
 def _newton_step(J: list, g: list, t: list) -> list:
@@ -367,11 +440,15 @@ def _fiber_root(ev: FiberEvaluator, t_init, maximize: bool):
     run, capped at _WARM_MAX_ITER steps, does not converge, and for a
     pair from `ev.ray_start()`, if any, when that fails too: at beta =
     p - 2 the cold start of identical constant profiles is singular.
+    A field's warm guess is first clamped into `ev.bracket()`.
     A run converges only at a positive and finite t.  By uniqueness of the
     interior zero every start gives the same t."""
     if t_init is not None:
         t = [float(t_k) for t_k in t_init]
         if _positive(t):
+            if len(t) == 1:
+                lo, hi = ev.bracket()
+                t = [min(max(t[0], lo), hi)]
             t, h, g, converged = _fiber_newton(ev, t, maximize, warm=True)
             if converged and _positive(t):
                 return t, h, g, True
@@ -388,8 +465,11 @@ def _rescale(energy: Energy, x: np.ndarray, grid: Grid, lead: tuple[int, ...],
     """The rescale of the (*lead, nx, ny) stack x onto the constraint set
     of `energy`, k = 1 or 2 components: the membership precheck, then
     `_fiber_root` from t_init, maximizing h for a single field and for
-    beta <= 0."""
-    ev = FiberEvaluator(energy, _sample(x, grid, lead))
+    beta <= 0.  A UnitSample x is rescaled as its sphere point y / n."""
+    norms = None
+    if isinstance(x, UnitSample):
+        x, norms = x
+    ev = FiberEvaluator(energy, _sample(x, grid, lead), norms)
     m = ev.membership_values()
     if min(m) <= 0.0:
         values = ", ".join(f"{v:.3e}" for v in m)
@@ -400,12 +480,15 @@ def _rescale(energy: Energy, x: np.ndarray, grid: Grid, lead: tuple[int, ...],
         values = ", ".join(f"{v:.6g}" for v in t)
         return ProjectionResult(False, reason=f"fiber Newton stalled at t = ({values})")
     t = tuple(float(v) for v in t)
+    sq = [t_k * t_k for t_k in t]
     return ProjectionResult(
         True,
         t=t,
         residual=tuple(t_k * g_k for t_k, g_k in zip(t, g)),
         energy=float(h),
-        sample=ev.sample.scaled(t),
+        integrals=tuple(tuple(s_k * f_k for s_k, f_k in zip(sq, f))
+                        for f in (ev._ia0, ev.q)),
+        rescaled=_Rescaled(ev.sample, [t_k / n_k for t_k, n_k in zip(t, ev.norms)]),
     )
 
 
@@ -418,9 +501,9 @@ def project_to_nehari(
     *,
     t_init: tuple[float, float] | None = None,
 ) -> ProjectionResult:
-    """Rescale the pair stack x, a (2, nx, ny) array or its CellSample,
-    onto the constraint set at the interior critical point t of its
-    fibering map.
+    """Rescale the pair stack x, a (2, nx, ny) array, its CellSample or
+    its UnitSample (then t scales its sphere point), onto the constraint
+    set at the interior critical point t of its fibering map.
 
     One damped Newton on the fiber gradient (`_fiber_newton`) finds t,
     maximizing h for beta <= 0 and lowering the gradient for beta > 0.
@@ -447,9 +530,9 @@ def scalar_fiber_root(
     *,
     synchronized: bool = False,
 ) -> ProjectionResult:
-    """Rescale the field z, an (nx, ny) array or the CellSample of its
-    (1, nx, ny) stack, onto the scalar constraint set at the unique
-    positive root tau of
+    """Rescale the field z, an (nx, ny) array or the CellSample or
+    UnitSample of its (1, nx, ny) stack, onto the scalar constraint set at
+    the unique positive root tau of
 
         tau*(int A(tau z)|grad z|^2 - lam int z^2)
            + tau^2/2 int A'(tau z) z |grad z|^2
@@ -457,9 +540,10 @@ def scalar_fiber_root(
 
     the maximizer of tau -> E(tau z), by the fiber Newton of the pair
     rescale with k = 1: from `tau_init` when it is positive and finite,
-    and else or when that does not converge, from the constant-profile
-    root.  Returns the k = 1 ProjectionResult, t = (tau,); not
-    projectable when neither start converges.
+    clamped into `FiberEvaluator.bracket`, and else or when that does not
+    converge, from the constant-profile root.  Returns the k = 1
+    ProjectionResult, t = (tau,); not projectable when neither start
+    converges.
 
     With `synchronized`, z is the synchronized field of a symmetric pair,
     measured by E(z, z)/2 (`Energy.synchronized`), whose nonlinearity is

@@ -22,11 +22,12 @@ guard and the final pick, and the lowest-energy candidate wins.
 
 Inside the solvers a state is a bare (k, nx, ny) array, k = 1 for a
 scalar problem and k = 2 for a pair, measured by one `energy.Energy`.
-The energy, gradient, checks and direction rule of an accepted descent
-state read one cell sample of it, the one its rescale returns: one
-`fiber.ProjectionResult` for a field (`scalar_fiber_root`) and for a pair
-(`project_to_nehari`).  The Newton polish likewise reads each of its
-iterates from one sample.
+A descent trial's energy and coercivity check read the floats of its
+rescale, one `fiber.ProjectionResult` for a field (`scalar_fiber_root`)
+and for a pair (`project_to_nehari`); the gradient and direction rule of
+an accepted state read the result's one cell sample of it, built at its
+first read.  The Newton polish likewise reads each of its iterates from
+one sample.
 
 Determinism: every random draw flows from the seed in SolverOptions.
 Swap equivariance holds by construction: `solve_system` and `beta_sweep`
@@ -205,28 +206,29 @@ def symmetric_problem(params, fam1, fam2) -> bool:
 
 def check_coercivity_bound(
     energy_val: float,
-    sample: CellSample,
+    integrals: tuple,
     energy: Energy,
     residual: tuple[float, ...],
 ) -> None:
     """Abort when a constrained iterate undercuts the coercivity bound.
 
     On the constraint set of `energy` (a field or a pair) the energy of
-    the sampled state dominates
+    a state u dominates
         (p-2-gamma)/(2p) * nu * sum_i int |grad u_i|^2
             - (p-2)/(2p) * sum_i lambda_i int u_i^2,
     nu the smallest of the profiles' floors, an exact consequence of the
-    growth hypothesis on the profiles.  The slack absorbs quadrature
-    roundoff and the distance of the iterate from the constraint set
-    (measured by the residuals, one per component).
+    growth hypothesis on the profiles.  `integrals` holds the floats
+    (int |grad u_i|^2, int u_i^2), one per component each, as a rescale
+    reports them (`ProjectionResult.integrals`).  The slack absorbs
+    quadrature roundoff and the distance of the iterate from the
+    constraint set (measured by the residuals, one per component).
     """
     p, g = energy.params.p, energy.params.gamma
     nu = min(fam.nu for fam in energy.fams)
-    gr, q = sample.integral(sample.gsq), sample.integral(sample.v * sample.v)
-    lams = np.array(energy.lams)
-    bound = float(np.sum(
-        (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lams * q
-    ))
+    bound = sum([
+        (p - 2.0 - g) / (2.0 * p) * nu * gr - (p - 2.0) / (2.0 * p) * lam * q
+        for gr, q, lam in zip(*integrals, energy.lams)
+    ])
     slack = 1e-8 * (1.0 + abs(energy_val)) + sum(abs(r) for r in residual)
     if energy_val < bound - slack:
         residuals = ", ".join(f"{r:.3e}" for r in residual)
@@ -411,16 +413,19 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
     """Descend from every start on the constraint set, polish, and keep the
     lowest-energy candidate.
 
-    `rescale(v, t_init)` maps the cell sample v of a stack onto the
-    constraint set and returns its `fiber.ProjectionResult`: the fiber
-    scalings t, the energy, residuals and cell sample of the rescaled
-    state w = t v.  `point(y, t_init)` is the one way a stack becomes a
-    descent point x = (v, result), v = y normalized onto the unit gradient
-    spheres, and its energy: y is sampled once, and its sample scaled
-    onto the spheres is rescaled (`fiber.unit_sample`).  The energy is
-    +inf, with a not projectable result, when the result is not
-    projectable or sampling y raises one of _REJECTS, and otherwise the
-    energy of w, which `check_coercivity_bound` guards.
+    `rescale(v, t_init)` maps the sphere point of the `fiber.UnitSample`
+    v onto the constraint set and returns its `fiber.ProjectionResult`:
+    the fiber scalings t, the energy, residuals and integrals of the
+    rescaled state w = t v, and its cell sample, built on first read.
+    `point(y, t_init)` is the one way a stack becomes a descent point x =
+    (v, result), v = y normalized onto the unit gradient spheres, and its
+    energy: y is sampled once (`fiber.unit_sample`), and the rescale reads
+    that sample unscaled, with the norms of y.  The energy is +inf, with
+    a not projectable result, when the result is not projectable or
+    sampling y raises one of _REJECTS, and otherwise the energy of w,
+    which `check_coercivity_bound` guards from the result's floats.  So a
+    trial that the descent rejects scales no sample; a kept point's sample
+    is built once, when its gradient is read.
     The descent (`_descend`) runs on the Euler gradient of `energy` at w,
     a point moves on the spheres by `_conjugate_lift`, and each trial is
     the point of the moved stack, rescaled from the current t.
@@ -465,7 +470,7 @@ def _best_polished(starts, rescale, polish, energy, grid, opts, warnings,
                 return (y, ProjectionResult(False, reason=str(exc))), math.inf
             if not proj.projectable:
                 return (v.x, proj), math.inf
-            check_coercivity_bound(proj.energy, proj.sample, energy, proj.residual)
+            check_coercivity_bound(proj.energy, proj.integrals, energy, proj.residual)
             return (v.x, proj), proj.energy
 
         def gradient(x):

@@ -285,6 +285,22 @@ class TestOnSample:
             fam.on_sample(cells, w, area)(tau, 2)
             assert len(calls) == n_jets
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("scale", [1e-3, 0.37, 58.0])
+    def test_scale_reads_the_scaled_component(self, name, scale):
+        # the profile bound with `scale` c gives the integrals of the
+        # scaled cells c v and weights c^2 w, with no array scaled.  The
+        # tabulated A'' is a difference quotient of A', which turns the
+        # rounding of its argument into relative errors near 1e-12.
+        fam = self.FAMILIES[name]
+        v, w, area = bound_sample(1)
+        got = fam.on_sample(v, w, area, scale)
+        want = fam.on_sample(scale * v, scale * scale * w, area)
+        rtol = (1e-13, 1e-13, 1e-10 if name == "tabulated" else 1e-13)
+        for tau in np.logspace(-3.0, 3.0, 13).tolist():
+            for g, w_j, r in zip(got(tau, 2), want(tau, 2), rtol):
+                assert g == pytest.approx(w_j, rel=r, abs=0.0)
+
     def test_array_of_taus_matches_floats(self):
         # the jet summed over the cells on a column of taus at once gives
         # the bound integrals at each float tau

@@ -76,6 +76,10 @@ def far_start_pair(grid, beta):
     return np.stack((b, b * (1.0 + 0.3 * X)))
 
 
+# a profile that certifies, through the generic jet path
+TABULATED = tabulated_family(example_family(1.0).a, example_family(1.0).da, nu=1.0,
+                             c0=2.0, gamma=1.0)
+
 pair_families = st.sampled_from([(identity_family(), example_family(1.0)),
                                  (example_family(0.5), example_family(1.3))])
 # repulsive and attractive coupling
@@ -522,6 +526,44 @@ class TestPositiveRoot:
         assert tau == pytest.approx(ref, rel=1e-12)
         assert 0 < psi.calls <= 8
 
+    def test_far_warm_guess_starts_inside_the_bracket(self, monkeypatch, grid15,
+                                                      example1):
+        # a warm guess 50 times the root, as a descent trial gets from a
+        # much larger field, is clamped to the bracket's upper end: Newton
+        # from above no longer shrinks it by a third per step (16
+        # evaluations without the clamp)
+        lam = 0.05 * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, -2.0, 4.0, 1.0)
+        z = modulated_bump(grid15)
+        ref = scalar_fiber_root(z, lam, params, example1, grid15).t[0]
+        derivatives = counted(FiberEvaluator.derivatives)
+        monkeypatch.setattr(FiberEvaluator, "derivatives", derivatives)
+        tau = scalar_fiber_root(z, lam, params, example1, grid15,
+                                tau_init=50.0 * ref).t[0]
+        assert tau == pytest.approx(ref, rel=1e-12)
+        assert derivatives.calls <= 6
+
+    @PROPERTY
+    @given(fam=st.sampled_from([identity_family(), example_family(0.5),
+                                example_family(1.3), TABULATED]),
+           p=st.sampled_from((3.0, 4.0)), lam_frac=st.floats(-0.5, 0.5),
+           beta=st.sampled_from((None, -0.5, 2.0)), seed=st.integers(0, 2**31))
+    def test_root_lies_in_the_bracket(self, grid15, fam, p, lam_frac, beta, seed):
+        # nu <= A <= C0 and 0 <= s A' <= gamma A hold for these profiles,
+        # so the closed-form bracket holds the root of a field, plain
+        # (beta None) or synchronized
+        lam = lam_frac * conservative_mu1(grid15)
+        params = ProblemParams(lam, lam, beta or 0.0, p, 0.5)
+        energy = (Energy.scalar if beta is None else Energy.synchronized)(
+            params, lam, fam)
+        z = random_state(grid15, seed).u1.values
+        lo, hi = FiberEvaluator(energy, CellSample(z[None], grid15)).bracket()
+        res = scalar_fiber_root(z, lam, params, fam, grid15,
+                                synchronized=beta is not None)
+        assert res.projectable and 0.0 < lo <= hi < math.inf
+        (tau,) = res.t
+        assert lo * (1.0 - 1e-12) <= tau <= hi * (1.0 + 1e-12)
+
 
 class TestProjection:
     def test_decoupled_identity_closed_form(self, grid31, identity):
@@ -929,13 +971,25 @@ class TestSphereNormalize:
         with pytest.raises(DegenerateInput):
             unit_sample(np.zeros((2, *grid15.shape)), grid15).x
 
-    def test_scaled_sample_is_the_sample_of_its_stack(self, grid15):
-        # the stack is sampled once and the sample scaled: by linearity of
-        # the stencils it is a fresh sample of the scaled stack to rounding
-        unit = unit_sample(random_state(grid15, seed=3).stacked(), grid15)
-        fresh = CellSample(unit.x, grid15)
+    def test_scaled_sample_is_the_sample_of_its_stack(self, grid15, example1,
+                                                      competitive_params):
+        # the stack y is sampled once and kept unscaled beside its norms n;
+        # a rescale of it scales that sample once, at t / n, and by
+        # linearity of the stencils that is a fresh sample of the rescaled
+        # stack to rounding
+        y = segregated_random_state(grid15, 3) * np.reshape((17.0, 0.003), (2, 1, 1))
+        unit = unit_sample(y, grid15)
+        gr, _q, _pp = CellSample(y, grid15).integrals(2.0)
+        assert np.array_equal(unit.sample.x, y)
+        assert unit.norms == pytest.approx(np.sqrt(gr), rel=1e-15)
+        assert np.array_equal(unit.x, y / np.reshape(unit.norms, (2, 1, 1)))
+        res = project_to_nehari(unit, competitive_params, example1, example1, grid15)
+        assert res.projectable
+        scale = [t_k / n_k for t_k, n_k in zip(res.t, unit.norms)]
+        assert np.array_equal(res.sample.x, np.reshape(scale, (2, 1, 1)) * y)
+        fresh = CellSample(res.sample.x, grid15)
         for name in ("v", "gx", "gy", "gsq"):
-            got, want = getattr(unit, name), getattr(fresh, name)
+            got, want = getattr(res.sample, name), getattr(fresh, name)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_rescales_take_the_sample(self, monkeypatch, grid15, example1,
@@ -949,6 +1003,61 @@ class TestSphereNormalize:
         assert res.projectable and calls.calls == 0
         with pytest.raises(GridMismatch):
             scalar_fiber_root(unit, 0.0, competitive_params, example1, grid15)
+
+
+class TestUnscaledRescale:
+    """A rescale of `unit_sample(y)` reads the sample of y itself, with the
+    norms n of y folded into the fiber's floats and bound profiles; it is
+    the rescale of y's sample scaled onto the spheres to rounding."""
+
+    @pytest.mark.parametrize("fam", [identity_family(), example_family(0.5),
+                                     example_family(1.3), TABULATED],
+                             ids=["identity", "example0.5", "example1.3", "tabulated"])
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("kind", ["scalar", "synchronized", "pair"])
+    def test_matches_the_prescaled_sample(self, grid15, fam, p, kind):
+        params = ProblemParams(0.4, -0.3, -2.0 if kind == "pair" else 0.5, p, 0.5)
+        y = segregated_random_state(grid15, 4) * np.reshape((17.0, 0.003), (2, 1, 1))
+        if kind == "pair":
+            energy = Energy.pair(params, fam, fam)
+
+            def rescale(v):
+                return project_to_nehari(v, params, fam, fam, grid15)
+        else:
+            y = y[1:]
+            energy = (Energy.scalar if kind == "scalar" else Energy.synchronized)(
+                params, 0.4, fam)
+
+            def rescale(v):
+                return scalar_fiber_root(v, 0.4, params, fam, grid15,
+                                         synchronized=kind == "synchronized")
+
+        unit = unit_sample(y, grid15)
+        prescaled = CellSample(y, grid15).scaled([1.0 / n for n in unit.norms])
+        got, want = rescale(unit), rescale(prescaled)
+        assert got.projectable and want.projectable
+        assert got.t == pytest.approx(want.t, rel=1e-13, abs=0.0)
+        assert got.energy == pytest.approx(want.energy, rel=1e-13, abs=0.0)
+        gr, _q, pp = want.sample.integrals(p)
+        terms = float(np.sum(gr + pp))
+        assert np.max(np.abs(np.subtract(got.residual, want.residual))) <= 1e-13 * terms
+        for a, b in zip(got.integrals, want.integrals):
+            assert a == pytest.approx(b, rel=1e-13, abs=0.0)
+        # off the root, each evaluation agrees too
+        t = [3.0 * t_k for t_k in want.t]
+        bound = FiberEvaluator(energy, CellSample(y, grid15), unit.norms)
+        for a, b in zip(bound.derivatives(t),
+                        FiberEvaluator(energy, prescaled).derivatives(t)):
+            assert np.allclose(a, b, rtol=1e-13, atol=0.0)
+
+    def test_sample_is_built_once_on_first_read(self, monkeypatch, grid15,
+                                                example1, competitive_params):
+        calls = counted(CellSample.scaled)
+        monkeypatch.setattr(CellSample, "scaled", calls)
+        res = project_to_nehari(bump_state(grid15), competitive_params, example1,
+                                example1, grid15)
+        assert res.projectable and calls.calls == 0
+        assert res.sample is res.sample and calls.calls == 1
 
 
 class TestUniquenessScan:

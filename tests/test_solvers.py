@@ -560,26 +560,88 @@ class TestOneSamplePerState:
         d, _slope, _memo = captured["direction"](x, g, None)
 
         counts = count_stencils(monkeypatch)
+        scaled = []
+        real_scaled = CellSample.scaled
+
+        def scale(sample, t):
+            scaled.append(t)
+            return real_scaled(sample, t)
+
         guarded = []
         real_guard = S.check_coercivity_bound
 
-        def guard(energy_val, sample, *args):
-            guarded.append(sample)
-            return real_guard(energy_val, sample, *args)
+        def guard(energy_val, integrals, *args):
+            guarded.append(integrals)
+            return real_guard(energy_val, integrals, *args)
 
+        monkeypatch.setattr(CellSample, "scaled", scale)
         monkeypatch.setattr(S, "check_coercivity_bound", guard)
-        # the trial pair is sampled once: normalization scales that sample,
-        # project_to_nehari rescales it, and its energy comes from the
-        # fiber map
+        # the trial pair is sampled once: project_to_nehari rescales that
+        # sample unscaled, with the pair's gradient norms, its energy comes
+        # from the fiber map and its guard from the fiber's floats
         x_try, e_try = captured["retract"](x, d, 0.01)
-        assert counts == {"values": 2, "gradients": 2}
-        # the trial's guard and the accepted state's gradient read the same
-        # sample
-        assert len(guarded) == 1 and guarded[0] is x_try[1].sample
+        assert counts == {"values": 2, "gradients": 2} and scaled == []
+        assert len(guarded) == 1 and guarded[0] is x_try[1].integrals
+        # the accepted state's gradient reads one scaled copy of that sample
         captured["gradient"](x_try)
-        assert counts == {"values": 2, "gradients": 2}
+        assert counts == {"values": 2, "gradients": 2} and len(scaled) == 1
+        sample = x_try[1].sample
+        gr, q, _pp = sample.integrals(params.p)
+        for got, want in zip(guarded[0], (gr, q)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         energy = S.Energy.pair(params, example1, example1)
-        assert e_try == pytest.approx(energy.value(x_try[1].sample), rel=1e-14)
+        assert e_try == pytest.approx(energy.value(sample), rel=1e-14)
+        # the sphere point is the stack of the rescaled state over t
+        w = sample.x / np.reshape(x_try[1].t, (2, 1, 1))
+        assert np.max(np.abs(x_try[0] - w)) <= 1e-14 * np.max(np.abs(w))
+
+    def test_one_scaled_sample_per_kept_point(self, monkeypatch, grid15,
+                                              example1):
+        # the points a descent keeps (its start and every accepted trial)
+        # each get one scaled sample, built when it is read; the trials it
+        # rejects, which it only weighs, get none
+        kept, trials = {}, []
+        real_descend = S._descend
+
+        def descend(x, energy_val, gradient, direction, retract, *args):
+            def keeping(x):
+                kept[id(x[1])] = x[1]
+                return gradient(x)
+
+            def trying(x, d, a):
+                kept[id(x[1])] = x[1]
+                out = retract(x, d, a)
+                trials.append(out[0][1])
+                return out
+
+            kept[id(x[1])] = x[1]
+            out = real_descend(x, energy_val, keeping, direction, trying, *args)
+            kept[id(out[0][1])] = out[0][1]
+            return out
+
+        scaled = []
+        real_scaled = CellSample.scaled
+
+        def scale(sample, t):
+            scaled.append(real_scaled(sample, t))
+            return scaled[-1]
+
+        monkeypatch.setattr(S, "_descend", descend)
+        monkeypatch.setattr(CellSample, "scaled", scale)
+        params = ProblemParams(0.05 * conservative_mu1(grid15), 0.0, -2.0, 4.0,
+                               1.0)
+        fam2 = example_family(1.3)
+        _u, rep = solve_system(params, example1, fam2, grid15,
+                               SolverOptions(n_restarts=1, max_iter=300))
+        assert rep.fully_nontrivial
+        rejected = [r for r in trials if id(r) not in kept and r.projectable]
+        assert len(rejected) > 10 and len(kept) > 20
+        # as many samples were scaled as there are kept points, and each
+        # kept point reads one of them, built before this read: so no
+        # rejected trial built one
+        assert len(scaled) == len(kept)
+        built = {id(s) for s in scaled}
+        assert {id(r.sample) for r in kept.values()} == built
 
     def test_scalar_trial(self, monkeypatch, grid15, example1, params_p4):
         # a scalar rescale samples its trial once, inside
@@ -1620,11 +1682,38 @@ class TestCoercivityGuard:
             ScalarField(rng.standard_normal(grid15.shape), grid15.spec),
         )
         fake_energy = -1e6  # far below any admissible constrained level
-        with pytest.raises(CoercivityViolation):
+        gr, q, _pp = CellSample(u.stacked(), grid15).integrals(params.p)
+        with pytest.raises(CoercivityViolation, match="fell below the bound"):
             check_coercivity_bound(
-                fake_energy, CellSample(u.stacked(), grid15),
-                Energy.pair(params, identity, identity), (0.0, 0.0),
+                fake_energy, (gr, q), Energy.pair(params, identity, identity),
+                (0.0, 0.0),
             )
+
+    @pytest.mark.parametrize("lams", [(0.0, 0.0), (8.0, -3.0)])
+    def test_float_bound_equals_the_array_form(self, grid15, example1, lams):
+        # the bound from the floats of a rescale is the array sum over the
+        # cells of the state, to 1e-13: the guard switches between energies
+        # 1e-13 below and above the threshold that form gives
+        params = ProblemParams(*lams, -2.0, 4.0, 1.0)
+        energy = Energy.pair(params, identity_family(), example1)
+        res = S.project_to_nehari(segregated_random_state(grid15, 3), params,
+                                  *energy.fams, grid15)
+        assert res.projectable
+        s = res.sample
+        p, g = params.p, params.gamma
+        nu = min(fam.nu for fam in energy.fams)
+        bound = float(np.sum(
+            (p - 2.0 - g) / (2.0 * p) * nu * s.integral(s.gsq)
+            - (p - 2.0) / (2.0 * p) * np.array(lams) * s.integral(s.v * s.v)
+        ))
+        assert bound > 0.0
+        # E < bound - 1e-8 (1 + E) exactly below this E
+        threshold = (bound - 1e-8) / (1.0 + 1e-8)
+        S.check_coercivity_bound(threshold * (1.0 + 1e-13), res.integrals, energy,
+                                 (0.0, 0.0))
+        with pytest.raises(CoercivityViolation):
+            S.check_coercivity_bound(threshold * (1.0 - 1e-13), res.integrals,
+                                     energy, (0.0, 0.0))
 
     def test_scalar_solve_is_guarded(self, monkeypatch, grid15, example1,
                                      params_p4, fast_opts):
